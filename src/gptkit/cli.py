@@ -156,15 +156,8 @@ def _cmd_tensor(args) -> int:
             raise InvalidInputError("--check-equals-min requires --max")
         small = min_tensor(a, b)
         eps = composite.tol(args.tol)
-        products = small.cone.generators
-        rows = tuple(tuple(p[i] for p in products)
-                     for i in range(composite.dim))
-        equal = True
-        for g in composite.cone.generators:
-            x, _ = feasible_point(rows, g, eps)
-            if x is None:
-                equal = False
-                break
+        equal = all(feasible_point(small.cone.generators, g, eps)[0]
+                    is not None for g in composite.cone.generators)
         report["equals_min"] = equal
         status = OK if equal else REJECT
     _write_json(args, report)

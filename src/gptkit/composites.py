@@ -104,9 +104,7 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
     unit = product_vec(a.unit, b.unit)
     if candidate.unit != unit:
         raise UnitMismatchError("candidate does not carry the product unit")
-    eps = tolerance_for(
-        merge_arithmetic(a.arithmetic, b.arithmetic, candidate.arithmetic),
-        tol)
+    eps = tolerance_for(tol, a, b, candidate)
     for x in a.cone.generators:
         for y in b.cone.generators:
             if not candidate.cone.contains(product_vec(x, y), eps):
@@ -265,9 +263,7 @@ def is_entangled(state: BipartiteState, tol=None) -> bool:
     eps = state.composite.tol(tol)
     products = [product_vec(x, y)
                 for x in a.cone.generators for y in b.cone.generators]
-    target = state.flat
-    rows = tuple(tuple(p[i] for p in products) for i in range(len(target)))
-    x, _ = feasible_point(rows, target, eps)
+    x, _ = feasible_point(products, state.flat, eps)
     return x is None
 
 
@@ -275,7 +271,7 @@ def effect_on_min(a: StateSpace, b: StateSpace, f_coords: Mat,
                   tol=None) -> bool:
     """Valid effect on the minimal composite: 0 <= F <= u on products."""
     F = mat(f_coords)
-    eps = tolerance_for(merge_arithmetic(a.arithmetic, b.arithmetic), tol)
+    eps = tolerance_for(tol, a, b)
     for x in a.cone.generators:
         for y in b.cone.generators:
             val = dot(matvec(F, y), x)
@@ -294,7 +290,7 @@ def effect_on_max(a: StateSpace, b: StateSpace, f_coords: Mat,
     each test is one feasibility LP.
     """
     F = mat(f_coords)
-    eps = tolerance_for(merge_arithmetic(a.arithmetic, b.arithmetic), tol)
+    eps = tolerance_for(tol, a, b)
     unit = tuple(tuple(ua * ub for ub in b.unit) for ua in a.unit)
     residual_mat = tuple(tuple(u - x for u, x in zip(urow, frow))
                          for urow, frow in zip(unit, F))
@@ -306,9 +302,7 @@ def _separable_functional(a: StateSpace, b: StateSpace, F: Mat,
                           eps: Fraction) -> bool:
     products = [product_vec(x, y)
                 for x in a.cone.facets for y in b.cone.facets]
-    target = _as_flat(F)
-    rows = tuple(tuple(p[i] for p in products) for i in range(len(target)))
-    x, _ = feasible_point(rows, target, eps)
+    x, _ = feasible_point(products, _as_flat(F), eps)
     return x is not None
 
 
@@ -322,8 +316,7 @@ def check_distributive_inclusion(a: StateSpace, b: StateSpace,
     products. Only the two inner pair composites are ever enumerated
     (each within the dimension cap); the triple space is not.
     """
-    eps = tolerance_for(
-        merge_arithmetic(a.arithmetic, b.arithmetic, c.arithmetic), tol)
+    eps = tolerance_for(tol, a, b, c)
     inner_left = max_tensor(b, c)
     inner_right = min_tensor(a, b)
     # generators of a (x) (b max c): products over the enumerated max pair

@@ -5,10 +5,16 @@ both phases, so the walk terminates without cycling. Infeasibility is a
 result, not an exception, and carries the phase-1 residual so float-mode
 callers can accept near-feasible systems (residual <= eps) while
 rational-mode callers demand exactly zero.
+
+feasible_point is the one cone-membership test of the package: is the
+target a nonnegative combination of the given columns? Every membership
+question (separability, hull membership, decompositions, sections) is
+put to it in column form; solve_lp is left to the optimizing LPs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,20 +141,20 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     return LPResult(OPTIMAL, tuple(x), value, ZERO)
 
 
-def feasible_point(eq_matrix: Mat, eq_rhs: Vec,
+def feasible_point(columns: Sequence[Vec], target: Vec,
                    tol: Fraction = ZERO) -> tuple[Vec | None, Fraction]:
-    """A nonnegative solution of A x = b within phase-1 residual tol.
+    """Weights x >= 0 with sum_j x[j] * columns[j] = target.
 
-    Returns (x, residual); x is None when the residual exceeds tol.
+    Phase 1 decides. A system inconsistent by a residual within tol gets
+    the point of least L1 equation error instead, so float-mode callers
+    can accept near-members. Returns (x, residual); x is None when the
+    residual exceeds tol. No columns span only the zero vector.
     """
-    if not eq_matrix:
-        return (), ZERO
-    n = len(eq_matrix[0])
-    result = solve_lp((ZERO,) * n, eq_matrix, eq_rhs)
+    rows = tuple(tuple(c[i] for c in columns) for i in range(len(target)))
+    result = solve_lp((ZERO,) * len(columns), rows, target)
     if result.status == INFEASIBLE:
         if result.residual <= tol:
-            relaxed = _relaxed_point(eq_matrix, eq_rhs)
-            return relaxed, result.residual
+            return _relaxed_point(rows, target), result.residual
         return None, result.residual
     return result.x, ZERO
 

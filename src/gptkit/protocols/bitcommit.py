@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, SearchCapError, UnsupportedConeError
 from ..linalg import Vec, dot, vec, zeros
-from ..lp import solve_lp
+from ..lp import feasible_point, solve_lp
 from ..spaces import StateSpace
 
 ZERO = Fraction(0)
@@ -165,21 +165,14 @@ def find_double_decomposition(space: StateSpace,
 
 def _try_pair(space, verts, idx0, idx1, eps, tol):
     d = space.dim
-    k0, k1 = len(idx0), len(idx1)
-    rows = []
-    rhs = []
-    for i in range(d):
-        rows.append(tuple(verts[j][i] for j in idx0)
-                    + tuple(-verts[j][i] for j in idx1))
-        rhs.append(ZERO)
-    rows.append((ONE,) * k0 + (ZERO,) * k1)
-    rhs.append(ONE)
-    rows.append((ZERO,) * k0 + (ONE,) * k1)
-    rhs.append(ONE)
-    result = solve_lp((ZERO,) * (k0 + k1), tuple(rows), tuple(rhs))
-    if result.status != "optimal":
+    k0 = len(idx0)
+    # branch-0 weights mix to omega, branch-1 weights to the same omega,
+    # and each branch sums to one
+    columns = [verts[j] + (ONE, ZERO) for j in idx0] + \
+        [tuple(-x for x in verts[j]) + (ZERO, ONE) for j in idx1]
+    weights, _ = feasible_point(columns, (ZERO,) * d + (ONE, ONE))
+    if weights is None:
         return None
-    weights = result.x
     if any(w <= eps for w in weights):
         return None  # smaller pair would do; covered at a lower total
     effects = {}

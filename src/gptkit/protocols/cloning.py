@@ -82,10 +82,8 @@ class BroadcastReport:
 
 
 def _in_hull(point: Vec, hull_points: tuple[Vec, ...], eps) -> bool:
-    rows = [tuple(p[i] for p in hull_points) for i in range(len(point))]
-    rows.append((ONE,) * len(hull_points))
-    rhs = tuple(point) + (ONE,)
-    x, _ = feasible_point(tuple(rows), rhs, eps)
+    columns = [tuple(p) + (ONE,) for p in hull_points]
+    x, _ = feasible_point(columns, tuple(point) + (ONE,), eps)
     return x is not None
 
 

@@ -21,6 +21,7 @@ from ..linalg import (Mat, identity, inverse, mat, matmul, matvec, rank,
                       transpose, vec)
 from ..lp import feasible_point
 from ..models import entangled_state_coords, symmetry_group
+from ..scalars import tolerance_for
 from ..spaces import (Effect, LinearMapRep, Observable, StateSpace,
                       _positive_between, is_norm_contractive,
                       is_order_isomorphism, is_positive_map)
@@ -72,7 +73,7 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
     F = mat(f_coords)
     if len(F) != a_space.dim or any(len(r) != b_space.dim for r in F):
         raise DimensionMismatchError("effect matrix must be dim A x dim B")
-    eps = max(a_space.tol(tol), b_space.tol(tol))
+    eps = tolerance_for(tol, a_space, b_space)
     if not effect_on_min(a_space, b_space, F, tol):
         raise InvalidInputError("f is not an effect on the minimal composite")
     if omega.composite.tensor != "max":
@@ -115,7 +116,7 @@ def verify_correction_free(a_space: StateSpace, b_space: StateSpace,
     cert = verify_teleportation(a_space, b_space, f_coords, omega, tol)
     if not cert.verdict:
         return False
-    eps = max(a_space.tol(tol), b_space.tol(tol))
+    eps = tolerance_for(tol, a_space, b_space)
     c = cert.constant
     return all(abs(x - (c if i == j else ZERO)) <= eps
                for i, row in enumerate(cert.mu.matrix)
@@ -266,40 +267,27 @@ def verify_compression_witness(a1: StateSpace, a2: StateSpace, p_coords,
     if a1.kind != "polyhedral" or a2.kind != "polyhedral":
         raise UnsupportedConeError("compression witness needs polyhedral "
                                    "spaces")
-    eps = max(a1.tol(tol), a2.tol(tol))
+    eps = tolerance_for(tol, a1, a2)
     if not _positive_between(P, a2.cone.dual(), a1.cone, eps):
         return False
     if rank(P) != a1.dim:
         return False
 
-    # section entries split into +/- parts; slack per positivity row
+    # Section entry S[k][m] is split into +/- columns: its part of
+    # (P S)[:, m] = e_m, then its part of h(S g) for every positivity
+    # pair (g, h); a -1 slack column per pair keeps each h(S g) >= 0.
     d1, d2 = a1.dim, a2.dim
-    gens1 = a1.cone.generators
-    gens2 = a2.cone.generators
-    nfree = d2 * d1
-    npos = len(gens1) * len(gens2)
-    width = 2 * nfree + npos
-    rows = []
-    rhs = []
-    for i in range(d1):
-        for j in range(d1):
-            row = [ZERO] * width
-            for k in range(d2):
-                row[k * d1 + j] = P[i][k]
-                row[nfree + k * d1 + j] = -P[i][k]
-            rows.append(tuple(row))
-            rhs.append(ONE if i == j else ZERO)
-    si = 2 * nfree
-    for g in gens1:
-        for h in gens2:
-            row = [ZERO] * width
-            for k in range(d2):
-                for m in range(d1):
-                    row[k * d1 + m] = h[k] * g[m]
-                    row[nfree + k * d1 + m] = -h[k] * g[m]
-            row[si] = -ONE
-            si += 1
-            rows.append(tuple(row))
-            rhs.append(ZERO)
-    x, residual = feasible_point(tuple(rows), tuple(rhs), eps)
+    pairs = [(g, h) for g in a1.cone.generators for h in a2.cone.generators]
+    entries = [tuple(P[i][k] if j == m else ZERO
+                     for i in range(d1) for j in range(d1))
+               + tuple(h[k] * g[m] for g, h in pairs)
+               for k in range(d2) for m in range(d1)]
+    slacks = [(ZERO,) * (d1 * d1)
+              + tuple(-ONE if s == t else ZERO for t in range(len(pairs)))
+              for s in range(len(pairs))]
+    columns = entries + [tuple(-x for x in c) for c in entries] + slacks
+    target = tuple(ONE if i == j else ZERO
+                   for i in range(d1) for j in range(d1)) \
+        + (ZERO,) * len(pairs)
+    x, _ = feasible_point(columns, target, eps)
     return x is not None

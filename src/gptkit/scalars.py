@@ -30,9 +30,7 @@ def exactify(value: int | float | Fraction | str) -> Fraction:
         return value
     if isinstance(value, bool):
         raise InvalidInputError("booleans are not scalars")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -50,10 +48,12 @@ def merge_arithmetic(*modes: str) -> str:
     return FLOAT if FLOAT in modes else RATIONAL
 
 
-def tolerance_for(mode: str, tol: Fraction | float | None = None) -> Fraction:
-    """Comparison slack for a mode: zero when rational, EPS when float."""
+def tolerance_for(tol: Fraction | float | None, *spaces) -> Fraction:
+    """Comparison slack: tol if given, else zero when every space is
+    rational and EPS when any is float."""
     if tol is not None:
         return exactify(tol)
+    mode = merge_arithmetic(*(s.arithmetic for s in spaces))
     return Fraction(0) if mode == RATIONAL else DEFAULT_TOLERANCE
 
 

@@ -35,8 +35,8 @@ from .linalg import (
     vec,
     zeros,
 )
-from .lp import solve_lp
-from .scalars import FLOAT, RATIONAL, emit, tolerance_for
+from .lp import feasible_point, solve_lp
+from .scalars import RATIONAL, emit, tolerance_for
 
 try:  # optional: only the lorentz->lorentz positivity check needs it
     import numpy as _np
@@ -81,7 +81,7 @@ class StateSpace:
         return self.cone.arithmetic
 
     def tol(self, tol: Fraction | float | None = None) -> Fraction:
-        return tolerance_for(self.arithmetic, tol)
+        return tolerance_for(tol, self)
 
     @property
     def vertices(self) -> tuple[Vec, ...]:
@@ -275,13 +275,6 @@ def _pullback(matrix: Mat, functional: Vec) -> Vec:
     return matvec(transpose(matrix), functional)
 
 
-def _lorentz_member(x: Vec, eps: Fraction) -> bool:
-    head, last = x[:-1], x[-1]
-    if last + eps < 0:
-        return False
-    return (last + eps) ** 2 >= sum((h * h for h in head), ZERO)
-
-
 def _positive_between(matrix: Mat, dom: ConeRep, cod: ConeRep,
                       eps: Fraction) -> bool:
     """Whether matrix maps dom into cod, all four kind pairings."""
@@ -291,22 +284,20 @@ def _positive_between(matrix: Mat, dom: ConeRep, cod: ConeRep,
     if cod.kind == POLYHEDRAL:
         # For each codomain facet h, min of <h, T(x, 1)> over the unit
         # ball boundary is last(phi) - |head(phi)| with phi = T^t h.
-        for h in cod.facets:
-            phi = _pullback(matrix, h)
-            if not _lorentz_member(phi, eps):
-                return False
-        return True
-    return _lorentz_to_lorentz_positive(matrix, eps)
+        # The lorentz cone is self-dual, so phi must lie in dom itself.
+        return all(dom.contains(_pullback(matrix, h), eps) for h in cod.facets)
+    return _lorentz_to_lorentz_positive(matrix, cod, eps)
 
 
-def _lorentz_to_lorentz_positive(matrix: Mat, eps: Fraction) -> bool:
+def _lorentz_to_lorentz_positive(matrix: Mat, cod: ConeRep,
+                                 eps: Fraction) -> bool:
     """Homogeneous S-lemma: T(L) in L iff T e_last in L and
     T^t J T - mu J is PSD for some mu >= 0 (J = diag(-1,..,-1,1))."""
     if _np is None:  # pragma: no cover
         raise UnsupportedConeError("numpy required for lorentz->lorentz maps")
     n = len(matrix)
     axis = matvec(matrix, tuple([ZERO] * (len(matrix[0]) - 1) + [Fraction(1)]))
-    if not _lorentz_member(axis, eps):
+    if not cod.contains(axis, eps):
         return False
     T = _np.array([[float(x) for x in row] for row in matrix])
     J = _np.diag([-1.0] * (T.shape[1] - 1) + [1.0])
@@ -331,22 +322,16 @@ def _lorentz_to_lorentz_positive(matrix: Mat, eps: Fraction) -> bool:
 
 
 def is_positive_map(T: LinearMapRep, tol=None) -> bool:
-    eps = tolerance_for(
-        FLOAT if FLOAT in (T.domain.arithmetic, T.codomain.arithmetic)
-        else RATIONAL, tol)
+    eps = tolerance_for(tol, T.domain, T.codomain)
     return _positive_between(T.matrix, T.domain.cone, T.codomain.cone, eps)
 
 
 def is_norm_contractive(T: LinearMapRep, tol=None) -> bool:
     """u_cod . T <= u_dom on the domain cone (meaningful for positive T)."""
-    eps = tolerance_for(
-        FLOAT if FLOAT in (T.domain.arithmetic, T.codomain.arithmetic)
-        else RATIONAL, tol)
+    eps = tolerance_for(tol, T.domain, T.codomain)
     slack = tuple(u - p for u, p in
                   zip(T.domain.unit, _pullback(T.matrix, T.codomain.unit)))
-    if T.domain.kind == LORENTZ:
-        return _lorentz_member(slack, eps)
-    return all(dot(slack, g) >= -eps for g in T.domain.cone.generators)
+    return _dual_member(T.domain, slack, eps)
 
 
 def is_order_isomorphism(T: LinearMapRep, tol=None) -> bool:
@@ -356,9 +341,7 @@ def is_order_isomorphism(T: LinearMapRep, tol=None) -> bool:
     inv = inverse(T.matrix)
     if inv is None:
         return False
-    eps = tolerance_for(
-        FLOAT if FLOAT in (T.domain.arithmetic, T.codomain.arithmetic)
-        else RATIONAL, tol)
+    eps = tolerance_for(tol, T.domain, T.codomain)
     return _positive_between(T.matrix, T.domain.cone, T.codomain.cone, eps) \
         and _positive_between(inv, T.codomain.cone, T.domain.cone, eps)
 
@@ -401,37 +384,16 @@ def one_shot_distinguishing_observable(
     if k == 0:
         raise InvalidInputError("no states given")
 
-    # variables theta[i][t] >= 0 with a_i = sum_t theta[i][t] dual_t
-    nvars = k * r
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    for i in range(k):
-        for j in range(k):
-            row = [ZERO] * nvars
-            for t in range(r):
-                row[i * r + t] = dot(duals[t], omegas[j])
-            rows.append(tuple(row))
-            rhs.append(Fraction(1) if i == j else ZERO)
-    for c in range(d):
-        row = [ZERO] * nvars
-        for i in range(k):
-            for t in range(r):
-                row[i * r + t] = duals[t][c]
-        rows.append(tuple(row))
-        rhs.append(space.unit[c])
-
-    result = solve_lp((ZERO,) * nvars, tuple(rows), tuple(rhs))
-    if result.status == "infeasible":
-        if result.residual > eps:
-            return None
-        # float mode: accept within tolerance via the relaxed point
-        from .lp import feasible_point
-        x, _ = feasible_point(tuple(rows), tuple(rhs), eps)
-        if x is None:
-            return None
-        theta = x
-    else:
-        theta = result.x
+    # column (i, t) is dual_t as a candidate summand of a_i: its values
+    # on every state, placed in block i, then its unit-sum contribution
+    columns = [tuple(dot(duals[t], w) if block == i else ZERO
+                     for block in range(k) for w in omegas) + duals[t]
+               for i in range(k) for t in range(r)]
+    target = tuple(Fraction(1) if i == j else ZERO
+                   for i in range(k) for j in range(k)) + space.unit
+    theta, _ = feasible_point(columns, target, eps)
+    if theta is None:
+        return None
     effects = []
     for i in range(k):
         f = zeros(d)

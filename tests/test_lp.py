@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.linalg import mat, matvec, vec
+from gptkit.linalg import mat, matvec, transpose, vec
 from gptkit.lp import feasible_point, solve_lp
 
 F = Fraction
@@ -51,11 +51,11 @@ def test_degenerate_terminates():
 
 
 def test_feasible_point_gating():
-    rows = mat(((1, 1),))
-    x, residual = feasible_point(rows, vec((1,)), F(0))
+    columns = mat(((1,), (1,)))
+    x, residual = feasible_point(columns, vec((1,)), F(0))
     assert x is not None and residual == 0
-    assert matvec(rows, x) == (1,)
-    x, residual = feasible_point(mat(((1, 0), (1, 0))), vec((1, 2)), F(0))
+    assert matvec(transpose(columns), x) == (1,)
+    x, residual = feasible_point(mat(((1, 1), (0, 0))), vec((1, 2)), F(0))
     assert x is None
     assert residual >= 1
 
@@ -63,13 +63,41 @@ def test_feasible_point_gating():
 def test_feasible_point_relaxed_under_eps():
     # inconsistent by 1e-12; a loose tolerance accepts the relaxed point
     gap = F(1, 10 ** 12)
-    rows = mat(((1, 0), (1, 0)))
-    rhs = vec((1, 1 + gap))
-    x, residual = feasible_point(rows, rhs, F(1, 10 ** 9))
+    columns = mat(((1, 1), (0, 0)))
+    target = vec((1, 1 + gap))
+    x, residual = feasible_point(columns, target, F(1, 10 ** 9))
     assert x is not None
     assert residual <= F(1, 10 ** 9)
-    x, residual = feasible_point(rows, rhs, F(0))
+    x, residual = feasible_point(columns, target, F(0))
     assert x is None
+
+
+def test_feasible_point_without_columns():
+    # the empty set of columns spans only the zero vector
+    assert feasible_point((), vec((0, 0))) == ((), 0)
+    x, residual = feasible_point((), vec((1, -2)))
+    assert x is None and residual == 3
+    x, _ = feasible_point(mat(((0, 0),)), vec((0, 1)))
+    assert x is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda dim: st.lists(st.tuples(
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=dim, max_size=dim).map(vec), nonneg),
+        min_size=0, max_size=5).map(lambda pairs: (dim, pairs))))
+def test_feasible_point_reaches_cone_members(case):
+    # a nonnegative combination of the columns is always reached exactly
+    dim, pairs = case
+    columns = tuple(c for c, _ in pairs)
+    target = tuple(sum((w * c[i] for c, w in pairs), F(0))
+                   for i in range(dim))
+    x, residual = feasible_point(columns, target)
+    assert x is not None and residual == 0
+    assert len(x) == len(columns) and all(v >= 0 for v in x)
+    assert tuple(sum((v * c[i] for c, v in zip(columns, x)), F(0))
+                 for i in range(dim)) == target
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,7 +8,8 @@ from gptkit.cones import ConeRep
 from gptkit.errors import (DegenerateConeError, InvalidInputError,
                            UnsupportedConeError)
 from gptkit.linalg import identity, lex_key, mat, vec
-from gptkit.models import direct_sum, make_ball, make_classical, make_squit
+from gptkit.models import (direct_sum, make_ball, make_classical,
+                           make_polygon, make_squit)
 from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            base_norm, decompose_cone, dual_cone, is_effect,
                            is_norm_contractive, is_order_isomorphism,
@@ -113,6 +114,22 @@ def test_one_shot_squit():
         assert e.value(v[2]) == (1 if i == 1 else 0)
     assert one_shot_distinguishing_observable(sq, (v[0], v[1])) is not None
     assert one_shot_distinguishing_observable(sq, (v[0], v[1], v[2])) is None
+
+
+@pytest.mark.parametrize("n, j", [(6, 2), (10, 4), (14, 6)])
+def test_one_shot_float_polygon_relaxed_point(n, j):
+    # the embedded float polygons miss exact distinguishability of these
+    # pairs by a residual below the default tolerance: the relaxed point
+    # is accepted by default and refused at tol=0
+    space = make_polygon(n)
+    v = space.vertices
+    obs = one_shot_distinguishing_observable(space, (v[0], v[j]))
+    assert obs is not None
+    eps = space.tol(None)
+    for i, e in enumerate(obs.effects):
+        assert abs(e.value(v[0]) - (1 if i == 0 else 0)) <= eps
+        assert abs(e.value(v[j]) - (1 if i == 1 else 0)) <= eps
+    assert one_shot_distinguishing_observable(space, (v[0], v[j]), 0) is None
 
 
 def test_one_shot_classical_full_vertex_set():
