@@ -10,7 +10,7 @@ from .composites import (BipartiteState, CompositeSpace,
                          effect_on_max, effect_on_min, f_hat, is_composite,
                          is_entangled, marginal, max_tensor, min_tensor,
                          omega_hat, product_vec, remote_evaluate)
-from .cones import ConeRep, brute_force_rays, enumerate_rays, partition_rays
+from .cones import ConeRep, enumerate_rays, partition_rays
 from .errors import (DegenerateConeError, DimensionCapError,
                      DimensionMismatchError, InvalidInputError,
                      SearchCapError, SolverError, ToolkitError,

@@ -78,10 +78,6 @@ def _mode_for(args, *spaces) -> str:
     return merge_arithmetic(*(s.arithmetic for s in spaces))
 
 
-def _model_payload(space) -> dict:
-    return space.to_json_dict()
-
-
 def _write(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text)
@@ -141,8 +137,8 @@ def _cmd_tensor(args) -> int:
     report = {
         "command": "tensor",
         "tensor": rule,
-        "model_a": _model_payload(a),
-        "model_b": _model_payload(b),
+        "model_a": a.to_json_dict(),
+        "model_b": b.to_json_dict(),
         "dim": composite.dim,
     }
     if args.max:
@@ -174,7 +170,7 @@ def _cmd_marginal(args) -> int:
         "command": "marginal",
         "side": args.side,
         "state": state.to_json_dict(),
-        "model": _model_payload(space),
+        "model": space.to_json_dict(),
         "result": _emit_vec(marginal(state, args.side), mode),
     }
     _write_json(args, report)
@@ -194,7 +190,7 @@ def _cmd_conditional(args) -> int:
         "side": args.side,
         "state": state.to_json_dict(),
         "effect": _emit_vec(effect, mode),
-        "model": _model_payload(far),
+        "model": far.to_json_dict(),
         "result": _emit_vec(result, mode),
     }
     _write_json(args, report)
@@ -216,7 +212,7 @@ def _cmd_teleport(args) -> int:
         mode = _mode_for(args, space)
         report = {
             "command": "teleport construct",
-            "model": _model_payload(space),
+            "model": space.to_json_dict(),
             "group": [_emit_mat(g, mode) for g in scheme.group],
             "omega": scheme.omega.to_json_dict(),
             "effects": [_emit_mat(F, mode) for F in scheme.effects],
@@ -234,8 +230,8 @@ def _cmd_teleport(args) -> int:
     mode = _mode_for(args, a, b)
     report = {
         "command": "teleport verify",
-        "model_a": _model_payload(a),
-        "model_b": _model_payload(b),
+        "model_a": a.to_json_dict(),
+        "model_b": b.to_json_dict(),
         "effect": _emit_mat(effect, mode),
         "omega": omega.to_json_dict(),
         "certificate": _cert_payload(cert, mode),
@@ -252,7 +248,7 @@ def _cmd_clone(args) -> int:
     observable = one_shot_distinguishing_observable(space, states, args.tol)
     report = {
         "command": "clone check",
-        "model": _model_payload(space),
+        "model": space.to_json_dict(),
         "states": [_emit_vec(s, mode) for s in states],
         "clonable": observable is not None,
         "observable": None,
@@ -275,7 +271,7 @@ def _cmd_broadcast(args) -> int:
     result = is_broadcastable(space, states, args.tol)
     report = {
         "command": "broadcast check",
-        "model": _model_payload(space),
+        "model": space.to_json_dict(),
         "states": [_emit_vec(s, mode) for s in states],
         "status": result.status,
         "witness": None,
@@ -297,7 +293,7 @@ def _cmd_disturb(args) -> int:
     basis = nondisturbing_basis(space)
     report = {
         "command": "disturb basis",
-        "model": _model_payload(space),
+        "model": space.to_json_dict(),
         "summands": len(basis),
         "basis": [_emit_mat(t.matrix, mode) for t in basis],
     }
@@ -313,7 +309,7 @@ def _cmd_bitcommit(args) -> int:
         _require_json_format(args)
         report = {
             "command": "bitcommit decompose",
-            "model": _model_payload(space),
+            "model": space.to_json_dict(),
             "omega": _emit_vec(dd.omega, mode),
             "branches": [
                 [{"state": _emit_vec(s, mode), "probability": emit(p, mode)}
@@ -334,7 +330,7 @@ def _cmd_bitcommit(args) -> int:
         transcript = bc_run(space, dd, args.bit, args.n, args.seed, tamper)
         report = {
             "command": "bitcommit run",
-            "model": _model_payload(space),
+            "model": space.to_json_dict(),
             "bit": transcript.bit,
             "n": transcript.n,
             "seed": transcript.seed,
@@ -356,7 +352,7 @@ def _cmd_bitcommit(args) -> int:
         return OK
     report = {
         "command": "bitcommit bound",
-        "model": _model_payload(space),
+        "model": space.to_json_dict(),
         "n": bound.rounds,
         "per_round": emit(bound.per_round, mode),
         "overall": emit(bound.overall, mode),

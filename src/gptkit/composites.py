@@ -24,7 +24,7 @@ from .errors import (
     UnitMismatchError,
     UnsupportedConeError,
 )
-from .linalg import Mat, Vec, ZERO, dot, mat, matvec, transpose, vec, zeros
+from .linalg import Mat, Vec, dot, mat, matvec, transpose, vec, zeros
 from .lp import feasible_point
 from .scalars import merge_arithmetic, tolerance_for
 from .spaces import StateSpace

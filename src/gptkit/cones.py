@@ -13,7 +13,6 @@ spaces (their data is embedded losslessly); see scalars module notes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (
     DegenerateConeError,
@@ -22,12 +21,10 @@ from .errors import (
     UnsupportedConeError,
 )
 from .linalg import (
-    Mat,
     Vec,
     ZERO,
     canonical_ray,
     dot,
-    identity,
     inverse,
     lex_key,
     mat,
@@ -57,16 +54,12 @@ def canonical_form(v: Vec, arithmetic: str) -> Vec:
 
 
 def independent_subset(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    """Greedy maximal linearly independent subset, input order."""
-    rows: list[Vec] = []
-    current = 0
-    for v in vectors:
-        candidate = rows + [v]
-        r = rank(tuple(candidate))
-        if r > current:
-            rows.append(v)
-            current = r
-    return tuple(rows)
+    """Greedy maximal linearly independent subset, input order.
+
+    Vector j is kept exactly when it leaves the span of the ones before
+    it, i.e. when column j is a pivot of the stacked columns' rref.
+    """
+    return tuple(vectors[j] for j in rref(tuple(zip(*vectors)))[1])
 
 
 def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int,
@@ -76,6 +69,13 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int,
     Requires the normals to span (the target cone is then pointed).
     Returns () for the trivial cone. Incremental double description with
     the combinatorial adjacency test; exact arithmetic throughout.
+
+    Zero sets (bit k: the ray is zero on normal k) are carried, never
+    recomputed: base ray j is zero on every base normal but the j-th,
+    and a ray made from rays p and m by a positive combination is zero
+    exactly where both are, plus on the new normal. Each ray is scaled
+    canonically when made; distinct 2-faces meet a hyperplane in distinct
+    rays, so no ray is made twice.
     """
     limit = DIMENSION_CAP if cap is None else cap
     if dim > limit:
@@ -103,16 +103,9 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int,
 
     inv = inverse(mat(base))
     assert inv is not None
-    cols = tuple(zip(*inv))
-    rays: list[Vec] = [tuple(col) for col in cols]
-    processed = list(base_idx)
-    masks: list[int] = []
-    for r in rays:
-        m = 0
-        for k in processed:
-            if dot(normals[k], r) == 0:
-                m |= 1 << k
-        masks.append(m)
+    rays: list[Vec] = [canonical_ray(col) for col in zip(*inv)]
+    all_base = sum(1 << k for k in base_idx)
+    masks: list[int] = [all_base & ~(1 << k) for k in base_idx]
 
     for hi in rest_idx:
         h = normals[hi]
@@ -120,7 +113,6 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int,
         plus = [i for i, e in enumerate(evals) if e > 0]
         zero = [i for i, e in enumerate(evals) if e == 0]
         minus = [i for i, e in enumerate(evals) if e < 0]
-        processed.append(hi)
         if not minus:
             for i in zero:
                 masks[i] |= 1 << hi
@@ -136,40 +128,14 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int,
                     for i in range(len(rays)))
                 if blocked:
                     continue
-                combo = tuple(evals[p] * rays[m][j] - evals[m] * rays[p][j]
-                              for j in range(dim))
-                combo = canonical_ray(combo)
-                cm = 0
-                for k in processed:
-                    if dot(normals[k], combo) == 0:
-                        cm |= 1 << k
-                new_rays.append(combo)
-                new_masks.append(cm)
+                new_rays.append(canonical_ray(tuple(
+                    evals[p] * rays[m][j] - evals[m] * rays[p][j]
+                    for j in range(dim))))
+                new_masks.append(shared | 1 << hi)
         rays = new_rays
         masks = new_masks
 
-    out = sorted({lex_key(canonical_ray(r)): canonical_ray(r)
-                  for r in rays}.items())
-    return tuple(r for _, r in out)
-
-
-def brute_force_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
-    """Reference enumeration by (dim-1)-subsets of normals; test oracle only."""
-    out: dict[tuple, Vec] = {}
-    for subset in combinations(range(len(halfspaces)), dim - 1) if dim > 1 else [()]:
-        rows = tuple(halfspaces[i] for i in subset)
-        if rows and rank(rows) != dim - 1:
-            continue
-        kernel = nullspace(rows) if rows else ((Fraction(1),),)
-        if len(kernel) != 1:
-            continue
-        for candidate in (kernel[0], tuple(-x for x in kernel[0])):
-            if all(dot(h, candidate) >= 0 for h in halfspaces):
-                active = tuple(h for h in halfspaces if dot(h, candidate) == 0)
-                if rank(active) == dim - 1 or dim == 1:
-                    c = canonical_ray(candidate)
-                    out[lex_key(c)] = c
-    return tuple(v for _, v in sorted(out.items()))
+    return tuple(sorted(rays, key=lex_key))
 
 
 class ConeRep:
@@ -248,30 +214,29 @@ class ConeRep:
 
     @property
     def generators(self) -> tuple[Vec, ...]:
-        if self.kind == LORENTZ:
-            raise UnsupportedConeError(
-                "lorentz cones have no finite generator list")
         if self._generators is None:
-            rays = enumerate_rays(self._facets, self.dim)
-            if not rays or rank(rays) != self.dim:
-                raise DegenerateConeError(
-                    "facets describe a cone that is not generating")
-            self._generators = tuple(
-                canonical_form(r, self.arithmetic) for r in rays)
+            self._generators = self._enumerate_missing(
+                self._facets, "generator", "facets", "generating")
         return self._generators
 
     @property
     def facets(self) -> tuple[Vec, ...]:
-        if self.kind == LORENTZ:
-            raise UnsupportedConeError("lorentz cones have no finite facet list")
         if self._facets is None:
-            duals = enumerate_rays(self._generators, self.dim)
-            if not duals or rank(duals) != self.dim:
-                raise DegenerateConeError(
-                    "generators describe a cone that is not pointed")
-            self._facets = tuple(
-                canonical_form(f, self.arithmetic) for f in duals)
+            self._facets = self._enumerate_missing(
+                self._generators, "facet", "generators", "pointed")
         return self._facets
+
+    def _enumerate_missing(self, known: tuple[Vec, ...], side: str,
+                           known_name: str, quality: str) -> tuple[Vec, ...]:
+        """The pending side: the extreme rays of the known side's dual."""
+        if self.kind == LORENTZ:
+            raise UnsupportedConeError(
+                f"lorentz cones have no finite {side} list")
+        rays = enumerate_rays(known, self.dim)
+        if not rays or rank(rays) != self.dim:
+            raise DegenerateConeError(
+                f"{known_name} describe a cone that is not {quality}")
+        return tuple(canonical_form(r, self.arithmetic) for r in rays)
 
     def has_generators(self) -> bool:
         return self._generators is not None

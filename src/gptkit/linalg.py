@@ -31,16 +31,8 @@ def mat(rows) -> Mat:
     return out
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def dot(a: Vec, b: Vec) -> Fraction:

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import InvalidInputError, SearchCapError, UnsupportedConeError
-from ..linalg import Vec, dot, vec, zeros
+from ..linalg import Vec, dot, zeros
 from ..lp import feasible_point, solve_lp
 from ..spaces import StateSpace
 
@@ -98,20 +98,14 @@ class DoubleDecomposition:
 
     def verify(self, tol=None) -> bool:
         eps = self.space.tol(tol)
-        mix0 = zeros(self.space.dim)
-        for state, p in self.branch0:
-            if p < -eps:
+        for branch in (self.branch0, self.branch1):
+            mix = zeros(self.space.dim)
+            for state, p in branch:
+                if p < -eps:
+                    return False
+                mix = tuple(m + p * s for m, s in zip(mix, state))
+            if any(abs(a - b) > eps for a, b in zip(mix, self.omega)):
                 return False
-            mix0 = tuple(m + p * s for m, s in zip(mix0, state))
-        mix1 = zeros(self.space.dim)
-        for state, p in self.branch1:
-            if p < -eps:
-                return False
-            mix1 = tuple(m + p * s for m, s in zip(mix1, state))
-        if any(abs(a - b) > eps for a, b in zip(mix0, self.omega)):
-            return False
-        if any(abs(a - b) > eps for a, b in zip(mix1, self.omega)):
-            return False
         states0 = {tuple(s) for s, _ in self.branch0}
         states1 = {tuple(s) for s, _ in self.branch1}
         if states0 & states1:

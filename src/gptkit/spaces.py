@@ -53,11 +53,7 @@ class StateSpace:
         unit = vec(unit)
         if len(unit) != cone.dim:
             raise DimensionMismatchError("unit length differs from cone dim")
-        if cone.kind == POLYHEDRAL and cone.has_generators():
-            if not cone.strictly_positive(unit):
-                raise DegenerateConeError(
-                    "unit is not strictly positive on the cone")
-        elif cone.kind == LORENTZ:
+        if cone.kind == LORENTZ or cone.has_generators():
             if not cone.strictly_positive(unit):
                 raise DegenerateConeError(
                     "unit is not strictly positive on the cone")

@@ -1,16 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.cones import (ConeRep, brute_force_rays, canonical_form,
-                          enumerate_rays, partition_rays)
+from gptkit.cones import (ConeRep, canonical_form, enumerate_rays,
+                          independent_subset, partition_rays)
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            UnsupportedConeError)
-from gptkit.linalg import canonical_ray, lex_key, rank, vec
+from gptkit.linalg import canonical_ray, dot, lex_key, nullspace, rank, vec
 from gptkit.models import make_polygon, make_squit
 
 F = Fraction
@@ -21,6 +22,34 @@ SQUARE_FACETS = ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
 
 def ray_set(rays):
     return {lex_key(canonical_ray(r)) for r in rays}
+
+
+def brute_force_rays(halfspaces, dim):
+    """Reference enumeration by (dim-1)-subsets of normals."""
+    out = {}
+    for subset in combinations(range(len(halfspaces)), dim - 1) if dim > 1 else [()]:
+        rows = tuple(halfspaces[i] for i in subset)
+        if rows and rank(rows) != dim - 1:
+            continue
+        kernel = nullspace(rows) if rows else ((F(1),),)
+        if len(kernel) != 1:
+            continue
+        for candidate in (kernel[0], tuple(-x for x in kernel[0])):
+            if all(dot(h, candidate) >= 0 for h in halfspaces):
+                active = tuple(h for h in halfspaces if dot(h, candidate) == 0)
+                if rank(active) == dim - 1 or dim == 1:
+                    c = canonical_ray(candidate)
+                    out[lex_key(c)] = c
+    return tuple(v for _, v in sorted(out.items()))
+
+
+def greedy_by_rank(vectors):
+    """Reference independent subset: keep v when it raises the rank."""
+    kept = []
+    for v in vectors:
+        if rank(tuple(kept + [v])) > len(kept):
+            kept.append(v)
+    return tuple(kept)
 
 
 def test_square_facets_from_generators():
@@ -47,13 +76,20 @@ def test_double_description_round_trip():
 
 
 def test_brute_force_oracle_seeded():
+    # Exact equality: same rays, order and canonical scale, no duplicates.
     rng = random.Random(20240817)
-    for trial in range(25):
-        dim = rng.choice((3, 4))
+    compared = 0
+    for trial in range(160):
+        dim = rng.choice((2, 3, 4, 5))
         count = rng.randint(dim, dim + 3)
-        halfspaces = tuple(
+        halfspaces = [
             vec(tuple(rng.randint(-3, 3) for _ in range(dim)))
-            for _ in range(count))
+            for _ in range(count)]
+        if trial % 4 == 0:
+            # a repeated normal, scaled by a positive factor
+            halfspaces.append(tuple(rng.choice((1, 2, F(1, 3))) * x
+                                    for x in rng.choice(halfspaces)))
+        halfspaces = tuple(halfspaces)
         if rank(halfspaces) < dim:
             continue
         try:
@@ -61,7 +97,9 @@ def test_brute_force_oracle_seeded():
         except DegenerateConeError:
             continue
         slow = brute_force_rays(halfspaces, dim)
-        assert ray_set(fast) == ray_set(slow), f"trial {trial}"
+        assert fast == slow, f"trial {trial}"
+        compared += 1
+    assert compared >= 100
 
 
 def test_orthant_identity():
@@ -146,6 +184,14 @@ def test_partition_rays_blocks():
     blocks = partition_rays(padded, 4)
     assert len(blocks) == 2
     assert (4,) in blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                max_size=6))
+def test_independent_subset_is_greedy_by_rank(rows):
+    vectors = tuple(vec(r) for r in rows)
+    assert independent_subset(vectors) == greedy_by_rank(vectors)
 
 
 @settings(max_examples=30, deadline=None)
