@@ -342,7 +342,6 @@ def _cmd_bitcommit(args) -> int:
         }
         _write_json(args, report)
         return OK if transcript.verdict == "accept" else REJECT
-    bound = bc_cheat_bound(space, dd, args.n)
     if args.format == "csv":
         curve = bc_cheat_curve(space, dd, args.n, args.trials, args.seed)
         lines = ["n,analytic_bound,empirical_rate,stderr"]
@@ -350,6 +349,7 @@ def _cmd_bitcommit(args) -> int:
             lines.append(f"{n},{emit(analytic, mode)},{emp!r},{err!r}")
         _write(args, "\n".join(lines) + "\n")
         return OK
+    bound = bc_cheat_bound(space, dd, args.n)
     report = {
         "command": "bitcommit bound",
         "model": space.to_json_dict(),

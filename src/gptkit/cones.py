@@ -289,39 +289,26 @@ class ConeRep:
 def partition_rays(rays: tuple[Vec, ...], dim: int) -> tuple[tuple[int, ...], ...]:
     """Partition extreme rays into irreducible direct summands.
 
-    Iterated merging to a fixpoint: while the current blocks' spans are
-    jointly dependent, any nullspace vector of the stacked block bases
-    names blocks that cannot be separated (its support restricted to one
-    block is a nonzero vector of that block's span lying in the span of
-    the others), so merge everything it touches. At the fixpoint the
-    spans are jointly independent, which is exactly a direct-sum
-    decomposition, and each merge was forced, so the result is the
-    unique finest one.
+    The summands are the connected components of the rays' linear
+    matroid. Each nullspace basis vector of the stacked rays is the
+    fundamental circuit of one non-pivot ray over the pivot rays, and
+    the fundamental circuits of one basis connect exactly the rays of a
+    component, so the union of their supports is the unique finest
+    partition. Blocks are sorted, and ordered by their least index.
     """
-    blocks: list[list[int]] = [[i] for i in range(len(rays))]
-    bases: list[tuple[Vec, ...]] = [(rays[i],) for i in range(len(rays))]
-    while True:
-        columns: list[Vec] = []
-        owner: list[int] = []
-        for b, basis in enumerate(bases):
-            for v in basis:
-                columns.append(v)
-                owner.append(b)
-        stacked = tuple(zip(*columns))  # dim x ncols matrix
-        kernel = nullspace(stacked)
-        if not kernel:
-            return tuple(tuple(sorted(block))
-                         for block in sorted(blocks, key=min))
-        c = kernel[0]
-        touched = sorted({owner[j] for j, x in enumerate(c) if x != 0})
-        target = touched[0]
-        merged_rays = list(blocks[target])
-        merged_basis = list(bases[target])
-        for b in touched[1:]:
-            merged_rays.extend(blocks[b])
-            merged_basis.extend(bases[b])
-        blocks = [blk for i, blk in enumerate(blocks) if i not in touched[1:]]
-        bases = [bs for i, bs in enumerate(bases) if i not in touched[1:]]
-        idx = touched[0] - sum(1 for b in touched[1:] if b < touched[0])
-        blocks[idx] = merged_rays
-        bases[idx] = independent_subset(tuple(merged_basis))
+    parent = list(range(len(rays)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for circuit in nullspace(tuple(zip(*rays))):
+        first, *rest = (j for j, x in enumerate(circuit) if x != 0)
+        for j in rest:
+            parent[find(j)] = find(first)
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(rays)):
+        blocks.setdefault(find(i), []).append(i)
+    return tuple(tuple(block) for block in blocks.values())

@@ -41,10 +41,6 @@ def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
 def zeros(n: int) -> Vec:
     return (ZERO,) * n
 
@@ -115,21 +111,6 @@ def nullspace(m: Mat) -> tuple[Vec, ...]:
             v[p] = -reduced[r][f]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def solve(m: Mat, b: Vec) -> Vec | None:
-    """One solution of m @ x = b, or None when inconsistent."""
-    if not m:
-        return () if is_zero_vec(b) else None
-    ncols = len(m[0])
-    aug = tuple(row + (rhs,) for row, rhs in zip(m, b, strict=True))
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][ncols]
-    return tuple(x)
 
 
 def inverse(m: Mat) -> Mat | None:

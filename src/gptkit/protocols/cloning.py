@@ -87,16 +87,16 @@ def _in_hull(point: Vec, hull_points: tuple[Vec, ...], eps) -> bool:
     return x is not None
 
 
-def is_broadcastable(space: StateSpace, states, tol=None,
-                     max_witness_size: int | None = None) -> BroadcastReport:
+def is_broadcastable(space: StateSpace, states, tol=None) -> BroadcastReport:
     """Search for a distinguishable simplex containing the states.
 
     Decisive cases: a clonable set is its own witness, and a set made
     entirely of extreme points is broadcastable only if clonable (an
     extreme point inside a simplex in the state set must be one of its
     vertices). Otherwise candidate vertex sets are drawn from the
-    extreme points and the states themselves, up to max_witness_size
-    (default dim + 1); running out of candidates is inconclusive.
+    extreme points and the states themselves, up to dim + 1 of them (a
+    simplex has at most dim + 1 vertices); running out of candidates is
+    inconclusive.
     """
     if space.kind != "polyhedral":
         raise UnsupportedConeError("broadcast search needs a polyhedral space")
@@ -121,9 +121,8 @@ def is_broadcastable(space: StateSpace, states, tol=None,
     for w in omegas:
         if lex_key(w) not in extreme_keys:
             pool.append(w)
-    cap = max_witness_size if max_witness_size is not None else space.dim + 1
     tried = 0
-    for size in range(1, min(cap, len(pool)) + 1):
+    for size in range(1, min(space.dim + 1, len(pool)) + 1):
         for cand in combinations(range(len(pool)), size):
             pts = tuple(pool[i] for i in cand)
             if rank(tuple(vsub(p, pts[0]) for p in pts[1:])) != size - 1:

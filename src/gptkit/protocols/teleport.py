@@ -24,7 +24,8 @@ from ..models import entangled_state_coords, symmetry_group
 from ..scalars import tolerance_for
 from ..spaces import (Effect, LinearMapRep, Observable, StateSpace,
                       _positive_between, is_norm_contractive,
-                      is_order_isomorphism, is_positive_map)
+                      is_order_isomorphism, is_positive_map,
+                      order_isomorphic)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -100,9 +101,8 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
     iso = LinearMapRep(a_space, a_space, J)
     if not is_order_isomorphism(iso, tol):
         return _fail(a_space, mu, constant, witness)
-    correction = iso.inverse_map()
-    if not (is_positive_map(correction, tol)
-            and is_norm_contractive(correction, tol)):
+    correction = iso.inverse_map()  # positive: J is an order isomorphism
+    if not is_norm_contractive(correction, tol):
         return _fail(a_space, mu, constant, witness)
     return TeleportationCertificate(
         mu=LinearMapRep(a_space, a_space, mu), constant=constant,
@@ -180,9 +180,6 @@ def construct_deterministic_teleportation(
             raise InvalidInputError("group does not act transitively on "
                                     "the pure states")
 
-    oh_inv = inverse(oh)
-    if oh_inv is None:
-        raise InvalidInputError("isomorphism state map is singular")
     for g, gi in zip(group, inverses):
         if not _entrywise_close(matmul(g, oh),
                                 matmul(oh, transpose(gi)), eps):
@@ -197,16 +194,14 @@ def construct_deterministic_teleportation(
                                 "normalization")
     if total != 1:
         oh = tuple(tuple(x / total for x in row) for row in oh)
-        oh_inv = tuple(tuple(x * total for x in row) for row in oh_inv)
-
-    dual = space.cone.dual()
-    if not (_positive_between(oh, dual, space.cone, eps)
-            and _positive_between(oh_inv, space.cone, dual, eps)):
+    if not order_isomorphic(oh, space.cone.dual(), space.cone, eps):
         raise InvalidInputError("state map is not an order isomorphism "
                                 "from the dual")
+    oh_inv = inverse(oh)
 
+    # verify_teleportation below validates the shared state and every
+    # outcome effect on the minimal composite
     shared = BipartiteState(max_tensor(space, space), transpose(oh))
-    shared.validate(tol)
 
     order = Fraction(1, len(group))
     effects = []
@@ -224,10 +219,6 @@ def construct_deterministic_teleportation(
                                 "unit")
 
     min_space = min_tensor(space, space)
-    for F in effects:
-        if not effect_on_min(space, space, F, tol):
-            raise InvalidInputError("an outcome is not an effect on the "
-                                    "minimal composite")
     observable = Observable(
         min_space, tuple(Effect(min_space, tuple(x for row in F for x in row))
                          for F in effects))

@@ -29,7 +29,6 @@ from .linalg import (
     dot,
     inverse,
     mat,
-    matmul,
     matvec,
     transpose,
     vec,
@@ -190,13 +189,6 @@ class LinearMapRep:
     def apply(self, x: Vec) -> Vec:
         return matvec(self.matrix, x)
 
-    def compose(self, inner: LinearMapRep) -> LinearMapRep:
-        if inner.codomain is not self.domain and \
-                inner.codomain.dim != self.domain.dim:
-            raise DimensionMismatchError("composition shape mismatch")
-        return LinearMapRep(inner.domain, self.codomain,
-                            matmul(self.matrix, inner.matrix))
-
     def inverse_map(self) -> LinearMapRep | None:
         inv = inverse(self.matrix)
         if inv is None:
@@ -330,16 +322,21 @@ def is_norm_contractive(T: LinearMapRep, tol=None) -> bool:
     return _dual_member(T.domain, slack, eps)
 
 
+def order_isomorphic(matrix: Mat, dom: ConeRep, cod: ConeRep,
+                     eps: Fraction) -> bool:
+    """Whether the square matrix is invertible, maps dom into cod, and
+    has an inverse mapping cod into dom."""
+    inv = inverse(matrix)
+    return inv is not None and _positive_between(matrix, dom, cod, eps) \
+        and _positive_between(inv, cod, dom, eps)
+
+
 def is_order_isomorphism(T: LinearMapRep, tol=None) -> bool:
     """Invertible, positive, with positive inverse."""
     if T.domain.dim != T.codomain.dim:
         return False
-    inv = inverse(T.matrix)
-    if inv is None:
-        return False
     eps = tolerance_for(tol, T.domain, T.codomain)
-    return _positive_between(T.matrix, T.domain.cone, T.codomain.cone, eps) \
-        and _positive_between(inv, T.codomain.cone, T.domain.cone, eps)
+    return order_isomorphic(T.matrix, T.domain.cone, T.codomain.cone, eps)
 
 
 def verify_self_duality_witness(space: StateSpace, T, tol=None) -> bool:
@@ -349,12 +346,7 @@ def verify_self_duality_witness(space: StateSpace, T, tol=None) -> bool:
     eps = space.tol(tol)
     if len(matrix) != space.dim or any(len(r) != space.dim for r in matrix):
         raise DimensionMismatchError("witness matrix must be square of dim")
-    inv = inverse(matrix)
-    if inv is None:
-        return False
-    dual = space.cone.dual()
-    return _positive_between(matrix, space.cone, dual, eps) and \
-        _positive_between(inv, dual, space.cone, eps)
+    return order_isomorphic(matrix, space.cone, space.cone.dual(), eps)
 
 
 # -- distinguishability -----------------------------------------------------

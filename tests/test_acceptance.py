@@ -287,6 +287,12 @@ def test_criterion_11_cli_determinism(capsys, tmp_path):
             (("bitcommit", "bound", "--model", "squit", "--n", "5",
               "--format", "csv", "--trials", "500", "--seed", "77"),
              "599bdb20263cdcdd6e130ba3ed6d0b9aa717808c306f9b38003d4cd703125771"),
+            (("teleport", "construct", "--model", "classical:3"),
+             "af5aa11f32cb05143c32eca048e20f4f283f278b447d49dd094e6db0502e4f13"),
+            (("disturb", "basis", "--model", "squit"),
+             "b64462a45a6310c4d3c7b2b90687a78db9f9a310cfe4d312b0ddc9f5b4ea8d7b"),
+            (("bitcommit", "bound", "--model", "squit", "--n", "5"),
+             "171b3182f99ad37d0eb0ef717c8730317de1ff024ef6313c072891b94d451300"),
         )
         for k, (argv, digest) in enumerate(pipelines):
             out_a = tmp_path / f"a{k}"

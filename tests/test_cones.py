@@ -207,6 +207,29 @@ def test_partition_rays_permutation_invariant(order):
     assert as_rays == base
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-1, 1), min_size=d, max_size=d).filter(any),
+    min_size=1, max_size=7)))
+def test_partition_rays_is_finest_direct_sum(rows):
+    rays = tuple(vec(r) for r in rows)
+    blocks = partition_rays(rays, len(rays[0]))
+    assert sorted(i for blk in blocks for i in blk) == list(range(len(rays)))
+
+    def block_rank(idx):
+        return rank(tuple(rays[i] for i in idx))
+
+    # the spans of the blocks are jointly independent ...
+    assert sum(block_rank(blk) for blk in blocks) == rank(rays)
+    # ... and no block is itself a direct sum of two parts
+    for blk in blocks:
+        whole = block_rank(blk)
+        for size in range(1, len(blk)):
+            for part in combinations(blk, size):
+                rest = tuple(i for i in blk if i not in part)
+                assert block_rank(part) + block_rank(rest) > whole
+
+
 def test_lorentz_has_no_lists():
     cone = ConeRep.lorentz(4)
     assert cone.contains(vec((1, 0, 0, 2)))

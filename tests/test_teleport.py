@@ -162,6 +162,14 @@ def test_non_equivariant_state_map_rejected():
         construct_deterministic_teleportation(sq, omega_hat_matrix=skew)
 
 
+def test_singular_state_map_rejected():
+    # equivariant under the square's group and normalized, but singular
+    flat = mat(((0, 0, 0), (0, 0, 0), (0, 0, 1)))
+    with pytest.raises(InvalidInputError):
+        construct_deterministic_teleportation(make_squit(),
+                                              omega_hat_matrix=flat)
+
+
 def test_compression_witness_squit():
     sq = make_squit()
     iso = mat(((1, -1, 0), (1, 1, 0), (0, 0, 1)))  # dual gens onto vertices
