@@ -7,6 +7,7 @@ exactness beat asymptotics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
@@ -39,6 +40,15 @@ def dot(a: Vec, b: Vec) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatchError(f"dot of lengths {len(a)} and {len(b)}")
     return sum((x * y for x, y in zip(a, b)), ZERO)
+
+
+def combination(weights: Sequence[Fraction], vectors: Sequence[Vec]) -> Vec:
+    """sum_j weights[j] * vectors[j]; one weight per vector, one length."""
+    if len(weights) != len(vectors):
+        raise DimensionMismatchError(
+            f"{len(weights)} weights for {len(vectors)} vectors")
+    return tuple(sum((w * x for w, x in zip(weights, column)), ZERO)
+                 for column in zip(*vectors, strict=True))
 
 
 def zeros(n: int) -> Vec:

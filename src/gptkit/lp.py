@@ -6,10 +6,12 @@ result, not an exception, and carries the phase-1 residual so float-mode
 callers can accept near-feasible systems (residual <= eps) while
 rational-mode callers demand exactly zero.
 
-feasible_point is the one cone-membership test of the package: is the
-target a nonnegative combination of the given columns? Every membership
-question (separability, hull membership, decompositions, sections) is
-put to it in column form; solve_lp is left to the optimizing LPs.
+Every LP of the package is stated by its columns, one per variable.
+feasible_point is the one cone-membership test: is the target a
+nonnegative combination of the given columns? Every membership question
+(separability, hull membership, decompositions, sections) is put to it.
+The optimizing LPs (exposing effects, the cheat bound, the base norm)
+pass transpose(columns) to solve_lp with their cost and right-hand side.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SolverError
-from .linalg import Mat, Vec, ZERO
+from .linalg import ONE, Mat, Vec, ZERO, transpose, unit_vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -154,25 +156,21 @@ def feasible_point(columns: Sequence[Vec], target: Vec,
     result = solve_lp((ZERO,) * len(columns), rows, target)
     if result.status == INFEASIBLE:
         if result.residual <= tol:
-            return _relaxed_point(rows, target), result.residual
+            return _relaxed_point(columns, target), result.residual
         return None, result.residual
     return result.x, ZERO
 
 
-def _relaxed_point(eq_matrix: Mat, eq_rhs: Vec) -> Vec:
-    """Minimize the L1 equation error directly; used only inside tol."""
-    n = len(eq_matrix[0])
-    m = len(eq_matrix)
-    wide = tuple(row + _slack_pair(i, m) for i, row in enumerate(eq_matrix))
-    cost = (ZERO,) * n + (Fraction(1),) * (2 * m)
-    result = solve_lp(cost, wide, eq_rhs)
+def _relaxed_point(columns: Sequence[Vec], target: Vec) -> Vec:
+    """Minimize the L1 equation error directly; used only inside tol.
+
+    Each equation i gets an error column e_i and one -e_i, at unit cost.
+    """
+    m = len(target)
+    errors = [tuple(sign * x for x in unit_vec(m, i))
+              for i in range(m) for sign in (ONE, -ONE)]
+    cost = (ZERO,) * len(columns) + (ONE,) * (2 * m)
+    result = solve_lp(cost, transpose([*columns, *errors]), target)
     if not result.ok or result.x is None:
         raise SolverError("relaxed feasibility LP failed")
-    return result.x[:n]
-
-
-def _slack_pair(i: int, m: int) -> Vec:
-    row = [ZERO] * (2 * m)
-    row[2 * i] = Fraction(1)
-    row[2 * i + 1] = Fraction(-1)
-    return tuple(row)
+    return result.x[:len(columns)]

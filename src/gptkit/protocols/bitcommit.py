@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ..errors import InvalidInputError, SearchCapError, UnsupportedConeError
-from ..linalg import Vec, dot, zeros
+from ..linalg import Vec, combination, dot, transpose, unit_vec
 from ..lp import feasible_point, solve_lp
 from ..spaces import StateSpace
 
@@ -42,42 +42,21 @@ def exposing_effect(space: StateSpace, index: int,
     verts = space.vertices
     duals = space.cone.facets
     eps = space.tol(tol)
-    r, k, d = len(duals), len(verts), space.dim
-    # variables: theta (r), m, slacks (k - 1)
-    nvars = r + 1 + (k - 1)
-    rows = []
-    rhs = []
-    row = [ZERO] * nvars
-    for t in range(r):
-        row[t] = dot(duals[t], verts[index])
-    rows.append(tuple(row))
-    rhs.append(ONE)
-    si = r + 1
-    for j in range(k):
-        if j == index:
-            continue
-        row = [ZERO] * nvars
-        for t in range(r):
-            row[t] = dot(duals[t], verts[j])
-        row[r] = ONE
-        row[si] = ONE
-        si += 1
-        rows.append(tuple(row))
-        rhs.append(ONE)
-    cost = [ZERO] * nvars
-    cost[r] = ONE
-    result = solve_lp(tuple(cost), tuple(rows), tuple(rhs), maximize=True)
+    # columns: theta per dual generator, m, one slack per non-target row;
+    # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
+    order = (verts[index],) + verts[:index] + verts[index + 1:]
+    k = len(order)
+    columns = [tuple(dot(theta, v) for v in order) for theta in duals]
+    columns.append((ZERO,) + (ONE,) * (k - 1))
+    columns += [unit_vec(k, i) for i in range(1, k)]
+    result = solve_lp(unit_vec(len(columns), len(duals)), transpose(columns),
+                      (ONE,) * k, maximize=True)
     if not result.ok:
         return None
-    margin = result.x[r]
+    margin = result.x[len(duals)]
     if margin <= eps:
         return None
-    effect = zeros(d)
-    for t in range(r):
-        if result.x[t] != 0:
-            effect = tuple(e + result.x[t] * dv
-                           for e, dv in zip(effect, duals[t]))
-    return effect, margin
+    return combination(result.x[:len(duals)], duals), margin
 
 
 @dataclass(frozen=True)
@@ -99,11 +78,9 @@ class DoubleDecomposition:
     def verify(self, tol=None) -> bool:
         eps = self.space.tol(tol)
         for branch in (self.branch0, self.branch1):
-            mix = zeros(self.space.dim)
-            for state, p in branch:
-                if p < -eps:
-                    return False
-                mix = tuple(m + p * s for m, s in zip(mix, state))
+            if not branch or any(p < -eps for _, p in branch):
+                return False
+            mix = combination([p for _, p in branch], [s for s, _ in branch])
             if any(abs(a - b) > eps for a, b in zip(mix, self.omega)):
                 return False
         states0 = {tuple(s) for s, _ in self.branch0}
@@ -175,9 +152,7 @@ def _try_pair(space, verts, idx0, idx1, eps, tol):
         if hit is None:
             return None
         effects[j] = hit[0]
-    omega = zeros(d)
-    for pos, j in enumerate(idx0):
-        omega = tuple(o + weights[pos] * x for o, x in zip(omega, verts[j]))
+    omega = combination(weights[:k0], [verts[j] for j in idx0])
     branch0 = tuple((verts[j], weights[pos]) for pos, j in enumerate(idx0))
     branch1 = tuple((verts[j], weights[k0 + pos])
                     for pos, j in enumerate(idx1))
@@ -262,32 +237,21 @@ def bc_cheat_bound(space: StateSpace, dd: DoubleDecomposition,
         raise InvalidInputError("need at least one round")
     verts = space.vertices
     m = len(verts)
+    # columns: lambda per vertex, then t, s0, s1; rows: sum lambda = 1,
+    # a0(state) - t - s0 = 0, a1(state) - t - s1 = 0
+    tail = [(ZERO, -ONE, -ONE), (ZERO, -ONE, ZERO), (ZERO, ZERO, -ONE)]
+    cost = (ZERO,) * m + (ONE, ZERO, ZERO)
     best = None
     for i0, a0 in enumerate(dd.distinguishers0):
         for i1, a1 in enumerate(dd.distinguishers1):
-            # variables: lambda (m), t, slacks s0 s1
-            rows = []
-            rhs = []
-            rows.append((ONE,) * m + (ZERO, ZERO, ZERO))
-            rhs.append(ONE)
-            rows.append(tuple(dot(a0, v) for v in verts)
-                        + (-ONE, -ONE, ZERO))
-            rhs.append(ZERO)
-            rows.append(tuple(dot(a1, v) for v in verts)
-                        + (-ONE, ZERO, -ONE))
-            rhs.append(ZERO)
-            cost = (ZERO,) * m + (ONE, ZERO, ZERO)
-            result = solve_lp(cost, tuple(rows), tuple(rhs), maximize=True)
+            columns = [(ONE, dot(a0, v), dot(a1, v)) for v in verts]
+            result = solve_lp(cost, transpose(columns + tail),
+                              (ONE, ZERO, ZERO), maximize=True)
             if not result.ok:
                 continue
             t = result.x[m]
             if best is None or t > best[0]:
-                sigma = zeros(space.dim)
-                for pos in range(m):
-                    if result.x[pos] != 0:
-                        sigma = tuple(s + result.x[pos] * x
-                                      for s, x in zip(sigma, verts[pos]))
-                best = (t, sigma, (i0, i1))
+                best = (t, combination(result.x[:m], verts), (i0, i1))
     if best is None:
         raise InvalidInputError("cheat LP failed on every distinguisher pair")
     c, sigma, pair = best

@@ -52,17 +52,12 @@ def build_cloner(space: StateSpace, states, observable: Observable,
                 raise InvalidInputError(
                     "observable does not distinguish the given states")
     composite = min_tensor(space, space)
-    d2 = composite.dim
-    rows = []
-    for r in range(d2):
-        row = []
-        for c in range(space.dim):
-            acc = ZERO
-            for w, e in zip(omegas, effects):
-                acc += product_vec(w, w)[r] * e.functional[c]
-            row.append(acc)
-        rows.append(tuple(row))
-    return LinearMapRep(space, composite, tuple(rows))
+    clones = [product_vec(w, w) for w in omegas]
+    rows = tuple(tuple(sum((clone[r] * e.functional[c]
+                            for clone, e in zip(clones, effects)), ZERO)
+                       for c in range(space.dim))
+                 for r in range(composite.dim))
+    return LinearMapRep(space, composite, rows)
 
 
 @dataclass(frozen=True)

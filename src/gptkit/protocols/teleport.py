@@ -18,7 +18,7 @@ from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
 from ..linalg import (Mat, identity, inverse, mat, matmul, matvec, rank,
-                      transpose, vec)
+                      transpose, unit_vec, vec)
 from ..lp import feasible_point
 from ..models import entangled_state_coords, symmetry_group
 from ..scalars import tolerance_for
@@ -194,10 +194,10 @@ def construct_deterministic_teleportation(
                                 "normalization")
     if total != 1:
         oh = tuple(tuple(x / total for x in row) for row in oh)
-    if not order_isomorphic(oh, space.cone.dual(), space.cone, eps):
+    oh_inv = order_isomorphic(oh, space.cone.dual(), space.cone, eps)
+    if oh_inv is None:
         raise InvalidInputError("state map is not an order isomorphism "
                                 "from the dual")
-    oh_inv = inverse(oh)
 
     # verify_teleportation below validates the shared state and every
     # outcome effect on the minimal composite
@@ -273,10 +273,9 @@ def verify_compression_witness(a1: StateSpace, a2: StateSpace, p_coords,
                      for i in range(d1) for j in range(d1))
                + tuple(h[k] * g[m] for g, h in pairs)
                for k in range(d2) for m in range(d1)]
-    slacks = [(ZERO,) * (d1 * d1)
-              + tuple(-ONE if s == t else ZERO for t in range(len(pairs)))
-              for s in range(len(pairs))]
-    columns = entries + [tuple(-x for x in c) for c in entries] + slacks
+    height = d1 * d1 + len(pairs)
+    slacks = [unit_vec(height, d1 * d1 + s) for s in range(len(pairs))]
+    columns = entries + [tuple(-x for x in c) for c in entries + slacks]
     target = tuple(ONE if i == j else ZERO
                    for i in range(d1) for j in range(d1)) \
         + (ZERO,) * len(pairs)

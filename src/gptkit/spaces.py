@@ -26,6 +26,7 @@ from .linalg import (
     Mat,
     Vec,
     ZERO,
+    combination,
     dot,
     inverse,
     mat,
@@ -244,12 +245,9 @@ def base_norm(space: StateSpace, v) -> Fraction | float:
             return abs(last)
         return math.sqrt(float(head2))
     gens = space.cone.generators
-    m = len(gens)
     cost = tuple(dot(space.unit, g) for g in gens) * 2
-    rows = []
-    for i in range(space.dim):
-        rows.append(tuple(g[i] for g in gens) + tuple(-g[i] for g in gens))
-    result = solve_lp(cost, tuple(rows), x)
+    columns = gens + tuple(tuple(-c for c in g) for g in gens)
+    result = solve_lp(cost, transpose(columns), x)
     if not result.ok or result.objective is None:
         raise DegenerateConeError("base-norm LP failed; cone not generating")
     value = result.objective
@@ -323,12 +321,15 @@ def is_norm_contractive(T: LinearMapRep, tol=None) -> bool:
 
 
 def order_isomorphic(matrix: Mat, dom: ConeRep, cod: ConeRep,
-                     eps: Fraction) -> bool:
-    """Whether the square matrix is invertible, maps dom into cod, and
-    has an inverse mapping cod into dom."""
+                     eps: Fraction) -> Mat | None:
+    """The inverse of the square matrix when the matrix is invertible,
+    maps dom into cod, and has an inverse mapping cod into dom; else
+    None."""
     inv = inverse(matrix)
-    return inv is not None and _positive_between(matrix, dom, cod, eps) \
-        and _positive_between(inv, cod, dom, eps)
+    if inv is not None and _positive_between(matrix, dom, cod, eps) \
+            and _positive_between(inv, cod, dom, eps):
+        return inv
+    return None
 
 
 def is_order_isomorphism(T: LinearMapRep, tol=None) -> bool:
@@ -336,7 +337,8 @@ def is_order_isomorphism(T: LinearMapRep, tol=None) -> bool:
     if T.domain.dim != T.codomain.dim:
         return False
     eps = tolerance_for(tol, T.domain, T.codomain)
-    return order_isomorphic(T.matrix, T.domain.cone, T.codomain.cone, eps)
+    return order_isomorphic(T.matrix, T.domain.cone, T.codomain.cone,
+                            eps) is not None
 
 
 def verify_self_duality_witness(space: StateSpace, T, tol=None) -> bool:
@@ -346,7 +348,8 @@ def verify_self_duality_witness(space: StateSpace, T, tol=None) -> bool:
     eps = space.tol(tol)
     if len(matrix) != space.dim or any(len(r) != space.dim for r in matrix):
         raise DimensionMismatchError("witness matrix must be square of dim")
-    return order_isomorphic(matrix, space.cone, space.cone.dual(), eps)
+    return order_isomorphic(matrix, space.cone, space.cone.dual(),
+                            eps) is not None
 
 
 # -- distinguishability -----------------------------------------------------
@@ -368,7 +371,7 @@ def one_shot_distinguishing_observable(
         if not space.is_state(w, eps):
             raise InvalidInputError("distinguishability inputs must be states")
     duals = space.cone.facets  # generators of the dual cone
-    k, r, d = len(omegas), len(duals), space.dim
+    k, r = len(omegas), len(duals)
     if k == 0:
         raise InvalidInputError("no states given")
 
@@ -382,15 +385,9 @@ def one_shot_distinguishing_observable(
     theta, _ = feasible_point(columns, target, eps)
     if theta is None:
         return None
-    effects = []
-    for i in range(k):
-        f = zeros(d)
-        for t in range(r):
-            coeff = theta[i * r + t]
-            if coeff != 0:
-                f = tuple(x + coeff * y for x, y in zip(f, duals[t]))
-        effects.append(Effect(space, f))
-    return Observable(space, tuple(effects))
+    return Observable(space, tuple(
+        Effect(space, combination(theta[i * r:(i + 1) * r], duals))
+        for i in range(k)))
 
 
 # -- decomposition ----------------------------------------------------------

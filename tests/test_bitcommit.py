@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ def test_squit_decomposition_frozen():
     assert dd.distinguishers1 == ((-QUARTER, QUARTER, HALF),
                                   (QUARTER, -QUARTER, HALF))
     assert dd.verify()
+    assert not replace(dd, branch0=()).verify()
 
 
 def test_hiding_is_exact():

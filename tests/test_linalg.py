@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.linalg import (canonical_ray, dot, identity, inverse, lex_key,
-                           mat, matmul, matvec, nullspace, rank, rref,
-                           transpose, vec)
+from gptkit.errors import DimensionMismatchError
+from gptkit.linalg import (canonical_ray, combination, dot, identity, inverse,
+                           lex_key, mat, matmul, matvec, nullspace, rank,
+                           rref, transpose, vec, zeros)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -69,3 +71,21 @@ def test_transpose_involution(m):
     v = vec((1, 2, 3))
     w = vec((4, 5, 6))
     assert dot(matvec(m, v), w) == dot(v, matvec(transpose(m), w))
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=4).flatmap(lambda n: st.lists(
+    st.tuples(fractions, st.lists(fractions, min_size=n, max_size=n).map(vec)),
+    min_size=1, max_size=5)))
+def test_combination_matches_loop(pairs):
+    weights = [w for w, _ in pairs]
+    vectors = [v for _, v in pairs]
+    expected = zeros(len(vectors[0]))
+    for w, v in pairs:
+        expected = tuple(e + w * x for e, x in zip(expected, v))
+    assert combination(weights, vectors) == expected
+    with pytest.raises(DimensionMismatchError):
+        combination(weights[1:], vectors)
+    with pytest.raises(ValueError):
+        combination(weights + [Fraction(1)],
+                    vectors + [vectors[0] + (Fraction(1),)])

@@ -1,10 +1,16 @@
+import hashlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptkit.cones import ConeRep
 from gptkit.linalg import mat, matvec, transpose, vec
 from gptkit.lp import feasible_point, solve_lp
+from gptkit.protocols import (bc_cheat_bound, exposing_effect,
+                              find_double_decomposition)
+from gptkit.spaces import StateSpace, base_norm
 
 F = Fraction
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -114,3 +120,28 @@ def test_random_feasible_lp(rows, x0, cost):
     assert matvec(rows, res.x) == b
     assert all(x >= 0 for x in res.x)
     assert res.objective <= sum(c * x for c, x in zip(cost, x0))
+
+
+# sha256 of the repr of the exact optimizing-LP results on integer polygons.
+# Bland's rule makes the reported vertex depend on the column order, so a
+# change to any LP's columns, rows or right-hand side shows here.
+POLYGON_LPS = {
+    "square": (((1, 0), (0, 1), (-1, 0), (0, -1)),
+               "ec119792022d23d660082f3a54ef9c7ecb757350369be3c95b6816a8f0a91191"),
+    "pentagon": (((2, 0), (1, 2), (-1, 2), (-2, 0), (0, -2)),
+                 "ba52f3c7e850e8ae2d7b3656dfce3e34d1e01d613d73993b1083b75527ab3608"),
+    "hexagon": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+                "7fb96b168cfdd23e394406258220b84158eb9465282771655983ddef2c938d1b"),
+}
+
+
+@pytest.mark.parametrize("name", POLYGON_LPS)
+def test_optimizing_lps_pinned(name):
+    points, digest = POLYGON_LPS[name]
+    space = StateSpace(ConeRep.from_generators([p + (1,) for p in points]),
+                       (0, 0, 1))
+    effects = [exposing_effect(space, i) for i in range(len(points))]
+    bound = bc_cheat_bound(space, find_double_decomposition(space), 3)
+    norms = [base_norm(space, v) for v in ((1, 0, 0), (3, -2, 1))]
+    text = repr((effects, bound, norms))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
