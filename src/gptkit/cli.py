@@ -128,7 +128,6 @@ def _cert_payload(cert, mode) -> dict:
 
 
 def _cmd_tensor(args) -> int:
-    _require_json_format(args)
     a = parse_model_name(args.model_a)
     b = parse_model_name(args.model_b)
     mode = _mode_for(args, a, b)
@@ -161,7 +160,6 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_marginal(args) -> int:
-    _require_json_format(args)
     state = BipartiteState.from_json_dict(_load_json(args.state))
     space = state.composite.factor_a if args.side == "a" \
         else state.composite.factor_b
@@ -178,7 +176,6 @@ def _cmd_marginal(args) -> int:
 
 
 def _cmd_conditional(args) -> int:
-    _require_json_format(args)
     state = BipartiteState.from_json_dict(_load_json(args.state))
     effect = vec(_load_json(args.effect))
     far = state.composite.factor_b if args.side == "a" \
@@ -198,7 +195,6 @@ def _cmd_conditional(args) -> int:
 
 
 def _cmd_teleport(args) -> int:
-    _require_json_format(args)
     if args.action == "construct":
         space = parse_model_name(args.model)
         scheme = construct_deterministic_teleportation(space, tol=args.tol)
@@ -241,7 +237,6 @@ def _cmd_teleport(args) -> int:
 
 
 def _cmd_clone(args) -> int:
-    _require_json_format(args)
     space = parse_model_name(args.model)
     states = _states_from_args(args, space)
     mode = _mode_for(args, space)
@@ -264,7 +259,6 @@ def _cmd_clone(args) -> int:
 
 
 def _cmd_broadcast(args) -> int:
-    _require_json_format(args)
     space = parse_model_name(args.model)
     states = _states_from_args(args, space)
     mode = _mode_for(args, space)
@@ -287,7 +281,6 @@ def _cmd_broadcast(args) -> int:
 
 
 def _cmd_disturb(args) -> int:
-    _require_json_format(args)
     space = parse_model_name(args.model)
     mode = _mode_for(args, space)
     basis = nondisturbing_basis(space)
@@ -374,11 +367,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--tol", type=_fraction_arg, default=None,
                         help="comparison tolerance (default: exact for "
                              "rational models, 1e-9 for float)")
-    common.add_argument("--seed", type=_seed_arg, default=0,
-                        help="64-bit seed for randomized commands")
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -456,6 +446,9 @@ def _build_parser() -> _Parser:
                    help="(bound --format csv) Monte Carlo trials per row")
     p.add_argument("--tamper", default=None,
                    help="(run) position,claimed-sample to corrupt the reveal")
+    p.add_argument("--seed", type=_seed_arg, default=0,
+                   help="(run, bound --format csv) 64-bit seed")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_bitcommit)
 
     return parser
@@ -463,7 +456,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     if args.command == "teleport":
         if args.action == "construct" and not args.model:
             parser.error("teleport construct needs --model")
@@ -472,6 +465,9 @@ def main(argv=None) -> int:
             parser.error("teleport verify needs --model-a, --effect, "
                          "and --omega")
     try:
+        if unknown:
+            raise InvalidInputError(
+                f"unrecognized arguments: {' '.join(unknown)}")
         return args.handler(args)
     except ToolkitError as exc:
         kind = type(exc).__name__.removesuffix("Error")

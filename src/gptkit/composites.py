@@ -15,7 +15,6 @@ against the minimal cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cones import POLYHEDRAL, ConeRep
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
 from .linalg import Mat, Vec, dot, mat, matvec, transpose, vec, zeros
 from .lp import feasible_point
 from .scalars import merge_arithmetic, tolerance_for
-from .spaces import StateSpace
+from .spaces import StateSpace, _dual_member
 
 
 def product_vec(x: Vec, y: Vec) -> Vec:
@@ -68,7 +67,8 @@ def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
     gens = tuple(product_vec(x, y)
                  for x in a.cone.generators for y in b.cone.generators)
-    cone = ConeRep.from_generators(gens, arith, a.dim * b.dim)
+    # rank(A (x) B) = rank A * rank B: the products span, no rank check
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, gens, None)
     unit = product_vec(a.unit, b.unit)
     name = f"min({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "min", name)
@@ -83,7 +83,8 @@ def max_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
     facets = tuple(product_vec(x, y)
                    for x in a.cone.facets for y in b.cone.facets)
-    cone = ConeRep.from_facets(facets, arith, a.dim * b.dim)
+    # rank(A (x) B) = rank A * rank B: the products span, no rank check
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, facets)
     unit = product_vec(a.unit, b.unit)
     name = f"max({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "max", name)
@@ -95,8 +96,9 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
 
     Requires the product unit (UnitMismatchError otherwise) and the
     sandwich min <= candidate <= max, checked without enumerating
-    either bound: min generators against candidate facets, candidate
-    generators against max facets.
+    either bound: every min generator lies in the candidate cone, and
+    each candidate generator, read as a dim A x dim B matrix G, pulls
+    every facet f of a into b's cone (G^t f, as <G, f (x) g> = <G^t f, g>).
     """
     _require_polyhedral(a, b)
     if candidate.dim != a.dim * b.dim:
@@ -105,18 +107,16 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
     if candidate.unit != unit:
         raise UnitMismatchError("candidate does not carry the product unit")
     eps = tolerance_for(tol, a, b, candidate)
-    for x in a.cone.generators:
-        for y in b.cone.generators:
-            if not candidate.cone.contains(product_vec(x, y), eps):
-                return False
-    for g in candidate.cone.generators:
-        gm = _as_matrix(g, a.dim, b.dim)
-        for fa in a.cone.facets:
-            pulled = matvec(transpose(gm), vec(fa))
-            for fb in b.cone.facets:
-                if dot(pulled, vec(fb)) < -eps:
-                    return False
-    return True
+    return all(candidate.cone.contains(g, eps)
+               for g in min_tensor(a, b).cone.generators) and \
+        all(b.cone.contains(y, eps) for g in candidate.cone.generators
+            for y in _pullbacks(_as_matrix(g, a.dim, b.dim), a.cone.facets))
+
+
+def _pullbacks(coords: Mat, xs) -> list[Vec]:
+    """coords^t x for each x, so <x (x) y, coords> = <coords^t x, y>."""
+    t = transpose(coords)
+    return [matvec(t, x) for x in xs]
 
 
 def _as_matrix(flat: Vec, m: int, n: int) -> Mat:
@@ -258,27 +258,38 @@ def remote_evaluate(alpha: Vec, state: BipartiteState, f_coords: Mat) -> Vec:
 
 def is_entangled(state: BipartiteState, tol=None) -> bool:
     """Outside the separable (minimal) cone?  Membership LP over products."""
-    a = state.composite.factor_a
-    b = state.composite.factor_b
-    eps = state.composite.tol(tol)
-    products = [product_vec(x, y)
-                for x in a.cone.generators for y in b.cone.generators]
+    composite = state.composite
+    eps = composite.tol(tol)
+    products = min_tensor(composite.factor_a,
+                          composite.factor_b).cone.generators
     x, _ = feasible_point(products, state.flat, eps)
     return x is None
 
 
+def _effect_and_residual(a: StateSpace, b: StateSpace,
+                         f_coords: Mat) -> tuple[Mat, Mat]:
+    """F and u (x) u - F, for an effect matrix of shape dim A x dim B."""
+    F = mat(f_coords)
+    if len(F) != a.dim or any(len(r) != b.dim for r in F):
+        raise DimensionMismatchError("effect matrix must be dim A x dim B")
+    residual = tuple(tuple(ua * ub - x for ub, x in zip(b.unit, row))
+                     for ua, row in zip(a.unit, F))
+    return F, residual
+
+
 def effect_on_min(a: StateSpace, b: StateSpace, f_coords: Mat,
                   tol=None) -> bool:
-    """Valid effect on the minimal composite: 0 <= F <= u on products."""
-    F = mat(f_coords)
+    """Valid effect on the minimal composite: 0 <= F <= u on products.
+
+    Both F and u (x) u - F, pulled back through each generator x of a
+    (x -> F^t x), must land in the dual of b's cone.
+    """
+    F, residual = _effect_and_residual(a, b, f_coords)
     eps = tolerance_for(tol, a, b)
-    for x in a.cone.generators:
-        for y in b.cone.generators:
-            val = dot(matvec(F, y), x)
-            cap = dot(vec(a.unit), x) * dot(vec(b.unit), y)
-            if val < -eps or val > cap + eps:
-                return False
-    return True
+    _require_polyhedral(a, b)
+    return all(_dual_member(b, y, eps)
+               for G in (F, residual)
+               for y in _pullbacks(G, a.cone.generators))
 
 
 def effect_on_max(a: StateSpace, b: StateSpace, f_coords: Mat,
@@ -286,43 +297,30 @@ def effect_on_max(a: StateSpace, b: StateSpace, f_coords: Mat,
     """Valid effect on the maximal composite.
 
     The dual of the maximal cone is the separable dual cone, so both F
-    and u - F must decompose as nonnegative sums of product effects;
-    each test is one feasibility LP.
+    and u - F must be nonnegative sums of the max composite's product
+    facets; each test is one feasibility LP.
     """
-    F = mat(f_coords)
+    F, residual = _effect_and_residual(a, b, f_coords)
     eps = tolerance_for(tol, a, b)
-    unit = tuple(tuple(ua * ub for ub in b.unit) for ua in a.unit)
-    residual_mat = tuple(tuple(u - x for u, x in zip(urow, frow))
-                         for urow, frow in zip(unit, F))
-    return _separable_functional(a, b, F, eps) and \
-        _separable_functional(a, b, residual_mat, eps)
-
-
-def _separable_functional(a: StateSpace, b: StateSpace, F: Mat,
-                          eps: Fraction) -> bool:
-    products = [product_vec(x, y)
-                for x in a.cone.facets for y in b.cone.facets]
-    x, _ = feasible_point(products, _as_flat(F), eps)
-    return x is not None
+    facets = max_tensor(a, b).cone.facets
+    return all(feasible_point(facets, _as_flat(G), eps)[0] is not None
+               for G in (F, residual))
 
 
 def check_distributive_inclusion(a: StateSpace, b: StateSpace,
                                  c: StateSpace, tol=None) -> bool:
     """Cone inclusion  a min (b max c)  <=  (a min b) max c.
 
-    Every generator of the left composite must satisfy every facet of
-    the right one. Row-major flattening makes the two triple-space
-    coordinateizations literally identical, so the check is plain dot
-    products. Only the two inner pair composites are ever enumerated
-    (each within the dimension cap); the triple space is not.
+    Every generator x (x) H of the left composite must satisfy every
+    facet F (x) f of the right one, and <x (x) H, F (x) f> =
+    <H^t (F^t x), f>: a's generators are pulled through each facet F of
+    min(a, b), then through each generator H of max(b, c), into c's
+    cone. Only the two inner pair composites are enumerated (each
+    within the dimension cap); no triple-space vector is built.
     """
     eps = tolerance_for(tol, a, b, c)
-    inner_left = max_tensor(b, c)
-    inner_right = min_tensor(a, b)
-    # generators of a (x) (b max c): products over the enumerated max pair
-    left_gens = [product_vec(x, h)
-                 for x in a.cone.generators for h in inner_left.cone.generators]
-    # facets of (a min b) (x) c: products over the enumerated min pair
-    right_facets = [product_vec(f, fc)
-                    for f in inner_right.cone.facets for fc in c.cone.facets]
-    return all(dot(g, f) >= -eps for g in left_gens for f in right_facets)
+    left, right = max_tensor(b, c), min_tensor(a, b)
+    us = [u for f in right.cone.facets
+          for u in _pullbacks(_as_matrix(f, a.dim, b.dim), a.cone.generators)]
+    return all(c.cone.contains(v, eps) for h in left.cone.generators
+               for v in _pullbacks(_as_matrix(h, b.dim, c.dim), us))

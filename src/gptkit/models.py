@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cones import ConeRep
 from .errors import InvalidInputError, UnsupportedConeError
 from .linalg import Mat, identity, matmul
-from .scalars import FLOAT, RATIONAL, exactify
+from .scalars import FLOAT, RATIONAL, exactify, merge_arithmetic
 from .spaces import StateSpace
 
 ONE = Fraction(1)
@@ -115,16 +115,13 @@ def direct_sum(a: StateSpace, b: StateSpace) -> StateSpace:
     da, db = a.dim, b.dim
     gens = [g + (ZERO,) * db for g in a.cone.generators]
     gens += [(ZERO,) * da + g for g in b.cone.generators]
-    has_facets = a.cone.has_facets() and b.cone.has_facets()
-    if has_facets:
+    arith = merge_arithmetic(a.arithmetic, b.arithmetic)
+    if a.cone.has_facets() and b.cone.has_facets():
         facets = [f + (ZERO,) * db for f in a.cone.facets]
         facets += [(ZERO,) * da + f for f in b.cone.facets]
-        cone = ConeRep.from_both(gens, facets,
-                                 a.arithmetic if a.arithmetic == b.arithmetic
-                                 else FLOAT, validate=False)
+        cone = ConeRep.from_both(gens, facets, arith, validate=False)
     else:
-        cone = ConeRep.from_generators(
-            gens, a.arithmetic if a.arithmetic == b.arithmetic else FLOAT)
+        cone = ConeRep.from_generators(gens, arith)
     unit = a.unit + b.unit
     name = f"({a.name or 'A'})+({b.name or 'B'})"
     return StateSpace(cone, unit, name=name)

@@ -72,11 +72,9 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
     shared state against the maximal composite of (B, A).
     """
     F = mat(f_coords)
-    if len(F) != a_space.dim or any(len(r) != b_space.dim for r in F):
-        raise DimensionMismatchError("effect matrix must be dim A x dim B")
-    eps = tolerance_for(tol, a_space, b_space)
     if not effect_on_min(a_space, b_space, F, tol):
         raise InvalidInputError("f is not an effect on the minimal composite")
+    eps = tolerance_for(tol, a_space, b_space)
     if omega.composite.tensor != "max":
         raise InvalidInputError("shared state must live on the maximal "
                                 "composite")

@@ -2,16 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gptkit.composites import (BipartiteState, check_distributive_inclusion,
-                               conditional, effect_on_max, effect_on_min,
-                               f_hat, is_composite, is_entangled, marginal,
+from gptkit.composites import (BipartiteState, _pullbacks,
+                               check_distributive_inclusion, conditional,
+                               effect_on_max, effect_on_min, f_hat,
+                               is_composite, is_entangled, marginal,
                                max_tensor, min_tensor, omega_hat, product_vec,
                                remote_evaluate)
+from gptkit.cones import ConeRep
 from gptkit.errors import DimensionMismatchError, UnitMismatchError
-from gptkit.linalg import dot, lex_key, mat, matvec, transpose, vec
+from gptkit.linalg import dot, lex_key, mat, matvec, rank, transpose, vec
+from gptkit.lp import feasible_point
 from gptkit.models import (entangled_state_coords, make_classical,
                            make_polygon, make_squit)
+from gptkit.scalars import tolerance_for
+from gptkit.spaces import StateSpace
 
 F = Fraction
 EIGHTH = F(1, 8)
@@ -187,3 +194,154 @@ def test_min_effect_cap_uses_unit_products():
     assert effect_on_min(sq, cl, F_unit)
     assert all(dot(vec(u), product_vec(x, y)) >= 0
                for x in sq.cone.generators for y in cl.cone.generators)
+
+
+def test_effect_shape_checked():
+    sq = make_squit()
+    for bad in (((0, 0), (0, 0)), ((0,) * 9,)):
+        for check in (effect_on_min, effect_on_max):
+            with pytest.raises(DimensionMismatchError,
+                               match="effect matrix must be dim A x dim B"):
+                check(sq, sq, bad)
+
+
+# -- product-loop oracles ----------------------------------------------------
+# The composite checks written out over product vectors in the composite
+# (or triple) space, as literal restatements of their definitions.
+
+
+def _flat(coords):
+    return tuple(x for row in coords for x in row)
+
+
+def oracle_is_composite(a, b, candidate, tol=None):
+    eps = tolerance_for(tol, a, b, candidate)
+    for x in a.cone.generators:
+        for y in b.cone.generators:
+            if not candidate.cone.contains(product_vec(x, y), eps):
+                return False
+    return all(dot(g, product_vec(fa, fb)) >= -eps
+               for g in candidate.cone.generators
+               for fa in a.cone.facets for fb in b.cone.facets)
+
+
+def oracle_effect_on_min(a, b, f_coords, tol=None):
+    F = mat(f_coords)
+    eps = tolerance_for(tol, a, b)
+    for x in a.cone.generators:
+        for y in b.cone.generators:
+            val = dot(matvec(F, y), x)
+            cap = dot(vec(a.unit), x) * dot(vec(b.unit), y)
+            if val < -eps or val > cap + eps:
+                return False
+    return True
+
+
+def oracle_effect_on_max(a, b, f_coords, tol=None):
+    F = mat(f_coords)
+    eps = tolerance_for(tol, a, b)
+    residual = tuple(tuple(ua * ub - x for ub, x in zip(b.unit, row))
+                     for ua, row in zip(a.unit, F))
+    products = [product_vec(x, y)
+                for x in a.cone.facets for y in b.cone.facets]
+    return all(feasible_point(products, _flat(G), eps)[0] is not None
+               for G in (F, residual))
+
+
+def oracle_distributive(a, b, c, tol=None):
+    eps = tolerance_for(tol, a, b, c)
+    left_gens = [product_vec(x, h) for x in a.cone.generators
+                 for h in max_tensor(b, c).cone.generators]
+    right_facets = [product_vec(f, fc) for f in min_tensor(a, b).cone.facets
+                    for fc in c.cone.facets]
+    return all(dot(g, f) >= -eps for g in left_gens for f in right_facets)
+
+
+def random_polygon(rng, k, box=4):
+    """Cone over an integer polygon with exactly k vertices, unit (0, 0, 1)."""
+    while True:
+        lifts = {(rng.randint(-box, box), rng.randint(-box, box), 1)
+                 for _ in range(k)}
+        if len(lifts) == k and rank(tuple(lifts)) == 3:
+            cone = ConeRep.from_generators(sorted(lifts))
+            if len(cone.minimal_generators()) == k:
+                return StateSpace(cone, (0, 0, 1))
+
+
+def random_candidates(rng, a, b):
+    """min, max, and sub-cones of max (some holding min) plus a stray
+    vector near the product of the two barycentres."""
+    low, high = min_tensor(a, b), max_tensor(a, b)
+    yield low
+    yield high
+    center = product_vec(*(tuple(map(sum, zip(*s.cone.generators)))
+                           for s in (a, b)))
+    for keep_min in (True, True, False):
+        size = len(high.cone.generators)
+        gens = list(rng.sample(high.cone.generators,
+                               rng.randint(size // 2, size)))
+        if keep_min:
+            gens += low.cone.generators
+        d = rng.choice((1, 16))
+        gens.append(tuple(c + F(rng.randint(-6, 6), d) for c in center))
+        if rank(tuple(gens)) == low.dim:
+            yield StateSpace(ConeRep.from_generators(gens), low.unit)
+
+
+def random_effect(rng):
+    """A random 3 x 3 rational near u (x) u / 2 for units (0, 0, 1)."""
+    scale = rng.choice((F(1, 4), F(1, 10), F(1, 40), F(1, 400)))
+    return tuple(tuple(scale * rng.randint(-1, 1) + F(i == j == 2, 2)
+                       for j in range(3)) for i in range(3))
+
+
+def test_composite_checks_match_product_loop_oracles():
+    rng = random.Random(606)
+    verdicts = {True: 0, False: 0}
+
+    def agree(got, want):
+        assert got == want
+        verdicts[got] += 1
+
+    for _ in range(6):
+        a = random_polygon(rng, rng.randint(3, 4))
+        b = random_polygon(rng, rng.randint(3, 4))
+        candidates = list(random_candidates(rng, a, b))
+        effects = [random_effect(rng) for _ in range(16)]
+        for tol in (None, F(1, 50)):
+            for cand in candidates:
+                agree(is_composite(a, b, cand, tol),
+                      oracle_is_composite(a, b, cand, tol))
+            for eff in effects:
+                agree(effect_on_min(a, b, eff, tol),
+                      oracle_effect_on_min(a, b, eff, tol))
+            for eff in effects[:3]:  # two LPs each
+                agree(effect_on_max(a, b, eff, tol),
+                      oracle_effect_on_max(a, b, eff, tol))
+    for _ in range(2):
+        a, b, c = (random_polygon(rng, rng.randint(3, 4)) for _ in range(3))
+        for tol in (None, F(1, 50)):
+            agree(check_distributive_inclusion(a, b, c, tol),
+                  oracle_distributive(a, b, c, tol))
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+
+
+small_ints = st.integers(-5, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pullback_contraction_identity(data):
+    """<x (x) H, F (x) f> = <H^t (F^t x), f> in the triple space."""
+    m, n, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+    def draw_mat(rows, cols):
+        return tuple(tuple(F(data.draw(small_ints)) for _ in range(cols))
+                     for _ in range(rows))
+
+    x, = draw_mat(1, m)
+    f, = draw_mat(1, k)
+    Fm, H = draw_mat(m, n), draw_mat(n, k)
+    triple = dot(product_vec(x, _flat(H)), product_vec(_flat(Fm), f))
+    pulled, = _pullbacks(H, _pullbacks(Fm, [x]))
+    assert triple == dot(pulled, f)
