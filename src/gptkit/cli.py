@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .composites import (BipartiteState, conditional, marginal, max_tensor,
@@ -27,7 +26,7 @@ from .protocols.cloning import build_cloner, is_broadcastable
 from .protocols.disturbance import nondisturbing_basis
 from .protocols.teleport import (construct_deterministic_teleportation,
                                  verify_teleportation)
-from .scalars import FLOAT, RATIONAL, emit, merge_arithmetic
+from .scalars import FLOAT, RATIONAL, emit, merge_arithmetic, tolerance_for
 from .spaces import one_shot_distinguishing_observable
 
 OK = 0
@@ -40,13 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(float(text))
 
 
 def _seed_arg(text: str) -> int:
@@ -64,14 +56,6 @@ def _load_json(source: str):
     return json.loads(text)
 
 
-def _emit_vec(v, mode):
-    return [emit(x, mode) for x in v]
-
-
-def _emit_mat(m, mode):
-    return [[emit(x, mode) for x in row] for row in m]
-
-
 def _mode_for(args, *spaces) -> str:
     if args.arithmetic is not None:
         return args.arithmetic
@@ -87,12 +71,6 @@ def _write(args, text: str) -> None:
 
 def _write_json(args, report: dict) -> None:
     _write(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
-
-
-def _require_json_format(args) -> None:
-    if args.format == "csv":
-        raise InvalidInputError("csv format is only available for "
-                                "'bitcommit bound'")
 
 
 def _states_from_args(args, space):
@@ -115,12 +93,12 @@ def _cert_payload(cert, mode) -> dict:
     body = {
         "verdict": cert.verdict,
         "constant": emit(cert.constant, mode),
-        "mu": _emit_mat(cert.mu.matrix, mode),
-        "duality_witness": _emit_mat(cert.duality_witness, mode),
+        "mu": emit(cert.mu.matrix, mode),
+        "duality_witness": emit(cert.duality_witness, mode),
         "correction": None,
     }
     if cert.correction is not None:
-        body["correction"] = _emit_mat(cert.correction.matrix, mode)
+        body["correction"] = emit(cert.correction.matrix, mode)
     return body
 
 
@@ -141,10 +119,9 @@ def _cmd_tensor(args) -> int:
         "dim": composite.dim,
     }
     if args.max:
-        report["facets"] = [_emit_vec(f, mode) for f in composite.cone.facets]
+        report["facets"] = emit(composite.cone.facets, mode)
     else:
-        report["generators"] = [_emit_vec(g, mode)
-                                for g in composite.cone.generators]
+        report["generators"] = emit(composite.cone.generators, mode)
     status = OK
     if args.check_equals_min:
         if not args.max:
@@ -169,7 +146,7 @@ def _cmd_marginal(args) -> int:
         "side": args.side,
         "state": state.to_json_dict(),
         "model": space.to_json_dict(),
-        "result": _emit_vec(marginal(state, args.side), mode),
+        "result": emit(marginal(state, args.side), mode),
     }
     _write_json(args, report)
     return OK
@@ -186,9 +163,9 @@ def _cmd_conditional(args) -> int:
         "command": "conditional",
         "side": args.side,
         "state": state.to_json_dict(),
-        "effect": _emit_vec(effect, mode),
+        "effect": emit(effect, mode),
         "model": far.to_json_dict(),
-        "result": _emit_vec(result, mode),
+        "result": emit(result, mode),
     }
     _write_json(args, report)
     return OK
@@ -209,9 +186,9 @@ def _cmd_teleport(args) -> int:
         report = {
             "command": "teleport construct",
             "model": space.to_json_dict(),
-            "group": [_emit_mat(g, mode) for g in scheme.group],
+            "group": emit(scheme.group, mode),
             "omega": scheme.omega.to_json_dict(),
-            "effects": [_emit_mat(F, mode) for F in scheme.effects],
+            "effects": emit(scheme.effects, mode),
             "constant": emit(scheme.constant, mode),
             "certificates": [_cert_payload(c, mode)
                              for c in scheme.certificates],
@@ -228,7 +205,7 @@ def _cmd_teleport(args) -> int:
         "command": "teleport verify",
         "model_a": a.to_json_dict(),
         "model_b": b.to_json_dict(),
-        "effect": _emit_mat(effect, mode),
+        "effect": emit(effect, mode),
         "omega": omega.to_json_dict(),
         "certificate": _cert_payload(cert, mode),
     }
@@ -244,16 +221,16 @@ def _cmd_clone(args) -> int:
     report = {
         "command": "clone check",
         "model": space.to_json_dict(),
-        "states": [_emit_vec(s, mode) for s in states],
+        "states": emit(states, mode),
         "clonable": observable is not None,
         "observable": None,
         "cloner": None,
     }
     if observable is not None:
-        report["observable"] = [_emit_vec(e.functional, mode)
-                                for e in observable.effects]
+        report["observable"] = emit([e.functional for e in observable.effects],
+                                    mode)
         cloner = build_cloner(space, states, observable, args.tol)
-        report["cloner"] = _emit_mat(cloner.matrix, mode)
+        report["cloner"] = emit(cloner.matrix, mode)
     _write_json(args, report)
     return OK if observable is not None else REJECT
 
@@ -266,13 +243,13 @@ def _cmd_broadcast(args) -> int:
     report = {
         "command": "broadcast check",
         "model": space.to_json_dict(),
-        "states": [_emit_vec(s, mode) for s in states],
+        "states": emit(states, mode),
         "status": result.status,
         "witness": None,
         "candidates_tried": result.candidates_tried,
     }
     if result.witness is not None:
-        report["witness"] = [_emit_vec(w, mode) for w in result.witness]
+        report["witness"] = emit(result.witness, mode)
     _write_json(args, report)
     if result.status == "inconclusive":
         raise InvalidInputError("candidate cap exceeded; broadcastability "
@@ -288,34 +265,34 @@ def _cmd_disturb(args) -> int:
         "command": "disturb basis",
         "model": space.to_json_dict(),
         "summands": len(basis),
-        "basis": [_emit_mat(t.matrix, mode) for t in basis],
+        "basis": emit([t.matrix for t in basis], mode),
     }
     _write_json(args, report)
     return OK
 
 
 def _cmd_bitcommit(args) -> int:
+    if args.format == "csv" and args.action != "bound":
+        raise InvalidInputError("csv format is only available for "
+                                "'bitcommit bound'")
     space = parse_model_name(args.model)
     mode = _mode_for(args, space)
     dd = find_double_decomposition(space, args.tol)
     if args.action == "decompose":
-        _require_json_format(args)
         report = {
             "command": "bitcommit decompose",
             "model": space.to_json_dict(),
-            "omega": _emit_vec(dd.omega, mode),
+            "omega": emit(dd.omega, mode),
             "branches": [
-                [{"state": _emit_vec(s, mode), "probability": emit(p, mode)}
+                [{"state": emit(s, mode), "probability": emit(p, mode)}
                  for s, p in branch]
                 for branch in (dd.branch0, dd.branch1)],
-            "distinguishers": [
-                [_emit_vec(a, mode) for a in block]
-                for block in (dd.distinguishers0, dd.distinguishers1)],
+            "distinguishers": emit((dd.distinguishers0, dd.distinguishers1),
+                                   mode),
         }
         _write_json(args, report)
         return OK
     if args.action == "run":
-        _require_json_format(args)
         tamper = None
         if args.tamper is not None:
             pos, claim = args.tamper.split(",")
@@ -328,7 +305,7 @@ def _cmd_bitcommit(args) -> int:
             "n": transcript.n,
             "seed": transcript.seed,
             "samples": transcript.samples,
-            "committed": [_emit_vec(s, mode) for s in transcript.committed],
+            "committed": emit(transcript.committed, mode),
             "reveal": {"bit": transcript.reveal[0],
                        "samples": transcript.reveal[1]},
             "verdict": transcript.verdict,
@@ -349,7 +326,7 @@ def _cmd_bitcommit(args) -> int:
         "n": bound.rounds,
         "per_round": emit(bound.per_round, mode),
         "overall": emit(bound.overall, mode),
-        "optimizer": _emit_vec(bound.optimizer, mode),
+        "optimizer": emit(bound.optimizer, mode),
     }
     _write_json(args, report)
     return OK
@@ -364,8 +341,9 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--arithmetic", choices=(RATIONAL, FLOAT),
                         default=None, help="override output number style")
-    common.add_argument("--tol", type=_fraction_arg, default=None,
-                        help="comparison tolerance (default: exact for "
+    common.add_argument("--tol", type=tolerance_for, default=None,
+                        help="comparison tolerance, a finite number >= 0 "
+                             "(default: exact for "
                              "rational models, 1e-9 for float)")
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
@@ -456,15 +434,15 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
-    if args.command == "teleport":
-        if args.action == "construct" and not args.model:
-            parser.error("teleport construct needs --model")
-        if args.action == "verify" and not (
-                args.model_a and args.effect and args.omega):
-            parser.error("teleport verify needs --model-a, --effect, "
-                         "and --omega")
     try:
+        args, unknown = parser.parse_known_args(argv)
+        if args.command == "teleport":
+            if args.action == "construct" and not args.model:
+                parser.error("teleport construct needs --model")
+            if args.action == "verify" and not (
+                    args.model_a and args.effect and args.omega):
+                parser.error("teleport verify needs --model-a, --effect, "
+                             "and --omega")
         if unknown:
             raise InvalidInputError(
                 f"unrecognized arguments: {' '.join(unknown)}")

@@ -25,7 +25,8 @@ from .errors import (
 )
 from .linalg import Mat, Vec, dot, mat, matvec, transpose, vec, zeros
 from .lp import feasible_point
-from .scalars import merge_arithmetic, tolerance_for
+from .models import parse_model_name
+from .scalars import emit, merge_arithmetic, tolerance_for
 from .spaces import StateSpace, _dual_member
 
 
@@ -151,13 +152,11 @@ class BipartiteState:
             raise InvalidInputError("state is not normalized")
 
     def to_json_dict(self) -> dict:
-        from .scalars import emit
-        arith = self.composite.arithmetic
         return {
             "A": _space_ref(self.composite.factor_a),
             "B": _space_ref(self.composite.factor_b),
             "tensor": self.composite.tensor,
-            "coords": [[emit(x, arith) for x in row] for row in self.coords],
+            "coords": emit(self.coords, self.composite.arithmetic),
         }
 
     @classmethod
@@ -189,7 +188,6 @@ def _space_ref(space: StateSpace):
 
 def _space_from_ref(ref) -> StateSpace:
     if isinstance(ref, str):
-        from .models import parse_model_name
         return parse_model_name(ref)
     if isinstance(ref, dict):
         return StateSpace.from_json_dict(ref)

@@ -190,19 +190,17 @@ class ConeRep:
         return cls(d, POLYHEDRAL, arithmetic, None, fcts)
 
     @classmethod
-    def from_both(cls, generators, facets, arithmetic: str = RATIONAL,
-                  validate: bool = True) -> ConeRep:
+    def from_both(cls, generators, facets,
+                  arithmetic: str = RATIONAL) -> ConeRep:
         gens = tuple(vec(g) for g in generators)
         fcts = tuple(vec(f) for f in facets)
-        cone = cls(len(gens[0]), POLYHEDRAL, arithmetic, gens, fcts)
-        if validate:
-            recomputed = cls.from_generators(gens, arithmetic)
-            want = {lex_key(canonical_ray(f)) for f in recomputed.facets}
-            got = {lex_key(canonical_ray(f)) for f in fcts}
-            if want != got:
-                raise DegenerateConeError(
-                    "facet list disagrees with the generator list")
-        return cone
+        recomputed = cls.from_generators(gens, arithmetic)
+        want = {lex_key(canonical_ray(f)) for f in recomputed.facets}
+        got = {lex_key(canonical_ray(f)) for f in fcts}
+        if want != got:
+            raise DegenerateConeError(
+                "facet list disagrees with the generator list")
+        return cls(len(gens[0]), POLYHEDRAL, arithmetic, gens, fcts)
 
     @classmethod
     def lorentz(cls, dim: int, arithmetic: str = FLOAT) -> ConeRep:

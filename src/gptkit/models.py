@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cones import ConeRep
+from .cones import POLYHEDRAL, ConeRep
 from .errors import InvalidInputError, UnsupportedConeError
 from .linalg import Mat, identity, matmul
 from .scalars import FLOAT, RATIONAL, exactify, merge_arithmetic
@@ -32,7 +32,7 @@ def make_classical(n: int) -> StateSpace:
     if n < 1:
         raise InvalidInputError("classical model needs n >= 1")
     basis = identity(n)
-    cone = ConeRep.from_both(basis, basis, RATIONAL, validate=False)
+    cone = ConeRep(n, POLYHEDRAL, RATIONAL, basis, basis)
     unit = tuple([ONE] * n)
     return StateSpace(cone, unit, name=f"classical:{n}")
 
@@ -52,7 +52,7 @@ def _square_space() -> StateSpace:
         (ZERO, ONE, ONE),
         (ONE, ZERO, ONE),
     )
-    cone = ConeRep.from_both(gens, facets, RATIONAL, validate=True)
+    cone = ConeRep(3, POLYHEDRAL, RATIONAL, gens, facets)
     return StateSpace(cone, (ZERO, ZERO, ONE), name="polygon:4")
 
 
@@ -110,18 +110,18 @@ def parse_model_name(text: str) -> StateSpace:
 
 def direct_sum(a: StateSpace, b: StateSpace) -> StateSpace:
     """Block sum: states are subnormalized pairs, unit adds up."""
-    if a.kind != "polyhedral" or b.kind != "polyhedral":
+    if a.kind != POLYHEDRAL or b.kind != POLYHEDRAL:
         raise UnsupportedConeError("direct sum needs polyhedral factors")
     da, db = a.dim, b.dim
-    gens = [g + (ZERO,) * db for g in a.cone.generators]
-    gens += [(ZERO,) * da + g for g in b.cone.generators]
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
+    gens = tuple(g + (ZERO,) * db for g in a.cone.generators) \
+        + tuple((ZERO,) * da + g for g in b.cone.generators)
+    facets = None
     if a.cone.has_facets() and b.cone.has_facets():
-        facets = [f + (ZERO,) * db for f in a.cone.facets]
-        facets += [(ZERO,) * da + f for f in b.cone.facets]
-        cone = ConeRep.from_both(gens, facets, arith, validate=False)
-    else:
-        cone = ConeRep.from_generators(gens, arith)
+        facets = tuple(f + (ZERO,) * db for f in a.cone.facets) \
+            + tuple((ZERO,) * da + f for f in b.cone.facets)
+    # a block sum of spanning sets spans: no rank check
+    cone = ConeRep(da + db, POLYHEDRAL, arith, gens, facets)
     unit = a.unit + b.unit
     name = f"({a.name or 'A'})+({b.name or 'B'})"
     return StateSpace(cone, unit, name=name)

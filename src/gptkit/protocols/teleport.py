@@ -207,15 +207,8 @@ def construct_deterministic_teleportation(
         fg_hat = matmul(oh_inv, g)
         effects.append(transpose(tuple(tuple(order * x for x in row)
                                        for row in fg_hat)))
-    unit_effect = tuple(tuple(ua * ub for ub in u) for ua in u)
-    total_effect = effects[0]
-    for F in effects[1:]:
-        total_effect = tuple(tuple(x + y for x, y in zip(ra, rb))
-                             for ra, rb in zip(total_effect, F))
-    if not _entrywise_close(total_effect, unit_effect, eps):
-        raise InvalidInputError("outcome effects do not sum to the product "
-                                "unit")
 
+    # Observable checks that the effects sum to the product unit
     min_space = min_tensor(space, space)
     observable = Observable(
         min_space, tuple(Effect(min_space, tuple(x for row in F for x in row))

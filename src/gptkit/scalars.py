@@ -5,7 +5,8 @@ All geometry in this package runs on fractions.Fraction. Spaces tagged
 denominators are powers of two) and convert back to floats only when a
 value leaves the library. Tolerances therefore matter in exactly one
 place: predicates over float-mode spaces, which compare against EPS
-instead of zero.
+instead of zero. Values cross the boundary here: exactify reads every
+input scalar and emit writes every output one.
 """
 
 from __future__ import annotations
@@ -25,17 +26,15 @@ DIMENSION_CAP = 16
 
 
 def exactify(value: int | float | Fraction | str) -> Fraction:
-    """Convert a number (or a "p/q" string) to an exact Fraction."""
+    """Convert a finite number (or a "p/q" string) to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise InvalidInputError("booleans are not scalars")
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse scalar {value!r}") from exc
     raise InvalidInputError(f"cannot parse scalar of type {type(value).__name__}")
 
@@ -48,17 +47,23 @@ def merge_arithmetic(*modes: str) -> str:
     return FLOAT if FLOAT in modes else RATIONAL
 
 
-def tolerance_for(tol: Fraction | float | None, *spaces) -> Fraction:
-    """Comparison slack: tol if given, else zero when every space is
-    rational and EPS when any is float."""
+def tolerance_for(tol: Fraction | float | str | None, *spaces) -> Fraction:
+    """Comparison slack: tol if given (a finite number >= 0), else zero
+    when every space is rational and EPS when any is float."""
     if tol is not None:
-        return exactify(tol)
+        eps = exactify(tol)
+        if eps < 0:
+            raise InvalidInputError(f"tolerance must be >= 0, got {tol}")
+        return eps
     mode = merge_arithmetic(*(s.arithmetic for s in spaces))
     return Fraction(0) if mode == RATIONAL else DEFAULT_TOLERANCE
 
 
-def emit(value: Fraction, mode: str) -> int | str | float:
-    """Render a scalar for JSON: ints or "p/q" in rational mode, float otherwise."""
+def emit(value, mode: str) -> int | str | float | list:
+    """Render a scalar for JSON: ints or "p/q" in rational mode, float
+    otherwise. Tuples and lists, nested to any depth, become lists."""
+    if isinstance(value, (tuple, list)):
+        return [emit(x, mode) for x in value]
     if mode == RATIONAL:
         if value.denominator == 1:
             return int(value)

@@ -112,16 +112,14 @@ class StateSpace:
             "dim": self.dim,
             "kind": self.kind,
             "arithmetic": self.arithmetic,
-            "unit": [emit(x, self.arithmetic) for x in self.unit],
+            "unit": emit(self.unit, self.arithmetic),
         }
         if self.name:
             body["name"] = self.name
         if self.kind == POLYHEDRAL:
-            body["generators"] = [[emit(x, self.arithmetic) for x in g]
-                                  for g in self.cone.generators]
+            body["generators"] = emit(self.cone.generators, self.arithmetic)
             if self.cone.has_facets():
-                body["facets"] = [[emit(x, self.arithmetic) for x in f]
-                                  for f in self.cone.facets]
+                body["facets"] = emit(self.cone.facets, self.arithmetic)
         return body
 
     @classmethod

@@ -131,6 +131,30 @@ def test_csv_rejected_elsewhere(tmp_path):
     code, _ = run(tmp_path, "clone", "check", "--model", "squit",
                   "--states", "0,2", "--format", "csv")
     assert code == 1
+    for action in ("run", "decompose"):
+        code, body = run(tmp_path, "bitcommit", action, "--model", "squit",
+                         "--format", "csv")
+        assert (code, body) == (1, b"")
+
+
+INFINITE_STATE = ('{"A": "squit", "B": "squit", "tensor": "max", '
+                  '"coords": [[Infinity, 0, 0], [0, 0, 0], [0, 0, 1]]}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["clone", "check", "--model", "squit", "--states", "0,2", "--tol", "inf"],
+    ["clone", "check", "--model", "squit", "--states", "0,2", "--tol", "1/0"],
+    ["tensor", "--min", "squit", "squit", "--tol", "-1"],
+    ["bitcommit", "bound", "--model", "squit", "--tol", "nan"],
+    ["marginal", "--state", INFINITE_STATE],
+], ids=["tol-inf", "tol-1/0", "tol-negative", "tol-nan", "json-infinity"])
+def test_bad_numbers_are_input_errors(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gpt-kit: InvalidInput: ")
+    assert "Traceback" not in err
 
 
 def test_simplicial_decompose_is_an_error(tmp_path):

@@ -34,3 +34,27 @@ def test_no_unused_imports():
              for path in sorted(PACKAGE.rglob("*.py"))
              if path.name != "__init__.py"}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def function_imports(source: str) -> list[str]:
+    """Imports made inside a function body (module-level ones, in a `try`
+    or not, are fine)."""
+    tree = ast.parse(source)
+    lines = {node.lineno for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_function_imports_are_found():
+    source = ("try:\n    import numpy\nexcept ImportError:\n    numpy = None\n"
+              "def f():\n    def g():\n        from os import sep\n"
+              "    import math\n")
+    assert function_imports(source) == ["line 7", "line 8"]
+
+
+def test_no_function_imports():
+    found = {str(path.relative_to(PACKAGE)): function_imports(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {path: lines for path, lines in found.items() if lines} == {}

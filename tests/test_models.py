@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gptkit.composites import BipartiteState, is_entangled, max_tensor
+from gptkit.cones import ConeRep
 from gptkit.errors import InvalidInputError, UnsupportedConeError
 from gptkit.linalg import identity, lex_key, matmul, matvec, transpose, vec
 from gptkit.models import (direct_sum, entangled_state_coords, make_ball,
@@ -32,6 +33,9 @@ def test_squit_is_exact_square():
     assert {lex_key(f) for f in sq.cone.facets} == {
         lex_key(vec(f))
         for f in ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))}
+    # the hard-coded facets are exactly what double description derives
+    assert ConeRep.from_generators(sq.cone.generators).facets == \
+        sq.cone.facets
 
 
 def test_polygon_facets_stay_lazy():
