@@ -28,8 +28,8 @@ from .protocols import (BroadcastReport, CheatBound, CommitmentTranscript,
                         nondisturbing_basis, verify_compression_witness,
                         verify_correction_free, verify_teleportation)
 from .spaces import (ConeDecomposition, Effect, LinearMapRep, Observable,
-                     StateSpace, base_norm, cone_contains, decompose_cone,
-                     dual_cone, is_effect, is_norm_contractive,
+                     StateSpace, base_norm, decompose_cone, dual_cone,
+                     is_effect, is_norm_contractive,
                      is_order_isomorphism, is_positive_map,
                      one_shot_distinguishing_observable,
                      verify_self_duality_witness)

@@ -127,7 +127,7 @@ def _cmd_tensor(args) -> int:
         if not args.max:
             raise InvalidInputError("--check-equals-min requires --max")
         small = min_tensor(a, b)
-        eps = composite.tol(args.tol)
+        eps = tolerance_for(args.tol, composite)
         equal = all(feasible_point(small.cone.generators, g, eps)[0]
                     is not None for g in composite.cone.generators)
         report["equals_min"] = equal

@@ -26,7 +26,7 @@ from .errors import (
 from .linalg import Mat, Vec, dot, mat, matvec, transpose, vec, zeros
 from .lp import feasible_point
 from .models import parse_model_name
-from .scalars import emit, merge_arithmetic, tolerance_for
+from .scalars import close, emit, merge_arithmetic, tolerance_for
 from .spaces import StateSpace, _dual_member
 
 
@@ -144,11 +144,10 @@ class BipartiteState:
         return _as_flat(self.coords)
 
     def validate(self, tol=None) -> None:
-        eps = self.composite.tol(tol)
+        eps = tolerance_for(tol, self.composite)
         if not self.composite.cone.contains(self.flat, eps):
             raise InvalidInputError("coords are outside the composite cone")
-        norm = dot(vec(self.composite.unit), self.flat)
-        if abs(norm - 1) > eps:
+        if not close(dot(vec(self.composite.unit), self.flat), 1, eps):
             raise InvalidInputError("state is not normalized")
 
     def to_json_dict(self) -> dict:
@@ -231,8 +230,7 @@ def conditional(state: BipartiteState, effect: Vec, side: str = "a",
     else:
         raise InvalidInputError("side must be 'a' or 'b'")
     p = dot(unit, sub)
-    eps = state.composite.tol(tol)
-    if abs(p) <= eps:
+    if close(p, 0, tolerance_for(tol, state.composite)):
         return zeros(len(sub))
     return tuple(x / p for x in sub)
 
@@ -257,7 +255,7 @@ def remote_evaluate(alpha: Vec, state: BipartiteState, f_coords: Mat) -> Vec:
 def is_entangled(state: BipartiteState, tol=None) -> bool:
     """Outside the separable (minimal) cone?  Membership LP over products."""
     composite = state.composite
-    eps = composite.tol(tol)
+    eps = tolerance_for(tol, composite)
     products = min_tensor(composite.factor_a,
                           composite.factor_b).cone.generators
     x, _ = feasible_point(products, state.flat, eps)

@@ -33,10 +33,12 @@ from .linalg import (
     rref,
     vec,
 )
-from .scalars import DIMENSION_CAP, FLOAT, RATIONAL
+from .scalars import FLOAT, RATIONAL
 
 POLYHEDRAL = "polyhedral"
 LORENTZ = "lorentz"
+
+DIMENSION_CAP = 16
 
 
 def canonical_form(v: Vec, arithmetic: str) -> Vec:
@@ -62,8 +64,7 @@ def independent_subset(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     return tuple(vectors[j] for j in rref(tuple(zip(*vectors)))[1])
 
 
-def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int,
-                   cap: int | None = None) -> tuple[Vec, ...]:
+def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     """Extreme rays of {x : <h, x> >= 0 for all h}, sorted canonically.
 
     Requires the normals to span (the target cone is then pointed).
@@ -77,10 +78,9 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int,
     canonically when made; distinct 2-faces meet a hyperplane in distinct
     rays, so no ray is made twice.
     """
-    limit = DIMENSION_CAP if cap is None else cap
-    if dim > limit:
+    if dim > DIMENSION_CAP:
         raise DimensionCapError(
-            f"ray enumeration in dimension {dim} exceeds cap {limit}")
+            f"ray enumeration in dimension {dim} exceeds cap {DIMENSION_CAP}")
     if any(len(h) != dim for h in halfspaces):
         raise DimensionMismatchError("halfspace length differs from dim")
 
@@ -254,13 +254,13 @@ class ConeRep:
             return (last + tol) ** 2 >= sum((h * h for h in head), ZERO)
         return all(dot(f, x) >= -tol for f in self.facets)
 
-    def strictly_positive(self, functional: Vec, tol: Fraction = ZERO) -> bool:
+    def strictly_positive(self, functional: Vec) -> bool:
         """Whether <functional, g> > 0 on every nonzero cone element."""
         if self.kind == LORENTZ:
             # Strictly positive iff interior to the (self-dual) cone.
             head, last = functional[:-1], functional[-1]
             return last > 0 and last ** 2 > sum((h * h for h in head), ZERO)
-        return all(dot(functional, g) > tol for g in self.generators)
+        return all(dot(functional, g) > 0 for g in self.generators)
 
     def dual(self) -> ConeRep:
         """Swap generators and facets; Lorentz cones are self-dual.

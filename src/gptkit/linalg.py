@@ -51,6 +51,12 @@ def combination(weights: Sequence[Fraction], vectors: Sequence[Vec]) -> Vec:
                  for column in zip(*vectors, strict=True))
 
 
+def proportion(x: Vec, y: Vec) -> Fraction:
+    """The c of x = c.y, read at y's first largest-magnitude entry."""
+    j = max(range(len(y)), key=lambda i: abs(y[i]))
+    return x[j] / y[j]
+
+
 def zeros(n: int) -> Vec:
     return (ZERO,) * n
 

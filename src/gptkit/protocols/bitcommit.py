@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import InvalidInputError, SearchCapError, UnsupportedConeError
 from ..linalg import Vec, combination, dot, transpose, unit_vec
 from ..lp import feasible_point, solve_lp
+from ..scalars import close, tolerance_for
 from ..spaces import StateSpace
 
 ZERO = Fraction(0)
@@ -41,7 +42,7 @@ def exposing_effect(space: StateSpace, index: int,
     """
     verts = space.vertices
     duals = space.cone.facets
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     # columns: theta per dual generator, m, one slack per non-target row;
     # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
     order = (verts[index],) + verts[:index] + verts[index + 1:]
@@ -76,12 +77,12 @@ class DoubleDecomposition:
         return self.distinguishers0 if bit == 0 else self.distinguishers1
 
     def verify(self, tol=None) -> bool:
-        eps = self.space.tol(tol)
+        eps = tolerance_for(tol, self.space)
         for branch in (self.branch0, self.branch1):
             if not branch or any(p < -eps for _, p in branch):
                 return False
             mix = combination([p for _, p in branch], [s for s, _ in branch])
-            if any(abs(a - b) > eps for a, b in zip(mix, self.omega)):
+            if not close(mix, self.omega, eps):
                 return False
         states0 = {tuple(s) for s, _ in self.branch0}
         states1 = {tuple(s) for s, _ in self.branch1}
@@ -90,7 +91,7 @@ class DoubleDecomposition:
         for members, effects in ((self.branch0, self.distinguishers0),
                                  (self.branch1, self.distinguishers1)):
             for (state, _), a in zip(members, effects):
-                if abs(dot(a, state) - 1) > eps:
+                if not close(dot(a, state), 1, eps):
                     return False
                 for v in self.space.vertices:
                     if v != state and dot(a, v) >= 1 - eps:
@@ -111,7 +112,7 @@ def find_double_decomposition(space: StateSpace,
         raise UnsupportedConeError("decomposition needs a polyhedral space")
     verts = space.vertices
     m = len(verts)
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     if m == space.dim:
         raise InvalidInputError(
             "state set is a simplex; no double decomposition exists")

@@ -15,8 +15,9 @@ from itertools import combinations
 
 from ..composites import min_tensor, product_vec
 from ..errors import InvalidInputError, UnsupportedConeError
-from ..linalg import Vec, lex_key, rank, vec, vsub
+from ..linalg import Vec, combination, lex_key, rank, vec, vsub
 from ..lp import feasible_point
+from ..scalars import close, tolerance_for
 from ..spaces import (
     LinearMapRep,
     Observable,
@@ -24,7 +25,6 @@ from ..spaces import (
     one_shot_distinguishing_observable,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -41,21 +41,20 @@ def build_cloner(space: StateSpace, states, observable: Observable,
     and broadcasts their whole convex hull.
     """
     omegas = tuple(vec(s) for s in states)
-    eps = space.tol(tol)
-    effects = observable.effects
+    eps = tolerance_for(tol, space)
+    effects = observable.effects[:len(omegas)]
     if len(effects) < len(omegas):
         raise InvalidInputError("observable has fewer outcomes than states")
     for i, w in enumerate(omegas):
-        for j, e in enumerate(effects[:len(omegas)]):
-            want = 1 if i == j else 0
-            if abs(e.value(w) - want) > eps:
+        for j, e in enumerate(effects):
+            if not close(e.value(w), 1 if i == j else 0, eps):
                 raise InvalidInputError(
                     "observable does not distinguish the given states")
     composite = min_tensor(space, space)
     clones = [product_vec(w, w) for w in omegas]
-    rows = tuple(tuple(sum((clone[r] * e.functional[c]
-                            for clone, e in zip(clones, effects)), ZERO)
-                       for c in range(space.dim))
+    # row r of M is sum_i (w_i (x) w_i)[r] a_i
+    rows = tuple(combination([clone[r] for clone in clones],
+                             [e.functional for e in effects])
                  for r in range(composite.dim))
     return LinearMapRep(space, composite, rows)
 
@@ -96,7 +95,7 @@ def is_broadcastable(space: StateSpace, states, tol=None) -> BroadcastReport:
     if space.kind != "polyhedral":
         raise UnsupportedConeError("broadcast search needs a polyhedral space")
     omegas = tuple(vec(s) for s in states)
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     for w in omegas:
         if not space.is_state(w, eps):
             raise InvalidInputError("broadcast inputs must be states")

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from ..cones import independent_subset
 from ..errors import DegenerateConeError
-from ..linalg import Mat, Vec, inverse, mat, matmul, matvec, transpose
+from ..linalg import (Mat, Vec, inverse, mat, matmul, matvec, proportion,
+                      transpose)
+from ..scalars import close, tolerance_for
 from ..spaces import LinearMapRep, StateSpace, decompose_cone
 
 ZERO = Fraction(0)
@@ -49,13 +51,10 @@ def is_nondisturbing(space: StateSpace, T: LinearMapRep | Mat,
                      tol=None) -> bool:
     """Whether T fixes every extreme ray up to a nonnegative scalar."""
     matrix = T.matrix if isinstance(T, LinearMapRep) else mat(T)
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     for g in space.cone.minimal_generators():
         image = matvec(matrix, g)
-        j = max(range(len(g)), key=lambda k: abs(g[k]))
-        c = image[j] / g[j]
-        if c < -eps:
-            return False
-        if any(abs(x - c * y) > eps for x, y in zip(image, g)):
+        c = proportion(image, g)
+        if c < -eps or not close(image, tuple(c * y for y in g), eps):
             return False
     return True

@@ -17,11 +17,11 @@ from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
                           min_tensor, omega_hat)
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
-from ..linalg import (Mat, identity, inverse, mat, matmul, matvec, rank,
-                      transpose, unit_vec, vec)
+from ..linalg import (Mat, identity, inverse, mat, matmul, matvec,
+                      proportion, rank, transpose, unit_vec, vec)
 from ..lp import feasible_point
 from ..models import entangled_state_coords, symmetry_group
-from ..scalars import tolerance_for
+from ..scalars import close, tolerance_for
 from ..spaces import (Effect, LinearMapRep, Observable, StateSpace,
                       _positive_between, is_norm_contractive,
                       is_order_isomorphism, is_positive_map,
@@ -88,11 +88,9 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
 
     u = vec(a_space.unit)
     pulled = matvec(transpose(mu), u)
-    j = max(range(len(u)), key=lambda i: abs(u[i]))
-    constant = pulled[j] / u[j]
-    if constant <= eps:
-        return _fail(a_space, mu, constant, witness)
-    if any(abs(p - constant * x) > eps for p, x in zip(pulled, u)):
+    constant = proportion(pulled, u)
+    if constant <= eps or \
+            not close(pulled, tuple(constant * x for x in u), eps):
         return _fail(a_space, mu, constant, witness)
 
     J = tuple(tuple(x / constant for x in row) for row in mu)
@@ -114,16 +112,9 @@ def verify_correction_free(a_space: StateSpace, b_space: StateSpace,
     cert = verify_teleportation(a_space, b_space, f_coords, omega, tol)
     if not cert.verdict:
         return False
-    eps = tolerance_for(tol, a_space, b_space)
-    c = cert.constant
-    return all(abs(x - (c if i == j else ZERO)) <= eps
-               for i, row in enumerate(cert.mu.matrix)
-               for j, x in enumerate(row))
-
-
-def _entrywise_close(a: Mat, b: Mat, eps) -> bool:
-    return all(abs(x - y) <= eps for ra, rb in zip(a, b)
-               for x, y in zip(ra, rb))
+    scaled = tuple(tuple(cert.constant * x for x in row)
+                   for row in identity(a_space.dim))
+    return close(cert.mu.matrix, scaled, tolerance_for(tol, a_space, b_space))
 
 
 def construct_deterministic_teleportation(
@@ -147,7 +138,7 @@ def construct_deterministic_teleportation(
         else transpose(mat(entangled_state_coords(space)))
 
     d = space.dim
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     u = vec(space.unit)
     ident = identity(d)
 
@@ -156,31 +147,29 @@ def construct_deterministic_teleportation(
         gi = inverse(g)
         if gi is None:
             raise InvalidInputError("group element is singular")
-        if any(abs(x - y) > eps for x, y in zip(matvec(transpose(g), u), u)):
+        if not close(matvec(transpose(g), u), u, eps):
             raise InvalidInputError("group element does not preserve the "
                                     "order unit")
         if not is_positive_map(LinearMapRep(space, space, g), tol):
             raise InvalidInputError("group element is not a positive map")
         inverses.append(gi)
-    if not any(_entrywise_close(g, ident, eps) for g in group):
+    if not any(close(g, ident, eps) for g in group):
         raise InvalidInputError("group lacks an identity element")
     for g in group:
         for h in group:
             gh = matmul(g, h)
-            if not any(_entrywise_close(gh, k, eps) for k in group):
+            if not any(close(gh, k, eps) for k in group):
                 raise InvalidInputError("group is not closed under "
                                         "composition")
     verts = space.vertices
     v0 = verts[0]
     for v in verts:
-        if not any(all(abs(x - y) <= eps for x, y in zip(matvec(g, v0), v))
-                   for g in group):
+        if not any(close(matvec(g, v0), v, eps) for g in group):
             raise InvalidInputError("group does not act transitively on "
                                     "the pure states")
 
     for g, gi in zip(group, inverses):
-        if not _entrywise_close(matmul(g, oh),
-                                matmul(oh, transpose(gi)), eps):
+        if not close(matmul(g, oh), matmul(oh, transpose(gi)), eps):
             raise InvalidInputError("isomorphism state map is not "
                                     "group-equivariant")
 
@@ -220,10 +209,10 @@ def construct_deterministic_teleportation(
         if not cert.verdict:
             raise InvalidInputError("an outcome fails teleportation "
                                     "verification")
-        if abs(cert.constant - order) > eps:
+        if not close(cert.constant, order, eps):
             raise InvalidInputError("an outcome has the wrong "
                                     "proportionality constant")
-        if not _entrywise_close(cert.correction.matrix, gi, eps):
+        if not close(cert.correction.matrix, gi, eps):
             raise InvalidInputError("an outcome's correction is not the "
                                     "inverse group element")
         certificates.append(cert)

@@ -5,15 +5,16 @@ All geometry in this package runs on fractions.Fraction. Spaces tagged
 denominators are powers of two) and convert back to floats only when a
 value leaves the library. Tolerances therefore matter in exactly one
 place: predicates over float-mode spaces, which compare against EPS
-instead of zero. Values cross the boundary here: exactify reads every
-input scalar and emit writes every output one.
+instead of zero. tolerance_for picks that slack and close applies it to
+every two-sided comparison. Values cross the boundary here: exactify
+reads every input scalar and emit writes every output one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError
 
 Scalar = Fraction
 
@@ -21,8 +22,6 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
-
-DIMENSION_CAP = 16
 
 
 def exactify(value: int | float | Fraction | str) -> Fraction:
@@ -57,6 +56,20 @@ def tolerance_for(tol: Fraction | float | str | None, *spaces) -> Fraction:
         return eps
     mode = merge_arithmetic(*(s.arithmetic for s in spaces))
     return Fraction(0) if mode == RATIONAL else DEFAULT_TOLERANCE
+
+
+def close(a, b, eps: Fraction) -> bool:
+    """|a - b| <= eps, entrywise on tuples or lists nested to any depth.
+
+    Two sequences of different lengths (or a sequence against a scalar)
+    raise DimensionMismatchError when the comparison reaches them.
+    """
+    seqs = isinstance(a, (tuple, list)), isinstance(b, (tuple, list))
+    if not any(seqs):
+        return abs(a - b) <= eps
+    if not all(seqs) or len(a) != len(b):
+        raise DimensionMismatchError("compared values differ in shape")
+    return all(close(x, y, eps) for x, y in zip(a, b))
 
 
 def emit(value, mode: str) -> int | str | float | list:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    ONE,
     Vec,
     ZERO,
     combination,
@@ -36,7 +37,7 @@ from .linalg import (
     zeros,
 )
 from .lp import feasible_point, solve_lp
-from .scalars import RATIONAL, emit, tolerance_for
+from .scalars import RATIONAL, close, emit, tolerance_for
 
 try:  # optional: only the lorentz->lorentz positivity check needs it
     import numpy as _np
@@ -76,9 +77,6 @@ class StateSpace:
     def arithmetic(self) -> str:
         return self.cone.arithmetic
 
-    def tol(self, tol: Fraction | float | None = None) -> Fraction:
-        return tolerance_for(tol, self)
-
     @property
     def vertices(self) -> tuple[Vec, ...]:
         """Normalized extreme states, in generator order."""
@@ -93,13 +91,10 @@ class StateSpace:
             self._vertices = tuple(verts)
         return self._vertices
 
-    def unit_value(self, x: Vec) -> Fraction:
-        return dot(self.unit, x)
-
     def is_state(self, x: Vec, tol: Fraction | float | None = None) -> bool:
-        eps = self.tol(tol)
-        return self.cone.contains(vec(x), eps) and \
-            abs(self.unit_value(vec(x)) - 1) <= eps
+        eps = tolerance_for(tol, self)
+        x = vec(x)
+        return self.cone.contains(x, eps) and close(dot(self.unit, x), 1, eps)
 
     def __repr__(self) -> str:
         label = self.name or f"{self.kind}:{self.dim}"
@@ -154,6 +149,10 @@ class Effect:
     space: StateSpace
     functional: Vec
 
+    def __post_init__(self):
+        if len(self.functional) != self.space.dim:
+            raise DimensionMismatchError("effect length differs from dim")
+
     def value(self, state: Vec) -> Fraction:
         return dot(self.functional, state)
 
@@ -165,11 +164,11 @@ class Observable:
     effects: tuple[Effect, ...]
 
     def __post_init__(self):
-        total = zeros(self.space.dim)
-        for e in self.effects:
-            total = tuple(t + f for t, f in zip(total, e.functional))
-        eps = self.space.tol(None)
-        if any(abs(t - u) > eps for t, u in zip(total, self.space.unit)):
+        # no effects combine to (), which sums to zero
+        total = combination((ONE,) * len(self.effects),
+                            [e.functional for e in self.effects]) \
+            or zeros(self.space.dim)
+        if not close(total, self.space.unit, tolerance_for(None, self.space)):
             raise InvalidInputError("effects do not sum to the unit")
 
 
@@ -185,9 +184,6 @@ class LinearMapRep:
                 len(row) != self.domain.dim for row in self.matrix):
             raise DimensionMismatchError("map matrix shape mismatch")
 
-    def apply(self, x: Vec) -> Vec:
-        return matvec(self.matrix, x)
-
     def inverse_map(self) -> LinearMapRep | None:
         inv = inverse(self.matrix)
         if inv is None:
@@ -196,10 +192,6 @@ class LinearMapRep:
 
 
 # -- cone-level operations ------------------------------------------------
-
-
-def cone_contains(space: StateSpace, x, tol=None) -> bool:
-    return space.cone.contains(vec(x), space.tol(tol))
 
 
 def dual_cone(space: StateSpace) -> ConeRep:
@@ -214,7 +206,7 @@ def dual_cone(space: StateSpace) -> ConeRep:
 def is_effect(space: StateSpace, a, tol=None) -> bool:
     """0 <= a <= u in the dual order."""
     f = vec(a)
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     residual = tuple(u - x for u, x in zip(space.unit, f))
     return _dual_member(space, f, eps) and _dual_member(space, residual, eps)
 
@@ -343,7 +335,7 @@ def verify_self_duality_witness(space: StateSpace, T, tol=None) -> bool:
     """Whether T (space coords -> dual coords) is an order isomorphism
     from the cone onto its dual cone."""
     matrix = mat(T)
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     if len(matrix) != space.dim or any(len(r) != space.dim for r in matrix):
         raise DimensionMismatchError("witness matrix must be square of dim")
     return order_isomorphic(matrix, space.cone, space.cone.dual(),
@@ -364,7 +356,7 @@ def one_shot_distinguishing_observable(
         raise UnsupportedConeError(
             "one-shot distinguishability needs a polyhedral space")
     omegas = tuple(vec(s) for s in states)
-    eps = space.tol(tol)
+    eps = tolerance_for(tol, space)
     for w in omegas:
         if not space.is_state(w, eps):
             raise InvalidInputError("distinguishability inputs must be states")

@@ -113,7 +113,6 @@ def test_dimension_cap():
                 for i in range(17))
     with pytest.raises(DimensionCapError):
         enumerate_rays(eye, 17)
-    assert len(enumerate_rays(eye, 17, cap=17)) == 17
 
 
 def test_non_pointed_input_rejected():

@@ -58,3 +58,30 @@ def test_no_function_imports():
     found = {str(path.relative_to(PACKAGE)): function_imports(path.read_text())
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def difference_magnitudes(source: str) -> list[str]:
+    """Hand-written `abs(x - y)`: within-eps comparisons go through
+    `scalars.close`."""
+    tree = ast.parse(source)
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "abs"
+             and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
+             and isinstance(node.args[0].op, ast.Sub)}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_difference_magnitudes_are_found():
+    source = ("ok = abs(x) <= eps and abs(-x) and np.abs(x - y)\n"
+              "bad = abs(x - y) <= eps\n"
+              "worse = [abs(f(a) - b.c * 2) for a in xs]\n")
+    assert difference_magnitudes(source) == ["line 2", "line 3"]
+
+
+def test_no_difference_magnitudes():
+    found = {str(path.relative_to(PACKAGE)):
+             difference_magnitudes(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))
+             if path.name != "scalars.py"}
+    assert {path: lines for path, lines in found.items() if lines} == {}

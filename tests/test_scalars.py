@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gptkit.errors import InvalidInputError
-from gptkit.scalars import FLOAT, RATIONAL, emit, exactify, tolerance_for
+from gptkit.errors import DimensionMismatchError, InvalidInputError
+from gptkit.scalars import (FLOAT, RATIONAL, close, emit, exactify,
+                            tolerance_for)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
@@ -57,3 +59,66 @@ def test_emit_is_elementwise(value):
     assert all(type(y) is int for x, y in
                zip(leaves, _leaves(emit(value, RATIONAL)))
                if isinstance(x, int))
+
+
+def _rebuild(value, leaves):
+    """value's shape and container types, leaves drawn from an iterator."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(_rebuild(x, leaves) for x in value)
+    return next(leaves)
+
+
+def _grow(value, n):
+    """value with a 0 appended to its n-th sequence (preorder)."""
+    seen = count()
+
+    def walk(v):
+        if not isinstance(v, (tuple, list)):
+            return v
+        extra = [0] if next(seen) == n else []
+        return type(v)([walk(x) for x in v] + extra)
+    return walk(value)
+
+
+def _sequence_count(value) -> int:
+    if not isinstance(value, (tuple, list)):
+        return 0
+    return 1 + sum(_sequence_count(x) for x in value)
+
+
+@given(nested, st.data())
+def test_close_at_zero_is_equality(value, data):
+    leaves = list(_leaves(value))
+    other = [data.draw(st.one_of(st.just(x), scalars)) for x in leaves]
+    assert close(value, _rebuild(value, iter(other)), 0) == (leaves == other)
+
+
+@given(nested, st.data(), st.fractions(min_value=0, max_denominator=100))
+def test_close_moves_one_entry_within_eps(value, data, eps):
+    leaves = list(_leaves(value))
+    assume(leaves)
+    k = data.draw(st.integers(0, len(leaves) - 1))
+    delta = data.draw(st.one_of(st.sampled_from([eps, -eps]),
+                                st.fractions(max_denominator=100)))
+    leaves[k] += delta
+    moved = _rebuild(value, iter(leaves))
+    assert close(value, moved, eps) == (abs(delta) <= eps)
+    assert close(moved, value, eps) == (abs(delta) <= eps)
+
+
+@given(nested, st.data())
+def test_close_rejects_length_mismatch(value, data):
+    sequences = _sequence_count(value)
+    assume(sequences)
+    grown = _grow(value, data.draw(st.integers(0, sequences - 1)))
+    with pytest.raises(DimensionMismatchError):
+        close(value, grown, 1)
+    with pytest.raises(DimensionMismatchError):
+        close(grown, value, 1)
+
+
+def test_close_rejects_scalar_against_sequence():
+    with pytest.raises(DimensionMismatchError):
+        close(0, (0,), 1)
+    with pytest.raises(DimensionMismatchError):
+        close([0], 0, 1)

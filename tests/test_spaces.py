@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptkit.cones import ConeRep
-from gptkit.errors import (DegenerateConeError, InvalidInputError,
-                           UnsupportedConeError)
+from gptkit.errors import (DegenerateConeError, DimensionMismatchError,
+                           InvalidInputError, UnsupportedConeError)
 from gptkit.linalg import identity, lex_key, mat, vec
 from gptkit.models import (direct_sum, make_ball, make_classical,
                            make_polygon, make_squit)
+from gptkit.scalars import tolerance_for
 from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            base_norm, decompose_cone, dual_cone, is_effect,
                            is_norm_contractive, is_order_isomorphism,
@@ -104,6 +105,16 @@ def test_observable_must_sum_to_unit():
         Observable(sq, (a, a))
 
 
+def test_effect_must_have_space_dim():
+    # a short effect must not be truncated into the unit sum
+    sq = make_squit()
+    with pytest.raises(DimensionMismatchError):
+        Effect(sq, vec((-HALF, 0)))
+    with pytest.raises(DimensionMismatchError):
+        Observable(sq, (Effect(sq, vec((HALF, 0, HALF))),
+                        Effect(sq, vec((-HALF, 0)))))
+
+
 def test_one_shot_squit():
     sq = make_squit()
     v = sq.vertices
@@ -125,7 +136,7 @@ def test_one_shot_float_polygon_relaxed_point(n, j):
     v = space.vertices
     obs = one_shot_distinguishing_observable(space, (v[0], v[j]))
     assert obs is not None
-    eps = space.tol(None)
+    eps = tolerance_for(None, space)
     for i, e in enumerate(obs.effects):
         assert abs(e.value(v[0]) - (1 if i == 0 else 0)) <= eps
         assert abs(e.value(v[j]) - (1 if i == 1 else 0)) <= eps
