@@ -6,13 +6,18 @@ Motzkin double-description method and cached. Lorentz (second-order)
 cones carry no lists; membership there compares squares, so no square
 roots enter and rational inputs stay exact.
 
-All arithmetic is exact Fraction arithmetic, including for float-mode
-spaces (their data is embedded losslessly); see scalars module notes.
+All arithmetic is exact, including for float-mode spaces (their data is
+embedded losslessly); see scalars module notes. Vectors in and out are
+Fraction tuples; inside double description, normals and rays are
+coprime integer tuples, and pairs of rays are tested for adjacency by a
+popcount prefilter and by zero sets transposed into bitsets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .errors import (
     DegenerateConeError,
@@ -69,14 +74,24 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
 
     Requires the normals to span (the target cone is then pointed).
     Returns () for the trivial cone. Incremental double description with
-    the combinatorial adjacency test; exact arithmetic throughout.
+    the combinatorial adjacency test; exact integer arithmetic inside.
 
     Zero sets (bit k: the ray is zero on normal k) are carried, never
     recomputed: base ray j is zero on every base normal but the j-th,
     and a ray made from rays p and m by a positive combination is zero
-    exactly where both are, plus on the new normal. Each ray is scaled
-    canonically when made; distinct 2-faces meet a hyperplane in distinct
-    rays, so no ray is made twice.
+    exactly where both are, plus on the new normal. Rays p and m are
+    adjacent exactly when no other ray is zero on all of their shared
+    normals. That needs at least dim - 2 shared normals (Fukuda & Prodon,
+    "Double description method revisited", 1996), so pairs with fewer
+    are skipped unread. The rest are tested on the zero sets transposed
+    once per step, one bitset over the ray indices per normal: the AND
+    of the shared normals' bitsets holds just p and m.
+
+    Normals and rays are coprime integer tuples in the loop (normals as
+    canonical_ray scales them), and each new ray is divided by the gcd of
+    its entries, which is canonical_ray's scale; Fractions are made only
+    for the result. Distinct 2-faces meet a hyperplane in distinct rays,
+    so no ray is made twice.
     """
     if dim > DIMENSION_CAP:
         raise DimensionCapError(
@@ -103,13 +118,14 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
 
     inv = inverse(mat(base))
     assert inv is not None
-    rays: list[Vec] = [canonical_ray(col) for col in zip(*inv)]
+    rays: list[tuple[int, ...]] = [
+        tuple(x.numerator for x in canonical_ray(col)) for col in zip(*inv)]
     all_base = sum(1 << k for k in base_idx)
     masks: list[int] = [all_base & ~(1 << k) for k in base_idx]
 
     for hi in rest_idx:
-        h = normals[hi]
-        evals = [dot(h, r) for r in rays]
+        h = tuple(x.numerator for x in normals[hi])
+        evals = [sum(map(mul, h, r)) for r in rays]
         plus = [i for i, e in enumerate(evals) if e > 0]
         zero = [i for i, e in enumerate(evals) if e == 0]
         minus = [i for i, e in enumerate(evals) if e < 0]
@@ -117,25 +133,38 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
             for i in zero:
                 masks[i] |= 1 << hi
             continue
-        new_rays: list[Vec] = [rays[i] for i in plus + zero]
-        new_masks: list[int] = [masks[i] for i in plus] + [
+        zero_on = [0] * len(normals)  # bit i: ray i is zero on the normal
+        for i, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                zero_on[low.bit_length() - 1] |= 1 << i
+                mask ^= low
+        everyone = (1 << len(rays)) - 1
+        new_rays = [rays[i] for i in plus + zero]
+        new_masks = [masks[i] for i in plus] + [
             masks[i] | (1 << hi) for i in zero]
         for p in plus:
+            mask_p = masks[p]
             for m in minus:
-                shared = masks[p] & masks[m]
-                blocked = any(
-                    i != p and i != m and (masks[i] & shared) == shared
-                    for i in range(len(rays)))
-                if blocked:
+                shared = mask_p & masks[m]
+                if shared.bit_count() < dim - 2:
                     continue
-                new_rays.append(canonical_ray(tuple(
-                    evals[p] * rays[m][j] - evals[m] * rays[p][j]
-                    for j in range(dim))))
+                common, rest = everyone, shared
+                while rest:
+                    low = rest & -rest
+                    common &= zero_on[low.bit_length() - 1]
+                    rest ^= low
+                if common != 1 << p | 1 << m:
+                    continue
+                ep, em = evals[p], evals[m]
+                ray = [ep * b - em * a for a, b in zip(rays[p], rays[m])]
+                g = gcd(*ray)
+                new_rays.append(tuple(x // g for x in ray))
                 new_masks.append(shared | 1 << hi)
         rays = new_rays
         masks = new_masks
 
-    return tuple(sorted(rays, key=lex_key))
+    return tuple(tuple(map(Fraction, r)) for r in sorted(rays))
 
 
 class ConeRep:
@@ -231,7 +260,11 @@ class ConeRep:
             raise UnsupportedConeError(
                 f"lorentz cones have no finite {side} list")
         rays = enumerate_rays(known, self.dim)
-        if not rays or rank(rays) != self.dim:
+        # The known vectors span, so the rays generate a pointed cone. It is
+        # full-dimensional exactly when each nonzero known vector is
+        # positive on some ray: the rays' sum is then an interior point.
+        total = tuple(map(sum, zip(*rays)))
+        if not rays or any(any(k) and dot(k, total) == 0 for k in known):
             raise DegenerateConeError(
                 f"{known_name} describe a cone that is not {quality}")
         return tuple(canonical_form(r, self.arithmetic) for r in rays)

@@ -2,7 +2,9 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples. Sizes
 here are desk scale (dim <= 16, a few dozen rows), so clarity and
-exactness beat asymptotics.
+exactness beat asymptotics. The one large-scale loop, the double
+description step over hundreds of rays, does not run through here: it
+keeps its rays as integer tuples (cones.enumerate_rays).
 """
 
 from __future__ import annotations

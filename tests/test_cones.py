@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.cones import (ConeRep, canonical_form, enumerate_rays,
-                          independent_subset, partition_rays)
+from gptkit.composites import max_tensor, min_tensor
+from gptkit.cones import (DIMENSION_CAP, ConeRep, canonical_form,
+                          enumerate_rays, independent_subset, partition_rays)
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
-                           UnsupportedConeError)
-from gptkit.linalg import canonical_ray, dot, lex_key, nullspace, rank, vec
+                           DimensionMismatchError, UnsupportedConeError)
+from gptkit.linalg import (canonical_ray, dot, inverse, lex_key, mat,
+                           nullspace, rank, vec)
 from gptkit.models import make_polygon, make_squit
+from gptkit.spaces import StateSpace
 
 F = Fraction
 
@@ -41,6 +44,109 @@ def brute_force_rays(halfspaces, dim):
                     c = canonical_ray(candidate)
                     out[lex_key(c)] = c
     return tuple(v for _, v in sorted(out.items()))
+
+
+def reference_rays(halfspaces, dim):
+    """Reference double description: Fraction rays, and an adjacency test
+    that scans every ray for each (plus, minus) pair. Same output tuple
+    (order and scale) and same errors as enumerate_rays."""
+    if dim > DIMENSION_CAP:
+        raise DimensionCapError(
+            f"ray enumeration in dimension {dim} exceeds cap {DIMENSION_CAP}")
+    if any(len(h) != dim for h in halfspaces):
+        raise DimensionMismatchError("halfspace length differs from dim")
+    seen = set()
+    normals = []
+    for h in halfspaces:
+        c = canonical_ray(h)
+        key = lex_key(c)
+        if not any(x != 0 for x in c) or key in seen:
+            continue
+        seen.add(key)
+        normals.append(c)
+    base = independent_subset(tuple(normals))
+    if len(base) < dim:
+        raise DegenerateConeError(
+            "halfspace normals do not span; the cone contains a line")
+    base_idx = [normals.index(b) for b in base]
+    rest_idx = [i for i in range(len(normals)) if i not in base_idx]
+    rays = [canonical_ray(col) for col in zip(*inverse(mat(base)))]
+    all_base = sum(1 << k for k in base_idx)
+    masks = [all_base & ~(1 << k) for k in base_idx]
+    for hi in rest_idx:
+        h = normals[hi]
+        evals = [dot(h, r) for r in rays]
+        plus = [i for i, e in enumerate(evals) if e > 0]
+        zero = [i for i, e in enumerate(evals) if e == 0]
+        minus = [i for i, e in enumerate(evals) if e < 0]
+        if not minus:
+            for i in zero:
+                masks[i] |= 1 << hi
+            continue
+        new_rays = [rays[i] for i in plus + zero]
+        new_masks = [masks[i] for i in plus] + [
+            masks[i] | (1 << hi) for i in zero]
+        for p in plus:
+            for m in minus:
+                shared = masks[p] & masks[m]
+                if any(i != p and i != m and (masks[i] & shared) == shared
+                       for i in range(len(rays))):
+                    continue
+                new_rays.append(canonical_ray(tuple(
+                    evals[p] * rays[m][j] - evals[m] * rays[p][j]
+                    for j in range(dim))))
+                new_masks.append(shared | 1 << hi)
+        rays, masks = new_rays, new_masks
+    return tuple(sorted(rays, key=lex_key))
+
+
+def outcome(enumerate_, halfspaces, dim):
+    """The repr of the rays (so order, scale and entry types count), or
+    the error's type and message."""
+    try:
+        return repr(enumerate_(halfspaces, dim))
+    except (DegenerateConeError, DimensionMismatchError,
+            DimensionCapError) as exc:
+        return type(exc), str(exc)
+
+
+def integer_rank(rows):
+    """Rank of an integer matrix by fraction-free elimination."""
+    rows = [list(r) for r in rows]
+    done = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        top = rows[done]
+        for i in range(done + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                row = [top[c] * x - f * y for x, y in zip(rows[i], top)]
+                g = math.gcd(*row) or 1
+                rows[i] = [x // g for x in row]
+        done += 1
+    return done
+
+
+def assert_extreme_rays(vectors, constraints, dim):
+    """Each vector is a distinct coprime integer extreme ray of
+    {x : <c, x> >= 0}: it violates no constraint and its active ones have
+    integer rank dim - 1."""
+    def ints(v):
+        assert all(x.denominator == 1 for x in v)
+        return tuple(x.numerator for x in v)
+
+    cons = [ints(c) for c in constraints]
+    rays = [ints(v) for v in vectors]
+    assert len(set(rays)) == len(rays)
+    for ray in rays:
+        assert math.gcd(*ray) == 1
+        values = [sum(a * b for a, b in zip(c, ray)) for c in cons]
+        assert min(values) >= 0
+        active = [c for c, value in zip(cons, values) if value == 0]
+        assert integer_rank(active) == dim - 1
 
 
 def greedy_by_rank(vectors):
@@ -100,6 +206,155 @@ def test_brute_force_oracle_seeded():
         assert fast == slow, f"trial {trial}"
         compared += 1
     assert compared >= 100
+
+
+def test_kernel_matches_reference_seeded():
+    # Zero, repeated, positively scaled and opposite normals, and inputs
+    # whose normals do not span, in dims 1-6.
+    rng = random.Random(20261018)
+    outcomes = set()
+    for trial in range(2000):
+        dim = rng.randint(1, 6)
+        count = rng.randint(max(1, dim - 1), dim + 4)
+        halfspaces = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                      for _ in range(count)]
+        if trial % 5 == 0:
+            halfspaces.append((0,) * dim)
+        if trial % 3 == 0:
+            scale = rng.choice((1, 2, F(1, 3)))
+            halfspaces.append(tuple(scale * x
+                                    for x in rng.choice(halfspaces)))
+        if trial % 7 == 0:
+            halfspaces.append(tuple(-x for x in rng.choice(halfspaces)))
+        rng.shuffle(halfspaces)
+        halfspaces = tuple(vec(h) for h in halfspaces)
+        want = outcome(reference_rays, halfspaces, dim)
+        assert outcome(enumerate_rays, halfspaces, dim) == want, \
+            f"trial {trial}"
+        outcomes.add(want if isinstance(want, tuple) else "rays")
+    assert outcomes == {"rays", (DegenerateConeError, "halfspace normals "
+                                 "do not span; the cone contains a line")}
+
+
+@pytest.mark.parametrize("halfspaces, rays", [
+    (((1,),), ((1,),)),
+    (((2,), (0,), (3,)), ((1,),)),
+    (((1,), (-1,)), ()),
+    (((0,),), None),
+    # dim 2: the shared zero set of the two base rays is empty
+    (((1, 0), (0, 1), (-1, 1)), ((0, 1), (1, 1))),
+    (((1, 0), (0, 1), (-1, -1)), ()),
+    (((1, 0), (-1, 0), (0, 1)), ((0, 1),)),
+    (((1, 1), (1, -1), (1, 0)), ((1, -1), (1, 1))),
+    (((1, 2), (2, 4)), None),
+])
+def test_kernel_dims_one_and_two(halfspaces, rays):
+    dim = len(halfspaces[0])
+    halfspaces = tuple(vec(h) for h in halfspaces)
+    got = outcome(enumerate_rays, halfspaces, dim)
+    assert got == outcome(reference_rays, halfspaces, dim)
+    if rays is None:
+        assert got[0] is DegenerateConeError
+    else:
+        assert got == repr(tuple(vec(r) for r in rays))
+
+
+def test_kernel_input_errors_match_reference():
+    eye = tuple(vec(tuple(1 if i == j else 0 for j in range(17)))
+                for i in range(17))
+    for halfspaces, dim in ((eye, 17), ((vec((1, 0)), vec((0, 1, 0))), 2)):
+        got = outcome(enumerate_rays, halfspaces, dim)
+        assert got == outcome(reference_rays, halfspaces, dim)
+        assert got[0] in (DimensionCapError, DimensionMismatchError)
+
+
+def test_lineal_generators_are_not_pointed():
+    cone = ConeRep.from_generators(((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                    (0, 0, 1)))
+    with pytest.raises(DegenerateConeError,
+                       match="^generators describe a cone that is not "
+                             "pointed$"):
+        cone.facets
+
+
+def test_flat_facets_are_not_generating():
+    cone = ConeRep.from_facets(((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                (0, 0, 1)))
+    with pytest.raises(DegenerateConeError,
+                       match="^facets describe a cone that is not "
+                             "generating$"):
+        cone.generators
+
+
+def test_zero_generator_still_enumerates():
+    cone = ConeRep.from_generators(((1, 0, 0), (0, 0, 0), (0, 1, 0),
+                                    (0, 0, 1)))
+    assert ray_set(cone.facets) == ray_set(((1, 0, 0), (0, 1, 0),
+                                            (0, 0, 1)))
+
+
+def rank_rule(known, dim):
+    """The lazy side as the rank of the enumerated rays decides it."""
+    rays = enumerate_rays(known, dim)
+    return rays if rays and rank(rays) == dim else None
+
+
+def test_spanning_check_matches_rank_rule_seeded():
+    rng = random.Random(1996)
+    verdicts = set()
+    for trial in range(600):
+        dim = rng.randint(1, 5)
+        known = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                 for _ in range(rng.randint(dim, dim + 4))]
+        if trial % 4 == 0:
+            known.append(tuple(-x for x in rng.choice(known)))
+        if rank(tuple(vec(k) for k in known)) < dim:
+            continue
+        want = rank_rule(tuple(vec(k) for k in known), dim)
+        verdicts.add(want is None)
+        for make, side, name, quality in (
+                (ConeRep.from_generators, "facets", "generators", "pointed"),
+                (ConeRep.from_facets, "generators", "facets", "generating")):
+            cone = make(known)
+            if want is None:
+                with pytest.raises(DegenerateConeError,
+                                   match=f"^{name} describe a cone that is "
+                                         f"not {quality}$"):
+                    getattr(cone, side)
+            else:
+                assert getattr(cone, side) == want, f"trial {trial}"
+    assert verdicts == {True, False}
+
+
+HEXAGON = StateSpace(
+    ConeRep.from_generators(((1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1),
+                             (-1, -1, 1), (0, -1, 1))),
+    vec((0, 0, 1)))
+
+
+def products(xs, ys):
+    return [tuple(a * b for a in x for b in y) for x in xs for y in ys]
+
+
+def test_hexagon_max_tensor_has_552_extreme_rays():
+    gens = max_tensor(HEXAGON, HEXAGON).cone.generators
+    assert len(gens) == 552
+    facets = HEXAGON.cone.facets
+    assert_extreme_rays(gens, products(facets, facets), 9)
+
+
+def test_hexagon_min_tensor_has_552_facets():
+    facets = min_tensor(HEXAGON, HEXAGON).cone.facets
+    assert len(facets) == 552
+    gens = HEXAGON.cone.generators
+    assert_extreme_rays(facets, products(gens, gens), 9)
+
+
+def test_squit_max_tensor_has_24_extreme_rays():
+    sq = make_squit()
+    gens = max_tensor(sq, sq).cone.generators
+    assert len(gens) == 24
+    assert_extreme_rays(gens, products(sq.cone.facets, sq.cone.facets), 9)
 
 
 def test_orthant_identity():
