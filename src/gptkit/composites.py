@@ -42,13 +42,20 @@ def _require_polyhedral(a: StateSpace, b: StateSpace) -> None:
 
 
 class CompositeSpace(StateSpace):
-    """A bipartite state space tagged with its factors and tensor rule."""
+    """A bipartite state space tagged with its factors and tensor rule.
+
+    Valid by construction, so StateSpace's unit proof is not repeated:
+    u_A (x) u_B is u_A(x) u_B(y) > 0 on each min generator x (x) y, and
+    on the max cone it is a strictly positive combination of the
+    product facets, which span.
+    """
 
     __slots__ = ("factor_a", "factor_b", "tensor")
 
     def __init__(self, cone: ConeRep, unit: Vec, factor_a: StateSpace,
                  factor_b: StateSpace, tensor: str, name: str | None = None):
-        super().__init__(cone, unit, name)
+        self.cone, self.unit, self.name = cone, unit, name
+        self._vertices = None
         self.factor_a = factor_a
         self.factor_b = factor_b
         self.tensor = tensor
@@ -144,11 +151,9 @@ class BipartiteState:
         return _as_flat(self.coords)
 
     def validate(self, tol=None) -> None:
-        eps = tolerance_for(tol, self.composite)
-        if not self.composite.cone.contains(self.flat, eps):
-            raise InvalidInputError("coords are outside the composite cone")
-        if not close(dot(vec(self.composite.unit), self.flat), 1, eps):
-            raise InvalidInputError("state is not normalized")
+        if not self.composite.is_state(self.flat, tol):
+            raise InvalidInputError(
+                "coords are not a normalized state of the composite")
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,11 +182,17 @@ class BipartiteState:
 
 
 def _space_ref(space: StateSpace):
-    """Model name when the space is a named model, else the full dict."""
-    name = space.name or ""
-    head = name.partition(":")[0]
-    if head in ("classical", "polygon", "ball") or name == "squit":
-        return name
+    """The factor's name when it parses to this very model (same kind,
+    arithmetic, unit and generator set), else the full dict."""
+    try:
+        model = parse_model_name(space.name or "")
+    except InvalidInputError:
+        return space.to_json_dict()
+    # factors are polyhedral, so a lorentz model fails on kind first
+    if (model.kind, model.arithmetic, model.unit) == (
+            space.kind, space.arithmetic, space.unit) and \
+            set(model.cone.generators) == set(space.cone.generators):
+        return space.name
     return space.to_json_dict()
 
 

@@ -46,20 +46,6 @@ LORENTZ = "lorentz"
 DIMENSION_CAP = 16
 
 
-def canonical_form(v: Vec, arithmetic: str) -> Vec:
-    """Scale-canonical representative of a ray or facet normal.
-
-    Rational mode: coprime integers. Float mode: largest entry magnitude 1,
-    which keeps emitted coordinates readable after float conversion.
-    """
-    ray = canonical_ray(v)
-    if arithmetic == FLOAT:
-        top = max((abs(x) for x in ray), default=ZERO)
-        if top != 0:
-            ray = tuple(x / top for x in ray)
-    return ray
-
-
 def independent_subset(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     """Greedy maximal linearly independent subset, input order.
 
@@ -179,8 +165,6 @@ class ConeRep:
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
                  facets: tuple[Vec, ...] | None):
-        if kind not in (POLYHEDRAL, LORENTZ):
-            raise UnsupportedConeError(f"unknown cone kind {kind!r}")
         if arithmetic not in (RATIONAL, FLOAT):
             raise UnsupportedConeError(f"unknown arithmetic {arithmetic!r}")
         self.dim = dim
@@ -255,7 +239,12 @@ class ConeRep:
 
     def _enumerate_missing(self, known: tuple[Vec, ...], side: str,
                            known_name: str, quality: str) -> tuple[Vec, ...]:
-        """The pending side: the extreme rays of the known side's dual."""
+        """The pending side: the extreme rays of the known side's dual.
+
+        Rational mode keeps enumerate_rays' coprime integers; float mode
+        scales each ray to largest entry magnitude 1, which keeps emitted
+        coordinates readable after float conversion.
+        """
         if self.kind == LORENTZ:
             raise UnsupportedConeError(
                 f"lorentz cones have no finite {side} list")
@@ -267,7 +256,10 @@ class ConeRep:
         if not rays or any(any(k) and dot(k, total) == 0 for k in known):
             raise DegenerateConeError(
                 f"{known_name} describe a cone that is not {quality}")
-        return tuple(canonical_form(r, self.arithmetic) for r in rays)
+        if self.arithmetic == RATIONAL:
+            return rays
+        tops = [max(map(abs, r)) for r in rays]
+        return tuple(tuple(x / top for x in r) for r, top in zip(rays, tops))
 
     def has_generators(self) -> bool:
         return self._generators is not None

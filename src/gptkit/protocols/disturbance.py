@@ -8,16 +8,12 @@ the decision problem reduces to the cone decomposition.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..cones import independent_subset
 from ..errors import DegenerateConeError
-from ..linalg import (Mat, Vec, inverse, mat, matmul, matvec, proportion,
+from ..linalg import (Mat, combination, inverse, mat, matvec, proportion,
                       transpose)
 from ..scalars import close, tolerance_for
 from ..spaces import LinearMapRep, StateSpace, decompose_cone
-
-ZERO = Fraction(0)
 
 
 def nondisturbing_basis(space: StateSpace) -> tuple[LinearMapRep, ...]:
@@ -25,24 +21,23 @@ def nondisturbing_basis(space: StateSpace) -> tuple[LinearMapRep, ...]:
     span, zero on the others. Their nonnegative span is exactly the set
     of nondisturbing maps."""
     dec = decompose_cone(space)
-    columns: list[Vec] = []
-    owners: list[int] = []
-    for bi, block in enumerate(dec.blocks):
-        basis = independent_subset(tuple(dec.rays[i] for i in block))
-        columns.extend(basis)
-        owners.extend([bi] * len(basis))
+    bases = [independent_subset(tuple(dec.rays[i] for i in block))
+             for block in dec.blocks]
+    columns = [v for basis in bases for v in basis]
     if len(columns) != space.dim:
         raise DegenerateConeError("summand spans do not fill the space")
-    U = transpose(tuple(columns))  # basis vectors as matrix columns
-    Uinv = inverse(U)
+    Uinv = inverse(transpose(tuple(columns)))  # basis vectors as columns
     if Uinv is None:
         raise DegenerateConeError("summand spans are not independent")
+    # Idempotent of a block: row i weighs the block's rows of U^-1 by
+    # the i-th entries of the block's basis vectors (row i of U there).
     maps = []
-    for bi in range(len(dec.blocks)):
-        D = tuple(tuple((Fraction(1) if (i == j and owners[i] == bi) else ZERO)
-                        for j in range(space.dim))
+    start = 0
+    for basis in bases:
+        rows = Uinv[start:start + len(basis)]
+        start += len(basis)
+        P = tuple(combination(tuple(v[i] for v in basis), rows)
                   for i in range(space.dim))
-        P = matmul(matmul(U, D), Uinv)
         maps.append(LinearMapRep(space, space, P))
     return tuple(maps)
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cones import LORENTZ, POLYHEDRAL, ConeRep, partition_rays
 from .errors import (
     DegenerateConeError,
@@ -39,14 +41,13 @@ from .linalg import (
 from .lp import feasible_point, solve_lp
 from .scalars import RATIONAL, close, emit, tolerance_for
 
-try:  # optional: only the lorentz->lorentz positivity check needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 class StateSpace:
-    """A cone plus an order unit, with lazy derived geometry."""
+    """A cone plus an order unit, with lazy derived geometry.
+
+    The unit is proved strictly positive here, once, for every cone; a
+    facets-only cone enumerates its generators for the proof.
+    """
 
     __slots__ = ("cone", "unit", "name", "_vertices")
 
@@ -54,10 +55,9 @@ class StateSpace:
         unit = vec(unit)
         if len(unit) != cone.dim:
             raise DimensionMismatchError("unit length differs from cone dim")
-        if cone.kind == LORENTZ or cone.has_generators():
-            if not cone.strictly_positive(unit):
-                raise DegenerateConeError(
-                    "unit is not strictly positive on the cone")
+        if not cone.strictly_positive(unit):
+            raise DegenerateConeError(
+                "unit is not strictly positive on the cone")
         self.cone = cone
         self.unit = unit
         self.name = name
@@ -126,6 +126,8 @@ class StateSpace:
             unit = vec(body["unit"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad state-space payload: {exc}") from exc
+        if kind not in (POLYHEDRAL, LORENTZ):
+            raise InvalidInputError(f"unknown cone kind {kind!r}")
         if kind == LORENTZ:
             return cls(ConeRep.lorentz(dim, arithmetic), unit,
                        body.get("name"))
@@ -269,22 +271,20 @@ def _lorentz_to_lorentz_positive(matrix: Mat, cod: ConeRep,
                                  eps: Fraction) -> bool:
     """Homogeneous S-lemma: T(L) in L iff T e_last in L and
     T^t J T - mu J is PSD for some mu >= 0 (J = diag(-1,..,-1,1))."""
-    if _np is None:  # pragma: no cover
-        raise UnsupportedConeError("numpy required for lorentz->lorentz maps")
     n = len(matrix)
     axis = matvec(matrix, tuple([ZERO] * (len(matrix[0]) - 1) + [Fraction(1)]))
     if not cod.contains(axis, eps):
         return False
-    T = _np.array([[float(x) for x in row] for row in matrix])
-    J = _np.diag([-1.0] * (T.shape[1] - 1) + [1.0])
-    Jc = _np.diag([-1.0] * (n - 1) + [1.0])
+    T = np.array([[float(x) for x in row] for row in matrix])
+    J = np.diag([-1.0] * (T.shape[1] - 1) + [1.0])
+    Jc = np.diag([-1.0] * (n - 1) + [1.0])
     M = T.T @ Jc @ T
 
     def least_eig(mu: float) -> float:
-        return float(_np.linalg.eigvalsh(M - mu * J)[0])
+        return float(np.linalg.eigvalsh(M - mu * J)[0])
 
     # least_eig is concave in mu; fixed ternary search is deterministic.
-    lo, hi = 0.0, float(_np.abs(M).sum()) + 1.0
+    lo, hi = 0.0, float(np.abs(M).sum()) + 1.0
     for _ in range(200):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3

@@ -12,7 +12,8 @@ from gptkit.composites import (BipartiteState, _pullbacks,
                                max_tensor, min_tensor, omega_hat, product_vec,
                                remote_evaluate)
 from gptkit.cones import ConeRep
-from gptkit.errors import DimensionMismatchError, UnitMismatchError
+from gptkit.errors import (DimensionMismatchError, InvalidInputError,
+                           UnitMismatchError)
 from gptkit.linalg import dot, lex_key, mat, matvec, rank, transpose, vec
 from gptkit.lp import feasible_point
 from gptkit.models import (entangled_state_coords, make_classical,
@@ -178,6 +179,66 @@ def test_bipartite_json_round_trip_inline_space():
     back = BipartiteState.from_json_dict(body)
     assert back.composite.split_dims() == (3, 2)
     assert back.coords == state.coords
+
+
+def test_bipartite_json_writes_a_name_only_for_that_model():
+    triangle = ConeRep.from_generators(((1, 0, 1), (0, 1, 1), (-1, -1, 1)))
+    liar = StateSpace(triangle, (0, 0, 1), name="squit")
+    cl = make_classical(2)
+    coords = mat(tuple(tuple(x * y for y in cl.vertices[1])
+                       for x in liar.vertices[0]))
+    state = BipartiteState(max_tensor(liar, cl), coords)
+    body = state.to_json_dict()
+    assert body["A"] == liar.to_json_dict()
+    assert body["B"] == "classical:2"
+    back = BipartiteState.from_json_dict(body)
+    assert set(back.composite.factor_a.cone.generators) == \
+        set(triangle.generators)
+    assert back.composite.factor_a.name == "squit"
+    assert back.coords == state.coords
+    with pytest.raises(InvalidInputError):
+        BipartiteState.from_json_dict({**body, "A": 3})
+
+
+def test_validate_rejects_non_states_with_one_message():
+    sq = make_squit()
+    composite = max_tensor(sq, sq)
+    v = sq.vertices[0]
+    product = tuple(tuple(x * y for y in v) for x in v)
+    BipartiteState(composite, product).validate()
+    doubled = tuple(tuple(2 * x for x in row) for row in product)
+    outside = tuple(tuple(-x for x in row) for row in product)
+    for coords in (doubled, outside):
+        with pytest.raises(InvalidInputError,
+                           match="not a normalized state of the composite"):
+            BipartiteState(composite, coords).validate()
+
+
+def test_composites_do_not_reprove_the_product_unit(monkeypatch):
+    sq = make_squit()
+
+    def refuse(self, functional):
+        raise AssertionError("unit proved again")
+
+    monkeypatch.setattr(ConeRep, "strictly_positive", refuse)
+    unit = product_vec(sq.unit, sq.unit)
+    assert min_tensor(sq, sq).unit == unit
+    assert max_tensor(sq, sq).unit == unit
+
+
+def test_conditional_side_b_is_side_a_of_the_transpose():
+    sq, cl = make_squit(), make_classical(2)
+    v, w = sq.vertices[0], sq.vertices[2]
+    coords = tuple(tuple((x * (j == 0) + y * (j == 1)) / 2 for j in range(2))
+                   for x, y in zip(v, w))
+    state = BipartiteState(max_tensor(sq, cl), coords)
+    state.validate()
+    swapped = BipartiteState(max_tensor(cl, sq), transpose(coords))
+    swapped.validate()
+    for effect in ((1, 0), (0, 1), (F(1, 2), F(1, 4)), (0, 0)):
+        assert conditional(state, effect, side="b") == \
+            conditional(swapped, effect, side="a")
+    assert conditional(state, (1, 0), side="b") == v
 
 
 def test_omega_hat_is_transpose():

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptkit.cones import ConeRep
-from gptkit.errors import (DegenerateConeError, DimensionMismatchError,
-                           InvalidInputError, UnsupportedConeError)
+from gptkit.errors import (DegenerateConeError, DimensionCapError,
+                           DimensionMismatchError, InvalidInputError,
+                           UnsupportedConeError)
 from gptkit.linalg import identity, lex_key, mat, vec
 from gptkit.models import (direct_sum, make_ball, make_classical,
                            make_polygon, make_squit)
@@ -32,6 +33,32 @@ def test_unit_must_be_strictly_positive():
     StateSpace(cone, vec((1, 1)))
     with pytest.raises(DegenerateConeError):
         StateSpace(cone, vec((1, 0)))  # vanishes on a generator
+
+
+SQUARE_FACETS_PAYLOAD = {"dim": 3, "kind": "polyhedral",
+                         "facets": [[-1, 0, 1], [0, -1, 1], [0, 1, 1],
+                                    [1, 0, 1]]}
+
+
+def test_facets_only_payload_proves_its_unit():
+    with pytest.raises(DegenerateConeError):
+        StateSpace.from_json_dict({**SQUARE_FACETS_PAYLOAD,
+                                   "unit": [0, 0, -1]})
+    space = StateSpace.from_json_dict({**SQUARE_FACETS_PAYLOAD,
+                                       "unit": [0, 0, 1]})
+    assert set(space.vertices) == set(make_squit().vertices)
+
+
+def test_facets_only_space_above_the_cap_fails_at_construction():
+    cone = ConeRep.from_facets(identity(17))
+    with pytest.raises(DimensionCapError):
+        StateSpace(cone, (1,) * 17)
+
+
+def test_payload_kind_must_be_known():
+    body = {**make_squit().to_json_dict(), "kind": "banana"}
+    with pytest.raises(InvalidInputError, match="banana"):
+        StateSpace.from_json_dict(body)
 
 
 def test_squit_effects():

@@ -25,6 +25,42 @@ def classical_pair(n):
     return cl, eye, BipartiteState(max_tensor(cl, cl), eye)
 
 
+ROT90 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("element, message", [
+    (((0, 0, 0), (0, 0, 0), (0, 0, 1)), "group element is singular"),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 2)), "does not preserve the order unit"),
+    (((2, 0, 0), (0, 1, 0), (0, 0, 1)), "group element is not a positive map"),
+])
+def test_construct_rejects_a_bad_group_element(element, message):
+    with pytest.raises(InvalidInputError, match=message):
+        construct_deterministic_teleportation(make_squit(),
+                                              (identity(3), element))
+
+
+def test_construct_rejects_a_group_without_identity():
+    with pytest.raises(InvalidInputError, match="lacks an identity element"):
+        construct_deterministic_teleportation(make_squit(), (ROT90,))
+
+
+def test_construct_rejects_a_state_map_without_normalization():
+    with pytest.raises(InvalidInputError, match="nonpositive normalization"):
+        construct_deterministic_teleportation(
+            make_squit(), omega_hat_matrix=((1, -1, 0), (1, 1, 0), (0, 0, 0)))
+
+
+def test_construct_rescales_the_state_map():
+    sq = make_squit()
+    default = construct_deterministic_teleportation(sq)
+    doubled = tuple(tuple(2 * x for x in row)
+                    for row in mat(((1, -1, 0), (1, 1, 0), (0, 0, 1))))
+    scheme = construct_deterministic_teleportation(
+        sq, omega_hat_matrix=doubled)
+    assert scheme.effects == default.effects
+    assert scheme.omega.coords == default.omega.coords
+
+
 def test_classical_equality_effect_teleports():
     cl, eff, omega = classical_pair(3)
     cert = verify_teleportation(cl, cl, eff, omega)
