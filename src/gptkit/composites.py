@@ -182,26 +182,46 @@ class BipartiteState:
 
 
 def _space_ref(space: StateSpace):
-    """The factor's name when it parses to this very model (same kind,
-    arithmetic, unit and generator set), else the full dict."""
-    try:
-        model = parse_model_name(space.name or "")
-    except InvalidInputError:
-        return space.to_json_dict()
-    # factors are polyhedral, so a lorentz model fails on kind first
-    if (model.kind, model.arithmetic, model.unit) == (
-            space.kind, space.arithmetic, space.unit) and \
-            set(model.cone.generators) == set(space.cone.generators):
-        return space.name
-    return space.to_json_dict()
+    """Model name when the space is a named model, else the full dict."""
+    return space.name if _is_model_name(space.name) else space.to_json_dict()
 
 
 def _space_from_ref(ref) -> StateSpace:
+    """A factor by model name or payload; a payload keeps a model name
+    only when it is that model, so _space_ref can write it back."""
     if isinstance(ref, str):
         return parse_model_name(ref)
-    if isinstance(ref, dict):
-        return StateSpace.from_json_dict(ref)
-    raise InvalidInputError("space reference must be a name or an object")
+    if not isinstance(ref, dict):
+        raise InvalidInputError("space reference must be a name or an object")
+    space = StateSpace.from_json_dict(ref)
+    if _is_model_name(space.name) and not _is_named_model(space):
+        space.name = None
+    return space
+
+
+def _is_model_name(name: str | None) -> bool:
+    name = name or ""
+    return name == "squit" or \
+        name.partition(":")[0] in ("classical", "polygon", "ball")
+
+
+def _is_named_model(space: StateSpace) -> bool:
+    """Same kind, arithmetic, unit and generator set as the model its
+    name parses to; the name's size must fit the space first, so no
+    large model is built."""
+    name = "polygon:4" if space.name == "squit" else space.name
+    head, _, tail = name.partition(":")
+    poly = space.kind == POLYHEDRAL
+    size = {"classical": space.dim, "ball": space.dim - 1,
+            "polygon": len(space.cone.generators) if poly else -1}[head]
+    try:
+        model = parse_model_name(name) if tail == str(size) else None
+    except InvalidInputError:
+        model = None
+    if model is None or (model.kind, model.arithmetic, model.unit) != \
+            (space.kind, space.arithmetic, space.unit):
+        return False
+    return not poly or set(model.cone.generators) == set(space.cone.generators)
 
 
 def omega_hat(state: BipartiteState) -> Mat:

@@ -165,6 +165,8 @@ class ConeRep:
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
                  facets: tuple[Vec, ...] | None):
+        if kind not in (POLYHEDRAL, LORENTZ):
+            raise UnsupportedConeError(f"unknown cone kind {kind!r}")
         if arithmetic not in (RATIONAL, FLOAT):
             raise UnsupportedConeError(f"unknown arithmetic {arithmetic!r}")
         self.dim = dim

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.composites import (BipartiteState, _pullbacks,
+from gptkit.composites import (BipartiteState, _pullbacks, _space_from_ref,
                                check_distributive_inclusion, conditional,
                                effect_on_max, effect_on_min, f_hat,
                                is_composite, is_entangled, marginal,
@@ -16,7 +16,8 @@ from gptkit.errors import (DimensionMismatchError, InvalidInputError,
                            UnitMismatchError)
 from gptkit.linalg import dot, lex_key, mat, matvec, rank, transpose, vec
 from gptkit.lp import feasible_point
-from gptkit.models import (entangled_state_coords, make_classical,
+from gptkit import models
+from gptkit.models import (entangled_state_coords, make_ball, make_classical,
                            make_polygon, make_squit)
 from gptkit.scalars import tolerance_for
 from gptkit.spaces import StateSpace
@@ -183,21 +184,58 @@ def test_bipartite_json_round_trip_inline_space():
 
 def test_bipartite_json_writes_a_name_only_for_that_model():
     triangle = ConeRep.from_generators(((1, 0, 1), (0, 1, 1), (-1, -1, 1)))
-    liar = StateSpace(triangle, (0, 0, 1), name="squit")
+    payload = {**StateSpace(triangle, (0, 0, 1)).to_json_dict(),
+               "name": "squit"}
+    liar = _space_from_ref(payload)
+    assert liar.name is None
     cl = make_classical(2)
     coords = mat(tuple(tuple(x * y for y in cl.vertices[1])
                        for x in liar.vertices[0]))
-    state = BipartiteState(max_tensor(liar, cl), coords)
+    state = BipartiteState.from_json_dict(
+        {"tensor": "max", "A": payload, "B": "classical:2",
+         "coords": [list(row) for row in coords]})
     body = state.to_json_dict()
-    assert body["A"] == liar.to_json_dict()
+    assert "name" not in body["A"]
     assert body["B"] == "classical:2"
     back = BipartiteState.from_json_dict(body)
     assert set(back.composite.factor_a.cone.generators) == \
         set(triangle.generators)
-    assert back.composite.factor_a.name == "squit"
     assert back.coords == state.coords
+    # a payload that is its named model is written by that name
+    squit_body = {**body, "A": {**make_squit().to_json_dict(),
+                                "name": "squit"}}
+    squit_state = BipartiteState.from_json_dict(squit_body)
+    assert squit_state.to_json_dict()["A"] == "squit"
     with pytest.raises(InvalidInputError):
         BipartiteState.from_json_dict({**body, "A": 3})
+
+
+def test_factor_payload_keeps_a_model_name_only_for_that_model(monkeypatch):
+    for model in (make_squit(), make_polygon(5), make_classical(3),
+                  make_ball(2)):
+        assert _space_from_ref(model.to_json_dict()).name == model.name
+    squit = {**make_squit().to_json_dict(), "name": "squit"}
+    assert _space_from_ref(squit).name == "squit"
+    label = {**make_squit().to_json_dict(), "name": "my square"}
+    assert _space_from_ref(label).name == "my square"
+    for name in ("polygon:5", "polygon:x", "ball:2", "classical:0"):
+        body = {**make_squit().to_json_dict(), "name": name}
+        assert _space_from_ref(body).name is None
+
+    def refuse(n):
+        raise AssertionError("model built for a name of the wrong size")
+
+    # a size that cannot fit the payload is dropped without building it
+    monkeypatch.setattr(models, "make_classical", refuse)
+    body = {**make_squit().to_json_dict(), "name": "classical:100000000"}
+    assert _space_from_ref(body).name is None
+
+
+def test_composite_sets_every_state_space_slot():
+    sq = make_squit()
+    for composite in (min_tensor(sq, sq), max_tensor(sq, sq)):
+        for slot in StateSpace.__slots__:
+            getattr(composite, slot)
 
 
 def test_validate_rejects_non_states_with_one_message():

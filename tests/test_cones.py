@@ -485,6 +485,11 @@ def test_partition_rays_is_finest_direct_sum(rows):
                 assert block_rank(part) + block_rank(rest) > whole
 
 
+def test_constructor_rejects_an_unknown_kind():
+    with pytest.raises(UnsupportedConeError, match="banana"):
+        ConeRep(3, "banana", "rational", None, None)
+
+
 def test_lorentz_has_no_lists():
     cone = ConeRep.lorentz(4)
     assert cone.contains(vec((1, 0, 0, 2)))
