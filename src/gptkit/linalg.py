@@ -2,9 +2,10 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples. Sizes
 here are desk scale (dim <= 16, a few dozen rows), so clarity and
-exactness beat asymptotics. The one large-scale loop, the double
-description step over hundreds of rays, does not run through here: it
-keeps its rays as integer tuples (cones.enumerate_rays).
+exactness beat asymptotics. The two hot loops do not run through here:
+the double description step over hundreds of rays keeps its rays as
+integer tuples (cones.enumerate_rays), and the simplex keeps each
+tableau row as integers over one denominator (lp.solve_lp).
 """
 
 from __future__ import annotations

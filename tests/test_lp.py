@@ -1,13 +1,20 @@
 import hashlib
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gptkit.lp
 from gptkit.cones import ConeRep
-from gptkit.linalg import mat, matvec, transpose, vec
-from gptkit.lp import feasible_point, solve_lp
+from gptkit.errors import DimensionMismatchError, SolverError
+from gptkit.linalg import ZERO, mat, matvec, rank, transpose, vec
+from gptkit.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult,
+                       feasible_point, solve_lp)
+from gptkit.models import parse_model_name
 from gptkit.protocols import (bc_cheat_bound, exposing_effect,
                               find_double_decomposition)
 from gptkit.spaces import StateSpace, base_norm
@@ -15,6 +22,131 @@ from gptkit.spaces import StateSpace, base_norm
 F = Fraction
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonneg = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+def _pivot(rows, obj, basis, r, c):
+    inv = 1 / rows[r][c]
+    rows[r] = [x * inv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+    if obj[c] != 0:
+        f = obj[c]
+        obj[:] = [x - f * y for x, y in zip(obj, rows[r])]
+    basis[r] = c
+
+
+def _iterate(rows, obj, basis, ncols):
+    for _ in range(50_000):
+        entering = next((j for j in range(ncols) if obj[j] < 0), None)
+        if entering is None:
+            return OPTIMAL
+        leaving = None
+        best = None
+        for i, row in enumerate(rows):
+            if row[entering] > 0:
+                ratio = row[-1] / row[entering]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return UNBOUNDED
+        _pivot(rows, obj, basis, leaving, entering)
+    raise SolverError("simplex iteration cap exceeded")
+
+
+def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False):
+    """Reference two-phase simplex over Fractions: a dense tableau, Bland's
+    rule in both phases. Same pivots and same LPResult as solve_lp."""
+    n = len(objective)
+    m = len(eq_matrix)
+    cost = [(-c if maximize else c) for c in objective]
+    rows = []
+    for row, rhs in zip(eq_matrix, eq_rhs, strict=True):
+        if rhs < 0:
+            rows.append([-x for x in row] + [-rhs])
+        else:
+            rows.append(list(row) + [rhs])
+    width = n + m
+    basis = list(range(n, width))
+    for i, row in enumerate(rows):
+        body = row[:-1] + [ZERO] * m + [row[-1]]
+        body[n + i] = F(1)
+        rows[i] = body
+    obj = [ZERO] * (width + 1)
+    for j in range(n):
+        obj[j] = -sum(row[j] for row in rows)
+    obj[-1] = -sum(row[-1] for row in rows)
+    if _iterate(rows, obj, basis, width) != OPTIMAL:
+        raise SolverError("phase 1 reported unbounded")
+    residual = -obj[-1]
+    if residual > 0:
+        return LPResult(INFEASIBLE, None, None, residual)
+    keep = []
+    for i in range(len(rows)):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if rows[i][j] != 0), None)
+            if col is None:
+                continue
+            _pivot(rows, obj, basis, i, col)
+        keep.append(i)
+    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = list(cost) + [ZERO]
+    for i, b in enumerate(basis):
+        if obj[b] != 0:
+            f = obj[b]
+            obj = [x - f * y for x, y in zip(obj, rows[i])]
+    if _iterate(rows, obj, basis, n) == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, None, ZERO)
+    x = [ZERO] * n
+    for i, b in enumerate(basis):
+        x[b] = rows[i][-1]
+    value = sum((c * v for c, v in zip(cost, x)), ZERO)
+    if maximize:
+        value = -value
+    return LPResult(OPTIMAL, tuple(x), value, ZERO)
+
+
+def random_lp(seed):
+    """A seeded small LP: (objective, rows, rhs, maximize).
+
+    Entries are small rationals, or floats taken exactly (dyadic, with
+    denominators near 2**52) for every fifth seed, with zeros mixed in.
+    The right-hand side is A x0 for a sparse x0 >= 0 (feasible, often
+    degenerate), sometimes perturbed (often infeasible); some rows are
+    negated, so their right-hand side is negative; some LPs get a
+    redundant row, the sum of two others, or a row with right-hand side 0.
+    """
+    rng = random.Random(seed)
+    if seed % 5 == 4:
+        def scalar():
+            return F(rng.uniform(-3, 3)) if rng.random() < 0.7 else ZERO
+    else:
+        def scalar():
+            return F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    rows = [[scalar() for _ in range(n)] for _ in range(m)]
+    x0 = [rng.choice((ZERO, ZERO, F(1), F(1, 2), F(2))) for _ in range(n)]
+    rhs = list(matvec(rows, x0))
+    if rng.random() < 0.25:
+        rhs[rng.randrange(m)] += F(rng.choice((-1, 1)), rng.randint(1, 3))
+    if rng.random() < 0.3 and m > 1:
+        i, j = rng.sample(range(m), 2)
+        rows.append([x + y for x, y in zip(rows[i], rows[j])])
+        rhs.append(rhs[i] + rhs[j])
+    if rng.random() < 0.3:
+        k = rng.randrange(len(rows) + 1)
+        rows.insert(k, [scalar() if x0[j] == 0 else ZERO for j in range(n)])
+        rhs.insert(k, ZERO)
+    for i in range(len(rows)):
+        if rng.random() < 0.3:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    objective = [scalar() for _ in range(n)]
+    return objective, rows, rhs, rng.random() < 0.5
 
 
 def test_known_optimum():
@@ -122,6 +254,73 @@ def test_random_feasible_lp(rows, x0, cost):
     assert res.objective <= sum(c * x for c, x in zip(cost, x0))
 
 
+def test_integer_simplex_matches_reference(monkeypatch):
+    # Same (status, x, objective, residual) and the same number of pivots
+    # as the Fraction tableau, LP by LP; the seeds reach every path.
+    pivots = Counter()
+
+    def count(module, key):
+        inner = module._pivot
+
+        def counted(rows, obj, basis, r, c):
+            pivots[key] += 1
+            if key == "reference" and rows[r][-1] == 0:
+                pivots["degenerate"] += 1
+            if key == "lp" and obj is None:
+                pivots["drive-out"] += 1
+            inner(rows, obj, basis, r, c)
+        monkeypatch.setattr(module, "_pivot", counted)
+
+    count(gptkit.lp, "lp")
+    count(sys.modules[__name__], "reference")
+    seen = Counter()
+    for seed in range(400):
+        objective, rows, rhs, maximize = random_lp(seed)
+        before = pivots["reference"], pivots["lp"]
+        want = reference_lp(objective, rows, rhs, maximize=maximize)
+        got = solve_lp(objective, rows, rhs, maximize=maximize)
+        assert (got.status, got.x, got.objective, got.residual) == (
+            want.status, want.x, want.objective, want.residual), seed
+        assert (pivots["reference"] - before[0]
+                == pivots["lp"] - before[1]), seed
+        seen[want.status] += 1
+        seen["flipped"] += any(b < 0 for b in rhs)
+        seen["dropped"] += want.status != INFEASIBLE and rank(rows) < len(rows)
+        seen["dyadic"] += max(x.denominator for row in rows for x in row) > 2 ** 50
+    assert min(seen[k] for k in (OPTIMAL, INFEASIBLE, UNBOUNDED, "flipped",
+                                 "dropped", "dyadic")) >= 10, seen
+    assert pivots["degenerate"] >= 10 and pivots["drive-out"] >= 10, pivots
+
+
+def test_drive_out_pivots_on_a_negative_entry():
+    # Phase 1 leaves the second artificial basic at zero over a -2 entry.
+    rows = mat(((1, 1), (1, -1)))
+    for maximize in (False, True):
+        got = solve_lp(vec((1, 2)), rows, vec((0, 0)), maximize=maximize)
+        assert got == reference_lp(vec((1, 2)), rows, vec((0, 0)),
+                                   maximize=maximize)
+        assert got.status == OPTIMAL and got.x == (0, 0)
+
+
+def test_solve_lp_shape_errors():
+    with pytest.raises(DimensionMismatchError):
+        solve_lp(vec((1, 0)), mat(((1, 1),)), vec((1, 2)))
+    with pytest.raises(DimensionMismatchError):
+        solve_lp(vec((1, 0)), mat(((1, 1), (1, 0))), vec((1,)))
+    with pytest.raises(SolverError):
+        solve_lp(vec((1, 0, 0)), mat(((1, 1),)), vec((1,)))
+
+
+def test_feasible_point_column_length_must_match_target():
+    # a longer column is not cut short, a shorter one is not an IndexError
+    with pytest.raises(DimensionMismatchError):
+        feasible_point(((1, 0),), (1,))
+    with pytest.raises(DimensionMismatchError):
+        feasible_point(((1,),), (1, 0))
+    with pytest.raises(DimensionMismatchError):
+        feasible_point(mat(((1, 0), (0, 1))) + (vec((1,)),), vec((1, 1)))
+
+
 # sha256 of the repr of the exact optimizing-LP results on integer polygons.
 # Bland's rule makes the reported vertex depend on the column order, so a
 # change to any LP's columns, rows or right-hand side shows here.
@@ -145,3 +344,21 @@ def test_optimizing_lps_pinned(name):
     norms = [base_norm(space, v) for v in ((1, 0, 0), (3, -2, 1))]
     text = repr((effects, bound, norms))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The same pin on float-embedded models, whose LPs carry denominators of
+# about 110 bits: sha256 of repr((effects, bound)).
+FLOAT_POLYGON_LPS = {
+    "polygon:5": "8512b4cdae5ab005c5dff6f932ca3c2082450ee946eeace34531a1a6e65e41bd",
+    "polygon:7": "a6ea39f5d1e58f4fee0535971c10f6a5bc827eacd5888b2530ae80399282c8b5",
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_POLYGON_LPS)
+def test_float_optimizing_lps_pinned(name):
+    space = parse_model_name(name)
+    effects = [exposing_effect(space, i)
+               for i in range(len(space.cone.generators))]
+    bound = bc_cheat_bound(space, find_double_decomposition(space), 3)
+    text = repr((effects, bound))
+    assert hashlib.sha256(text.encode()).hexdigest() == FLOAT_POLYGON_LPS[name]
