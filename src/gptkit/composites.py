@@ -25,9 +25,9 @@ from .errors import (
 )
 from .linalg import Mat, Vec, dot, mat, matvec, transpose, vec, zeros
 from .lp import feasible_point
-from .models import parse_model_name
+from .models import _is_model_name, _is_named_model, parse_model_name
 from .scalars import close, emit, merge_arithmetic, tolerance_for
-from .spaces import StateSpace, _dual_member
+from .spaces import StateSpace
 
 
 def product_vec(x: Vec, y: Vec) -> Vec:
@@ -199,31 +199,6 @@ def _space_from_ref(ref) -> StateSpace:
     return space
 
 
-def _is_model_name(name: str | None) -> bool:
-    name = name or ""
-    return name == "squit" or \
-        name.partition(":")[0] in ("classical", "polygon", "ball")
-
-
-def _is_named_model(space: StateSpace) -> bool:
-    """Same kind, arithmetic, unit and generator set as the model its
-    name parses to; the name's size must fit the space first, so no
-    large model is built."""
-    name = "polygon:4" if space.name == "squit" else space.name
-    head, _, tail = name.partition(":")
-    poly = space.kind == POLYHEDRAL
-    size = {"classical": space.dim, "ball": space.dim - 1,
-            "polygon": len(space.cone.generators) if poly else -1}[head]
-    try:
-        model = parse_model_name(name) if tail == str(size) else None
-    except InvalidInputError:
-        model = None
-    if model is None or (model.kind, model.arithmetic, model.unit) != \
-            (space.kind, space.arithmetic, space.unit):
-        return False
-    return not poly or set(model.cone.generators) == set(space.cone.generators)
-
-
 def omega_hat(state: BipartiteState) -> Mat:
     """The state's hat map A' -> B, a |-> W^t a."""
     return transpose(state.coords)
@@ -314,7 +289,7 @@ def effect_on_min(a: StateSpace, b: StateSpace, f_coords: Mat,
     F, residual = _effect_and_residual(a, b, f_coords)
     eps = tolerance_for(tol, a, b)
     _require_polyhedral(a, b)
-    return all(_dual_member(b, y, eps)
+    return all(b.cone.dual().contains(y, eps)
                for G in (F, residual)
                for y in _pullbacks(G, a.cone.generators))
 

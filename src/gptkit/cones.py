@@ -4,7 +4,8 @@ Polyhedral cones carry extreme-ray generators and/or facet inequalities
 <f, x> >= 0; whichever side is missing is computed on demand by the
 Motzkin double-description method and cached. Lorentz (second-order)
 cones carry no lists; membership there compares squares, so no square
-roots enter and rational inputs stay exact.
+roots enter and rational inputs stay exact. `contains` is the one
+membership test, of a cone and, as `dual().contains`, of its dual.
 
 All arithmetic is exact, including for float-mode spaces (their data is
 embedded losslessly); see scalars module notes. Vectors in and out are
@@ -160,7 +161,8 @@ class ConeRep:
     kind "lorentz": x[-1] >= euclidean norm of x[:-1]; no finite lists.
     """
 
-    __slots__ = ("dim", "kind", "arithmetic", "_generators", "_facets")
+    __slots__ = ("dim", "kind", "arithmetic", "_generators", "_facets",
+                 "_dual")
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
@@ -174,6 +176,7 @@ class ConeRep:
         self.arithmetic = arithmetic
         self._generators = generators
         self._facets = facets
+        self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------
 
@@ -230,6 +233,8 @@ class ConeRep:
         if self._generators is None:
             self._generators = self._enumerate_missing(
                 self._facets, "generator", "facets", "generating")
+            if self._dual is not None:
+                self._dual._facets = self._generators
         return self._generators
 
     @property
@@ -237,6 +242,8 @@ class ConeRep:
         if self._facets is None:
             self._facets = self._enumerate_missing(
                 self._generators, "facet", "generators", "pointed")
+            if self._dual is not None:
+                self._dual._generators = self._facets
         return self._facets
 
     def _enumerate_missing(self, known: tuple[Vec, ...], side: str,
@@ -290,15 +297,14 @@ class ConeRep:
         return all(dot(functional, g) > 0 for g in self.generators)
 
     def dual(self) -> ConeRep:
-        """Swap generators and facets; Lorentz cones are self-dual.
-
-        Lazy: whichever side the original had not computed stays pending
-        in the dual too, and is canonicalized by enumeration on demand.
-        """
-        if self.kind == LORENTZ:
-            return self
-        return ConeRep(self.dim, POLYHEDRAL, self.arithmetic,
-                       self._facets, self._generators)
+        """The dual cone: one cached view with the two sides swapped, and
+        a side enumerated through either view is stored in both. Lorentz
+        cones are self-dual."""
+        if self._dual is None:
+            self._dual = ConeRep(self.dim, POLYHEDRAL, self.arithmetic,
+                                 self._facets, self._generators)
+            self._dual._dual = self
+        return self._dual
 
     def minimal_generators(self) -> tuple[Vec, ...]:
         """Extreme rays only, dropping any redundant input generators."""

@@ -1,4 +1,4 @@
-"""Built-in model state spaces and their canonical structure.
+"""Built-in models: their names, state spaces and canonical structure.
 
 classical:n   simplex over n outcomes (positive orthant, counting unit)
 polygon:n     regular n-gon disc; n = 4 uses the exact rational square
@@ -6,10 +6,10 @@ polygon:n     regular n-gon disc; n = 4 uses the exact rational square
 squit         alias for polygon:4
 ball:d        d-dimensional euclidean ball (lorentz cone in d+1 coords)
 
-Besides the spaces themselves this module carries the canonical
-transitive symmetry group of each model and the coordinate matrix of
-its standard maximally correlated bipartite state, both of which the
-protocol layer consumes.
+This module alone reads the name grammar: it builds each model, decides
+whether a space is the model its name claims, and carries each model's
+canonical transitive symmetry group and the coordinate matrix of its
+standard maximally correlated bipartite state, which protocols consume.
 """
 
 from __future__ import annotations
@@ -19,12 +19,45 @@ from fractions import Fraction
 
 from .cones import POLYHEDRAL, ConeRep
 from .errors import InvalidInputError, UnsupportedConeError
-from .linalg import Mat, identity, matmul
+from .linalg import Mat, identity, matmul, transpose
 from .scalars import FLOAT, RATIONAL, exactify, merge_arithmetic
 from .spaces import StateSpace
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+def _rot2(c, s) -> Mat:
+    return ((c, -s, ZERO), (s, c, ZERO), (ZERO, ZERO, ONE))
+
+
+# The exact square: vertices (+-1, +-1, 1) in cyclic order, whose facet
+# normals are (+-1, 0, 1) and (0, +-1, 1); the quarter turn; and the hat
+# map (+1 -1 0 / +1 +1 0 / 0 0 1) of its maximally correlated state.
+_SQUARE = (
+    RATIONAL,
+    ((ONE, ONE, ONE), (-ONE, ONE, ONE), (-ONE, -ONE, ONE), (ONE, -ONE, ONE)),
+    ((-ONE, ZERO, ONE), (ZERO, -ONE, ONE), (ZERO, ONE, ONE),
+     (ONE, ZERO, ONE)),
+    _rot2(ZERO, ONE),
+    ((ONE, -ONE, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, ONE)),
+)
+
+
+def _polygon(n: int) -> tuple:
+    """Arithmetic, vertices, facets, rotation step and hat map of the
+    n-gon. The square is exact; any other n-gon embeds its floats
+    exactly and leaves its facets (None) to double description."""
+    if n == 4:
+        return _SQUARE
+
+    def point(angle: float, scale: float = 1) -> tuple:
+        return (exactify(scale * math.cos(angle)),
+                exactify(scale * math.sin(angle)))
+
+    gens = tuple(point(2 * math.pi * k / n) + (ONE,) for k in range(n))
+    hat = _rot2(*point(-(n + 1) * math.pi / n, math.cos(math.pi / n)))
+    return FLOAT, gens, None, _rot2(*point(2 * math.pi / n)), hat
 
 
 def make_classical(n: int) -> StateSpace:
@@ -37,37 +70,12 @@ def make_classical(n: int) -> StateSpace:
     return StateSpace(cone, unit, name=f"classical:{n}")
 
 
-def _square_space() -> StateSpace:
-    # Exact presentation: vertices at the corners (+-1, +-1) in cyclic
-    # order, so the facet normals come out as (+-1, 0, 1), (0, +-1, 1).
-    gens = (
-        (ONE, ONE, ONE),
-        (-ONE, ONE, ONE),
-        (-ONE, -ONE, ONE),
-        (ONE, -ONE, ONE),
-    )
-    facets = (
-        (-ONE, ZERO, ONE),
-        (ZERO, -ONE, ONE),
-        (ZERO, ONE, ONE),
-        (ONE, ZERO, ONE),
-    )
-    cone = ConeRep(3, POLYHEDRAL, RATIONAL, gens, facets)
-    return StateSpace(cone, (ZERO, ZERO, ONE), name="polygon:4")
-
-
 def make_polygon(n: int) -> StateSpace:
     """Regular n-gon state space in R^3, unit functional (0, 0, 1)."""
     if n < 3:
         raise InvalidInputError("polygon model needs n >= 3")
-    if n == 4:
-        return _square_space()
-    gens = []
-    for k in range(n):
-        phi = 2 * math.pi * k / n
-        gens.append((exactify(math.cos(phi)), exactify(math.sin(phi)), ONE))
-    # facets are left to double description on first access
-    cone = ConeRep.from_generators(tuple(gens), FLOAT, 3)
+    arithmetic, gens, facets, _, _ = _polygon(n)
+    cone = ConeRep(3, POLYHEDRAL, arithmetic, gens, facets)
     return StateSpace(cone, (ZERO, ZERO, ONE), name=f"polygon:{n}")
 
 
@@ -84,25 +92,63 @@ def make_ball(d: int) -> StateSpace:
     return StateSpace(cone, unit, name=f"ball:{d}")
 
 
+_MAKERS = {"classical": make_classical, "polygon": make_polygon,
+           "ball": make_ball}
+
+
+def _split(name: str) -> tuple[str, str]:
+    """The family and size text a name claims, squit being polygon:4;
+    the family is "" when the name claims none."""
+    head, _, tail = ("polygon:4" if name == "squit" else name).partition(":")
+    return (head if head in _MAKERS else ""), tail
+
+
+def _parse(name: str) -> tuple[str, int]:
+    """The family and size of a model name of the grammar."""
+    family, tail = _split(name)
+    if not family:
+        raise InvalidInputError(f"unknown model {name!r}")
+    try:
+        return family, int(tail)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad model size in {name!r}") from exc
+
+
 def parse_model_name(text: str) -> StateSpace:
     """Grammar: classical:n | polygon:n | squit | ball:d."""
-    token = text.strip().lower()
-    if token == "squit":
-        return make_squit()
-    head, sep, tail = token.partition(":")
-    if not sep:
-        raise InvalidInputError(f"unknown model {text!r}")
+    family, size = _parse(text.strip().lower())
+    return _MAKERS[family](size)
+
+
+def _is_model_name(name: str | None) -> bool:
+    """Whether the name claims a model of the grammar."""
+    return bool(_split(name or "")[0])
+
+
+def _same_space(x: StateSpace, y: StateSpace) -> bool:
+    """Same kind, arithmetic, unit and (polyhedral) generator set."""
+    if x is y:
+        return True
+    if (x.kind, x.arithmetic, x.unit) != (y.kind, y.arithmetic, y.unit):
+        return False
+    return x.kind != POLYHEDRAL or \
+        set(x.cone.generators) == set(y.cone.generators)
+
+
+def _is_named_model(space: StateSpace) -> bool:
+    """Whether the space is the model its name parses to; the name's
+    size must fit the space first, so no large model is built."""
+    family, tail = _split(space.name or "")
+    if not family:
+        return False
+    poly = space.kind == POLYHEDRAL
+    size = {"classical": space.dim, "ball": space.dim - 1,
+            "polygon": len(space.cone.generators) if poly else -1}[family]
     try:
-        size = int(tail)
-    except ValueError as exc:
-        raise InvalidInputError(f"bad model size in {text!r}") from exc
-    if head == "classical":
-        return make_classical(size)
-    if head == "polygon":
-        return make_polygon(size)
-    if head == "ball":
-        return make_ball(size)
-    raise InvalidInputError(f"unknown model {text!r}")
+        model = _MAKERS[family](size) if tail == str(size) else None
+    except InvalidInputError:
+        model = None
+    return model is not None and _same_space(model, space)
 
 
 # -- direct sums -----------------------------------------------------------
@@ -130,8 +176,16 @@ def direct_sum(a: StateSpace, b: StateSpace) -> StateSpace:
 # -- canonical symmetry groups ----------------------------------------------
 
 
-def _rot2(c, s) -> Mat:
-    return ((c, -s, ZERO), (s, c, ZERO), (ZERO, ZERO, ONE))
+def _canonical(space: StateSpace, what: str) -> tuple[str, int]:
+    """Family and size of a classical or polygon model's name."""
+    name = space.name or ""
+    try:
+        family, size = _parse(name)
+        if family in ("classical", "polygon"):
+            return family, size
+    except InvalidInputError:
+        pass
+    raise UnsupportedConeError(f"no canonical {what} for {name!r}")
 
 
 def symmetry_group(space: StateSpace) -> tuple[Mat, ...]:
@@ -140,28 +194,16 @@ def symmetry_group(space: StateSpace) -> tuple[Mat, ...]:
     classical:n gets the cyclic outcome shifts; polygon:n the n plane
     rotations (exact for n = 4). Identity first, then powers in order.
     """
-    name = space.name or ""
-    head, _, tail = name.partition(":")
-    if head == "classical":
-        n = int(tail)
-        shift = tuple(tuple(ONE if i == (j + 1) % n else ZERO
-                            for j in range(n)) for i in range(n))
-        out = [identity(n)]
-        for _ in range(n - 1):
-            out.append(matmul(shift, out[-1]))
-        return tuple(out)
-    if head == "polygon":
-        n = int(tail)
-        if n == 4:
-            step = _rot2(ZERO, ONE)
-        else:
-            step = _rot2(exactify(math.cos(2 * math.pi / n)),
-                         exactify(math.sin(2 * math.pi / n)))
-        out = [identity(3)]
-        for _ in range(n - 1):
-            out.append(matmul(step, out[-1]))
-        return tuple(out)
-    raise UnsupportedConeError(f"no canonical symmetry group for {name!r}")
+    family, n = _canonical(space, "symmetry group")
+    if family == "classical":
+        basis = identity(n)
+        step = basis[-1:] + basis[:-1]  # e_j -> e_(j+1 mod n)
+    else:
+        step = _polygon(n)[3]
+    out = [identity(len(step))]
+    for _ in range(n - 1):
+        out.append(matmul(step, out[-1]))
+    return tuple(out)
 
 
 def entangled_state_coords(space: StateSpace) -> Mat:
@@ -170,25 +212,9 @@ def entangled_state_coords(space: StateSpace) -> Mat:
     With coords W the bipartite state pairs functionals as (a, b) ->
     a^t W b. classical:n takes the uniform perfectly correlated state;
     polygon:n the isotropic state whose hat map is the scaled
-    half-step rotation (exact for n = 4).
+    half-step rotation (exact for n = 4); the coords are its transpose.
     """
-    name = space.name or ""
-    head, _, tail = name.partition(":")
-    if head == "classical":
-        n = int(tail)
-        inv = Fraction(1, n)
-        return tuple(tuple(inv if i == j else ZERO for j in range(n))
-                     for i in range(n))
-    if head == "polygon":
-        n = int(tail)
-        if n == 4:
-            # hat map (+1 -1 0 / +1 +1 0 / 0 0 1); coords are its transpose
-            omega_hat = ((ONE, -ONE, ZERO), (ONE, ONE, ZERO),
-                         (ZERO, ZERO, ONE))
-        else:
-            scale = math.cos(math.pi / n)
-            ang = -(n + 1) * math.pi / n
-            omega_hat = _rot2(exactify(scale * math.cos(ang)),
-                              exactify(scale * math.sin(ang)))
-        return tuple(tuple(row) for row in zip(*omega_hat))
-    raise UnsupportedConeError(f"no canonical entangled state for {name!r}")
+    family, n = _canonical(space, "entangled state")
+    if family == "classical":
+        return tuple(tuple(x / n for x in row) for row in identity(n))
+    return transpose(_polygon(n)[4])

@@ -41,6 +41,8 @@ def exposing_effect(space: StateSpace, index: int,
     margin), or None when the vertex is not exposed (margin <= 0).
     """
     verts = space.vertices
+    if not 0 <= index < len(verts):
+        raise InvalidInputError(f"vertex index {index} out of range")
     duals = space.cone.facets
     eps = tolerance_for(tol, space)
     # columns: theta per dual generator, m, one slack per non-target row;

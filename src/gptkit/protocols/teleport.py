@@ -20,7 +20,7 @@ from ..errors import (DimensionMismatchError, InvalidInputError,
 from ..linalg import (Mat, identity, inverse, mat, matmul, matvec,
                       proportion, rank, transpose, unit_vec, vec)
 from ..lp import feasible_point
-from ..models import entangled_state_coords, symmetry_group
+from ..models import _same_space, entangled_state_coords, symmetry_group
 from ..scalars import close, tolerance_for
 from ..spaces import (Effect, LinearMapRep, Observable, StateSpace,
                       _positive_between, is_norm_contractive,
@@ -69,7 +69,7 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
     The composite mu = omega_hat . f_hat must equal c.J with c > 0 and
     J an order isomorphism of A; the correction is J's inverse. The
     effect is validated against the minimal composite of (A, B), the
-    shared state against the maximal composite of (B, A).
+    shared state against the maximal composite of B and A themselves.
     """
     F = mat(f_coords)
     if not effect_on_min(a_space, b_space, F, tol):
@@ -78,9 +78,11 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
     if omega.composite.tensor != "max":
         raise InvalidInputError("shared state must live on the maximal "
                                 "composite")
-    if omega.composite.factor_a.dim != b_space.dim or \
-            omega.composite.factor_b.dim != a_space.dim:
+    fb, fa = omega.composite.factor_a, omega.composite.factor_b
+    if fb.dim != b_space.dim or fa.dim != a_space.dim:
         raise DimensionMismatchError("shared state factors must be (B, A)")
+    if not (_same_space(fb, b_space) and _same_space(fa, a_space)):
+        raise InvalidInputError("shared state factors must be (B, A)")
     omega.validate(tol)
 
     witness = f_hat(F)

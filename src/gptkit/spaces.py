@@ -210,15 +210,7 @@ def is_effect(space: StateSpace, a, tol=None) -> bool:
     f = vec(a)
     eps = tolerance_for(tol, space)
     residual = tuple(u - x for u, x in zip(space.unit, f))
-    return _dual_member(space, f, eps) and _dual_member(space, residual, eps)
-
-
-def _dual_member(space: StateSpace, functional: Vec, eps: Fraction) -> bool:
-    if len(functional) != space.dim:
-        raise DimensionMismatchError("functional length differs from dim")
-    if space.kind == LORENTZ:
-        return space.cone.contains(functional, eps)  # self-dual
-    return all(dot(functional, g) >= -eps for g in space.cone.generators)
+    return all(space.cone.dual().contains(x, eps) for x in (f, residual))
 
 
 def base_norm(space: StateSpace, v) -> Fraction | float:
@@ -249,10 +241,6 @@ def base_norm(space: StateSpace, v) -> Fraction | float:
 # -- map predicates ---------------------------------------------------------
 
 
-def _pullback(matrix: Mat, functional: Vec) -> Vec:
-    return matvec(transpose(matrix), functional)
-
-
 def _positive_between(matrix: Mat, dom: ConeRep, cod: ConeRep,
                       eps: Fraction) -> bool:
     """Whether matrix maps dom into cod, all four kind pairings."""
@@ -260,10 +248,10 @@ def _positive_between(matrix: Mat, dom: ConeRep, cod: ConeRep,
         return all(cod.contains(matvec(matrix, g), eps)
                    for g in dom.generators)
     if cod.kind == POLYHEDRAL:
-        # For each codomain facet h, min of <h, T(x, 1)> over the unit
-        # ball boundary is last(phi) - |head(phi)| with phi = T^t h.
-        # The lorentz cone is self-dual, so phi must lie in dom itself.
-        return all(dom.contains(_pullback(matrix, h), eps) for h in cod.facets)
+        # T maps dom into cod iff T^t maps each generator h of cod's
+        # dual (a facet of cod) into dom's dual.
+        t, dual = transpose(matrix), dom.dual()
+        return all(dual.contains(matvec(t, h), eps) for h in cod.facets)
     return _lorentz_to_lorentz_positive(matrix, cod, eps)
 
 
@@ -305,9 +293,9 @@ def is_positive_map(T: LinearMapRep, tol=None) -> bool:
 def is_norm_contractive(T: LinearMapRep, tol=None) -> bool:
     """u_cod . T <= u_dom on the domain cone (meaningful for positive T)."""
     eps = tolerance_for(tol, T.domain, T.codomain)
-    slack = tuple(u - p for u, p in
-                  zip(T.domain.unit, _pullback(T.matrix, T.codomain.unit)))
-    return _dual_member(T.domain, slack, eps)
+    pulled = matvec(transpose(T.matrix), T.codomain.unit)
+    slack = tuple(u - p for u, p in zip(T.domain.unit, pulled))
+    return T.domain.cone.dual().contains(slack, eps)
 
 
 def order_isomorphic(matrix: Mat, dom: ConeRep, cod: ConeRep,

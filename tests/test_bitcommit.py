@@ -70,6 +70,13 @@ def test_exposing_effects_squit():
         assert dot(effect, sq.vertices[k]) == 1
 
 
+def test_exposing_effect_index_out_of_range():
+    sq = make_squit()
+    for index in (-1, 4):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            exposing_effect(sq, index)
+
+
 def test_exposing_effects_pentagon():
     p5 = make_polygon(5)
     for k in range(5):

@@ -60,6 +60,31 @@ def test_no_function_imports():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
+def model_family_names(source: str) -> list[str]:
+    """String literals that start with a model family of the name grammar,
+    which only `models` reads."""
+    tree = ast.parse(source)
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.startswith(("classical", "polygon", "ball",
+                                        "squit"))}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_model_family_names_are_found():
+    source = ('ok = ("polyhedral", "lorentz", "a polygon")\n'
+              'bad = name == "squit" or head in ("classical", "ball")\n'
+              'worse = f"polygon:{n}"\n')
+    assert model_family_names(source) == ["line 2", "line 3"]
+
+
+def test_model_family_names_only_in_models():
+    found = {str(path.relative_to(PACKAGE)): model_family_names(
+        path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "models.py"}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
 def difference_magnitudes(source: str) -> list[str]:
     """Hand-written `abs(x - y)`: within-eps comparisons go through
     `scalars.close`."""

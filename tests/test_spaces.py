@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+
+from gptkit import cones
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +123,26 @@ def test_dual_cone_involution():
     original = {lex_key(g) for g in sq.cone.generators}
     again = dual_cone(StateSpace(dual_cone(sq), vec((1, 1, 4))))
     assert {lex_key(g) for g in again.generators} == original
+
+
+def test_dual_is_one_view_sharing_its_sides(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_rays(*args)
+
+    enumerate_rays = cones.enumerate_rays
+    monkeypatch.setattr(cones, "enumerate_rays", counted)
+    p5 = make_polygon(5)
+    assert p5.cone.dual() is p5.cone.dual()
+    assert p5.cone.dual().dual() is p5.cone
+    verify_self_duality_witness(p5, identity(3))
+    # the dual's generators are the cone's facets: enumerated once
+    assert len(calls) == 1
+    p7 = make_polygon(7)
+    dual_cone(p7)
+    assert p7.cone.has_facets()
 
 
 def test_observable_must_sum_to_unit():

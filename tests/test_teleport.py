@@ -12,7 +12,7 @@ from gptkit.models import (entangled_state_coords, make_ball, make_classical,
 from gptkit.protocols import (construct_deterministic_teleportation,
                               verify_compression_witness,
                               verify_correction_free, verify_teleportation)
-from gptkit.spaces import verify_self_duality_witness
+from gptkit.spaces import StateSpace, verify_self_duality_witness
 
 F = Fraction
 
@@ -100,6 +100,29 @@ def test_factor_shape_mismatch():
     cl, eff, omega = classical_pair(2)
     with pytest.raises(DimensionMismatchError):
         verify_teleportation(make_classical(3), cl, eff, omega)
+
+
+def test_shared_state_factors_must_be_the_models():
+    sq = make_squit()
+    effect = construct_deterministic_teleportation(sq).effects[0]
+    # same dims, but a correlated state of max(classical:3, classical:3),
+    # which is not even normalized on max(squit, squit)
+    _, _, other = classical_pair(3)
+    with pytest.raises(InvalidInputError, match="factors"):
+        verify_teleportation(sq, sq, effect, other)
+    # separately built copies of the models are the same factors
+    coords = entangled_state_coords(sq)
+    omega = BipartiteState(max_tensor(make_squit(), make_squit()), coords)
+    assert verify_teleportation(sq, sq, effect, omega).verdict
+
+
+def test_unparsable_model_size_is_unsupported():
+    sq = make_squit()
+    named = StateSpace(sq.cone, sq.unit, name="polygon:x")
+    for call in (symmetry_group, entangled_state_coords,
+                 construct_deterministic_teleportation):
+        with pytest.raises(UnsupportedConeError):
+            call(named)
 
 
 def test_product_effect_gives_singular_mu():
