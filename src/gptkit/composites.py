@@ -182,8 +182,9 @@ class BipartiteState:
 
 
 def _space_ref(space: StateSpace):
-    """Model name when the space is a named model, else the full dict."""
-    return space.name if _is_model_name(space.name) else space.to_json_dict()
+    """Model name when the space is the model it is named, else the full
+    dict."""
+    return space.name if _is_named_model(space) else space.to_json_dict()
 
 
 def _space_from_ref(ref) -> StateSpace:

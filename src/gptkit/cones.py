@@ -9,9 +9,12 @@ membership test, of a cone and, as `dual().contains`, of its dual.
 
 All arithmetic is exact, including for float-mode spaces (their data is
 embedded losslessly); see scalars module notes. Vectors in and out are
-Fraction tuples; inside double description, normals and rays are
+Fraction tuples. Inside double description, normals and rays are
 coprime integer tuples, and pairs of rays are tested for adjacency by a
-popcount prefilter and by zero sets transposed into bitsets.
+popcount prefilter and by zero sets transposed into bitsets. Polyhedral
+membership runs on integers too: each facet is kept once as a coprime
+integer row times a positive scale, and a vector is cleared to integers
+over one denominator, so a facet test is an int dot and a sign.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .linalg import (
     ZERO,
     canonical_ray,
     dot,
+    integer_row,
     inverse,
     lex_key,
     mat,
@@ -105,8 +109,7 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
 
     inv = inverse(mat(base))
     assert inv is not None
-    rays: list[tuple[int, ...]] = [
-        tuple(x.numerator for x in canonical_ray(col)) for col in zip(*inv)]
+    rays: list[tuple[int, ...]] = [integer_row(col)[0] for col in zip(*inv)]
     all_base = sum(1 << k for k in base_idx)
     masks: list[int] = [all_base & ~(1 << k) for k in base_idx]
 
@@ -162,7 +165,7 @@ class ConeRep:
     """
 
     __slots__ = ("dim", "kind", "arithmetic", "_generators", "_facets",
-                 "_dual")
+                 "_rows", "_dual")
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
@@ -176,6 +179,7 @@ class ConeRep:
         self.arithmetic = arithmetic
         self._generators = generators
         self._facets = facets
+        self._rows: tuple[tuple[tuple[int, ...], Fraction], ...] | None = None
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------
@@ -286,7 +290,20 @@ class ConeRep:
             if last + tol < 0:
                 return False
             return (last + tol) ** 2 >= sum((h * h for h in head), ZERO)
-        return all(dot(f, x) >= -tol for f in self.facets)
+        if self._rows is None:
+            self._rows = tuple(map(integer_row, self.facets))
+        if not all(hasattr(v, "denominator") for v in x):
+            x = vec(x)
+        xs, xscale = integer_row(x)
+        free = tol >= 0  # then s >= 0 passes without its scale
+        for row, scale in self._rows:
+            # <f, x> = scale * xscale * s, and both scales are positive
+            s = sum(map(mul, row, xs))
+            if s >= 0 and free:
+                continue
+            if not (tol and scale * xscale * s >= -tol):
+                return False
+        return True
 
     def strictly_positive(self, functional: Vec) -> bool:
         """Whether <functional, g> > 0 on every nonzero cone element."""

@@ -2,17 +2,19 @@
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples. Sizes
 here are desk scale (dim <= 16, a few dozen rows), so clarity and
-exactness beat asymptotics. The two hot loops do not run through here:
-the double description step over hundreds of rays keeps its rays as
-integer tuples (cones.enumerate_rays), and the simplex keeps each
-tableau row as integers over one denominator (lp.solve_lp).
+exactness beat asymptotics. The three hot loops do not run through
+here: the double description step over hundreds of rays keeps its rays
+as integer tuples (cones.enumerate_rays), the simplex keeps each tableau
+row as integers over one denominator (lp.solve_lp), and membership
+tests each facet as an integer row against the vector cleared to
+integers (cones.ConeRep.contains).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError
 from .scalars import exactify
@@ -144,23 +146,22 @@ def inverse(m: Mat) -> Mat | None:
     return tuple(row[n:] for row in reduced)
 
 
-def canonical_ray(v: Vec) -> Vec:
-    """Scale a nonzero vector to coprime integers, preserving direction.
+def integer_row(v: Vec) -> tuple[tuple[int, ...], Fraction]:
+    """Coprime integers r and a positive scale c with v = c * r; r is all
+    zero, and c one over the common denominator, when v is zero.
 
     Float-embedded data has power-of-two denominators, so the lcm stays
     small and this is cheap even for trig coordinates.
     """
-    denom_lcm = 1
-    for x in v:
-        d = x.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    ints = [int(x * denom_lcm) for x in v]
-    g = 0
-    for value in ints:
-        g = gcd(g, abs(value))
-    if g == 0:
-        return tuple(ZERO for _ in v)
-    return tuple(Fraction(value, g) for value in ints)
+    d = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (d // x.denominator) for x in v]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints), Fraction(g, d)
+
+
+def canonical_ray(v: Vec) -> Vec:
+    """Scale a nonzero vector to coprime integers, preserving direction."""
+    return tuple(map(Fraction, integer_row(v)[0]))
 
 
 def lex_key(v: Vec) -> tuple:

@@ -177,11 +177,13 @@ def direct_sum(a: StateSpace, b: StateSpace) -> StateSpace:
 
 
 def _canonical(space: StateSpace, what: str) -> tuple[str, int]:
-    """Family and size of a classical or polygon model's name."""
+    """Family and size of a classical or polygon model's name; a size
+    the model's maker rejects names no model."""
     name = space.name or ""
     try:
         family, size = _parse(name)
         if family in ("classical", "polygon"):
+            _MAKERS[family](size)
             return family, size
     except InvalidInputError:
         pass

@@ -210,6 +210,20 @@ def test_bipartite_json_writes_a_name_only_for_that_model():
         BipartiteState.from_json_dict({**body, "A": 3})
 
 
+def test_bipartite_json_writes_no_name_the_factor_is_not():
+    sq = make_squit()
+    for name in ("polygon:x", "polygon:5", "classical:4"):
+        named = StateSpace(sq.cone, sq.unit, name=name)
+        state = BipartiteState(max_tensor(named, named),
+                               entangled_state_coords(sq))
+        body = state.to_json_dict()
+        assert isinstance(body["A"], dict)
+        back = BipartiteState.from_json_dict(body)
+        assert set(back.composite.factor_a.cone.generators) == \
+            set(sq.cone.generators)
+        assert back.coords == state.coords
+
+
 def test_factor_payload_keeps_a_model_name_only_for_that_model(monkeypatch):
     for model in (make_squit(), make_polygon(5), make_classical(3),
                   make_ball(2)):

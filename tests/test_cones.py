@@ -14,7 +14,8 @@ from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, UnsupportedConeError)
 from gptkit.linalg import (canonical_ray, dot, inverse, lex_key, mat,
                            nullspace, rank, vec)
-from gptkit.models import make_polygon, make_squit
+from gptkit.models import make_classical, make_polygon, make_squit
+from gptkit.scalars import DEFAULT_TOLERANCE
 from gptkit.spaces import StateSpace
 
 F = Fraction
@@ -381,6 +382,115 @@ def test_contains_exact_boundary():
     assert cone.contains(vec((0, 0, 0)))
     assert not cone.contains(vec((1, 1, 1 - F(1, 10 ** 12))))
     assert cone.contains(vec((1, 1, 1 - F(1, 10 ** 12))), F(1, 10 ** 9))
+
+
+def reference_contains(cone, x, tol=F(0)):
+    """Reference polyhedral membership: a Fraction dot per facet."""
+    return all(dot(f, x) >= -tol for f in cone.facets)
+
+
+def oracle_cones(rng):
+    """Rational and float polygons, classical:n, tensors of mixed pairs,
+    and the dual view of each; every cone built fresh."""
+    def rational_polygon():
+        pts = {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(8)}
+        pts |= {(1, 0), (0, 1), (-1, -1)}
+        return ConeRep.from_generators(
+            [(F(a, 7), F(b, 5), 1) for a, b in sorted(pts)])
+
+    def pairs():
+        return ((make_squit(), make_classical(2)),
+                (make_polygon(3), make_classical(2)),
+                (make_polygon(5), make_squit()),
+                (StateSpace(rational_polygon(), vec((0, 0, 1))),
+                 make_classical(3)))
+
+    cones = [rational_polygon() for _ in range(3)]
+    cones += [make_squit().cone, HEXAGON.cone]
+    cones += [make_polygon(n).cone for n in (3, 5, 6, 7)]
+    cones += [make_classical(n).cone for n in (1, 2, 4)]
+    cones += [max_tensor(a, b).cone for a, b in pairs()]
+    cones += [min_tensor(a, b).cone for a, b in pairs()]
+    return cones + [c.dual() for c in cones]
+
+
+def oracle_points(cone, rng, count=6):
+    """Boundary points of the cone (count of its generators and of its
+    facets' faces), and points just inside and just outside them, offset
+    by 10^-12 and 2^-60."""
+    gens, facets = cone.generators, cone.facets
+    inner = tuple(map(sum, zip(*gens)))
+    boundary = rng.sample(gens, min(count, len(gens)))
+    for f in rng.sample(facets, min(count, len(facets))):
+        face = [g for g in gens if dot(f, g) == 0]
+        weights = [rng.randint(1, 3) for _ in face]
+        boundary.append(tuple(sum(w * g[i] for w, g in zip(weights, face))
+                              for i in range(cone.dim)))
+    points = list(boundary)
+    for p in boundary:
+        for eps in (F(1, 10 ** 12), F(1, 2 ** 60)):
+            way = rng.choice((inner, rng.choice(facets)))
+            points.append(tuple(a + eps * b for a, b in zip(p, way)))
+            points.append(tuple(a - eps * b for a, b in zip(p, way)))
+    return points
+
+
+def oracle_tolerances(dots, rng):
+    """Zero, the default slack, a random slack (a Fraction or a float)
+    and, when a facet's dot is negative, the exact violation with one
+    step to either side."""
+    tols = [F(0), DEFAULT_TOLERANCE,
+            rng.choice((F(rng.randint(1, 999), 10 ** 12),
+                        rng.random() * 1e-9))]
+    worst = min(dots)
+    if worst < 0:
+        step = F(1, 2 ** 80)
+        tols += [-worst, -worst - step, -worst + step]
+    return tols
+
+
+def test_contains_matches_reference_seeded():
+    rng = random.Random(13)
+    verdicts = {True: 0, False: 0}
+    mismatches = []
+    for cone in oracle_cones(rng):
+        for x in oracle_points(cone, rng):
+            # reference_contains, its facet dots made once for every tol
+            dots = [dot(f, x) for f in cone.facets]
+            for tol in oracle_tolerances(dots, rng):
+                got = cone.contains(x, tol)
+                verdicts[got] += 1
+                if got != all(d >= -tol for d in dots):
+                    mismatches.append((cone.dim, x, tol))
+    assert not mismatches
+    assert min(verdicts.values()) > 500
+
+
+def test_contains_tolerance_is_scaled_by_the_facet():
+    # facet (3/2, 0) is 3/2 times its integer row (1, 0); at x = (-1/5, 1)
+    # the row sum is -1 over the denominator 5, so <f, x> = -3/10
+    cone = ConeRep.from_facets(((F(3, 2), 0), (0, F(5, 7))))
+    step = F(1, 10 ** 30)
+    x = vec((F(-1, 5), 1))
+    for tol, verdict in ((F(3, 10), True), (F(3, 10) - step, False),
+                         (F(0), False), (F(1, 5), False)):
+        assert cone.contains(x, tol) is verdict
+        assert reference_contains(cone, x, tol) is verdict
+    # a negative tol asks for a margin, scaled the same way: <f, y> is
+    # 3/2 and 5/7 at y = (1, 1)
+    y = vec((1, 1))
+    for tol, verdict in ((-F(5, 7), True), (-F(5, 7) - step, False),
+                         (math.nan, False)):
+        assert cone.contains(y, tol) is verdict
+        assert reference_contains(cone, y, tol) is verdict
+
+
+def test_contains_exactifies_entries_without_a_denominator():
+    cone = make_polygon(5).cone
+    for x in ((0.25, -0.5, 1.0), (0.9, 0.0, 1.0), (1, 0, 1), ("1/3", 0, 1)):
+        assert cone.contains(x) == reference_contains(cone, vec(x))
+    with pytest.raises(DimensionMismatchError):
+        cone.contains((0.5, 1.0))
 
 
 def test_dual_swaps_lazily():

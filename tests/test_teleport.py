@@ -118,11 +118,13 @@ def test_shared_state_factors_must_be_the_models():
 
 def test_unparsable_model_size_is_unsupported():
     sq = make_squit()
-    named = StateSpace(sq.cone, sq.unit, name="polygon:x")
-    for call in (symmetry_group, entangled_state_coords,
-                 construct_deterministic_teleportation):
-        with pytest.raises(UnsupportedConeError):
-            call(named)
+    # a size that is no integer, or one the model's maker refuses
+    for name in ("polygon:x", "polygon:0", "polygon:2", "classical:0"):
+        named = StateSpace(sq.cone, sq.unit, name=name)
+        for call in (symmetry_group, entangled_state_coords,
+                     construct_deterministic_teleportation):
+            with pytest.raises(UnsupportedConeError):
+                call(named)
 
 
 def test_product_effect_gives_singular_mu():
