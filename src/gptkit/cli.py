@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .composites import (BipartiteState, conditional, marginal, max_tensor,
@@ -335,7 +336,9 @@ def _cmd_bitcommit(args) -> int:
 # -- parser wiring ----------------------------------------------------------
 
 
+@cache
 def _build_parser() -> _Parser:
+    """Built once per process: parsing leaves the parser unchanged."""
     parser = _Parser(prog="gpt-kit",
                      description="convex operational model toolkit")
     common = argparse.ArgumentParser(add_help=False)

@@ -23,7 +23,8 @@ from .errors import (
     UnitMismatchError,
     UnsupportedConeError,
 )
-from .linalg import Mat, Vec, dot, mat, matvec, transpose, vec, zeros
+from .linalg import (Mat, Vec, dot, integer_row, mat, matvec, transpose, vec,
+                     zeros)
 from .lp import feasible_point
 from .models import _is_model_name, _is_named_model, parse_model_name
 from .scalars import close, emit, merge_arithmetic, tolerance_for
@@ -107,6 +108,7 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
     either bound: every min generator lies in the candidate cone, and
     each candidate generator, read as a dim A x dim B matrix G, pulls
     every facet f of a into b's cone (G^t f, as <G, f (x) g> = <G^t f, g>).
+    The pulled-back vectors are tested once per direction (_directions).
     """
     _require_polyhedral(a, b)
     if candidate.dim != a.dim * b.dim:
@@ -115,16 +117,34 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
     if candidate.unit != unit:
         raise UnitMismatchError("candidate does not carry the product unit")
     eps = tolerance_for(tol, a, b, candidate)
-    return all(candidate.cone.contains(g, eps)
-               for g in min_tensor(a, b).cone.generators) and \
-        all(b.cone.contains(y, eps) for g in candidate.cone.generators
-            for y in _pullbacks(_as_matrix(g, a.dim, b.dim), a.cone.facets))
+    if not all(candidate.cone.contains(g, eps)
+               for g in min_tensor(a, b).cone.generators):
+        return False
+    pulled = (y for g in candidate.cone.generators
+              for y in _pullbacks(_as_matrix(g, a.dim, b.dim), a.cone.facets))
+    return all(b.cone.contains(y, eps) for y in _directions(pulled))
 
 
 def _pullbacks(coords: Mat, xs) -> list[Vec]:
     """coords^t x for each x, so <x (x) y, coords> = <coords^t x, y>."""
     t = transpose(coords)
     return [matvec(t, x) for x in xs]
+
+
+def _directions(vectors) -> tuple[Vec, ...]:
+    """One vector per direction, the one of largest scale; zeros dropped.
+
+    At any eps >= 0, testing these against a cone's facets gives the
+    verdict of testing all of them: a pairing whose integer sum is
+    s >= 0 passes at every scale (zero vectors pair to 0), and one with
+    s < 0 is hardest at the largest scale.
+    """
+    best = {}  # integer direction -> (scale, vector)
+    for v in vectors:
+        row, scale = integer_row(v)
+        if any(row) and (row not in best or scale > best[row][0]):
+            best[row] = scale, v
+    return tuple(v for _, v in best.values())
 
 
 def _as_matrix(flat: Vec, m: int, n: int) -> Mat:
@@ -316,14 +336,20 @@ def check_distributive_inclusion(a: StateSpace, b: StateSpace,
 
     Every generator x (x) H of the left composite must satisfy every
     facet F (x) f of the right one, and <x (x) H, F (x) f> =
-    <H^t (F^t x), f>: a's generators are pulled through each facet F of
-    min(a, b), then through each generator H of max(b, c), into c's
-    cone. Only the two inner pair composites are enumerated (each
-    within the dimension cap); no triple-space vector is built.
+    <F^t x, H f>, a pairing in b's space: u = F^t x for each facet F of
+    min(a, b) and generator x of a, w = H f for each generator H of
+    max(b, c) and facet f of c. Each side is cut to one vector per
+    direction (_directions), and each u is tested against the cone that
+    the w cut out. Only the two inner pair composites are enumerated
+    (each within the dimension cap); no triple-space vector is built.
     """
     eps = tolerance_for(tol, a, b, c)
     left, right = max_tensor(b, c), min_tensor(a, b)
     us = [u for f in right.cone.facets
           for u in _pullbacks(_as_matrix(f, a.dim, b.dim), a.cone.generators)]
-    return all(c.cone.contains(v, eps) for h in left.cone.generators
-               for v in _pullbacks(_as_matrix(h, b.dim, c.dim), us))
+    ws = [w for h in left.cone.generators  # H f, the pullback through H^t
+          for w in _pullbacks(transpose(_as_matrix(h, b.dim, c.dim)),
+                              c.cone.facets)]
+    # a facet list, read by contains only: {y : <w, y> >= 0 for every w}
+    cut = ConeRep(b.dim, POLYHEDRAL, b.arithmetic, None, _directions(ws))
+    return all(cut.contains(u, eps) for u in _directions(us))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gptkit.cli import main
+import gptkit
+from gptkit.cli import _build_parser, main
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -173,6 +178,30 @@ def test_bad_usage_exits_one():
     with pytest.raises(SystemExit) as info:
         main(["tensor", "--min", "squit"])  # missing the second model
     assert info.value.code == 1
+
+
+def test_one_parser_serves_every_call_after_a_usage_error(tmp_path):
+    """Exit codes and report bytes in one process, after a usage error and
+    an input error, equal those of a fresh process per argv."""
+    argvs = (
+        ("tensor", "--min", "squit", "classical:2"),
+        ("tensor", "--max", "squit", "squit", "--check-equals-min"),
+        ("clone", "check", "--model", "squit", "--states", "0,1,2"),
+        ("bitcommit", "run", "--model", "squit", "--n", "3", "--seed", "5"),
+    )
+    with pytest.raises(SystemExit):
+        main(["teleport", "construct"])  # parser.error: needs --model
+    assert main(["tensor", "--min", "squit", "squit", "--tol", "-1"]) == 1
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gptkit.__file__).resolve().parents[1]))
+    for k, argv in enumerate(argvs):
+        code, body = run(tmp_path, *argv, name=f"in{k}")
+        fresh = tmp_path / f"fresh{k}"
+        done = subprocess.run(
+            [sys.executable, "-m", "gptkit.cli", *argv, "--out", str(fresh)],
+            env=env, capture_output=True)
+        assert (code, body) == (done.returncode, fresh.read_bytes()), argv
+    assert _build_parser() is _build_parser()
 
 
 def test_reports_are_byte_identical(tmp_path):

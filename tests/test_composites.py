@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.composites import (BipartiteState, _pullbacks, _space_from_ref,
+from gptkit.composites import (BipartiteState, _as_matrix, _pullbacks,
+                               _space_from_ref,
                                check_distributive_inclusion, conditional,
                                effect_on_max, effect_on_min, f_hat,
                                is_composite, is_entangled, marginal,
                                max_tensor, min_tensor, omega_hat, product_vec,
                                remote_evaluate)
-from gptkit.cones import ConeRep
+from gptkit.cones import POLYHEDRAL, ConeRep
 from gptkit.errors import (DimensionMismatchError, InvalidInputError,
                            UnitMismatchError)
 from gptkit.linalg import dot, lex_key, mat, matvec, rank, transpose, vec
@@ -21,6 +22,7 @@ from gptkit.models import (entangled_state_coords, make_ball, make_classical,
                            make_polygon, make_squit)
 from gptkit.scalars import tolerance_for
 from gptkit.spaces import StateSpace
+from test_cones import HEXAGON
 
 F = Fraction
 EIGHTH = F(1, 8)
@@ -156,6 +158,11 @@ def test_distributive_inclusion():
     assert check_distributive_inclusion(c2, c2, c2)
     assert check_distributive_inclusion(make_classical(3), c2,
                                         make_classical(2))
+
+
+def test_distributive_inclusion_hexagon_and_pentagon_cubed():
+    for space in (HEXAGON, models.parse_model_name("polygon:5")):
+        assert check_distributive_inclusion(space, space, space)
 
 
 def test_bipartite_json_round_trip_named_models():
@@ -439,13 +446,102 @@ def test_composite_checks_match_product_loop_oracles():
     assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
 
 
+# -- pairwise references -----------------------------------------------------
+# The composite checks as they were before each pulled-back direction was
+# tested once: every pulled-back vector, every pair.
+
+
+def reference_is_composite(a, b, candidate, tol=None):
+    eps = tolerance_for(tol, a, b, candidate)
+    return all(candidate.cone.contains(g, eps)
+               for g in min_tensor(a, b).cone.generators) and \
+        all(b.cone.contains(y, eps) for g in candidate.cone.generators
+            for y in _pullbacks(_as_matrix(g, a.dim, b.dim), a.cone.facets))
+
+
+def reference_distributive(a, b, c, tol=None):
+    eps = tolerance_for(tol, a, b, c)
+    left, right = max_tensor(b, c), min_tensor(a, b)
+    us = [u for f in right.cone.facets
+          for u in _pullbacks(_as_matrix(f, a.dim, b.dim), a.cone.generators)]
+    return all(c.cone.contains(v, eps) for h in left.cone.generators
+               for v in _pullbacks(_as_matrix(h, b.dim, c.dim), us))
+
+
+def test_composite_checks_match_pairwise_references():
+    rng = random.Random(1414)
+    tols = (None, F(1, 50), F(1, 10**6), F(1, 3))
+    verdicts = {True: 0, False: 0}
+
+    def agree(got, want):
+        assert got == want
+        verdicts[got] += 1
+
+    floats = models.parse_model_name("polygon:3"), \
+        models.parse_model_name("polygon:5")
+    pairs = [(random_polygon(rng, rng.randint(3, 4)),
+              random_polygon(rng, rng.randint(3, 4))) for _ in range(12)]
+    for a, b in pairs + [floats]:
+        for cand in random_candidates(rng, a, b):
+            for tol in tols:
+                agree(is_composite(a, b, cand, tol),
+                      reference_is_composite(a, b, cand, tol))
+    triples = [tuple(random_polygon(rng, rng.randint(3, 4)) for _ in range(3))
+               for _ in range(4)]
+    for a, b, c in triples + [floats + floats[:1]]:
+        for tol in tols:
+            agree(check_distributive_inclusion(a, b, c, tol),
+                  reference_distributive(a, b, c, tol))
+    assert verdicts[False] >= 50, verdicts
+
+
+def _redundant(generators, facets, unit):
+    """A space built as given: parallel generators or facets, and facets
+    that may cut out more than the generators span."""
+    gens, fcts = (tuple(map(vec, vs)) for vs in (generators, facets))
+    return StateSpace(ConeRep(len(unit), POLYHEDRAL, "rational", gens, fcts),
+                      unit)
+
+
+@pytest.mark.parametrize("small_first", (True, False))
+def test_distributive_tests_each_direction_at_its_largest_scale(small_first):
+    """The inclusion holds on every consistent triple; it can fail only
+    when b's facets cut out more than its generators span (an enumeration
+    error or a float perturbation). Here the pairings are -1 and -3 on
+    parallel vectors: eps = 2 passes the smaller, not the larger."""
+    scales = (1, 3) if small_first else (3, 1)
+    b = _redundant(((1, 0), (0, 1)), ((2, 1), (1, 2)), (1, 1))
+    one = _redundant(((1,),), ((1,),), (1,))
+    a = _redundant([(k,) for k in scales], ((1,),), (1,))  # parallel u
+    c = _redundant(((1,),), [(k,) for k in scales], (1,))  # parallel w
+    for triple in ((a, b, one), (one, b, c)):
+        assert not check_distributive_inclusion(*triple, tol=2)
+        assert not reference_distributive(*triple, tol=2)
+        assert check_distributive_inclusion(*triple, tol=3)
+
+
+@pytest.mark.parametrize("small_first", (True, False))
+def test_is_composite_tests_each_direction_at_its_largest_scale(small_first):
+    """Two parallel candidate generators pull a's facet back to -1 and -3
+    on a facet of b: eps = 2 passes the smaller, not the larger."""
+    a = make_classical(1)
+    b = make_classical(2)
+    scales = (1, 3) if small_first else (3, 1)
+    gens = [(1, 0), (0, 1)] + [(-k, 2 * k) for k in scales]
+    candidate = StateSpace(ConeRep.from_generators(gens), b.unit)
+    assert not is_composite(a, b, candidate, 2)
+    assert not reference_is_composite(a, b, candidate, 2)
+    assert is_composite(a, b, candidate, 3)
+
+
 small_ints = st.integers(-5, 5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pullback_contraction_identity(data):
-    """<x (x) H, F (x) f> = <H^t (F^t x), f> in the triple space."""
+    """<x (x) H, F (x) f> = <H^t (F^t x), f> = <F^t x, H f> in the triple
+    space."""
     m, n, k = (data.draw(st.integers(1, 4)) for _ in range(3))
 
     def draw_mat(rows, cols):
@@ -456,5 +552,6 @@ def test_pullback_contraction_identity(data):
     f, = draw_mat(1, k)
     Fm, H = draw_mat(m, n), draw_mat(n, k)
     triple = dot(product_vec(x, _flat(H)), product_vec(_flat(Fm), f))
-    pulled, = _pullbacks(H, _pullbacks(Fm, [x]))
-    assert triple == dot(pulled, f)
+    u, = _pullbacks(Fm, [x])
+    pulled, = _pullbacks(H, [u])
+    assert triple == dot(pulled, f) == dot(u, matvec(H, f))
