@@ -37,7 +37,6 @@ from .linalg import (
     integer_row,
     inverse,
     lex_key,
-    mat,
     nullspace,
     rank,
     rref,
@@ -90,24 +89,24 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     if any(len(h) != dim for h in halfspaces):
         raise DimensionMismatchError("halfspace length differs from dim")
 
-    seen: set[tuple] = set()
+    position: dict[tuple, int] = {}  # lex_key of a kept normal -> index
     normals: list[Vec] = []
     for h in halfspaces:
         c = canonical_ray(h)
         key = lex_key(c)
-        if not any(x != 0 for x in c) or key in seen:
+        if not any(x != 0 for x in c) or key in position:
             continue
-        seen.add(key)
+        position[key] = len(normals)
         normals.append(c)
 
     base = independent_subset(tuple(normals))
     if len(base) < dim:
         raise DegenerateConeError(
             "halfspace normals do not span; the cone contains a line")
-    base_idx = [normals.index(b) for b in base]
+    base_idx = [position[lex_key(b)] for b in base]
     rest_idx = [i for i in range(len(normals)) if i not in base_idx]
 
-    inv = inverse(mat(base))
+    inv = inverse(base)
     assert inv is not None
     rays: list[tuple[int, ...]] = [integer_row(col)[0] for col in zip(*inv)]
     all_base = sum(1 << k for k in base_idx)

@@ -1,13 +1,15 @@
 """Exact dense linear algebra over Fraction vectors.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples. Sizes
-here are desk scale (dim <= 16, a few dozen rows), so clarity and
-exactness beat asymptotics. The three hot loops do not run through
-here: the double description step over hundreds of rays keeps its rays
-as integer tuples (cones.enumerate_rays), the simplex keeps each tableau
-row as integers over one denominator (lp.solve_lp), and membership
-tests each facet as an integer row against the vector cleared to
-integers (cones.ConeRep.contains).
+here are desk scale (dim <= 16, a few dozen rows). Elimination (rref,
+and through it rank, nullspace and inverse) runs on every cone's rank
+check and on the base of each double description, so it works on
+integers: each row is cleared to coprime integers (integer_row),
+eliminated fraction-free with one gcd division per row, and turned back
+into Fractions only in the result. The other hot loops keep integers of
+their own: double description its rays (cones.enumerate_rays), the
+simplex each tableau row over one denominator (lp.solve_lp), and
+membership each facet row (cones.ConeRep.contains).
 """
 
 from __future__ import annotations
@@ -88,29 +90,40 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in m]
+    """Reduced row echelon form and the pivot column indices.
+
+    Gauss-Jordan on coprime integer rows: scaling a row by a nonzero
+    constant leaves the RREF unchanged, so each row is cleared to
+    integers once, eliminated fraction-free (p * row - f * pivot row,
+    then divided by its gcd) and divided by its pivot only at the end.
+    """
+    rows = [list(integer_row(v)[0]) for v in m]
     if not rows:
         return (), ()
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row) or 1  # the row may cancel to zeros
+                rows[i] = [x // g for x in row]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    reduced = [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
+               for row, c in zip(rows, pivots)]
+    reduced += [zeros(ncols)] * (len(rows) - r)
+    return tuple(reduced), tuple(pivots)
 
 
 def rank(m: Mat) -> int:

@@ -12,11 +12,11 @@ from gptkit.cones import (DIMENSION_CAP, ConeRep, enumerate_rays,
                           independent_subset, partition_rays)
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, UnsupportedConeError)
-from gptkit.linalg import (canonical_ray, dot, inverse, lex_key, mat,
-                           nullspace, rank, vec)
+from gptkit.linalg import canonical_ray, dot, lex_key, nullspace, rank, vec
 from gptkit.models import make_classical, make_polygon, make_squit
 from gptkit.scalars import DEFAULT_TOLERANCE
 from gptkit.spaces import StateSpace
+from test_linalg import reference_independent_subset, reference_inverse
 
 F = Fraction
 
@@ -50,7 +50,9 @@ def brute_force_rays(halfspaces, dim):
 def reference_rays(halfspaces, dim):
     """Reference double description: Fraction rays, and an adjacency test
     that scans every ray for each (plus, minus) pair. Same output tuple
-    (order and scale) and same errors as enumerate_rays."""
+    (order and scale) and same errors as enumerate_rays. The base and its
+    inverse come from the Fraction Gauss-Jordan of test_linalg, not from
+    the library's elimination."""
     if dim > DIMENSION_CAP:
         raise DimensionCapError(
             f"ray enumeration in dimension {dim} exceeds cap {DIMENSION_CAP}")
@@ -65,13 +67,13 @@ def reference_rays(halfspaces, dim):
             continue
         seen.add(key)
         normals.append(c)
-    base = independent_subset(tuple(normals))
+    base = reference_independent_subset(tuple(normals))
     if len(base) < dim:
         raise DegenerateConeError(
             "halfspace normals do not span; the cone contains a line")
     base_idx = [normals.index(b) for b in base]
     rest_idx = [i for i in range(len(normals)) if i not in base_idx]
-    rays = [canonical_ray(col) for col in zip(*inverse(mat(base)))]
+    rays = [canonical_ray(col) for col in zip(*reference_inverse(base))]
     all_base = sum(1 << k for k in base_idx)
     masks = [all_base & ~(1 << k) for k in base_idx]
     for hi in rest_idx:

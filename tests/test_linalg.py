@@ -1,15 +1,88 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptkit.cones import independent_subset
 from gptkit.errors import DimensionMismatchError
-from gptkit.linalg import (canonical_ray, combination, dot, identity, inverse,
-                           lex_key, mat, matmul, matvec, nullspace, rank,
-                           rref, transpose, vec, zeros)
+from gptkit.linalg import (ONE, ZERO, canonical_ray, combination, dot,
+                           identity, inverse, lex_key, mat, matmul, matvec,
+                           nullspace, rank, rref, transpose, unit_vec, vec,
+                           zeros)
+from gptkit.models import make_polygon
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def reference_rref(m):
+    """Reference Gauss-Jordan on Fraction rows: each pivot row is divided
+    by its pivot at once and subtracted from every other row."""
+    rows = [list(r) for r in m]
+    if not rows:
+        return (), ()
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_nullspace(m):
+    if not m:
+        return ()
+    ncols = len(m[0])
+    reduced, pivots = reference_rref(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reference_inverse(m):
+    n = len(m)
+    reduced, pivots = reference_rref(
+        tuple(row + unit_vec(n, i) for i, row in enumerate(m)))
+    if len(pivots) != n or any(p >= n for p in pivots):
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+def reference_independent_subset(vectors):
+    return tuple(vectors[j] for j in reference_rref(tuple(zip(*vectors)))[1])
+
+
+def assert_rref(reduced, pivots):
+    """Pivot entries 1, zeros elsewhere in pivot columns and left of each
+    pivot, pivots increasing, zero rows last."""
+    assert list(pivots) == sorted(set(pivots))
+    for r, row in enumerate(reduced):
+        if r >= len(pivots):
+            assert not any(row)
+            continue
+        c = pivots[r]
+        assert row[c] == 1 and not any(row[:c])
+        assert all(other[c] == 0
+                   for i, other in enumerate(reduced) if i != r)
 
 
 def square(n):
@@ -89,3 +162,103 @@ def test_combination_matches_loop(pairs):
     with pytest.raises(ValueError):
         combination(weights + [Fraction(1)],
                     vectors + [vectors[0] + (Fraction(1),)])
+
+
+def seeded_matrices(rng, count):
+    """Small ints, small Fractions and float-embedded polygon coordinates
+    (dyadic, ~50-bit); rows that combine others and all-zero rows; wide,
+    tall, 1x1 and empty shapes."""
+    coords = sorted({x for n in (5, 7) for g in make_polygon(n).cone.generators
+                     for x in g})
+    entries = (lambda: Fraction(rng.randint(-3, 3)),
+               lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 7)),
+               lambda: rng.choice(coords) if rng.random() < 0.8 else ZERO)
+    for trial in range(count):
+        shape = trial % 5
+        if shape == 0:  # wide
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(nrows + 1, 9)
+        elif shape == 1:  # tall
+            ncols = rng.randint(1, 4)
+            nrows = rng.randint(ncols + 1, 9)
+        elif shape == 2:  # square, 1x1 among them
+            nrows = ncols = rng.randint(1, 5)
+        else:  # anything, empty shapes included
+            nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+        entry = entries[trial % 3]
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and trial % 4 == 0:
+            a, b, c = rng.sample(range(nrows), 3)
+            s, t = Fraction(rng.randint(-3, 3)), entries[1]()
+            rows[a] = [s * x + t * y for x, y in zip(rows[b], rows[c])]
+        if nrows and trial % 6 == 0:
+            rows[rng.randrange(nrows)] = [ZERO] * ncols
+        yield tuple(tuple(r) for r in rows)
+
+
+def test_rref_matches_reference_seeded():
+    # Exact tuple equality (order, values, entry types) of rref and of
+    # everything built on it, against the Fraction Gauss-Jordan.
+    rng = random.Random(15)
+    shapes = set()
+    for m in seeded_matrices(rng, 2400):
+        want = reference_rref(m)
+        got = rref(m)
+        assert got == want and repr(got) == repr(want), m
+        assert rank(m) == len(want[1])
+        assert repr(nullspace(m)) == repr(reference_nullspace(m)), m
+        if m and len(m) == len(m[0]):
+            assert repr(inverse(m)) == repr(reference_inverse(m)), m
+        if m and m[0]:
+            columns = tuple(zip(*m))
+            assert (independent_subset(columns)
+                    == reference_independent_subset(columns)), m
+        shapes.add((min(len(m), 2), min(len(m[0]), 2) if m else None))
+    assert shapes >= {(0, None), (1, 0), (1, 1), (2, 2)}
+
+
+def test_rref_row_cancels_to_zeros():
+    # Row 2 is 2 * row 0 + row 1: it is all zero after the second pivot,
+    # where the integer elimination must not divide by gcd 0.
+    m = mat(((1, 2, 3), (0, 1, 1), (2, 5, 7)))
+    assert rref(m) == reference_rref(m)
+    assert rref(m) == (((1, 0, 1), (0, 1, 1), (0, 0, 0)), (0, 1))
+    assert nullspace(m) == ((-1, -1, 1),)
+
+
+def test_rref_negative_pivot():
+    m = mat(((-3, 6, 1), (1, -1, 0)))
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == reference_rref(m)
+    assert pivots == (0, 1)
+    assert reduced == ((1, 0, Fraction(1, 3)), (0, 1, Fraction(1, 3)))
+    assert inverse(mat(((-2, 0), (0, -4)))) == ((Fraction(-1, 2), 0),
+                                                (0, Fraction(-1, 4)))
+
+
+def test_rref_skips_column_without_pivot():
+    # Column 1 has no pivot between pivot columns 0 and 2.
+    m = mat(((2, 4, 1), (4, 8, 3)))
+    assert rref(m) == reference_rref(m)
+    assert rref(m) == (((1, 2, 0), (0, 0, 1)), (0, 2))
+    assert nullspace(m) == ((-2, 1, 0),)
+
+
+def test_inverse_of_square_singular_is_none():
+    m = mat(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+    assert inverse(m) is None and reference_inverse(m) is None
+    assert rank(m) == 2
+    assert inverse(mat(((0,),))) is None
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.lists(
+    st.lists(fractions, min_size=n, max_size=n), min_size=1, max_size=5)),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9)
+             .filter(bool), min_size=5, max_size=5))
+def test_rref_invariant_under_row_scaling(rows, scales):
+    m = mat(rows)
+    scaled = tuple(tuple(s * x for x in row) for s, row in zip(scales, m))
+    reduced, pivots = rref(m)
+    assert rref(scaled) == (reduced, pivots)
+    assert_rref(reduced, pivots)
