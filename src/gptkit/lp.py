@@ -7,10 +7,10 @@ row's positive denominator: [a_0, ..., a_k, rhs, d] stands for
 [a_0, ..., rhs] / d. A pivot multiplies rows by integers and divides each
 by the gcd of its entries, so no Fraction is made inside the walk; signs
 and the ratio test read integers (the row denominators cancel), and the
-result is turned back into Fractions once. Infeasibility is a
-result, not an exception, and carries the phase-1 residual so float-mode
-callers can accept near-feasible systems (residual <= eps) while
-rational-mode callers demand exactly zero.
+result is turned back into Fractions once. Infeasibility is a result,
+not an exception: it carries phase 1's point, whose L1 equation error is
+the residual, so float-mode callers can accept near-feasible systems
+(residual <= eps) while rational-mode callers demand exactly zero.
 
 Every LP of the package is stated by its columns, one per variable.
 feasible_point is the one cone-membership test: is the target a
@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, SolverError
-from .linalg import ONE, Mat, Vec, ZERO, transpose, unit_vec
+from .linalg import Mat, Vec, ZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -144,7 +144,8 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     if status != OPTIMAL:  # phase 1 is always bounded below by zero
         raise SolverError("phase 1 reported unbounded")
     if obj[-2] < 0:
-        return LPResult(INFEASIBLE, None, None, Fraction(-obj[-2], obj[-1]))
+        return LPResult(INFEASIBLE, _point(rows, basis, n), None,
+                        Fraction(-obj[-2], obj[-1]))
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     keep: list[int] = []
@@ -167,46 +168,35 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, ZERO)
 
-    x = [ZERO] * n
-    for row, b in zip(rows, basis):
-        x[b] = Fraction(row[-2], row[-1])
     value = Fraction(-obj[-2], obj[-1])
     if maximize:
         value = -value
-    return LPResult(OPTIMAL, tuple(x), value, ZERO)
+    return LPResult(OPTIMAL, _point(rows, basis, n), value, ZERO)
+
+
+def _point(rows: list[list[int]], basis: list[int], n: int) -> Vec:
+    """The basic solution: a basic real column reads its row's rhs."""
+    x = [ZERO] * n
+    for row, b in zip(rows, basis):
+        if b < n:
+            x[b] = Fraction(row[-2], row[-1])
+    return tuple(x)
 
 
 def feasible_point(columns: Sequence[Vec], target: Vec,
                    tol: Fraction = ZERO) -> tuple[Vec | None, Fraction]:
     """Weights x >= 0 with sum_j x[j] * columns[j] = target.
 
-    Phase 1 decides. A system inconsistent by a residual within tol gets
-    the point of least L1 equation error instead, so float-mode callers
-    can accept near-members. Returns (x, residual); x is None when the
-    residual exceeds tol. No columns span only the zero vector.
+    Phase 1 decides, and its point is the answer; inside tol it misses
+    the target by the residual in L1, so float-mode callers can accept
+    near-members. Returns (x, residual); x is None when the residual
+    exceeds tol. No columns span only the zero vector.
     """
     if any(len(c) != len(target) for c in columns):
         raise DimensionMismatchError(
             f"a column's length differs from the target's {len(target)}")
     rows = tuple(tuple(c[i] for c in columns) for i in range(len(target)))
     result = solve_lp((ZERO,) * len(columns), rows, target)
-    if result.status == INFEASIBLE:
-        if result.residual <= tol:
-            return _relaxed_point(columns, target), result.residual
+    if result.residual > tol:
         return None, result.residual
-    return result.x, ZERO
-
-
-def _relaxed_point(columns: Sequence[Vec], target: Vec) -> Vec:
-    """Minimize the L1 equation error directly; used only inside tol.
-
-    Each equation i gets an error column e_i and one -e_i, at unit cost.
-    """
-    m = len(target)
-    errors = [tuple(sign * x for x in unit_vec(m, i))
-              for i in range(m) for sign in (ONE, -ONE)]
-    cost = (ZERO,) * len(columns) + (ONE,) * (2 * m)
-    result = solve_lp(cost, transpose([*columns, *errors]), target)
-    if not result.ok or result.x is None:
-        raise SolverError("relaxed feasibility LP failed")
-    return result.x[:len(columns)]
+    return result.x, result.residual

@@ -96,11 +96,9 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
         return _fail(a_space, mu, constant, witness)
 
     J = tuple(tuple(x / constant for x in row) for row in mu)
-    iso = LinearMapRep(a_space, a_space, J)
-    if not is_order_isomorphism(iso, tol):
-        return _fail(a_space, mu, constant, witness)
-    correction = iso.inverse_map()  # positive: J is an order isomorphism
-    if not is_norm_contractive(correction, tol):
+    # J's inverse, positive: J is an order isomorphism
+    correction = is_order_isomorphism(LinearMapRep(a_space, a_space, J), tol)
+    if correction is None or not is_norm_contractive(correction, tol):
         return _fail(a_space, mu, constant, witness)
     return TeleportationCertificate(
         mu=LinearMapRep(a_space, a_space, mu), constant=constant,

@@ -7,7 +7,8 @@ value leaves the library. Tolerances therefore matter in exactly one
 place: predicates over float-mode spaces, which compare against EPS
 instead of zero. tolerance_for picks that slack and close applies it to
 every two-sided comparison. Values cross the boundary here: exactify
-reads every input scalar and emit writes every output one.
+reads every input scalar and emit writes every output one;
+emits_exactly says whether emit's output reads back as the same value.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatchError, InvalidInputError
-
-Scalar = Fraction
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -82,3 +81,13 @@ def emit(value, mode: str) -> int | str | float | list:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
     return float(value)
+
+
+def emits_exactly(value, mode: str) -> bool:
+    """Whether emit(value, mode) reads back as value: always in rational
+    mode, and in float mode when every entry is exactly a float."""
+    if mode == RATIONAL:
+        return True
+    if isinstance(value, (tuple, list)):
+        return all(emits_exactly(x, mode) for x in value)
+    return Fraction(float(value)) == value

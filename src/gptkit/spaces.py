@@ -39,7 +39,7 @@ from .linalg import (
     zeros,
 )
 from .lp import feasible_point, solve_lp
-from .scalars import RATIONAL, close, emit, tolerance_for
+from .scalars import RATIONAL, close, emit, emits_exactly, tolerance_for
 
 
 class StateSpace:
@@ -112,9 +112,14 @@ class StateSpace:
         if self.name:
             body["name"] = self.name
         if self.kind == POLYHEDRAL:
-            body["generators"] = emit(self.cone.generators, self.arithmetic)
-            if self.cone.has_facets():
-                body["facets"] = emit(self.cone.facets, self.arithmetic)
+            # a side is written when it reads back exactly (computed float
+            # sides are scaled), and generators whenever facets are not
+            cone, mode = self.cone, self.arithmetic
+            exact = cone.has_facets() and emits_exactly(cone.facets, mode)
+            if not exact or emits_exactly(cone.generators, mode):
+                body["generators"] = emit(cone.generators, mode)
+            if exact:
+                body["facets"] = emit(cone.facets, mode)
         return body
 
     @classmethod
@@ -185,12 +190,6 @@ class LinearMapRep:
         if len(self.matrix) != self.codomain.dim or any(
                 len(row) != self.domain.dim for row in self.matrix):
             raise DimensionMismatchError("map matrix shape mismatch")
-
-    def inverse_map(self) -> LinearMapRep | None:
-        inv = inverse(self.matrix)
-        if inv is None:
-            return None
-        return LinearMapRep(self.codomain, self.domain, inv)
 
 
 # -- cone-level operations ------------------------------------------------
@@ -310,13 +309,13 @@ def order_isomorphic(matrix: Mat, dom: ConeRep, cod: ConeRep,
     return None
 
 
-def is_order_isomorphism(T: LinearMapRep, tol=None) -> bool:
-    """Invertible, positive, with positive inverse."""
+def is_order_isomorphism(T: LinearMapRep, tol=None) -> LinearMapRep | None:
+    """T's inverse map (codomain -> domain) if T is an order isomorphism."""
     if T.domain.dim != T.codomain.dim:
-        return False
+        return None
     eps = tolerance_for(tol, T.domain, T.codomain)
-    return order_isomorphic(T.matrix, T.domain.cone, T.codomain.cone,
-                            eps) is not None
+    inv = order_isomorphic(T.matrix, T.domain.cone, T.codomain.cone, eps)
+    return None if inv is None else LinearMapRep(T.codomain, T.domain, inv)
 
 
 def verify_self_duality_witness(space: StateSpace, T, tol=None) -> bool:

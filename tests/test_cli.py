@@ -232,3 +232,18 @@ def test_marginal_and_conditional(tmp_path):
                      "--effect", '["1/4", "1/4", "1/2"]', "--side", "a")
     assert code == 0
     assert json.loads(body)["result"] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("model", ["polygon:3", "polygon:5", "squit"])
+def test_report_model_block_loads_back(tmp_path, model):
+    # A report's model block, put in as a factor of its own shared state,
+    # is read back; float models leave out their computed facets.
+    _, body = run(tmp_path, "teleport", "construct", "--model", model)
+    report = json.loads(body)
+    assert ("facets" in report["model"]) == (model == "squit")
+    omega = tmp_path / "omega.json"
+    omega.write_text(json.dumps({**report["omega"], "A": report["model"]}))
+    code, body = run(tmp_path, "marginal", "--state", str(omega),
+                     "--side", "a", name="marginal.json")
+    assert code == 0
+    assert json.loads(body)["model"] == report["model"]

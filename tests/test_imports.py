@@ -1,9 +1,14 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
+from types import ModuleType
 
 import gptkit
+from gptkit.cones import ConeRep
 
 PACKAGE = Path(gptkit.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -110,3 +115,31 @@ def test_no_difference_magnitudes():
              for path in sorted(PACKAGE.rglob("*.py"))
              if path.name != "scalars.py"}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def load_tracing() -> ModuleType:
+    """bench/tracing.py run in a module of its own: kept out of
+    sys.modules, and no bytecode is written beside it."""
+    module = ModuleType("tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), vars(module))
+    return module
+
+
+def test_traced_functions_exist():
+    # The benchmark's tracer wraps these by name; renaming or deleting
+    # one would silently drop its per-layer metrics.
+    tracing = load_tracing()
+    missing = []
+    for module_name, attr, _ in tracing.FUNCTIONS:
+        owner = importlib.import_module(module_name)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        target = vars(owner).get(name) if owner is not None else None
+        if not inspect.isfunction(target):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
+    # the lazy-side counters read these slots behind the properties
+    for side in ("generators", "facets"):
+        assert f"_{side}" in ConeRep.__slots__
+        assert isinstance(vars(ConeRep)[side], property)

@@ -59,7 +59,8 @@ def _iterate(rows, obj, basis, ncols):
 
 def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False):
     """Reference two-phase simplex over Fractions: a dense tableau, Bland's
-    rule in both phases. Same pivots and same LPResult as solve_lp."""
+    rule in both phases. Same pivots and same LPResult as solve_lp; an
+    infeasible result carries phase 1's basic point."""
     n = len(objective)
     m = len(eq_matrix)
     cost = [(-c if maximize else c) for c in objective]
@@ -83,7 +84,8 @@ def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False):
         raise SolverError("phase 1 reported unbounded")
     residual = -obj[-1]
     if residual > 0:
-        return LPResult(INFEASIBLE, None, None, residual)
+        return LPResult(INFEASIBLE, _basic_point(rows, basis, n), None,
+                        residual)
     keep = []
     for i in range(len(rows)):
         if basis[i] >= n:
@@ -101,13 +103,20 @@ def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False):
             obj = [x - f * y for x, y in zip(obj, rows[i])]
     if _iterate(rows, obj, basis, n) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, ZERO)
-    x = [ZERO] * n
-    for i, b in enumerate(basis):
-        x[b] = rows[i][-1]
+    x = _basic_point(rows, basis, n)
     value = sum((c * v for c, v in zip(cost, x)), ZERO)
     if maximize:
         value = -value
-    return LPResult(OPTIMAL, tuple(x), value, ZERO)
+    return LPResult(OPTIMAL, x, value, ZERO)
+
+
+def _basic_point(rows, basis, n):
+    """The tableau's basic solution over the first n (real) columns."""
+    x = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = rows[i][-1]
+    return tuple(x)
 
 
 def random_lp(seed):
@@ -198,14 +207,22 @@ def test_feasible_point_gating():
     assert residual >= 1
 
 
+def l1_error(columns, x, target):
+    """sum_i |sum_j x[j] * columns[j][i] - target[i]|, exactly."""
+    image = matvec(transpose(columns), x)
+    return sum((abs(a - b) for a, b in zip(image, target, strict=True)), ZERO)
+
+
 def test_feasible_point_relaxed_under_eps():
-    # inconsistent by 1e-12; a loose tolerance accepts the relaxed point
+    # inconsistent by 1e-12; a loose tolerance accepts phase 1's point,
+    # whose equation error is the reported residual
     gap = F(1, 10 ** 12)
     columns = mat(((1, 1), (0, 0)))
     target = vec((1, 1 + gap))
     x, residual = feasible_point(columns, target, F(1, 10 ** 9))
-    assert x is not None
-    assert residual <= F(1, 10 ** 9)
+    assert x is not None and all(v >= 0 for v in x)
+    assert 0 < residual <= F(1, 10 ** 9)
+    assert l1_error(columns, x, target) == residual
     x, residual = feasible_point(columns, target, F(0))
     assert x is None
 
@@ -281,6 +298,9 @@ def test_integer_simplex_matches_reference(monkeypatch):
         got = solve_lp(objective, rows, rhs, maximize=maximize)
         assert (got.status, got.x, got.objective, got.residual) == (
             want.status, want.x, want.objective, want.residual), seed
+        if got.status == INFEASIBLE:
+            assert all(v >= 0 for v in got.x), seed
+            assert l1_error(transpose(rows), got.x, rhs) == got.residual, seed
         assert (pivots["reference"] - before[0]
                 == pivots["lp"] - before[1]), seed
         seen[want.status] += 1

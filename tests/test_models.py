@@ -171,8 +171,10 @@ def test_hat_map_sends_facets_to_vertices():
 
 
 def test_model_json_round_trip():
-    for space in (make_squit(), make_classical(2), make_polygon(5),
-                  make_ball(3)):
+    for space in (make_squit(), make_classical(2), make_polygon(3),
+                  make_polygon(5), make_polygon(6), make_ball(3)):
+        if space.kind == "polyhedral":
+            space.cone.facets  # noqa: B018 - computed float facets are scaled
         body = space.to_json_dict()
         back = StateSpace.from_json_dict(body)
         assert back.dim == space.dim
@@ -181,3 +183,19 @@ def test_model_json_round_trip():
         if space.kind == "polyhedral":
             assert {lex_key(g) for g in back.cone.generators} == {
                 lex_key(g) for g in space.cone.generators}
+            assert ("facets" in body) == (space.arithmetic == "rational")
+
+
+def test_float_facets_only_payload_round_trip():
+    # Given float facets read back exactly; the computed generators,
+    # scaled to magnitude 1, do not, so they are not written.
+    body = {"dim": 3, "kind": "polyhedral", "arithmetic": "float",
+            "unit": [0, 0, 1],
+            "facets": [[-0.5, 0.25, 1], [0.75, 0.5, 1], [0.125, -1.0, 1]]}
+    space = StateSpace.from_json_dict(body)
+    space.cone.generators  # noqa: B018
+    again = space.to_json_dict()
+    assert "generators" not in again and again["facets"] == body["facets"]
+    back = StateSpace.from_json_dict(again)
+    assert back.cone.facets == space.cone.facets
+    assert back.cone.generators == space.cone.generators

@@ -10,7 +10,7 @@ from gptkit.cones import ConeRep
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, InvalidInputError,
                            UnsupportedConeError)
-from gptkit.linalg import identity, lex_key, mat, vec
+from gptkit.linalg import identity, inverse, lex_key, mat, vec
 from gptkit.models import (direct_sum, make_ball, make_classical,
                            make_polygon, make_squit)
 from gptkit.scalars import tolerance_for
@@ -219,27 +219,48 @@ def test_self_duality_witness():
     assert not verify_self_duality_witness(sq, identity(3))
 
 
+def assert_inverse_returned(T):
+    """is_order_isomorphism hands back T's inverse, codomain to domain."""
+    back = is_order_isomorphism(T)
+    assert back.domain is T.codomain and back.codomain is T.domain
+    assert back.matrix == inverse(T.matrix)
+
+
 def test_positive_maps_polyhedral():
     sq = make_squit()
     assert is_positive_map(rotation90(sq))
-    assert is_order_isomorphism(rotation90(sq))
+    assert_inverse_returned(rotation90(sq))
     assert is_norm_contractive(rotation90(sq))
     shear = LinearMapRep(sq, sq, mat(((1, 1, 0), (0, 1, 0), (0, 0, 1))))
     assert not is_positive_map(shear)
+    assert is_order_isomorphism(shear) is None
     double = LinearMapRep(sq, sq, mat(((2, 0, 0), (0, 2, 0), (0, 0, 2))))
     assert is_positive_map(double)
     assert not is_norm_contractive(double)
+    assert_inverse_returned(double)
+    # no map between spaces of unequal dimension is an order isomorphism
+    marginal = LinearMapRep(sq, make_classical(2),
+                            mat(((0, 0, HALF), (0, 0, HALF))))
+    assert is_positive_map(marginal)
+    assert is_order_isomorphism(marginal) is None
 
 
 def test_positive_maps_lorentz():
     ball = make_ball(2)
     rot = LinearMapRep(ball, ball, mat(((0, -1, 0), (1, 0, 0), (0, 0, 1))))
     assert is_positive_map(rot)
-    assert is_order_isomorphism(rot)
+    assert_inverse_returned(rot)
     squash = LinearMapRep(ball, ball, mat(((HALF, 0, 0), (0, HALF, 0),
                                            (0, 0, 1))))
     assert is_positive_map(squash)
-    assert not is_order_isomorphism(squash)  # inverse stretches out of cone
+    # inverse stretches out of cone
+    assert is_order_isomorphism(squash) is None
+    # the segment's two extreme rays onto the light cone's two
+    light = make_ball(1)
+    onto = LinearMapRep(make_classical(2), light, mat(((1, -1), (1, 1))))
+    assert_inverse_returned(onto)
+    assert is_order_isomorphism(LinearMapRep(light, ball, mat(
+        ((1, 0), (0, 0), (0, 1))))) is None
     stretch = LinearMapRep(ball, ball, mat(((2, 0, 0), (0, 1, 0), (0, 0, 1))))
     assert not is_positive_map(stretch)
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import gptkit.spaces
+
 from gptkit.composites import (BipartiteState, max_tensor, min_tensor,
                                remote_evaluate)
 from gptkit.errors import (DimensionMismatchError, InvalidInputError,
@@ -37,6 +39,23 @@ def test_construct_rejects_a_bad_group_element(element, message):
     with pytest.raises(InvalidInputError, match=message):
         construct_deterministic_teleportation(make_squit(),
                                               (identity(3), element))
+
+
+def test_verify_inverts_j_once(monkeypatch):
+    # The order-isomorphism test inverts J and hands the inverse back as
+    # the correction; nothing inverts J a second time.
+    sq = make_squit()
+    scheme = construct_deterministic_teleportation(sq)
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return inverse(matrix)
+    monkeypatch.setattr(gptkit.spaces, "inverse", counted)
+    cert = verify_teleportation(sq, sq, scheme.effects[1], scheme.omega)
+    assert cert.verdict and cert.correction.matrix == scheme.certificates[
+        1].correction.matrix
+    assert len(calls) == 1
 
 
 def test_construct_rejects_a_group_without_identity():
