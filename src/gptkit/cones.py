@@ -284,15 +284,15 @@ class ConeRep:
     def contains(self, x: Vec, tol: Fraction = ZERO) -> bool:
         if len(x) != self.dim:
             raise DimensionMismatchError("vector length differs from cone dim")
+        if not all(hasattr(v, "denominator") for v in x):
+            x = vec(x)
         if self.kind == LORENTZ:
             head, last = x[:-1], x[-1]
             if last + tol < 0:
                 return False
-            return (last + tol) ** 2 >= sum((h * h for h in head), ZERO)
+            return (last + tol) ** 2 >= dot(head, head)
         if self._rows is None:
             self._rows = tuple(map(integer_row, self.facets))
-        if not all(hasattr(v, "denominator") for v in x):
-            x = vec(x)
         xs, xscale = integer_row(x)
         free = tol >= 0  # then s >= 0 passes without its scale
         for row, scale in self._rows:
@@ -309,7 +309,7 @@ class ConeRep:
         if self.kind == LORENTZ:
             # Strictly positive iff interior to the (self-dual) cone.
             head, last = functional[:-1], functional[-1]
-            return last > 0 and last ** 2 > sum((h * h for h in head), ZERO)
+            return last > 0 and last ** 2 > dot(head, head)
         return all(dot(functional, g) > 0 for g in self.generators)
 
     def dual(self) -> ConeRep:

@@ -6,10 +6,13 @@ and through it rank, nullspace and inverse) runs on every cone's rank
 check and on the base of each double description, so it works on
 integers: each row is cleared to coprime integers (integer_row),
 eliminated fraction-free with one gcd division per row, and turned back
-into Fractions only in the result. The other hot loops keep integers of
-their own: double description its rays (cones.enumerate_rays), the
-simplex each tableau row over one denominator (lp.solve_lp), and
-membership each facet row (cones.ConeRep.contains).
+into Fractions only in the result. Every exact pairing (dot, and so
+matvec and matmul, and each coordinate of combination) adds numerator
+products over one running denominator and makes one Fraction per
+result. The other hot loops keep integers of their own: double
+description its rays (cones.enumerate_rays), the simplex each tableau
+row over one denominator (lp.solve_lp), and membership each facet row
+(cones.ConeRep.contains).
 """
 
 from __future__ import annotations
@@ -43,10 +46,27 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
+def _pair(a, b) -> Fraction:
+    """sum_i a[i] * b[i] of rationals, as integers: numerator products are
+    added over one running denominator (rescaled through one gcd when a
+    term's denominator differs from it), and one Fraction is made at the
+    end, canonical like the Fraction sum."""
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        d = x.denominator * y.denominator
+        if d == den:
+            num += x.numerator * y.numerator
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + x.numerator * y.numerator * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
+
+
 def dot(a: Vec, b: Vec) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatchError(f"dot of lengths {len(a)} and {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    return _pair(a, b)
 
 
 def combination(weights: Sequence[Fraction], vectors: Sequence[Vec]) -> Vec:
@@ -54,7 +74,7 @@ def combination(weights: Sequence[Fraction], vectors: Sequence[Vec]) -> Vec:
     if len(weights) != len(vectors):
         raise DimensionMismatchError(
             f"{len(weights)} weights for {len(vectors)} vectors")
-    return tuple(sum((w * x for w, x in zip(weights, column)), ZERO)
+    return tuple(_pair(weights, column)
                  for column in zip(*vectors, strict=True))
 
 

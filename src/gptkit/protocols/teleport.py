@@ -17,7 +17,7 @@ from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
                           min_tensor, omega_hat)
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
-from ..linalg import (Mat, identity, inverse, mat, matmul, matvec,
+from ..linalg import (Mat, dot, identity, inverse, mat, matmul, matvec,
                       proportion, rank, transpose, unit_vec, vec)
 from ..lp import feasible_point
 from ..models import _same_space, entangled_state_coords, symmetry_group
@@ -174,8 +174,7 @@ def construct_deterministic_teleportation(
                                     "group-equivariant")
 
     # normalize so the shared state has unit total probability
-    total = sum(u[i] * sum(oh[j][i] * u[j] for j in range(d))
-                for i in range(d))
+    total = dot(u, matvec(oh, u))
     if total <= eps:
         raise InvalidInputError("isomorphism state map has nonpositive "
                                 "normalization")

@@ -222,7 +222,7 @@ def base_norm(space: StateSpace, v) -> Fraction | float:
     if len(x) != space.dim:
         raise DimensionMismatchError("vector length differs from dim")
     if space.kind == LORENTZ:
-        head2 = sum((h * h for h in x[:-1]), ZERO)
+        head2 = dot(x[:-1], x[:-1])
         last = x[-1]
         if last * last >= head2:
             return abs(last)

@@ -606,6 +606,10 @@ def test_lorentz_has_no_lists():
     cone = ConeRep.lorentz(4)
     assert cone.contains(vec((1, 0, 0, 2)))
     assert not cone.contains(vec((1, 1, 1, 1)))
+    # int and float entries are made exact, as for polyhedral cones
+    assert cone.contains((3, 4, 0, 5)) and not cone.contains((3, 4, 1, 5))
+    assert cone.contains((0.5, -0.25, 0.0, 0.625))
+    assert not cone.contains((0.5, -0.25, 0.0, 0.5))
     with pytest.raises(UnsupportedConeError):
         cone.generators
     with pytest.raises(UnsupportedConeError):

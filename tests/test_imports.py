@@ -117,6 +117,33 @@ def test_no_difference_magnitudes():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
+def zero_started_sums(source: str) -> list[str]:
+    """Hand-written `Fraction` dots, `sum(..., ZERO)`: exact pairings go
+    through `linalg.dot`."""
+    tree = ast.parse(source)
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "sum"
+             and any(isinstance(start, ast.Name) and start.id == "ZERO"
+                     for start in node.args[1:] + [
+                         k.value for k in node.keywords if k.arg == "start"])}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_zero_started_sums_are_found():
+    source = ("ok = sum(xs) + sum(map(mul, a, b)) + np.sum(x, ZERO)\n"
+              "bad = sum((h * h for h in head), ZERO)\n"
+              "worse = [sum(row, start=ZERO) for row in m]\n")
+    assert zero_started_sums(source) == ["line 2", "line 3"]
+
+
+def test_no_zero_started_sums():
+    found = {str(path.relative_to(PACKAGE)): zero_started_sums(
+        path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "linalg.py"}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
 def load_tracing() -> ModuleType:
     """bench/tracing.py run in a module of its own: kept out of
     sys.modules, and no bytecode is written beside it."""

@@ -164,6 +164,64 @@ def test_combination_matches_loop(pairs):
                     vectors + [vectors[0] + (Fraction(1),)])
 
 
+def reference_dot(a, b):
+    """The Fraction sum: one Fraction per product and per partial sum."""
+    return sum((x * y for x, y in zip(a, b)), ZERO)
+
+
+def assert_pairings_match(a, b):
+    # dot and combination against the Fraction sum: same canonical value
+    # (repr compares numerator and denominator) and always a Fraction.
+    want = reference_dot(a, b)
+    got = [dot(a, b)]
+    if a:  # with no vectors, combination has no columns
+        got += combination(a, [(y,) for y in b])
+    for x in got:
+        assert type(x) is Fraction and repr(x) == repr(want), (a, b)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=16).flatmap(lambda n: st.tuples(
+    *[st.lists(st.fractions(min_value=-50, max_value=50,
+                            max_denominator=40), min_size=n, max_size=n)
+      .map(tuple)] * 2)))
+def test_dot_matches_reference(pair):
+    a, b = pair
+    assert_pairings_match(a, b)
+    assert_pairings_match(b, a)
+
+
+def test_dot_matches_reference_on_polygons():
+    # Float-embedded coordinates: power-of-two denominators, ~50 bits.
+    for n in (5, 7, 14):
+        cone = make_polygon(n).cone
+        vertices = cone.generators
+        for f in cone.facets:
+            for v in vertices:
+                assert_pairings_match(f, v)
+            vectors = vertices[:len(f)]
+            assert repr(combination(f, vectors)) == repr(tuple(
+                reference_dot(f, column) for column in zip(*vectors)))
+
+
+def test_dot_exact_cases():
+    ints = ((1, -2, 3), (4, 5, -6))
+    assert_pairings_match(*ints)
+    assert dot(*ints) == -24
+    # terms with different denominators that cancel exactly
+    mixed = (Fraction(1, 3), Fraction(1, 2), Fraction(-5, 6))
+    assert_pairings_match(mixed, (3, -2, 0))
+    assert repr(dot(mixed, (3, -2, 0))) == "Fraction(0, 1)"
+    assert_pairings_match(mixed, (Fraction(3, 7), Fraction(1, 7),
+                                  Fraction(3, 7)))
+    assert_pairings_match((), ())
+    assert combination((), ()) == ()
+    with pytest.raises(DimensionMismatchError):
+        dot((ONE, ONE), (ONE,))
+    with pytest.raises(DimensionMismatchError):
+        dot((), (ONE,))
+
+
 def seeded_matrices(rng, count):
     """Small ints, small Fractions and float-embedded polygon coordinates
     (dyadic, ~50-bit); rows that combine others and all-zero rows; wide,
