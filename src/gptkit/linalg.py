@@ -11,8 +11,8 @@ matvec and matmul, and each coordinate of combination) adds numerator
 products over one running denominator and makes one Fraction per
 result. The other hot loops keep integers of their own: double
 description its rays (cones.enumerate_rays), the simplex each tableau
-row over one denominator (lp.solve_lp), and membership each facet row
-(cones.ConeRep.contains).
+row over one denominator, on columns cleared once by integer_row
+(lp.solve_lp), and membership each facet row (cones.ConeRep.contains).
 """
 
 from __future__ import annotations
@@ -186,10 +186,17 @@ def integer_row(v: Vec) -> tuple[tuple[int, ...], Fraction]:
     Float-embedded data has power-of-two denominators, so the lcm stays
     small and this is cheap even for trig coordinates.
     """
-    d = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (d // x.denominator) for x in v]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints), Fraction(g, d)
+    d = lcm(*[x.denominator for x in v])
+    if d == 1:
+        ints = [x.numerator for x in v]
+    else:
+        ints = [x.numerator * (d // x.denominator) for x in v]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    elif d == 1:
+        return tuple(ints), ONE
+    return tuple(ints), Fraction(g or 1, d)
 
 
 def canonical_ray(v: Vec) -> Vec:

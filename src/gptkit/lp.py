@@ -12,6 +12,19 @@ not an exception: it carries phase 1's point, whose L1 equation error is
 the residual, so float-mode callers can accept near-feasible systems
 (residual <= eps) while rational-mode callers demand exactly zero.
 
+Each column A_j is cleared once to coprime integers r_j times a positive
+scale s_j (linalg.integer_row), and the tableau runs on y_j = s_j * x_j:
+columns r_j, costs c_j / s_j, and x_j = y_j / s_j read back at the end.
+So a row has only its right-hand side's denominator to clear, not the
+lcm of every column's (float-embedded facets each carry their own
+denominator of about 53 bits). The walk is the same one: positive column
+scales multiply tableau entry (i, j) by s_B(i) / s_j, where B(i) is row
+i's basic column, the right-hand side of row i by s_B(i) and reduced
+cost j by 1 / s_j. Every sign, every ratio-test comparison and tie (all
+ratios of one entering column scale alike), and so every Bland choice
+stays as it was; the artificial columns are not scaled, so phase 1's
+objective and residual are unchanged.
+
 Every LP of the package is stated by its columns, one per variable.
 feasible_point is the one cone-membership test: is the target a
 nonnegative combination of the given columns? Every membership question
@@ -28,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, SolverError
-from .linalg import Mat, Vec, ZERO
+from .linalg import Mat, Vec, ZERO, integer_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -118,20 +131,34 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     if len(eq_rhs) != m:
         raise DimensionMismatchError(
             f"{len(eq_rhs)} right-hand sides for {m} constraint rows")
-    cost = [(-c if maximize else c) for c in objective]
+    if any(len(row) != n for row in eq_matrix):
+        raise SolverError("constraint row length does not match objective")
+    # Column j as coprime integers times its scale; see the module doc.
+    columns: list[tuple[int, ...]] = []
+    scales: list[Fraction] = []
+    for column in zip(*eq_matrix) if m else [()] * n:
+        ints, scale = integer_row(column)
+        columns.append(ints)
+        scales.append(scale)
+    cost = [c / s if c and s != 1 else c for c, s in zip(objective, scales)]
+    if maximize:
+        cost = [-c for c in cost]
 
     # Phase 1: artificial basis, minimize the sum of artificials. Row i is
-    # [A_i, e_i, b_i, d_i] over integers, meaning [A_i, e_i, b_i] / d_i.
+    # [A_i, e_i, b_i, d_i] over integers, meaning [A_i, e_i, b_i] / d_i;
+    # its coefficients are integers, so d_i is b_i's denominator.
     width = n + m
     basis = list(range(n, width))
     rows: list[list[int]] = []
-    for i, (row, rhs) in enumerate(zip(eq_matrix, eq_rhs)):
-        if len(row) != n:
-            raise SolverError("constraint row length does not match objective")
-        body = _int_row([*row, rhs] if rhs >= 0 else [-x for x in (*row, rhs)])
-        artificial = [0] * m
-        artificial[i] = body[-1]
-        rows.append(body[:n] + artificial + body[n:])
+    for i, (ints, rhs) in enumerate(zip(zip(*columns) if n else [()] * m,
+                                        eq_rhs)):
+        num, den = rhs.numerator, rhs.denominator
+        f = den if num >= 0 else -den  # a negative rhs negates its row
+        body = list(ints) if f == 1 else [x * f for x in ints]
+        body += [0] * m
+        body[n + i] = den
+        body += (abs(num), den)
+        rows.append(body)
     # The phase-1 objective row is minus the sum of the rows.
     den = lcm(*(row[-1] for row in rows))
     totals = [0] * (n + 1)
@@ -144,7 +171,7 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     if status != OPTIMAL:  # phase 1 is always bounded below by zero
         raise SolverError("phase 1 reported unbounded")
     if obj[-2] < 0:
-        return LPResult(INFEASIBLE, _point(rows, basis, n), None,
+        return LPResult(INFEASIBLE, _point(rows, basis, scales), None,
                         Fraction(-obj[-2], obj[-1]))
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -171,15 +198,19 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     value = Fraction(-obj[-2], obj[-1])
     if maximize:
         value = -value
-    return LPResult(OPTIMAL, _point(rows, basis, n), value, ZERO)
+    return LPResult(OPTIMAL, _point(rows, basis, scales), value, ZERO)
 
 
-def _point(rows: list[list[int]], basis: list[int], n: int) -> Vec:
-    """The basic solution: a basic real column reads its row's rhs."""
+def _point(rows: list[list[int]], basis: list[int],
+           scales: list[Fraction]) -> Vec:
+    """The basic solution: a basic real column reads its row's rhs, over
+    its column's scale."""
+    n = len(scales)
     x = [ZERO] * n
     for row, b in zip(rows, basis):
         if b < n:
-            x[b] = Fraction(row[-2], row[-1])
+            s = scales[b]
+            x[b] = Fraction(row[-2] * s.denominator, row[-1] * s.numerator)
     return tuple(x)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from gptkit.cones import independent_subset
 from gptkit.errors import DimensionMismatchError
 from gptkit.linalg import (ONE, ZERO, canonical_ray, combination, dot,
-                           identity, inverse, lex_key, mat, matmul, matvec,
-                           nullspace, rank, rref, transpose, unit_vec, vec,
-                           zeros)
+                           identity, integer_row, inverse, lex_key, mat,
+                           matmul, matvec, nullspace, rank, rref, transpose,
+                           unit_vec, vec, zeros)
 from gptkit.models import make_polygon
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -127,6 +128,19 @@ def test_inverse_round_trip(m):
 @given(square(2), square(2), square(2))
 def test_matmul_associative(a, b, c):
     assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+
+
+@settings(max_examples=60)
+@given(st.lists(fractions | st.integers(-4, 4).map(Fraction), min_size=0,
+                max_size=5).map(tuple))
+def test_integer_row_is_coprime_integers_times_a_scale(v):
+    # v = scale * ints with coprime ints; the zero vector has unit scale
+    ints, scale = integer_row(v)
+    assert all(type(x) is int for x in ints) and type(scale) is Fraction
+    assert scale > 0 and tuple(scale * x for x in ints) == v
+    assert math.gcd(*ints) == (1 if any(v) else 0)
+    if not any(v):
+        assert scale == 1
 
 
 @settings(max_examples=60)

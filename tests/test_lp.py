@@ -271,25 +271,33 @@ def test_random_feasible_lp(rows, x0, cost):
     assert res.objective <= sum(c * x for c, x in zip(cost, x0))
 
 
-def test_integer_simplex_matches_reference(monkeypatch):
-    # Same (status, x, objective, residual) and the same number of pivots
-    # as the Fraction tableau, LP by LP; the seeds reach every path.
-    pivots = Counter()
+@pytest.fixture
+def pivots(monkeypatch):
+    """Pivots counted by solver: "lp" for solve_lp, "reference" for
+    reference_lp, with the reference's degenerate pivots and solve_lp's
+    drive-out pivots counted apart."""
+    counts = Counter()
 
     def count(module, key):
         inner = module._pivot
 
         def counted(rows, obj, basis, r, c):
-            pivots[key] += 1
+            counts[key] += 1
             if key == "reference" and rows[r][-1] == 0:
-                pivots["degenerate"] += 1
+                counts["degenerate"] += 1
             if key == "lp" and obj is None:
-                pivots["drive-out"] += 1
+                counts["drive-out"] += 1
             inner(rows, obj, basis, r, c)
         monkeypatch.setattr(module, "_pivot", counted)
 
     count(gptkit.lp, "lp")
     count(sys.modules[__name__], "reference")
+    return counts
+
+
+def test_integer_simplex_matches_reference(pivots):
+    # Same (status, x, objective, residual) and the same number of pivots
+    # as the Fraction tableau, LP by LP; the seeds reach every path.
     seen = Counter()
     for seed in range(400):
         objective, rows, rhs, maximize = random_lp(seed)
@@ -312,6 +320,46 @@ def test_integer_simplex_matches_reference(monkeypatch):
     assert pivots["degenerate"] >= 10 and pivots["drive-out"] >= 10, pivots
 
 
+def random_scale(rng):
+    """A positive rational: dyadic, over an odd denominator of about 50
+    bits, or a large integer."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return F(rng.randrange(1, 2 ** 20, 2), 2 ** rng.randint(0, 60))
+    if kind == 1:
+        return F(rng.randint(1, 2 ** 50),
+                 rng.randrange(2 ** 49 + 1, 2 ** 50, 2))
+    return F(rng.randint(2 ** 60, 2 ** 64))
+
+
+def test_column_scaling_keeps_the_walk(pivots):
+    # Column j times s_j > 0, with cost c_j * s_j, is the same LP in
+    # x_j / s_j: the same status, objective and residual, the solution
+    # over the scales, and the same Bland walk, pivot for pivot, in
+    # solve_lp and in the Fraction tableau.
+    for seed in range(400):
+        objective, rows, rhs, maximize = random_lp(seed)
+        rng = random.Random(-seed)
+        scales = [random_scale(rng) for _ in objective]
+        scaled_rows = [[x * s for x, s in zip(row, scales)] for row in rows]
+        scaled_cost = [c * s for c, s in zip(objective, scales)]
+        start = pivots["lp"]
+        want = solve_lp(objective, rows, rhs, maximize=maximize)
+        middle = pivots["lp"]
+        got = solve_lp(scaled_cost, scaled_rows, rhs, maximize=maximize)
+        assert pivots["lp"] - middle == middle - start, seed
+        assert (got.status, got.objective, got.residual) == (
+            want.status, want.objective, want.residual), seed
+        if want.x is None:
+            assert got.x is None, seed
+        else:
+            assert got.x == tuple(x / s for x, s in zip(want.x, scales)), seed
+        before = pivots["reference"]
+        assert reference_lp(scaled_cost, scaled_rows, rhs,
+                            maximize=maximize) == got, seed
+        assert pivots["reference"] - before == middle - start, seed
+
+
 def test_drive_out_pivots_on_a_negative_entry():
     # Phase 1 leaves the second artificial basic at zero over a -2 entry.
     rows = mat(((1, 1), (1, -1)))
@@ -322,13 +370,23 @@ def test_drive_out_pivots_on_a_negative_entry():
         assert got.status == OPTIMAL and got.x == (0, 0)
 
 
-def test_solve_lp_shape_errors():
+def test_solve_lp_shape_errors(monkeypatch):
+    scaled = []
+    monkeypatch.setattr(gptkit.lp, "integer_row",
+                        lambda column: scaled.append(column))
     with pytest.raises(DimensionMismatchError):
         solve_lp(vec((1, 0)), mat(((1, 1),)), vec((1, 2)))
     with pytest.raises(DimensionMismatchError):
         solve_lp(vec((1, 0)), mat(((1, 1), (1, 0))), vec((1,)))
     with pytest.raises(SolverError):
         solve_lp(vec((1, 0, 0)), mat(((1, 1),)), vec((1,)))
+    # Columns are read by zip(*rows), which cuts every row to the
+    # shortest: a row too short or too long after a full row raises
+    # before any column is scaled.
+    for ragged in ((vec((1, 1)), vec((1,))), (vec((1, 1)), vec((1, 1, 1)))):
+        with pytest.raises(SolverError):
+            solve_lp(vec((1, 0)), ragged, vec((1, 1)))
+    assert scaled == []
 
 
 def test_feasible_point_column_length_must_match_target():
@@ -371,6 +429,8 @@ def test_optimizing_lps_pinned(name):
 FLOAT_POLYGON_LPS = {
     "polygon:5": "8512b4cdae5ab005c5dff6f932ca3c2082450ee946eeace34531a1a6e65e41bd",
     "polygon:7": "a6ea39f5d1e58f4fee0535971c10f6a5bc827eacd5888b2530ae80399282c8b5",
+    "polygon:10": "6722d38d60f88d71f577074c8ebd27e6f8d8d6c28e4aa5fff013a2bcd7cbf907",
+    "polygon:14": "419101a796d045b1c24dc40d47281c8f72ea4840edf32411ab22625bc24ffd38",
 }
 
 
