@@ -8,6 +8,13 @@ The two branches mix to the same state, so the commitment is perfectly
 hiding; the exposing effects make honest reveals accept surely, and
 the optimal product-strategy cheat decays exponentially in n.
 
+The search for the two branches reads each space's slack matrix
+(`StateSpace.slacks`, every facet's value on every vertex) and asks an
+LP only about branch pairs that lie on the same face: a mixture with
+all weights positive is zero on exactly the facets that vanish on all
+of its vertices, so two such mixtures can be equal only when those
+facet sets are equal.
+
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
 """
@@ -16,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import numpy as np
 
@@ -47,9 +56,9 @@ def exposing_effect(space: StateSpace, index: int,
     eps = tolerance_for(tol, space)
     # columns: theta per dual generator, m, one slack per non-target row;
     # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
-    order = (verts[index],) + verts[:index] + verts[index + 1:]
-    k = len(order)
-    columns = [tuple(dot(theta, v) for v in order) for theta in duals]
+    k = len(verts)
+    columns = [(row[index],) + row[:index] + row[index + 1:]
+               for row in space.slacks]
     columns.append((ZERO,) + (ONE,) * (k - 1))
     columns += [unit_vec(k, i) for i in range(1, k)]
     result = solve_lp(unit_vec(len(columns), len(duals)), transpose(columns),
@@ -109,6 +118,16 @@ def find_double_decomposition(space: StateSpace,
     first whose convex hulls intersect; the shared point and the mixing
     weights come from the feasibility LP. Simplicial spaces are refused
     (mixtures over disjoint sets are never equal there).
+
+    A pair is only accepted with every weight positive, and such a
+    mixture lies in the relative interior of the face cut out by the
+    facets that vanish on all of its vertices (its slacks are positive
+    sums of theirs). Distinct faces have disjoint relative interiors, so
+    a pair whose two vertex sets have different zero-facet sets never
+    passes: its exact LP is infeasible or puts weight 0 on some vertex.
+    Such pairs are skipped before the LP, by exact bitmask tests that
+    read no tolerance, so the pair found and everything returned are
+    those of the plain scan, at any tol and in either arithmetic.
     """
     if space.kind != "polyhedral":
         raise UnsupportedConeError("decomposition needs a polyhedral space")
@@ -120,6 +139,12 @@ def find_double_decomposition(space: StateSpace,
             "state set is a simplex; no double decomposition exists")
     if m > _VERTEX_CAP:
         raise SearchCapError(f"subset search over {m} vertices exceeds cap")
+    # bit k of masks[j]: facet k vanishes on vertex j
+    masks = [0] * m
+    for k, row in enumerate(space.slacks):
+        for j, value in enumerate(row):
+            if value == 0:
+                masks[j] |= 1 << k
 
     for total in range(4, m + 1):
         for k0 in range(2, total - 1):
@@ -127,14 +152,24 @@ def find_double_decomposition(space: StateSpace,
             if k1 < k0:
                 break
             for idx0 in combinations(range(m), k0):
-                rest = [i for i in range(m) if i not in idx0]
+                face = _meet(masks, idx0)
+                # branch 1's vertices must all lie on branch 0's face
+                rest = [i for i in range(m)
+                        if i not in idx0 and masks[i] & face == face]
                 for idx1 in combinations(rest, k1):
                     if k0 == k1 and idx1[0] < idx0[0]:
                         continue  # unordered pair, count once
+                    if _meet(masks, idx1) != face:
+                        continue  # different faces: no positive mix meets
                     found = _try_pair(space, verts, idx0, idx1, eps, tol)
                     if found is not None:
                         return found
     raise SearchCapError("no double decomposition among the extreme points")
+
+
+def _meet(masks, idx):
+    """The facets that vanish on every vertex in idx, as a bitmask."""
+    return reduce(and_, (masks[j] for j in idx))
 
 
 def _try_pair(space, verts, idx0, idx1, eps, tol):

@@ -162,9 +162,9 @@ def construct_deterministic_teleportation(
                 raise InvalidInputError("group is not closed under "
                                         "composition")
     verts = space.vertices
-    v0 = verts[0]
+    orbit = [matvec(g, verts[0]) for g in group]
     for v in verts:
-        if not any(close(matvec(g, v0), v, eps) for g in group):
+        if not any(close(w, v, eps) for w in orbit):
             raise InvalidInputError("group does not act transitively on "
                                     "the pure states")
 

@@ -1,13 +1,21 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from gptkit.errors import InvalidInputError, SearchCapError
-from gptkit.linalg import dot
+from gptkit.cones import ConeRep
+from gptkit.errors import (InvalidInputError, SearchCapError,
+                           UnsupportedConeError)
+from gptkit.linalg import dot, vec
+from gptkit.lp import feasible_point
 from gptkit.models import make_classical, make_polygon, make_squit
 from gptkit.protocols import (bc_cheat_bound, bc_cheat_curve, bc_run,
-                              exposing_effect, find_double_decomposition)
+                              bitcommit, exposing_effect,
+                              find_double_decomposition)
+from gptkit.scalars import tolerance_for
+from gptkit.spaces import StateSpace
 
 F = Fraction
 HALF = F(1, 2)
@@ -162,3 +170,171 @@ def test_cheat_curve_shape():
         assert 0 <= emp <= 1
         assert err >= 0
     assert rows == bc_cheat_curve(sq, dd, 5, 400, 17)
+
+
+# -- the face filter against the unfiltered scan ------------------------
+
+
+def reference_find_double_decomposition(space, tol=None):
+    """The unfiltered scan: every disjoint pair goes to the LP."""
+    if space.kind != "polyhedral":
+        raise UnsupportedConeError("decomposition needs a polyhedral space")
+    verts = space.vertices
+    m = len(verts)
+    eps = tolerance_for(tol, space)
+    if m == space.dim:
+        raise InvalidInputError(
+            "state set is a simplex; no double decomposition exists")
+    if m > bitcommit._VERTEX_CAP:
+        raise SearchCapError(f"subset search over {m} vertices exceeds cap")
+
+    for total in range(4, m + 1):
+        for k0 in range(2, total - 1):
+            k1 = total - k0
+            if k1 < k0:
+                break
+            for idx0 in combinations(range(m), k0):
+                rest = [i for i in range(m) if i not in idx0]
+                for idx1 in combinations(rest, k1):
+                    if k0 == k1 and idx1[0] < idx0[0]:
+                        continue  # unordered pair, count once
+                    found = bitcommit._try_pair(space, verts, idx0, idx1,
+                                                eps, tol)
+                    if found is not None:
+                        return found
+    raise SearchCapError("no double decomposition among the extreme points")
+
+
+def _convex_hull(points):
+    """Strictly convex hull, counter-clockwise (monotone chain)."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+    return chain(pts) + chain(reversed(pts))
+
+
+def integer_polygons(count=20, seed=19):
+    """Seeded strictly convex integer polygons with 5 to 10 vertices."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        hull = _convex_hull([(rng.randint(-6, 6), rng.randint(-6, 6))
+                             for _ in range(rng.randint(8, 30))])
+        if 5 <= len(hull) <= 10:
+            found.append(hull)
+    return found
+
+
+def _polytope(points, name):
+    """The cone over a full-dimensional polytope, unit the last coordinate."""
+    gens = [tuple(p) + (1,) for p in points]
+    d = len(gens[0])
+    return StateSpace(ConeRep.from_generators(vec(g) for g in gens),
+                      (F(0),) * (d - 1) + (F(1),), name=name)
+
+
+CUBE = _polytope(list(product((-1, 1), repeat=3)), "cube")
+CONES = (
+    CUBE,
+    _polytope([tuple(s if i == k else 0 for i in range(3))
+               for k in range(3) for s in (-1, 1)], "octahedron"),
+    _polytope([(x, y, 0) for x in (-1, 1) for y in (-1, 1)] + [(0, 0, 1)],
+              "square pyramid"),
+)
+ORACLE_SPACES = ([make_squit()] + [make_polygon(n) for n in range(5, 15)]
+                 + [_polytope(h, f"hull{i}")
+                    for i, h in enumerate(integer_polygons())]
+                 + list(CONES))
+
+
+def _face_masks(space):
+    # bit k of masks[j]: facet k vanishes on vertex j, by direct dots
+    return [sum(1 << k for k, f in enumerate(space.cone.facets)
+                if dot(f, v) == 0) for v in space.vertices]
+
+
+def _meets(masks, idx):
+    out = -1
+    for j in idx:
+        out &= masks[j]
+    return out
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: s.name)
+def test_filtered_search_matches_the_unfiltered_scan(space):
+    got = find_double_decomposition(space)
+    want = reference_find_double_decomposition(space)
+    assert got == want
+    assert got.verify()
+
+
+def _outcome(search, space, tol):
+    try:
+        return search(space, tol)
+    except SearchCapError as exc:
+        return str(exc)
+
+
+def test_filtered_search_matches_at_a_wide_tolerance():
+    # at 1/3 no exposing margin passes on polygon:7 or the cube
+    for space in (make_squit(), make_polygon(7), CUBE):
+        for tol in (F(1, 100), F(1, 3)):
+            assert _outcome(find_double_decomposition, space, tol) == \
+                _outcome(reference_find_double_decomposition, space, tol)
+
+
+def test_cones_have_multi_facet_faces():
+    # in dimension 4 a vertex lies on three or more facets, so a face's
+    # mask can hold several bits
+    for space in CONES:
+        assert all(bin(m).count("1") >= 3 for m in _face_masks(space))
+
+
+@pytest.mark.parametrize("space, unfiltered_lps", [
+    (make_polygon(14), 67), (make_squit(), 2)], ids=["polygon:14", "squit"])
+def test_search_runs_one_lp(monkeypatch, space, unfiltered_lps):
+    calls = []
+
+    def counted(columns, target, tol=F(0)):
+        calls.append(columns)
+        return feasible_point(columns, target, tol)
+    monkeypatch.setattr(bitcommit, "feasible_point", counted)
+    dd = find_double_decomposition(space)
+    assert len(calls) == 1
+    del calls[:]
+    assert reference_find_double_decomposition(space) == dd
+    assert len(calls) == unfiltered_lps
+
+
+def _skipped_pairs(space, max_total):
+    masks = _face_masks(space)
+    m = len(masks)
+    for total in range(4, max_total + 1):
+        for k0 in range(2, total // 2 + 1):
+            for idx0 in combinations(range(m), k0):
+                rest = [i for i in range(m) if i not in idx0]
+                for idx1 in combinations(rest, total - k0):
+                    if _meets(masks, idx0) != _meets(masks, idx1):
+                        yield idx0, idx1
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: s.name)
+def test_skipped_pairs_have_no_positive_mix(space):
+    verts = space.vertices
+    d = space.dim
+    skipped = 0
+    for idx0, idx1 in _skipped_pairs(space, 6):
+        columns = [verts[j] + (F(1), F(0)) for j in idx0] + \
+            [tuple(-x for x in verts[j]) + (F(0), F(1)) for j in idx1]
+        weights, _ = feasible_point(columns, (F(0),) * d + (F(1), F(1)))
+        assert weights is None or min(weights) == 0
+        skipped += 1
+    assert skipped

@@ -58,6 +58,21 @@ def test_verify_inverts_j_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_construct_rejects_a_group_that_is_not_transitive():
+    # {I, a reflection} is a group, but it moves (1, 1, 1) only to (1, -1, 1)
+    flip = ((1, 0, 0), (0, -1, 0), (0, 0, 1))
+    with pytest.raises(InvalidInputError, match="does not act transitively"):
+        construct_deterministic_teleportation(make_squit(),
+                                              (identity(3), mat(flip)))
+
+
+def test_construct_rejects_a_group_that_is_not_closed():
+    with pytest.raises(InvalidInputError,
+                       match="not closed under composition"):
+        construct_deterministic_teleportation(make_squit(),
+                                              (identity(3), mat(ROT90)))
+
+
 def test_construct_rejects_a_group_without_identity():
     with pytest.raises(InvalidInputError, match="lacks an identity element"):
         construct_deterministic_teleportation(make_squit(), (ROT90,))
