@@ -4,7 +4,9 @@ Verdict-style commands exit 0 on a true/accept outcome and 2 on a
 false/reject outcome; every error path exits 1 with its own message.
 Reports embed the full input model so they can be re-checked without
 the invocation context, and identical inputs (including seeds) produce
-byte-identical output.
+byte-identical output. `teleport` and `bitcommit` have one parser per
+action, which takes exactly the flags its handler reads, written after
+the action; argparse enforces every flag rule, so the handlers do not.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ def _write_json(args, report: dict) -> None:
 
 
 def _states_from_args(args, space):
-    if (args.states is None) == (args.states_json is None):
-        raise InvalidInputError("give exactly one of --states or "
-                                "--states-json")
     if args.states is not None:
         verts = space.vertices
         picked = []
@@ -139,6 +138,7 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_marginal(args) -> int:
     state = BipartiteState.from_json_dict(_load_json(args.state))
+    state.validate(args.tol)
     space = state.composite.factor_a if args.side == "a" \
         else state.composite.factor_b
     mode = _mode_for(args, state.composite)
@@ -155,6 +155,7 @@ def _cmd_marginal(args) -> int:
 
 def _cmd_conditional(args) -> int:
     state = BipartiteState.from_json_dict(_load_json(args.state))
+    state.validate(args.tol)
     effect = vec(_load_json(args.effect))
     far = state.composite.factor_b if args.side == "a" \
         else state.composite.factor_a
@@ -253,8 +254,8 @@ def _cmd_broadcast(args) -> int:
         report["witness"] = emit(result.witness, mode)
     _write_json(args, report)
     if result.status == "inconclusive":
-        raise InvalidInputError("candidate cap exceeded; broadcastability "
-                                "is inconclusive")
+        raise InvalidInputError("inconclusive: no candidate simplex of up "
+                                "to dim + 1 vertices is a witness")
     return OK if result.status == "broadcastable" else REJECT
 
 
@@ -273,9 +274,6 @@ def _cmd_disturb(args) -> int:
 
 
 def _cmd_bitcommit(args) -> int:
-    if args.format == "csv" and args.action != "bound":
-        raise InvalidInputError("csv format is only available for "
-                                "'bitcommit bound'")
     space = parse_model_name(args.model)
     mode = _mode_for(args, space)
     dd = find_double_decomposition(space, args.tol)
@@ -380,36 +378,38 @@ def _build_parser() -> _Parser:
                    help="side the effect acts on")
     p.set_defaults(handler=_cmd_conditional)
 
-    p = sub.add_parser("teleport", parents=[common],
+    p = sub.add_parser("teleport",
                        help="verify a protocol pair or construct one")
-    p.add_argument("action", choices=("verify", "construct"))
-    p.add_argument("--model", help="(construct) model name")
-    p.add_argument("--group", default=None,
-                   help="(construct) symmetry group label, e.g. z4")
-    p.add_argument("--model-a", help="(verify) input system model")
-    p.add_argument("--model-b", default=None,
-                   help="(verify) ancilla model, default: same as --model-a")
-    p.add_argument("--effect", help="(verify) joint effect matrix JSON")
-    p.add_argument("--omega", help="(verify) shared bipartite state JSON")
     p.set_defaults(handler=_cmd_teleport)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("construct", parents=[common],
+                           help="build a scheme from the symmetry group")
+    a.add_argument("--model", required=True)
+    a.add_argument("--group", default=None,
+                   help="symmetry group label, e.g. z4")
+    a = actions.add_parser("verify", parents=[common],
+                           help="check one outcome's effect and state")
+    a.add_argument("--model-a", required=True, help="input system model")
+    a.add_argument("--model-b", default=None,
+                   help="ancilla model, default: same as --model-a")
+    a.add_argument("--effect", required=True,
+                   help="joint effect matrix JSON")
+    a.add_argument("--omega", required=True,
+                   help="shared bipartite state JSON")
 
-    p = sub.add_parser("clone", parents=[common],
-                       help="decide clonability of a finite state set")
-    p.add_argument("action", choices=("check",))
-    p.add_argument("--model", required=True)
-    p.add_argument("--states", default=None,
-                   help="comma-separated vertex indices, e.g. 0,2")
-    p.add_argument("--states-json", default=None,
-                   help="JSON list of state vectors (inline or a file path)")
-    p.set_defaults(handler=_cmd_clone)
-
-    p = sub.add_parser("broadcast", parents=[common],
-                       help="search for a distinguishable simplex witness")
-    p.add_argument("action", choices=("check",))
-    p.add_argument("--model", required=True)
-    p.add_argument("--states", default=None)
-    p.add_argument("--states-json", default=None)
-    p.set_defaults(handler=_cmd_broadcast)
+    for name, handler, text in (
+            ("clone", _cmd_clone, "decide clonability of a finite state set"),
+            ("broadcast", _cmd_broadcast,
+             "search for a distinguishable simplex witness")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("action", choices=("check",))
+        p.add_argument("--model", required=True)
+        states = p.add_mutually_exclusive_group(required=True)
+        states.add_argument("--states",
+                            help="comma-separated vertex indices, e.g. 0,2")
+        states.add_argument("--states-json", help="JSON list of state "
+                            "vectors (inline or a file path)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("disturb", parents=[common],
                        help="basis of the nondisturbing maps")
@@ -417,35 +417,34 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.set_defaults(handler=_cmd_disturb)
 
-    p = sub.add_parser("bitcommit", parents=[common],
+    p = sub.add_parser("bitcommit",
                        help="bit-commitment decomposition, runs, and bounds")
-    p.add_argument("action", choices=("decompose", "run", "bound"))
-    p.add_argument("--model", required=True)
-    p.add_argument("--bit", type=int, choices=(0, 1), default=0)
-    p.add_argument("--n", type=int, default=1, help="number of rounds")
-    p.add_argument("--trials", type=int, default=2000,
-                   help="(bound --format csv) Monte Carlo trials per row")
-    p.add_argument("--tamper", default=None,
-                   help="(run) position,claimed-sample to corrupt the reveal")
-    p.add_argument("--seed", type=_seed_arg, default=0,
-                   help="(run, bound --format csv) 64-bit seed")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_bitcommit)
+    actions = p.add_subparsers(dest="action", required=True)
+    decompose, run, bound = (
+        actions.add_parser(name, parents=[common], help=text)
+        for name, text in (("decompose", "one state, two exposed mixtures"),
+                           ("run", "one seeded commit and reveal"),
+                           ("bound", "cheating probability over n rounds")))
+    for a in (decompose, run, bound):
+        a.add_argument("--model", required=True)
+    for a in (run, bound):
+        a.add_argument("--n", type=int, default=1, help="number of rounds")
+        a.add_argument("--seed", type=_seed_arg, default=0,
+                       help="64-bit seed (bound: read with --format csv)")
+    run.add_argument("--bit", type=int, choices=(0, 1), default=0)
+    run.add_argument("--tamper", default=None,
+                     help="position,claimed-sample to corrupt the reveal")
+    bound.add_argument("--format", choices=("json", "csv"), default="json")
+    bound.add_argument("--trials", type=int, default=2000,
+                       help="(--format csv) Monte Carlo trials per row")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
-        if args.command == "teleport":
-            if args.action == "construct" and not args.model:
-                parser.error("teleport construct needs --model")
-            if args.action == "verify" and not (
-                    args.model_a and args.effect and args.omega):
-                parser.error("teleport verify needs --model-a, --effect, "
-                             "and --omega")
+        args, unknown = _build_parser().parse_known_args(argv)
         if unknown:
             raise InvalidInputError(
                 f"unrecognized arguments: {' '.join(unknown)}")

@@ -62,13 +62,6 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def _int_row(values) -> list[int]:
-    """Exact rationals as integer numerators, then their one denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return _reduced([v.numerator * (den // v.denominator) for v in values]
-                    + [den])
-
-
 def _reduced(row: list[int]) -> list[int]:
     g = gcd(*row)
     return row if g == 1 else [x // g for x in row]
@@ -187,7 +180,8 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     basis = [basis[i] for i in keep]
 
     # Phase 2 over the real objective.
-    obj = _int_row([*cost, ZERO])
+    ints, scale = integer_row([*cost, ZERO])
+    obj = [scale.numerator * x for x in ints] + [scale.denominator]
     for row, b in zip(rows, basis):
         if obj[b]:
             obj = _eliminated(obj, row, b)

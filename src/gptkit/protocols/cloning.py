@@ -3,8 +3,9 @@
 A finite set is clonable iff one measurement distinguishes its members
 simultaneously; the cloning map is then a sum of measure-and-prepare
 branches. Broadcastability is the weaker containment in a simplex with
-one-shot distinguishable vertices; the search is cap-bounded, and an
-exhausted cap is reported as inconclusive rather than as a refusal.
+one-shot distinguishable vertices; the search tries every candidate
+simplex of up to dim + 1 vertices, and finding no witness among them is
+reported as inconclusive rather than as a refusal.
 """
 
 from __future__ import annotations

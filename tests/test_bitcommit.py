@@ -40,6 +40,30 @@ def test_squit_decomposition_frozen():
     assert not replace(dd, branch0=()).verify()
 
 
+def _broken_squit_dds():
+    """squit's decomposition with one property broken in each."""
+    dd = squit_dd()
+    (s0, p0), (s1, p1) = dd.branch0
+    (t0, _), (t1, _) = dd.branch1
+    a0, a1 = dd.distinguishers0
+    return {
+        "negative weight": replace(dd, branch0=((s0, -p0), (s1, p1))),
+        "mixes elsewhere": replace(dd, branch1=((t0, QUARTER),
+                                                (t1, 3 * QUARTER))),
+        "shared state": replace(dd, branch1=dd.branch0),
+        "not 1 on its state": replace(dd, distinguishers0=(a1, a0)),
+        # 1 on (1, 1, 1) and on the vertex (1, -1, 1) too
+        "1 on another vertex": replace(dd, distinguishers0=((HALF, 0, HALF),
+                                                            a1)),
+    }
+
+
+@pytest.mark.parametrize("broken", sorted(_broken_squit_dds()))
+def test_verify_rejects_each_broken_property(broken):
+    assert squit_dd().verify()
+    assert not _broken_squit_dds()[broken].verify()
+
+
 def test_hiding_is_exact():
     # both branch mixtures are the same vector, zero tolerance
     dd = squit_dd()

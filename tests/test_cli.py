@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -247,3 +248,119 @@ def test_report_model_block_loads_back(tmp_path, model):
                      "--side", "a", name="marginal.json")
     assert code == 0
     assert json.loads(body)["model"] == report["model"]
+
+
+def exit_code(argv) -> int:
+    """main's exit code, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+NOT_A_STATE = ('{"A": "squit", "B": "squit", "tensor": "max", '
+               '"coords": [[5, 0, 0], [0, 0, 0], [0, 0, 3]]}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["marginal", "--state", NOT_A_STATE],
+    ["conditional", "--state", NOT_A_STATE, "--effect", "[0, 0, 1]"],
+], ids=["marginal", "conditional"])
+def test_state_payload_is_checked_where_it_enters(tmp_path, argv, capsys):
+    # u (x) u gives 3 on these coords, and the product facet
+    # (1,0,1) (x) (-1,0,1) gives -2.
+    code, body = run(tmp_path, *argv)
+    assert (code, body) == (1, b"")
+    assert capsys.readouterr().err.startswith("gpt-kit: InvalidInput: ")
+
+
+def test_arithmetic_overrides_the_model_style(tmp_path):
+    code, body = run(tmp_path, "clone", "check", "--model", "squit",
+                     "--states", "0,2", "--arithmetic", "float")
+    assert code == 0
+    assert json.loads(body)["observable"][0] == [0.5, 0.0, 0.5]
+    code, body = run(tmp_path, "teleport", "construct", "--model",
+                     "polygon:5", "--arithmetic", "rational")
+    assert code == 0
+    assert json.loads(body)["constant"] == "1/5"
+
+
+def test_states_json_matches_vertex_indices(tmp_path):
+    _, by_index = run(tmp_path, "clone", "check", "--model", "squit",
+                      "--states", "0,2", name="index.json")
+    states = json.dumps(json.loads(by_index)["states"])
+    code, by_json = run(tmp_path, "clone", "check", "--model", "squit",
+                        "--states-json", states, name="json.json")
+    assert code == 0
+    assert by_json == by_index
+
+
+def test_report_goes_to_stdout_without_out(tmp_path, capsys):
+    argv = ["bitcommit", "run", "--model", "squit", "--n", "4", "--seed", "3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    _, body = run(tmp_path, *argv)
+    assert out.encode() == body
+
+
+@pytest.fixture
+def squit_outcome(tmp_path) -> dict:
+    """Files of one outcome of squit's scheme, which verify accepts, by the
+    tokens EFFECT and OMEGA."""
+    _, body = run(tmp_path, "teleport", "construct", "--model", "squit",
+                  name="scheme.json")
+    scheme = json.loads(body)
+    files = {}
+    for token, value in (("EFFECT", scheme["effects"][0]),
+                         ("OMEGA", scheme["omega"])):
+        path = tmp_path / f"{token}.json"
+        path.write_text(json.dumps(value))
+        files[token] = str(path)
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    ["clone", "check", "--model", "squit", "--states", "0,9"],
+    ["clone", "check", "--model", "squit"],
+    ["clone", "check", "--model", "squit", "--states", "0,2",
+     "--states-json", "[[0, 0, 1]]"],
+    ["tensor", "--min", "squit", "squit", "--check-equals-min"],
+    ["teleport", "construct"],
+    ["teleport", "verify", "--model-a", "squit", "--effect", "[[0]]"],
+    # flags of another action
+    *(["teleport", "construct", "--model", "squit", flag, "squit"]
+      for flag in ("--model-a", "--model-b", "--effect", "--omega")),
+    *(["teleport", "verify", "--model-a", "squit", "--effect", "EFFECT",
+       "--omega", "OMEGA", flag, value]
+      for flag, value in (("--model", "squit"), ("--group", "z4"))),
+    *(["bitcommit", "decompose", "--model", "squit", flag, value]
+      for flag, value in (("--bit", "1"), ("--n", "2"), ("--trials", "9"),
+                          ("--tamper", "0,1"), ("--seed", "3"),
+                          ("--format", "json"))),
+    *(["bitcommit", "run", "--model", "squit", flag, value]
+      for flag, value in (("--trials", "9"), ("--format", "json"))),
+    *(["bitcommit", "bound", "--model", "squit", flag, value]
+      for flag, value in (("--bit", "1"), ("--tamper", "0,1"))),
+    # flags before the action
+    ["bitcommit", "--model", "squit", "decompose"],
+    ["teleport", "--tol", "0", "construct", "--model", "squit"],
+    ["bitcommit", "--tol=0", "decompose", "--model", "squit"],
+])
+def test_usage_errors_exit_one_and_write_nothing(tmp_path, argv, capsys,
+                                                squit_outcome):
+    argv = [squit_outcome.get(a, a) for a in argv]
+    out = tmp_path / "out.json"
+    assert exit_code(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_cli_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    examples = [shlex.split(line.split("#")[0])
+                for line in block.splitlines() if line.startswith("gpt-kit")]
+    assert examples
+    for argv in examples:
+        _, unknown = _build_parser().parse_known_args(argv[1:])
+        assert unknown == [], argv

@@ -97,7 +97,8 @@ def test_broadcast_singleton():
 def test_broadcast_inconclusive_when_search_exhausts():
     # {v0, v1, mid(v0, v2)}: no distinguishable simplex among the
     # candidates covers all three, and the set is not all-extreme, so
-    # the cap-bounded search must report inconclusive rather than no
+    # the search over every simplex of up to dim + 1 candidate vertices
+    # must report inconclusive rather than no
     sq = make_squit()
     v = sq.vertices
     mid = tuple(HALF * (a + b) for a, b in zip(v[0], v[2]))
