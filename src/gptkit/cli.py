@@ -108,6 +108,8 @@ def _cert_payload(cert, mode) -> dict:
 def _cmd_tensor(args) -> int:
     a = parse_model_name(args.model_a)
     b = parse_model_name(args.model_b)
+    if args.check_equals_min and not args.max:
+        raise InvalidInputError("--check-equals-min requires --max")
     mode = _mode_for(args, a, b)
     rule = "max" if args.max else "min"
     composite = max_tensor(a, b) if args.max else min_tensor(a, b)
@@ -124,8 +126,6 @@ def _cmd_tensor(args) -> int:
         report["generators"] = emit(composite.cone.generators, mode)
     status = OK
     if args.check_equals_min:
-        if not args.max:
-            raise InvalidInputError("--check-equals-min requires --max")
         small = min_tensor(a, b)
         eps = tolerance_for(args.tol, composite)
         equal = all(feasible_point(small.cone.generators, g, eps)[0]

@@ -8,8 +8,8 @@ composite sits between the two and shares the product unit.
 
 Bipartite states are kept as m x n coordinate matrices W pairing
 functionals as (a, b) -> a^t W b. Marginals, conditioning, and remote
-evaluation are linear algebra on W; entanglement is a membership LP
-against the minimal cone.
+evaluation are linear algebra on W; entanglement is non-membership in
+the minimal cone, asked of the product generators it holds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .linalg import (Mat, Vec, dot, integer_row, mat, matvec, transpose, vec,
                      zeros)
-from .lp import feasible_point
 from .models import _is_model_name, _is_named_model, parse_model_name
 from .scalars import close, emit, merge_arithmetic, tolerance_for
 from .spaces import StateSpace
@@ -280,13 +279,11 @@ def remote_evaluate(alpha: Vec, state: BipartiteState, f_coords: Mat) -> Vec:
 
 
 def is_entangled(state: BipartiteState, tol=None) -> bool:
-    """Outside the separable (minimal) cone?  Membership LP over products."""
+    """Outside the separable (minimal) cone?  Asked of its products."""
     composite = state.composite
     eps = tolerance_for(tol, composite)
-    products = min_tensor(composite.factor_a,
-                          composite.factor_b).cone.generators
-    x, _ = feasible_point(products, state.flat, eps)
-    return x is None
+    cone = min_tensor(composite.factor_a, composite.factor_b).cone
+    return cone.weights(state.flat, eps) is None
 
 
 def _effect_and_residual(a: StateSpace, b: StateSpace,
@@ -321,12 +318,12 @@ def effect_on_max(a: StateSpace, b: StateSpace, f_coords: Mat,
 
     The dual of the maximal cone is the separable dual cone, so both F
     and u - F must be nonnegative sums of the max composite's product
-    facets; each test is one feasibility LP.
+    facets, the generators of its dual; each test is one feasibility LP.
     """
     F, residual = _effect_and_residual(a, b, f_coords)
     eps = tolerance_for(tol, a, b)
-    facets = max_tensor(a, b).cone.facets
-    return all(feasible_point(facets, _as_flat(G), eps)[0] is not None
+    dual = max_tensor(a, b).cone.dual()
+    return all(dual.weights(_as_flat(G), eps) is not None
                for G in (F, residual))
 
 

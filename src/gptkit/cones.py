@@ -4,8 +4,11 @@ Polyhedral cones carry extreme-ray generators and/or facet inequalities
 <f, x> >= 0; whichever side is missing is computed on demand by the
 Motzkin double-description method and cached. Lorentz (second-order)
 cones carry no lists; membership there compares squares, so no square
-roots enter and rational inputs stay exact. `contains` is the one
-membership test, of a cone and, as `dual().contains`, of its dual.
+roots enter and rational inputs stay exact. `contains` is the membership
+test, of a cone and, as `dual().contains`, of its dual. It reads facets;
+`weights` asks the generators a cone holds (one phase-1 LP), which
+`contains` falls back on only where the facets are missing and the
+dimension cap refuses to enumerate them.
 
 All arithmetic is exact, including for float-mode spaces (their data is
 embedded losslessly); see scalars module notes. Vectors in and out are
@@ -42,6 +45,7 @@ from .linalg import (
     rref,
     vec,
 )
+from .lp import feasible_point
 from .scalars import FLOAT, RATIONAL
 
 POLYHEDRAL = "polyhedral"
@@ -292,6 +296,8 @@ class ConeRep:
                 return False
             return (last + tol) ** 2 >= dot(head, head)
         if self._rows is None:
+            if self._facets is None and self.dim > DIMENSION_CAP:
+                return self.weights(x, tol) is not None
             self._rows = tuple(map(integer_row, self.facets))
         xs, xscale = integer_row(x)
         free = tol >= 0  # then s >= 0 passes without its scale
@@ -303,6 +309,11 @@ class ConeRep:
             if not (tol and scale * xscale * s >= -tol):
                 return False
         return True
+
+    def weights(self, x: Vec, tol: Fraction = ZERO) -> Vec | None:
+        """Weights w >= 0 on the generators that sum to x within tol (in
+        L1, by lp.feasible_point), or None: membership from generators."""
+        return feasible_point(self.generators, x, tol)[0]
 
     def strictly_positive(self, functional: Vec) -> bool:
         """Whether <functional, g> > 0 on every nonzero cone element."""

@@ -26,9 +26,11 @@ stays as it was; the artificial columns are not scaled, so phase 1's
 objective and residual are unchanged.
 
 Every LP of the package is stated by its columns, one per variable.
-feasible_point is the one cone-membership test: is the target a
-nonnegative combination of the given columns? Every membership question
-(separability, hull membership, decompositions, sections) is put to it.
+feasible_point is the one conic-feasibility primitive: is the target a
+nonnegative combination of the given columns? Hull membership,
+decompositions and sections state their columns; membership from the
+generators a cone holds is cones.ConeRep.weights (separability, effects
+on the max tensor, and `contains` where the facets cannot be enumerated).
 The optimizing LPs (exposing effects, the cheat bound, the base norm)
 pass transpose(columns) to solve_lp with their cost and right-hand side.
 """
@@ -222,6 +224,6 @@ def feasible_point(columns: Sequence[Vec], target: Vec,
             f"a column's length differs from the target's {len(target)}")
     rows = tuple(tuple(c[i] for c in columns) for i in range(len(target)))
     result = solve_lp((ZERO,) * len(columns), rows, target)
-    if result.residual > tol:
+    if not result.residual <= tol:  # a NaN tol accepts nothing
         return None, result.residual
     return result.x, result.residual

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gptkit
+import gptkit.cli
 from gptkit.cli import _build_parser, main
 
 
@@ -272,6 +273,56 @@ def test_state_payload_is_checked_where_it_enters(tmp_path, argv, capsys):
     code, body = run(tmp_path, *argv)
     assert (code, body) == (1, b"")
     assert capsys.readouterr().err.startswith("gpt-kit: InvalidInput: ")
+
+
+def above_cap_state(first_row) -> str:
+    """A classical:4 (x)min classical:5 payload (dim 20, above the cap)."""
+    rows = [first_row] + [["1/20"] * 5] * 3
+    return json.dumps({"A": "classical:4", "B": "classical:5",
+                       "tensor": "min", "coords": rows})
+
+
+UNIFORM = above_cap_state(["1/20"] * 5)
+TILTED = above_cap_state(["-1/20", "3/20", "1/20", "1/20", "1/20"])
+
+
+def test_above_cap_state_payloads_are_answered(tmp_path, capsys):
+    code, body = run(tmp_path, "marginal", "--state", UNIFORM, "--side", "a")
+    assert code == 0
+    assert json.loads(body)["result"] == ["1/4"] * 4
+    code, body = run(tmp_path, "conditional", "--state", UNIFORM,
+                     "--effect", "[1, 0, 0, 0]", "--side", "a")
+    assert code == 0
+    assert json.loads(body)["result"] == ["1/5"] * 5
+    for argv in (["marginal", "--state", TILTED],
+                 ["conditional", "--state", TILTED,
+                  "--effect", "[1, 0, 0, 0]"]):
+        capsys.readouterr()
+        assert run(tmp_path, *argv, name="no.json") == (1, b"")
+        assert capsys.readouterr().err.startswith("gpt-kit: InvalidInput: ")
+
+
+def test_enumeration_above_the_cap_is_still_refused(tmp_path, capsys):
+    # equality with the min tensor needs the max tensor's generators
+    argv = ["tensor", "--max", "classical:4", "classical:5",
+            "--check-equals-min"]
+    assert run(tmp_path, *argv) == (1, b"")
+    assert capsys.readouterr().err.startswith("gpt-kit: DimensionCap: ")
+
+
+def test_check_equals_min_without_max_builds_no_tensor(tmp_path, monkeypatch,
+                                                      capsys):
+    def refuse(a, b):
+        raise AssertionError("a tensor was built")
+
+    monkeypatch.setattr(gptkit.cli, "min_tensor", refuse)
+    monkeypatch.setattr(gptkit.cli, "max_tensor", refuse)
+    argv = ["tensor", "--min", "squit", "squit", "--check-equals-min"]
+    assert run(tmp_path, *argv) == (1, b"")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("gpt-kit: InvalidInput: "
+                   "--check-equals-min requires --max\n")
 
 
 def test_arithmetic_overrides_the_model_style(tmp_path):

@@ -21,7 +21,7 @@ from gptkit import models
 from gptkit.models import (entangled_state_coords, make_ball, make_classical,
                            make_polygon, make_squit)
 from gptkit.scalars import tolerance_for
-from gptkit.spaces import StateSpace
+from gptkit.spaces import LinearMapRep, StateSpace, is_positive_map
 from test_cones import HEXAGON
 
 F = Fraction
@@ -271,6 +271,27 @@ def test_validate_rejects_non_states_with_one_message():
         with pytest.raises(InvalidInputError,
                            match="not a normalized state of the composite"):
             BipartiteState(composite, coords).validate()
+
+
+def test_above_the_cap_min_tensor_answers_from_its_generators():
+    # classical:4 (x)min classical:5 (dim 20) holds no facets, and the cap
+    # refuses to enumerate them; its generators answer instead
+    c4, c5 = make_classical(4), make_classical(5)
+    low = min_tensor(c4, c5)
+    assert is_composite(c4, c5, low)
+    uniform = tuple(tuple(F(1, 20) for _ in range(5)) for _ in range(4))
+    BipartiteState(low, uniform).validate()
+    tilted = ((F(-1, 20), F(3, 20)) + (F(1, 20),) * 3,) + uniform[1:]
+    assert low.is_state(_flat(uniform)) and not low.is_state(_flat(tilted))
+    with pytest.raises(InvalidInputError,
+                       match="not a normalized state of the composite"):
+        BipartiteState(low, tilted).validate()
+    c20 = make_classical(20)
+    eye = tuple(tuple(F(i == j) for j in range(20)) for i in range(20))
+    assert is_positive_map(LinearMapRep(c20, low, eye))
+    negated = (tuple(-x for x in eye[0]),) + eye[1:]
+    assert not is_positive_map(LinearMapRep(c20, low, negated))
+    assert not low.cone.has_facets()
 
 
 def test_composites_do_not_reprove_the_product_unit(monkeypatch):

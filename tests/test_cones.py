@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.composites import max_tensor, min_tensor
+from gptkit import cones
+from gptkit.composites import max_tensor, min_tensor, product_vec
 from gptkit.cones import (DIMENSION_CAP, ConeRep, enumerate_rays,
                           independent_subset, partition_rays)
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, UnsupportedConeError)
-from gptkit.linalg import canonical_ray, dot, lex_key, nullspace, rank, vec
+from gptkit.linalg import (canonical_ray, combination, dot, lex_key, nullspace,
+                           rank, vec)
 from gptkit.models import make_classical, make_polygon, make_squit
-from gptkit.scalars import DEFAULT_TOLERANCE
+from gptkit.scalars import DEFAULT_TOLERANCE, tolerance_for
 from gptkit.spaces import StateSpace
 from test_linalg import reference_independent_subset, reference_inverse
 
@@ -466,6 +468,96 @@ def test_contains_matches_reference_seeded():
                     mismatches.append((cone.dim, x, tol))
     assert not mismatches
     assert min(verdicts.values()) > 500
+
+
+def test_contains_below_the_cap_runs_no_lp(monkeypatch):
+    calls = []
+    solve = cones.feasible_point
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cones, "feasible_point", counted)
+    test_contains_matches_reference_seeded()
+    assert calls == []
+    # the counter sees the one LP an above-cap generators-only cone runs
+    orthant = min_tensor(make_classical(4), make_classical(5)).cone
+    assert orthant.contains((F(1),) * 20) and len(calls) == 1
+
+
+def test_orthant_above_the_cap_is_decided_by_its_generators():
+    # classical:4 (x)min classical:5 is the orthant of R^20, and so is the
+    # dual of the max tensor: x is a member iff every x_i >= 0
+    rng = random.Random(20)
+    c4, c5 = make_classical(4), make_classical(5)
+    cone = min_tensor(c4, c5).cone
+    dual = max_tensor(c4, c5).cone.dual()
+    assert cone.dim == 20 > DIMENSION_CAP
+    verdicts = {True: 0, False: 0}
+    for _ in range(40):
+        x = [rng.choice((0, 0, 1, F(1, 3), 7)) for _ in range(20)]
+        if rng.random() < 0.5:
+            x[rng.randrange(20)] = -F(1, rng.choice((1, 10 ** 12)))
+        x = vec(x)
+        member = all(c >= 0 for c in x)
+        assert cone.contains(x) is member and dual.contains(x) is member
+        # as on the facet path, a NaN tolerance accepts nothing
+        assert not cone.contains(x, math.nan)
+        weights = cone.weights(x)
+        assert (weights is not None) is member
+        if member:
+            assert combination(weights, cone.generators) == x
+        verdicts[member] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+    assert not cone.has_facets() and not dual.has_facets()
+
+
+def check_generators_decide(space, factors, eps, margins, rng, rounds=10):
+    """Seeded members (positive combinations of the generators, their
+    weights checked exactly) and non-members (pushed below a product of
+    factor facets, which every min-cone element pairs >= 0 with, by
+    margin times its largest entry) of an above-cap min tensor."""
+    cone = space.cone
+    assert cone.dim > DIMENSION_CAP
+    gens = cone.generators
+    separators = factors[0].cone.facets
+    for factor in factors[1:]:
+        separators = [product_vec(s, f)
+                      for s in separators for f in factor.cone.facets]
+    for _ in range(rounds):
+        picked = rng.sample(gens, rng.randint(1, 6))
+        x = combination([F(rng.randint(1, 9), rng.randint(1, 4))
+                         for _ in picked], picked)
+        weights = cone.weights(x, eps)
+        assert weights is not None and combination(weights, gens) == x
+        assert cone.contains(x, eps)
+        f = rng.choice(separators)
+        gap = rng.choice(margins) * max(map(abs, f))
+        y = tuple(a - (dot(f, x) + gap) / dot(f, f) * b
+                  for a, b in zip(x, f))
+        assert dot(f, y) == -gap < 0
+        assert cone.weights(y, eps) is None and not cone.contains(y, eps)
+    assert not cone.has_facets()
+
+
+def test_min_of_min_above_the_cap_is_decided_by_its_generators():
+    sq, bit = make_squit(), make_classical(2)
+    space = min_tensor(min_tensor(sq, sq), bit)
+    assert space.dim == 18
+    check_generators_decide(space, (sq, sq, bit), F(0),
+                            (F(1), F(1, 10 ** 12)), random.Random(18))
+
+
+def test_float_min_above_the_cap_is_decided_at_the_default_tolerance():
+    pentagon, six = make_polygon(5), make_classical(6)
+    space = min_tensor(pentagon, six)
+    eps = tolerance_for(None, space)
+    assert eps == DEFAULT_TOLERANCE and space.dim == 18
+    # a margin of the separator's largest entry keeps y at L1 distance
+    # >= 1 from the cone, far outside eps
+    check_generators_decide(space, (pentagon, six), eps, (F(1), F(3)),
+                            random.Random(5))
 
 
 def test_contains_tolerance_is_scaled_by_the_facet():
