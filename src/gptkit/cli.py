@@ -22,7 +22,7 @@ from .composites import (BipartiteState, conditional, marginal, max_tensor,
 from .errors import InvalidInputError, ToolkitError
 from .linalg import mat, vec
 from .lp import feasible_point
-from .models import parse_model_name
+from .models import parse_model_name, symmetry_group
 from .protocols.bitcommit import (bc_cheat_bound, bc_cheat_curve, bc_run,
                                   find_double_decomposition)
 from .protocols.cloning import build_cloner, is_broadcastable
@@ -49,6 +49,11 @@ def _seed_arg(text: str) -> int:
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
+
+
+def _tamper_arg(text: str) -> tuple[int, int]:
+    pos, claim = map(int, text.split(","))
+    return pos, claim
 
 
 def _load_json(source: str):
@@ -176,14 +181,15 @@ def _cmd_conditional(args) -> int:
 def _cmd_teleport(args) -> int:
     if args.action == "construct":
         space = parse_model_name(args.model)
-        scheme = construct_deterministic_teleportation(space, tol=args.tol)
-        if args.group is not None:
-            label = args.group.lower()
-            order = len(scheme.group)
-            if label not in (f"z{order}", f"c{order}", "cyclic"):
-                raise InvalidInputError(
-                    f"model symmetry group is cyclic of order {order}; "
-                    f"got {args.group!r}")
+        group = symmetry_group(space)
+        order = len(group)
+        if args.group is not None and args.group.lower() not in (
+                f"z{order}", f"c{order}", "cyclic"):
+            raise InvalidInputError(
+                f"model symmetry group is cyclic of order {order}; "
+                f"got {args.group!r}")
+        scheme = construct_deterministic_teleportation(space, group,
+                                                       tol=args.tol)
         mode = _mode_for(args, space)
         report = {
             "command": "teleport construct",
@@ -292,11 +298,8 @@ def _cmd_bitcommit(args) -> int:
         _write_json(args, report)
         return OK
     if args.action == "run":
-        tamper = None
-        if args.tamper is not None:
-            pos, claim = args.tamper.split(",")
-            tamper = (int(pos), int(claim))
-        transcript = bc_run(space, dd, args.bit, args.n, args.seed, tamper)
+        transcript = bc_run(space, dd, args.bit, args.n, args.seed,
+                            args.tamper)
         report = {
             "command": "bitcommit run",
             "model": space.to_json_dict(),
@@ -433,7 +436,7 @@ def _build_parser() -> _Parser:
         a.add_argument("--seed", type=_seed_arg, default=0,
                        help="64-bit seed (bound: read with --format csv)")
     run.add_argument("--bit", type=int, choices=(0, 1), default=0)
-    run.add_argument("--tamper", default=None,
+    run.add_argument("--tamper", type=_tamper_arg, default=None,
                      help="position,claimed-sample to corrupt the reveal")
     bound.add_argument("--format", choices=("json", "csv"), default="json")
     bound.add_argument("--trials", type=int, default=2000,

@@ -232,10 +232,9 @@ def f_hat(f_coords: Mat) -> Mat:
 def marginal(state: BipartiteState, side: str = "a") -> Vec:
     """Reduced state on one factor (normalized if the input is)."""
     if side == "a":
-        return matvec(state.coords, vec(state.composite.factor_b.unit))
+        return matvec(state.coords, state.composite.factor_b.unit)
     if side == "b":
-        return matvec(transpose(state.coords),
-                      vec(state.composite.factor_a.unit))
+        return matvec(transpose(state.coords), state.composite.factor_a.unit)
     raise InvalidInputError("side must be 'a' or 'b'")
 
 
@@ -249,10 +248,10 @@ def conditional(state: BipartiteState, effect: Vec, side: str = "a",
     e = vec(effect)
     if side == "a":
         sub = matvec(transpose(state.coords), e)  # unnormalized B state
-        unit = vec(state.composite.factor_b.unit)
+        unit = state.composite.factor_b.unit
     elif side == "b":
         sub = matvec(state.coords, e)
-        unit = vec(state.composite.factor_a.unit)
+        unit = state.composite.factor_a.unit
     else:
         raise InvalidInputError("side must be 'a' or 'b'")
     p = dot(unit, sub)

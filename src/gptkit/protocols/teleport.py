@@ -17,8 +17,8 @@ from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
                           min_tensor, omega_hat)
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
-from ..linalg import (Mat, dot, identity, inverse, mat, matmul, matvec,
-                      proportion, rank, transpose, unit_vec, vec)
+from ..linalg import (Mat, dot, identity, mat, matmul, matvec, proportion,
+                      rank, transpose, unit_vec)
 from ..lp import feasible_point
 from ..models import _same_space, entangled_state_coords, symmetry_group
 from ..scalars import close, tolerance_for
@@ -88,7 +88,7 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
     witness = f_hat(F)
     mu = matmul(omega_hat(omega), witness)
 
-    u = vec(a_space.unit)
+    u = a_space.unit
     pulled = matvec(transpose(mu), u)
     constant = proportion(pulled, u)
     if constant <= eps or \
@@ -125,9 +125,11 @@ def construct_deterministic_teleportation(
     The shared state is the normalized isomorphism state built from the
     A* -> A order isomorphism; outcome g gets the effect with hat map
     (1/|G|) . omega_hat^{-1} . g. The effects sum to u x u, and every
-    outcome's correction is the inverse group element. All structural
-    hypotheses (group closure, transitivity, unit preservation,
-    equivariance, isomorphism) are checked and raise on failure.
+    outcome's correction is the inverse group element. Every hypothesis
+    is checked and raises on failure. One product table proves the
+    group: entry (i, j) is the first element within eps of g_i . g_j, and
+    a row without the identity e means a singular g_i, since a finite
+    closed set holding e holds every invertible element's inverse.
     """
     if group is None:
         group = symmetry_group(space)
@@ -137,30 +139,26 @@ def construct_deterministic_teleportation(
     oh = mat(omega_hat_matrix) if omega_hat_matrix is not None \
         else transpose(mat(entangled_state_coords(space)))
 
-    d = space.dim
     eps = tolerance_for(tol, space)
-    u = vec(space.unit)
-    ident = identity(d)
-
-    inverses = []
+    u = space.unit
     for g in group:
-        gi = inverse(g)
-        if gi is None:
-            raise InvalidInputError("group element is singular")
         if not close(matvec(transpose(g), u), u, eps):
             raise InvalidInputError("group element does not preserve the "
                                     "order unit")
         if not is_positive_map(LinearMapRep(space, space, g), tol):
             raise InvalidInputError("group element is not a positive map")
-        inverses.append(gi)
-    if not any(close(g, ident, eps) for g in group):
+
+    def index(m):
+        return next((k for k, g in enumerate(group) if close(m, g, eps)), None)
+    e = index(identity(space.dim))
+    if e is None:
         raise InvalidInputError("group lacks an identity element")
-    for g in group:
-        for h in group:
-            gh = matmul(g, h)
-            if not any(close(gh, k, eps) for k in group):
-                raise InvalidInputError("group is not closed under "
-                                        "composition")
+    table = [[index(matmul(g, h)) for h in group] for g in group]
+    if any(None in row for row in table):
+        raise InvalidInputError("group is not closed under composition")
+    if any(e not in row for row in table):
+        raise InvalidInputError("group element is singular")
+    inverses = [group[row.index(e)] for row in table]
     verts = space.vertices
     orbit = [matvec(g, verts[0]) for g in group]
     for v in verts:

@@ -88,10 +88,32 @@ def test_teleport_construct_and_verify_round_trip(tmp_path):
     assert json.loads(body)["certificate"]["verdict"] is True
 
 
-def test_teleport_group_mismatch_is_an_error(tmp_path):
-    code, _ = run(tmp_path, "teleport", "construct", "--model", "squit",
-                  "--group", "z5")
-    assert code == 1
+def test_teleport_group_mismatch_is_an_error(tmp_path, monkeypatch, capsys):
+    # --group is checked against the model's group before any scheme is
+    # built, so the construction never runs on a refused label.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("construction ran")
+    monkeypatch.setattr(gptkit.cli, "construct_deterministic_teleportation",
+                        unreachable)
+    code, body = run(tmp_path, "teleport", "construct", "--model", "squit",
+                     "--group", "z5")
+    assert (code, body) == (1, b"")
+    assert capsys.readouterr().err == (
+        "gpt-kit: InvalidInput: model symmetry group is cyclic of order 4; "
+        "got 'z5'\n")
+
+
+@pytest.mark.parametrize("value", ["0", "1,1,1", "a,b", ""])
+def test_tamper_is_parsed_before_the_search(tmp_path, monkeypatch, capsys,
+                                            value):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("search ran")
+    monkeypatch.setattr(gptkit.cli, "find_double_decomposition", unreachable)
+    out = tmp_path / "out.json"
+    assert exit_code(["bitcommit", "run", "--model", "squit", "--tamper",
+                      value, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "argument --tamper" in capsys.readouterr().err
 
 
 def test_bitcommit_pipeline(tmp_path):
@@ -389,7 +411,9 @@ def squit_outcome(tmp_path) -> dict:
                           ("--tamper", "0,1"), ("--seed", "3"),
                           ("--format", "json"))),
     *(["bitcommit", "run", "--model", "squit", flag, value]
-      for flag, value in (("--trials", "9"), ("--format", "json"))),
+      for flag, value in (("--trials", "9"), ("--format", "json"),
+                          ("--tamper", "0"), ("--tamper", "1,1,1"),
+                          ("--tamper", "a,b"))),
     *(["bitcommit", "bound", "--model", "squit", flag, value]
       for flag, value in (("--bit", "1"), ("--tamper", "0,1"))),
     # flags before the action

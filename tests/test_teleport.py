@@ -2,19 +2,25 @@ from fractions import Fraction
 
 import pytest
 
+import gptkit.protocols.teleport
 import gptkit.spaces
 
 from gptkit.composites import (BipartiteState, max_tensor, min_tensor,
                                remote_evaluate)
 from gptkit.errors import (DimensionMismatchError, InvalidInputError,
-                           UnsupportedConeError)
-from gptkit.linalg import identity, inverse, mat, matvec
+                           ToolkitError, UnsupportedConeError)
+from gptkit.linalg import (dot, identity, inverse, mat, matmul, matvec,
+                           transpose)
 from gptkit.models import (entangled_state_coords, make_ball, make_classical,
-                           make_polygon, make_squit, symmetry_group)
+                           make_polygon, make_squit, parse_model_name,
+                           symmetry_group)
 from gptkit.protocols import (construct_deterministic_teleportation,
                               verify_compression_witness,
                               verify_correction_free, verify_teleportation)
-from gptkit.spaces import StateSpace, verify_self_duality_witness
+from gptkit.scalars import close, tolerance_for
+from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
+                           is_positive_map, order_isomorphic,
+                           verify_self_duality_witness)
 
 F = Fraction
 
@@ -282,3 +288,176 @@ def test_compression_witness_shape_and_kind_errors():
         verify_compression_witness(sq, make_classical(2), identity(3))
     with pytest.raises(UnsupportedConeError):
         verify_compression_witness(make_ball(2), make_ball(2), identity(3))
+
+
+# Reference construction: the group proved in three passes, each element
+# inverted on its own, then the identity scan and the |G|^2 closure scan.
+# The construction under test reads all of this off one product table.
+def reference_construct(space, group=None):
+    if group is None:
+        group = symmetry_group(space)
+    group = tuple(mat(g) for g in group)
+    if not group:
+        raise InvalidInputError("symmetry group is empty")
+    oh = transpose(mat(entangled_state_coords(space)))
+    eps = tolerance_for(None, space)
+    u = space.unit
+    ident = identity(space.dim)
+    inverses = []
+    for g in group:
+        gi = inverse(g)
+        if gi is None:
+            raise InvalidInputError("group element is singular")
+        if not close(matvec(transpose(g), u), u, eps):
+            raise InvalidInputError("group element does not preserve the "
+                                    "order unit")
+        if not is_positive_map(LinearMapRep(space, space, g)):
+            raise InvalidInputError("group element is not a positive map")
+        inverses.append(gi)
+    if not any(close(g, ident, eps) for g in group):
+        raise InvalidInputError("group lacks an identity element")
+    for g in group:
+        for h in group:
+            gh = matmul(g, h)
+            if not any(close(gh, k, eps) for k in group):
+                raise InvalidInputError("group is not closed under "
+                                        "composition")
+    orbit = [matvec(g, space.vertices[0]) for g in group]
+    for v in space.vertices:
+        if not any(close(w, v, eps) for w in orbit):
+            raise InvalidInputError("group does not act transitively on "
+                                    "the pure states")
+    for g, gi in zip(group, inverses):
+        if not close(matmul(g, oh), matmul(oh, transpose(gi)), eps):
+            raise InvalidInputError("isomorphism state map is not "
+                                    "group-equivariant")
+    total = dot(u, matvec(oh, u))
+    if total <= eps:
+        raise InvalidInputError("isomorphism state map has nonpositive "
+                                "normalization")
+    if total != 1:
+        oh = tuple(tuple(x / total for x in row) for row in oh)
+    oh_inv = order_isomorphic(oh, space.cone.dual(), space.cone, eps)
+    if oh_inv is None:
+        raise InvalidInputError("state map is not an order isomorphism "
+                                "from the dual")
+    shared = BipartiteState(max_tensor(space, space), transpose(oh))
+    order = F(1, len(group))
+    effects = tuple(transpose(tuple(tuple(order * x for x in row)
+                                    for row in matmul(oh_inv, g)))
+                    for g in group)
+    min_space = min_tensor(space, space)
+    Observable(min_space, tuple(
+        Effect(min_space, tuple(x for row in E for x in row))
+        for E in effects))
+    certificates = []
+    for gi, E in zip(inverses, effects):
+        cert = verify_teleportation(space, space, E, shared)
+        if not cert.verdict:
+            raise InvalidInputError("an outcome fails teleportation "
+                                    "verification")
+        if not close(cert.constant, order, eps):
+            raise InvalidInputError("an outcome has the wrong "
+                                    "proportionality constant")
+        if not close(cert.correction.matrix, gi, eps):
+            raise InvalidInputError("an outcome's correction is not the "
+                                    "inverse group element")
+        certificates.append(cert)
+    return group, shared.coords, effects, tuple(certificates)
+
+
+def outcome(construct, space, group=None):
+    """What a construction gives: (group, omega coords, effects,
+    certificates), or the type and message of the error it raises."""
+    try:
+        result = construct(space, group)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result
+    return (result.group, result.omega.coords, result.effects,
+            result.certificates)
+
+
+# The models `teleport construct` runs on in the cli-protocols benchmark.
+POOL_MODELS = ("squit", "classical:2", "classical:3", "classical:5",
+               "polygon:3", "polygon:5", "polygon:6", "polygon:8",
+               "polygon:10", "polygon:12", "polygon:14")
+
+
+@pytest.mark.parametrize("model", POOL_MODELS)
+def test_construct_matches_the_reference_on_pool_models(model):
+    space = parse_model_name(model)
+    new = outcome(construct_deterministic_teleportation, space)
+    assert new == outcome(reference_construct, space)
+    assert len(new) == 4  # a scheme, not an error
+
+
+SINGULAR = ((0, 0, 0), (0, 0, 0), (0, 0, 1))  # idempotent, unit-preserving
+FLIP = ((1, 0, 0), (0, -1, 0), (0, 0, 1))
+SQUIT_GROUP = symmetry_group(make_squit())
+PENTAGON_GROUP = symmetry_group(make_polygon(5))  # g^5 = I only within eps
+
+
+def nudged(group):
+    """Every element but the identity moved by 1e-12 in one entry, so
+    products, inverses and positivity hold only within eps."""
+    return group[:1] + tuple(((g[0][0] + F(1, 10 ** 12),) + g[0][1:],)
+                             + g[1:] for g in group[1:])
+
+
+@pytest.mark.parametrize("model, group, message", [
+    ("squit", (ROT90,), "group lacks an identity element"),
+    ("squit", SQUIT_GROUP[1:], "group lacks an identity element"),
+    ("squit", (identity(3), ROT90), "group is not closed under composition"),
+    ("squit", (identity(3), SINGULAR), "group element is singular"),
+    ("squit", (identity(3), FLIP),
+     "group does not act transitively on the pure states"),
+    ("squit", SQUIT_GROUP + SQUIT_GROUP[:1], "effects do not sum to the unit"),
+    ("squit", SQUIT_GROUP[:1] + SQUIT_GROUP, "effects do not sum to the unit"),
+    ("squit", SQUIT_GROUP + SQUIT_GROUP[1:2],
+     "effects do not sum to the unit"),
+    ("polygon:5", PENTAGON_GROUP, None),
+    ("polygon:5", nudged(PENTAGON_GROUP), None),
+], ids=["no-identity", "no-identity-rotations", "not-closed", "singular",
+        "not-transitive", "duplicate-identity-last",
+        "duplicate-identity-first", "duplicate-rotation", "float-group",
+        "closed-within-eps"])
+def test_construct_matches_the_reference_on_broken_groups(model, group,
+                                                          message):
+    space = parse_model_name(model)
+    new = outcome(construct_deterministic_teleportation, space, group)
+    assert new == outcome(reference_construct, space, group)
+    if message is None:
+        assert len(new) == 4  # a scheme, not an error
+    else:
+        assert new == (InvalidInputError, message)
+
+
+@pytest.mark.parametrize("group, old, new", [
+    ((SINGULAR,), "group element is singular", "lacks an identity element"),
+    ((identity(3), ((0,) * 3,) * 3), "group element is singular",
+     "does not preserve the order unit"),
+], ids=["singular-without-identity", "zero-map"])
+def test_multi_fault_groups_report_another_first_fault(group, old, new):
+    # a singular element is now named only after the unit, positivity,
+    # identity and closure checks pass
+    sq = make_squit()
+    assert outcome(reference_construct, sq, group)[1] == old
+    assert new in outcome(construct_deterministic_teleportation, sq, group)[1]
+
+
+@pytest.mark.parametrize("model, count", [("squit", 5), ("polygon:14", 15)])
+def test_construct_inverts_each_element_once(monkeypatch, model, count):
+    # one inverse per outcome inside verify_teleportation, plus the state
+    # map's; group inverses come from the product table
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return inverse(matrix)
+    for module in (gptkit.spaces, gptkit.protocols.teleport):
+        if hasattr(module, "inverse"):
+            monkeypatch.setattr(module, "inverse", counted)
+    construct_deterministic_teleportation(parse_model_name(model))
+    assert len(calls) == count
