@@ -45,14 +45,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed_arg(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+    try:
+        value = int(text)
+        if 0 <= value < 2 ** 64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected an integer in [0, 2**64), got {text!r}")
 
 
 def _tamper_arg(text: str) -> tuple[int, int]:
-    pos, claim = map(int, text.split(","))
+    try:
+        pos, claim = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected position,claimed-sample (two integers), "
+            f"got {text!r}") from None
     return pos, claim
 
 
@@ -237,7 +246,7 @@ def _cmd_clone(args) -> int:
     if observable is not None:
         report["observable"] = emit([e.functional for e in observable.effects],
                                     mode)
-        cloner = build_cloner(space, states, observable, args.tol)
+        cloner = build_cloner(states, observable, args.tol)
         report["cloner"] = emit(cloner.matrix, mode)
     _write_json(args, report)
     return OK if observable is not None else REJECT
@@ -291,15 +300,13 @@ def _cmd_bitcommit(args) -> int:
             "branches": [
                 [{"state": emit(s, mode), "probability": emit(p, mode)}
                  for s, p in branch]
-                for branch in (dd.branch0, dd.branch1)],
-            "distinguishers": emit((dd.distinguishers0, dd.distinguishers1),
-                                   mode),
+                for branch in dd.branches],
+            "distinguishers": emit(dd.distinguishers, mode),
         }
         _write_json(args, report)
         return OK
     if args.action == "run":
-        transcript = bc_run(space, dd, args.bit, args.n, args.seed,
-                            args.tamper)
+        transcript = bc_run(dd, args.bit, args.n, args.seed, args.tamper)
         report = {
             "command": "bitcommit run",
             "model": space.to_json_dict(),
@@ -315,13 +322,13 @@ def _cmd_bitcommit(args) -> int:
         _write_json(args, report)
         return OK if transcript.verdict == "accept" else REJECT
     if args.format == "csv":
-        curve = bc_cheat_curve(space, dd, args.n, args.trials, args.seed)
+        curve = bc_cheat_curve(dd, args.n, args.trials, args.seed)
         lines = ["n,analytic_bound,empirical_rate,stderr"]
         for n, analytic, emp, err in curve:
             lines.append(f"{n},{emit(analytic, mode)},{emp!r},{err!r}")
         _write(args, "\n".join(lines) + "\n")
         return OK
-    bound = bc_cheat_bound(space, dd, args.n)
+    bound = bc_cheat_bound(dd, args.n)
     report = {
         "command": "bitcommit bound",
         "model": space.to_json_dict(),

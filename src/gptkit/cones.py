@@ -344,7 +344,7 @@ class ConeRep:
         return tuple(keep)
 
 
-def partition_rays(rays: tuple[Vec, ...], dim: int) -> tuple[tuple[int, ...], ...]:
+def partition_rays(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
     """Partition extreme rays into irreducible direct summands.
 
     The summands are the connected components of the rays' linear

@@ -73,35 +73,29 @@ def exposing_effect(space: StateSpace, index: int,
 
 @dataclass(frozen=True)
 class DoubleDecomposition:
-    """One state, two disjoint exposed-state mixtures."""
+    """One state, two disjoint exposed-state mixtures.
+
+    Entry b of `branches` (the (state, weight) mixture) and of
+    `distinguishers` (one exposing effect per state) belongs to bit b.
+    """
     space: StateSpace
     omega: Vec
-    branch0: tuple[tuple[Vec, Fraction], ...]
-    branch1: tuple[tuple[Vec, Fraction], ...]
-    distinguishers0: tuple[Vec, ...]
-    distinguishers1: tuple[Vec, ...]
-
-    def branches(self, bit: int) -> tuple[tuple[Vec, Fraction], ...]:
-        return self.branch0 if bit == 0 else self.branch1
-
-    def distinguishers(self, bit: int) -> tuple[Vec, ...]:
-        return self.distinguishers0 if bit == 0 else self.distinguishers1
+    branches: tuple[tuple[tuple[Vec, Fraction], ...], ...]
+    distinguishers: tuple[tuple[Vec, ...], ...]
 
     def verify(self, tol=None) -> bool:
         eps = tolerance_for(tol, self.space)
-        for branch in (self.branch0, self.branch1):
+        states0, states1 = ({tuple(s) for s, _ in branch}
+                            for branch in self.branches)
+        if states0 & states1:
+            return False
+        for branch, effects in zip(self.branches, self.distinguishers):
             if not branch or any(p < -eps for _, p in branch):
                 return False
             mix = combination([p for _, p in branch], [s for s, _ in branch])
             if not close(mix, self.omega, eps):
                 return False
-        states0 = {tuple(s) for s, _ in self.branch0}
-        states1 = {tuple(s) for s, _ in self.branch1}
-        if states0 & states1:
-            return False
-        for members, effects in ((self.branch0, self.distinguishers0),
-                                 (self.branch1, self.distinguishers1)):
-            for (state, _), a in zip(members, effects):
+            for (state, _), a in zip(branch, effects):
                 if not close(dot(a, state), 1, eps):
                     return False
                 for v in self.space.vertices:
@@ -190,13 +184,11 @@ def _try_pair(space, verts, idx0, idx1, eps, tol):
         if hit is None:
             return None
         effects[j] = hit[0]
-    omega = combination(weights[:k0], [verts[j] for j in idx0])
-    branch0 = tuple((verts[j], weights[pos]) for pos, j in enumerate(idx0))
-    branch1 = tuple((verts[j], weights[k0 + pos])
-                    for pos, j in enumerate(idx1))
+    pairs = ((idx0, weights[:k0]), (idx1, weights[k0:]))
     return DoubleDecomposition(
-        space, omega, branch0, branch1,
-        tuple(effects[j] for j in idx0), tuple(effects[j] for j in idx1))
+        space, combination(weights[:k0], [verts[j] for j in idx0]),
+        tuple(tuple(zip((verts[j] for j in idx), ws)) for idx, ws in pairs),
+        tuple(tuple(effects[j] for j in idx) for idx, _ in pairs))
 
 
 @dataclass(frozen=True)
@@ -211,9 +203,8 @@ class CommitmentTranscript:
     verdict: str  # accept | reject
 
 
-def bc_run(space: StateSpace, dd: DoubleDecomposition, bit: int, n: int,
-           seed: int, tamper: tuple[int, int] | None = None
-           ) -> CommitmentTranscript:
+def bc_run(dd: DoubleDecomposition, bit: int, n: int, seed: int,
+           tamper: tuple[int, int] | None = None) -> CommitmentTranscript:
     """Simulate one honest (or reveal-tampered) commitment round trip.
 
     Honest runs always accept: each committed state's exposing effect
@@ -224,7 +215,7 @@ def bc_run(space: StateSpace, dd: DoubleDecomposition, bit: int, n: int,
         raise InvalidInputError("bit must be 0 or 1")
     if n < 1:
         raise InvalidInputError("need at least one round")
-    branch = dd.branches(bit)
+    branch = dd.branches[bit]
     if len(branch) > 10:
         raise InvalidInputError("branch too large for digit sample encoding")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -238,7 +229,7 @@ def bc_run(space: StateSpace, dd: DoubleDecomposition, bit: int, n: int,
         if not (0 <= pos < n) or not (0 <= value < len(branch)):
             raise InvalidInputError("tamper position or value out of range")
         claimed[pos] = value
-    distinguishers = dd.distinguishers(bit)
+    distinguishers = dd.distinguishers[bit]
     accept = True
     for k in range(n):
         fire_p = float(dot(distinguishers[claimed[k]], committed[k]))
@@ -262,8 +253,7 @@ class CheatBound:
     pair: tuple[int, int]
 
 
-def bc_cheat_bound(space: StateSpace, dd: DoubleDecomposition,
-                   n: int) -> CheatBound:
+def bc_cheat_bound(dd: DoubleDecomposition, n: int) -> CheatBound:
     """max over states of min(best branch-0 effect, best branch-1 effect).
 
     For each pair of exposing effects, an LP maximizes the common value
@@ -273,15 +263,16 @@ def bc_cheat_bound(space: StateSpace, dd: DoubleDecomposition,
     """
     if n < 1:
         raise InvalidInputError("need at least one round")
-    verts = space.vertices
+    verts = dd.space.vertices
     m = len(verts)
+    effects0, effects1 = dd.distinguishers
     # columns: lambda per vertex, then t, s0, s1; rows: sum lambda = 1,
     # a0(state) - t - s0 = 0, a1(state) - t - s1 = 0
     tail = [(ZERO, -ONE, -ONE), (ZERO, -ONE, ZERO), (ZERO, ZERO, -ONE)]
     cost = (ZERO,) * m + (ONE, ZERO, ZERO)
     best = None
-    for i0, a0 in enumerate(dd.distinguishers0):
-        for i1, a1 in enumerate(dd.distinguishers1):
+    for i0, a0 in enumerate(effects0):
+        for i1, a1 in enumerate(effects1):
             columns = [(ONE, dot(a0, v), dot(a1, v)) for v in verts]
             result = solve_lp(cost, transpose(columns + tail),
                               (ONE, ZERO, ZERO), maximize=True)
@@ -297,8 +288,8 @@ def bc_cheat_bound(space: StateSpace, dd: DoubleDecomposition,
                       optimizer=sigma, pair=pair)
 
 
-def bc_cheat_curve(space: StateSpace, dd: DoubleDecomposition, n_max: int,
-                   trials: int, seed: int):
+def bc_cheat_curve(dd: DoubleDecomposition, n_max: int, trials: int,
+                   seed: int):
     """Analytic c**n against simulated product-cheat success, n = 1..n_max.
 
     Returns rows (n, analytic, empirical, stderr). The simulated Alice
@@ -307,11 +298,9 @@ def bc_cheat_curve(space: StateSpace, dd: DoubleDecomposition, n_max: int,
     """
     if n_max < 1 or trials < 1:
         raise InvalidInputError("n_max and trials must be positive")
-    bound = bc_cheat_bound(space, dd, 1)
-    sigma = bound.optimizer
-    q0 = max(float(dot(a, sigma)) for a in dd.distinguishers0)
-    q1 = max(float(dot(a, sigma)) for a in dd.distinguishers1)
-    q = min(q0, q1)
+    bound = bc_cheat_bound(dd, 1)
+    q = min(max(float(dot(a, bound.optimizer)) for a in effects)
+            for effects in dd.distinguishers)
     rng = np.random.Generator(np.random.Philox(seed))
     rows = []
     for n in range(1, n_max + 1):

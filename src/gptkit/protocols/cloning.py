@@ -34,13 +34,13 @@ def is_clonable(space: StateSpace, states, tol=None) -> bool:
     return one_shot_distinguishing_observable(space, states, tol) is not None
 
 
-def build_cloner(space: StateSpace, states, observable: Observable,
-                 tol=None) -> LinearMapRep:
+def build_cloner(states, observable: Observable, tol=None) -> LinearMapRep:
     """Measure-and-prepare map M = sum_i (w_i (x) w_i) a_i(.).
 
     Requires a_i(w_j) = delta_ij; M then clones every member of states
-    and broadcasts their whole convex hull.
+    and broadcasts their whole convex hull, on the observable's space.
     """
+    space = observable.space
     omegas = tuple(vec(s) for s in states)
     eps = tolerance_for(tol, space)
     effects = observable.effects[:len(omegas)]

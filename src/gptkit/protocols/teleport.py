@@ -127,9 +127,10 @@ def construct_deterministic_teleportation(
     (1/|G|) . omega_hat^{-1} . g. The effects sum to u x u, and every
     outcome's correction is the inverse group element. Every hypothesis
     is checked and raises on failure. One product table proves the
-    group: entry (i, j) is the first element within eps of g_i . g_j, and
-    a row without the identity e means a singular g_i, since a finite
-    closed set holding e holds every invertible element's inverse.
+    group: entry (i, j) is the first element within eps of g_i . g_j.
+    e's row differs from 0, 1, ..., |G|-1 exactly when an element repeats
+    an earlier one, and a row without e means a singular g_i, since a
+    finite closed set holding e holds every invertible element's inverse.
     """
     if group is None:
         group = symmetry_group(space)
@@ -156,6 +157,8 @@ def construct_deterministic_teleportation(
     table = [[index(matmul(g, h)) for h in group] for g in group]
     if any(None in row for row in table):
         raise InvalidInputError("group is not closed under composition")
+    if table[e] != list(range(len(group))):
+        raise InvalidInputError("group has a repeated element")
     if any(e not in row for row in table):
         raise InvalidInputError("group element is singular")
     inverses = [group[row.index(e)] for row in table]

@@ -399,5 +399,5 @@ def decompose_cone(space: StateSpace) -> ConeDecomposition:
     if space.kind == LORENTZ:
         raise UnsupportedConeError("decomposition needs a polyhedral space")
     rays = space.cone.minimal_generators()
-    blocks = partition_rays(rays, space.dim)
+    blocks = partition_rays(rays)
     return ConeDecomposition(space, rays, blocks)

@@ -203,7 +203,7 @@ def test_criterion_07_cloning_and_broadcasting(capsys):
         cl3 = make_classical(3)
         assert is_clonable(cl3, cl3.vertices)
         obs = one_shot_distinguishing_observable(sq, (v[0], v[2]))
-        cloner = build_cloner(sq, (v[0], v[2]), obs)
+        cloner = build_cloner((v[0], v[2]), obs)
         mid = tuple(HALF * (a + b) for a, b in zip(v[0], v[2]))
         image = matvec(cloner.matrix, mid)
         state = BipartiteState(
@@ -217,21 +217,21 @@ def test_criterion_08_bit_commitment(capsys):
     with _gate(capsys, 8):
         sq = make_squit()
         dd = find_double_decomposition(sq)
-        for bit in (0, 1):
+        for branch in dd.branches:
             mix = [Fraction(0)] * sq.dim
-            for s, p in dd.branches(bit):
+            for s, p in branch:
                 mix = [m + p * x for m, x in zip(mix, s)]
             assert tuple(mix) == dd.omega  # hiding, zero tolerance
         accepted = 0
         for seed in range(5000):
             for bit in (0, 1):
-                t = bc_run(sq, dd, bit, 1, seed)
+                t = bc_run(dd, bit, 1, seed)
                 accepted += t.verdict == "accept"
         assert accepted == 10000
-        bound = bc_cheat_bound(sq, dd, 12)
+        bound = bc_cheat_bound(dd, 12)
         assert bound.per_round == Fraction(3, 4)
         trials = 20000
-        for n, analytic, emp, _ in bc_cheat_curve(sq, dd, 12, trials, 99):
+        for n, analytic, emp, _ in bc_cheat_curve(dd, 12, trials, 99):
             p = float(analytic)
             se = sqrt(p * (1 - p) / trials)
             assert abs(emp - p) <= 3 * se, (n, emp, p)

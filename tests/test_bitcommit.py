@@ -29,32 +29,37 @@ def squit_dd():
 def test_squit_decomposition_frozen():
     dd = squit_dd()
     assert dd.omega == (0, 0, 1)
-    assert [s for s, _ in dd.branch0] == [(1, 1, 1), (-1, -1, 1)]
-    assert [s for s, _ in dd.branch1] == [(-1, 1, 1), (1, -1, 1)]
-    assert all(p == HALF for _, p in dd.branch0 + dd.branch1)
-    assert dd.distinguishers0 == ((QUARTER, QUARTER, HALF),
-                                  (-QUARTER, -QUARTER, HALF))
-    assert dd.distinguishers1 == ((-QUARTER, QUARTER, HALF),
-                                  (QUARTER, -QUARTER, HALF))
+    branch0, branch1 = dd.branches
+    assert [s for s, _ in branch0] == [(1, 1, 1), (-1, -1, 1)]
+    assert [s for s, _ in branch1] == [(-1, 1, 1), (1, -1, 1)]
+    assert all(p == HALF for _, p in branch0 + branch1)
+    assert dd.distinguishers == (((QUARTER, QUARTER, HALF),
+                                  (-QUARTER, -QUARTER, HALF)),
+                                 ((-QUARTER, QUARTER, HALF),
+                                  (QUARTER, -QUARTER, HALF)))
     assert dd.verify()
-    assert not replace(dd, branch0=()).verify()
+    assert not replace(dd, branches=((), branch1)).verify()
 
 
 def _broken_squit_dds():
     """squit's decomposition with one property broken in each."""
     dd = squit_dd()
-    (s0, p0), (s1, p1) = dd.branch0
-    (t0, _), (t1, _) = dd.branch1
-    a0, a1 = dd.distinguishers0
+    branch0, branch1 = dd.branches
+    (s0, p0), (s1, p1) = branch0
+    (t0, _), (t1, _) = branch1
+    (a0, a1), effects1 = dd.distinguishers
     return {
-        "negative weight": replace(dd, branch0=((s0, -p0), (s1, p1))),
-        "mixes elsewhere": replace(dd, branch1=((t0, QUARTER),
-                                                (t1, 3 * QUARTER))),
-        "shared state": replace(dd, branch1=dd.branch0),
-        "not 1 on its state": replace(dd, distinguishers0=(a1, a0)),
+        "negative weight": replace(dd, branches=(((s0, -p0), (s1, p1)),
+                                                 branch1)),
+        "mixes elsewhere": replace(dd, branches=(branch0,
+                                                 ((t0, QUARTER),
+                                                  (t1, 3 * QUARTER)))),
+        "shared state": replace(dd, branches=(branch0, branch0)),
+        "not 1 on its state": replace(dd, distinguishers=((a1, a0),
+                                                          effects1)),
         # 1 on (1, 1, 1) and on the vertex (1, -1, 1) too
-        "1 on another vertex": replace(dd, distinguishers0=((HALF, 0, HALF),
-                                                            a1)),
+        "1 on another vertex": replace(
+            dd, distinguishers=(((HALF, 0, HALF), a1), effects1)),
     }
 
 
@@ -67,7 +72,7 @@ def test_verify_rejects_each_broken_property(broken):
 def test_hiding_is_exact():
     # both branch mixtures are the same vector, zero tolerance
     dd = squit_dd()
-    for branch in (dd.branch0, dd.branch1):
+    for branch in dd.branches:
         mix = tuple(sum(p * s[i] for s, p in branch) for i in range(3))
         assert mix == dd.omega
 
@@ -86,7 +91,7 @@ def test_vertex_cap():
 
 def test_hexagon_minimum_is_four():
     dd = find_double_decomposition(make_polygon(6))
-    assert len(dd.branch0) + len(dd.branch1) == 4
+    assert sum(len(branch) for branch in dd.branches) == 4
     assert dd.verify()
 
 
@@ -120,11 +125,10 @@ def test_exposing_effects_pentagon():
 
 
 def test_honest_runs_always_accept():
-    sq = make_squit()
     dd = squit_dd()
     for seed in (0, 1, 7, 123456789):
         for bit in (0, 1):
-            t = bc_run(sq, dd, bit, 20, seed)
+            t = bc_run(dd, bit, 20, seed)
             assert t.verdict == "accept"
             assert t.reveal == (bit, t.samples)
             assert len(t.samples) == 20
@@ -133,67 +137,61 @@ def test_honest_runs_always_accept():
 
 
 def test_runs_are_reproducible():
-    sq = make_squit()
     dd = squit_dd()
-    assert bc_run(sq, dd, 0, 50, 99) == bc_run(sq, dd, 0, 50, 99)
-    assert bc_run(sq, dd, 0, 50, 99) != bc_run(sq, dd, 0, 50, 100)
+    assert bc_run(dd, 0, 50, 99) == bc_run(dd, 0, 50, 99)
+    assert bc_run(dd, 0, 50, 99) != bc_run(dd, 0, 50, 100)
 
 
 def test_committed_states_match_samples():
-    sq = make_squit()
     dd = squit_dd()
-    t = bc_run(sq, dd, 1, 10, 3)
+    t = bc_run(dd, 1, 10, 3)
     for digit, state in zip(t.samples, t.committed):
-        assert state == dd.branch1[int(digit)][0]
+        assert state == dd.branches[1][int(digit)][0]
 
 
 def test_wrong_claim_is_always_caught_on_squit():
     # the branch distinguishers evaluate to exactly 0 on the other state
-    sq = make_squit()
     dd = squit_dd()
     for seed in range(8):
-        t = bc_run(sq, dd, 0, 6, seed)
+        t = bc_run(dd, 0, 6, seed)
         pos = 2
         wrong = 1 - int(t.samples[pos])
-        bad = bc_run(sq, dd, 0, 6, seed, tamper=(pos, wrong))
+        bad = bc_run(dd, 0, 6, seed, tamper=(pos, wrong))
         assert bad.verdict == "reject"
         assert bad.samples == t.samples
 
 
 def test_run_input_validation():
-    sq = make_squit()
     dd = squit_dd()
     with pytest.raises(InvalidInputError):
-        bc_run(sq, dd, 2, 5, 0)
+        bc_run(dd, 2, 5, 0)
     with pytest.raises(InvalidInputError):
-        bc_run(sq, dd, 0, 0, 0)
+        bc_run(dd, 0, 0, 0)
     with pytest.raises(InvalidInputError):
-        bc_run(sq, dd, 0, 5, 0, tamper=(9, 0))
+        bc_run(dd, 0, 5, 0, tamper=(9, 0))
 
 
 def test_cheat_bound_exact():
     sq = make_squit()
     dd = squit_dd()
-    bound = bc_cheat_bound(sq, dd, 20)
+    bound = bc_cheat_bound(dd, 20)
     assert bound.per_round == F(3, 4)
     assert bound.overall == F(3, 4) ** 20
     sigma = bound.optimizer
     assert sq.is_state(sigma)
-    best0 = max(dot(a, sigma) for a in dd.distinguishers0)
-    best1 = max(dot(a, sigma) for a in dd.distinguishers1)
-    assert min(best0, best1) == F(3, 4)
+    assert min(max(dot(a, sigma) for a in effects)
+               for effects in dd.distinguishers) == F(3, 4)
 
 
 def test_cheat_curve_shape():
-    sq = make_squit()
     dd = squit_dd()
-    rows = bc_cheat_curve(sq, dd, 5, 400, 17)
+    rows = bc_cheat_curve(dd, 5, 400, 17)
     assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
     for n, analytic, emp, err in rows:
         assert analytic == F(3, 4) ** n
         assert 0 <= emp <= 1
         assert err >= 0
-    assert rows == bc_cheat_curve(sq, dd, 5, 400, 17)
+    assert rows == bc_cheat_curve(dd, 5, 400, 17)
 
 
 # -- the face filter against the unfiltered scan ------------------------

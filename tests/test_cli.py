@@ -413,9 +413,12 @@ def squit_outcome(tmp_path) -> dict:
     *(["bitcommit", "run", "--model", "squit", flag, value]
       for flag, value in (("--trials", "9"), ("--format", "json"),
                           ("--tamper", "0"), ("--tamper", "1,1,1"),
-                          ("--tamper", "a,b"))),
+                          ("--tamper", "a,b"), ("--tamper", "1,2,3"),
+                          ("--seed", "x"), ("--seed", "-1"),
+                          ("--seed", str(2 ** 64)))),
     *(["bitcommit", "bound", "--model", "squit", flag, value]
-      for flag, value in (("--bit", "1"), ("--tamper", "0,1"))),
+      for flag, value in (("--bit", "1"), ("--tamper", "0,1"),
+                          ("--seed", "x"))),
     # flags before the action
     ["bitcommit", "--model", "squit", "decompose"],
     ["teleport", "--tol", "0", "construct", "--model", "squit"],
@@ -427,7 +430,25 @@ def test_usage_errors_exit_one_and_write_nothing(tmp_path, argv, capsys,
     out = tmp_path / "out.json"
     assert exit_code(argv + ["--out", str(out)]) == 1
     assert not out.exists()
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # argparse names a type function that raises ValueError
+    assert "_seed_arg" not in captured.err
+    assert "_tamper_arg" not in captured.err
+
+
+@pytest.mark.parametrize("flag, value, form", [
+    ("--seed", "x", "an integer in [0, 2**64)"),
+    ("--seed", str(2 ** 64), "an integer in [0, 2**64)"),
+    ("--tamper", "1,2,3", "position,claimed-sample (two integers)"),
+    ("--tamper", "0", "position,claimed-sample (two integers)"),
+])
+def test_malformed_flag_values_name_the_flag_and_its_form(flag, value, form,
+                                                          capsys):
+    argv = ["bitcommit", "run", "--model", "squit", flag, value]
+    assert exit_code(argv) == 1
+    assert f"argument {flag}: expected {form}, got {value!r}" in \
+        capsys.readouterr().err
 
 
 def test_readme_cli_examples_parse():

@@ -30,7 +30,7 @@ def test_cloner_copies_the_distinguished_states():
     sq = make_squit()
     v = sq.vertices
     obs = one_shot_distinguishing_observable(sq, (v[0], v[2]))
-    cloner = build_cloner(sq, (v[0], v[2]), obs)
+    cloner = build_cloner((v[0], v[2]), obs)
     assert cloner.codomain.tensor == "min"
     assert matvec(cloner.matrix, v[0]) == product_vec(v[0], v[0])
     assert matvec(cloner.matrix, v[2]) == product_vec(v[2], v[2])
@@ -40,7 +40,7 @@ def test_cloner_broadcasts_hull_points_without_cloning():
     sq = make_squit()
     v = sq.vertices
     obs = one_shot_distinguishing_observable(sq, (v[0], v[2]))
-    cloner = build_cloner(sq, (v[0], v[2]), obs)
+    cloner = build_cloner((v[0], v[2]), obs)
     mid = tuple(HALF * (a + b) for a, b in zip(v[0], v[2]))
     image = matvec(cloner.matrix, mid)
     mixture = tuple(HALF * (a + b) for a, b in
@@ -58,7 +58,7 @@ def test_cloner_rejects_non_distinguishing_observable():
     v = sq.vertices
     obs = one_shot_distinguishing_observable(sq, (v[0], v[2]))
     with pytest.raises(InvalidInputError):
-        build_cloner(sq, (v[1], v[3]), obs)
+        build_cloner((v[1], v[3]), obs)
 
 
 def test_broadcast_clonable_set_is_its_own_witness():

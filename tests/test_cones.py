@@ -15,7 +15,7 @@ from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, UnsupportedConeError)
 from gptkit.linalg import (canonical_ray, combination, dot, lex_key, nullspace,
                            rank, vec)
-from gptkit.models import make_classical, make_polygon, make_squit
+from gptkit.models import make_ball, make_classical, make_polygon, make_squit
 from gptkit.scalars import DEFAULT_TOLERANCE, tolerance_for
 from gptkit.spaces import StateSpace
 from test_linalg import reference_independent_subset, reference_inverse
@@ -634,13 +634,13 @@ def test_polygon_facets_support_two_adjacent_vertices():
 
 def test_partition_rays_blocks():
     squit = make_squit()
-    assert len(partition_rays(squit.cone.generators, 3)) == 1
+    assert len(partition_rays(squit.cone.generators)) == 1
     eye = tuple(vec(tuple(1 if i == j else 0 for j in range(3)))
                 for i in range(3))
-    assert partition_rays(eye, 3) == ((0,), (1,), (2,))
+    assert partition_rays(eye) == ((0,), (1,), (2,))
     # square plus an independent ray splits into two summands
     padded = tuple(vec(g + (0,)) for g in SQUARE_GENS) + (vec((0, 0, 0, 1)),)
-    blocks = partition_rays(padded, 4)
+    blocks = partition_rays(padded)
     assert len(blocks) == 2
     assert (4,) in blocks
 
@@ -658,11 +658,11 @@ def test_independent_subset_is_greedy_by_rank(rows):
 def test_partition_rays_permutation_invariant(order):
     padded = tuple(vec(g + (0,)) for g in SQUARE_GENS) + (vec((0, 0, 0, 1)),)
     shuffled = tuple(padded[i] for i in order)
-    blocks = partition_rays(shuffled, 4)
+    blocks = partition_rays(shuffled)
     as_rays = sorted(sorted(lex_key(shuffled[i]) for i in blk)
                      for blk in blocks)
     base = sorted(sorted(lex_key(padded[i]) for i in blk)
-                  for blk in partition_rays(padded, 4))
+                  for blk in partition_rays(padded))
     assert as_rays == base
 
 
@@ -672,7 +672,7 @@ def test_partition_rays_permutation_invariant(order):
     min_size=1, max_size=7)))
 def test_partition_rays_is_finest_direct_sum(rows):
     rays = tuple(vec(r) for r in rows)
-    blocks = partition_rays(rays, len(rays[0]))
+    blocks = partition_rays(rays)
     assert sorted(i for blk in blocks for i in blk) == list(range(len(rays)))
 
     def block_rank(idx):
@@ -707,3 +707,11 @@ def test_lorentz_has_no_lists():
     with pytest.raises(UnsupportedConeError):
         cone.facets
     assert cone.dual() is cone
+
+
+def test_lorentz_refuses_the_negative_axis():
+    # (0, 0, -1) passes the squared test; only the sign of the last
+    # coordinate refuses it, within tol too
+    cone = make_ball(2).cone
+    assert not cone.contains((0, 0, -1))
+    assert not cone.contains((0, 0, -1), F(1, 2))

@@ -65,6 +65,39 @@ def test_no_function_imports():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
+def unread_parameters(source: str) -> list[str]:
+    """Function parameters the body never reads (`self` and `cls` aside):
+    a caller would have to pass a value that changes nothing."""
+    tree = ast.parse(source)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        spec = fn.args
+        params = [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs
+                  + [spec.vararg, spec.kwarg] if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [f"{fn.name}.{name} (line {fn.lineno})" for name in params
+                  if name not in read and name not in ("self", "cls")]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(self, a, b=1, *args, c, **kw):\n    return a + c\n"
+              "def g(cls, x):\n    def h(y):\n        return x\n"
+              "    x = 1\n")
+    assert unread_parameters(source) == [
+        "f.b (line 1)", "f.args (line 1)", "f.kw (line 1)", "h.y (line 4)"]
+
+
+def test_no_unread_parameters():
+    found = {str(path.relative_to(PACKAGE)): unread_parameters(
+        path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
 def model_family_names(source: str) -> list[str]:
     """String literals that start with a model family of the name grammar,
     which only `models` reads."""

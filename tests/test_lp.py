@@ -418,7 +418,7 @@ def test_optimizing_lps_pinned(name):
     space = StateSpace(ConeRep.from_generators([p + (1,) for p in points]),
                        (0, 0, 1))
     effects = [exposing_effect(space, i) for i in range(len(points))]
-    bound = bc_cheat_bound(space, find_double_decomposition(space), 3)
+    bound = bc_cheat_bound(find_double_decomposition(space), 3)
     norms = [base_norm(space, v) for v in ((1, 0, 0), (3, -2, 1))]
     text = repr((effects, bound, norms))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -439,6 +439,6 @@ def test_float_optimizing_lps_pinned(name):
     space = parse_model_name(name)
     effects = [exposing_effect(space, i)
                for i in range(len(space.cone.generators))]
-    bound = bc_cheat_bound(space, find_double_decomposition(space), 3)
+    bound = bc_cheat_bound(find_double_decomposition(space), 3)
     text = repr((effects, bound))
     assert hashlib.sha256(text.encode()).hexdigest() == FLOAT_POLYGON_LPS[name]

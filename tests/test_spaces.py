@@ -266,6 +266,14 @@ def test_positive_maps_lorentz():
     assert not is_positive_map(stretch)
 
 
+def test_lorentz_reflection_of_the_axis_is_not_positive():
+    # T^t J T = J, so the S-lemma test alone would pass it; the axis
+    # check refuses it, since T e_last = -e_last
+    ball = make_ball(2)
+    flip = LinearMapRep(ball, ball, mat(((1, 0, 0), (0, 1, 0), (0, 0, -1))))
+    assert not is_positive_map(flip)
+
+
 def test_lorentz_to_polyhedral_positive():
     ball = make_ball(2)
     cl = make_classical(2)

@@ -113,6 +113,15 @@ def test_classical_equality_effect_teleports():
     assert verify_correction_free(cl, cl, eff, omega)
 
 
+def test_correction_free_needs_a_teleporting_pair():
+    # the product effect u (x) e_0 learns nothing of the input state,
+    # so mu has rank one and the pair does not teleport at all
+    cl, _, omega = classical_pair(2)
+    eff = ((1, 0), (1, 0))
+    assert not verify_teleportation(cl, cl, eff, omega).verdict
+    assert not verify_correction_free(cl, cl, eff, omega)
+
+
 def test_non_effect_is_an_error_not_a_verdict():
     cl, eff, omega = classical_pair(2)
     oversized = tuple(tuple(9 * x for x in row) for row in eff)
@@ -282,6 +291,13 @@ def test_compression_witness_squit():
     assert not verify_compression_witness(sq, sq, rank_one)
 
 
+def test_compression_witness_must_be_positive():
+    # -I has full rank; only positivity refuses it
+    sq = make_squit()
+    minus = tuple(tuple(-x for x in row) for row in identity(3))
+    assert not verify_compression_witness(sq, sq, minus)
+
+
 def test_compression_witness_shape_and_kind_errors():
     sq = make_squit()
     with pytest.raises(DimensionMismatchError):
@@ -397,6 +413,7 @@ SINGULAR = ((0, 0, 0), (0, 0, 0), (0, 0, 1))  # idempotent, unit-preserving
 FLIP = ((1, 0, 0), (0, -1, 0), (0, 0, 1))
 SQUIT_GROUP = symmetry_group(make_squit())
 PENTAGON_GROUP = symmetry_group(make_polygon(5))  # g^5 = I only within eps
+REPEATED = "group has a repeated element"
 
 
 def nudged(group):
@@ -413,21 +430,31 @@ def nudged(group):
     ("squit", (identity(3), SINGULAR), "group element is singular"),
     ("squit", (identity(3), FLIP),
      "group does not act transitively on the pure states"),
-    ("squit", SQUIT_GROUP + SQUIT_GROUP[:1], "effects do not sum to the unit"),
-    ("squit", SQUIT_GROUP[:1] + SQUIT_GROUP, "effects do not sum to the unit"),
-    ("squit", SQUIT_GROUP + SQUIT_GROUP[1:2],
-     "effects do not sum to the unit"),
+    ("squit", SQUIT_GROUP + SQUIT_GROUP[:1], REPEATED),
+    ("squit", SQUIT_GROUP[:1] + SQUIT_GROUP, REPEATED),
+    ("squit", SQUIT_GROUP + SQUIT_GROUP[1:2], REPEATED),
     ("polygon:5", PENTAGON_GROUP, None),
     ("polygon:5", nudged(PENTAGON_GROUP), None),
 ], ids=["no-identity", "no-identity-rotations", "not-closed", "singular",
         "not-transitive", "duplicate-identity-last",
         "duplicate-identity-first", "duplicate-rotation", "float-group",
         "closed-within-eps"])
-def test_construct_matches_the_reference_on_broken_groups(model, group,
-                                                          message):
+def test_construct_matches_the_reference_on_broken_groups(monkeypatch, model,
+                                                          group, message):
     space = parse_model_name(model)
+    if message == REPEATED:
+        # the reference only fails once the effects are summed; the
+        # product table refuses before either tensor is built
+        assert outcome(reference_construct, space, group) == (
+            InvalidInputError, "effects do not sum to the unit")
+
+        def unbuilt(*args):
+            raise AssertionError("a tensor was built")
+        for name in ("max_tensor", "min_tensor"):
+            monkeypatch.setattr(gptkit.protocols.teleport, name, unbuilt)
     new = outcome(construct_deterministic_teleportation, space, group)
-    assert new == outcome(reference_construct, space, group)
+    if message != REPEATED:
+        assert new == outcome(reference_construct, space, group)
     if message is None:
         assert len(new) == 4  # a scheme, not an error
     else:
