@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -44,25 +45,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        value = int(text)
-        if 0 <= value < 2 ** 64:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected an integer in [0, 2**64), got {text!r}")
-
-
-def _tamper_arg(text: str) -> tuple[int, int]:
-    try:
-        pos, claim = map(int, text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected position,claimed-sample (two integers), "
-            f"got {text!r}") from None
-    return pos, claim
+def _ints(form: str, count: int = 0, low=-math.inf, high=math.inf):
+    """argparse type: count comma-separated integers in [low, high) (any
+    number when count is 0; a single one is returned bare); any other
+    value is refused with the flag's expected form."""
+    def parse(text: str):
+        try:
+            values = tuple(int(token) for token in text.split(","))
+            if len(values) == (count or len(values)) and \
+                    all(low <= v < high for v in values):
+                return values[0] if count == 1 else values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return parse
 
 
 def _load_json(source: str):
@@ -93,13 +89,10 @@ def _write_json(args, report: dict) -> None:
 def _states_from_args(args, space):
     if args.states is not None:
         verts = space.vertices
-        picked = []
-        for token in args.states.split(","):
-            i = int(token)
+        for i in args.states:
             if not 0 <= i < len(verts):
                 raise InvalidInputError(f"vertex index {i} out of range")
-            picked.append(verts[i])
-        return tuple(picked)
+        return tuple(verts[i] for i in args.states)
     return tuple(vec(row) for row in _load_json(args.states_json))
 
 
@@ -212,16 +205,14 @@ def _cmd_teleport(args) -> int:
         }
         _write_json(args, report)
         return OK
-    a = parse_model_name(args.model_a)
-    b = parse_model_name(args.model_b or args.model_a)
     effect = mat(_load_json(args.effect))
     omega = BipartiteState.from_json_dict(_load_json(args.omega))
-    cert = verify_teleportation(a, b, effect, omega, args.tol)
-    mode = _mode_for(args, a, b)
+    cert = verify_teleportation(effect, omega, args.tol)
+    mode = _mode_for(args, omega.composite)
     report = {
         "command": "teleport verify",
-        "model_a": a.to_json_dict(),
-        "model_b": b.to_json_dict(),
+        "model_a": omega.composite.factor_b.to_json_dict(),
+        "model_b": omega.composite.factor_a.to_json_dict(),
         "effect": emit(effect, mode),
         "omega": omega.to_json_dict(),
         "certificate": _cert_payload(cert, mode),
@@ -399,13 +390,10 @@ def _build_parser() -> _Parser:
                    help="symmetry group label, e.g. z4")
     a = actions.add_parser("verify", parents=[common],
                            help="check one outcome's effect and state")
-    a.add_argument("--model-a", required=True, help="input system model")
-    a.add_argument("--model-b", default=None,
-                   help="ancilla model, default: same as --model-a")
     a.add_argument("--effect", required=True,
                    help="joint effect matrix JSON")
-    a.add_argument("--omega", required=True,
-                   help="shared bipartite state JSON")
+    a.add_argument("--omega", required=True, help="shared bipartite state "
+                   "JSON on max(B, A); its factors name both systems")
 
     for name, handler, text in (
             ("clone", _cmd_clone, "decide clonability of a finite state set"),
@@ -415,7 +403,8 @@ def _build_parser() -> _Parser:
         p.add_argument("action", choices=("check",))
         p.add_argument("--model", required=True)
         states = p.add_mutually_exclusive_group(required=True)
-        states.add_argument("--states",
+        states.add_argument("--states", type=_ints(
+                            "comma-separated vertex indices"),
                             help="comma-separated vertex indices, e.g. 0,2")
         states.add_argument("--states-json", help="JSON list of state "
                             "vectors (inline or a file path)")
@@ -438,15 +427,20 @@ def _build_parser() -> _Parser:
                            ("bound", "cheating probability over n rounds")))
     for a in (decompose, run, bound):
         a.add_argument("--model", required=True)
+    positive = _ints("a positive integer", 1, low=1)
+    seed = _ints("an integer in [0, 2**64)", 1, low=0, high=2 ** 64)
+    # unbounded: bc_run checks the position against n
+    tamper = _ints("position,claimed-sample (two integers)", 2)
     for a in (run, bound):
-        a.add_argument("--n", type=int, default=1, help="number of rounds")
-        a.add_argument("--seed", type=_seed_arg, default=0,
+        a.add_argument("--n", type=positive, default=1,
+                       help="number of rounds")
+        a.add_argument("--seed", type=seed, default=0,
                        help="64-bit seed (bound: read with --format csv)")
     run.add_argument("--bit", type=int, choices=(0, 1), default=0)
-    run.add_argument("--tamper", type=_tamper_arg, default=None,
+    run.add_argument("--tamper", type=tamper, default=None,
                      help="position,claimed-sample to corrupt the reveal")
     bound.add_argument("--format", choices=("json", "csv"), default="json")
-    bound.add_argument("--trials", type=int, default=2000,
+    bound.add_argument("--trials", type=positive, default=2000,
                        help="(--format csv) Monte Carlo trials per row")
 
     return parser
@@ -463,7 +457,7 @@ def main(argv=None) -> int:
         kind = type(exc).__name__.removesuffix("Error")
         sys.stderr.write(f"gpt-kit: {kind}: {exc}\n")
         return ERROR
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"gpt-kit: error: {exc}\n")
         return ERROR
 

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidInputError
 from .scalars import exactify
 
 Vec = tuple[Fraction, ...]
@@ -32,7 +32,12 @@ ONE = Fraction(1)
 
 
 def vec(values) -> Vec:
-    return tuple(exactify(v) for v in values)
+    try:
+        items = iter(values)
+    except TypeError:
+        raise InvalidInputError(
+            f"expected a sequence of numbers, got {values!r}") from None
+    return tuple(exactify(v) for v in items)
 
 
 def mat(rows) -> Mat:

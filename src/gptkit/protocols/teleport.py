@@ -20,7 +20,7 @@ from ..errors import (DimensionMismatchError, InvalidInputError,
 from ..linalg import (Mat, dot, identity, mat, matmul, matvec, proportion,
                       rank, transpose, unit_vec)
 from ..lp import feasible_point
-from ..models import _same_space, entangled_state_coords, symmetry_group
+from ..models import entangled_state_coords, symmetry_group
 from ..scalars import close, tolerance_for
 from ..spaces import (Effect, LinearMapRep, Observable, StateSpace,
                       _positive_between, is_norm_contractive,
@@ -60,17 +60,18 @@ def _fail(a_space: StateSpace, mu: Mat, constant, witness: Mat
         correction=None, verdict=False, duality_witness=witness)
 
 
-def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
-                         f_coords, omega: BipartiteState,
+def verify_teleportation(f_coords, omega: BipartiteState,
                          tol=None) -> TeleportationCertificate:
     """Decide whether measuring f on A+B collapses omega's far half to
     an invertible image of the input state.
 
-    The composite mu = omega_hat . f_hat must equal c.J with c > 0 and
-    J an order isomorphism of A; the correction is J's inverse. The
-    effect is validated against the minimal composite of (A, B), the
-    shared state against the maximal composite of B and A themselves.
+    omega lives on the maximal composite of B and A, so its factors name
+    both systems. The composite mu = omega_hat . f_hat must equal c.J
+    with c > 0 and J an order isomorphism of A; the correction is J's
+    inverse. The effect is validated against the minimal composite of
+    (A, B), the shared state against the maximal composite.
     """
+    b_space, a_space = omega.composite.factor_a, omega.composite.factor_b
     F = mat(f_coords)
     if not effect_on_min(a_space, b_space, F, tol):
         raise InvalidInputError("f is not an effect on the minimal composite")
@@ -78,11 +79,6 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
     if omega.composite.tensor != "max":
         raise InvalidInputError("shared state must live on the maximal "
                                 "composite")
-    fb, fa = omega.composite.factor_a, omega.composite.factor_b
-    if fb.dim != b_space.dim or fa.dim != a_space.dim:
-        raise DimensionMismatchError("shared state factors must be (B, A)")
-    if not (_same_space(fb, b_space) and _same_space(fa, a_space)):
-        raise InvalidInputError("shared state factors must be (B, A)")
     omega.validate(tol)
 
     witness = f_hat(F)
@@ -105,16 +101,15 @@ def verify_teleportation(a_space: StateSpace, b_space: StateSpace,
         correction=correction, verdict=True, duality_witness=witness)
 
 
-def verify_correction_free(a_space: StateSpace, b_space: StateSpace,
-                           f_coords, omega: BipartiteState,
+def verify_correction_free(f_coords, omega: BipartiteState,
                            tol=None) -> bool:
     """True iff the pair teleports with the identity correction."""
-    cert = verify_teleportation(a_space, b_space, f_coords, omega, tol)
+    cert = verify_teleportation(f_coords, omega, tol)
     if not cert.verdict:
         return False
     scaled = tuple(tuple(cert.constant * x for x in row)
-                   for row in identity(a_space.dim))
-    return close(cert.mu.matrix, scaled, tolerance_for(tol, a_space, b_space))
+                   for row in identity(cert.mu.domain.dim))
+    return close(cert.mu.matrix, scaled, tolerance_for(tol, omega.composite))
 
 
 def construct_deterministic_teleportation(
@@ -205,7 +200,7 @@ def construct_deterministic_teleportation(
 
     certificates = []
     for g, gi, F in zip(group, inverses, effects):
-        cert = verify_teleportation(space, space, F, shared, tol)
+        cert = verify_teleportation(F, shared, tol)
         if not cert.verdict:
             raise InvalidInputError("an outcome fails teleportation "
                                     "verification")

@@ -148,7 +148,7 @@ def test_criterion_05_product_effect_negative_control(capsys):
         for facet in sq.cone.facets:
             ea = tuple(x / 2 for x in facet)  # facets peak at 2 on states
             F = _outer(ea, ea)
-            cert = verify_teleportation(sq, sq, F, scheme.omega)
+            cert = verify_teleportation(F, scheme.omega)
             assert cert.verdict is False
             assert rank(cert.mu.matrix) < sq.dim
 

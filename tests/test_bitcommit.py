@@ -10,7 +10,8 @@ from gptkit.errors import (InvalidInputError, SearchCapError,
                            UnsupportedConeError)
 from gptkit.linalg import dot, vec
 from gptkit.lp import feasible_point
-from gptkit.models import make_classical, make_polygon, make_squit
+from gptkit.models import (make_ball, make_classical, make_polygon,
+                           make_squit)
 from gptkit.protocols import (bc_cheat_bound, bc_cheat_curve, bc_run,
                               bitcommit, exposing_effect,
                               find_double_decomposition)
@@ -169,6 +170,18 @@ def test_run_input_validation():
         bc_run(dd, 0, 0, 0)
     with pytest.raises(InvalidInputError):
         bc_run(dd, 0, 5, 0, tamper=(9, 0))
+
+
+def test_cheat_counts_and_cone_kind_are_refused():
+    dd = squit_dd()
+    with pytest.raises(InvalidInputError, match="need at least one round"):
+        bc_cheat_bound(dd, 0)
+    for n_max, trials in ((0, 10), (1, 0)):
+        with pytest.raises(InvalidInputError,
+                           match="n_max and trials must be positive"):
+            bc_cheat_curve(dd, n_max, trials, 0)
+    with pytest.raises(UnsupportedConeError):
+        find_double_decomposition(make_ball(2))
 
 
 def test_cheat_bound_exact():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -82,10 +83,13 @@ def test_teleport_construct_and_verify_round_trip(tmp_path):
     omega = tmp_path / "omega.json"
     effect.write_text(json.dumps(report["effects"][2]))
     omega.write_text(json.dumps(report["omega"]))
-    code, body = run(tmp_path, "teleport", "verify", "--model-a", "squit",
-                     "--effect", str(effect), "--omega", str(omega))
+    code, body = run(tmp_path, "teleport", "verify", "--effect", str(effect),
+                     "--omega", str(omega))
     assert code == 0
-    assert json.loads(body)["certificate"]["verdict"] is True
+    verified = json.loads(body)
+    assert verified["certificate"]["verdict"] is True
+    # the systems are the shared state's factors
+    assert verified["model_a"] == verified["model_b"] == report["model"]
 
 
 def test_teleport_group_mismatch_is_an_error(tmp_path, monkeypatch, capsys):
@@ -399,13 +403,12 @@ def squit_outcome(tmp_path) -> dict:
      "--states-json", "[[0, 0, 1]]"],
     ["tensor", "--min", "squit", "squit", "--check-equals-min"],
     ["teleport", "construct"],
-    ["teleport", "verify", "--model-a", "squit", "--effect", "[[0]]"],
+    ["teleport", "verify", "--effect", "[[0]]"],
     # flags of another action
     *(["teleport", "construct", "--model", "squit", flag, "squit"]
       for flag in ("--model-a", "--model-b", "--effect", "--omega")),
-    *(["teleport", "verify", "--model-a", "squit", "--effect", "EFFECT",
-       "--omega", "OMEGA", flag, value]
-      for flag, value in (("--model", "squit"), ("--group", "z4"))),
+    *(["teleport", "verify", "--effect", "EFFECT", "--omega", "OMEGA", flag,
+       value] for flag, value in (("--model", "squit"), ("--group", "z4"))),
     *(["bitcommit", "decompose", "--model", "squit", flag, value]
       for flag, value in (("--bit", "1"), ("--n", "2"), ("--trials", "9"),
                           ("--tamper", "0,1"), ("--seed", "3"),
@@ -423,6 +426,12 @@ def squit_outcome(tmp_path) -> dict:
     ["bitcommit", "--model", "squit", "decompose"],
     ["teleport", "--tol", "0", "construct", "--model", "squit"],
     ["bitcommit", "--tol=0", "decompose", "--model", "squit"],
+    # the shared state names both systems
+    *(["teleport", "verify", flag, "squit", "--effect", "EFFECT",
+       "--omega", "OMEGA"] for flag in ("--model-a", "--model-b")),
+    *(["clone", "check", "--model", "squit", "--states", value]
+      for value in ("a,b", ",0", "")),
+    ["broadcast", "check", "--model", "squit", "--states", "0,x"],
 ])
 def test_usage_errors_exit_one_and_write_nothing(tmp_path, argv, capsys,
                                                 squit_outcome):
@@ -432,12 +441,44 @@ def test_usage_errors_exit_one_and_write_nothing(tmp_path, argv, capsys,
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    # argparse names a type function that raises ValueError
-    assert "_seed_arg" not in captured.err
-    assert "_tamper_arg" not in captured.err
+    # argparse's wording when a type function raises ValueError
+    assert not re.search(r"invalid \w+ value", captured.err)
+
+
+@pytest.mark.parametrize("tail", [
+    ["run", "--model", "polygon:14", "--n", "0"],
+    ["run", "--model", "polygon:14", "--n", "-3"],
+    ["bound", "--model", "polygon:14", "--n", "0"],
+    ["bound", "--model", "polygon:14", "--format", "csv", "--trials", "0"],
+], ids=["run-n-0", "run-n-negative", "bound-n-0", "csv-trials-0"])
+def test_counts_are_checked_before_the_search(tmp_path, monkeypatch, capsys,
+                                              tail):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("search ran")
+    monkeypatch.setattr(gptkit.cli, "find_double_decomposition", unreachable)
+    out = tmp_path / "out.json"
+    assert exit_code(["bitcommit", *tail, "--out", str(out)]) == 1
+    assert not out.exists()
+    flag, value = tail[-2:]
+    assert f"argument {flag}: expected a positive integer, got {value!r}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["clone", "check", "--model", "squit", "--states-json", "[5]"],
+    ["teleport", "verify", "--effect", "[1,2,3]", "--omega", "OMEGA"],
+], ids=["states-json", "effect"])
+def test_a_scalar_where_a_sequence_belongs_is_an_input_error(
+        tmp_path, argv, capsys, squit_outcome):
+    argv = [squit_outcome.get(a, a) for a in argv]
+    assert run(tmp_path, *argv) == (1, b"")
+    err = capsys.readouterr().err
+    assert err.startswith("gpt-kit: InvalidInput: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value, form", [
+    ("--states", "a,b", "comma-separated vertex indices"),
     ("--seed", "x", "an integer in [0, 2**64)"),
     ("--seed", str(2 ** 64), "an integer in [0, 2**64)"),
     ("--tamper", "1,2,3", "position,claimed-sample (two integers)"),
@@ -445,7 +486,8 @@ def test_usage_errors_exit_one_and_write_nothing(tmp_path, argv, capsys,
 ])
 def test_malformed_flag_values_name_the_flag_and_its_form(flag, value, form,
                                                           capsys):
-    argv = ["bitcommit", "run", "--model", "squit", flag, value]
+    command = ["clone", "check"] if flag == "--states" else ["bitcommit", "run"]
+    argv = [*command, "--model", "squit", flag, value]
     assert exit_code(argv) == 1
     assert f"argument {flag}: expected {form}, got {value!r}" in \
         capsys.readouterr().err

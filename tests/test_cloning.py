@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from gptkit.composites import BipartiteState, marginal, min_tensor, product_vec
-from gptkit.errors import InvalidInputError
+from gptkit.errors import InvalidInputError, UnsupportedConeError
 from gptkit.linalg import matvec, vec
-from gptkit.models import make_classical, make_squit
+from gptkit.models import make_ball, make_classical, make_squit
 from gptkit.protocols import build_cloner, is_broadcastable, is_clonable
 from gptkit.spaces import one_shot_distinguishing_observable
 
@@ -112,3 +112,11 @@ def test_broadcast_rejects_unnormalized():
     sq = make_squit()
     with pytest.raises(InvalidInputError):
         is_broadcastable(sq, (vec((1, 1, 2)),))
+
+
+def test_empty_and_lorentz_inputs_are_refused():
+    with pytest.raises(InvalidInputError, match="no states given"):
+        is_broadcastable(make_squit(), [])
+    ball = make_ball(2)
+    with pytest.raises(UnsupportedConeError):
+        one_shot_distinguishing_observable(ball, [ball.unit])

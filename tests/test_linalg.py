@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptkit.cones import independent_subset
-from gptkit.errors import DimensionMismatchError
+from gptkit.errors import DimensionMismatchError, InvalidInputError
 from gptkit.linalg import (ONE, ZERO, canonical_ray, combination, dot,
                            identity, integer_row, inverse, lex_key, mat,
                            matmul, matvec, nullspace, rank, rref, transpose,
@@ -89,6 +89,13 @@ def assert_rref(reduced, pivots):
 def square(n):
     return st.lists(st.lists(fractions, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(mat)
+
+
+def test_a_scalar_is_not_a_vector():
+    with pytest.raises(InvalidInputError, match="expected a sequence"):
+        vec(5)
+    with pytest.raises(InvalidInputError, match="expected a sequence"):
+        mat((1, 2, 3))
 
 
 def test_rref_frozen():

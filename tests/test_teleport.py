@@ -58,7 +58,7 @@ def test_verify_inverts_j_once(monkeypatch):
         calls.append(matrix)
         return inverse(matrix)
     monkeypatch.setattr(gptkit.spaces, "inverse", counted)
-    cert = verify_teleportation(sq, sq, scheme.effects[1], scheme.omega)
+    cert = verify_teleportation(scheme.effects[1], scheme.omega)
     assert cert.verdict and cert.correction.matrix == scheme.certificates[
         1].correction.matrix
     assert len(calls) == 1
@@ -103,14 +103,14 @@ def test_construct_rescales_the_state_map():
 
 def test_classical_equality_effect_teleports():
     cl, eff, omega = classical_pair(3)
-    cert = verify_teleportation(cl, cl, eff, omega)
+    cert = verify_teleportation(eff, omega)
     assert cert.verdict
     assert cert.constant == F(1, 9)
     assert cert.mu.matrix == tuple(
         tuple(F(1, 9) if i == j else F(0) for j in range(3))
         for i in range(3))
     assert cert.correction.matrix == identity(3)
-    assert verify_correction_free(cl, cl, eff, omega)
+    assert verify_correction_free(eff, omega)
 
 
 def test_correction_free_needs_a_teleporting_pair():
@@ -118,15 +118,15 @@ def test_correction_free_needs_a_teleporting_pair():
     # so mu has rank one and the pair does not teleport at all
     cl, _, omega = classical_pair(2)
     eff = ((1, 0), (1, 0))
-    assert not verify_teleportation(cl, cl, eff, omega).verdict
-    assert not verify_correction_free(cl, cl, eff, omega)
+    assert not verify_teleportation(eff, omega).verdict
+    assert not verify_correction_free(eff, omega)
 
 
 def test_non_effect_is_an_error_not_a_verdict():
     cl, eff, omega = classical_pair(2)
     oversized = tuple(tuple(9 * x for x in row) for row in eff)
     with pytest.raises(InvalidInputError):
-        verify_teleportation(cl, cl, oversized, omega)
+        verify_teleportation(oversized, omega)
 
 
 def test_shared_state_must_sit_on_max_composite():
@@ -134,7 +134,7 @@ def test_shared_state_must_sit_on_max_composite():
     wrong = BipartiteState(min_tensor(cl, cl),
                            ((F(1, 2), F(0)), (F(0), F(1, 2))))
     with pytest.raises(InvalidInputError):
-        verify_teleportation(cl, cl, eff, wrong)
+        verify_teleportation(eff, wrong)
 
 
 def test_shared_state_must_be_normalized():
@@ -142,27 +142,28 @@ def test_shared_state_must_be_normalized():
     too_big = BipartiteState(max_tensor(cl, cl),
                              ((F(1), F(0)), (F(0), F(1))))
     with pytest.raises(InvalidInputError):
-        verify_teleportation(cl, cl, eff, too_big)
+        verify_teleportation(eff, too_big)
 
 
-def test_factor_shape_mismatch():
-    cl, eff, omega = classical_pair(2)
-    with pytest.raises(DimensionMismatchError):
-        verify_teleportation(make_classical(3), cl, eff, omega)
-
-
-def test_shared_state_factors_must_be_the_models():
+def test_separately_built_models_are_the_same_factors():
     sq = make_squit()
     effect = construct_deterministic_teleportation(sq).effects[0]
-    # same dims, but a correlated state of max(classical:3, classical:3),
-    # which is not even normalized on max(squit, squit)
-    _, _, other = classical_pair(3)
-    with pytest.raises(InvalidInputError, match="factors"):
-        verify_teleportation(sq, sq, effect, other)
-    # separately built copies of the models are the same factors
     coords = entangled_state_coords(sq)
     omega = BipartiteState(max_tensor(make_squit(), make_squit()), coords)
-    assert verify_teleportation(sq, sq, effect, omega).verdict
+    assert verify_teleportation(effect, omega).verdict
+
+
+def test_the_shared_state_names_both_systems():
+    # omega on max(classical:2, squit) names B = classical:2 and A = squit,
+    # so an effect is a 3 x 2 matrix and mu acts on squit
+    sq, cl = make_squit(), make_classical(2)
+    omega = BipartiteState(max_tensor(cl, sq), tuple(
+        tuple(x / 2 for x in v) for v in sq.vertices[:2]))
+    half_unit = ((0, 0), (0, 0), (F(1, 2), F(1, 2)))  # (u_A x u_B) / 2
+    cert = verify_teleportation(half_unit, omega)
+    assert cert.mu.domain is sq and not cert.verdict
+    with pytest.raises(DimensionMismatchError):
+        verify_teleportation(identity(3), omega)
 
 
 def test_unparsable_model_size_is_unsupported():
@@ -181,7 +182,7 @@ def test_product_effect_gives_singular_mu():
     scheme = construct_deterministic_teleportation(sq)
     u = sq.unit
     prod = tuple(tuple(F(1, 4) * ua * ub for ub in u) for ua in u)
-    cert = verify_teleportation(sq, sq, prod, scheme.omega)
+    cert = verify_teleportation(prod, scheme.omega)
     assert not cert.verdict
     assert cert.correction is None
     assert inverse(cert.mu.matrix) is None
@@ -203,8 +204,8 @@ def test_squit_scheme_frozen():
         assert cert.verdict
         assert cert.constant == F(1, 4)
         assert cert.correction.matrix == inverse(g)
-    assert verify_correction_free(sq, sq, scheme.effects[0], scheme.omega)
-    assert not verify_correction_free(sq, sq, scheme.effects[1], scheme.omega)
+    assert verify_correction_free(scheme.effects[0], scheme.omega)
+    assert not verify_correction_free(scheme.effects[1], scheme.omega)
 
 
 def test_scheme_observable_and_state_are_valid():
@@ -241,7 +242,7 @@ def test_self_duality_witnesses_from_same_system_runs():
     for cert in scheme.certificates:
         assert verify_self_duality_witness(sq, cert.duality_witness)
     cl, eff, omega = classical_pair(3)
-    cert = verify_teleportation(cl, cl, eff, omega)
+    cert = verify_teleportation(eff, omega)
     assert verify_self_duality_witness(cl, cert.duality_witness)
 
 
@@ -368,7 +369,7 @@ def reference_construct(space, group=None):
         for E in effects))
     certificates = []
     for gi, E in zip(inverses, effects):
-        cert = verify_teleportation(space, space, E, shared)
+        cert = verify_teleportation(E, shared)
         if not cert.verdict:
             raise InvalidInputError("an outcome fails teleportation "
                                     "verification")
