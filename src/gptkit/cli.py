@@ -436,7 +436,8 @@ def _build_parser() -> _Parser:
                        help="number of rounds")
         a.add_argument("--seed", type=seed, default=0,
                        help="64-bit seed (bound: read with --format csv)")
-    run.add_argument("--bit", type=int, choices=(0, 1), default=0)
+    run.add_argument("--bit", type=_ints("0 or 1", 1, low=0, high=2),
+                     default=0)
     run.add_argument("--tamper", type=tamper, default=None,
                      help="position,claimed-sample to corrupt the reveal")
     bound.add_argument("--format", choices=("json", "csv"), default="json")

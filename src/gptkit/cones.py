@@ -35,6 +35,7 @@ from .errors import (
 from .linalg import (
     Vec,
     ZERO,
+    _eliminate,
     canonical_ray,
     dot,
     integer_row,
@@ -42,7 +43,6 @@ from .linalg import (
     lex_key,
     nullspace,
     rank,
-    rref,
     vec,
 )
 from .lp import feasible_point
@@ -60,7 +60,7 @@ def independent_subset(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     Vector j is kept exactly when it leaves the span of the ones before
     it, i.e. when column j is a pivot of the stacked columns' rref.
     """
-    return tuple(vectors[j] for j in rref(tuple(zip(*vectors)))[1])
+    return tuple(vectors[j] for j in _eliminate(tuple(zip(*vectors)))[1])
 
 
 def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
@@ -268,7 +268,9 @@ class ConeRep:
         # The known vectors span, so the rays generate a pointed cone. It is
         # full-dimensional exactly when each nonzero known vector is
         # positive on some ray: the rays' sum is then an interior point.
-        total = tuple(map(sum, zip(*rays)))
+        # The rays are integers (coprime, denominator 1), so their sum is
+        # the sum of their numerators, made without a Fraction.
+        total = [sum(x.numerator for x in c) for c in zip(*rays)]
         if not rays or any(any(k) and dot(k, total) == 0 for k in known):
             raise DegenerateConeError(
                 f"{known_name} describe a cone that is not {quality}")

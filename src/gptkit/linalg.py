@@ -1,12 +1,13 @@
 """Exact dense linear algebra over Fraction vectors.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples. Sizes
-here are desk scale (dim <= 16, a few dozen rows). Elimination (rref,
-and through it rank, nullspace and inverse) runs on every cone's rank
-check and on the base of each double description, so it works on
-integers: each row is cleared to coprime integers (integer_row),
-eliminated fraction-free with one gcd division per row, and turned back
-into Fractions only in the result. Every exact pairing (dot, and so
+here are desk scale (dim <= 16, a few dozen rows). Elimination runs on
+every cone's rank check and on the base of each double description, so
+it works on integers: each row is cleared to coprime integers
+(integer_row) and eliminated fraction-free with one gcd division per
+row. rref, and through it nullspace and inverse, turns the rows back
+into Fractions; rank and cones.independent_subset read the pivot
+columns only and make no Fraction. Every exact pairing (dot, and so
 matvec and matmul, and each coordinate of combination) adds numerator
 products over one running denominator and makes one Fraction per
 result. The other hot loops keep integers of their own: double
@@ -114,21 +115,17 @@ def matmul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices.
-
-    Gauss-Jordan on coprime integer rows: scaling a row by a nonzero
-    constant leaves the RREF unchanged, so each row is cleared to
-    integers once, eliminated fraction-free (p * row - f * pivot row,
-    then divided by its gcd) and divided by its pivot only at the end.
+def _eliminate(m: Mat) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Gauss-Jordan on coprime integer rows: the eliminated rows and the
+    pivot column indices. Scaling a row by a nonzero constant leaves the
+    RREF unchanged, so each row is cleared to integers once and
+    eliminated fraction-free (p * row - f * pivot row, then divided by
+    its gcd); row r then holds pivot r's row of the RREF times its pivot.
     """
     rows = [list(integer_row(v)[0]) for v in m]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
@@ -145,14 +142,23 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         r += 1
         if r == len(rows):
             break
+    return rows, tuple(pivots)
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices: _eliminate's
+    rows, each pivot row divided by its pivot, the rest zero."""
+    rows, pivots = _eliminate(m)
+    if not rows:
+        return (), ()
     reduced = [tuple(Fraction(x, row[c]) if x else ZERO for x in row)
                for row, c in zip(rows, pivots)]
-    reduced += [zeros(ncols)] * (len(rows) - r)
-    return tuple(reduced), tuple(pivots)
+    reduced += [zeros(len(rows[0]))] * (len(rows) - len(pivots))
+    return tuple(reduced), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m)[1])
 
 
 def nullspace(m: Mat) -> tuple[Vec, ...]:

@@ -483,6 +483,8 @@ def test_a_scalar_where_a_sequence_belongs_is_an_input_error(
     ("--seed", str(2 ** 64), "an integer in [0, 2**64)"),
     ("--tamper", "1,2,3", "position,claimed-sample (two integers)"),
     ("--tamper", "0", "position,claimed-sample (two integers)"),
+    ("--bit", "x", "0 or 1"),
+    ("--bit", "2", "0 or 1"),
 ])
 def test_malformed_flag_values_name_the_flag_and_its_form(flag, value, form,
                                                           capsys):

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit import cones
+from gptkit import cones, linalg
 from gptkit.composites import max_tensor, min_tensor, product_vec
 from gptkit.cones import (DIMENSION_CAP, ConeRep, enumerate_rays,
                           independent_subset, partition_rays)
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, UnsupportedConeError)
-from gptkit.linalg import (canonical_ray, combination, dot, lex_key, nullspace,
-                           rank, vec)
+from gptkit.linalg import (canonical_ray, combination, dot, lex_key, mat,
+                           nullspace, rank, rref, vec)
 from gptkit.models import make_ball, make_classical, make_polygon, make_squit
-from gptkit.scalars import DEFAULT_TOLERANCE, tolerance_for
+from gptkit.scalars import (DEFAULT_TOLERANCE, FLOAT, RATIONAL, exactify,
+                            tolerance_for)
 from gptkit.spaces import StateSpace
-from test_linalg import reference_independent_subset, reference_inverse
+from test_linalg import (reference_independent_subset, reference_inverse,
+                         seeded_matrices)
 
 F = Fraction
 
@@ -304,6 +306,28 @@ def rank_rule(known, dim):
     return rays if rays and rank(rays) == dim else None
 
 
+def sides_match_rank_rule(known, arithmetic):
+    """Both lazy sides of known give rank_rule's verdict, its message or
+    its rays (in float mode each scaled to top entry 1); True when the
+    verdict is degenerate."""
+    dim = len(known[0])
+    want = rank_rule(known, dim)
+    if want is not None and arithmetic == FLOAT:
+        want = tuple(tuple(x / max(map(abs, r)) for x in r) for r in want)
+    for make, side, name, quality in (
+            (ConeRep.from_generators, "facets", "generators", "pointed"),
+            (ConeRep.from_facets, "generators", "facets", "generating")):
+        cone = make(known, arithmetic)
+        if want is None:
+            with pytest.raises(DegenerateConeError,
+                               match=f"^{name} describe a cone that is "
+                                     f"not {quality}$"):
+                getattr(cone, side)
+        else:
+            assert getattr(cone, side) == want, known
+    return want is None
+
+
 def test_spanning_check_matches_rank_rule_seeded():
     rng = random.Random(1996)
     verdicts = set()
@@ -313,21 +337,29 @@ def test_spanning_check_matches_rank_rule_seeded():
                  for _ in range(rng.randint(dim, dim + 4))]
         if trial % 4 == 0:
             known.append(tuple(-x for x in rng.choice(known)))
-        if rank(tuple(vec(k) for k in known)) < dim:
-            continue
-        want = rank_rule(tuple(vec(k) for k in known), dim)
-        verdicts.add(want is None)
-        for make, side, name, quality in (
-                (ConeRep.from_generators, "facets", "generators", "pointed"),
-                (ConeRep.from_facets, "generators", "facets", "generating")):
-            cone = make(known)
-            if want is None:
-                with pytest.raises(DegenerateConeError,
-                                   match=f"^{name} describe a cone that is "
-                                         f"not {quality}$"):
-                    getattr(cone, side)
-            else:
-                assert getattr(cone, side) == want, f"trial {trial}"
+        known = tuple(vec(k) for k in known)
+        if rank(known) == dim:
+            verdicts.add(sides_match_rank_rule(known, RATIONAL))
+    assert verdicts == {True, False}
+
+
+def test_spanning_check_matches_rank_rule_seeded_float():
+    # Power-of-two denominators (scaled by 1/2 or 3/8, entries of
+    # exactify(0.1)): the known side is not integer, the rays are.
+    rng = random.Random(2009)
+    tenth = exactify(0.1)
+    verdicts = set()
+    for trial in range(400):
+        dim = rng.randint(1, 5)
+        known = [tuple(rng.choice((-2, -1, 0, 1, 2, tenth, -tenth))
+                       * rng.choice((1, F(1, 2), F(3, 8)))
+                       for _ in range(dim))
+                 for _ in range(rng.randint(dim, dim + 4))]
+        if trial % 4 == 0:
+            known.append(tuple(-x for x in rng.choice(known)))
+        known = tuple(vec(k) for k in known)
+        if rank(known) == dim:
+            verdicts.add(sides_match_rank_rule(known, FLOAT))
     assert verdicts == {True, False}
 
 
@@ -651,6 +683,28 @@ def test_partition_rays_blocks():
 def test_independent_subset_is_greedy_by_rank(rows):
     vectors = tuple(vec(r) for r in rows)
     assert independent_subset(vectors) == greedy_by_rank(vectors)
+
+
+def test_rank_and_independent_subset_read_pivots_only(monkeypatch):
+    # Both answer from the integer elimination alone, so they still
+    # answer when rref, the only maker of the Fraction matrix, refuses.
+    dyadic = (F(1, 2), F(3, 8), exactify(0.1))
+    cases = [(), ((),), (vec((0, 0)), vec((0, 0))),
+             mat(((0, 1, 2), (0, 3, 4), (0, -5, 6))),  # zero column
+             mat(((-3, 6, 1), (1, -1, 0), (0, -2, -2))),  # negative pivots
+             mat(((-1, 0), (0, -4), (2, -2))),
+             mat((dyadic, (1, 0, dyadic[0]), tuple(2 * x for x in dyadic))),
+             *seeded_matrices(random.Random(25), 600)]
+    want = [(len(rref(m)[1]), greedy_by_rank(m)) for m in cases]
+
+    def refuse(m):
+        raise AssertionError("rref called")
+    monkeypatch.setattr(linalg, "rref", refuse)
+    # a module that imported rref by name holds its own binding
+    monkeypatch.setattr(cones, "rref", refuse, raising=False)
+    for m, (r, subset) in zip(cases, want):
+        assert rank(m) == r, m
+        assert independent_subset(m) == subset, m
 
 
 @settings(max_examples=30, deadline=None)
