@@ -27,7 +27,7 @@ from .linalg import (Mat, Vec, dot, integer_row, mat, matvec, transpose, vec,
                      zeros)
 from .models import _is_model_name, _is_named_model, parse_model_name
 from .scalars import close, emit, merge_arithmetic, tolerance_for
-from .spaces import StateSpace
+from .spaces import StateSpace, _positive_between
 
 
 def product_vec(x: Vec, y: Vec) -> Vec:
@@ -301,14 +301,14 @@ def effect_on_min(a: StateSpace, b: StateSpace, f_coords: Mat,
     """Valid effect on the minimal composite: 0 <= F <= u on products.
 
     Both F and u (x) u - F, pulled back through each generator x of a
-    (x -> F^t x), must land in the dual of b's cone.
+    (x -> F^t x), must land in the dual of b's cone: F^t is a positive
+    map from a's cone into b's dual.
     """
     F, residual = _effect_and_residual(a, b, f_coords)
     eps = tolerance_for(tol, a, b)
     _require_polyhedral(a, b)
-    return all(b.cone.dual().contains(y, eps)
-               for G in (F, residual)
-               for y in _pullbacks(G, a.cone.generators))
+    return all(_positive_between(transpose(G), a.cone, b.cone.dual(), eps)
+               for G in (F, residual))
 
 
 def effect_on_max(a: StateSpace, b: StateSpace, f_coords: Mat,

@@ -17,7 +17,9 @@ coprime integer tuples, and pairs of rays are tested for adjacency by a
 popcount prefilter and by zero sets transposed into bitsets. Polyhedral
 membership runs on integers too: each facet is kept once as a coprime
 integer row times a positive scale, and a vector is cleared to integers
-over one denominator, so a facet test is an int dot and a sign.
+over one denominator, so a facet test is an int dot and a sign. That
+test (`meets_rows`, on `facet_rows`) also takes a vector already given
+as integers and a scale, as positivity of a map hands it each image.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ POLYHEDRAL = "polyhedral"
 LORENTZ = "lorentz"
 
 DIMENSION_CAP = 16
+
+# facets as (coprime integer row, positive scale) pairs
+Rows = tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
 def independent_subset(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
@@ -160,6 +165,21 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     return tuple(tuple(map(Fraction, r)) for r in sorted(rays))
 
 
+def meets_rows(rows: Rows, xs: tuple[int, ...], xscale: Fraction,
+               tol: Fraction) -> bool:
+    """Whether <f, x> >= -tol on every facet f = scale * row, for the
+    vector x = xscale * xs given by integers xs and a positive scale."""
+    free = tol >= 0  # then s >= 0 passes without its scale
+    for row, scale in rows:
+        # <f, x> = scale * xscale * s, and both scales are positive
+        s = sum(map(mul, row, xs))
+        if s >= 0 and free:
+            continue
+        if not (tol and scale * xscale * s >= -tol):
+            return False
+    return True
+
+
 class ConeRep:
     """A pointed, generating cone in R^dim.
 
@@ -182,7 +202,7 @@ class ConeRep:
         self.arithmetic = arithmetic
         self._generators = generators
         self._facets = facets
-        self._rows: tuple[tuple[tuple[int, ...], Fraction], ...] | None = None
+        self._rows: Rows | None = None
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------
@@ -297,20 +317,22 @@ class ConeRep:
             if last + tol < 0:
                 return False
             return (last + tol) ** 2 >= dot(head, head)
-        if self._rows is None:
-            if self._facets is None and self.dim > DIMENSION_CAP:
-                return self.weights(x, tol) is not None
-            self._rows = tuple(map(integer_row, self.facets))
+        rows = self.facet_rows()
+        if rows is None:
+            return self.weights(x, tol) is not None
         xs, xscale = integer_row(x)
-        free = tol >= 0  # then s >= 0 passes without its scale
-        for row, scale in self._rows:
-            # <f, x> = scale * xscale * s, and both scales are positive
-            s = sum(map(mul, row, xs))
-            if s >= 0 and free:
-                continue
-            if not (tol and scale * xscale * s >= -tol):
-                return False
-        return True
+        return meets_rows(rows, xs, xscale, tol)
+
+    def facet_rows(self) -> Rows | None:
+        """Each facet once as coprime integer row and positive scale, or
+        None for a Lorentz cone and where the facets are missing above
+        the dimension cap (there membership asks `weights`)."""
+        if self._rows is None:
+            if self.kind == LORENTZ or \
+                    self._facets is None and self.dim > DIMENSION_CAP:
+                return None
+            self._rows = tuple(map(integer_row, self.facets))
+        return self._rows
 
     def weights(self, x: Vec, tol: Fraction = ZERO) -> Vec | None:
         """Weights w >= 0 on the generators that sum to x within tol (in

@@ -13,7 +13,10 @@ products over one running denominator and makes one Fraction per
 result. The other hot loops keep integers of their own: double
 description its rays (cones.enumerate_rays), the simplex each tableau
 row over one denominator, on columns cleared once by integer_row
-(lp.solve_lp), and membership each facet row (cones.ConeRep.contains).
+(lp.solve_lp), membership each facet row (cones.ConeRep.contains),
+positivity each image of a generator under a matrix cleared once by
+integer_row (spaces._positive_between, on those facet rows), and
+scalars.close each within-eps comparison.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 classical:n   simplex over n outcomes (positive orthant, counting unit)
 polygon:n     regular n-gon disc; n = 4 uses the exact rational square
-              presentation with vertices (+-1, +-1, 1)
+              presentation with vertices (+-1, +-1, 1); any other n
+              embeds the floats cos 2pi k/n and sin 2pi k/n once, as
+              vertex k and as rotation k of its symmetry group
 squit         alias for polygon:4
 ball:d        d-dimensional euclidean ball (lorentz cone in d+1 coords)
 
@@ -32,32 +34,33 @@ def _rot2(c, s) -> Mat:
 
 
 # The exact square: vertices (+-1, +-1, 1) in cyclic order, whose facet
-# normals are (+-1, 0, 1) and (0, +-1, 1); the quarter turn; and the hat
-# map (+1 -1 0 / +1 +1 0 / 0 0 1) of its maximally correlated state.
+# normals are (+-1, 0, 1) and (0, +-1, 1); and the hat map
+# (+1 -1 0 / +1 +1 0 / 0 0 1) of its maximally correlated state.
 _SQUARE = (
     RATIONAL,
     ((ONE, ONE, ONE), (-ONE, ONE, ONE), (-ONE, -ONE, ONE), (ONE, -ONE, ONE)),
     ((-ONE, ZERO, ONE), (ZERO, -ONE, ONE), (ZERO, ONE, ONE),
      (ONE, ZERO, ONE)),
-    _rot2(ZERO, ONE),
     ((ONE, -ONE, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, ONE)),
 )
 
 
+def _point(angle: float, scale: float = 1) -> tuple:
+    """(scale cos angle, scale sin angle), each embedded once from its
+    float."""
+    return (exactify(scale * math.cos(angle)),
+            exactify(scale * math.sin(angle)))
+
+
 def _polygon(n: int) -> tuple:
-    """Arithmetic, vertices, facets, rotation step and hat map of the
-    n-gon. The square is exact; any other n-gon embeds its floats
-    exactly and leaves its facets (None) to double description."""
+    """Arithmetic, vertices, facets and hat map of the n-gon. The square
+    is exact; any other n-gon embeds its floats exactly and leaves its
+    facets (None) to double description."""
     if n == 4:
         return _SQUARE
-
-    def point(angle: float, scale: float = 1) -> tuple:
-        return (exactify(scale * math.cos(angle)),
-                exactify(scale * math.sin(angle)))
-
-    gens = tuple(point(2 * math.pi * k / n) + (ONE,) for k in range(n))
-    hat = _rot2(*point(-(n + 1) * math.pi / n, math.cos(math.pi / n)))
-    return FLOAT, gens, None, _rot2(*point(2 * math.pi / n)), hat
+    gens = tuple(_point(2 * math.pi * k / n) + (ONE,) for k in range(n))
+    hat = _rot2(*_point(-(n + 1) * math.pi / n, math.cos(math.pi / n)))
+    return FLOAT, gens, None, hat
 
 
 def make_classical(n: int) -> StateSpace:
@@ -74,7 +77,7 @@ def make_polygon(n: int) -> StateSpace:
     """Regular n-gon state space in R^3, unit functional (0, 0, 1)."""
     if n < 3:
         raise InvalidInputError("polygon model needs n >= 3")
-    arithmetic, gens, facets, _, _ = _polygon(n)
+    arithmetic, gens, facets, _ = _polygon(n)
     cone = ConeRep(3, POLYHEDRAL, arithmetic, gens, facets)
     return StateSpace(cone, (ZERO, ZERO, ONE), name=f"polygon:{n}")
 
@@ -193,15 +196,22 @@ def _canonical(space: StateSpace, what: str) -> tuple[str, int]:
 def symmetry_group(space: StateSpace) -> tuple[Mat, ...]:
     """The canonical transitive cyclic group of the model, as matrices.
 
-    classical:n gets the cyclic outcome shifts; polygon:n the n plane
-    rotations (exact for n = 4). Identity first, then powers in order.
+    classical:n gets the cyclic outcome shifts and the square the
+    quarter turns, each as exact powers of the step. Any other polygon:n
+    gets its n plane rotations embedded from their angles, as its
+    vertices are: rotation k is built from the floats cos 2pi k/n and
+    sin 2pi k/n that give vertex k, so it takes vertex 0 to vertex k
+    exactly and its entries are exactly floats. Identity first, then
+    the k-th step in place k.
     """
     family, n = _canonical(space, "symmetry group")
+    if family == "polygon" and n != 4:
+        return tuple(_rot2(*_point(2 * math.pi * k / n)) for k in range(n))
     if family == "classical":
         basis = identity(n)
         step = basis[-1:] + basis[:-1]  # e_j -> e_(j+1 mod n)
     else:
-        step = _polygon(n)[3]
+        step = _rot2(ZERO, ONE)  # the square's quarter turn
     out = [identity(len(step))]
     for _ in range(n - 1):
         out.append(matmul(step, out[-1]))
@@ -219,4 +229,4 @@ def entangled_state_coords(space: StateSpace) -> Mat:
     family, n = _canonical(space, "entangled state")
     if family == "classical":
         return tuple(tuple(x / n for x in row) for row in identity(n))
-    return transpose(_polygon(n)[4])
+    return transpose(_polygon(n)[3])

@@ -71,15 +71,22 @@ def verify_teleportation(f_coords, omega: BipartiteState,
     inverse. The effect is validated against the minimal composite of
     (A, B), the shared state against the maximal composite.
     """
+    return _prove_outcome(mat(f_coords), omega, tol, state_checked=False)
+
+
+def _prove_outcome(F: Mat, omega: BipartiteState, tol,
+                   state_checked: bool) -> TeleportationCertificate:
+    """verify_teleportation on an exact effect matrix; a shared state
+    already checked (state_checked) is not validated again."""
     b_space, a_space = omega.composite.factor_a, omega.composite.factor_b
-    F = mat(f_coords)
     if not effect_on_min(a_space, b_space, F, tol):
         raise InvalidInputError("f is not an effect on the minimal composite")
     eps = tolerance_for(tol, a_space, b_space)
-    if omega.composite.tensor != "max":
-        raise InvalidInputError("shared state must live on the maximal "
-                                "composite")
-    omega.validate(tol)
+    if not state_checked:
+        if omega.composite.tensor != "max":
+            raise InvalidInputError("shared state must live on the maximal "
+                                    "composite")
+        omega.validate(tol)
 
     witness = f_hat(F)
     mu = matmul(omega_hat(omega), witness)
@@ -181,8 +188,8 @@ def construct_deterministic_teleportation(
         raise InvalidInputError("state map is not an order isomorphism "
                                 "from the dual")
 
-    # verify_teleportation below validates the shared state and every
-    # outcome effect on the minimal composite
+    # the outcome proofs below validate every effect on the minimal
+    # composite, and the first (verify_teleportation) the shared state
     shared = BipartiteState(max_tensor(space, space), transpose(oh))
 
     order = Fraction(1, len(group))
@@ -199,8 +206,9 @@ def construct_deterministic_teleportation(
                          for F in effects))
 
     certificates = []
-    for g, gi, F in zip(group, inverses, effects):
-        cert = verify_teleportation(F, shared, tol)
+    for k, (gi, F) in enumerate(zip(inverses, effects)):
+        cert = verify_teleportation(F, shared, tol) if k == 0 else \
+            _prove_outcome(F, shared, tol, state_checked=True)
         if not cert.verdict:
             raise InvalidInputError("an outcome fails teleportation "
                                     "verification")

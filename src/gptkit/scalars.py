@@ -60,12 +60,17 @@ def tolerance_for(tol: Fraction | float | str | None, *spaces) -> Fraction:
 def close(a, b, eps: Fraction) -> bool:
     """|a - b| <= eps, entrywise on tuples or lists nested to any depth.
 
-    Two sequences of different lengths (or a sequence against a scalar)
+    Scalars are exact (Fraction or int). With a = p/q, b = r/s and
+    eps = e/f, all denominators positive, the test is
+    |p s - r q| f <= e q s, on integers, so no Fraction is made. Two
+    sequences of different lengths (or a sequence against a scalar)
     raise DimensionMismatchError when the comparison reaches them.
     """
     seqs = isinstance(a, (tuple, list)), isinstance(b, (tuple, list))
     if not any(seqs):
-        return abs(a - b) <= eps
+        q, s = a.denominator, b.denominator
+        gap = a.numerator * s - b.numerator * q
+        return abs(gap) * eps.denominator <= eps.numerator * q * s
     if not all(seqs) or len(a) != len(b):
         raise DimensionMismatchError("compared values differ in shape")
     return all(close(x, y, eps) for x, y in zip(a, b))

@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .cones import LORENTZ, POLYHEDRAL, ConeRep, partition_rays
+from .cones import LORENTZ, POLYHEDRAL, ConeRep, meets_rows, partition_rays
 from .errors import (
     DegenerateConeError,
     DimensionMismatchError,
@@ -31,6 +32,7 @@ from .linalg import (
     ZERO,
     combination,
     dot,
+    integer_row,
     inverse,
     mat,
     matvec,
@@ -254,10 +256,29 @@ def base_norm(space: StateSpace, v) -> Fraction | float:
 
 def _positive_between(matrix: Mat, dom: ConeRep, cod: ConeRep,
                       eps: Fraction) -> bool:
-    """Whether matrix maps dom into cod, all four kind pairings."""
+    """Whether matrix maps dom into cod, all four kind pairings.
+
+    Into a cone with facet rows, each generator's image is made on
+    integers: the matrix is cleared once to integers times a positive
+    scale, and each generator likewise, so the image is an integer
+    vector times the product of the two scales, tested as `contains`
+    tests a vector.
+    """
     if dom.kind == POLYHEDRAL:
-        return all(cod.contains(matvec(matrix, g), eps)
-                   for g in dom.generators)
+        rows = cod.facet_rows()
+        if rows is None:
+            return all(cod.contains(matvec(matrix, g), eps)
+                       for g in dom.generators)
+        if len(matrix) != cod.dim or any(len(r) != dom.dim for r in matrix):
+            raise DimensionMismatchError("map matrix shape mismatch")
+        flat, scale = integer_row(tuple(x for row in matrix for x in row))
+        ints = [flat[i:i + dom.dim] for i in range(0, len(flat), dom.dim)]
+        for g in dom.generators:
+            gs, gscale = integer_row(g)
+            image = [sum(map(mul, row, gs)) for row in ints]
+            if not meets_rows(rows, image, scale * gscale, eps):
+                return False
+        return True
     if cod.kind == POLYHEDRAL:
         # T maps dom into cod iff T^t maps each generator h of cod's
         # dual (a facet of cod) into dom's dual.

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import count
 
@@ -6,8 +7,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gptkit.errors import DimensionMismatchError, InvalidInputError
-from gptkit.scalars import (FLOAT, RATIONAL, close, emit, exactify,
-                            tolerance_for)
+from gptkit.scalars import (DEFAULT_TOLERANCE, FLOAT, RATIONAL, close, emit,
+                            exactify, tolerance_for)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
@@ -122,3 +123,54 @@ def test_close_rejects_scalar_against_sequence():
         close(0, (0,), 1)
     with pytest.raises(DimensionMismatchError):
         close([0], 0, 1)
+
+
+def reference_close(a, b, eps):
+    """The Fraction difference: |a - b| <= eps, entrywise."""
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(
+            reference_close(x, y, eps) for x, y in zip(a, b))
+    return abs(a - b) <= eps
+
+
+def test_close_matches_the_fraction_difference_seeded():
+    # Fractions with float-embedded (power-of-two) and other denominators,
+    # ints, and pairs exactly eps apart or one 2^-80 step to either side
+    rng = random.Random(2026)
+
+    def scalar():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-5, 5)
+        if kind == 1:
+            return Fraction(rng.uniform(-2, 2))
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                        rng.randint(1, 10 ** 6))
+
+    def pair(eps):
+        a = scalar()
+        way = rng.randrange(4)
+        if way == 0:
+            return a, scalar()
+        step = rng.choice([0, Fraction(1, 2 ** 80), -Fraction(1, 2 ** 80)])
+        return a, a + rng.choice([-1, 1]) * eps + step * (way - 2)
+
+    verdicts = []
+    for _ in range(3000):
+        eps = rng.choice([0, Fraction(0), DEFAULT_TOLERANCE,
+                          Fraction(rng.randint(1, 100), rng.randint(1, 100)),
+                          Fraction(rng.uniform(0, 1e-6))])
+        a, b = pair(eps)
+        verdicts.append(close(a, b, eps))
+        assert verdicts[-1] == reference_close(a, b, eps), (a, b, eps)
+        rows = [pair(eps) for _ in range(rng.randint(1, 3))]
+        nested = (tuple((x,) for x, _ in rows), [[y] for _, y in rows])
+        assert close(*nested, eps) == reference_close(*nested, eps)
+    assert 1000 < verdicts.count(True) < 2000
+
+
+def test_close_keeps_its_shape_check():
+    with pytest.raises(DimensionMismatchError):
+        close(((Fraction(1, 3),),), ((Fraction(1, 3), 0),), DEFAULT_TOLERANCE)
+    with pytest.raises(DimensionMismatchError):
+        close((1, 2), 1, Fraction(0))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,20 +7,23 @@ from gptkit import cones
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.composites import min_tensor
-from gptkit.cones import ConeRep
+from gptkit.composites import effect_on_min, min_tensor
+from gptkit.cones import POLYHEDRAL, ConeRep
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, InvalidInputError,
                            UnsupportedConeError)
-from gptkit.linalg import dot, identity, inverse, lex_key, mat, vec
+from gptkit.linalg import (dot, identity, inverse, lex_key, mat, matvec,
+                           transpose, vec)
 from gptkit.models import (direct_sum, make_ball, make_classical,
                            make_polygon, make_squit)
-from gptkit.scalars import tolerance_for
+from gptkit.scalars import DEFAULT_TOLERANCE, tolerance_for
 from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
-                           base_norm, decompose_cone, dual_cone, is_effect,
-                           is_norm_contractive, is_order_isomorphism,
-                           is_positive_map, one_shot_distinguishing_observable,
+                           _positive_between, base_norm, decompose_cone,
+                           dual_cone, is_effect, is_norm_contractive,
+                           is_order_isomorphism, is_positive_map,
+                           one_shot_distinguishing_observable,
                            verify_self_duality_witness)
+from test_composites import random_polygon
 
 F = Fraction
 HALF = F(1, 2)
@@ -312,3 +316,110 @@ def test_slacks_are_facet_values_on_vertices(space):
 def test_slacks_unsupported_for_lorentz():
     with pytest.raises(UnsupportedConeError):
         make_ball(2).slacks
+
+
+# Reference positivity, the route before integer images: each
+# generator's image made as Fractions by matvec, then `contains`. The
+# Lorentz-domain branches are shared, so only this one is kept.
+def reference_positive_between(matrix, dom, cod, eps):
+    assert dom.kind == POLYHEDRAL
+    return all(cod.contains(matvec(matrix, g), eps) for g in dom.generators)
+
+
+# Reference effect test on the minimal composite: F and u (x) u - F,
+# pulled back through each generator x of a, in the dual of b's cone.
+def reference_effect_on_min(a, b, F, eps):
+    residual = tuple(tuple(ua * ub - x for ub, x in zip(b.unit, row))
+                     for ua, row in zip(a.unit, F))
+    return all(b.cone.dual().contains(matvec(transpose(G), x), eps)
+               for G in (F, residual) for x in a.cone.generators)
+
+
+def scaled_facets(rng, cone, arithmetic):
+    """The cone from its facets, each scaled by a random positive
+    rational, so no facet is at top entry 1 or coprime."""
+    return ConeRep.from_facets(
+        [tuple(F(rng.randint(1, 9), rng.randint(1, 7)) * x for x in f)
+         for f in cone.facets], arithmetic)
+
+
+def positivity_cones(rng):
+    """Dimension-3 polyhedral cones of every kind the kernel meets."""
+    integer = [random_polygon(rng, rng.randint(3, 6)).cone for _ in range(3)]
+    floats = [make_polygon(n).cone for n in (5, 7, 8)]
+    found = integer + floats + [make_classical(3).cone, make_squit().cone]
+    found += [scaled_facets(rng, integer[0], "rational"),
+              scaled_facets(rng, floats[0], "float")]
+    return found + [c.dual() for c in found]
+
+
+def positive_map(rng, dom, cod):
+    """sum_k w_k y_k f_k^t with y_k in cod and f_k in dom's dual: positive."""
+    ys = cod.generators if cod.kind == POLYHEDRAL else (
+        (F(0), F(0), F(1)), (F(3, 5), F(4, 5), F(1)))
+    terms = [(rng.choice(ys), rng.choice(dom.facets), F(rng.randint(1, 5)))
+             for _ in range(3)]
+    return tuple(tuple(sum(w * y[i] * f[j] for y, f, w in terms)
+                       for j in range(3)) for i in range(3))
+
+
+def perturbed(rng, matrix):
+    """matrix moved in one entry by a step from exact to far, and half
+    of the time rounded to floats (power-of-two denominators)."""
+    step = rng.choice([0, F(1, 10 ** 12), F(1, 10 ** 10), F(1, 1000), 1])
+    i, j = rng.randrange(3), rng.randrange(3)
+    out = [list(row) for row in matrix]
+    out[i][j] += rng.choice([-1, 1]) * step
+    if rng.random() < 0.5:
+        out = [[F(float(x)) for x in row] for row in out]
+    return tuple(map(tuple, out))
+
+
+def test_integer_positivity_matches_the_matvec_route_seeded():
+    rng = random.Random(26)
+    cones_ = positivity_cones(rng)
+    codomains = cones_ + [ConeRep.lorentz(3)]
+    seen, decided_by_tol = [], 0
+    for _ in range(240):
+        dom, cod = rng.choice(cones_), rng.choice(codomains)
+        matrix = perturbed(rng, positive_map(rng, dom, cod))
+        verdicts = []
+        for eps in (F(0), DEFAULT_TOLERANCE):
+            got = _positive_between(matrix, dom, cod, eps)
+            assert got == reference_positive_between(matrix, dom, cod, eps)
+            verdicts.append(got)
+        seen += verdicts
+        decided_by_tol += verdicts[0] != verdicts[1]
+    assert seen.count(True) >= 100 and seen.count(False) >= 100
+    assert decided_by_tol >= 10
+
+
+def test_integer_effect_on_min_matches_the_pullback_route_seeded():
+    rng = random.Random(2626)
+    spaces = [make_squit(), make_polygon(5), make_polygon(6),
+              make_classical(2), make_classical(3)]
+    spaces += [random_polygon(rng, rng.randint(3, 5)) for _ in range(2)]
+    seen, decided_by_tol = [], 0
+    for _ in range(120):
+        a, b = rng.choice(spaces), rng.choice(spaces)
+        # a product effect e (x) u_b / 2, e a facet of a scaled to be at
+        # most 1 on a's vertices: on the boundary, both F and u (x) u - F
+        e = rng.choice(a.cone.facets)
+        e = tuple(x / max(dot(e, v) for v in a.vertices) for x in e)
+        boundary = tuple(tuple(x * y / 2 for y in b.unit) for x in e)
+        step = rng.choice([0, F(1, 10 ** 12), F(1, 1000), 1])
+        i, j = rng.randrange(a.dim), rng.randrange(b.dim)
+        effect = tuple(tuple(x + (rng.choice([-1, 1]) * step
+                                  if (r, c) == (i, j) else 0)
+                             for c, x in enumerate(row))
+                       for r, row in enumerate(boundary))
+        verdicts = []
+        for tol in (0, DEFAULT_TOLERANCE, None):
+            eps = tolerance_for(tol, a, b)
+            got = effect_on_min(a, b, effect, tol)
+            assert got == reference_effect_on_min(a, b, effect, eps)
+            verdicts.append(got)
+        seen += verdicts
+        decided_by_tol += verdicts[0] != verdicts[1]
+    assert seen.count(True) >= 60 and seen.count(False) >= 60
+    assert decided_by_tol >= 5

@@ -1,7 +1,10 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
+import gptkit.cli
 import gptkit.protocols.teleport
 import gptkit.spaces
 
@@ -17,7 +20,7 @@ from gptkit.models import (entangled_state_coords, make_ball, make_classical,
 from gptkit.protocols import (construct_deterministic_teleportation,
                               verify_compression_witness,
                               verify_correction_free, verify_teleportation)
-from gptkit.scalars import close, tolerance_for
+from gptkit.scalars import FLOAT, close, emits_exactly, exactify, tolerance_for
 from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            is_positive_map, order_isomorphic,
                            verify_self_duality_witness)
@@ -489,3 +492,71 @@ def test_construct_inverts_each_element_once(monkeypatch, model, count):
             monkeypatch.setattr(module, "inverse", counted)
     construct_deterministic_teleportation(parse_model_name(model))
     assert len(calls) == count
+
+
+def power_group(n):
+    """A float n-gon's rotations as exact powers of its float step, the
+    reference the angle-built group replaces."""
+    c, s = (exactify(f(2 * math.pi / n)) for f in (math.cos, math.sin))
+    step = mat(((c, -s, 0), (s, c, 0), (0, 0, 1)))
+    out = [identity(3)]
+    for _ in range(n - 1):
+        out.append(matmul(step, out[-1]))
+    return tuple(out)
+
+
+def denominator_bits(group):
+    return max(x.denominator.bit_length() for g in group for row in g
+               for x in row)
+
+
+@pytest.mark.parametrize("n", [n for n in range(3, 31) if n != 4])
+def test_float_polygon_rotations_are_built_from_their_angles(n):
+    space = make_polygon(n)
+    group = symmetry_group(space)
+    assert len(group) == n and group[0] == identity(3)
+    # rotation k takes vertex 0 to vertex k exactly, and the report's
+    # floats read back as the very matrices that were checked
+    assert [matvec(g, space.vertices[0]) for g in group] == list(
+        space.vertices)
+    assert emits_exactly(group, FLOAT)
+    assert denominator_bits(group) <= 107
+    scheme = construct_deterministic_teleportation(space)
+    assert scheme.constant == F(1, n)
+    assert all(c.verdict and c.constant == F(1, n)
+               for c in scheme.certificates)
+
+
+def report_floats_apart(new, old):
+    """The largest gap between two reports' floats; every other value
+    (verdicts included) and the shapes must be equal."""
+    if isinstance(new, dict):
+        assert new.keys() == old.keys()
+        return max(report_floats_apart(new[k], old[k]) for k in new)
+    if isinstance(new, list):
+        assert len(new) == len(old)
+        return max((report_floats_apart(x, y) for x, y in zip(new, old)),
+                   default=0)
+    if isinstance(new, float):
+        return abs(new - old)
+    assert new == old
+    return 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8, 10, 12, 14])
+def test_angle_built_group_moves_reports_by_float_rounding(monkeypatch,
+                                                           tmp_path, n):
+    # the pool's float n-gons: against the power-of-step group, every
+    # verdict and constant of `teleport construct` stays and every other
+    # entry moves by float rounding only
+    def report():
+        out = tmp_path / "report.json"
+        argv = ["teleport", "construct", "--model", f"polygon:{n}"]
+        assert gptkit.cli.main(argv + ["--out", str(out)]) == 0
+        return json.loads(out.read_text())
+    new = report()
+    monkeypatch.setattr(gptkit.cli, "symmetry_group",
+                        lambda space: power_group(n))
+    old = report()
+    assert report_floats_apart(new, old) <= 1e-12
+    assert denominator_bits(power_group(n)) > 107 or n == 3
