@@ -37,6 +37,8 @@ OK = 0
 ERROR = 1
 REJECT = 2
 
+_RUN_ROUNDS = 10 ** 6  # a run report on squit: 4.2 MB per 10**5 rounds
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; 2 is reserved for reject verdicts."""
@@ -279,9 +281,33 @@ def _cmd_disturb(args) -> int:
     return OK
 
 
+def _check_exact_power(base, n: int) -> None:
+    """Refuse an --n whose exact base**n cannot be written: Python writes
+    an int of at most sys.get_int_max_str_digits() digits (0, or a
+    Python without the limit: any)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    largest = max(abs(base.numerator), base.denominator)
+    if not digits or largest == 1:
+        return
+    limit = 10 ** digits
+    fits = int(digits / math.log10(largest))  # then made exact
+    while largest ** (fits + 1) < limit:
+        fits += 1
+    while largest ** fits >= limit:
+        fits -= 1
+    if n > fits:
+        raise InvalidInputError(
+            f"--n {n}: the exact bound per_round**n would have more than "
+            f"{digits} digits; at most {fits} rounds fit in rational mode")
+
+
 def _cmd_bitcommit(args) -> int:
     space = parse_model_name(args.model)
     mode = _mode_for(args, space)
+    if args.action == "run" and args.n > _RUN_ROUNDS:
+        raise InvalidInputError(
+            f"--n {args.n}: a run report lists every committed state, "
+            f"and at most {_RUN_ROUNDS} rounds fit")
     dd = find_double_decomposition(space, args.tol)
     if args.action == "decompose":
         report = {
@@ -312,20 +338,24 @@ def _cmd_bitcommit(args) -> int:
         }
         _write_json(args, report)
         return OK if transcript.verdict == "accept" else REJECT
+    # The rounds are checked before any power per_round**n is taken.
+    bound = bc_cheat_bound(dd, 1)
+    if mode == RATIONAL:
+        _check_exact_power(bound.per_round, args.n)
     if args.format == "csv":
-        curve = bc_cheat_curve(dd, args.n, args.trials, args.seed)
+        curve = bc_cheat_curve(dd, args.n, args.trials, args.seed,
+                               bound=bound)
         lines = ["n,analytic_bound,empirical_rate,stderr"]
         for n, analytic, emp, err in curve:
             lines.append(f"{n},{emit(analytic, mode)},{emp!r},{err!r}")
         _write(args, "\n".join(lines) + "\n")
         return OK
-    bound = bc_cheat_bound(dd, args.n)
     report = {
         "command": "bitcommit bound",
         "model": space.to_json_dict(),
-        "n": bound.rounds,
+        "n": args.n,
         "per_round": emit(bound.per_round, mode),
-        "overall": emit(bound.overall, mode),
+        "overall": emit(bound.per_round ** args.n, mode),
         "optimizer": emit(bound.optimizer, mode),
     }
     _write_json(args, report)

@@ -25,6 +25,23 @@ ratios of one entering column scale alike), and so every Bland choice
 stays as it was; the artificial columns are not scaled, so phase 1's
 objective and residual are unchanged.
 
+Phase 1 starts from the unit columns the LP supplies. A row whose
+right-hand side is negative is negated (a zero right-hand side counts as
+positive), and then the first column that is a positive multiple of e_i,
+so exactly e_i once cleared, starts basic in row i: a slack column, or a
+classical generator in a membership LP. Only the other rows get an
+artificial column, numbered in row order after the real columns, and
+phase 1 minimizes the sum of those; with no unit column this is the
+all-artificial start. Nothing a caller reads changes, except the point of
+an optimum that is not unique. A positive unit column appears in no other
+row, so in any point of the all-artificial phase 1 row i's artificial can
+be traded for that column's variable without raising the sum; both
+phase-1 problems have the same optimum, so the same status, objective
+and infeasibility residual. The sign comes from the right-hand side
+alone: a zero-rhs row whose unit entry is negative keeps its artificial,
+since negating it would change which side of the row phase 1 penalizes,
+and with it the residual.
+
 Every LP of the package is stated by its columns, one per variable.
 feasible_point is the one conic-feasibility primitive: is the target a
 nonnegative combination of the given columns? Hull membership,
@@ -139,28 +156,40 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     if maximize:
         cost = [-c for c in cost]
 
-    # Phase 1: artificial basis, minimize the sum of artificials. Row i is
-    # [A_i, e_i, b_i, d_i] over integers, meaning [A_i, e_i, b_i] / d_i;
-    # its coefficients are integers, so d_i is b_i's denominator.
-    width = n + m
-    basis = list(range(n, width))
+    # Phase 1: minimize the sum of artificials. Row i is [A_i, b_i, d_i]
+    # over integers, meaning [A_i, b_i] / d_i; its coefficients are
+    # integers, so d_i is b_i's denominator. A negative rhs negates its
+    # row, and then the first column that is a positive multiple of e_i
+    # (a coprime 1 there) starts basic in row i; see the module doc.
+    signs = [1 if rhs >= 0 else -1 for rhs in eq_rhs]
+    basis: list[int] = [-1] * m
+    for j, ints in enumerate(columns):
+        support = [i for i, x in enumerate(ints) if x]
+        if len(support) == 1:
+            i = support[0]
+            if basis[i] < 0 and ints[i] * signs[i] > 0:
+                basis[i] = j
+    # Each other row gets an artificial column, numbered in row order.
+    artificial = [i for i in range(m) if basis[i] < 0]
+    width = n + len(artificial)
     rows: list[list[int]] = []
-    for i, (ints, rhs) in enumerate(zip(zip(*columns) if n else [()] * m,
-                                        eq_rhs)):
-        num, den = rhs.numerator, rhs.denominator
-        f = den if num >= 0 else -den  # a negative rhs negates its row
+    for ints, rhs, sign in zip(zip(*columns) if n else [()] * m, eq_rhs,
+                               signs):
+        den = rhs.denominator
+        f = den * sign
         body = list(ints) if f == 1 else [x * f for x in ints]
-        body += [0] * m
-        body[n + i] = den
-        body += (abs(num), den)
-        rows.append(body)
-    # The phase-1 objective row is minus the sum of the rows.
-    den = lcm(*(row[-1] for row in rows))
+        rows.append(body + [0] * len(artificial) + [abs(rhs.numerator), den])
+    for k, i in enumerate(artificial):
+        rows[i][n + k] = rows[i][-1]
+        basis[i] = n + k
+    # The phase-1 objective row is minus the sum of the artificial rows.
+    den = lcm(*(rows[i][-1] for i in artificial))
     totals = [0] * (n + 1)
-    for row in rows:
-        scale = den // row[-1]
-        totals = [t - scale * x for t, x in zip(totals, row[:n] + row[-2:-1])]
-    obj = _reduced(totals[:n] + [0] * m + totals[n:] + [den])
+    for i in artificial:
+        scale = den // rows[i][-1]
+        totals = [t - scale * x
+                  for t, x in zip(totals, rows[i][:n] + rows[i][-2:-1])]
+    obj = _reduced(totals[:n] + [0] * len(artificial) + totals[n:] + [den])
 
     status = _iterate(rows, obj, basis, width)
     if status != OPTIMAL:  # phase 1 is always bounded below by zero

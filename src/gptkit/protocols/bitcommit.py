@@ -267,13 +267,14 @@ def bc_cheat_bound(dd: DoubleDecomposition, n: int) -> CheatBound:
     m = len(verts)
     effects0, effects1 = dd.distinguishers
     # columns: lambda per vertex, then t, s0, s1; rows: sum lambda = 1,
-    # a0(state) - t - s0 = 0, a1(state) - t - s1 = 0
-    tail = [(ZERO, -ONE, -ONE), (ZERO, -ONE, ZERO), (ZERO, ZERO, -ONE)]
+    # t + s0 - a0(state) = 0, t + s1 - a1(state) = 0. Stated this way the
+    # slacks s0, s1 are unit columns, so solve_lp starts them basic.
+    tail = [(ZERO, ONE, ONE), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
     cost = (ZERO,) * m + (ONE, ZERO, ZERO)
     best = None
     for i0, a0 in enumerate(effects0):
         for i1, a1 in enumerate(effects1):
-            columns = [(ONE, dot(a0, v), dot(a1, v)) for v in verts]
+            columns = [(ONE, -dot(a0, v), -dot(a1, v)) for v in verts]
             result = solve_lp(cost, transpose(columns + tail),
                               (ONE, ZERO, ZERO), maximize=True)
             if not result.ok:
@@ -289,16 +290,19 @@ def bc_cheat_bound(dd: DoubleDecomposition, n: int) -> CheatBound:
 
 
 def bc_cheat_curve(dd: DoubleDecomposition, n_max: int, trials: int,
-                   seed: int):
+                   seed: int, *, bound: CheatBound | None = None):
     """Analytic c**n against simulated product-cheat success, n = 1..n_max.
 
     Returns rows (n, analytic, empirical, stderr). The simulated Alice
     commits the optimal product state and reveals her weaker bit; each
-    round fires independently, so trials are vectorized.
+    round fires independently, so trials are vectorized. `bound`, if
+    given, is bc_cheat_bound(dd, ...) already solved; its LPs are not
+    run again.
     """
     if n_max < 1 or trials < 1:
         raise InvalidInputError("n_max and trials must be positive")
-    bound = bc_cheat_bound(dd, 1)
+    if bound is None:
+        bound = bc_cheat_bound(dd, 1)
     q = min(max(float(dot(a, bound.optimizer)) for a in effects)
             for effects in dd.distinguishers)
     rng = np.random.Generator(np.random.Philox(seed))

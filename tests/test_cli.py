@@ -190,6 +190,26 @@ def test_bad_numbers_are_input_errors(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, fits", [
+    (["run", "--n", "100000000000"], "at most 1000000 rounds fit"),
+    (["bound", "--n", "20000"], "at most 7142 rounds fit"),
+    (["bound", "--n", "20000", "--format", "csv"], "at most 7142 rounds fit"),
+    (["bound", "--n", "7143"], "at most 7142 rounds fit"),
+], ids=["run", "bound", "bound-csv", "bound-one-over"])
+def test_too_many_rounds_are_input_errors(tmp_path, argv, fits, capsys):
+    # A run report lists every committed state; the exact bound (3/4)**n
+    # on squit is written with at most 4300 digits.
+    code, body = run(tmp_path, "bitcommit", argv[0], "--model", "squit",
+                     *argv[1:])
+    assert (code, body) == (1, b"")
+    out, err = capsys.readouterr()
+    assert err.startswith(f"gpt-kit: InvalidInput: --n {argv[2]}: ")
+    assert fits in err and len(err.splitlines()) == 1
+    code, body = run(tmp_path, "bitcommit", "bound", "--model", "squit",
+                     "--n", "7142")
+    assert code == 0 and json.loads(body)["overall"] == f"{3 ** 7142}/{4 ** 7142}"
+
+
 def test_simplicial_decompose_is_an_error(tmp_path):
     code, _ = run(tmp_path, "bitcommit", "decompose", "--model",
                   "classical:3")

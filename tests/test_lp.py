@@ -57,12 +57,17 @@ def _iterate(rows, obj, basis, ncols):
     raise SolverError("simplex iteration cap exceeded")
 
 
-def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False):
+def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False,
+                 unit_start=True):
     """Reference two-phase simplex over Fractions: a dense tableau, Bland's
     rule in both phases. Same pivots and same LPResult as solve_lp; an
-    infeasible result carries phase 1's basic point."""
+    infeasible result carries phase 1's basic point.
+
+    With unit_start, as in solve_lp, the first column that is a positive
+    multiple of e_i in sign-fixed row i starts basic there (the row over
+    its entry), and only the other rows get artificials; without it every
+    row does, a walk-independent oracle for the values."""
     n = len(objective)
-    m = len(eq_matrix)
     cost = [(-c if maximize else c) for c in objective]
     rows = []
     for row, rhs in zip(eq_matrix, eq_rhs, strict=True):
@@ -70,16 +75,25 @@ def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False):
             rows.append([-x for x in row] + [-rhs])
         else:
             rows.append(list(row) + [rhs])
-    width = n + m
-    basis = list(range(n, width))
+    basis = [None] * len(rows)
+    for j in range(n if unit_start else 0):
+        support = [i for i, row in enumerate(rows) if row[j] != 0]
+        if len(support) == 1 and basis[support[0]] is None \
+                and rows[support[0]][j] > 0:
+            i = support[0]
+            rows[i] = [x / rows[i][j] for x in rows[i]]
+            basis[i] = j
+    artificial = [i for i, b in enumerate(basis) if b is None]
+    width = n + len(artificial)
     for i, row in enumerate(rows):
-        body = row[:-1] + [ZERO] * m + [row[-1]]
-        body[n + i] = F(1)
-        rows[i] = body
+        rows[i] = row[:-1] + [ZERO] * len(artificial) + [row[-1]]
+    for k, i in enumerate(artificial):
+        rows[i][n + k] = F(1)
+        basis[i] = n + k
     obj = [ZERO] * (width + 1)
     for j in range(n):
-        obj[j] = -sum(row[j] for row in rows)
-    obj[-1] = -sum(row[-1] for row in rows)
+        obj[j] = -sum((rows[i][j] for i in artificial), ZERO)
+    obj[-1] = -sum((rows[i][-1] for i in artificial), ZERO)
     if _iterate(rows, obj, basis, width) != OPTIMAL:
         raise SolverError("phase 1 reported unbounded")
     residual = -obj[-1]
@@ -315,8 +329,9 @@ def test_integer_simplex_matches_reference(pivots):
         seen["flipped"] += any(b < 0 for b in rhs)
         seen["dropped"] += want.status != INFEASIBLE and rank(rows) < len(rows)
         seen["dyadic"] += max(x.denominator for row in rows for x in row) > 2 ** 50
+        seen["started"] += started_rows(rows, rhs) > 0
     assert min(seen[k] for k in (OPTIMAL, INFEASIBLE, UNBOUNDED, "flipped",
-                                 "dropped", "dyadic")) >= 10, seen
+                                 "dropped", "dyadic", "started")) >= 10, seen
     assert pivots["degenerate"] >= 10 and pivots["drive-out"] >= 10, pivots
 
 
@@ -358,6 +373,78 @@ def test_column_scaling_keeps_the_walk(pivots):
         assert reference_lp(scaled_cost, scaled_rows, rhs,
                             maximize=maximize) == got, seed
         assert pivots["reference"] - before == middle - start, seed
+
+
+def started_rows(rows, rhs):
+    """How many rows start basic: sign-fixed rows with a positive unit
+    column."""
+    signed = [[-x for x in row] if b < 0 else row for row, b in zip(rows, rhs)]
+    return sum(
+        any(row[j] > 0 and all(other[j] == 0 for other in signed
+                               if other is not row)
+            for j in range(len(row)))
+        for row in signed)
+
+
+def all_artificial_lp(objective, eq_matrix, eq_rhs, *, maximize=False):
+    return reference_lp(objective, eq_matrix, eq_rhs, maximize=maximize,
+                        unit_start=False)
+
+
+def test_unit_start_keeps_the_values():
+    # Phase 1 from the unit columns reaches the optimum of the all-
+    # artificial phase 1 (a positive unit column trades for its row's
+    # artificial), so status, objective and residual agree on every LP,
+    # scaled columns included; only a non-unique optimum's point may move.
+    for seed in range(2000):
+        objective, rows, rhs, maximize = random_lp(seed)
+        got = solve_lp(objective, rows, rhs, maximize=maximize)
+        want = all_artificial_lp(objective, rows, rhs, maximize=maximize)
+        assert (got.status, got.objective, got.residual) == (
+            want.status, want.objective, want.residual), seed
+    for seed in range(400):
+        objective, rows, rhs, maximize = random_lp(seed)
+        rng = random.Random(-seed)
+        scales = [random_scale(rng) for _ in objective]
+        rows = [[x * s for x, s in zip(row, scales)] for row in rows]
+        objective = [c * s for c, s in zip(objective, scales)]
+        got = solve_lp(objective, rows, rhs, maximize=maximize)
+        want = all_artificial_lp(objective, rows, rhs, maximize=maximize)
+        assert (got.status, got.objective, got.residual) == (
+            want.status, want.objective, want.residual), seed
+
+
+def test_zero_rhs_row_with_a_negative_unit_entry_keeps_its_artificial():
+    # random_lp(803): x_0's column is -e_0 in a row with right-hand side 0.
+    # Negating that row to start x_0 basic would penalize the other side
+    # in phase 1 and report residual 1/3.
+    lp = (vec((0, 1)), mat(((-1, -1), (0, 3))), vec((0, F(1, 3))))
+    assert random_lp(803) == ([0, 1], [[-1, -1], [0, 3]], [0, F(1, 3)], True)
+    got = solve_lp(*lp, maximize=True)
+    assert got.status == INFEASIBLE and got.residual == F(1, 9)
+    assert got == all_artificial_lp(*lp, maximize=True)
+
+
+def test_every_row_started_makes_no_phase_1_pivot(pivots, monkeypatch):
+    # Slack form: s_1 and s_2 start basic, so phase 1 has nothing to do
+    # and every pivot is phase 2's; with a zero cost there are none.
+    phases = []
+    inner = gptkit.lp._iterate
+
+    def counted(rows, obj, basis, ncols):
+        before = pivots["lp"]
+        status = inner(rows, obj, basis, ncols)
+        phases.append(pivots["lp"] - before)
+        return status
+    monkeypatch.setattr(gptkit.lp, "_iterate", counted)
+    rows = mat(((1, 1, 1, 0), (1, 3, 0, 1)))
+    got = solve_lp(vec((3, 2, 0, 0)), rows, vec((4, 6)), maximize=True)
+    assert got.objective == 12 and phases[0] == 0 and phases[1] > 0
+    assert got == reference_lp(vec((3, 2, 0, 0)), rows, vec((4, 6)),
+                               maximize=True)
+    phases.clear()
+    x, residual = feasible_point(mat(((1, 0), (0, 1), (1, 1))), vec((2, 3)))
+    assert (x, residual) == ((2, 3, 0), 0) and phases == [0, 0]
 
 
 def test_drive_out_pivots_on_a_negative_entry():
