@@ -301,6 +301,15 @@ def _check_exact_power(base, n: int) -> None:
             f"{digits} digits; at most {fits} rounds fit in rational mode")
 
 
+def _power(c, n: int, mode: str):
+    """c**n, or 0 in float mode when 0 < c < 1 and c**n < 2**-1100:
+    below 2**-1075 float() rounds it to 0.0, so it is not formed."""
+    if mode == FLOAT and 0 < c < 1 and \
+            n * (math.log2(c.numerator) - math.log2(c.denominator)) < -1100:
+        return 0
+    return c ** n
+
+
 def _cmd_bitcommit(args) -> int:
     space = parse_model_name(args.model)
     mode = _mode_for(args, space)
@@ -339,12 +348,12 @@ def _cmd_bitcommit(args) -> int:
         _write_json(args, report)
         return OK if transcript.verdict == "accept" else REJECT
     # The rounds are checked before any power per_round**n is taken.
-    bound = bc_cheat_bound(dd, 1)
+    bound = bc_cheat_bound(dd)
+    c = bound.per_round
     if mode == RATIONAL:
-        _check_exact_power(bound.per_round, args.n)
+        _check_exact_power(c, args.n)
     if args.format == "csv":
-        curve = bc_cheat_curve(dd, args.n, args.trials, args.seed,
-                               bound=bound)
+        curve = bc_cheat_curve(bound, args.n, args.trials, args.seed)
         lines = ["n,analytic_bound,empirical_rate,stderr"]
         for n, analytic, emp, err in curve:
             lines.append(f"{n},{emit(analytic, mode)},{emp!r},{err!r}")
@@ -354,8 +363,8 @@ def _cmd_bitcommit(args) -> int:
         "command": "bitcommit bound",
         "model": space.to_json_dict(),
         "n": args.n,
-        "per_round": emit(bound.per_round, mode),
-        "overall": emit(bound.per_round ** args.n, mode),
+        "per_round": emit(c, mode),
+        "overall": emit(_power(c, args.n, mode), mode),
         "optimizer": emit(bound.optimizer, mode),
     }
     _write_json(args, report)

@@ -208,12 +208,12 @@ class ConeRep:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def from_generators(cls, generators, arithmetic: str = RATIONAL,
-                        dim: int | None = None) -> ConeRep:
+    def from_generators(cls, generators,
+                        arithmetic: str = RATIONAL) -> ConeRep:
         gens = tuple(vec(g) for g in generators)
         if not gens:
             raise DegenerateConeError("no generators given")
-        d = dim if dim is not None else len(gens[0])
+        d = len(gens[0])
         if any(len(g) != d for g in gens):
             raise DimensionMismatchError("generator length differs from dim")
         cone = cls(d, POLYHEDRAL, arithmetic, gens, None)
@@ -222,12 +222,11 @@ class ConeRep:
         return cone
 
     @classmethod
-    def from_facets(cls, facets, arithmetic: str = RATIONAL,
-                    dim: int | None = None) -> ConeRep:
+    def from_facets(cls, facets, arithmetic: str = RATIONAL) -> ConeRep:
         fcts = tuple(vec(f) for f in facets)
         if not fcts:
             raise DegenerateConeError("no facets given")
-        d = dim if dim is not None else len(fcts[0])
+        d = len(fcts[0])
         if any(len(f) != d for f in fcts):
             raise DimensionMismatchError("facet length differs from dim")
         if rank(fcts) != d:

@@ -20,26 +20,3 @@ from .teleport import (
     verify_correction_free,
     verify_teleportation,
 )
-
-__all__ = [
-    "BroadcastReport",
-    "CheatBound",
-    "CommitmentTranscript",
-    "DoubleDecomposition",
-    "TeleportationCertificate",
-    "TeleportationScheme",
-    "bc_cheat_bound",
-    "bc_cheat_curve",
-    "bc_run",
-    "build_cloner",
-    "construct_deterministic_teleportation",
-    "exposing_effect",
-    "find_double_decomposition",
-    "is_broadcastable",
-    "is_clonable",
-    "is_nondisturbing",
-    "nondisturbing_basis",
-    "verify_compression_witness",
-    "verify_correction_free",
-    "verify_teleportation",
-]

@@ -245,24 +245,22 @@ def bc_run(dd: DoubleDecomposition, bit: int, n: int, seed: int,
 
 @dataclass(frozen=True)
 class CheatBound:
-    """Optimal product-strategy cheat value and its certificate."""
+    """Optimal product-strategy cheat value of one round, with the
+    decomposition it bounds; n rounds compound to per_round**n."""
+    decomposition: DoubleDecomposition
     per_round: Fraction
-    rounds: int
-    overall: Fraction
     optimizer: Vec
     pair: tuple[int, int]
 
 
-def bc_cheat_bound(dd: DoubleDecomposition, n: int) -> CheatBound:
+def bc_cheat_bound(dd: DoubleDecomposition) -> CheatBound:
     """max over states of min(best branch-0 effect, best branch-1 effect).
 
     For each pair of exposing effects, an LP maximizes the common value
     t over the state polytope; the outer max over pairs realizes the
     piecewise-linear objective exactly. Cheating is limited to product
-    strategies, so n rounds compound to per_round**n.
+    strategies, so the value bounds one round.
     """
-    if n < 1:
-        raise InvalidInputError("need at least one round")
     verts = dd.space.vertices
     m = len(verts)
     effects0, effects1 = dd.distinguishers
@@ -285,26 +283,21 @@ def bc_cheat_bound(dd: DoubleDecomposition, n: int) -> CheatBound:
     if best is None:
         raise InvalidInputError("cheat LP failed on every distinguisher pair")
     c, sigma, pair = best
-    return CheatBound(per_round=c, rounds=n, overall=c ** n,
-                      optimizer=sigma, pair=pair)
+    return CheatBound(decomposition=dd, per_round=c, optimizer=sigma,
+                      pair=pair)
 
 
-def bc_cheat_curve(dd: DoubleDecomposition, n_max: int, trials: int,
-                   seed: int, *, bound: CheatBound | None = None):
+def bc_cheat_curve(bound: CheatBound, n_max: int, trials: int, seed: int):
     """Analytic c**n against simulated product-cheat success, n = 1..n_max.
 
     Returns rows (n, analytic, empirical, stderr). The simulated Alice
-    commits the optimal product state and reveals her weaker bit; each
-    round fires independently, so trials are vectorized. `bound`, if
-    given, is bc_cheat_bound(dd, ...) already solved; its LPs are not
-    run again.
+    commits the bound's optimal product state and reveals her weaker
+    bit; each round fires independently, so trials are vectorized.
     """
     if n_max < 1 or trials < 1:
         raise InvalidInputError("n_max and trials must be positive")
-    if bound is None:
-        bound = bc_cheat_bound(dd, 1)
     q = min(max(float(dot(a, bound.optimizer)) for a in effects)
-            for effects in dd.distinguishers)
+            for effects in bound.decomposition.distinguishers)
     rng = np.random.Generator(np.random.Philox(seed))
     rows = []
     for n in range(1, n_max + 1):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from ..composites import min_tensor, product_vec
 from ..errors import InvalidInputError, UnsupportedConeError
-from ..linalg import Vec, combination, lex_key, rank, vec, vsub
+from ..linalg import Vec, combination, dot, lex_key, rank, vec, vsub
 from ..lp import feasible_point
 from ..scalars import close, tolerance_for
 from ..spaces import (
@@ -106,7 +106,8 @@ def is_broadcastable(space: StateSpace, states, tol=None) -> BroadcastReport:
     if is_clonable(space, omegas, tol):
         return BroadcastReport("broadcastable", omegas, 0)
 
-    extremes = space.vertices
+    extremes = tuple(tuple(x / dot(space.unit, g) for x in g)
+                     for g in space.cone.minimal_generators())
     extreme_keys = {lex_key(v) for v in extremes}
     if all(lex_key(w) in extreme_keys for w in omegas):
         # all-extreme and not clonable: no witness can exist

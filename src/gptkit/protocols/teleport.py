@@ -14,18 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
-                          min_tensor, omega_hat)
+                          omega_hat, product_vec)
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
-from ..linalg import (Mat, dot, identity, mat, matmul, matvec, proportion,
-                      rank, transpose, unit_vec)
+from ..linalg import (Mat, combination, dot, identity, mat, matmul, matvec,
+                      proportion, rank, transpose, unit_vec)
 from ..lp import feasible_point
 from ..models import entangled_state_coords, symmetry_group
 from ..scalars import close, tolerance_for
-from ..spaces import (Effect, LinearMapRep, Observable, StateSpace,
-                      _positive_between, is_norm_contractive,
-                      is_order_isomorphism, is_positive_map,
-                      order_isomorphic)
+from ..spaces import (LinearMapRep, StateSpace, _positive_between,
+                      is_norm_contractive, is_order_isomorphism,
+                      is_positive_map, order_isomorphic)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -43,12 +42,12 @@ class TeleportationCertificate:
 
 @dataclass(frozen=True)
 class TeleportationScheme:
-    """Deterministic protocol: one observable, every outcome correctable."""
+    """Deterministic protocol: the effects (one per group element) sum
+    to u x u, and each outcome's certificate proves it correctable."""
     space: StateSpace
     group: tuple[Mat, ...]
     omega: BipartiteState
     effects: tuple[Mat, ...]
-    observable: Observable
     certificates: tuple[TeleportationCertificate, ...]
     constant: Fraction
 
@@ -199,11 +198,10 @@ def construct_deterministic_teleportation(
         effects.append(transpose(tuple(tuple(order * x for x in row)
                                        for row in fg_hat)))
 
-    # Observable checks that the effects sum to the product unit
-    min_space = min_tensor(space, space)
-    observable = Observable(
-        min_space, tuple(Effect(min_space, tuple(x for row in F for x in row))
-                         for F in effects))
+    total = combination((ONE,) * len(effects),
+                        [tuple(x for row in F for x in row) for F in effects])
+    if not close(total, product_vec(u, u), eps):
+        raise InvalidInputError("effects do not sum to the unit")
 
     certificates = []
     for k, (gi, F) in enumerate(zip(inverses, effects)):
@@ -222,8 +220,7 @@ def construct_deterministic_teleportation(
 
     return TeleportationScheme(
         space=space, group=group, omega=shared, effects=tuple(effects),
-        observable=observable, certificates=tuple(certificates),
-        constant=order)
+        certificates=tuple(certificates), constant=order)
 
 
 def verify_compression_witness(a1: StateSpace, a2: StateSpace, p_coords,

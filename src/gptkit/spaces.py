@@ -84,7 +84,8 @@ class StateSpace:
 
     @property
     def vertices(self) -> tuple[Vec, ...]:
-        """Normalized extreme states, in generator order."""
+        """Normalized generators, in generator order: the extreme
+        states when no generator is redundant."""
         if self._vertices is None:
             if self.kind == LORENTZ:
                 raise UnsupportedConeError(
@@ -147,20 +148,22 @@ class StateSpace:
             raise InvalidInputError(f"bad state-space payload: {exc}") from exc
         if kind not in (POLYHEDRAL, LORENTZ):
             raise InvalidInputError(f"unknown cone kind {kind!r}")
-        if kind == LORENTZ:
-            return cls(ConeRep.lorentz(dim, arithmetic), unit,
-                       body.get("name"))
         gens = body.get("generators")
         facets = body.get("facets")
-        if gens and facets:
+        if kind == LORENTZ:
+            cone = ConeRep.lorentz(dim, arithmetic)
+        elif gens and facets:
             cone = ConeRep.from_both(gens, facets, arithmetic)
         elif gens:
-            cone = ConeRep.from_generators(gens, arithmetic, dim)
+            cone = ConeRep.from_generators(gens, arithmetic)
         elif facets:
-            cone = ConeRep.from_facets(facets, arithmetic, dim)
+            cone = ConeRep.from_facets(facets, arithmetic)
         else:
             raise InvalidInputError(
                 "polyhedral space needs generators or facets")
+        if cone.dim != dim:
+            raise DimensionMismatchError(
+                f"payload dim {dim} differs from its cone's dim {cone.dim}")
         return cls(cone, unit, body.get("name"))
 
 

@@ -228,10 +228,10 @@ def test_criterion_08_bit_commitment(capsys):
                 t = bc_run(dd, bit, 1, seed)
                 accepted += t.verdict == "accept"
         assert accepted == 10000
-        bound = bc_cheat_bound(dd, 12)
+        bound = bc_cheat_bound(dd)
         assert bound.per_round == Fraction(3, 4)
         trials = 20000
-        for n, analytic, emp, _ in bc_cheat_curve(dd, 12, trials, 99):
+        for n, analytic, emp, _ in bc_cheat_curve(bound, 12, trials, 99):
             p = float(analytic)
             se = sqrt(p * (1 - p) / trials)
             assert abs(emp - p) <= 3 * se, (n, emp, p)

@@ -173,13 +173,11 @@ def test_run_input_validation():
 
 
 def test_cheat_counts_and_cone_kind_are_refused():
-    dd = squit_dd()
-    with pytest.raises(InvalidInputError, match="need at least one round"):
-        bc_cheat_bound(dd, 0)
+    bound = bc_cheat_bound(squit_dd())
     for n_max, trials in ((0, 10), (1, 0)):
         with pytest.raises(InvalidInputError,
                            match="n_max and trials must be positive"):
-            bc_cheat_curve(dd, n_max, trials, 0)
+            bc_cheat_curve(bound, n_max, trials, 0)
     with pytest.raises(UnsupportedConeError):
         find_double_decomposition(make_ball(2))
 
@@ -187,9 +185,9 @@ def test_cheat_counts_and_cone_kind_are_refused():
 def test_cheat_bound_exact():
     sq = make_squit()
     dd = squit_dd()
-    bound = bc_cheat_bound(dd, 20)
+    bound = bc_cheat_bound(dd)
     assert bound.per_round == F(3, 4)
-    assert bound.overall == F(3, 4) ** 20
+    assert bound.decomposition is dd
     sigma = bound.optimizer
     assert sq.is_state(sigma)
     assert min(max(dot(a, sigma) for a in effects)
@@ -197,14 +195,14 @@ def test_cheat_bound_exact():
 
 
 def test_cheat_curve_shape():
-    dd = squit_dd()
-    rows = bc_cheat_curve(dd, 5, 400, 17)
+    bound = bc_cheat_bound(squit_dd())
+    rows = bc_cheat_curve(bound, 5, 400, 17)
     assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
     for n, analytic, emp, err in rows:
         assert analytic == F(3, 4) ** n
         assert 0 <= emp <= 1
         assert err >= 0
-    assert rows == bc_cheat_curve(dd, 5, 400, 17)
+    assert rows == bc_cheat_curve(bound, 5, 400, 17)
 
 
 # -- the face filter against the unfiltered scan ------------------------

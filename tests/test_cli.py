@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ import pytest
 import gptkit
 import gptkit.cli
 from gptkit.cli import _build_parser, main
+from gptkit.models import parse_model_name
+from gptkit.protocols import bc_cheat_bound, find_double_decomposition
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -208,6 +211,26 @@ def test_too_many_rounds_are_input_errors(tmp_path, argv, fits, capsys):
     code, body = run(tmp_path, "bitcommit", "bound", "--model", "squit",
                      "--n", "7142")
     assert code == 0 and json.loads(body)["overall"] == f"{3 ** 7142}/{4 ** 7142}"
+
+
+def test_float_bound_writes_an_underflowing_power_without_forming_it(
+        tmp_path, monkeypatch):
+    # polygon:14's per-round bound has a 261-bit denominator and is about
+    # 0.975: its 300000th power is below 2**-1075, so float() of it is 0.0
+    c = bc_cheat_bound(find_double_decomposition(
+        parse_model_name("polygon:14"))).per_round
+    power = Fraction.__pow__
+
+    def bounded(base, exponent, *rest):
+        assert exponent <= 20000, "an underflowing power was formed"
+        return power(base, exponent, *rest)
+    monkeypatch.setattr(Fraction, "__pow__", bounded)
+    for n, overall in (("300000", 0.0), ("20000", float(power(c, 20000)))):
+        code, body = run(tmp_path, "bitcommit", "bound", "--model",
+                         "polygon:14", "--n", n)
+        report = json.loads(body)
+        assert code == 0 and report["overall"] == overall
+    assert overall > 0  # 20000 rounds stay above the underflow
 
 
 def test_simplicial_decompose_is_an_error(tmp_path):

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from gptkit.composites import BipartiteState, marginal, min_tensor, product_vec
+from gptkit.cones import ConeRep
 from gptkit.errors import InvalidInputError, UnsupportedConeError
 from gptkit.linalg import matvec, vec
 from gptkit.models import make_ball, make_classical, make_squit
 from gptkit.protocols import build_cloner, is_broadcastable, is_clonable
-from gptkit.spaces import one_shot_distinguishing_observable
+from gptkit.spaces import StateSpace, one_shot_distinguishing_observable
 
 F = Fraction
 HALF = F(1, 2)
@@ -86,6 +87,19 @@ def test_broadcast_extreme_non_clonable_is_conclusive_no():
     assert report.status == "not_broadcastable"
     assert report.verdict is False
     assert report.witness is None
+
+
+def test_broadcast_extremes_are_the_cones_not_its_listed_generators():
+    # the centre (0, 0, 1) listed as a fifth generator is not extreme, so
+    # {centre, v0} is no all-extreme set: the search finds {v0, v2}
+    sq = make_squit()
+    v = sq.vertices
+    padded = StateSpace(
+        ConeRep.from_generators(sq.cone.generators + ((0, 0, 1),)), sq.unit)
+    for space in (sq, padded):
+        report = is_broadcastable(space, ((0, 0, 1), v[0]))
+        assert report.status == "broadcastable"
+        assert set(report.witness) == {v[0], v[2]}
 
 
 def test_broadcast_singleton():

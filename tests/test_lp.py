@@ -499,20 +499,29 @@ POLYGON_LPS = {
 }
 
 
+def pinned_bound_text(bound, rounds=3):
+    """The bound as the digests were pinned: the repr of a CheatBound
+    that also held the round count and per_round**rounds."""
+    c = bound.per_round
+    return (f"CheatBound(per_round={c!r}, rounds={rounds}, "
+            f"overall={c ** rounds!r}, optimizer={bound.optimizer!r}, "
+            f"pair={bound.pair!r})")
+
+
 @pytest.mark.parametrize("name", POLYGON_LPS)
 def test_optimizing_lps_pinned(name):
     points, digest = POLYGON_LPS[name]
     space = StateSpace(ConeRep.from_generators([p + (1,) for p in points]),
                        (0, 0, 1))
     effects = [exposing_effect(space, i) for i in range(len(points))]
-    bound = bc_cheat_bound(find_double_decomposition(space), 3)
+    bound = bc_cheat_bound(find_double_decomposition(space))
     norms = [base_norm(space, v) for v in ((1, 0, 0), (3, -2, 1))]
-    text = repr((effects, bound, norms))
+    text = f"({effects!r}, {pinned_bound_text(bound)}, {norms!r})"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # The same pin on float-embedded models, whose LPs carry denominators of
-# about 110 bits: sha256 of repr((effects, bound)).
+# about 110 bits: sha256 of (effects, bound) written as above.
 FLOAT_POLYGON_LPS = {
     "polygon:5": "8512b4cdae5ab005c5dff6f932ca3c2082450ee946eeace34531a1a6e65e41bd",
     "polygon:7": "a6ea39f5d1e58f4fee0535971c10f6a5bc827eacd5888b2530ae80399282c8b5",
@@ -526,6 +535,6 @@ def test_float_optimizing_lps_pinned(name):
     space = parse_model_name(name)
     effects = [exposing_effect(space, i)
                for i in range(len(space.cone.generators))]
-    bound = bc_cheat_bound(find_double_decomposition(space), 3)
-    text = repr((effects, bound))
+    bound = bc_cheat_bound(find_double_decomposition(space))
+    text = f"({effects!r}, {pinned_bound_text(bound)})"
     assert hashlib.sha256(text.encode()).hexdigest() == FLOAT_POLYGON_LPS[name]

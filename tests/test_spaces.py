@@ -56,6 +56,17 @@ def test_facets_only_payload_proves_its_unit():
     assert set(space.vertices) == set(make_squit().vertices)
 
 
+@pytest.mark.parametrize("sides", (("generators", "facets"),
+                                   ("generators",), ("facets",)))
+def test_payload_dim_must_be_its_cones(sides):
+    rows = {"generators": [[1, 0], [0, 1]], "facets": [[1, 0], [0, 1]]}
+    body = {"dim": 5, "kind": "polyhedral", "unit": [1, 1],
+            **{side: rows[side] for side in sides}}
+    with pytest.raises(DimensionMismatchError, match="payload dim 5"):
+        StateSpace.from_json_dict(body)
+    assert StateSpace.from_json_dict({**body, "dim": 2}).dim == 2
+
+
 def test_facets_only_space_above_the_cap_fails_at_construction():
     cone = ConeRep.from_facets(identity(17))
     with pytest.raises(DimensionCapError):

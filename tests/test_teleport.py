@@ -8,8 +8,8 @@ import gptkit.cli
 import gptkit.protocols.teleport
 import gptkit.spaces
 
-from gptkit.composites import (BipartiteState, max_tensor, min_tensor,
-                               remote_evaluate)
+from gptkit.composites import (BipartiteState, CompositeSpace, max_tensor,
+                               min_tensor, remote_evaluate)
 from gptkit.errors import (DimensionMismatchError, InvalidInputError,
                            ToolkitError, UnsupportedConeError)
 from gptkit.linalg import (dot, identity, inverse, mat, matmul, matvec,
@@ -215,8 +215,11 @@ def test_scheme_observable_and_state_are_valid():
     sq = make_squit()
     scheme = construct_deterministic_teleportation(sq)
     scheme.omega.validate()
-    assert len(scheme.observable.effects) == 4
-    assert scheme.observable.space.tensor == "min"
+    min_space = min_tensor(sq, sq)
+    observable = Observable(min_space, tuple(
+        Effect(min_space, tuple(x for row in E for x in row))
+        for E in scheme.effects))
+    assert len(observable.effects) == 4
 
 
 def test_polygon_schemes_within_tolerance():
@@ -411,6 +414,31 @@ def test_construct_matches_the_reference_on_pool_models(model):
     new = outcome(construct_deterministic_teleportation, space)
     assert new == outcome(reference_construct, space)
     assert len(new) == 4  # a scheme, not an error
+    # the effects sum to u x u
+    effects, d = new[2], space.dim
+    total = tuple(tuple(sum(E[i][j] for E in effects) for j in range(d))
+                  for i in range(d))
+    unit = tuple(tuple(a * b for b in space.unit) for a in space.unit)
+    if space.arithmetic == FLOAT:
+        assert close(total, unit, tolerance_for(None, space))
+    else:
+        assert total == unit
+
+
+@pytest.mark.parametrize("model", ("squit", "polygon:5"))
+def test_construction_builds_no_min_tensor(monkeypatch, model):
+    # the effects' sum is checked on their coordinates, and the shared
+    # state lives on the max tensor: no separable composite is needed
+    space = parse_model_name(model)
+    rules = []
+    init = CompositeSpace.__init__
+
+    def recording(self, cone, unit, a, b, tensor, name=None):
+        rules.append(tensor)
+        init(self, cone, unit, a, b, tensor, name)
+    monkeypatch.setattr(CompositeSpace, "__init__", recording)
+    construct_deterministic_teleportation(space)
+    assert set(rules) == {"max"}
 
 
 SINGULAR = ((0, 0, 0), (0, 0, 0), (0, 0, 1))  # idempotent, unit-preserving
@@ -448,14 +476,13 @@ def test_construct_matches_the_reference_on_broken_groups(monkeypatch, model,
     space = parse_model_name(model)
     if message == REPEATED:
         # the reference only fails once the effects are summed; the
-        # product table refuses before either tensor is built
+        # product table refuses before the shared state's tensor is built
         assert outcome(reference_construct, space, group) == (
             InvalidInputError, "effects do not sum to the unit")
 
         def unbuilt(*args):
             raise AssertionError("a tensor was built")
-        for name in ("max_tensor", "min_tensor"):
-            monkeypatch.setattr(gptkit.protocols.teleport, name, unbuilt)
+        monkeypatch.setattr(gptkit.protocols.teleport, "max_tensor", unbuilt)
     new = outcome(construct_deterministic_teleportation, space, group)
     if message != REPEATED:
         assert new == outcome(reference_construct, space, group)
