@@ -94,8 +94,12 @@ def _states_from_args(args, space):
         for i in args.states:
             if not 0 <= i < len(verts):
                 raise InvalidInputError(f"vertex index {i} out of range")
-        return tuple(verts[i] for i in args.states)
-    return tuple(vec(row) for row in _load_json(args.states_json))
+        states = tuple(verts[i] for i in args.states)
+    else:
+        states = tuple(vec(row) for row in _load_json(args.states_json))
+    if len(set(states)) < len(states):
+        raise InvalidInputError("a state is listed twice")
+    return states
 
 
 def _cert_payload(cert, mode) -> dict:

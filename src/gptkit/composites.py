@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import POLYHEDRAL, ConeRep
+from .cones import POLYHEDRAL, ConeRep, maps_into
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -27,7 +27,7 @@ from .linalg import (Mat, Vec, dot, integer_row, mat, matvec, transpose, vec,
                      zeros)
 from .models import _is_model_name, _is_named_model, parse_model_name
 from .scalars import close, emit, merge_arithmetic, tolerance_for
-from .spaces import StateSpace, _positive_between
+from .spaces import StateSpace
 
 
 def product_vec(x: Vec, y: Vec) -> Vec:
@@ -105,9 +105,9 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
     Requires the product unit (UnitMismatchError otherwise) and the
     sandwich min <= candidate <= max, checked without enumerating
     either bound: every min generator lies in the candidate cone, and
-    each candidate generator, read as a dim A x dim B matrix G, pulls
-    every facet f of a into b's cone (G^t f, as <G, f (x) g> = <G^t f, g>).
-    The pulled-back vectors are tested once per direction (_directions).
+    each candidate generator, read as a dim A x dim B matrix G, maps the
+    dual of a's cone into b's cone (G^t f for each facet f of a, as
+    <G, f (x) g> = <G^t f, g>).
     """
     _require_polyhedral(a, b)
     if candidate.dim != a.dim * b.dim:
@@ -119,22 +119,17 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
     if not all(candidate.cone.contains(g, eps)
                for g in min_tensor(a, b).cone.generators):
         return False
-    pulled = (y for g in candidate.cone.generators
-              for y in _pullbacks(_as_matrix(g, a.dim, b.dim), a.cone.facets))
-    return all(b.cone.contains(y, eps) for y in _directions(pulled))
-
-
-def _pullbacks(coords: Mat, xs) -> list[Vec]:
-    """coords^t x for each x, so <x (x) y, coords> = <coords^t x, y>."""
-    t = transpose(coords)
-    return [matvec(t, x) for x in xs]
+    dual = a.cone.dual()
+    return all(maps_into(transpose(_as_matrix(g, a.dim, b.dim)), dual,
+                         b.cone, eps)
+               for g in candidate.cone.generators)
 
 
 def _directions(vectors) -> tuple[Vec, ...]:
     """One vector per direction, the one of largest scale; zeros dropped.
 
-    At any eps >= 0, testing these against a cone's facets gives the
-    verdict of testing all of them: a pairing whose integer sum is
+    At any eps >= 0, as facets they give every vector the verdict that
+    all of them give it: a pairing whose integer sum is
     s >= 0 passes at every scale (zero vectors pair to 0), and one with
     s < 0 is hardest at the largest scale.
     """
@@ -307,7 +302,7 @@ def effect_on_min(a: StateSpace, b: StateSpace, f_coords: Mat,
     F, residual = _effect_and_residual(a, b, f_coords)
     eps = tolerance_for(tol, a, b)
     _require_polyhedral(a, b)
-    return all(_positive_between(transpose(G), a.cone, b.cone.dual(), eps)
+    return all(maps_into(transpose(G), a.cone, b.cone.dual(), eps)
                for G in (F, residual))
 
 
@@ -332,20 +327,19 @@ def check_distributive_inclusion(a: StateSpace, b: StateSpace,
 
     Every generator x (x) H of the left composite must satisfy every
     facet F (x) f of the right one, and <x (x) H, F (x) f> =
-    <F^t x, H f>, a pairing in b's space: u = F^t x for each facet F of
-    min(a, b) and generator x of a, w = H f for each generator H of
-    max(b, c) and facet f of c. Each side is cut to one vector per
-    direction (_directions), and each u is tested against the cone that
-    the w cut out. Only the two inner pair composites are enumerated
-    (each within the dimension cap); no triple-space vector is built.
+    <F^t x, H f>, a pairing in b's space: w = H f for each generator H of
+    max(b, c) and facet f of c, cut to one vector per direction
+    (_directions) as the facets of a cone in b's space, which each F^t,
+    F a facet of min(a, b), must map a's cone into. Only the two inner
+    pair composites are enumerated (each within the dimension cap); no
+    triple-space vector is built.
     """
     eps = tolerance_for(tol, a, b, c)
     left, right = max_tensor(b, c), min_tensor(a, b)
-    us = [u for f in right.cone.facets
-          for u in _pullbacks(_as_matrix(f, a.dim, b.dim), a.cone.generators)]
-    ws = [w for h in left.cone.generators  # H f, the pullback through H^t
-          for w in _pullbacks(transpose(_as_matrix(h, b.dim, c.dim)),
-                              c.cone.facets)]
-    # a facet list, read by contains only: {y : <w, y> >= 0 for every w}
+    ws = [matvec(_as_matrix(h, b.dim, c.dim), f)
+          for h in left.cone.generators for f in c.cone.facets]
+    # a facet list, read by maps_into only: {y : <w, y> >= 0 for every w}
     cut = ConeRep(b.dim, POLYHEDRAL, b.arithmetic, None, _directions(ws))
-    return all(cut.contains(u, eps) for u in _directions(us))
+    return all(maps_into(transpose(_as_matrix(f, a.dim, b.dim)), a.cone,
+                         cut, eps)
+               for f in right.cone.facets)

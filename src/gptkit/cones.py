@@ -18,8 +18,9 @@ popcount prefilter and by zero sets transposed into bitsets. Polyhedral
 membership runs on integers too: each facet is kept once as a coprime
 integer row times a positive scale, and a vector is cleared to integers
 over one denominator, so a facet test is an int dot and a sign. That
-test (`meets_rows`, on `facet_rows`) also takes a vector already given
-as integers and a scale, as positivity of a map hands it each image.
+test also serves `maps_into`, the one positivity test of a linear map
+between cones: each generator's image is made on integers, from the
+matrix cleared once per call and the generator once per cone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
+import numpy as np
+
 from .errors import (
     DegenerateConeError,
     DimensionCapError,
@@ -35,6 +38,7 @@ from .errors import (
     UnsupportedConeError,
 )
 from .linalg import (
+    Mat,
     Vec,
     ZERO,
     _eliminate,
@@ -43,8 +47,10 @@ from .linalg import (
     integer_row,
     inverse,
     lex_key,
+    matvec,
     nullspace,
     rank,
+    transpose,
     vec,
 )
 from .lp import feasible_point
@@ -165,8 +171,8 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     return tuple(tuple(map(Fraction, r)) for r in sorted(rays))
 
 
-def meets_rows(rows: Rows, xs: tuple[int, ...], xscale: Fraction,
-               tol: Fraction) -> bool:
+def _meets(rows: Rows, xs: tuple[int, ...], xscale: Fraction,
+           tol: Fraction) -> bool:
     """Whether <f, x> >= -tol on every facet f = scale * row, for the
     vector x = xscale * xs given by integers xs and a positive scale."""
     free = tol >= 0  # then s >= 0 passes without its scale
@@ -316,13 +322,13 @@ class ConeRep:
             if last + tol < 0:
                 return False
             return (last + tol) ** 2 >= dot(head, head)
-        rows = self.facet_rows()
+        rows = self._facet_rows()
         if rows is None:
             return self.weights(x, tol) is not None
         xs, xscale = integer_row(x)
-        return meets_rows(rows, xs, xscale, tol)
+        return _meets(rows, xs, xscale, tol)
 
-    def facet_rows(self) -> Rows | None:
+    def _facet_rows(self) -> Rows | None:
         """Each facet once as coprime integer row and positive scale, or
         None for a Lorentz cone and where the facets are missing above
         the dimension cap (there membership asks `weights`)."""
@@ -365,6 +371,65 @@ class ConeRep:
             if (rank(active) if active else 0) >= self.dim - 1:
                 keep.append(g)
         return tuple(keep)
+
+
+def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
+              tol: Fraction) -> bool:
+    """Whether matrix (cod.dim x dom.dim) maps dom into cod within tol,
+    for all four pairings of kinds. From a polyhedral cone, the matrix
+    is cleared once to integers times a positive scale, and each
+    generator comes so from the dual view's cached facet rows: the
+    image is an integer vector times the product of the scales."""
+    if dom.kind == LORENTZ:
+        if cod.kind == POLYHEDRAL:
+            # T maps dom into cod iff T^t maps each generator h of cod's
+            # dual (a facet of cod) into dom's dual.
+            return maps_into(transpose(matrix), cod.dual(), dom.dual(), tol)
+        return _lorentz_to_lorentz_positive(matrix, cod, tol)
+    rows = cod._facet_rows()
+    gens = None if rows is None else dom.dual()._facet_rows()
+    if gens is None:
+        return all(cod.contains(matvec(matrix, g), tol)
+                   for g in dom.generators)
+    if len(matrix) != cod.dim or any(len(r) != dom.dim for r in matrix):
+        raise DimensionMismatchError("map matrix shape mismatch")
+    flat, scale = integer_row(tuple(x for row in matrix for x in row))
+    ints = [flat[i:i + dom.dim] for i in range(0, len(flat), dom.dim)]
+    for gs, gscale in gens:
+        image = [sum(map(mul, row, gs)) for row in ints]
+        if not _meets(rows, image, scale * gscale, tol):
+            return False
+    return True
+
+
+def _lorentz_to_lorentz_positive(matrix: Mat, cod: ConeRep,
+                                 tol: Fraction) -> bool:
+    """Homogeneous S-lemma: T(L) in L iff T e_last in L and
+    T^t J T - mu J is PSD for some mu >= 0 (J = diag(-1,..,-1,1))."""
+    n = len(matrix)
+    axis = matvec(matrix, tuple([ZERO] * (len(matrix[0]) - 1) + [Fraction(1)]))
+    if not cod.contains(axis, tol):
+        return False
+    T = np.array([[float(x) for x in row] for row in matrix])
+    J = np.diag([-1.0] * (T.shape[1] - 1) + [1.0])
+    Jc = np.diag([-1.0] * (n - 1) + [1.0])
+    M = T.T @ Jc @ T
+
+    def least_eig(mu: float) -> float:
+        return float(np.linalg.eigvalsh(M - mu * J)[0])
+
+    # least_eig is concave in mu; fixed ternary search is deterministic.
+    lo, hi = 0.0, float(np.abs(M).sum()) + 1.0
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        if least_eig(m1) < least_eig(m2):
+            lo = m1
+        else:
+            hi = m2
+    best = max(least_eig(lo), least_eig((lo + hi) / 2), least_eig(hi),
+               least_eig(0.0))
+    return best >= -max(float(tol), 1e-12)
 
 
 def partition_rays(rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:

@@ -15,8 +15,8 @@ description its rays (cones.enumerate_rays), the simplex each tableau
 row over one denominator, on columns cleared once by integer_row
 (lp.solve_lp), membership each facet row (cones.ConeRep.contains),
 positivity each image of a generator under a matrix cleared once by
-integer_row (spaces._positive_between, on those facet rows), and
-scalars.close each within-eps comparison.
+integer_row (cones.maps_into, on those facet rows), and scalars.close
+each within-eps comparison.
 """
 
 from __future__ import annotations

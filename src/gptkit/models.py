@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .cones import POLYHEDRAL, ConeRep
 from .errors import InvalidInputError, UnsupportedConeError
-from .linalg import Mat, identity, matmul, transpose
+from .linalg import Mat, identity, transpose
 from .scalars import FLOAT, RATIONAL, exactify, merge_arithmetic
 from .spaces import StateSpace
 
@@ -196,26 +196,22 @@ def _canonical(space: StateSpace, what: str) -> tuple[str, int]:
 def symmetry_group(space: StateSpace) -> tuple[Mat, ...]:
     """The canonical transitive cyclic group of the model, as matrices.
 
-    classical:n gets the cyclic outcome shifts and the square the
-    quarter turns, each as exact powers of the step. Any other polygon:n
-    gets its n plane rotations embedded from their angles, as its
-    vertices are: rotation k is built from the floats cos 2pi k/n and
-    sin 2pi k/n that give vertex k, so it takes vertex 0 to vertex k
-    exactly and its entries are exactly floats. Identity first, then
-    the k-th step in place k.
+    classical:n gets the cyclic outcome shifts (shift k takes e_j to
+    e_(j+k mod n)) and the square its quarter turns, each exact. Any
+    other polygon:n gets its n plane rotations embedded from their
+    angles, as its vertices are: rotation k is built from the floats
+    cos 2pi k/n and sin 2pi k/n that give vertex k, so it takes vertex 0
+    to vertex k exactly and its entries are exactly floats. Identity
+    first, then the k-th step in place k.
     """
     family, n = _canonical(space, "symmetry group")
-    if family == "polygon" and n != 4:
-        return tuple(_rot2(*_point(2 * math.pi * k / n)) for k in range(n))
     if family == "classical":
         basis = identity(n)
-        step = basis[-1:] + basis[:-1]  # e_j -> e_(j+1 mod n)
-    else:
-        step = _rot2(ZERO, ONE)  # the square's quarter turn
-    out = [identity(len(step))]
-    for _ in range(n - 1):
-        out.append(matmul(step, out[-1]))
-    return tuple(out)
+        return tuple(basis[n - k:] + basis[:n - k] for k in range(n))
+    if n == 4:
+        return tuple(_rot2(c, s) for c, s in (
+            (ONE, ZERO), (ZERO, ONE), (-ONE, ZERO), (ZERO, -ONE)))
+    return tuple(_rot2(*_point(2 * math.pi * k / n)) for k in range(n))
 
 
 def entangled_state_coords(space: StateSpace) -> Mat:

@@ -110,8 +110,9 @@ def find_double_decomposition(space: StateSpace,
 
     Scans disjoint subset pairs by ascending total size and returns the
     first whose convex hulls intersect; the shared point and the mixing
-    weights come from the feasibility LP. Simplicial spaces are refused
-    (mixtures over disjoint sets are never equal there).
+    weights come from the feasibility LP. Simplicial spaces, those with
+    dim facets, are refused (mixtures over disjoint sets are never equal
+    there), whatever redundant generators they list.
 
     A pair is only accepted with every weight positive, and such a
     mixture lies in the relative interior of the face cut out by the
@@ -128,7 +129,7 @@ def find_double_decomposition(space: StateSpace,
     verts = space.vertices
     m = len(verts)
     eps = tolerance_for(tol, space)
-    if m == space.dim:
+    if len(space.cone.facets) == space.dim:
         raise InvalidInputError(
             "state set is a simplex; no double decomposition exists")
     if m > _VERTEX_CAP:

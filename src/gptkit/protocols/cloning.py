@@ -30,8 +30,12 @@ ONE = Fraction(1)
 
 
 def is_clonable(space: StateSpace, states, tol=None) -> bool:
-    """Simultaneous one-shot distinguishability, decided by the LP."""
-    return one_shot_distinguishing_observable(space, states, tol) is not None
+    """Simultaneous one-shot distinguishability, decided by the LP, of
+    a set: a repeated state is refused."""
+    omegas = tuple(vec(s) for s in states)
+    if len(set(omegas)) < len(omegas):
+        raise InvalidInputError("a state is listed twice")
+    return one_shot_distinguishing_observable(space, omegas, tol) is not None
 
 
 def build_cloner(states, observable: Observable, tol=None) -> LinearMapRep:

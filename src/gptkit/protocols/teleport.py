@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
                           omega_hat, product_vec)
+from ..cones import maps_into
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
 from ..linalg import (Mat, combination, dot, identity, mat, matmul, matvec,
@@ -22,9 +23,9 @@ from ..linalg import (Mat, combination, dot, identity, mat, matmul, matvec,
 from ..lp import feasible_point
 from ..models import entangled_state_coords, symmetry_group
 from ..scalars import close, tolerance_for
-from ..spaces import (LinearMapRep, StateSpace, _positive_between,
-                      is_norm_contractive, is_order_isomorphism,
-                      is_positive_map, order_isomorphic)
+from ..spaces import (LinearMapRep, StateSpace, is_norm_contractive,
+                      is_order_isomorphism, is_positive_map,
+                      order_isomorphic)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -239,7 +240,7 @@ def verify_compression_witness(a1: StateSpace, a2: StateSpace, p_coords,
         raise UnsupportedConeError("compression witness needs polyhedral "
                                    "spaces")
     eps = tolerance_for(tol, a1, a2)
-    if not _positive_between(P, a2.cone.dual(), a1.cone, eps):
+    if not maps_into(P, a2.cone.dual(), a1.cone, eps):
         return False
     if rank(P) != a1.dim:
         return False

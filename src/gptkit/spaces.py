@@ -4,9 +4,9 @@ A StateSpace pairs a pointed generating cone with an order-unit
 functional u. Normalized states are cone elements with u = 1; effects
 are dual-cone elements a with a <= u; observables are finite effect
 lists summing to u. The operations here are the order-theoretic
-workhorses: duality, base norm, positivity and contractivity of linear
-maps, order isomorphisms, self-duality witnesses, and the one-shot
-distinguishability LP.
+workhorses: duality, base norm, positivity (each asks cones.maps_into)
+and contractivity of linear maps, order isomorphisms, self-duality
+witnesses, and the one-shot distinguishability LP.
 """
 
 from __future__ import annotations
@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-import numpy as np
-
-from .cones import LORENTZ, POLYHEDRAL, ConeRep, meets_rows, partition_rays
+from .cones import LORENTZ, POLYHEDRAL, ConeRep, maps_into, partition_rays
 from .errors import (
     DegenerateConeError,
     DimensionMismatchError,
@@ -32,7 +29,6 @@ from .linalg import (
     ZERO,
     combination,
     dot,
-    integer_row,
     inverse,
     mat,
     matvec,
@@ -257,72 +253,9 @@ def base_norm(space: StateSpace, v) -> Fraction | float:
 # -- map predicates ---------------------------------------------------------
 
 
-def _positive_between(matrix: Mat, dom: ConeRep, cod: ConeRep,
-                      eps: Fraction) -> bool:
-    """Whether matrix maps dom into cod, all four kind pairings.
-
-    Into a cone with facet rows, each generator's image is made on
-    integers: the matrix is cleared once to integers times a positive
-    scale, and each generator likewise, so the image is an integer
-    vector times the product of the two scales, tested as `contains`
-    tests a vector.
-    """
-    if dom.kind == POLYHEDRAL:
-        rows = cod.facet_rows()
-        if rows is None:
-            return all(cod.contains(matvec(matrix, g), eps)
-                       for g in dom.generators)
-        if len(matrix) != cod.dim or any(len(r) != dom.dim for r in matrix):
-            raise DimensionMismatchError("map matrix shape mismatch")
-        flat, scale = integer_row(tuple(x for row in matrix for x in row))
-        ints = [flat[i:i + dom.dim] for i in range(0, len(flat), dom.dim)]
-        for g in dom.generators:
-            gs, gscale = integer_row(g)
-            image = [sum(map(mul, row, gs)) for row in ints]
-            if not meets_rows(rows, image, scale * gscale, eps):
-                return False
-        return True
-    if cod.kind == POLYHEDRAL:
-        # T maps dom into cod iff T^t maps each generator h of cod's
-        # dual (a facet of cod) into dom's dual.
-        t, dual = transpose(matrix), dom.dual()
-        return all(dual.contains(matvec(t, h), eps) for h in cod.facets)
-    return _lorentz_to_lorentz_positive(matrix, cod, eps)
-
-
-def _lorentz_to_lorentz_positive(matrix: Mat, cod: ConeRep,
-                                 eps: Fraction) -> bool:
-    """Homogeneous S-lemma: T(L) in L iff T e_last in L and
-    T^t J T - mu J is PSD for some mu >= 0 (J = diag(-1,..,-1,1))."""
-    n = len(matrix)
-    axis = matvec(matrix, tuple([ZERO] * (len(matrix[0]) - 1) + [Fraction(1)]))
-    if not cod.contains(axis, eps):
-        return False
-    T = np.array([[float(x) for x in row] for row in matrix])
-    J = np.diag([-1.0] * (T.shape[1] - 1) + [1.0])
-    Jc = np.diag([-1.0] * (n - 1) + [1.0])
-    M = T.T @ Jc @ T
-
-    def least_eig(mu: float) -> float:
-        return float(np.linalg.eigvalsh(M - mu * J)[0])
-
-    # least_eig is concave in mu; fixed ternary search is deterministic.
-    lo, hi = 0.0, float(np.abs(M).sum()) + 1.0
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if least_eig(m1) < least_eig(m2):
-            lo = m1
-        else:
-            hi = m2
-    best = max(least_eig(lo), least_eig((lo + hi) / 2), least_eig(hi),
-               least_eig(0.0))
-    return best >= -max(float(eps), 1e-12)
-
-
 def is_positive_map(T: LinearMapRep, tol=None) -> bool:
     eps = tolerance_for(tol, T.domain, T.codomain)
-    return _positive_between(T.matrix, T.domain.cone, T.codomain.cone, eps)
+    return maps_into(T.matrix, T.domain.cone, T.codomain.cone, eps)
 
 
 def is_norm_contractive(T: LinearMapRep, tol=None) -> bool:
@@ -339,8 +272,8 @@ def order_isomorphic(matrix: Mat, dom: ConeRep, cod: ConeRep,
     maps dom into cod, and has an inverse mapping cod into dom; else
     None."""
     inv = inverse(matrix)
-    if inv is not None and _positive_between(matrix, dom, cod, eps) \
-            and _positive_between(inv, cod, dom, eps):
+    if inv is not None and maps_into(matrix, dom, cod, eps) \
+            and maps_into(inv, cod, dom, eps):
         return inv
     return None
 

@@ -85,6 +85,14 @@ def test_simplex_has_no_decomposition():
         find_double_decomposition(make_classical(2))
 
 
+def test_simplex_listed_with_a_redundant_generator_is_a_simplex():
+    cone = ConeRep.from_generators(((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                    (1, 1, 1)))
+    space = StateSpace(cone, (1, 1, 1))
+    with pytest.raises(InvalidInputError, match="simplex"):
+        find_double_decomposition(space)
+
+
 def test_vertex_cap():
     with pytest.raises(SearchCapError):
         find_double_decomposition(make_polygon(16))

@@ -475,6 +475,11 @@ def squit_outcome(tmp_path) -> dict:
     *(["clone", "check", "--model", "squit", "--states", value]
       for value in ("a,b", ",0", "")),
     ["broadcast", "check", "--model", "squit", "--states", "0,x"],
+    # a state listed twice
+    ["clone", "check", "--model", "squit", "--states", "0,2,0"],
+    ["broadcast", "check", "--model", "squit", "--states", "0,0"],
+    ["clone", "check", "--model", "squit", "--states-json",
+     "[[1, 1, 1], [1, 1, 1]]"],
 ])
 def test_usage_errors_exit_one_and_write_nothing(tmp_path, argv, capsys,
                                                 squit_outcome):

@@ -22,6 +22,17 @@ def test_clonability_squit():
     assert not is_clonable(sq, (v[0], v[1], v[2]))
 
 
+def test_a_repeated_state_is_refused():
+    """{v0, v2} is clonable; listing v0 twice names no other set."""
+    sq = make_squit()
+    v = sq.vertices
+    for states in ((v[0], v[2], v[0]), (v[0], v[0])):
+        with pytest.raises(InvalidInputError, match="listed twice"):
+            is_clonable(sq, states)
+        with pytest.raises(InvalidInputError, match="listed twice"):
+            is_broadcastable(sq, states)
+
+
 def test_clonability_classical():
     cl = make_classical(3)
     assert is_clonable(cl, cl.vertices)

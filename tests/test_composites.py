@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.composites import (BipartiteState, _as_matrix, _pullbacks,
-                               _space_from_ref,
+from gptkit.composites import (BipartiteState, _as_matrix, _space_from_ref,
                                check_distributive_inclusion, conditional,
                                effect_on_max, effect_on_min, f_hat,
                                is_composite, is_entangled, marginal,
@@ -470,6 +469,12 @@ def test_composite_checks_match_product_loop_oracles():
 # -- pairwise references -----------------------------------------------------
 # The composite checks as they were before each pulled-back direction was
 # tested once: every pulled-back vector, every pair.
+
+
+def _pullbacks(coords, xs):
+    """coords^t x for each x, so <x (x) y, coords> = <coords^t x, y>."""
+    t = transpose(coords)
+    return [matvec(t, x) for x in xs]
 
 
 def reference_is_composite(a, b, candidate, tol=None):

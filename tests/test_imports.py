@@ -65,6 +65,30 @@ def test_no_function_imports():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
+def imports_numpy(source: str) -> bool:
+    """Whether a module imports numpy or one of its submodules."""
+    tree = ast.parse(source)
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return any(name.partition(".")[0] == "numpy" for name in names)
+
+
+def test_numpy_imports_are_found():
+    assert imports_numpy("import numpy as np\n")
+    assert imports_numpy("from numpy.linalg import eigvalsh\n")
+    assert not imports_numpy("import numbers\nfrom .numpy_free import x\n")
+
+
+def test_numpy_only_where_it_is_still_used():
+    # the S-lemma's eigvalsh and the bit-commitment Philox stream; each
+    # is to be replaced by exact or stdlib code, not joined by others
+    found = {str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
+             if imports_numpy(path.read_text())}
+    assert found == {"cones.py", "protocols/bitcommit.py"}
+
+
 def unread_parameters(source: str) -> list[str]:
     """Function parameters the body never reads (`self` and `cls` aside):
     a caller would have to pass a value that changes nothing."""

@@ -15,12 +15,12 @@ from gptkit.errors import (DegenerateConeError, DimensionCapError,
 from gptkit.linalg import (dot, identity, inverse, lex_key, mat, matvec,
                            transpose, vec)
 from gptkit.models import (direct_sum, make_ball, make_classical,
-                           make_polygon, make_squit)
+                           make_polygon, make_squit, symmetry_group)
 from gptkit.scalars import DEFAULT_TOLERANCE, tolerance_for
 from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
-                           _positive_between, base_norm, decompose_cone,
-                           dual_cone, is_effect, is_norm_contractive,
-                           is_order_isomorphism, is_positive_map,
+                           base_norm, decompose_cone, dual_cone, is_effect,
+                           is_norm_contractive, is_order_isomorphism,
+                           is_positive_map,
                            one_shot_distinguishing_observable,
                            verify_self_duality_witness)
 from test_composites import random_polygon
@@ -396,13 +396,28 @@ def test_integer_positivity_matches_the_matvec_route_seeded():
         matrix = perturbed(rng, positive_map(rng, dom, cod))
         verdicts = []
         for eps in (F(0), DEFAULT_TOLERANCE):
-            got = _positive_between(matrix, dom, cod, eps)
+            got = cones.maps_into(matrix, dom, cod, eps)
             assert got == reference_positive_between(matrix, dom, cod, eps)
             verdicts.append(got)
         seen += verdicts
         decided_by_tol += verdicts[0] != verdicts[1]
     assert seen.count(True) >= 100 and seen.count(False) >= 100
     assert decided_by_tol >= 10
+
+
+def test_positivity_clears_a_domain_cone_once(monkeypatch):
+    """A second check against the same cones clears only its matrix:
+    the generators come from the domain's cached rows."""
+    space = make_polygon(5)
+    first, second = symmetry_group(space)[1:3]
+    eps = tolerance_for(None, space)
+    assert cones.maps_into(first, space.cone, space.cone, eps)
+    cleared = []
+    clear = cones.integer_row
+    monkeypatch.setattr(cones, "integer_row",
+                        lambda v: cleared.append(v) or clear(v))
+    assert cones.maps_into(second, space.cone, space.cone, eps)
+    assert cleared == [tuple(x for row in second for x in row)]
 
 
 def test_integer_effect_on_min_matches_the_pullback_route_seeded():
