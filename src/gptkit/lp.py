@@ -50,6 +50,19 @@ generators a cone holds is cones.ConeRep.weights (separability, effects
 on the max tensor, and `contains` where the facets cannot be enumerated).
 The optimizing LPs (exposing effects, the cheat bound, the base norm)
 pass transpose(columns) to solve_lp with their cost and right-hand side.
+
+Every optimal result carries its row multipliers, LPResult.dual: the y
+with y . A_b = c_b on each column b of the final basis, solved once,
+exactly, over the rows kept after the drive-out (a dropped, redundant
+row gets 0). It is an optimum of the LP dual: y . A_j <= c_j on every
+column (>= for a maximize) and y . b equals the objective. An LP whose
+basic costs are all zero, every feasible_point LP among them, gets the
+zero vector without a solve; infeasible and unbounded results carry
+None. The bit commitment's exposing effect is such a dual: its LP
+(protocols.bitcommit.exposing_effect) has one row per coordinate, not
+one per vertex, and reads the effect and its margin from y; at a
+degenerate optimum, where y need not be the only optimal effect, the
+vertex-row LP is solved instead and its pick returned.
 """
 
 from __future__ import annotations
@@ -60,7 +73,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, SolverError
-from .linalg import Mat, Vec, ZERO, integer_row
+from .linalg import Mat, Vec, ZERO, _eliminate, integer_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -75,6 +88,7 @@ class LPResult:
     x: Vec | None
     objective: Fraction | None
     residual: Fraction
+    dual: Vec | None = None  # row multipliers of an optimum
 
     @property
     def ok(self) -> bool:
@@ -221,9 +235,29 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
         return LPResult(UNBOUNDED, None, None, ZERO)
 
     value = Fraction(-obj[-2], obj[-1])
+    dual = _dual(columns, cost, keep, basis, m)
     if maximize:
         value = -value
-    return LPResult(OPTIMAL, _point(rows, basis, scales), value, ZERO)
+        dual = tuple(-y for y in dual)
+    return LPResult(OPTIMAL, _point(rows, basis, scales), value, ZERO, dual)
+
+
+def _dual(columns: list[tuple[int, ...]], cost: list[Fraction],
+          keep: list[int], basis: list[int], m: int) -> Vec:
+    """The row multipliers of the final basis: y . r_b = cost_b on every
+    basic column b, over the kept rows (0 on dropped ones). r_b is the
+    column cleared before any row was negated and cost_b = c_b / s_b, so
+    y needs no sign fix for a negated row."""
+    dual = [ZERO] * m
+    if not any(cost[b] for b in basis):
+        return tuple(dual)
+    # One equation per basic column; row r of the Gauss-Jordan result is
+    # pivot r's row times its pivot, so y_r = rhs / pivot.
+    system = [tuple(columns[b][i] for i in keep) + (cost[b],) for b in basis]
+    solved, _ = _eliminate(system)
+    for r, (i, row) in enumerate(zip(keep, solved)):
+        dual[i] = Fraction(row[-1], row[r])
+    return tuple(dual)
 
 
 def _point(rows: list[list[int]], basis: list[int],

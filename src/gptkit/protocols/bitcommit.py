@@ -29,7 +29,8 @@ from operator import and_
 
 import numpy as np
 
-from ..errors import InvalidInputError, SearchCapError, UnsupportedConeError
+from ..errors import (InvalidInputError, SearchCapError, SolverError,
+                      UnsupportedConeError)
 from ..linalg import Vec, combination, dot, transpose, unit_vec
 from ..lp import feasible_point, solve_lp
 from ..scalars import close, tolerance_for
@@ -45,15 +46,61 @@ def exposing_effect(space: StateSpace, index: int,
                     tol=None) -> tuple[Vec, Fraction] | None:
     """Best-margin effect taking value 1 on vertex `index` alone.
 
-    Maximizes m subject to a(v_index) = 1 and a(v_j) <= 1 - m on every
-    other vertex, with a ranging over the dual cone. Returns (effect,
-    margin), or None when the vertex is not exposed (margin <= 0).
+    Maximizes m subject to a(v_t) = 1 (t = index), a(v_j) >= 0 and
+    a(v_j) + m <= 1 on every other vertex, m >= 0. Returns (effect,
+    margin), or None when the vertex is not exposed (margin <= eps).
+
+    The LP solved is this problem's dual, with one row per coordinate:
+    minimize sum w_j subject to sum_{j != t} (z_j - w_j) delta_j = 0 and
+    sum z_j - s = 1, z, w, s >= 0, where delta_j is v_j - v_t without a
+    coordinate i with u_i != 0 (u(v) = 1 on every vertex, so it follows
+    from the others). Its row multipliers are m and y, with a = y + c u,
+    y_i = 0 and c from a(v_t) = 1. The effect is checked exactly before
+    it is returned; its margin is the LP's optimum, which proves it best.
+    An optimum with fewer than dim positive entries may have several
+    optimal effects: there the vertex-row LP is solved instead and its
+    effect returned, so every answer is the one that LP picks.
     """
     verts = space.vertices
     if not 0 <= index < len(verts):
         raise InvalidInputError(f"vertex index {index} out of range")
-    duals = space.cone.facets
     eps = tolerance_for(tol, space)
+    unit, target, d = space.unit, verts[index], space.dim
+    i = next(k for k, x in enumerate(unit) if x)
+    others = verts[:index] + verts[index + 1:]
+    deltas = [tuple(v[k] - target[k] for k in range(d) if k != i)
+              for v in others]
+    # columns: z_j, then w_j, then s
+    columns = [delta + (ONE,) for delta in deltas]
+    columns += [tuple(-x for x in delta) + (ZERO,) for delta in deltas]
+    columns.append((ZERO,) * (d - 1) + (-ONE,))
+    cost = (ZERO,) * len(deltas) + (ONE,) * len(deltas) + (ZERO,)
+    result = solve_lp(cost, transpose(columns), unit_vec(d, d - 1))
+    if not result.ok:  # no other vertex: the margin is unbounded
+        return None
+    margin = result.objective
+    if margin <= eps:
+        return None
+    if sum(1 for x in result.x if x) < d:
+        return _vertex_row_effect(space, index, margin)
+    # a = y + c u with y_i = 0, and c from a(v_t) = y(v_t) + c = 1
+    y = result.dual[:i] + (ZERO,) + result.dual[i:-1]
+    c = 1 - dot(y, target)
+    effect = tuple(y_k + c * u_k for y_k, u_k in zip(y, unit))
+    if dot(effect, target) != 1 or any(
+            value < 0 or value + margin > 1
+            for value in (dot(effect, v) for v in others)):
+        raise SolverError("exposing LP's dual is not an optimal effect")
+    return effect, margin
+
+
+def _vertex_row_effect(space: StateSpace, index: int,
+                       margin: Fraction) -> tuple[Vec, Fraction]:
+    """The effect of exposing_effect's problem stated with one row per
+    vertex, a a nonnegative combination of the dual cone's generators;
+    its optimum must be `margin`."""
+    verts = space.vertices
+    duals = space.cone.facets
     # columns: theta per dual generator, m, one slack per non-target row;
     # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
     k = len(verts)
@@ -63,11 +110,8 @@ def exposing_effect(space: StateSpace, index: int,
     columns += [unit_vec(k, i) for i in range(1, k)]
     result = solve_lp(unit_vec(len(columns), len(duals)), transpose(columns),
                       (ONE,) * k, maximize=True)
-    if not result.ok:
-        return None
-    margin = result.x[len(duals)]
-    if margin <= eps:
-        return None
+    if result.objective != margin:
+        raise SolverError("exposing LPs disagree on the margin")
     return combination(result.x[:len(duals)], duals), margin
 
 
@@ -84,6 +128,9 @@ class DoubleDecomposition:
     distinguishers: tuple[tuple[Vec, ...], ...]
 
     def verify(self, tol=None) -> bool:
+        """The branches share no state and each mixes to omega with
+        nonnegative weights; each distinguisher is an effect (nonnegative
+        on every vertex) that is 1 on its state and below 1 elsewhere."""
         eps = tolerance_for(tol, self.space)
         states0, states1 = ({tuple(s) for s, _ in branch}
                             for branch in self.branches)
@@ -99,7 +146,8 @@ class DoubleDecomposition:
                 if not close(dot(a, state), 1, eps):
                     return False
                 for v in self.space.vertices:
-                    if v != state and dot(a, v) >= 1 - eps:
+                    value = dot(a, v)
+                    if value < -eps or (v != state and value >= 1 - eps):
                         return False
         return True
 

@@ -6,12 +6,12 @@ from itertools import combinations, product
 import pytest
 
 from gptkit.cones import ConeRep
-from gptkit.errors import (InvalidInputError, SearchCapError,
+from gptkit.errors import (InvalidInputError, SearchCapError, SolverError,
                            UnsupportedConeError)
-from gptkit.linalg import dot, vec
-from gptkit.lp import feasible_point
+from gptkit.linalg import combination, dot, rank, transpose, unit_vec, vec
+from gptkit.lp import feasible_point, solve_lp
 from gptkit.models import (make_ball, make_classical, make_polygon,
-                           make_squit)
+                           make_squit, parse_model_name)
 from gptkit.protocols import (bc_cheat_bound, bc_cheat_curve, bc_run,
                               bitcommit, exposing_effect,
                               find_double_decomposition)
@@ -61,6 +61,9 @@ def _broken_squit_dds():
         # 1 on (1, 1, 1) and on the vertex (1, -1, 1) too
         "1 on another vertex": replace(
             dd, distinguishers=(((HALF, 0, HALF), a1), effects1)),
+        # 1, 0, -1, 0 on the vertices: below 1 elsewhere, but no effect
+        "negative on a vertex": replace(
+            dd, distinguishers=(((HALF, HALF, 0), a1), effects1)),
     }
 
 
@@ -379,3 +382,111 @@ def test_skipped_pairs_have_no_positive_mix(space):
         assert weights is None or min(weights) == 0
         skipped += 1
     assert skipped
+
+
+# -- exposing effects against the vertex-row LP ------------------------------
+
+
+def reference_exposing_effect(space, index, tol=None):
+    """The exposing LP with one row per vertex: maximize m subject to
+    a(v_index) = 1 and a(v) + m <= 1 on every other vertex, a a
+    nonnegative combination theta of the dual cone's generators."""
+    verts = space.vertices
+    duals = space.cone.facets
+    eps = tolerance_for(tol, space)
+    # columns: theta per dual generator, m, one slack per non-target row;
+    # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
+    k = len(verts)
+    columns = [(row[index],) + row[:index] + row[index + 1:]
+               for row in space.slacks]
+    columns.append((F(0),) + (F(1),) * (k - 1))
+    columns += [unit_vec(k, i) for i in range(1, k)]
+    result = solve_lp(unit_vec(len(columns), len(duals)), transpose(columns),
+                      (F(1),) * k, maximize=True)
+    if not result.ok:
+        return None
+    margin = result.x[len(duals)]
+    if margin <= eps:
+        return None
+    return combination(result.x[:len(duals)], duals), margin
+
+
+def lattice_polytopes(count=300, seed=30):
+    """Seeded cones of dimension 3 to 5 over lattice polytopes, each
+    listing a redundant point (the midpoint of two listed points); 82 of
+    the 300 also list a point twice. Many vertex LPs are degenerate."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        d = rng.randint(3, 5)
+        points = [tuple(rng.randint(-2, 2) for _ in range(d - 1))
+                  for _ in range(rng.randint(d + 1, 10))]
+        p, q = rng.sample(points, 2)
+        points.append(tuple(F(x + y, 2) for x, y in zip(p, q)))
+        if rank([vec(point + (1,)) for point in points]) == d:
+            found.append(_polytope(points, f"lattice{len(found)}"))
+    return found
+
+
+def _vertex_effects_match(space):
+    for j in range(len(space.vertices)):
+        assert exposing_effect(space, j) == \
+            reference_exposing_effect(space, j), (space.name, j)
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: s.name)
+def test_exposing_effect_matches_the_vertex_row_lp(space):
+    _vertex_effects_match(space)
+
+
+@pytest.mark.parametrize("name", [f"polygon:{n}" for n in range(3, 31)]
+                         + [f"classical:{n}" for n in range(1, 5)])
+def test_exposing_effect_matches_on_models(name):
+    _vertex_effects_match(parse_model_name(name))
+
+
+def test_single_vertex_is_not_exposed():
+    assert exposing_effect(make_classical(1), 0) is None
+    assert reference_exposing_effect(make_classical(1), 0) is None
+
+
+def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
+    # Degenerate optima go to the vertex-row LP: 359 of the 2552 vertices
+    # here; answering from the d-row LP's dual there instead would change
+    # 170 of the effects.
+    fallbacks = []
+    inner = bitcommit._vertex_row_effect
+
+    def counted(space, index, margin):
+        fallbacks.append(index)
+        return inner(space, index, margin)
+    monkeypatch.setattr(bitcommit, "_vertex_row_effect", counted)
+    vertices = 0
+    for space in lattice_polytopes():
+        _vertex_effects_match(space)
+        vertices += len(space.vertices)
+    assert vertices > 2000 and len(fallbacks) >= 200
+
+
+def test_exposing_lps_have_one_row_per_coordinate(monkeypatch):
+    # every exposing effect on polygon:14 comes from a 3-row LP: no
+    # optimum there is degenerate
+    rows = []
+
+    def counted(objective, eq_matrix, eq_rhs, **kwargs):
+        rows.append(len(eq_matrix))
+        return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
+    monkeypatch.setattr(bitcommit, "solve_lp", counted)
+    dd = find_double_decomposition(make_polygon(14))
+    assert sum(len(branch) for branch in dd.branches) == len(rows)
+    assert set(rows) == {3}
+
+
+def test_exposing_effect_checks_the_dual(monkeypatch):
+    # a dual that is not an optimal effect is refused, not returned
+    def skewed(objective, eq_matrix, eq_rhs, **kwargs):
+        result = solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
+        return replace(result, dual=(F(1),) + result.dual[1:])
+    monkeypatch.setattr(bitcommit, "solve_lp", skewed)
+    with pytest.raises(SolverError, match="not an optimal effect"):
+        exposing_effect(make_squit(), 0)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import gptkit.lp
 from gptkit.cones import ConeRep
 from gptkit.errors import DimensionMismatchError, SolverError
-from gptkit.linalg import ZERO, mat, matvec, rank, transpose, vec
+from gptkit.linalg import (ZERO, inverse, mat, matvec, rank, transpose,
+                           vec)
 from gptkit.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult,
                        feasible_point, solve_lp)
 from gptkit.models import parse_model_name
@@ -121,7 +122,20 @@ def reference_lp(objective, eq_matrix, eq_rhs, *, maximize=False,
     value = sum((c * v for c, v in zip(cost, x)), ZERO)
     if maximize:
         value = -value
-    return LPResult(OPTIMAL, x, value, ZERO)
+    return LPResult(OPTIMAL, x, value, ZERO,
+                    _basis_dual(objective, eq_matrix, keep, basis))
+
+
+def _basis_dual(objective, eq_matrix, keep, basis):
+    """y with y . A_b = c_b on each basic column, over the kept rows of the
+    LP as posed (0 on dropped rows): c_B times the basis inverse."""
+    inv = inverse(tuple(tuple(F(eq_matrix[i][b]) for b in basis)
+                        for i in keep)) if keep else ()
+    dual = [ZERO] * len(eq_matrix)
+    for i, column in zip(keep, transpose(inv)):
+        dual[i] = sum((F(objective[b]) * x for b, x in zip(basis, column)),
+                      ZERO)
+    return tuple(dual)
 
 
 def _basic_point(rows, basis, n):
@@ -170,6 +184,22 @@ def random_lp(seed):
             rhs[i] = -rhs[i]
     objective = [scalar() for _ in range(n)]
     return objective, rows, rhs, rng.random() < 0.5
+
+
+def assert_dual_certifies(result, objective, eq_matrix, eq_rhs, maximize):
+    """An optimum's dual is feasible and meets the objective, exactly:
+    y . A_j <= c_j on every column (>= for a maximize) and y . b equals
+    the objective, which proves both optimal. Other results carry none."""
+    if result.status != OPTIMAL:
+        assert result.dual is None
+        return
+    y = result.dual
+    assert len(y) == len(eq_matrix)
+    for j, c in enumerate(objective):
+        value = sum((yi * row[j] for yi, row in zip(y, eq_matrix)), ZERO)
+        assert (value >= c) if maximize else (value <= c)
+    assert sum((yi * b for yi, b in zip(y, eq_rhs)), ZERO) == \
+        result.objective
 
 
 def test_known_optimum():
@@ -318,8 +348,10 @@ def test_integer_simplex_matches_reference(pivots):
         before = pivots["reference"], pivots["lp"]
         want = reference_lp(objective, rows, rhs, maximize=maximize)
         got = solve_lp(objective, rows, rhs, maximize=maximize)
-        assert (got.status, got.x, got.objective, got.residual) == (
-            want.status, want.x, want.objective, want.residual), seed
+        assert (got.status, got.x, got.objective, got.residual,
+                got.dual) == (want.status, want.x, want.objective,
+                              want.residual, want.dual), seed
+        assert_dual_certifies(got, objective, rows, rhs, maximize)
         if got.status == INFEASIBLE:
             assert all(v >= 0 for v in got.x), seed
             assert l1_error(transpose(rows), got.x, rhs) == got.residual, seed
@@ -363,8 +395,9 @@ def test_column_scaling_keeps_the_walk(pivots):
         middle = pivots["lp"]
         got = solve_lp(scaled_cost, scaled_rows, rhs, maximize=maximize)
         assert pivots["lp"] - middle == middle - start, seed
-        assert (got.status, got.objective, got.residual) == (
-            want.status, want.objective, want.residual), seed
+        assert (got.status, got.objective, got.residual, got.dual) == (
+            want.status, want.objective, want.residual, want.dual), seed
+        assert_dual_certifies(got, scaled_cost, scaled_rows, rhs, maximize)
         if want.x is None:
             assert got.x is None, seed
         else:
@@ -402,6 +435,8 @@ def test_unit_start_keeps_the_values():
         want = all_artificial_lp(objective, rows, rhs, maximize=maximize)
         assert (got.status, got.objective, got.residual) == (
             want.status, want.objective, want.residual), seed
+        assert_dual_certifies(got, objective, rows, rhs, maximize)
+        assert_dual_certifies(want, objective, rows, rhs, maximize)
     for seed in range(400):
         objective, rows, rhs, maximize = random_lp(seed)
         rng = random.Random(-seed)
@@ -412,6 +447,39 @@ def test_unit_start_keeps_the_values():
         want = all_artificial_lp(objective, rows, rhs, maximize=maximize)
         assert (got.status, got.objective, got.residual) == (
             want.status, want.objective, want.residual), seed
+
+
+def test_known_duals():
+    # max 3x + 2y with x + y <= 4, x + 3y <= 6: only the first row binds
+    rows = mat(((1, 1, 1, 0), (1, 3, 0, 1)))
+    got = solve_lp(vec((3, 2, 0, 0)), rows, vec((4, 6)), maximize=True)
+    assert got.dual == (3, 0)
+    # the same LP as a min, with its second row negated
+    rows = mat(((1, 1, 1, 0), (-1, -3, 0, -1)))
+    got = solve_lp(vec((-3, -2, 0, 0)), rows, vec((4, -6)))
+    assert got.objective == -12 and got.dual == (-3, 0)
+    # a redundant copy of row 0 is dropped in the drive-out and reads 0
+    rows = mat(((1, 1, 1), (1, 1, 1)))
+    got = solve_lp(vec((1, 2, 3)), rows, vec((1, 1)))
+    assert got.objective == 1 and got.dual == (1, 0)
+
+
+def test_feasible_point_duals_are_zero(monkeypatch):
+    # Every cost is zero, so each optimum's dual is the zero vector (no
+    # solve), here on the random suite's systems read as columns.
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(solve_lp(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(gptkit.lp, "solve_lp", recorded)
+    for seed in range(400):
+        _, rows, rhs, _ = random_lp(seed)
+        feasible_point(transpose(rows), rhs)
+    optima = [r for r in results if r.status == OPTIMAL]
+    assert len(optima) >= 100
+    assert all(r.dual == (0,) * len(r.dual) for r in optima)
+    assert all(r.dual is None for r in results if r.status != OPTIMAL)
 
 
 def test_zero_rhs_row_with_a_negative_unit_entry_keeps_its_artificial():
