@@ -9,14 +9,17 @@ composite sits between the two and shares the product unit.
 Bipartite states are kept as m x n coordinate matrices W pairing
 functionals as (a, b) -> a^t W b. Marginals, conditioning, and remote
 evaluation are linear algebra on W; entanglement is non-membership in
-the minimal cone, asked of the product generators it holds.
+the minimal cone, asked of the product generators it holds. Products
+are made from factor vectors cleared once to integer rows, and the
+maximal cone keeps its facets' rows, so membership clears none again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .cones import POLYHEDRAL, ConeRep, maps_into
+from .cones import POLYHEDRAL, ConeRep, Rows, maps_into
 from .errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -33,6 +36,24 @@ from .spaces import StateSpace
 def product_vec(x: Vec, y: Vec) -> Vec:
     """Flattened outer product, row-major in the first factor."""
     return tuple(xi * yj for xi in x for yj in y)
+
+
+def _products(xs: tuple[Vec, ...], ys: tuple[Vec, ...]
+              ) -> tuple[tuple[Vec, ...], Rows]:
+    """product_vec(x, y) for each x in xs, then y in ys, and its integer
+    row: x = s r and y = t q (linalg.integer_row) give x (x) y =
+    (s t) (r (x) q), and r (x) q is coprime as gcd(r_i q_j) = gcd(r) gcd(q).
+    """
+    right = [integer_row(y) for y in ys]
+    vectors, rows = [], []
+    for x in xs:
+        r, s = integer_row(x)
+        for q, t in right:
+            row, c = tuple(a * b for a in r for b in q), s * t
+            n, d = c.numerator, c.denominator
+            vectors.append(tuple(Fraction(v * n, d) for v in row))
+            rows.append((row, c))
+    return tuple(vectors), tuple(rows)
 
 
 def _require_polyhedral(a: StateSpace, b: StateSpace) -> None:
@@ -73,8 +94,7 @@ def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    gens = tuple(product_vec(x, y)
-                 for x in a.cone.generators for y in b.cone.generators)
+    gens, _ = _products(a.cone.generators, b.cone.generators)
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
     cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, gens, None)
     unit = product_vec(a.unit, b.unit)
@@ -89,10 +109,9 @@ def max_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    facets = tuple(product_vec(x, y)
-                   for x in a.cone.facets for y in b.cone.facets)
+    facets, rows = _products(a.cone.facets, b.cone.facets)
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, facets)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, facets, rows)
     unit = product_vec(a.unit, b.unit)
     name = f"max({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "max", name)

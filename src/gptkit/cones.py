@@ -198,7 +198,7 @@ class ConeRep:
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
-                 facets: tuple[Vec, ...] | None):
+                 facets: tuple[Vec, ...] | None, rows: Rows | None = None):
         if kind not in (POLYHEDRAL, LORENTZ):
             raise UnsupportedConeError(f"unknown cone kind {kind!r}")
         if arithmetic not in (RATIONAL, FLOAT):
@@ -208,7 +208,7 @@ class ConeRep:
         self.arithmetic = arithmetic
         self._generators = generators
         self._facets = facets
-        self._rows: Rows | None = None
+        self._rows = rows  # the facets' integer rows, if the caller has them
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------

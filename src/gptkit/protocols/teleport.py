@@ -5,24 +5,27 @@ of BA teleports A-states iff mu = omega_hat . f_hat is proportional to
 an order isomorphism; the inverse of the normalized factor is the
 correction map. For a model with a transitive finite symmetry group
 and an equivariant self-duality isomorphism, one observable performs
-deterministic teleportation with group-element corrections.
+deterministic teleportation with group-element corrections. Its group
+is proved by one product table on integer matrices, each element cleared
+once, matched to the elements by scalars.close_rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
                           omega_hat, product_vec)
 from ..cones import maps_into
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
-from ..linalg import (Mat, combination, dot, identity, mat, matmul, matvec,
-                      proportion, rank, transpose, unit_vec)
+from ..linalg import (Mat, combination, dot, identity, integer_row, mat,
+                      matmul, matvec, proportion, rank, transpose, unit_vec)
 from ..lp import feasible_point
 from ..models import entangled_state_coords, symmetry_group
-from ..scalars import close, tolerance_for
+from ..scalars import close, close_rows, tolerance_for
 from ..spaces import (LinearMapRep, StateSpace, is_norm_contractive,
                       is_order_isomorphism, is_positive_map,
                       order_isomorphic)
@@ -151,12 +154,21 @@ def construct_deterministic_teleportation(
         if not is_positive_map(LinearMapRep(space, space, g), tol):
             raise InvalidInputError("group element is not a positive map")
 
-    def index(m):
-        return next((k for k, g in enumerate(group) if close(m, g, eps)), None)
-    e = index(identity(space.dim))
+    # each element cleared once, g = s * G for an integer matrix G, so
+    # the table's products G H and their comparisons run on integers
+    d = space.dim
+    cleared = [integer_row(tuple(x for row in g for x in row)) for g in group]
+    columns = [[G[j::d] for j in range(d)] for G, _ in cleared]
+
+    def index(ints, scale):
+        return next((k for k, (G, s) in enumerate(cleared)
+                     if close_rows(ints, scale, G, s, eps)), None)
+    e = index(tuple(int(i == j) for i in range(d) for j in range(d)), ONE)
     if e is None:
         raise InvalidInputError("group lacks an identity element")
-    table = [[index(matmul(g, h)) for h in group] for g in group]
+    table = [[index(tuple(sum(map(mul, G[i:i + d], c))
+                          for i in range(0, d * d, d) for c in cols), s * t)
+              for (_, t), cols in zip(cleared, columns)] for G, s in cleared]
     if any(None in row for row in table):
         raise InvalidInputError("group is not closed under composition")
     if table[e] != list(range(len(group))):

@@ -6,7 +6,8 @@ denominators are powers of two) and convert back to floats only when a
 value leaves the library. Tolerances therefore matter in exactly one
 place: predicates over float-mode spaces, which compare against EPS
 instead of zero. tolerance_for picks that slack and close applies it to
-every two-sided comparison. Values cross the boundary here: exactify
+every two-sided comparison (close_rows, on vectors already cleared to
+integer rows). Values cross the boundary here: exactify
 reads every input scalar and emit writes every output one;
 emits_exactly says whether emit's output reads back as the same value.
 """
@@ -74,6 +75,19 @@ def close(a, b, eps: Fraction) -> bool:
     if not all(seqs) or len(a) != len(b):
         raise DimensionMismatchError("compared values differ in shape")
     return all(close(x, y, eps) for x, y in zip(a, b))
+
+
+def close_rows(xs, xscale: Fraction, ys, yscale: Fraction,
+               eps: Fraction) -> bool:
+    """close(xscale * xs, yscale * ys, eps) for integer rows and positive
+    scales (as linalg.integer_row gives them): with xscale = p/q, yscale
+    = r/s and eps = e/f, |p s x - r q y| f <= e q s entrywise."""
+    if len(xs) != len(ys):
+        raise DimensionMismatchError("compared values differ in shape")
+    a = xscale.numerator * yscale.denominator * eps.denominator
+    b = yscale.numerator * xscale.denominator * eps.denominator
+    bound = eps.numerator * xscale.denominator * yscale.denominator
+    return all(abs(a * x - b * y) <= bound for x, y in zip(xs, ys))
 
 
 def emit(value, mode: str) -> int | str | float | list:

@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -11,9 +13,15 @@ import pytest
 
 import gptkit
 import gptkit.cli
-from gptkit.cli import _build_parser, main
+from gptkit.cli import _build_parser, _equals_min, main
+from gptkit.composites import max_tensor, min_tensor
+from gptkit.cones import ConeRep
+from gptkit.linalg import rank, vec
+from gptkit.lp import feasible_point
 from gptkit.models import parse_model_name
 from gptkit.protocols import bc_cheat_bound, find_double_decomposition
+from gptkit.scalars import tolerance_for
+from gptkit.spaces import StateSpace
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -392,6 +400,83 @@ def test_check_equals_min_without_max_builds_no_tensor(tmp_path, monkeypatch,
     assert out == ""
     assert err == ("gpt-kit: InvalidInput: "
                    "--check-equals-min requires --max\n")
+
+
+def reference_equals_min(small, big, eps):
+    """--check-equals-min as one feasibility LP per max-tensor generator
+    on the min-tensor generators, within eps: the check before its
+    product-row shortcut."""
+    return all(feasible_point(small.cone.generators, g, eps)[0] is not None
+               for g in big.cone.generators)
+
+
+TOLS = (Fraction(0), None, Fraction(1, 1000))  # tol 0, the default, 1e-3
+BUILTIN = ("classical:2", "classical:3", "classical:4", "squit", "polygon:3",
+           "polygon:5", "polygon:6", "polygon:7", "polygon:8")
+
+
+def _agrees_with_the_reference(a, b):
+    """The verdicts at every tolerance of TOLS (each eps once), which
+    must be the reference's; returned for further checks."""
+    small, big = min_tensor(a, b), max_tensor(a, b)
+    verdicts = {}
+    for eps in {tolerance_for(tol, big) for tol in TOLS}:
+        verdicts[eps] = _equals_min(small, big, eps)
+        assert verdicts[eps] == reference_equals_min(small, big, eps), eps
+    return verdicts
+
+
+# Two float polygons of 5 to 8 vertices other than polygon:5 twice are
+# left out: their max tensors take up to a second of double description
+# (630 to 2440 rays), and both checks end at the first ray's LP.
+@pytest.mark.parametrize("pair", [
+    pair for pair in itertools.product(BUILTIN, repeat=2)
+    if pair == ("polygon:5", "polygon:5")
+    or not all(m in BUILTIN[5:] for m in pair)], ids="-".join)
+def test_equals_min_matches_the_all_lp_check_on_builtin_pairs(pair):
+    _agrees_with_the_reference(*map(parse_model_name, pair))
+
+
+def lattice_cones(rng):
+    """A seeded cone over a lattice polygon or 3-polytope (dim 3 or 4)
+    with dim to dim + 2 listed points, unit the last coordinate."""
+    d = rng.randint(3, 4)
+    while True:
+        points = [vec([rng.randint(-2, 2) for _ in range(d - 1)] + [1])
+                  for _ in range(rng.randint(d, d + 2))]
+        if rank(points) == d:
+            return StateSpace(ConeRep.from_generators(points),
+                              vec([0] * (d - 1) + [1]))
+
+
+def test_equals_min_matches_the_all_lp_check_and_the_simplex_theorem():
+    # max = min exactly when a factor is a simplex (Aubrun, Lami,
+    # Palazuelos & Plavala, arXiv:1911.09663); 40 of the 60 pairs have one
+    rng = random.Random(31)
+    simplices = 0
+    for _ in range(60):
+        a, b = lattice_cones(rng), lattice_cones(rng)
+        simplex = any(len(s.cone.facets) == s.dim for s in (a, b))
+        simplices += simplex
+        verdicts = _agrees_with_the_reference(a, b)
+        assert set(verdicts.values()) == {simplex}
+    assert simplices == 40
+
+
+@pytest.mark.parametrize("pair, most", [
+    (("classical:3", "squit"), 0), (("squit", "classical:3"), 0),
+    (("squit", "squit"), 1)])
+def test_equals_min_asks_the_lp_only_off_the_products(tmp_path, monkeypatch,
+                                                     pair, most):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return feasible_point(*args)
+    monkeypatch.setattr(gptkit.cli, "feasible_point", counted)
+    code, _ = run(tmp_path, "tensor", "--max", *pair, "--check-equals-min")
+    assert code == (0 if most == 0 else 2)
+    assert len(calls) <= most
 
 
 def test_arithmetic_overrides_the_model_style(tmp_path):

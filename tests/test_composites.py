@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from gptkit.composites import (BipartiteState, _as_matrix, _space_from_ref,
 from gptkit.cones import POLYHEDRAL, ConeRep
 from gptkit.errors import (DimensionMismatchError, InvalidInputError,
                            UnitMismatchError)
-from gptkit.linalg import dot, lex_key, mat, matvec, rank, transpose, vec
+from gptkit.linalg import (dot, integer_row, lex_key, mat, matvec, rank,
+                           transpose, vec)
 from gptkit.lp import feasible_point
 from gptkit import models
 from gptkit.models import (entangled_state_coords, make_ball, make_classical,
@@ -58,6 +60,53 @@ def test_min_generators_are_products():
     want = {lex_key(product_vec(x, y))
             for x in sq.cone.generators for y in cl.cone.generators}
     assert gens == want
+
+
+# a square payload with fractional generators and facets that are not
+# coprime, and a float-mode triangle with fractional, non-coprime vectors
+FRACTIONAL = StateSpace.from_json_dict({
+    "dim": 3, "kind": "polyhedral", "unit": [0, 0, 1],
+    "generators": [["1/2", "1/2", "1/2"], [-3, 3, 3], ["-2/3", "-2/3", "2/3"],
+                   [1, -1, 1]],
+    "facets": [[-2, 0, 2], [0, "-1/3", "1/3"], [0, 6, 6], [1, 0, 1]]})
+FLOAT_TRIANGLE = StateSpace.from_json_dict({
+    "dim": 3, "kind": "polyhedral", "arithmetic": "float", "unit": [0, 0, 1],
+    "generators": [[0.5, 0, 0.5], [0, 2, 2], [-0.75, -0.75, 0.75]]})
+
+
+@pytest.mark.parametrize("a, b", [
+    (make_squit(), make_classical(3)), (make_polygon(5), make_polygon(6)),
+    (make_polygon(5), make_squit()), (make_classical(2), make_polygon(7)),
+    (FRACTIONAL, make_squit()), (make_polygon(5), FRACTIONAL),
+    (FLOAT_TRIANGLE, FRACTIONAL), (FLOAT_TRIANGLE, make_classical(2))],
+    ids=["rational", "float", "float-rational", "rational-float",
+         "payload-rational", "float-payload", "float-payload-payload",
+         "float-payload-rational"])
+def test_tensor_products_are_product_vec_in_order(a, b):
+    gens = min_tensor(a, b).cone.generators
+    high = max_tensor(a, b).cone
+    want_gens = [product_vec(x, y)
+                 for x in a.cone.generators for y in b.cone.generators]
+    want_facets = [product_vec(x, y)
+                   for x in a.cone.facets for y in b.cone.facets]
+    for got, want in ((gens, want_gens), (high.facets, want_facets)):
+        assert list(got) == want
+        assert {type(x) for v in got for x in v} == {Fraction}
+    # the max tensor's facet rows come with its facets, already cleared
+    assert high._rows == tuple(map(integer_row, want_facets))
+
+
+def test_products_of_coprime_rows_are_coprime_rows_seeded():
+    rng = random.Random(3131)
+    for _ in range(500):
+        r, q = ([rng.randint(-30, 30) for _ in range(rng.randint(1, 5))]
+                for _ in range(2))
+        r, q = (tuple(x // (math.gcd(*v) or 1) for x in v) for v in (r, q))
+        row = tuple(a * b for a in r for b in q)
+        assert math.gcd(*row) == (1 if any(r) and any(q) else 0)
+        x, y = vec(r), vec(q)
+        if any(row):  # integer_row's row is unique for nonzero vectors
+            assert integer_row(product_vec(x, y))[0] == row
 
 
 def test_classical_composites_collapse():

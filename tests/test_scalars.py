@@ -7,8 +7,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gptkit.errors import DimensionMismatchError, InvalidInputError
-from gptkit.scalars import (DEFAULT_TOLERANCE, FLOAT, RATIONAL, close, emit,
-                            exactify, tolerance_for)
+from gptkit.linalg import integer_row
+from gptkit.scalars import (DEFAULT_TOLERANCE, FLOAT, RATIONAL, close,
+                            close_rows, emit, exactify, tolerance_for)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
@@ -167,6 +168,38 @@ def test_close_matches_the_fraction_difference_seeded():
         nested = (tuple((x,) for x, _ in rows), [[y] for _, y in rows])
         assert close(*nested, eps) == reference_close(*nested, eps)
     assert 1000 < verdicts.count(True) < 2000
+
+
+def test_close_rows_is_close_on_the_scaled_values_seeded():
+    # integer rows with negative entries and scales of their own (rows
+    # not always coprime), at eps 0 and above, and pairs exactly eps
+    # apart or one 2^-80 step to either side
+    rng = random.Random(3100)
+    verdicts = []
+    for _ in range(2000):
+        eps = rng.choice([Fraction(0), DEFAULT_TOLERANCE,
+                          Fraction(rng.randint(1, 100), rng.randint(1, 100)),
+                          Fraction(rng.uniform(0, 1e-6))])
+        n = rng.randint(1, 9)
+        xs = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        xscale = rng.choice([Fraction(1), Fraction(rng.uniform(0.01, 4)),
+                             Fraction(rng.randint(1, 99), rng.randint(1, 99))])
+        x = [xscale * v for v in xs]
+        y = [v + rng.choice([-1, 0, 1]) * eps for v in x]
+        i = rng.randrange(n)  # one entry moved off, or a step either way
+        y[i] += rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                            Fraction(rng.choice([-1, 1]), 2 ** 80)])
+        ys, yscale = integer_row(y)
+        k = rng.randint(1, 3)
+        ys, yscale = [k * v for v in ys], yscale / k
+        verdicts.append(close_rows(xs, xscale, ys, yscale, eps))
+        assert verdicts[-1] == close(tuple(x), tuple(y), eps)
+    assert 400 < verdicts.count(True) < 1600
+
+
+def test_close_rows_compares_rows_of_one_length():
+    with pytest.raises(DimensionMismatchError):
+        close_rows((1, 2), Fraction(1), (1,), Fraction(1), DEFAULT_TOLERANCE)
 
 
 def test_close_keeps_its_shape_check():

@@ -492,6 +492,32 @@ def test_construct_matches_the_reference_on_broken_groups(monkeypatch, model,
         assert new == (InvalidInputError, message)
 
 
+def shrunk(group, k, delta):
+    """Element k with its rotation rows scaled by 1 - delta: each entry
+    moves by at most delta, and the pentagon maps into itself."""
+    g = group[k]
+    moved = tuple(tuple(x * (1 - delta) for x in row) for row in g[:2])
+    return group[:k] + (moved + g[2:],) + group[k + 1:]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("times, message", [
+    (F(1, 2), None), (F(3), "group is not closed under composition")])
+def test_float_group_element_near_miss(k, times, message):
+    # the product table compares within eps on integer rows: an element
+    # moved by eps/2 still matches, one moved by 3 eps leaves a product
+    # of it with no element within eps
+    space = make_polygon(5)
+    eps = tolerance_for(None, space)
+    group = shrunk(PENTAGON_GROUP, k, times * eps)
+    new = outcome(construct_deterministic_teleportation, space, group)
+    assert new == outcome(reference_construct, space, group)
+    if message is None:
+        assert len(new) == 4 and new[0] == group
+    else:
+        assert new == (InvalidInputError, message)
+
+
 @pytest.mark.parametrize("group, old, new", [
     ((SINGULAR,), "group element is singular", "lacks an identity element"),
     ((identity(3), ((0,) * 3,) * 3), "group element is singular",
