@@ -60,7 +60,10 @@ basic costs are all zero, every feasible_point LP among them, gets the
 zero vector without a solve; infeasible and unbounded results carry
 None. The bit commitment's exposing effect is such a dual: its LP
 (protocols.bitcommit.exposing_effect) has one row per coordinate, not
-one per vertex, and reads the effect and its margin from y; at a
+one per vertex, and reads the effect and its margin from y. It is
+sifted: solved on the columns of a few vertices, then every other
+column is priced exactly against y, and violators join the LP until
+none is left, so the restricted optimum and y solve the whole LP. At a
 degenerate optimum, where y need not be the only optimal effect, the
 vertex-row LP is solved instead and its pick returned.
 """

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, mul
 
 import numpy as np
 
 from ..errors import (InvalidInputError, SearchCapError, SolverError,
                       UnsupportedConeError)
-from ..linalg import Vec, combination, dot, transpose, unit_vec
+from ..linalg import (Vec, combination, dot, integer_row, transpose,
+                      unit_vec)
 from ..lp import feasible_point, solve_lp
 from ..scalars import close, tolerance_for
 from ..spaces import StateSpace
@@ -55,8 +56,16 @@ def exposing_effect(space: StateSpace, index: int,
     sum z_j - s = 1, z, w, s >= 0, where delta_j is v_j - v_t without a
     coordinate i with u_i != 0 (u(v) = 1 on every vertex, so it follows
     from the others). Its row multipliers are m and y, with a = y + c u,
-    y_i = 0 and c from a(v_t) = 1. The effect is checked exactly before
-    it is returned; its margin is the LP's optimum, which proves it best.
+    y_i = 0 and c from a(v_t) = 1.
+
+    The LP is sifted: first solved on s and the columns of the d - 1
+    vertices nearest to v_t and the d - 1 farthest (by h_j, the summed
+    slacks of the facets through v_t), then priced on every vertex
+    exactly, since a(v_j) = 1 + y . delta_j: z_j needs a(v_j) + m <= 1
+    and w_j needs a(v_j) >= 0. Violators join the LP until none is
+    left; the zero-padded optimum and y then solve the whole LP, so the
+    checked effect's margin is its optimum, which proves it best. No
+    restricted optimum is below it, so one <= eps means not exposed.
     An optimum with fewer than dim positive entries may have several
     optimal effects: there the vertex-row LP is solved instead and its
     effect returned, so every answer is the one that LP picks.
@@ -65,33 +74,61 @@ def exposing_effect(space: StateSpace, index: int,
     if not 0 <= index < len(verts):
         raise InvalidInputError(f"vertex index {index} out of range")
     eps = tolerance_for(tol, space)
-    unit, target, d = space.unit, verts[index], space.dim
+    unit, target, d, m = space.unit, verts[index], space.dim, len(verts)
     i = next(k for k, x in enumerate(unit) if x)
-    others = verts[:index] + verts[index + 1:]
-    deltas = [tuple(v[k] - target[k] for k in range(d) if k != i)
-              for v in others]
-    # columns: z_j, then w_j, then s
-    columns = [delta + (ONE,) for delta in deltas]
-    columns += [tuple(-x for x in delta) + (ZERO,) for delta in deltas]
-    columns.append((ZERO,) * (d - 1) + (-ONE,))
-    cost = (ZERO,) * len(deltas) + (ONE,) * len(deltas) + (ZERO,)
-    result = solve_lp(cost, transpose(columns), unit_vec(d, d - 1))
-    if not result.ok:  # no other vertex: the margin is unbounded
-        return None
-    margin = result.objective
-    if margin <= eps:
-        return None
+    # h_j / c: the slack rows through v_t, cleared to one scale c, summed
+    through = integer_row(sum((row for row in space.slacks
+                               if row[index] == 0), ()))[0]
+    by_h = sorted((j for j in range(m) if j != index),
+                  key=lambda j: sum(through[j::m]))
+    chosen = set(by_h[:d - 1] + by_h[::-1][:d - 1])
+    cleared = [integer_row(v) for v in verts]
+    while True:
+        deltas = [tuple(verts[j][k] - target[k] for k in range(d) if k != i)
+                  for j in sorted(chosen)]
+        # columns: z_j, then w_j, then s
+        columns = [delta + (ONE,) for delta in deltas]
+        columns += [tuple(-x for x in delta) + (ZERO,) for delta in deltas]
+        columns.append((ZERO,) * (d - 1) + (-ONE,))
+        cost = (ZERO,) * len(deltas) + (ONE,) * len(deltas) + (ZERO,)
+        result = solve_lp(cost, transpose(columns), unit_vec(d, d - 1))
+        if not result.ok:  # no other vertex: the margin is unbounded
+            return None
+        margin = result.objective
+        if margin <= eps:
+            return None
+        # a = y + c u with y_i = 0, and c from a(v_t) = y(v_t) + c = 1
+        y = result.dual[:i] + (ZERO,) + result.dual[i:-1]
+        c = 1 - dot(y, target)
+        effect = tuple(y_k + c * u_k for y_k, u_k in zip(y, unit))
+        misfits = _misfits(effect, margin, cleared, index)
+        if not misfits:
+            break
+        if index in misfits or chosen.intersection(misfits):
+            raise SolverError("exposing LP's dual is not an optimal effect")
+        chosen.update(misfits)
     if sum(1 for x in result.x if x) < d:
         return _vertex_row_effect(space, index, margin)
-    # a = y + c u with y_i = 0, and c from a(v_t) = y(v_t) + c = 1
-    y = result.dual[:i] + (ZERO,) + result.dual[i:-1]
-    c = 1 - dot(y, target)
-    effect = tuple(y_k + c * u_k for y_k, u_k in zip(y, unit))
-    if dot(effect, target) != 1 or any(
-            value < 0 or value + margin > 1
-            for value in (dot(effect, v) for v in others)):
-        raise SolverError("exposing LP's dual is not an optimal effect")
     return effect, margin
+
+
+def _misfits(effect: Vec, margin: Fraction, cleared, index: int) -> list[int]:
+    """The j != index with effect(v_j) < 0 or > 1 - margin, and index
+    unless effect(v_index) = 1. With v_j = s_j r_j cleared and effect =
+    c e, effect(v_j) = c s_j (e . r_j), compared on integers."""
+    ints, c = integer_row(effect)
+    top = (1 - margin) / c
+    out = []
+    for j, (row, s) in enumerate(cleared):
+        p = sum(map(mul, ints, row))
+        if j == index:
+            bad = p * s.numerator != s.denominator / c
+        else:
+            bad = p < 0 or (p * s.numerator * top.denominator
+                            > top.numerator * s.denominator)
+        if bad:
+            out.append(j)
+    return out
 
 
 def _vertex_row_effect(space: StateSpace, index: int,

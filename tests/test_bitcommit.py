@@ -453,33 +453,49 @@ def test_single_vertex_is_not_exposed():
 def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
     # Degenerate optima go to the vertex-row LP: 359 of the 2552 vertices
     # here; answering from the d-row LP's dual there instead would change
-    # 170 of the effects.
-    fallbacks = []
+    # 170 of the effects. The sifted d-row LP is solved again for 566
+    # other vertices, whose first restricted optimum a vertex left out of
+    # it prices out (and for all 359 fallbacks).
+    fallbacks, rows = [], []
     inner = bitcommit._vertex_row_effect
 
     def counted(space, index, margin):
         fallbacks.append(index)
         return inner(space, index, margin)
+
+    def counted_lp(objective, eq_matrix, eq_rhs, **kwargs):
+        rows.append(len(eq_matrix))
+        return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
     monkeypatch.setattr(bitcommit, "_vertex_row_effect", counted)
-    vertices = 0
+    monkeypatch.setattr(bitcommit, "solve_lp", counted_lp)
+    vertices = resolved = 0
     for space in lattice_polytopes():
-        _vertex_effects_match(space)
+        for j in range(len(space.vertices)):
+            rows.clear()
+            before = len(fallbacks)
+            assert exposing_effect(space, j) == \
+                reference_exposing_effect(space, j), (space.name, j)
+            # the vertex-row LP has a row per listed point, more than dim
+            if rows.count(space.dim) > 1 and len(fallbacks) == before:
+                resolved += 1
         vertices += len(space.vertices)
-    assert vertices > 2000 and len(fallbacks) >= 200
+    assert vertices > 2000 and len(fallbacks) >= 200 and resolved >= 400
 
 
 def test_exposing_lps_have_one_row_per_coordinate(monkeypatch):
-    # every exposing effect on polygon:14 comes from a 3-row LP: no
-    # optimum there is degenerate
-    rows = []
+    # every exposing effect on polygon:14 comes from one 3-row LP on at
+    # most 9 columns, s and the z and w columns of 4 of the 13 other
+    # vertices: no optimum there is degenerate, and none is priced out
+    shapes = []
 
     def counted(objective, eq_matrix, eq_rhs, **kwargs):
-        rows.append(len(eq_matrix))
+        shapes.append((len(eq_matrix), len(objective)))
         return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
     monkeypatch.setattr(bitcommit, "solve_lp", counted)
     dd = find_double_decomposition(make_polygon(14))
-    assert sum(len(branch) for branch in dd.branches) == len(rows)
-    assert set(rows) == {3}
+    assert sum(len(branch) for branch in dd.branches) == len(shapes)
+    assert {rows for rows, _ in shapes} == {3}
+    assert max(columns for _, columns in shapes) <= 9
 
 
 def test_exposing_effect_checks_the_dual(monkeypatch):
