@@ -76,7 +76,7 @@ class CompositeSpace(StateSpace):
     def __init__(self, cone: ConeRep, unit: Vec, factor_a: StateSpace,
                  factor_b: StateSpace, tensor: str, name: str | None = None):
         self.cone, self.unit, self.name = cone, unit, name
-        self._vertices = self._slacks = None
+        self._vertices = None
         self.factor_a = factor_a
         self.factor_b = factor_b
         self.tensor = tensor

@@ -8,12 +8,12 @@ The two branches mix to the same state, so the commitment is perfectly
 hiding; the exposing effects make honest reveals accept surely, and
 the optimal product-strategy cheat decays exponentially in n.
 
-The search for the two branches reads each space's slack matrix
-(`StateSpace.slacks`, every facet's value on every vertex) and asks an
-LP only about branch pairs that lie on the same face: a mixture with
-all weights positive is zero on exactly the facets that vanish on all
-of its vertices, so two such mixtures can be equal only when those
-facet sets are equal.
+The search for the two branches reads which facets vanish on which
+vertex, from the cone's facets and generators cleared to coprime
+integers, and asks an LP only about branch pairs that lie on the same
+face: a mixture with all weights positive is zero on exactly the
+facets that vanish on all of its vertices, so two such mixtures can be
+equal only when those facet sets are equal.
 
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
@@ -59,8 +59,8 @@ def exposing_effect(space: StateSpace, index: int,
     y_i = 0 and c from a(v_t) = 1.
 
     The LP is sifted: first solved on s and the columns of the d - 1
-    vertices nearest to v_t and the d - 1 farthest (by h_j, the summed
-    slacks of the facets through v_t), then priced on every vertex
+    vertices nearest to v_t and the d - 1 farthest (by h_j = phi(v_j),
+    phi the sum of the facets through v_t), then priced on every vertex
     exactly, since a(v_j) = 1 + y . delta_j: z_j needs a(v_j) + m <= 1
     and w_j needs a(v_j) >= 0. Violators join the LP until none is
     left; the zero-padded optimum and y then solve the whole LP, so the
@@ -76,13 +76,14 @@ def exposing_effect(space: StateSpace, index: int,
     eps = tolerance_for(tol, space)
     unit, target, d, m = space.unit, verts[index], space.dim, len(verts)
     i = next(k for k, x in enumerate(unit) if x)
-    # h_j / c: the slack rows through v_t, cleared to one scale c, summed
-    through = integer_row(sum((row for row in space.slacks
-                               if row[index] == 0), ()))[0]
-    by_h = sorted((j for j in range(m) if j != index),
-                  key=lambda j: sum(through[j::m]))
-    chosen = set(by_h[:d - 1] + by_h[::-1][:d - 1])
     cleared = [integer_row(v) for v in verts]
+    # h_j = phi(v_j) / c, with phi = c r and v_j = s_j r_j; every h_j is
+    # 0 when no facet passes through v_t
+    through = [f for f in space.cone.facets if dot(f, target) == 0]
+    r = integer_row(tuple(map(sum, zip(*through))))[0]
+    h = [s * sum(map(mul, r, row)) for row, s in cleared]
+    by_h = sorted((j for j in range(m) if j != index), key=h.__getitem__)
+    chosen = set(by_h[:d - 1] + by_h[::-1][:d - 1])
     while True:
         deltas = [tuple(verts[j][k] - target[k] for k in range(d) if k != i)
                   for j in sorted(chosen)]
@@ -141,8 +142,8 @@ def _vertex_row_effect(space: StateSpace, index: int,
     # columns: theta per dual generator, m, one slack per non-target row;
     # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
     k = len(verts)
-    columns = [(row[index],) + row[:index] + row[index + 1:]
-               for row in space.slacks]
+    ordered = verts[index:index + 1] + verts[:index] + verts[index + 1:]
+    columns = [tuple(dot(f, v) for v in ordered) for f in duals]
     columns.append((ZERO,) + (ONE,) * (k - 1))
     columns += [unit_vec(k, i) for i in range(1, k)]
     result = solve_lp(unit_vec(len(columns), len(duals)), transpose(columns),
@@ -201,13 +202,13 @@ def find_double_decomposition(space: StateSpace,
 
     A pair is only accepted with every weight positive, and such a
     mixture lies in the relative interior of the face cut out by the
-    facets that vanish on all of its vertices (its slacks are positive
-    sums of theirs). Distinct faces have disjoint relative interiors, so
-    a pair whose two vertex sets have different zero-facet sets never
-    passes: its exact LP is infeasible or puts weight 0 on some vertex.
-    Such pairs are skipped before the LP, by exact bitmask tests that
-    read no tolerance, so the pair found and everything returned are
-    those of the plain scan, at any tol and in either arithmetic.
+    facets that vanish on all of its vertices (its facet values are
+    positive sums of theirs). Distinct faces have disjoint relative
+    interiors, so a pair whose two vertex sets have different zero-facet
+    sets never passes: its exact LP is infeasible or puts weight 0 on
+    some vertex. Such pairs are skipped before the LP, by exact bitmask
+    tests that read no tolerance, so what is found and returned is that
+    of the plain scan, at any tol and in either arithmetic.
     """
     if space.kind != "polyhedral":
         raise UnsupportedConeError("decomposition needs a polyhedral space")
@@ -219,12 +220,12 @@ def find_double_decomposition(space: StateSpace,
             "state set is a simplex; no double decomposition exists")
     if m > _VERTEX_CAP:
         raise SearchCapError(f"subset search over {m} vertices exceeds cap")
-    # bit k of masks[j]: facet k vanishes on vertex j
-    masks = [0] * m
-    for k, row in enumerate(space.slacks):
-        for j, value in enumerate(row):
-            if value == 0:
-                masks[j] |= 1 << k
+    # bit k of masks[j]: facet k vanishes on vertex j, a positive
+    # multiple of generator j; both tested as coprime integer rows
+    facets = [integer_row(f)[0] for f in space.cone.facets]
+    masks = [sum(1 << k for k, f in enumerate(facets)
+                 if sum(map(mul, f, g)) == 0)
+             for g, _ in map(integer_row, space.cone.generators)]
 
     for total in range(4, m + 1):
         for k0 in range(2, total - 1):

@@ -44,12 +44,10 @@ class StateSpace:
     """A cone plus an order unit, with lazy derived geometry.
 
     The unit is proved strictly positive here, once, for every cone; a
-    facets-only cone enumerates its generators for the proof. A
-    polyhedral space also keeps its slack matrix (`slacks`): each facet's
-    value on each vertex, read by the bit-commitment search.
+    facets-only cone enumerates its generators for the proof.
     """
 
-    __slots__ = ("cone", "unit", "name", "_vertices", "_slacks")
+    __slots__ = ("cone", "unit", "name", "_vertices")
 
     def __init__(self, cone: ConeRep, unit: Vec, name: str | None = None):
         unit = vec(unit)
@@ -62,7 +60,6 @@ class StateSpace:
         self.unit = unit
         self.name = name
         self._vertices: tuple[Vec, ...] | None = None
-        self._slacks: tuple[Vec, ...] | None = None
 
     # -- basics ----------------------------------------------------------
 
@@ -92,15 +89,6 @@ class StateSpace:
                 verts.append(tuple(x / scale for x in g))
             self._vertices = tuple(verts)
         return self._vertices
-
-    @property
-    def slacks(self) -> tuple[Vec, ...]:
-        """Row k, entry j: facet k's value on vertex j (all >= 0)."""
-        if self._slacks is None:
-            verts = self.vertices
-            self._slacks = tuple(tuple(dot(f, v) for v in verts)
-                                 for f in self.cone.facets)
-        return self._slacks
 
     def is_state(self, x: Vec, tol: Fraction | float | None = None) -> bool:
         eps = tolerance_for(tol, self)

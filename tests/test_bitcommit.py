@@ -8,7 +8,8 @@ import pytest
 from gptkit.cones import ConeRep
 from gptkit.errors import (InvalidInputError, SearchCapError, SolverError,
                            UnsupportedConeError)
-from gptkit.linalg import combination, dot, rank, transpose, unit_vec, vec
+from gptkit.linalg import (combination, dot, integer_row, rank, transpose,
+                           unit_vec, vec)
 from gptkit.lp import feasible_point, solve_lp
 from gptkit.models import (make_ball, make_classical, make_polygon,
                            make_squit, parse_model_name)
@@ -191,6 +192,8 @@ def test_cheat_counts_and_cone_kind_are_refused():
             bc_cheat_curve(bound, n_max, trials, 0)
     with pytest.raises(UnsupportedConeError):
         find_double_decomposition(make_ball(2))
+    with pytest.raises(UnsupportedConeError, match="no finite vertex list"):
+        exposing_effect(make_ball(2), 0)
 
 
 def test_cheat_bound_exact():
@@ -387,6 +390,12 @@ def test_skipped_pairs_have_no_positive_mix(space):
 # -- exposing effects against the vertex-row LP ------------------------------
 
 
+def _slack_matrix(space):
+    """Row k, entry j: facet k's value on vertex j."""
+    return [tuple(dot(f, v) for v in space.vertices)
+            for f in space.cone.facets]
+
+
 def reference_exposing_effect(space, index, tol=None):
     """The exposing LP with one row per vertex: maximize m subject to
     a(v_index) = 1 and a(v) + m <= 1 on every other vertex, a a
@@ -398,7 +407,7 @@ def reference_exposing_effect(space, index, tol=None):
     # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
     k = len(verts)
     columns = [(row[index],) + row[:index] + row[index + 1:]
-               for row in space.slacks]
+               for row in _slack_matrix(space)]
     columns.append((F(0),) + (F(1),) * (k - 1))
     columns += [unit_vec(k, i) for i in range(1, k)]
     result = solve_lp(unit_vec(len(columns), len(duals)), transpose(columns),
@@ -439,8 +448,11 @@ def test_exposing_effect_matches_the_vertex_row_lp(space):
     _vertex_effects_match(space)
 
 
-@pytest.mark.parametrize("name", [f"polygon:{n}" for n in range(3, 31)]
-                         + [f"classical:{n}" for n in range(1, 5)])
+MODEL_NAMES = ([f"polygon:{n}" for n in range(3, 31)]
+               + [f"classical:{n}" for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_exposing_effect_matches_on_models(name):
     _vertex_effects_match(parse_model_name(name))
 
@@ -496,6 +508,44 @@ def test_exposing_lps_have_one_row_per_coordinate(monkeypatch):
     assert sum(len(branch) for branch in dd.branches) == len(shapes)
     assert {rows for rows, _ in shapes} == {3}
     assert max(columns for _, columns in shapes) <= 9
+
+
+def reference_sift_order(space, index):
+    """The vertices other than v_index, nearest first: the slack rows of
+    the facets through v_index, concatenated and cleared to integers,
+    then summed per vertex; ties keep index order."""
+    m = len(space.vertices)
+    through = integer_row(sum((row for row in _slack_matrix(space)
+                               if row[index] == 0), ()))[0]
+    return sorted((j for j in range(m) if j != index),
+                  key=lambda j: sum(through[j::m]))
+
+
+def test_sift_starts_from_the_nearest_and_farthest_vertices(monkeypatch):
+    # the effect does not depend on the sift's path, so only the first
+    # LP's columns show the order: its z_j columns are delta_j + (1,)
+    # for exactly the d - 1 nearest and d - 1 farthest vertices
+    firsts = []
+
+    def recorded(objective, eq_matrix, eq_rhs, **kwargs):
+        firsts.append(transpose(eq_matrix))
+        return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
+    monkeypatch.setattr(bitcommit, "solve_lp", recorded)
+    spaces = ([parse_model_name(name) for name in MODEL_NAMES]
+              + ORACLE_SPACES + lattice_polytopes())
+    for space in spaces:
+        verts, d = space.vertices, space.dim
+        i = next(k for k, x in enumerate(space.unit) if x)
+        for t in range(len(verts)):
+            firsts.clear()
+            exposing_effect(space, t)
+            order = reference_sift_order(space, t)
+            chosen = sorted(set(order[:d - 1] + order[::-1][:d - 1]))
+            want = [tuple(verts[j][k] - verts[t][k] for k in range(d)
+                          if k != i) + (F(1),) for j in chosen]
+            columns = firsts[0]
+            assert len(columns) == 2 * len(chosen) + 1, (space.name, t)
+            assert list(columns[:len(chosen)]) == want, (space.name, t)
 
 
 def test_exposing_effect_checks_the_dual(monkeypatch):

@@ -7,7 +7,7 @@ from gptkit import cones
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptkit.composites import effect_on_min, min_tensor
+from gptkit.composites import effect_on_min
 from gptkit.cones import POLYHEDRAL, ConeRep
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, InvalidInputError,
@@ -309,24 +309,6 @@ def test_decompose_cone_counts():
 def test_vertices_unsupported_for_lorentz():
     with pytest.raises(UnsupportedConeError):
         make_ball(2).vertices
-
-
-@pytest.mark.parametrize("space", [
-    make_classical(3), make_squit(), make_polygon(7),
-    min_tensor(make_squit(), make_classical(2))], ids=repr)
-def test_slacks_are_facet_values_on_vertices(space):
-    slacks = space.slacks
-    facets, verts = space.cone.facets, space.vertices
-    assert len(slacks) == len(facets)
-    for k, row in enumerate(slacks):
-        assert row == tuple(dot(facets[k], v) for v in verts)
-        assert min(row) == 0
-    assert space.slacks is slacks
-
-
-def test_slacks_unsupported_for_lorentz():
-    with pytest.raises(UnsupportedConeError):
-        make_ball(2).slacks
 
 
 # Reference positivity, the route before integer images: each
