@@ -10,14 +10,15 @@ Bipartite states are kept as m x n coordinate matrices W pairing
 functionals as (a, b) -> a^t W b. Marginals, conditioning, and remote
 evaluation are linear algebra on W; entanglement is non-membership in
 the minimal cone, asked of the product generators it holds. Products
-are made from factor vectors cleared once to integer rows, and the
-maximal cone keeps its facets' rows, so membership clears none again.
+are made from factor vectors cleared once to integer rows, and each
+tensor hands its side to its cone as those rows: a side's Fractions are
+made only when it is read, and membership in the maximal cone and
+positivity from the minimal one clear none again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cones import POLYHEDRAL, ConeRep, Rows, maps_into
 from .errors import (
@@ -38,22 +39,18 @@ def product_vec(x: Vec, y: Vec) -> Vec:
     return tuple(xi * yj for xi in x for yj in y)
 
 
-def _products(xs: tuple[Vec, ...], ys: tuple[Vec, ...]
-              ) -> tuple[tuple[Vec, ...], Rows]:
-    """product_vec(x, y) for each x in xs, then y in ys, and its integer
-    row: x = s r and y = t q (linalg.integer_row) give x (x) y =
+def _products(xs: tuple[Vec, ...], ys: tuple[Vec, ...]) -> Rows:
+    """The integer row of product_vec(x, y) for each x in xs, then y in
+    ys: x = s r and y = t q (linalg.integer_row) give x (x) y =
     (s t) (r (x) q), and r (x) q is coprime as gcd(r_i q_j) = gcd(r) gcd(q).
     """
     right = [integer_row(y) for y in ys]
-    vectors, rows = [], []
+    rows = []
     for x in xs:
         r, s = integer_row(x)
         for q, t in right:
-            row, c = tuple(a * b for a in r for b in q), s * t
-            n, d = c.numerator, c.denominator
-            vectors.append(tuple(Fraction(v * n, d) for v in row))
-            rows.append((row, c))
-    return tuple(vectors), tuple(rows)
+            rows.append((tuple(a * b for a in r for b in q), s * t))
+    return tuple(rows)
 
 
 def _require_polyhedral(a: StateSpace, b: StateSpace) -> None:
@@ -88,15 +85,17 @@ class CompositeSpace(StateSpace):
 def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """Separable composite: cone generated by product states.
 
-    Generators are eager (products of factor generators); facets stay
-    lazy and are enumerated only on demand, subject to the dimension
-    cap of the enumerator.
+    Generators are products of factor generators, held as integer rows
+    and made as vectors only when read; facets stay lazy and are
+    enumerated only on demand, subject to the dimension cap of the
+    enumerator.
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    gens, _ = _products(a.cone.generators, b.cone.generators)
+    rows = _products(a.cone.generators, b.cone.generators)
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, gens, None)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, None,
+                   generator_rows=rows)
     unit = product_vec(a.unit, b.unit)
     name = f"min({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "min", name)
@@ -105,13 +104,14 @@ def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
 def max_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """Largest admissible composite: cut out by product effects.
 
-    Facets are eager (products of factor facets); generators stay lazy.
+    Facets are products of factor facets, held as integer rows and made
+    as vectors only when read; generators stay lazy.
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    facets, rows = _products(a.cone.facets, b.cone.facets)
+    rows = _products(a.cone.facets, b.cone.facets)
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, facets, rows)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, None, rows)
     unit = product_vec(a.unit, b.unit)
     name = f"max({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "max", name)

@@ -2,9 +2,11 @@
 
 Polyhedral cones carry extreme-ray generators and/or facet inequalities
 <f, x> >= 0; whichever side is missing is computed on demand by the
-Motzkin double-description method and cached. Lorentz (second-order)
-cones carry no lists; membership there compares squares, so no square
-roots enter and rational inputs stay exact. `contains` is the membership
+Motzkin double-description method and cached. A side may also be
+handed over as integer rows (a built-in polygon's edge facets, a tensor
+product's side), whose Fractions are made only when the side is read.
+Lorentz (second-order) cones carry no lists; membership there compares
+squares, so no square roots enter and rational inputs stay exact. `contains` is the membership
 test, of a cone and, as `dual().contains`, of its dual. It reads facets;
 `weights` asks the generators a cone holds (one phase-1 LP), which
 `contains` falls back on only where the facets are missing and the
@@ -16,11 +18,12 @@ Fraction tuples. Inside double description, normals and rays are
 coprime integer tuples, and pairs of rays are tested for adjacency by a
 popcount prefilter and by zero sets transposed into bitsets. Polyhedral
 membership runs on integers too: each facet is kept once as a coprime
-integer row times a positive scale, and a vector is cleared to integers
-over one denominator, so a facet test is an int dot and a sign. That
-test also serves `maps_into`, the one positivity test of a linear map
-between cones: each generator's image is made on integers, from the
-matrix cleared once per call and the generator once per cone.
+integer row times a positive scale (the dual view keeps the generators'
+rows as its facet rows), and a vector is cleared to integers over one
+denominator, so a facet test is an int dot and a sign. That test also
+serves `maps_into`, the one positivity test of a linear map between
+cones: each generator's image is made on integers, from the matrix
+cleared once per call and the generator once per cone.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ LORENTZ = "lorentz"
 
 DIMENSION_CAP = 16
 
-# facets as (coprime integer row, positive scale) pairs
+# a side's vectors as (coprime integer row, positive scale) pairs
 Rows = tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
@@ -171,6 +174,15 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     return tuple(tuple(map(Fraction, r)) for r in sorted(rays))
 
 
+def _vectors(rows: Rows) -> tuple[Vec, ...]:
+    """The vector scale * row of each row, one Fraction per entry."""
+    out = []
+    for row, scale in rows:
+        n, d = scale.numerator, scale.denominator
+        out.append(tuple(Fraction(x * n, d) for x in row))
+    return tuple(out)
+
+
 def _meets(rows: Rows, xs: tuple[int, ...], xscale: Fraction,
            tol: Fraction) -> bool:
     """Whether <f, x> >= -tol on every facet f = scale * row, for the
@@ -194,11 +206,12 @@ class ConeRep:
     """
 
     __slots__ = ("dim", "kind", "arithmetic", "_generators", "_facets",
-                 "_rows", "_dual")
+                 "_rows", "_generator_rows", "_dual")
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
-                 facets: tuple[Vec, ...] | None, rows: Rows | None = None):
+                 facets: tuple[Vec, ...] | None, rows: Rows | None = None,
+                 generator_rows: Rows | None = None):
         if kind not in (POLYHEDRAL, LORENTZ):
             raise UnsupportedConeError(f"unknown cone kind {kind!r}")
         if arithmetic not in (RATIONAL, FLOAT):
@@ -208,7 +221,10 @@ class ConeRep:
         self.arithmetic = arithmetic
         self._generators = generators
         self._facets = facets
-        self._rows = rows  # the facets' integer rows, if the caller has them
+        # a side's integer rows, if the caller has them; a side held only
+        # as rows makes its Fractions when first read
+        self._rows = rows  # the facets'
+        self._generator_rows = generator_rows
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------
@@ -263,8 +279,9 @@ class ConeRep:
     @property
     def generators(self) -> tuple[Vec, ...]:
         if self._generators is None:
-            self._generators = self._enumerate_missing(
-                self._facets, "generator", "facets", "generating")
+            rows = self._generator_rows
+            self._generators = _vectors(rows) if rows is not None else \
+                self._enumerate_missing("generator", "facets", "generating")
             if self._dual is not None:
                 self._dual._facets = self._generators
         return self._generators
@@ -272,14 +289,15 @@ class ConeRep:
     @property
     def facets(self) -> tuple[Vec, ...]:
         if self._facets is None:
-            self._facets = self._enumerate_missing(
-                self._generators, "facet", "generators", "pointed")
+            rows = self._rows
+            self._facets = _vectors(rows) if rows is not None else \
+                self._enumerate_missing("facet", "generators", "pointed")
             if self._dual is not None:
                 self._dual._generators = self._facets
         return self._facets
 
-    def _enumerate_missing(self, known: tuple[Vec, ...], side: str,
-                           known_name: str, quality: str) -> tuple[Vec, ...]:
+    def _enumerate_missing(self, side: str, known_name: str,
+                           quality: str) -> tuple[Vec, ...]:
         """The pending side: the extreme rays of the known side's dual.
 
         Rational mode keeps enumerate_rays' coprime integers; float mode
@@ -289,6 +307,8 @@ class ConeRep:
         if self.kind == LORENTZ:
             raise UnsupportedConeError(
                 f"lorentz cones have no finite {side} list")
+        # the known side, made from its rows if the cone holds only those
+        known = self.facets if side == "generator" else self.generators
         rays = enumerate_rays(known, self.dim)
         # The known vectors span, so the rays generate a pointed cone. It is
         # full-dimensional exactly when each nonzero known vector is
@@ -305,10 +325,11 @@ class ConeRep:
         return tuple(tuple(x / top for x in r) for r, top in zip(rays, tops))
 
     def has_generators(self) -> bool:
-        return self._generators is not None
+        return self._generators is not None or \
+            self._generator_rows is not None
 
     def has_facets(self) -> bool:
-        return self._facets is not None
+        return self._facets is not None or self._rows is not None
 
     # -- predicates ------------------------------------------------------
 
@@ -358,7 +379,8 @@ class ConeRep:
         cones are self-dual."""
         if self._dual is None:
             self._dual = ConeRep(self.dim, POLYHEDRAL, self.arithmetic,
-                                 self._facets, self._generators)
+                                 self._facets, self._generators,
+                                 self._generator_rows, self._rows)
             self._dual._dual = self
         return self._dual
 

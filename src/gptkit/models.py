@@ -4,7 +4,8 @@ classical:n   simplex over n outcomes (positive orthant, counting unit)
 polygon:n     regular n-gon disc; n = 4 uses the exact rational square
               presentation with vertices (+-1, +-1, 1); any other n
               embeds the floats cos 2pi k/n and sin 2pi k/n once, as
-              vertex k and as rotation k of its symmetry group
+              vertex k and as rotation k of its symmetry group, and
+              carries its edge facets, each proved on integer rows
 squit         alias for polygon:4
 ball:d        d-dimensional euclidean ball (lorentz cone in d+1 coords)
 
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from .cones import POLYHEDRAL, ConeRep
+from .cones import POLYHEDRAL, ConeRep, Rows
 from .errors import InvalidInputError, UnsupportedConeError
-from .linalg import Mat, identity, transpose
+from .linalg import Mat, identity, integer_row, transpose
 from .scalars import FLOAT, RATIONAL, exactify, merge_arithmetic
 from .spaces import StateSpace
 
@@ -52,21 +55,78 @@ def _point(angle: float, scale: float = 1) -> tuple:
             exactify(scale * math.sin(angle)))
 
 
+def _edge_rows(gens: tuple) -> Rows | None:
+    """The facets of the polygon with vertices gens, in cyclic order, as
+    double description gives them in float mode, or None where the
+    proof below fails.
+
+    Facet k is f_k = v_k x v_(k+1), made on the vertices' coprime
+    integer rows and divided by its gcd. The proof runs on integers, in
+    O(n): v[2] > 0 on every vertex (the unit (0, 0, 1) is positive on
+    it); with c the sum of the rows, f_k(c) > 0 and f_k(v_(k+2)) > 0
+    for every k; and the edges cross the ray from c in the +x direction
+    upwards exactly once (Sunday's winding count). Then the vertices go
+    round c once, in strictly increasing angle, so the polygon is
+    simple, and every turn is strictly left, so it is strictly convex:
+    each f_k is >= 0 on every vertex and 0 on exactly v_k and v_(k+1),
+    every vertex is extreme, and these n edges are every facet. The
+    rows are sorted as enumerate_rays sorts its rays, each with scale
+    1 / (its largest entry magnitude), the float-mode rescale.
+    """
+    verts = [integer_row(g)[0] for g in gens]
+    n = len(verts)
+    if any(v[2] <= 0 for v in verts):
+        return None
+    c = [sum(column) for column in zip(*verts)]
+    # above(v): the sign of y(v) - y(c), as both lie above the plane
+    above = [v[1] * c[2] - c[1] * v[2] > 0 for v in verts]
+    rows, crossings = [], 0
+    for k, (a, b, e) in enumerate(zip(verts, verts[1:] + verts[:1],
+                                      verts[2:] + verts[:2])):
+        f = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
+        if sum(map(mul, f, c)) <= 0 or sum(map(mul, f, e)) <= 0:
+            return None
+        g = gcd(*f)
+        rows.append(tuple(x // g for x in f))
+        crossings += not above[k] and above[(k + 1) % n]
+    if crossings != 1:
+        return None
+    return tuple((f, Fraction(1, max(map(abs, f)))) for f in sorted(rows))
+
+
 def _polygon(n: int) -> tuple:
-    """Arithmetic, vertices, facets and hat map of the n-gon. The square
-    is exact; any other n-gon embeds its floats exactly and leaves its
-    facets (None) to double description."""
+    """Arithmetic, vertices, facets and facet rows of the n-gon. The
+    square is exact; any other n-gon embeds its floats exactly and holds
+    its proved edge facets as rows (None leaves them to double
+    description)."""
     if n == 4:
-        return _SQUARE
+        return _SQUARE[:3] + (None,)
     gens = tuple(_point(2 * math.pi * k / n) + (ONE,) for k in range(n))
-    hat = _rot2(*_point(-(n + 1) * math.pi / n, math.cos(math.pi / n)))
-    return FLOAT, gens, None, hat
+    return FLOAT, gens, None, _edge_rows(gens)
+
+
+def _hat(n: int) -> Mat:
+    """Hat map of the n-gon's maximally correlated state: the half-step
+    rotation scaled by cos pi/n, exact for the square."""
+    if n == 4:
+        return _SQUARE[3]
+    return _rot2(*_point(-(n + 1) * math.pi / n, math.cos(math.pi / n)))
+
+
+# the least size each family's maker takes, and the size's letter
+_LEAST = {"classical": (1, "n"), "polygon": (3, "n"), "ball": (1, "d")}
+
+
+def _check_size(family: str, size: int) -> None:
+    least, letter = _LEAST[family]
+    if size < least:
+        raise InvalidInputError(f"{family} model needs {letter} >= {least}")
 
 
 def make_classical(n: int) -> StateSpace:
     """Simplex of probability vectors over n outcomes."""
-    if n < 1:
-        raise InvalidInputError("classical model needs n >= 1")
+    _check_size("classical", n)
     basis = identity(n)
     cone = ConeRep(n, POLYHEDRAL, RATIONAL, basis, basis)
     unit = tuple([ONE] * n)
@@ -75,10 +135,8 @@ def make_classical(n: int) -> StateSpace:
 
 def make_polygon(n: int) -> StateSpace:
     """Regular n-gon state space in R^3, unit functional (0, 0, 1)."""
-    if n < 3:
-        raise InvalidInputError("polygon model needs n >= 3")
-    arithmetic, gens, facets, _ = _polygon(n)
-    cone = ConeRep(3, POLYHEDRAL, arithmetic, gens, facets)
+    _check_size("polygon", n)
+    cone = ConeRep(3, POLYHEDRAL, *_polygon(n))
     return StateSpace(cone, (ZERO, ZERO, ONE), name=f"polygon:{n}")
 
 
@@ -88,8 +146,7 @@ def make_squit() -> StateSpace:
 
 def make_ball(d: int) -> StateSpace:
     """Euclidean d-ball of states: lorentz cone in d + 1 coordinates."""
-    if d < 1:
-        raise InvalidInputError("ball model needs d >= 1")
+    _check_size("ball", d)
     cone = ConeRep.lorentz(d + 1, RATIONAL)
     unit = tuple([ZERO] * d + [ONE])
     return StateSpace(cone, unit, name=f"ball:{d}")
@@ -186,7 +243,7 @@ def _canonical(space: StateSpace, what: str) -> tuple[str, int]:
     try:
         family, size = _parse(name)
         if family in ("classical", "polygon"):
-            _MAKERS[family](size)
+            _check_size(family, size)
             return family, size
     except InvalidInputError:
         pass
@@ -225,4 +282,4 @@ def entangled_state_coords(space: StateSpace) -> Mat:
     family, n = _canonical(space, "entangled state")
     if family == "classical":
         return tuple(tuple(x / n for x in row) for row in identity(n))
-    return transpose(_polygon(n)[3])
+    return transpose(_hat(n))

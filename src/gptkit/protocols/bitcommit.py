@@ -9,11 +9,12 @@ hiding; the exposing effects make honest reveals accept surely, and
 the optimal product-strategy cheat decays exponentially in n.
 
 The search for the two branches reads which facets vanish on which
-vertex, from the cone's facets and generators cleared to coprime
-integers, and asks an LP only about branch pairs that lie on the same
-face: a mixture with all weights positive is zero on exactly the
-facets that vanish on all of its vertices, so two such mixtures can be
-equal only when those facet sets are equal.
+vertex, from the cone's facets and the vertices cleared to coprime
+integers (exposing_effect reads the same rows and zero sets), and asks
+an LP only about branch pairs that lie on the same face: a mixture with
+all weights positive is zero on exactly the facets that vanish on all
+of its vertices, so two such mixtures can be equal only when those
+facet sets are equal.
 
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
@@ -43,8 +44,9 @@ ONE = Fraction(1)
 _VERTEX_CAP = 14  # subset search above this many extreme points is refused
 
 
-def exposing_effect(space: StateSpace, index: int,
-                    tol=None) -> tuple[Vec, Fraction] | None:
+def exposing_effect(space: StateSpace, index: int, tol=None, *,
+                    vertex_rows=None,
+                    through=None) -> tuple[Vec, Fraction] | None:
     """Best-margin effect taking value 1 on vertex `index` alone.
 
     Maximizes m subject to a(v_t) = 1 (t = index), a(v_j) >= 0 and
@@ -69,6 +71,10 @@ def exposing_effect(space: StateSpace, index: int,
     An optimum with fewer than dim positive entries may have several
     optimal effects: there the vertex-row LP is solved instead and its
     effect returned, so every answer is the one that LP picks.
+
+    A caller that has them may pass the vertices' integer rows
+    (vertex_rows, by linalg.integer_row) and the facets through v_t
+    (through, in facet order); each is computed here otherwise.
     """
     verts = space.vertices
     if not 0 <= index < len(verts):
@@ -76,10 +82,11 @@ def exposing_effect(space: StateSpace, index: int,
     eps = tolerance_for(tol, space)
     unit, target, d, m = space.unit, verts[index], space.dim, len(verts)
     i = next(k for k, x in enumerate(unit) if x)
-    cleared = [integer_row(v) for v in verts]
+    cleared = vertex_rows or [integer_row(v) for v in verts]
+    if through is None:
+        through = [f for f in space.cone.facets if dot(f, target) == 0]
     # h_j = phi(v_j) / c, with phi = c r and v_j = s_j r_j; every h_j is
     # 0 when no facet passes through v_t
-    through = [f for f in space.cone.facets if dot(f, target) == 0]
     r = integer_row(tuple(map(sum, zip(*through))))[0]
     h = [s * sum(map(mul, r, row)) for row, s in cleared]
     by_h = sorted((j for j in range(m) if j != index), key=h.__getitem__)
@@ -220,12 +227,17 @@ def find_double_decomposition(space: StateSpace,
             "state set is a simplex; no double decomposition exists")
     if m > _VERTEX_CAP:
         raise SearchCapError(f"subset search over {m} vertices exceeds cap")
-    # bit k of masks[j]: facet k vanishes on vertex j, a positive
-    # multiple of generator j; both tested as coprime integer rows
-    facets = [integer_row(f)[0] for f in space.cone.facets]
-    masks = [sum(1 << k for k, f in enumerate(facets)
-                 if sum(map(mul, f, g)) == 0)
-             for g, _ in map(integer_row, space.cone.generators)]
+    # bit k of masks[j]: facet k vanishes on vertex j; both tested as
+    # coprime integer rows, which exposing_effect reads too, with the
+    # facets through each vertex
+    facets = space.cone.facets
+    facet_rows = [integer_row(f)[0] for f in facets]
+    vertex_rows = [integer_row(v) for v in verts]
+    masks = [sum(1 << k for k, f in enumerate(facet_rows)
+                 if sum(map(mul, f, v)) == 0)
+             for v, _ in vertex_rows]
+    through = [[f for k, f in enumerate(facets) if mask >> k & 1]
+               for mask in masks]
 
     for total in range(4, m + 1):
         for k0 in range(2, total - 1):
@@ -242,7 +254,8 @@ def find_double_decomposition(space: StateSpace,
                         continue  # unordered pair, count once
                     if _meet(masks, idx1) != face:
                         continue  # different faces: no positive mix meets
-                    found = _try_pair(space, verts, idx0, idx1, eps, tol)
+                    found = _try_pair(space, verts, idx0, idx1, eps, tol,
+                                      vertex_rows, through)
                     if found is not None:
                         return found
     raise SearchCapError("no double decomposition among the extreme points")
@@ -253,7 +266,11 @@ def _meet(masks, idx):
     return reduce(and_, (masks[j] for j in idx))
 
 
-def _try_pair(space, verts, idx0, idx1, eps, tol):
+def _try_pair(space, verts, idx0, idx1, eps, tol, vertex_rows=None,
+              through=None):
+    """The decomposition over the vertex sets idx0 and idx1, or None;
+    vertex_rows and through (one list per vertex), when given, are
+    passed on to exposing_effect."""
     d = space.dim
     k0 = len(idx0)
     # branch-0 weights mix to omega, branch-1 weights to the same omega,
@@ -267,7 +284,9 @@ def _try_pair(space, verts, idx0, idx1, eps, tol):
         return None  # smaller pair would do; covered at a lower total
     effects = {}
     for j in set(idx0) | set(idx1):
-        hit = exposing_effect(space, j, tol)
+        hit = exposing_effect(
+            space, j, tol, vertex_rows=vertex_rows,
+            through=None if through is None else through[j])
         if hit is None:
             return None
         effects[j] = hit[0]
@@ -356,10 +375,13 @@ def bc_cheat_bound(dd: DoubleDecomposition) -> CheatBound:
     # slacks s0, s1 are unit columns, so solve_lp starts them basic.
     tail = [(ZERO, ONE, ONE), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
     cost = (ZERO,) * m + (ONE, ZERO, ZERO)
+    # each effect's values on the vertices, negated, made once
+    values0, values1 = ([[-dot(a, v) for v in verts] for a in effects]
+                        for effects in (effects0, effects1))
     best = None
-    for i0, a0 in enumerate(effects0):
-        for i1, a1 in enumerate(effects1):
-            columns = [(ONE, -dot(a0, v), -dot(a1, v)) for v in verts]
+    for i0, minus0 in enumerate(values0):
+        for i1, minus1 in enumerate(values1):
+            columns = [(ONE, x0, x1) for x0, x1 in zip(minus0, minus1)]
             result = solve_lp(cost, transpose(columns + tail),
                               (ONE, ZERO, ZERO), maximize=True)
             if not result.ok:

@@ -548,6 +548,25 @@ def test_sift_starts_from_the_nearest_and_farthest_vertices(monkeypatch):
             assert list(columns[:len(chosen)]) == want, (space.name, t)
 
 
+def test_search_hands_exposing_effect_its_rows_and_facets(monkeypatch):
+    # what the search passes is what exposing_effect computes without it
+    seen = []
+
+    def recorded(space, index, tol=None, **given):
+        seen.append((space, index, given))
+        return exposing_effect(space, index, tol, **given)
+    monkeypatch.setattr(bitcommit, "exposing_effect", recorded)
+    for space in [parse_model_name(name) for name in
+                  ("squit", "polygon:5", "polygon:14")] + ORACLE_SPACES:
+        find_double_decomposition(space)
+    assert seen
+    for space, t, given in seen:
+        verts = space.vertices
+        assert given["vertex_rows"] == [integer_row(v) for v in verts]
+        assert given["through"] == [f for f in space.cone.facets
+                                    if dot(f, verts[t]) == 0]
+
+
 def test_exposing_effect_checks_the_dual(monkeypatch):
     # a dual that is not an optimal effect is refused, not returned
     def skewed(objective, eq_matrix, eq_rhs, **kwargs):

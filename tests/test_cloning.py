@@ -6,7 +6,7 @@ from gptkit.composites import BipartiteState, marginal, min_tensor, product_vec
 from gptkit.cones import ConeRep
 from gptkit.errors import InvalidInputError, UnsupportedConeError
 from gptkit.linalg import matvec, vec
-from gptkit.models import make_ball, make_classical, make_squit
+from gptkit.models import make_ball, make_classical, make_polygon, make_squit
 from gptkit.protocols import build_cloner, is_broadcastable, is_clonable
 from gptkit.spaces import StateSpace, one_shot_distinguishing_observable
 
@@ -46,6 +46,17 @@ def test_cloner_copies_the_distinguished_states():
     assert cloner.codomain.tensor == "min"
     assert matvec(cloner.matrix, v[0]) == product_vec(v[0], v[0])
     assert matvec(cloner.matrix, v[2]) == product_vec(v[2], v[2])
+
+
+def test_cloner_leaves_its_composite_generators_unmade():
+    # the cloner's codomain is read for its dim only: the min tensor's
+    # products stay integer rows
+    p5 = make_polygon(5)
+    v = p5.vertices
+    obs = one_shot_distinguishing_observable(p5, (v[0], v[2]))
+    cone = build_cloner((v[0], v[2]), obs).codomain.cone
+    assert cone.has_generators() and cone._generators is None
+    assert cone._facets is None
 
 
 def test_cloner_broadcasts_hull_points_without_cloning():

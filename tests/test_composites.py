@@ -12,11 +12,11 @@ from gptkit.composites import (BipartiteState, _as_matrix, _space_from_ref,
                                is_composite, is_entangled, marginal,
                                max_tensor, min_tensor, omega_hat, product_vec,
                                remote_evaluate)
-from gptkit.cones import POLYHEDRAL, ConeRep
+from gptkit.cones import POLYHEDRAL, ConeRep, maps_into
 from gptkit.errors import (DimensionMismatchError, InvalidInputError,
                            UnitMismatchError)
-from gptkit.linalg import (dot, integer_row, lex_key, mat, matvec, rank,
-                           transpose, vec)
+from gptkit.linalg import (dot, identity, integer_row, lex_key, mat, matvec,
+                           rank, transpose, vec)
 from gptkit.lp import feasible_point
 from gptkit import models
 from gptkit.models import (entangled_state_coords, make_ball, make_classical,
@@ -94,6 +94,35 @@ def test_tensor_products_are_product_vec_in_order(a, b):
         assert {type(x) for v in got for x in v} == {Fraction}
     # the max tensor's facet rows come with its facets, already cleared
     assert high._rows == tuple(map(integer_row, want_facets))
+
+
+@pytest.mark.parametrize("a, b", [
+    (make_classical(2), make_classical(3)), (make_squit(), make_squit()),
+    (make_polygon(5), make_polygon(7)), (make_polygon(5), make_squit())],
+    ids=["classical", "squit", "polygon", "polygon-squit"])
+def test_tensor_sides_are_rows_until_read(a, b):
+    low, high = min_tensor(a, b).cone, max_tensor(a, b).cone
+    # each tensor holds its side as integer rows only, and it counts
+    assert low._generators is None and low.has_generators()
+    assert high._facets is None and high.has_facets()
+    assert not low.has_facets() and not high.has_generators()
+    # the min tensor's dual view takes the rows as its facet rows
+    assert low.dual()._facet_rows() is low._generator_rows
+    # membership and positivity read the rows: no side's Fractions
+    x = product_vec(a.vertices[0], b.vertices[-1])
+    assert high.contains(x) and low.dual().contains(product_vec(a.unit,
+                                                                b.unit))
+    assert maps_into(identity(low.dim), low, high, F(0))
+    assert low._generators is None and high._facets is None
+    # read, each side is the eager product_vec list, in order, and the
+    # dual view shares it
+    assert list(low.generators) == [
+        product_vec(x, y) for x in a.cone.generators
+        for y in b.cone.generators]
+    assert list(high.facets) == [
+        product_vec(x, y) for x in a.cone.facets for y in b.cone.facets]
+    assert low.dual().facets is low.generators
+    assert high.dual().generators is high.facets
 
 
 def test_products_of_coprime_rows_are_coprime_rows_seeded():

@@ -1,16 +1,21 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from gptkit import cones, models
 from gptkit.composites import BipartiteState, is_entangled, max_tensor
-from gptkit.cones import ConeRep
+from gptkit.cones import POLYHEDRAL, ConeRep
 from gptkit.errors import InvalidInputError, UnsupportedConeError
-from gptkit.linalg import identity, lex_key, matmul, matvec, transpose, vec
-from gptkit.models import (direct_sum, entangled_state_coords, make_ball,
-                           make_classical, make_polygon, make_squit,
-                           parse_model_name, symmetry_group)
+from gptkit.linalg import (identity, integer_row, lex_key, matmul, matvec,
+                           transpose, vec)
+from gptkit.models import (_edge_rows, direct_sum, entangled_state_coords,
+                           make_ball, make_classical, make_polygon,
+                           make_squit, parse_model_name, symmetry_group)
+from gptkit.scalars import FLOAT
 from gptkit.spaces import StateSpace
+from test_bitcommit import _convex_hull
 
 F = Fraction
 EPS = F(1, 10 ** 9)
@@ -38,12 +43,82 @@ def test_squit_is_exact_square():
         sq.cone.facets
 
 
-def test_polygon_facets_stay_lazy():
+def test_polygon_facets_stay_lazy(monkeypatch):
+    # a float polygon holds its proved edge facets as integer rows: no
+    # double description runs, and the Fractions are made on first read
+    monkeypatch.setattr(cones, "enumerate_rays", None)
     p5 = make_polygon(5)
     assert p5.arithmetic == "float"
-    assert not p5.cone.has_facets()
+    assert p5.cone.has_facets() and p5.cone._facets is None
     assert len(p5.cone.facets) == 5
-    assert p5.cone.has_facets()
+    assert p5.cone._facets is not None
+
+
+@pytest.mark.parametrize("n", [3, *range(5, 61), 199])
+def test_polygon_facets_are_double_descriptions(n):
+    # the edge facets are exactly the tuple double description and the
+    # float-mode rescale give, in the same order
+    p = make_polygon(n)
+    assert p.cone._facets is None
+    enumerated = ConeRep(3, POLYHEDRAL, FLOAT, p.cone.generators, None)
+    assert p.cone.facets == enumerated.facets
+
+
+def reference_edge_rows(gens):
+    """The edge facets by their definition, each tested on every vertex:
+    f_k = v_k x v_(k+1) on coprime integer rows, >= 0 on every vertex
+    and 0 on exactly v_k and v_(k+1); None when one fails."""
+    verts = [integer_row(g)[0] for g in gens]
+    n = len(verts)
+    rows = []
+    for k in range(n):
+        a, b = verts[k], verts[(k + 1) % n]
+        f = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
+        if not any(f):
+            return None
+        f = tuple(x // math.gcd(*f) for x in f)
+        values = [sum(x * y for x, y in zip(f, v)) for v in verts]
+        zeros = [j for j, x in enumerate(values) if x == 0]
+        if min(values) < 0 or zeros != sorted({k, (k + 1) % n}):
+            return None
+        rows.append(f)
+    return tuple((f, F(1, max(map(abs, f)))) for f in sorted(rows))
+
+
+def test_edge_rows_match_the_definition_seeded():
+    # the O(n) proof accepts exactly the vertex cycles whose edges are
+    # facets by their definition, and gives the same rows
+    rng = random.Random(3434)
+    accepted = 0
+    for _ in range(400):
+        points = [(rng.randint(-5, 5), rng.randint(-5, 5))
+                  for _ in range(rng.randint(3, 12))]
+        hull = _convex_hull(points)
+        cycles = [points, hull, hull[::-1], hull[1:] + hull[:1],
+                  hull[::2] + hull[1::2]]
+        for cycle in cycles:
+            # each lift at a scale of its own, now and then negative
+            gens = tuple(vec((x * w, y * w, w)) for x, y in cycle
+                         for w in [F(rng.choice((-1,) + (1,) * 19)
+                                     * rng.randint(1, 9), rng.randint(1, 9))])
+            if any(g[2] < 0 for g in gens):
+                # the proof wants every vertex above the unit's plane
+                assert _edge_rows(gens) is None, cycle
+                continue
+            want = reference_edge_rows(gens) if len(gens) >= 3 else None
+            assert _edge_rows(gens) == want, cycle
+            accepted += want is not None
+    assert accepted > 400
+    # a float pentagram turns left at every vertex but winds twice
+    p5 = make_polygon(5).vertices
+    assert _edge_rows(p5[::2] + p5[1::2]) is None
+    # three collinear lifts
+    assert _edge_rows(tuple(vec(g) for g in (
+        (1, 0, 1), (0, 0, 1), (-1, 0, 1), (0, 1, 1)))) is None
+    # the square's edges are its hard-coded facets
+    assert _edge_rows(make_squit().vertices) == tuple(
+        (tuple(int(x) for x in f), F(1)) for f in make_squit().cone.facets)
 
 
 def test_polygon_vertices_on_circle():
@@ -117,6 +192,23 @@ def test_symmetry_group_classical_permutes():
     assert len(group) == 3
     orbit = {tuple(matvec(g, cl.vertices[0])) for g in group}
     assert orbit == set(cl.vertices)
+
+
+def test_canonical_structure_builds_no_model(monkeypatch):
+    # the name's size is checked by the makers' rule, not by a model
+    p7, cl = make_polygon(7), make_classical(3)
+
+    def refuse(*args):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(models, "_polygon", refuse)
+    monkeypatch.setitem(models._MAKERS, "classical", refuse)
+    assert len(symmetry_group(p7)) == 7 and len(symmetry_group(cl)) == 3
+    assert len(entangled_state_coords(p7)) == 3
+    assert len(entangled_state_coords(cl)) == 3
+    for name in ("polygon:2", "classical:0"):
+        p7.name = name
+        with pytest.raises(UnsupportedConeError):
+            symmetry_group(p7)
 
 
 def test_symmetry_group_polygon_order():

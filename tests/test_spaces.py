@@ -154,7 +154,13 @@ def test_dual_is_one_view_sharing_its_sides(monkeypatch):
     assert p5.cone.dual() is p5.cone.dual()
     assert p5.cone.dual().dual() is p5.cone
     verify_self_duality_witness(p5, identity(3))
+    # a built-in polygon holds its facets: none is enumerated
+    assert calls == []
     # the dual's generators are the cone's facets: enumerated once
+    q5 = StateSpace(ConeRep.from_generators(p5.cone.generators, "float"),
+                    p5.unit)
+    verify_self_duality_witness(q5, identity(3))
+    assert q5.cone.dual().generators is q5.cone.facets
     assert len(calls) == 1
     p7 = make_polygon(7)
     dual_cone(p7)

@@ -104,6 +104,16 @@ def test_construct_rescales_the_state_map():
     assert scheme.omega.coords == default.omega.coords
 
 
+@pytest.mark.parametrize("name", ["squit", "polygon:5"])
+def test_shared_state_leaves_its_sides_unmade(name):
+    # the shared state is tested on the max tensor's facet rows: neither
+    # side's Fractions is made
+    scheme = construct_deterministic_teleportation(parse_model_name(name))
+    cone = scheme.omega.composite.cone
+    assert cone.has_facets() and cone._facets is None
+    assert cone._generators is None
+
+
 def test_classical_equality_effect_teleports():
     cl, eff, omega = classical_pair(3)
     cert = verify_teleportation(eff, omega)
