@@ -15,8 +15,11 @@ dimension cap refuses to enumerate them.
 All arithmetic is exact, including for float-mode spaces (their data is
 embedded losslessly); see scalars module notes. Vectors in and out are
 Fraction tuples. Inside double description, normals and rays are
-coprime integer tuples, and pairs of rays are tested for adjacency by a
-popcount prefilter and by zero sets transposed into bitsets. Polyhedral
+coprime integer tuples in fixed slots, and each normal's zero set is a
+bitset over the slots kept across steps. A ray about to be cut off that
+lies on exactly dim - 1 normals finds its new neighbours along its edges
+by ANDs of those bitsets; any other one is paired with every ray kept,
+through a popcount prefilter and the same bitsets. Polyhedral
 membership runs on integers too: each facet is kept once as a coprime
 integer row times a positive scale (the dual view keeps the generators'
 rows as its facet rows), and a vector is cleared to integers over one
@@ -29,6 +32,7 @@ cleared once per call and the generator once per cone.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import mul
 
@@ -87,19 +91,29 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     Zero sets (bit k: the ray is zero on normal k) are carried, never
     recomputed: base ray j is zero on every base normal but the j-th,
     and a ray made from rays p and m by a positive combination is zero
-    exactly where both are, plus on the new normal. Rays p and m are
-    adjacent exactly when no other ray is zero on all of their shared
-    normals. That needs at least dim - 2 shared normals (Fukuda & Prodon,
-    "Double description method revisited", 1996), so pairs with fewer
-    are skipped unread. The rest are tested on the zero sets transposed
-    once per step, one bitset over the ray indices per normal: the AND
-    of the shared normals' bitsets holds just p and m.
+    exactly where both are, plus on the new normal. Rays sit in fixed
+    slots, and the zero sets are also kept transposed, one bitset over
+    the slots per normal: a zero ray gains the new normal's bit, a new
+    ray sets its bits once, and a removed ray only leaves the live slots,
+    where every AND starts. A plus ray p and a minus ray m are adjacent
+    exactly when no other ray is zero on all of their shared normals
+    (Fukuda & Prodon, "Double description method revisited", 1996).
+
+    A simple minus ray m, zero on exactly dim - 1 normals, walks its
+    edges: those normals are independent, so the dim - 2 left when normal
+    k is dropped cut out a face of dimension at most 2, which holds m and
+    at most one other ray. The AND of their bitsets (prefix and suffix
+    ANDs over m's zero set) with the plus rays is therefore m's plus
+    neighbour across k, or nothing. Every other minus ray is
+    tried against each plus ray: adjacency needs at least dim - 2 shared
+    normals, so pairs with fewer are skipped unread, and for the rest
+    the AND of the shared normals' bitsets must hold just p and m.
 
     Normals and rays are coprime integer tuples in the loop (normals as
     canonical_ray scales them), and each new ray is divided by the gcd of
     its entries, which is canonical_ray's scale; Fractions are made only
-    for the result. Distinct 2-faces meet a hyperplane in distinct rays,
-    so no ray is made twice.
+    for the result, one per distinct entry. Distinct 2-faces meet a
+    hyperplane in distinct rays, so no ray is made twice.
     """
     if dim > DIMENSION_CAP:
         raise DimensionCapError(
@@ -126,52 +140,86 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
 
     inv = inverse(base)
     assert inv is not None
+    # base ray j sits in slot j, each new ray in the next unused one; slots
+    # lists the live slots, and live holds them as bits
     rays: list[tuple[int, ...]] = [integer_row(col)[0] for col in zip(*inv)]
     all_base = sum(1 << k for k in base_idx)
     masks: list[int] = [all_base & ~(1 << k) for k in base_idx]
+    slots = list(range(dim))
+    live = (1 << dim) - 1
+    zero_on = [0] * len(normals)  # bit s: the ray in slot s is zero on it
+    for j, k in enumerate(base_idx):
+        zero_on[k] = live ^ 1 << j
 
     for hi in rest_idx:
         h = tuple(x.numerator for x in normals[hi])
-        evals = [sum(map(mul, h, r)) for r in rays]
-        plus = [i for i, e in enumerate(evals) if e > 0]
-        zero = [i for i, e in enumerate(evals) if e == 0]
-        minus = [i for i, e in enumerate(evals) if e < 0]
+        evals = {s: sum(map(mul, h, rays[s])) for s in slots}
+        plus = [s for s, e in evals.items() if e > 0]
+        zero = [s for s, e in evals.items() if e == 0]
+        minus = [s for s, e in evals.items() if e < 0]
+        bit = 1 << hi
+        for s in zero:
+            masks[s] |= bit
+        zero_on[hi] = sum(1 << s for s in zero)
         if not minus:
-            for i in zero:
-                masks[i] |= 1 << hi
             continue
-        zero_on = [0] * len(normals)  # bit i: ray i is zero on the normal
-        for i, mask in enumerate(masks):
-            while mask:
-                low = mask & -mask
-                zero_on[low.bit_length() - 1] |= 1 << i
-                mask ^= low
-        everyone = (1 << len(rays)) - 1
-        new_rays = [rays[i] for i in plus + zero]
-        new_masks = [masks[i] for i in plus] + [
-            masks[i] | (1 << hi) for i in zero]
+        plus_on = sum(1 << s for s in plus)
+        pairs = []  # (plus slot, minus slot, shared zero set)
+        scan = []
+        for m in minus:
+            mask_m = masks[m]
+            if mask_m.bit_count() != dim - 1:
+                scan.append(m)
+                continue
+            # m is simple: its plus neighbour across normal k is the plus
+            # ray on every other normal of m, if there is one
+            lows, sets, rest = [], [], mask_m
+            while rest:
+                low = rest & -rest
+                lows.append(low)
+                sets.append(zero_on[low.bit_length() - 1])
+                rest ^= low
+            after = [-1]  # after[j]: the AND of the last j sets
+            for z in reversed(sets[1:]):
+                after.append(after[-1] & z)
+            before = plus_on  # the plus rays zero on every normal before
+            for low, z, tail in zip(lows, sets, reversed(after)):
+                face = before & tail
+                if face:
+                    pairs.append((face.bit_length() - 1, m, mask_m ^ low))
+                before &= z
         for p in plus:
             mask_p = masks[p]
-            for m in minus:
+            for m in scan:
                 shared = mask_p & masks[m]
                 if shared.bit_count() < dim - 2:
                     continue
-                common, rest = everyone, shared
+                common, rest = live, shared
                 while rest:
                     low = rest & -rest
                     common &= zero_on[low.bit_length() - 1]
                     rest ^= low
-                if common != 1 << p | 1 << m:
-                    continue
-                ep, em = evals[p], evals[m]
-                ray = [ep * b - em * a for a, b in zip(rays[p], rays[m])]
-                g = gcd(*ray)
-                new_rays.append(tuple(x // g for x in ray))
-                new_masks.append(shared | 1 << hi)
-        rays = new_rays
-        masks = new_masks
+                if common == 1 << p | 1 << m:
+                    pairs.append((p, m, shared))
+        slots = plus + zero
+        for p, m, shared in pairs:
+            ep, em = evals[p], evals[m]
+            ray = [ep * b - em * a for a, b in zip(rays[p], rays[m])]
+            g = gcd(*ray)
+            s = len(rays)
+            rays.append(tuple(x // g for x in ray))
+            slots.append(s)
+            mask = shared | bit
+            masks.append(mask)
+            while mask:
+                low = mask & -mask
+                zero_on[low.bit_length() - 1] |= 1 << s
+                mask ^= low
+        live = plus_on | zero_on[hi]
 
-    return tuple(tuple(map(Fraction, r)) for r in sorted(rays))
+    out = sorted(rays[s] for s in slots)
+    made = {x: Fraction(x) for x in set(chain.from_iterable(out))}
+    return tuple(tuple(map(made.__getitem__, r)) for r in out)
 
 
 def _vectors(rows: Rows) -> tuple[Vec, ...]:

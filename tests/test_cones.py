@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,93 @@ def test_kernel_matches_reference_seeded():
         outcomes.add(want if isinstance(want, tuple) else "rays")
     assert outcomes == {"rays", (DegenerateConeError, "halfspace normals "
                                  "do not span; the cone contains a line")}
+
+
+def unimodular(rng, dim):
+    """A seeded integer matrix of determinant +-1: row operations on the
+    identity, then a sign flip and a row shuffle."""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(2 * dim):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    flip = rng.randrange(dim)
+    rows[flip] = [-a for a in rows[flip]]
+    rng.shuffle(rows)
+    return rows
+
+
+def cube_and_cross(dim):
+    """Two lists of normals: the facets of the cone over the (dim - 1)-
+    cube, whose rays (the cube's vertices) are each zero on dim - 1 of
+    them, and the cube's vertices, whose cone's rays (the cube's facets)
+    are each zero on half of them."""
+    n = dim - 1
+    facets = [tuple(s * (i == j) for j in range(n)) + (1,)
+              for i in range(n) for s in (1, -1)]
+    vertices = [tuple(1 - 2 * (b >> j & 1) for j in range(n)) + (1,)
+                for b in range(2 ** n)]
+    return facets, vertices
+
+
+def lattice_polygon(rng, k, box=3):
+    """Lifted vertices and reference facets of a lattice polygon with
+    exactly k vertices."""
+    while True:
+        lifts = sorted({(rng.randint(-box, box), rng.randint(-box, box), 1)
+                        for _ in range(k)})
+        if len(lifts) < k or rank(lifts) < 3:
+            continue
+        gens = tuple(map(vec, lifts))
+        facets = reference_rays(gens, 3)
+        if len(facets) == k:
+            return gens, facets
+
+
+def walk_inputs():
+    """Cones with many simple and many degenerate rays: cube and
+    cross-polytope cones in dims 4-7 both ways, each under a unimodular
+    change of basis with shuffled normals, and max-tensor facet products
+    and min-tensor generator products of lattice polygons, 4x4 to 5x5."""
+    rng = random.Random(4096)
+    for dim in range(4, 8):
+        for normals in cube_and_cross(dim):
+            u = unimodular(rng, dim)
+            moved = [vec(tuple(sum(map(mul, row, h)) for row in u))
+                     for h in normals]
+            rng.shuffle(moved)
+            yield tuple(moved), dim
+    for trial in range(20):
+        a = lattice_polygon(rng, 4 + trial % 2)
+        b = lattice_polygon(rng, 4 + trial // 2 % 2)
+        side = trial // 4 % 2  # 0: generator products, 1: facet products
+        yield tuple(map(vec, products(a[side], b[side]))), 9
+
+
+def test_kernel_matches_reference_on_walked_edges():
+    # Simple minus rays find their neighbours along edges, degenerate
+    # ones by the scan; both must give the reference's exact tuple.
+    for halfspaces, dim in walk_inputs():
+        assert outcome(enumerate_rays, halfspaces, dim) == \
+            outcome(reference_rays, halfspaces, dim), (dim, halfspaces)
+
+
+def test_permuted_and_repeated_normals_keep_the_rays():
+    # The slots and live set depend on the order of the normals and on
+    # repeats dropped on the way in; the rays must not.
+    rng = random.Random(1996035)
+    for trial in range(200):
+        dim = rng.randint(2, 7)
+        count = rng.randint(dim + 1, dim + 8)
+        halfspaces = [vec(tuple(rng.randint(-2, 2) for _ in range(dim)))
+                      for _ in range(count)]
+        want = outcome(enumerate_rays, tuple(halfspaces), dim)
+        for h in rng.sample(halfspaces, rng.randint(1, 3)):
+            scale = rng.choice((1, 3, F(1, 2)))
+            halfspaces.append(tuple(scale * x for x in h))
+        rng.shuffle(halfspaces)
+        assert outcome(enumerate_rays, tuple(halfspaces), dim) == want, \
+            f"trial {trial}"
 
 
 @pytest.mark.parametrize("halfspaces, rays", [
