@@ -23,7 +23,7 @@ from pathlib import Path
 from .composites import (BipartiteState, conditional, marginal, max_tensor,
                          min_tensor)
 from .errors import InvalidInputError, ToolkitError
-from .linalg import integer_row, mat, vec
+from .linalg import mat, vec
 from .lp import feasible_point
 from .models import parse_model_name, symmetry_group
 from .protocols.bitcommit import (bc_cheat_bound, bc_cheat_curve, bc_run,
@@ -151,12 +151,13 @@ def _cmd_tensor(args) -> int:
 
 def _equals_min(small, big, eps) -> bool:
     """Whether every generator of the max tensor big lies in the min
-    tensor small. A ray with a min generator's coprime integer row is a
-    positive multiple of it; only the other rays go to the LP."""
-    products = {integer_row(g)[0] for g in small.cone.generators}
-    return all(integer_row(g)[0] in products
+    tensor small. A ray with a min generator's row is a positive
+    multiple of it; only the other rays go to the LP."""
+    products = {row for row, _ in small.cone.generator_rows()}
+    return all(row in products
                or feasible_point(small.cone.generators, g, eps)[0] is not None
-               for g in big.cone.generators)
+               for g, (row, _) in zip(big.cone.generators,
+                                      big.cone.generator_rows()))
 
 
 def _cmd_marginal(args) -> int:

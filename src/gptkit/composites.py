@@ -10,10 +10,10 @@ Bipartite states are kept as m x n coordinate matrices W pairing
 functionals as (a, b) -> a^t W b. Marginals, conditioning, and remote
 evaluation are linear algebra on W; entanglement is non-membership in
 the minimal cone, asked of the product generators it holds. Products
-are made from factor vectors cleared once to integer rows, and each
-tensor hands its side to its cone as those rows: a side's Fractions are
-made only when it is read, and membership in the maximal cone and
-positivity from the minimal one clear none again.
+are made from the factors' rows (ConeRep.generator_rows and facet_rows),
+and each tensor hands its side to its cone as product rows: a side's
+Fractions are made only when it is read, and membership in the maximal
+cone and positivity from the minimal one clear none again.
 """
 
 from __future__ import annotations
@@ -39,18 +39,12 @@ def product_vec(x: Vec, y: Vec) -> Vec:
     return tuple(xi * yj for xi in x for yj in y)
 
 
-def _products(xs: tuple[Vec, ...], ys: tuple[Vec, ...]) -> Rows:
-    """The integer row of product_vec(x, y) for each x in xs, then y in
-    ys: x = s r and y = t q (linalg.integer_row) give x (x) y =
-    (s t) (r (x) q), and r (x) q is coprime as gcd(r_i q_j) = gcd(r) gcd(q).
-    """
-    right = [integer_row(y) for y in ys]
-    rows = []
-    for x in xs:
-        r, s = integer_row(x)
-        for q, t in right:
-            rows.append((tuple(a * b for a in r for b in q), s * t))
-    return tuple(rows)
+def _products(xs: Rows, ys: Rows) -> Rows:
+    """The row of product_vec(x, y) for each row of x in xs, then of y in
+    ys: x = s r and y = t q give x (x) y = (s t) (r (x) q), and r (x) q
+    is coprime as gcd(r_i q_j) = gcd(r) gcd(q)."""
+    return tuple((tuple(a * b for a in r for b in q), s * t)
+                 for r, s in xs for q, t in ys)
 
 
 def _require_polyhedral(a: StateSpace, b: StateSpace) -> None:
@@ -92,7 +86,7 @@ def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    rows = _products(a.cone.generators, b.cone.generators)
+    rows = _products(a.cone.generator_rows(), b.cone.generator_rows())
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
     cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, None,
                    generator_rows=rows)
@@ -109,9 +103,10 @@ def max_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    rows = _products(a.cone.facets, b.cone.facets)
+    rows = _products(a.cone.facet_rows(), b.cone.facet_rows())
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, None, rows)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, None,
+                   facet_rows=rows)
     unit = product_vec(a.unit, b.unit)
     name = f"max({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "max", name)

@@ -19,14 +19,14 @@ coprime integer tuples in fixed slots, and each normal's zero set is a
 bitset over the slots kept across steps. A ray about to be cut off that
 lies on exactly dim - 1 normals finds its new neighbours along its edges
 by ANDs of those bitsets; any other one is paired with every ray kept,
-through a popcount prefilter and the same bitsets. Polyhedral
-membership runs on integers too: each facet is kept once as a coprime
-integer row times a positive scale (the dual view keeps the generators'
-rows as its facet rows), and a vector is cleared to integers over one
-denominator, so a facet test is an int dot and a sign. That test also
-serves `maps_into`, the one positivity test of a linear map between
-cones: each generator's image is made on integers, from the matrix
-cleared once per call and the generator once per cone.
+through a popcount prefilter and the same bitsets. A polyhedral side is
+read as rows (coprime integers times a positive scale, one per vector)
+through `facet_rows()` and its twin `generator_rows()`, the dual view's
+facet rows: handed over or cleared once, and shared by both views, so no
+caller clears a side again. Membership tests a vector, cleared over one
+denominator, by an int dot and a sign per facet row; so does `maps_into`,
+the one positivity test of a map between cones, on each generator row's
+image under the matrix, cleared once per call.
 """
 
 from __future__ import annotations
@@ -254,11 +254,12 @@ class ConeRep:
     """
 
     __slots__ = ("dim", "kind", "arithmetic", "_generators", "_facets",
-                 "_rows", "_generator_rows", "_dual")
+                 "_facet_rows", "_generator_rows", "_dual")
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
-                 facets: tuple[Vec, ...] | None, rows: Rows | None = None,
+                 facets: tuple[Vec, ...] | None, *,
+                 facet_rows: Rows | None = None,
                  generator_rows: Rows | None = None):
         if kind not in (POLYHEDRAL, LORENTZ):
             raise UnsupportedConeError(f"unknown cone kind {kind!r}")
@@ -269,9 +270,9 @@ class ConeRep:
         self.arithmetic = arithmetic
         self._generators = generators
         self._facets = facets
-        # a side's integer rows, if the caller has them; a side held only
-        # as rows makes its Fractions when first read
-        self._rows = rows  # the facets'
+        # a side's rows, if the caller has them; a side held only as rows
+        # makes its Fractions when first read
+        self._facet_rows = facet_rows
         self._generator_rows = generator_rows
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
@@ -309,12 +310,12 @@ class ConeRep:
         gens = tuple(vec(g) for g in generators)
         fcts = tuple(vec(f) for f in facets)
         recomputed = cls.from_generators(gens, arithmetic)
-        want = {lex_key(canonical_ray(f)) for f in recomputed.facets}
-        got = {lex_key(canonical_ray(f)) for f in fcts}
-        if want != got:
+        cone = cls(len(gens[0]), POLYHEDRAL, arithmetic, gens, fcts)
+        if {r for r, _ in recomputed.facet_rows()} != \
+                {r for r, _ in cone.facet_rows()}:
             raise DegenerateConeError(
                 "facet list disagrees with the generator list")
-        return cls(len(gens[0]), POLYHEDRAL, arithmetic, gens, fcts)
+        return cone
 
     @classmethod
     def lorentz(cls, dim: int, arithmetic: str = FLOAT) -> ConeRep:
@@ -337,7 +338,7 @@ class ConeRep:
     @property
     def facets(self) -> tuple[Vec, ...]:
         if self._facets is None:
-            rows = self._rows
+            rows = self._facet_rows
             self._facets = _vectors(rows) if rows is not None else \
                 self._enumerate_missing("facet", "generators", "pointed")
             if self._dual is not None:
@@ -377,7 +378,26 @@ class ConeRep:
             self._generator_rows is not None
 
     def has_facets(self) -> bool:
-        return self._facets is not None or self._rows is not None
+        return self._facets is not None or self._facet_rows is not None
+
+    def facet_rows(self) -> Rows:
+        """Each facet as a coprime integer row and a positive scale whose
+        product is the facet (linalg.integer_row): handed over, or
+        cleared once from the facets. Raises as `facets` does."""
+        if self._facet_rows is None:
+            self._facet_rows = tuple(map(integer_row, self.facets))
+        return self._facet_rows
+
+    def generator_rows(self) -> Rows:
+        """Each generator as a row and a scale: the dual view's facet
+        rows, so both views read one tuple, filled at most once."""
+        return self.dual().facet_rows()
+
+    def _facets_in_reach(self) -> bool:
+        """Whether the cone holds finite facets or may enumerate them:
+        not above the dimension cap, where membership asks `weights`."""
+        return self.kind == POLYHEDRAL and (
+            self.has_facets() or self.dim <= DIMENSION_CAP)
 
     # -- predicates ------------------------------------------------------
 
@@ -391,22 +411,10 @@ class ConeRep:
             if last + tol < 0:
                 return False
             return (last + tol) ** 2 >= dot(head, head)
-        rows = self._facet_rows()
-        if rows is None:
+        if not self._facets_in_reach():
             return self.weights(x, tol) is not None
         xs, xscale = integer_row(x)
-        return _meets(rows, xs, xscale, tol)
-
-    def _facet_rows(self) -> Rows | None:
-        """Each facet once as coprime integer row and positive scale, or
-        None for a Lorentz cone and where the facets are missing above
-        the dimension cap (there membership asks `weights`)."""
-        if self._rows is None:
-            if self.kind == LORENTZ or \
-                    self._facets is None and self.dim > DIMENSION_CAP:
-                return None
-            self._rows = tuple(map(integer_row, self.facets))
-        return self._rows
+        return _meets(self.facet_rows(), xs, xscale, tol)
 
     def weights(self, x: Vec, tol: Fraction = ZERO) -> Vec | None:
         """Weights w >= 0 on the generators that sum to x within tol (in
@@ -428,16 +436,18 @@ class ConeRep:
         if self._dual is None:
             self._dual = ConeRep(self.dim, POLYHEDRAL, self.arithmetic,
                                  self._facets, self._generators,
-                                 self._generator_rows, self._rows)
+                                 facet_rows=self._generator_rows,
+                                 generator_rows=self._facet_rows)
             self._dual._dual = self
         return self._dual
 
     def minimal_generators(self) -> tuple[Vec, ...]:
-        """Extreme rays only, dropping any redundant input generators."""
-        fcts = self.facets
+        """Extreme rays only: generators whose zero facets (an int dot
+        of the rows) have rank dim - 1."""
+        facets = [f for f, _ in self.facet_rows()]
         keep = []
-        for g in self.generators:
-            active = tuple(f for f in fcts if dot(f, g) == 0)
+        for g, (row, _) in zip(self.generators, self.generator_rows()):
+            active = [f for f in facets if sum(map(mul, f, row)) == 0]
             if (rank(active) if active else 0) >= self.dim - 1:
                 keep.append(g)
         return tuple(keep)
@@ -448,19 +458,18 @@ def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
     """Whether matrix (cod.dim x dom.dim) maps dom into cod within tol,
     for all four pairings of kinds. From a polyhedral cone, the matrix
     is cleared once to integers times a positive scale, and each
-    generator comes so from the dual view's cached facet rows: the
-    image is an integer vector times the product of the scales."""
+    generator comes so from dom's generator rows: the image is an
+    integer vector times the product of the scales."""
     if dom.kind == LORENTZ:
         if cod.kind == POLYHEDRAL:
             # T maps dom into cod iff T^t maps each generator h of cod's
             # dual (a facet of cod) into dom's dual.
             return maps_into(transpose(matrix), cod.dual(), dom.dual(), tol)
         return _lorentz_to_lorentz_positive(matrix, cod, tol)
-    rows = cod._facet_rows()
-    gens = None if rows is None else dom.dual()._facet_rows()
-    if gens is None:
+    if not cod._facets_in_reach():
         return all(cod.contains(matvec(matrix, g), tol)
                    for g in dom.generators)
+    rows, gens = cod.facet_rows(), dom.generator_rows()
     if len(matrix) != cod.dim or any(len(r) != dom.dim for r in matrix):
         raise DimensionMismatchError("map matrix shape mismatch")
     flat, scale = integer_row(tuple(x for row in matrix for x in row))

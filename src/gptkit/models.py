@@ -136,7 +136,8 @@ def make_classical(n: int) -> StateSpace:
 def make_polygon(n: int) -> StateSpace:
     """Regular n-gon state space in R^3, unit functional (0, 0, 1)."""
     _check_size("polygon", n)
-    cone = ConeRep(3, POLYHEDRAL, *_polygon(n))
+    arithmetic, gens, facets, rows = _polygon(n)
+    cone = ConeRep(3, POLYHEDRAL, arithmetic, gens, facets, facet_rows=rows)
     return StateSpace(cone, (ZERO, ZERO, ONE), name=f"polygon:{n}")
 
 

@@ -9,12 +9,13 @@ hiding; the exposing effects make honest reveals accept surely, and
 the optimal product-strategy cheat decays exponentially in n.
 
 The search for the two branches reads which facets vanish on which
-vertex, from the cone's facets and the vertices cleared to coprime
-integers (exposing_effect reads the same rows and zero sets), and asks
-an LP only about branch pairs that lie on the same face: a mixture with
-all weights positive is zero on exactly the facets that vanish on all
-of its vertices, so two such mixtures can be equal only when those
-facet sets are equal.
+vertex as int dots of the cone's facet rows with its generator rows
+(ConeRep.facet_rows and generator_rows; vertex j is generator j's row
+r over u(r)), which exposing_effect reads too, and asks an LP only
+about branch pairs that lie on the same face: a mixture with all
+weights positive is zero on exactly the facets that vanish on all of
+its vertices, so two such mixtures can be equal only when those facet
+sets are equal.
 
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
@@ -44,9 +45,8 @@ ONE = Fraction(1)
 _VERTEX_CAP = 14  # subset search above this many extreme points is refused
 
 
-def exposing_effect(space: StateSpace, index: int, tol=None, *,
-                    vertex_rows=None,
-                    through=None) -> tuple[Vec, Fraction] | None:
+def exposing_effect(space: StateSpace, index: int,
+                    tol=None) -> tuple[Vec, Fraction] | None:
     """Best-margin effect taking value 1 on vertex `index` alone.
 
     Maximizes m subject to a(v_t) = 1 (t = index), a(v_j) >= 0 and
@@ -62,19 +62,16 @@ def exposing_effect(space: StateSpace, index: int, tol=None, *,
 
     The LP is sifted: first solved on s and the columns of the d - 1
     vertices nearest to v_t and the d - 1 farthest (by h_j = phi(v_j),
-    phi the sum of the facets through v_t), then priced on every vertex
-    exactly, since a(v_j) = 1 + y . delta_j: z_j needs a(v_j) + m <= 1
-    and w_j needs a(v_j) >= 0. Violators join the LP until none is
-    left; the zero-padded optimum and y then solve the whole LP, so the
-    checked effect's margin is its optimum, which proves it best. No
-    restricted optimum is below it, so one <= eps means not exposed.
+    phi the sum of the facets through v_t, on the cone's rows), then
+    priced on every vertex exactly, since a(v_j) = 1 + y . delta_j: z_j
+    needs a(v_j) + m <= 1 and w_j needs a(v_j) >= 0. Violators join the
+    LP until none is left; the zero-padded optimum and y then solve the
+    whole LP, so the checked effect's margin is its optimum, which
+    proves it best. No restricted optimum is below it, so one <= eps
+    means not exposed.
     An optimum with fewer than dim positive entries may have several
     optimal effects: there the vertex-row LP is solved instead and its
     effect returned, so every answer is the one that LP picks.
-
-    A caller that has them may pass the vertices' integer rows
-    (vertex_rows, by linalg.integer_row) and the facets through v_t
-    (through, in facet order); each is computed here otherwise.
     """
     verts = space.vertices
     if not 0 <= index < len(verts):
@@ -82,13 +79,16 @@ def exposing_effect(space: StateSpace, index: int, tol=None, *,
     eps = tolerance_for(tol, space)
     unit, target, d, m = space.unit, verts[index], space.dim, len(verts)
     i = next(k for k, x in enumerate(unit) if x)
-    cleared = vertex_rows or [integer_row(v) for v in verts]
-    if through is None:
-        through = [f for f in space.cone.facets if dot(f, target) == 0]
-    # h_j = phi(v_j) / c, with phi = c r and v_j = s_j r_j; every h_j is
-    # 0 when no facet passes through v_t
-    r = integer_row(tuple(map(sum, zip(*through))))[0]
-    h = [s * sum(map(mul, r, row)) for row, s in cleared]
+    # v_j = r / u(r) for generator j's row r, and u = w q
+    q, w = integer_row(unit)
+    cleared = [(r, Fraction(w.denominator, w.numerator * sum(map(mul, q, r))))
+               for r, _ in space.cone.generator_rows()]
+    through = [(f, c) for f, c in space.cone.facet_rows()
+               if sum(map(mul, f, cleared[index][0])) == 0]
+    # h_j = phi(v_j) / c, phi = c p the sum of the facets through v_t
+    p = integer_row(combination([c for _, c in through],
+                                [f for f, _ in through]))[0]
+    h = [s * sum(map(mul, p, row)) for row, s in cleared]
     by_h = sorted((j for j in range(m) if j != index), key=h.__getitem__)
     chosen = set(by_h[:d - 1] + by_h[::-1][:d - 1])
     while True:
@@ -222,22 +222,17 @@ def find_double_decomposition(space: StateSpace,
     verts = space.vertices
     m = len(verts)
     eps = tolerance_for(tol, space)
-    if len(space.cone.facets) == space.dim:
+    rows = space.cone.facet_rows()
+    if len(rows) == space.dim:
         raise InvalidInputError(
             "state set is a simplex; no double decomposition exists")
     if m > _VERTEX_CAP:
         raise SearchCapError(f"subset search over {m} vertices exceeds cap")
-    # bit k of masks[j]: facet k vanishes on vertex j; both tested as
-    # coprime integer rows, which exposing_effect reads too, with the
-    # facets through each vertex
-    facets = space.cone.facets
-    facet_rows = [integer_row(f)[0] for f in facets]
-    vertex_rows = [integer_row(v) for v in verts]
-    masks = [sum(1 << k for k, f in enumerate(facet_rows)
-                 if sum(map(mul, f, v)) == 0)
-             for v, _ in vertex_rows]
-    through = [[f for k, f in enumerate(facets) if mask >> k & 1]
-               for mask in masks]
+    # bit k of masks[j]: facet k vanishes on vertex j, an int dot of the
+    # cone's facet row k with its generator row j
+    masks = [sum(1 << k for k, (f, _) in enumerate(rows)
+                 if sum(map(mul, f, g)) == 0)
+             for g, _ in space.cone.generator_rows()]
 
     for total in range(4, m + 1):
         for k0 in range(2, total - 1):
@@ -254,8 +249,7 @@ def find_double_decomposition(space: StateSpace,
                         continue  # unordered pair, count once
                     if _meet(masks, idx1) != face:
                         continue  # different faces: no positive mix meets
-                    found = _try_pair(space, verts, idx0, idx1, eps, tol,
-                                      vertex_rows, through)
+                    found = _try_pair(space, verts, idx0, idx1, eps, tol)
                     if found is not None:
                         return found
     raise SearchCapError("no double decomposition among the extreme points")
@@ -266,11 +260,8 @@ def _meet(masks, idx):
     return reduce(and_, (masks[j] for j in idx))
 
 
-def _try_pair(space, verts, idx0, idx1, eps, tol, vertex_rows=None,
-              through=None):
-    """The decomposition over the vertex sets idx0 and idx1, or None;
-    vertex_rows and through (one list per vertex), when given, are
-    passed on to exposing_effect."""
+def _try_pair(space, verts, idx0, idx1, eps, tol):
+    """The decomposition over the vertex sets idx0 and idx1, or None."""
     d = space.dim
     k0 = len(idx0)
     # branch-0 weights mix to omega, branch-1 weights to the same omega,
@@ -284,9 +275,7 @@ def _try_pair(space, verts, idx0, idx1, eps, tol, vertex_rows=None,
         return None  # smaller pair would do; covered at a lower total
     effects = {}
     for j in set(idx0) | set(idx1):
-        hit = exposing_effect(
-            space, j, tol, vertex_rows=vertex_rows,
-            through=None if through is None else through[j])
+        hit = exposing_effect(space, j, tol)
         if hit is None:
             return None
         effects[j] = hit[0]

@@ -37,7 +37,7 @@ from .linalg import (
     zeros,
 )
 from .lp import feasible_point, solve_lp
-from .scalars import RATIONAL, close, emit, emits_exactly, tolerance_for
+from .scalars import FLOAT, RATIONAL, close, emit, emits_exactly, tolerance_for
 
 
 class StateSpace:
@@ -124,14 +124,18 @@ class StateSpace:
     @classmethod
     def from_json_dict(cls, body: dict) -> StateSpace:
         try:
-            dim = int(body["dim"])
+            dim = body["dim"]
             kind = body["kind"]
             arithmetic = body.get("arithmetic", RATIONAL)
             unit = vec(body["unit"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad state-space payload: {exc}") from exc
+        if type(dim) is not int:  # a bool is an int, but no dim
+            raise InvalidInputError(f"payload dim {dim!r} is not an integer")
         if kind not in (POLYHEDRAL, LORENTZ):
             raise InvalidInputError(f"unknown cone kind {kind!r}")
+        if arithmetic not in (RATIONAL, FLOAT):
+            raise InvalidInputError(f"unknown arithmetic {arithmetic!r}")
         gens = body.get("generators")
         facets = body.get("facets")
         if kind == LORENTZ:

@@ -18,6 +18,7 @@ from gptkit.protocols import (bc_cheat_bound, bc_cheat_curve, bc_run,
                               find_double_decomposition)
 from gptkit.scalars import tolerance_for
 from gptkit.spaces import StateSpace
+from test_cones import record_clears
 
 F = Fraction
 HALF = F(1, 2)
@@ -548,23 +549,29 @@ def test_sift_starts_from_the_nearest_and_farthest_vertices(monkeypatch):
             assert list(columns[:len(chosen)]) == want, (space.name, t)
 
 
-def test_search_hands_exposing_effect_its_rows_and_facets(monkeypatch):
-    # what the search passes is what exposing_effect computes without it
-    seen = []
-
-    def recorded(space, index, tol=None, **given):
-        seen.append((space, index, given))
-        return exposing_effect(space, index, tol, **given)
-    monkeypatch.setattr(bitcommit, "exposing_effect", recorded)
-    for space in [parse_model_name(name) for name in
-                  ("squit", "polygon:5", "polygon:14")] + ORACLE_SPACES:
-        find_double_decomposition(space)
+def test_search_reads_each_side_cleared_once_by_cones(monkeypatch):
+    # the search and its exposing effects read the cone's rows: nothing
+    # outside cones clears a generator, facet or vertex, and cones clears
+    # each at most once, for the cone and its dual view together; the
+    # spaces (squit and polygon:5 to 14 among them) are built anew, one
+    # per model, as the square's vectors are shared constants
+    spaces = [parse_model_name(s.name) if s.name.startswith("polygon")
+              else StateSpace(ConeRep.from_generators(s.cone.generators),
+                              s.unit, s.name)
+              for s in ORACLE_SPACES]
+    seen = record_clears(monkeypatch)
+    found = [find_double_decomposition(space) for space in spaces]
+    assert [dd.verify() for dd in found] == [True] * len(spaces)
     assert seen
-    for space, t, given in seen:
-        verts = space.vertices
-        assert given["vertex_rows"] == [integer_row(v) for v in verts]
-        assert given["through"] == [f for f in space.cone.facets
-                                    if dot(f, verts[t]) == 0]
+    for space in spaces:
+        # the vertices come from the generators' rows: none is cleared
+        assert not any(v is x for _, _, v in seen for x in space.vertices)
+        for side in (space.cone.generators, space.cone.facets):
+            hits = [(direct, outer, id(v)) for direct, outer, v in seen
+                    if any(v is x for x in side)]
+            assert {outer for _, outer, _ in hits} <= {"gptkit.cones"}, space
+            fills = [i for direct, _, i in hits if direct == "gptkit.cones"]
+            assert len(set(fills)) == len(fills), space
 
 
 def test_exposing_effect_checks_the_dual(monkeypatch):

@@ -23,7 +23,7 @@ from gptkit.models import (entangled_state_coords, make_ball, make_classical,
                            make_polygon, make_squit)
 from gptkit.scalars import tolerance_for
 from gptkit.spaces import LinearMapRep, StateSpace, is_positive_map
-from test_cones import HEXAGON
+from test_cones import HEXAGON, record_clears
 
 F = Fraction
 EIGHTH = F(1, 8)
@@ -83,8 +83,8 @@ FLOAT_TRIANGLE = StateSpace.from_json_dict({
          "payload-rational", "float-payload", "float-payload-payload",
          "float-payload-rational"])
 def test_tensor_products_are_product_vec_in_order(a, b):
-    gens = min_tensor(a, b).cone.generators
-    high = max_tensor(a, b).cone
+    low, high = min_tensor(a, b).cone, max_tensor(a, b).cone
+    gens = low.generators
     want_gens = [product_vec(x, y)
                  for x in a.cone.generators for y in b.cone.generators]
     want_facets = [product_vec(x, y)
@@ -92,8 +92,9 @@ def test_tensor_products_are_product_vec_in_order(a, b):
     for got, want in ((gens, want_gens), (high.facets, want_facets)):
         assert list(got) == want
         assert {type(x) for v in got for x in v} == {Fraction}
-    # the max tensor's facet rows come with its facets, already cleared
-    assert high._rows == tuple(map(integer_row, want_facets))
+    # each tensor's side comes with its rows, already cleared
+    assert low.generator_rows() == tuple(map(integer_row, want_gens))
+    assert high.facet_rows() == tuple(map(integer_row, want_facets))
 
 
 @pytest.mark.parametrize("a, b", [
@@ -106,8 +107,9 @@ def test_tensor_sides_are_rows_until_read(a, b):
     assert low._generators is None and low.has_generators()
     assert high._facets is None and high.has_facets()
     assert not low.has_facets() and not high.has_generators()
-    # the min tensor's dual view takes the rows as its facet rows
-    assert low.dual()._facet_rows() is low._generator_rows
+    # each dual view reads the rows as its other side's rows
+    assert low.dual().facet_rows() is low.generator_rows()
+    assert high.dual().generator_rows() is high.facet_rows()
     # membership and positivity read the rows: no side's Fractions
     x = product_vec(a.vertices[0], b.vertices[-1])
     assert high.contains(x) and low.dual().contains(product_vec(a.unit,
@@ -123,6 +125,18 @@ def test_tensor_sides_are_rows_until_read(a, b):
         product_vec(x, y) for x in a.cone.facets for y in b.cone.facets]
     assert low.dual().facets is low.generators
     assert high.dual().generators is high.facets
+
+
+@pytest.mark.parametrize("space", [make_polygon(5), FRACTIONAL, make_squit()],
+                         ids=["float", "payload", "rational"])
+def test_tensors_read_the_rows_positivity_cleared(space, monkeypatch):
+    # maps_into clears the generators through the dual view; the tensors
+    # then read those rows, and the facets' rows, and clear nothing
+    assert maps_into(identity(space.dim), space.cone, space.cone, F(0))
+    cleared = record_clears(monkeypatch)
+    min_tensor(space, space)
+    max_tensor(space, space)
+    assert cleared == []
 
 
 def test_products_of_coprime_rows_are_coprime_rows_seeded():

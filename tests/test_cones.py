@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -31,6 +32,28 @@ SQUARE_FACETS = ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
 
 def ray_set(rays):
     return {lex_key(canonical_ray(r)) for r in rays}
+
+
+def record_clears(monkeypatch) -> list:
+    """Wrap linalg.integer_row in every gptkit module that binds it. Each
+    call is recorded as (direct, outer, vector): the module of the frame
+    that called it, and of the first frame outside linalg (so a clear
+    inside rank or canonical_ray counts for the module that asked)."""
+    seen = []
+    clear = linalg.integer_row
+
+    def wrapped(v):
+        frame = sys._getframe(1)
+        direct = frame.f_globals["__name__"]
+        while frame.f_globals["__name__"] == "gptkit.linalg":
+            frame = frame.f_back
+        seen.append((direct, frame.f_globals["__name__"], v))
+        return clear(v)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gptkit") and \
+                vars(module).get("integer_row") is clear:
+            monkeypatch.setattr(module, "integer_row", wrapped)
+    return seen
 
 
 def brute_force_rays(halfspaces, dim):
@@ -716,9 +739,75 @@ def test_dual_swaps_lazily():
     assert ray_set(cone.dual().dual().generators) == ray_set(SQUARE_GENS)
 
 
+def test_rows_cleared_through_one_view_are_the_other_views(monkeypatch):
+    # a side is cleared once, whichever view asks first and whether the
+    # dual view is made before or after
+    for early in (True, False):
+        cone = ConeRep.from_generators(SQUARE_GENS)
+        if early:
+            cone.dual()
+        seen = record_clears(monkeypatch)
+        rows = cone.generator_rows()
+        assert cone.dual().facet_rows() is rows
+        assert cone.facet_rows() is cone.dual().generator_rows()
+        assert cone.dual().dual() is cone
+        # each generator and facet is cleared once, by the accessor (the
+        # facets' double description clears its normals and base besides)
+        sides = cone.generators + cone.facets
+        mine = [v for direct, _, v in seen if direct == "gptkit.cones"
+                and any(v is s for s in sides)]
+        assert sorted(map(id, mine)) == sorted(map(id, sides))
+        assert rows == tuple(map(linalg.integer_row, cone.generators))
+    # positivity clears the domain's generators through its dual view;
+    # the domain reads the same rows
+    space = make_polygon(5)
+    assert cones.maps_into(((1, 0, 0), (0, 1, 0), (0, 0, 1)), space.cone,
+                           space.cone, F(0))
+    assert space.cone.generator_rows() is space.cone.dual().facet_rows()
+    # handed-over rows are the rows read, through either view
+    rows = space.cone._facet_rows
+    assert rows is not None and space.cone.facet_rows() is rows
+    assert space.cone.dual().generator_rows() is rows
+
+
 def test_minimal_generators_drops_redundant():
     cone = ConeRep.from_generators(SQUARE_GENS + ((0, 0, 1), (2, 2, 2)))
     assert ray_set(cone.minimal_generators()) == ray_set(SQUARE_GENS)
+
+
+def reference_minimal_generators(cone):
+    """The generators whose zero facets, by Fraction dots, have rank
+    dim - 1."""
+    keep = []
+    for g in cone.generators:
+        active = tuple(f for f in cone.facets if dot(f, g) == 0)
+        if (rank(active) if active else 0) >= cone.dim - 1:
+            keep.append(g)
+    return tuple(keep)
+
+
+def test_minimal_generators_match_the_fraction_reference_seeded():
+    rng = random.Random(3636)
+    for _ in range(60):
+        d = rng.randint(3, 5)
+        points = [tuple(rng.randint(-2, 2) for _ in range(d - 1))
+                  for _ in range(rng.randint(d + 1, 9))]
+        # midpoints and a repeat: redundant, and on no more facets
+        p, q = rng.sample(points, 2)
+        points += [tuple(F(x + y, 2) for x, y in zip(p, q)), points[0]]
+        gens = [vec(p + (1,)) for p in points]
+        if rank(gens) < d:
+            continue
+        arithmetic = rng.choice((RATIONAL, FLOAT))
+        cone = ConeRep.from_generators(
+            [tuple(x * rng.randint(1, 3) for x in g) for g in gens],
+            arithmetic)
+        assert cone.minimal_generators() == \
+            reference_minimal_generators(cone)
+    for space in (make_squit(), make_polygon(5), make_polygon(7),
+                  make_classical(3)):
+        assert space.cone.minimal_generators() == \
+            reference_minimal_generators(space.cone)
 
 
 def test_polygon_facets_analytic():

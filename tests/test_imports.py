@@ -201,6 +201,35 @@ def test_no_zero_started_sums():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
+CONE_SLOTS = ("_generators", "_facets", "_rows", "_generator_rows",
+              "_facet_rows", "_dual")
+
+
+def cone_slot_reads(source: str) -> list[str]:
+    """Attribute reads or writes of a ConeRep private slot: a side and
+    its rows are reached through the accessors, which keep both views
+    of a cone in step."""
+    tree = ast.parse(source)
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in CONE_SLOTS}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_cone_slot_reads_are_found():
+    source = ("ok = cone.facet_rows() + _dual(x) + cone.generators\n"
+              "bad = cone._facet_rows or space.cone._rows\n"
+              "worse = [c._dual for c in cones]\n"
+              "worst = f(cone._generators, x._facets, y._generator_rows)\n")
+    assert cone_slot_reads(source) == ["line 2", "line 3", "line 4"]
+
+
+def test_cone_slots_only_in_cones():
+    found = {str(path.relative_to(PACKAGE)): cone_slot_reads(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))
+             if path.name != "cones.py"}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
 def load_tracing() -> ModuleType:
     """bench/tracing.py run in a module of its own: kept out of
     sys.modules, and no bytecode is written beside it."""

@@ -79,6 +79,26 @@ def test_payload_kind_must_be_known():
         StateSpace.from_json_dict(body)
 
 
+@pytest.mark.parametrize("dim", [3.9, 3.0, "3", True, None, [3]])
+def test_payload_dim_must_be_an_integer(dim):
+    body = {**make_squit().to_json_dict(), "dim": dim}
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        StateSpace.from_json_dict(body)
+    ball = {**make_ball(2).to_json_dict(), "dim": dim}
+    with pytest.raises(InvalidInputError, match="is not an integer"):
+        StateSpace.from_json_dict(ball)
+
+
+def test_payload_arithmetic_must_be_known():
+    for space in (make_squit(), make_ball(2)):
+        body = {**space.to_json_dict(), "arithmetic": "banana"}
+        with pytest.raises(InvalidInputError, match="unknown arithmetic"):
+            StateSpace.from_json_dict(body)
+        body = {**space.to_json_dict(), "arithmetic": ["float"]}
+        with pytest.raises(InvalidInputError, match="unknown arithmetic"):
+            StateSpace.from_json_dict(body)
+
+
 def test_squit_effects():
     sq = make_squit()
     assert is_effect(sq, (HALF, 0, HALF))
