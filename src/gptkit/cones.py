@@ -2,9 +2,10 @@
 
 Polyhedral cones carry extreme-ray generators and/or facet inequalities
 <f, x> >= 0; whichever side is missing is computed on demand by the
-Motzkin double-description method and cached. A side may also be
-handed over as integer rows (a built-in polygon's edge facets, a tensor
-product's side), whose Fractions are made only when the side is read.
+Motzkin double-description method and kept as integer rows. A side may
+also be handed over as integer rows (a float polygon's vertices and
+edge facets, a tensor product's side); a side held as rows makes its
+Fractions only when it is read.
 Lorentz (second-order) cones carry no lists; membership there compares
 squares, so no square roots enter and rational inputs stay exact. `contains` is the membership
 test, of a cone and, as `dual().contains`, of its dual. It reads facets;
@@ -13,8 +14,11 @@ test, of a cone and, as `dual().contains`, of its dual. It reads facets;
 dimension cap refuses to enumerate them.
 
 All arithmetic is exact, including for float-mode spaces (their data is
-embedded losslessly); see scalars module notes. Vectors in and out are
-Fraction tuples. Inside double description, normals and rays are
+embedded losslessly); see scalars module notes. A cone's vectors in and
+out are Fraction tuples. Double description takes any rational normals
+(a cone passes its known side's integer rows) and returns coprime
+integer rays, which the cone keeps as the enumerated side's rows, so
+no side is cleared back from Fractions. Inside it, normals and rays are
 coprime integer tuples in fixed slots, and each normal's zero set is a
 bitset over the slots kept across steps. A ray about to be cut off that
 lies on exactly dim - 1 normals finds its new neighbours along its edges
@@ -22,11 +26,12 @@ by ANDs of those bitsets; any other one is paired with every ray kept,
 through a popcount prefilter and the same bitsets. A polyhedral side is
 read as rows (coprime integers times a positive scale, one per vector)
 through `facet_rows()` and its twin `generator_rows()`, the dual view's
-facet rows: handed over or cleared once, and shared by both views, so no
-caller clears a side again. Membership tests a vector, cleared over one
-denominator, by an int dot and a sign per facet row; so does `maps_into`,
-the one positivity test of a map between cones, on each generator row's
-image under the matrix, cleared once per call.
+facet rows: handed over, enumerated, or cleared once from given
+vectors, and shared by both views, so no caller clears a side again.
+Membership tests a vector, cleared over one denominator, by an int dot
+and a sign per facet row; so does `maps_into`, the one positivity test
+of a map between cones, on each generator row's image under the
+matrix, cleared once per call.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    ONE,
     Vec,
     ZERO,
     _eliminate,
@@ -81,8 +87,10 @@ def independent_subset(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     return tuple(vectors[j] for j in _eliminate(tuple(zip(*vectors)))[1])
 
 
-def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
-    """Extreme rays of {x : <h, x> >= 0 for all h}, sorted canonically.
+def enumerate_rays(halfspaces: tuple[Vec, ...],
+                   dim: int) -> tuple[tuple[int, ...], ...]:
+    """Extreme rays of {x : <h, x> >= 0 for all h}, as sorted coprime
+    integer tuples.
 
     Requires the normals to span (the target cone is then pointed).
     Returns () for the trivial cone. Incremental double description with
@@ -109,11 +117,12 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
     normals, so pairs with fewer are skipped unread, and for the rest
     the AND of the shared normals' bitsets must hold just p and m.
 
-    Normals and rays are coprime integer tuples in the loop (normals as
-    canonical_ray scales them), and each new ray is divided by the gcd of
-    its entries, which is canonical_ray's scale; Fractions are made only
-    for the result, one per distinct entry. Distinct 2-faces meet a
-    hyperplane in distinct rays, so no ray is made twice.
+    The normals may be any rational vectors; canonical_ray scales them
+    to coprime integers. Rays are coprime integer tuples throughout:
+    each new ray is divided by the gcd of its entries, canonical_ray's
+    scale, and the rays are returned so, with no Fraction made (ConeRep
+    holds them as a side's rows). Distinct 2-faces meet a hyperplane in
+    distinct rays, so no ray is made twice.
     """
     if dim > DIMENSION_CAP:
         raise DimensionCapError(
@@ -217,15 +226,19 @@ def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int) -> tuple[Vec, ...]:
                 mask ^= low
         live = plus_on | zero_on[hi]
 
-    out = sorted(rays[s] for s in slots)
-    made = {x: Fraction(x) for x in set(chain.from_iterable(out))}
-    return tuple(tuple(map(made.__getitem__, r)) for r in out)
+    return tuple(sorted(rays[s] for s in slots))
 
 
 def _vectors(rows: Rows) -> tuple[Vec, ...]:
-    """The vector scale * row of each row, one Fraction per entry."""
+    """The vector scale * row of each row: one Fraction per entry, and
+    one per distinct integer across the rows of scale 1."""
+    made = {x: Fraction(x) for x in
+            set(chain.from_iterable(r for r, s in rows if s == 1))}
     out = []
     for row, scale in rows:
+        if scale == 1:
+            out.append(tuple(map(made.__getitem__, row)))
+            continue
         n, d = scale.numerator, scale.denominator
         out.append(tuple(Fraction(x * n, d) for x in row))
     return tuple(out)
@@ -328,50 +341,17 @@ class ConeRep:
     @property
     def generators(self) -> tuple[Vec, ...]:
         if self._generators is None:
-            rows = self._generator_rows
-            self._generators = _vectors(rows) if rows is not None else \
-                self._enumerate_missing("generator", "facets", "generating")
-            if self._dual is not None:
-                self._dual._facets = self._generators
+            self._generators = _vectors(self.generator_rows())
+            self._dual._facets = self._generators
         return self._generators
 
     @property
     def facets(self) -> tuple[Vec, ...]:
         if self._facets is None:
-            rows = self._facet_rows
-            self._facets = _vectors(rows) if rows is not None else \
-                self._enumerate_missing("facet", "generators", "pointed")
+            self._facets = _vectors(self.facet_rows())
             if self._dual is not None:
                 self._dual._generators = self._facets
         return self._facets
-
-    def _enumerate_missing(self, side: str, known_name: str,
-                           quality: str) -> tuple[Vec, ...]:
-        """The pending side: the extreme rays of the known side's dual.
-
-        Rational mode keeps enumerate_rays' coprime integers; float mode
-        scales each ray to largest entry magnitude 1, which keeps emitted
-        coordinates readable after float conversion.
-        """
-        if self.kind == LORENTZ:
-            raise UnsupportedConeError(
-                f"lorentz cones have no finite {side} list")
-        # the known side, made from its rows if the cone holds only those
-        known = self.facets if side == "generator" else self.generators
-        rays = enumerate_rays(known, self.dim)
-        # The known vectors span, so the rays generate a pointed cone. It is
-        # full-dimensional exactly when each nonzero known vector is
-        # positive on some ray: the rays' sum is then an interior point.
-        # The rays are integers (coprime, denominator 1), so their sum is
-        # the sum of their numerators, made without a Fraction.
-        total = [sum(x.numerator for x in c) for c in zip(*rays)]
-        if not rays or any(any(k) and dot(k, total) == 0 for k in known):
-            raise DegenerateConeError(
-                f"{known_name} describe a cone that is not {quality}")
-        if self.arithmetic == RATIONAL:
-            return rays
-        tops = [max(map(abs, r)) for r in rays]
-        return tuple(tuple(x / top for x in r) for r, top in zip(rays, tops))
 
     def has_generators(self) -> bool:
         return self._generators is not None or \
@@ -382,16 +362,55 @@ class ConeRep:
 
     def facet_rows(self) -> Rows:
         """Each facet as a coprime integer row and a positive scale whose
-        product is the facet (linalg.integer_row): handed over, or
-        cleared once from the facets. Raises as `facets` does."""
-        if self._facet_rows is None:
-            self._facet_rows = tuple(map(integer_row, self.facets))
-        return self._facet_rows
+        product is the facet (linalg.integer_row): handed over, cleared
+        once from the facets, or enumerated. Raises as `facets` does."""
+        return self._rows("facet", "generators", "pointed")
 
     def generator_rows(self) -> Rows:
         """Each generator as a row and a scale: the dual view's facet
         rows, so both views read one tuple, filled at most once."""
-        return self.dual().facet_rows()
+        return self.dual()._rows("generator", "facets", "generating")
+
+    def _rows(self, side: str, known_name: str, quality: str) -> Rows:
+        """This view's facet rows, filled once and shared with the dual
+        view. The names are the asking view's (generator_rows asks the
+        dual view), so an error names the sides as that view does."""
+        if self._facet_rows is None:
+            if self._facets is not None:
+                rows = tuple(map(integer_row, self._facets))
+            else:
+                rows = self._enumerate_missing(side, known_name, quality)
+            self._facet_rows = rows
+            if self._dual is not None:
+                self._dual._generator_rows = rows
+        return self._facet_rows
+
+    def _enumerate_missing(self, side: str, known_name: str,
+                           quality: str) -> Rows:
+        """This view's facet rows: the extreme rays of the dual of its
+        generators, enumerated from the generator rows' integers.
+
+        Each ray is kept as enumerate_rays gives it, a coprime integer
+        row: of scale 1 in rational mode, and in float mode of scale
+        1 / (its largest entry magnitude), which keeps emitted
+        coordinates readable after float conversion.
+        """
+        if self.kind == LORENTZ:
+            raise UnsupportedConeError(
+                f"lorentz cones have no finite {side} list")
+        known = tuple(row for row, _ in self.generator_rows())
+        rays = enumerate_rays(known, self.dim)
+        # The known rows span, so the rays generate a pointed cone. It is
+        # full-dimensional exactly when each nonzero known row is
+        # positive on some ray: the rays' sum is then an interior point.
+        total = [sum(c) for c in zip(*rays)]
+        if not rays or any(any(k) and sum(map(mul, k, total)) == 0
+                           for k in known):
+            raise DegenerateConeError(
+                f"{known_name} describe a cone that is not {quality}")
+        if self.arithmetic == RATIONAL:
+            return tuple((r, ONE) for r in rays)
+        return tuple((r, Fraction(1, max(map(abs, r)))) for r in rays)
 
     def _facets_in_reach(self) -> bool:
         """Whether the cone holds finite facets or may enumerate them:

@@ -11,7 +11,8 @@ columns only and make no Fraction. Every exact pairing (dot, and so
 matvec and matmul, and each coordinate of combination) adds numerator
 products over one running denominator and makes one Fraction per
 result. The other hot loops keep integers of their own: double
-description its rays (cones.enumerate_rays), the simplex each tableau
+description its rays, returned as int tuples that the cone keeps as a
+side's rows (cones.enumerate_rays), the simplex each tableau
 row over one denominator, on columns cleared once by integer_row
 (lp.solve_lp), membership each facet row (cones.ConeRep.contains),
 positivity each image of a generator under a matrix cleared once by

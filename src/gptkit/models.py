@@ -55,10 +55,10 @@ def _point(angle: float, scale: float = 1) -> tuple:
             exactify(scale * math.sin(angle)))
 
 
-def _edge_rows(gens: tuple) -> Rows | None:
-    """The facets of the polygon with vertices gens, in cyclic order, as
-    double description gives them in float mode, or None where the
-    proof below fails.
+def _edge_rows(gens: Rows) -> Rows | None:
+    """The facets of the polygon whose vertices have the rows gens, in
+    cyclic order, as double description gives them in float mode, or
+    None where the proof below fails.
 
     Facet k is f_k = v_k x v_(k+1), made on the vertices' coprime
     integer rows and divided by its gcd. The proof runs on integers, in
@@ -73,7 +73,7 @@ def _edge_rows(gens: tuple) -> Rows | None:
     rows are sorted as enumerate_rays sorts its rays, each with scale
     1 / (its largest entry magnitude), the float-mode rescale.
     """
-    verts = [integer_row(g)[0] for g in gens]
+    verts = [row for row, _ in gens]
     n = len(verts)
     if any(v[2] <= 0 for v in verts):
         return None
@@ -96,14 +96,15 @@ def _edge_rows(gens: tuple) -> Rows | None:
 
 
 def _polygon(n: int) -> tuple:
-    """Arithmetic, vertices, facets and facet rows of the n-gon. The
-    square is exact; any other n-gon embeds its floats exactly and holds
-    its proved edge facets as rows (None leaves them to double
-    description)."""
+    """Arithmetic, vertices, facets, facet rows and vertex rows of the
+    n-gon. The square is exact; any other n-gon embeds its floats
+    exactly and holds its vertices' rows and its proved edge facets as
+    rows (None leaves them to double description)."""
     if n == 4:
-        return _SQUARE[:3] + (None,)
+        return _SQUARE[:3] + (None, None)
     gens = tuple(_point(2 * math.pi * k / n) + (ONE,) for k in range(n))
-    return FLOAT, gens, None, _edge_rows(gens)
+    rows = tuple(map(integer_row, gens))
+    return FLOAT, gens, None, _edge_rows(rows), rows
 
 
 def _hat(n: int) -> Mat:
@@ -136,8 +137,9 @@ def make_classical(n: int) -> StateSpace:
 def make_polygon(n: int) -> StateSpace:
     """Regular n-gon state space in R^3, unit functional (0, 0, 1)."""
     _check_size("polygon", n)
-    arithmetic, gens, facets, rows = _polygon(n)
-    cone = ConeRep(3, POLYHEDRAL, arithmetic, gens, facets, facet_rows=rows)
+    arithmetic, gens, facets, facet_rows, generator_rows = _polygon(n)
+    cone = ConeRep(3, POLYHEDRAL, arithmetic, gens, facets,
+                   facet_rows=facet_rows, generator_rows=generator_rows)
     return StateSpace(cone, (ZERO, ZERO, ONE), name=f"polygon:{n}")
 
 

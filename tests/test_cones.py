@@ -71,14 +71,14 @@ def brute_force_rays(halfspaces, dim):
                 active = tuple(h for h in halfspaces if dot(h, candidate) == 0)
                 if rank(active) == dim - 1 or dim == 1:
                     c = canonical_ray(candidate)
-                    out[lex_key(c)] = c
+                    out[lex_key(c)] = tuple(x.numerator for x in c)
     return tuple(v for _, v in sorted(out.items()))
 
 
 def reference_rays(halfspaces, dim):
     """Reference double description: Fraction rays, and an adjacency test
     that scans every ray for each (plus, minus) pair. Same output tuple
-    (order and scale) and same errors as enumerate_rays. The base and its
+    (order, scale and int entries) and same errors as enumerate_rays. The base and its
     inverse come from the Fraction Gauss-Jordan of test_linalg, not from
     the library's elimination."""
     if dim > DIMENSION_CAP:
@@ -128,7 +128,8 @@ def reference_rays(halfspaces, dim):
                     for j in range(dim))))
                 new_masks.append(shared | 1 << hi)
         rays, masks = new_rays, new_masks
-    return tuple(sorted(rays, key=lex_key))
+    return tuple(tuple(x.numerator for x in r)
+                 for r in sorted(rays, key=lex_key))
 
 
 def outcome(enumerate_, halfspaces, dim):
@@ -239,11 +240,11 @@ def test_brute_force_oracle_seeded():
     assert compared >= 100
 
 
-def test_kernel_matches_reference_seeded():
-    # Zero, repeated, positively scaled and opposite normals, and inputs
-    # whose normals do not span, in dims 1-6.
+def seeded_kernel_inputs():
+    """2000 seeded (trial, halfspaces, dim) in dims 1-6: zero, repeated,
+    positively scaled and opposite normals, and inputs whose normals do
+    not span."""
     rng = random.Random(20261018)
-    outcomes = set()
     for trial in range(2000):
         dim = rng.randint(1, 6)
         count = rng.randint(max(1, dim - 1), dim + 4)
@@ -258,7 +259,12 @@ def test_kernel_matches_reference_seeded():
         if trial % 7 == 0:
             halfspaces.append(tuple(-x for x in rng.choice(halfspaces)))
         rng.shuffle(halfspaces)
-        halfspaces = tuple(vec(h) for h in halfspaces)
+        yield trial, tuple(vec(h) for h in halfspaces), dim
+
+
+def test_kernel_matches_reference_seeded():
+    outcomes = set()
+    for trial, halfspaces, dim in seeded_kernel_inputs():
         want = outcome(reference_rays, halfspaces, dim)
         assert outcome(enumerate_rays, halfspaces, dim) == want, \
             f"trial {trial}"
@@ -374,7 +380,7 @@ def test_kernel_dims_one_and_two(halfspaces, rays):
     if rays is None:
         assert got[0] is DegenerateConeError
     else:
-        assert got == repr(tuple(vec(r) for r in rays))
+        assert got == repr(rays)
 
 
 def test_kernel_input_errors_match_reference():
@@ -396,12 +402,17 @@ def test_lineal_generators_are_not_pointed():
 
 
 def test_flat_facets_are_not_generating():
-    cone = ConeRep.from_facets(((1, 0, 0), (-1, 0, 0), (0, 1, 0),
-                                (0, 0, 1)))
-    with pytest.raises(DegenerateConeError,
-                       match="^facets describe a cone that is not "
-                             "generating$"):
-        cone.generators
+    # every way to the generators names the sides as this view does
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    reads = (lambda c: c.generators, ConeRep.generator_rows,
+             lambda c: cones.maps_into(eye, c, make_classical(3).cone, 0))
+    for read in reads:
+        cone = ConeRep.from_facets(((1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                    (0, 0, 1)))
+        with pytest.raises(DegenerateConeError,
+                           match="^facets describe a cone that is not "
+                                 "generating$"):
+            read(cone)
 
 
 def test_zero_generator_still_enumerates():
@@ -423,8 +434,9 @@ def sides_match_rank_rule(known, arithmetic):
     verdict is degenerate."""
     dim = len(known[0])
     want = rank_rule(known, dim)
-    if want is not None and arithmetic == FLOAT:
-        want = tuple(tuple(x / max(map(abs, r)) for x in r) for r in want)
+    if want is not None:
+        want = tuple(tuple(F(x, max(map(abs, r)) if arithmetic == FLOAT
+                             else 1) for x in r) for r in want)
     for make, side, name, quality in (
             (ConeRep.from_generators, "facets", "generators", "pointed"),
             (ConeRep.from_facets, "generators", "facets", "generating")):
@@ -472,6 +484,50 @@ def test_spanning_check_matches_rank_rule_seeded_float():
         if rank(known) == dim:
             verdicts.add(sides_match_rank_rule(known, FLOAT))
     assert verdicts == {True, False}
+
+
+def test_enumerated_sides_are_the_fraction_kernels_vectors_seeded(
+        monkeypatch):
+    # Read as vectors, each side enumerated from the seeded inputs is
+    # what the kernel's Fraction rays made: the rays in rational mode,
+    # each ray divided by its largest entry magnitude in float mode. Its
+    # rows are the rays, filled with no vector made.
+    made = []
+    vectors = cones._vectors
+
+    def counted(rows):
+        made.append(rows)
+        return vectors(rows)
+    monkeypatch.setattr(cones, "_vectors", counted)
+    compared = 0
+    for trial, known, dim in seeded_kernel_inputs():
+        if rank(known) != dim:
+            continue
+        rays = rank_rule(known, dim)
+        for arithmetic in (RATIONAL, FLOAT):
+            if rays is None:
+                want = None
+            elif arithmetic == RATIONAL:
+                want = tuple(tuple(map(F, r)) for r in rays)
+            else:
+                want = tuple(tuple(x / max(map(abs, r)) for x in r)
+                             for r in (tuple(map(F, r)) for r in rays))
+            for make, side, rows_of in (
+                    (ConeRep.from_generators, "facets", "facet_rows"),
+                    (ConeRep.from_facets, "generators", "generator_rows")):
+                cone = make(known, arithmetic)
+                if want is None:
+                    with pytest.raises(DegenerateConeError):
+                        getattr(cone, rows_of)()
+                    continue
+                made.clear()
+                rows = getattr(cone, rows_of)()
+                assert made == [], trial
+                assert repr(getattr(cone, side)) == repr(want), trial
+                assert made == [rows]
+                assert rows == tuple(map(linalg.integer_row, want))
+                compared += 1
+    assert compared > 1000
 
 
 HEXAGON = StateSpace(
@@ -751,12 +807,15 @@ def test_rows_cleared_through_one_view_are_the_other_views(monkeypatch):
         assert cone.dual().facet_rows() is rows
         assert cone.facet_rows() is cone.dual().generator_rows()
         assert cone.dual().dual() is cone
-        # each generator and facet is cleared once, by the accessor (the
+        # the given generators are cleared once each, by the accessor, and
+        # the enumerated facets never, before or after they are read (the
         # facets' double description clears its normals and base besides)
-        sides = cone.generators + cone.facets
+        facets = cone.facets
+        assert cone.facet_rows() == tuple(map(linalg.integer_row, facets))
+        sides = cone.generators + facets
         mine = [v for direct, _, v in seen if direct == "gptkit.cones"
                 and any(v is s for s in sides)]
-        assert sorted(map(id, mine)) == sorted(map(id, sides))
+        assert sorted(map(id, mine)) == sorted(map(id, cone.generators))
         assert rows == tuple(map(linalg.integer_row, cone.generators))
     # positivity clears the domain's generators through its dual view;
     # the domain reads the same rows
@@ -768,6 +827,18 @@ def test_rows_cleared_through_one_view_are_the_other_views(monkeypatch):
     rows = space.cone._facet_rows
     assert rows is not None and space.cone.facet_rows() is rows
     assert space.cone.dual().generator_rows() is rows
+
+
+@pytest.mark.parametrize("n", (3, 5, 14))
+def test_float_polygons_hand_over_their_vertex_rows(monkeypatch, n):
+    # the rows that prove the edge facets are the cone's generator rows,
+    # read with no clear
+    seen = record_clears(monkeypatch)
+    cone = make_polygon(n).cone
+    made = len(seen)
+    rows = cone.generator_rows()
+    assert rows is cone._generator_rows and len(seen) == made
+    assert rows == tuple(map(linalg.integer_row, cone.generators))
 
 
 def test_minimal_generators_drops_redundant():

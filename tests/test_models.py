@@ -64,6 +64,11 @@ def test_polygon_facets_are_double_descriptions(n):
     assert p.cone.facets == enumerated.facets
 
 
+def vertex_rows(gens):
+    """The rows _edge_rows takes: each vertex cleared by integer_row."""
+    return tuple(map(integer_row, gens))
+
+
 def reference_edge_rows(gens):
     """The edge facets by their definition, each tested on every vertex:
     f_k = v_k x v_(k+1) on coprime integer rows, >= 0 on every vertex
@@ -104,20 +109,20 @@ def test_edge_rows_match_the_definition_seeded():
                                      * rng.randint(1, 9), rng.randint(1, 9))])
             if any(g[2] < 0 for g in gens):
                 # the proof wants every vertex above the unit's plane
-                assert _edge_rows(gens) is None, cycle
+                assert _edge_rows(vertex_rows(gens)) is None, cycle
                 continue
             want = reference_edge_rows(gens) if len(gens) >= 3 else None
-            assert _edge_rows(gens) == want, cycle
+            assert _edge_rows(vertex_rows(gens)) == want, cycle
             accepted += want is not None
     assert accepted > 400
     # a float pentagram turns left at every vertex but winds twice
     p5 = make_polygon(5).vertices
-    assert _edge_rows(p5[::2] + p5[1::2]) is None
+    assert _edge_rows(vertex_rows(p5[::2] + p5[1::2])) is None
     # three collinear lifts
-    assert _edge_rows(tuple(vec(g) for g in (
-        (1, 0, 1), (0, 0, 1), (-1, 0, 1), (0, 1, 1)))) is None
+    assert _edge_rows(vertex_rows(tuple(vec(g) for g in (
+        (1, 0, 1), (0, 0, 1), (-1, 0, 1), (0, 1, 1))))) is None
     # the square's edges are its hard-coded facets
-    assert _edge_rows(make_squit().vertices) == tuple(
+    assert _edge_rows(vertex_rows(make_squit().vertices)) == tuple(
         (tuple(int(x) for x in f), F(1)) for f in make_squit().cone.facets)
 
 
