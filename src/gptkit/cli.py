@@ -154,10 +154,11 @@ def _equals_min(small, big, eps) -> bool:
     tensor small. A ray with a min generator's row is a positive
     multiple of it; only the other rays go to the LP."""
     products = {row for row, _ in small.cone.generator_rows()}
-    return all(row in products
-               or feasible_point(small.cone.generators, g, eps)[0] is not None
-               for g, (row, _) in zip(big.cone.generators,
-                                      big.cone.generator_rows()))
+    rays = [g for (row, _), g in zip(big.cone.generator_rows(),
+                                     big.cone.generators)
+            if row not in products]
+    columns = small.cone.generators if rays else ()
+    return all(feasible_point(columns, g, eps)[0] is not None for g in rays)
 
 
 def _cmd_marginal(args) -> int:

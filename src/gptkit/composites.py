@@ -12,8 +12,8 @@ evaluation are linear algebra on W; entanglement is non-membership in
 the minimal cone, asked of the product generators it holds. Products
 are made from the factors' rows (ConeRep.generator_rows and facet_rows),
 and each tensor hands its side to its cone as product rows: a side's
-Fractions are made only when it is read, and membership in the maximal
-cone and positivity from the minimal one clear none again.
+Fractions are made on each read, and membership in the maximal cone
+and positivity from the minimal one clear none again.
 """
 
 from __future__ import annotations
@@ -139,20 +139,20 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
                for g in candidate.cone.generators)
 
 
-def _directions(vectors) -> tuple[Vec, ...]:
-    """One vector per direction, the one of largest scale; zeros dropped.
+def _directions(vectors) -> Rows:
+    """One (row, scale) per direction, the largest scale; zeros dropped.
 
     At any eps >= 0, as facets they give every vector the verdict that
     all of them give it: a pairing whose integer sum is
     s >= 0 passes at every scale (zero vectors pair to 0), and one with
     s < 0 is hardest at the largest scale.
     """
-    best = {}  # integer direction -> (scale, vector)
+    best = {}  # integer direction -> largest scale
     for v in vectors:
         row, scale = integer_row(v)
-        if any(row) and (row not in best or scale > best[row][0]):
-            best[row] = scale, v
-    return tuple(v for _, v in best.values())
+        if any(row) and scale > best.get(row, 0):
+            best[row] = scale
+    return tuple(best.items())
 
 
 def _as_matrix(flat: Vec, m: int, n: int) -> Mat:
@@ -350,10 +350,12 @@ def check_distributive_inclusion(a: StateSpace, b: StateSpace,
     """
     eps = tolerance_for(tol, a, b, c)
     left, right = max_tensor(b, c), min_tensor(a, b)
+    facets = c.cone.facets
     ws = [matvec(_as_matrix(h, b.dim, c.dim), f)
-          for h in left.cone.generators for f in c.cone.facets]
-    # a facet list, read by maps_into only: {y : <w, y> >= 0 for every w}
-    cut = ConeRep(b.dim, POLYHEDRAL, b.arithmetic, None, _directions(ws))
+          for h in left.cone.generators for f in facets]
+    # facet rows, read by maps_into only: {y : <w, y> >= 0 for every w}
+    cut = ConeRep(b.dim, POLYHEDRAL, b.arithmetic, None, None,
+                  facet_rows=_directions(ws))
     return all(maps_into(transpose(_as_matrix(f, a.dim, b.dim)), a.cone,
                          cut, eps)
                for f in right.cone.facets)

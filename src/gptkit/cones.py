@@ -2,32 +2,31 @@
 
 Polyhedral cones carry extreme-ray generators and/or facet inequalities
 <f, x> >= 0; whichever side is missing is computed on demand by the
-Motzkin double-description method and kept as integer rows. A side may
-also be handed over as integer rows (a float polygon's vertices and
-edge facets, a tensor product's side); a side held as rows makes its
-Fractions only when it is read.
-Lorentz (second-order) cones carry no lists; membership there compares
-squares, so no square roots enter and rational inputs stay exact. `contains` is the membership
+Motzkin double-description method. Lorentz (second-order) cones carry
+no lists; membership there compares squares, so no square roots enter
+and rational inputs stay exact. `contains` is the membership
 test, of a cone and, as `dual().contains`, of its dual. It reads facets;
 `weights` asks the generators a cone holds (one phase-1 LP), which
 `contains` falls back on only where the facets are missing and the
 dimension cap refuses to enumerate them.
 
 All arithmetic is exact, including for float-mode spaces (their data is
-embedded losslessly); see scalars module notes. A cone's vectors in and
-out are Fraction tuples. Double description takes any rational normals
-(a cone passes its known side's integer rows) and returns coprime
-integer rays, which the cone keeps as the enumerated side's rows, so
-no side is cleared back from Fractions. Inside it, normals and rays are
-coprime integer tuples in fixed slots, and each normal's zero set is a
-bitset over the slots kept across steps. A ray about to be cut off that
-lies on exactly dim - 1 normals finds its new neighbours along its edges
-by ANDs of those bitsets; any other one is paired with every ray kept,
-through a popcount prefilter and the same bitsets. A polyhedral side is
-read as rows (coprime integers times a positive scale, one per vector)
-through `facet_rows()` and its twin `generator_rows()`, the dual view's
-facet rows: handed over, enumerated, or cleared once from given
-vectors, and shared by both views, so no caller clears a side again.
+embedded losslessly); see scalars module notes. A polyhedral side is
+held in one form, as rows: each vector a coprime integer row times a
+positive scale (linalg.integer_row), cleared once from given vectors by
+the constructor, handed over (a polygon's vertices and edge facets, a
+tensor product's side) or enumerated. `facet_rows()` and its twin
+`generator_rows()`, the dual view's facet rows, read it, shared by both
+views, so no caller clears a side again; `generators` and `facets` make
+its Fraction vectors anew on every read, so a caller reads them once.
+Double description takes any rational normals (a cone passes its known
+side's integer rows) and returns coprime integer rays, the enumerated
+side's rows. Inside it, normals and rays are coprime integer tuples in
+fixed slots, and each normal's zero set is a bitset over the slots kept
+across steps. A ray about to be cut off that lies on exactly dim - 1
+normals finds its new neighbours along its edges by ANDs of those
+bitsets; any other one is paired with every ray kept, through a popcount
+prefilter and the same bitsets.
 Membership tests a vector, cleared over one denominator, by an int dot
 and a sign per facet row; so does `maps_into`, the one positivity test
 of a map between cones, on each generator row's image under the
@@ -47,6 +46,7 @@ from .errors import (
     DegenerateConeError,
     DimensionCapError,
     DimensionMismatchError,
+    InvalidInputError,
     UnsupportedConeError,
 )
 from .linalg import (
@@ -259,15 +259,32 @@ def _meets(rows: Rows, xs: tuple[int, ...], xscale: Fraction,
     return True
 
 
+def _given(vectors, noun: str) -> tuple[Vec, ...]:
+    """A side given as vectors: a nonempty sequence of number sequences
+    of one length."""
+    try:
+        items = iter(vectors)
+    except TypeError:
+        raise InvalidInputError(
+            f"expected a sequence of {noun}s, got {vectors!r}") from None
+    side = tuple(vec(v) for v in items)
+    if not side:
+        raise DegenerateConeError(f"no {noun}s given")
+    if any(len(v) != len(side[0]) for v in side):
+        raise DimensionMismatchError(f"{noun} length differs from dim")
+    return side
+
+
 class ConeRep:
     """A pointed, generating cone in R^dim.
 
-    kind "polyhedral": generators and facets, either lazily completed.
+    kind "polyhedral": generators and facets, either lazily completed,
+    held as `Rows` only; `generators` and `facets` make vectors per read.
     kind "lorentz": x[-1] >= euclidean norm of x[:-1]; no finite lists.
     """
 
     __slots__ = ("dim", "kind", "arithmetic", "_generators", "_facets",
-                 "_facet_rows", "_generator_rows", "_dual")
+                 "_dual")
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
                  generators: tuple[Vec, ...] | None,
@@ -281,12 +298,11 @@ class ConeRep:
         self.dim = dim
         self.kind = kind
         self.arithmetic = arithmetic
-        self._generators = generators
-        self._facets = facets
-        # a side's rows, if the caller has them; a side held only as rows
-        # makes its Fractions when first read
-        self._facet_rows = facet_rows
-        self._generator_rows = generator_rows
+        # each side as rows: the rows given, else the vectors cleared once
+        self._generators = generator_rows if generators is None \
+            else tuple(map(integer_row, generators))
+        self._facets = facet_rows if facets is None \
+            else tuple(map(integer_row, facets))
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------
@@ -294,36 +310,26 @@ class ConeRep:
     @classmethod
     def from_generators(cls, generators,
                         arithmetic: str = RATIONAL) -> ConeRep:
-        gens = tuple(vec(g) for g in generators)
-        if not gens:
-            raise DegenerateConeError("no generators given")
-        d = len(gens[0])
-        if any(len(g) != d for g in gens):
-            raise DimensionMismatchError("generator length differs from dim")
-        cone = cls(d, POLYHEDRAL, arithmetic, gens, None)
-        if rank(gens) != d:
+        gens = _given(generators, "generator")
+        cone = cls(len(gens[0]), POLYHEDRAL, arithmetic, gens, None)
+        if rank(gens) != cone.dim:
             raise DegenerateConeError("generators do not span (not generating)")
         return cone
 
     @classmethod
     def from_facets(cls, facets, arithmetic: str = RATIONAL) -> ConeRep:
-        fcts = tuple(vec(f) for f in facets)
-        if not fcts:
-            raise DegenerateConeError("no facets given")
-        d = len(fcts[0])
-        if any(len(f) != d for f in fcts):
-            raise DimensionMismatchError("facet length differs from dim")
-        if rank(fcts) != d:
+        fcts = _given(facets, "facet")
+        if rank(fcts) != len(fcts[0]):
             raise DegenerateConeError("facet normals do not span (not pointed)")
-        return cls(d, POLYHEDRAL, arithmetic, None, fcts)
+        return cls(len(fcts[0]), POLYHEDRAL, arithmetic, None, fcts)
 
     @classmethod
     def from_both(cls, generators, facets,
                   arithmetic: str = RATIONAL) -> ConeRep:
-        gens = tuple(vec(g) for g in generators)
-        fcts = tuple(vec(f) for f in facets)
-        recomputed = cls.from_generators(gens, arithmetic)
-        cone = cls(len(gens[0]), POLYHEDRAL, arithmetic, gens, fcts)
+        recomputed = cls.from_generators(generators, arithmetic)
+        cone = cls(recomputed.dim, POLYHEDRAL, arithmetic, None,
+                   _given(facets, "facet"),
+                   generator_rows=recomputed.generator_rows())
         if {r for r, _ in recomputed.facet_rows()} != \
                 {r for r, _ in cone.facet_rows()}:
             raise DegenerateConeError(
@@ -340,30 +346,22 @@ class ConeRep:
 
     @property
     def generators(self) -> tuple[Vec, ...]:
-        if self._generators is None:
-            self._generators = _vectors(self.generator_rows())
-            self._dual._facets = self._generators
-        return self._generators
+        return _vectors(self.generator_rows())
 
     @property
     def facets(self) -> tuple[Vec, ...]:
-        if self._facets is None:
-            self._facets = _vectors(self.facet_rows())
-            if self._dual is not None:
-                self._dual._generators = self._facets
-        return self._facets
+        return _vectors(self.facet_rows())
 
     def has_generators(self) -> bool:
-        return self._generators is not None or \
-            self._generator_rows is not None
+        return self._generators is not None
 
     def has_facets(self) -> bool:
-        return self._facets is not None or self._facet_rows is not None
+        return self._facets is not None
 
     def facet_rows(self) -> Rows:
         """Each facet as a coprime integer row and a positive scale whose
         product is the facet (linalg.integer_row): handed over, cleared
-        once from the facets, or enumerated. Raises as `facets` does."""
+        from the given facets, or enumerated. Raises as `facets` does."""
         return self._rows("facet", "generators", "pointed")
 
     def generator_rows(self) -> Rows:
@@ -372,18 +370,15 @@ class ConeRep:
         return self.dual()._rows("generator", "facets", "generating")
 
     def _rows(self, side: str, known_name: str, quality: str) -> Rows:
-        """This view's facet rows, filled once and shared with the dual
-        view. The names are the asking view's (generator_rows asks the
-        dual view), so an error names the sides as that view does."""
-        if self._facet_rows is None:
-            if self._facets is not None:
-                rows = tuple(map(integer_row, self._facets))
-            else:
-                rows = self._enumerate_missing(side, known_name, quality)
-            self._facet_rows = rows
-            if self._dual is not None:
-                self._dual._generator_rows = rows
-        return self._facet_rows
+        """This view's facet rows, enumerated once if missing and shared
+        with the dual view. The names are the asking view's
+        (generator_rows asks the dual view), so an error names the sides
+        as that view does."""
+        if self._facets is None:
+            self._facets = self._enumerate_missing(side, known_name, quality)
+            # enumeration read the generator rows, so the dual view exists
+            self._dual._generators = self._facets
+        return self._facets
 
     def _enumerate_missing(self, side: str, known_name: str,
                            quality: str) -> Rows:
@@ -446,7 +441,8 @@ class ConeRep:
             # Strictly positive iff interior to the (self-dual) cone.
             head, last = functional[:-1], functional[-1]
             return last > 0 and last ** 2 > dot(head, head)
-        return all(dot(functional, g) > 0 for g in self.generators)
+        # a row has the sign of its generator, as its scale is positive
+        return all(dot(functional, g) > 0 for g, _ in self.generator_rows())
 
     def dual(self) -> ConeRep:
         """The dual cone: one cached view with the two sides swapped, and
@@ -454,9 +450,8 @@ class ConeRep:
         cones are self-dual."""
         if self._dual is None:
             self._dual = ConeRep(self.dim, POLYHEDRAL, self.arithmetic,
-                                 self._facets, self._generators,
-                                 facet_rows=self._generator_rows,
-                                 generator_rows=self._facet_rows)
+                                 None, None, facet_rows=self._generators,
+                                 generator_rows=self._facets)
             self._dual._dual = self
         return self._dual
 

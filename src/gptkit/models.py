@@ -4,8 +4,8 @@ classical:n   simplex over n outcomes (positive orthant, counting unit)
 polygon:n     regular n-gon disc; n = 4 uses the exact rational square
               presentation with vertices (+-1, +-1, 1); any other n
               embeds the floats cos 2pi k/n and sin 2pi k/n once, as
-              vertex k and as rotation k of its symmetry group, and
-              carries its edge facets, each proved on integer rows
+              vertex k and as rotation k of its symmetry group; each
+              carries its vertex rows and its edge facets, proved on them
 squit         alias for polygon:4
 ball:d        d-dimensional euclidean ball (lorentz cone in d+1 coords)
 
@@ -36,16 +36,11 @@ def _rot2(c, s) -> Mat:
     return ((c, -s, ZERO), (s, c, ZERO), (ZERO, ZERO, ONE))
 
 
-# The exact square: vertices (+-1, +-1, 1) in cyclic order, whose facet
-# normals are (+-1, 0, 1) and (0, +-1, 1); and the hat map
-# (+1 -1 0 / +1 +1 0 / 0 0 1) of its maximally correlated state.
-_SQUARE = (
-    RATIONAL,
-    ((ONE, ONE, ONE), (-ONE, ONE, ONE), (-ONE, -ONE, ONE), (ONE, -ONE, ONE)),
-    ((-ONE, ZERO, ONE), (ZERO, -ONE, ONE), (ZERO, ONE, ONE),
-     (ONE, ZERO, ONE)),
-    ((ONE, -ONE, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, ONE)),
-)
+# The exact square: vertices (+-1, +-1, 1) in cyclic order, as rows; and
+# the hat map (+1 -1 0 / +1 +1 0 / 0 0 1) of its maximally correlated state.
+_SQUARE = tuple(((x, y, 1), ONE) for x, y in ((1, 1), (-1, 1), (-1, -1),
+                                               (1, -1)))
+_SQUARE_HAT = ((ONE, -ONE, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, ONE))
 
 
 def _point(angle: float, scale: float = 1) -> tuple:
@@ -71,7 +66,8 @@ def _edge_rows(gens: Rows) -> Rows | None:
     each f_k is >= 0 on every vertex and 0 on exactly v_k and v_(k+1),
     every vertex is extreme, and these n edges are every facet. The
     rows are sorted as enumerate_rays sorts its rays, each with scale
-    1 / (its largest entry magnitude), the float-mode rescale.
+    1 / (its largest entry magnitude), the float-mode rescale (1 on the
+    square's edges, as in rational mode).
     """
     verts = [row for row, _ in gens]
     n = len(verts)
@@ -95,23 +91,22 @@ def _edge_rows(gens: Rows) -> Rows | None:
     return tuple((f, Fraction(1, max(map(abs, f)))) for f in sorted(rows))
 
 
-def _polygon(n: int) -> tuple:
-    """Arithmetic, vertices, facets, facet rows and vertex rows of the
-    n-gon. The square is exact; any other n-gon embeds its floats
-    exactly and holds its vertices' rows and its proved edge facets as
-    rows (None leaves them to double description)."""
+def _polygon(n: int) -> tuple[str, Rows, Rows | None]:
+    """Arithmetic, vertex rows and edge facet rows of the n-gon (None
+    leaves the facets to double description). The square is exact; any
+    other n-gon embeds its floats exactly."""
     if n == 4:
-        return _SQUARE[:3] + (None, None)
-    gens = tuple(_point(2 * math.pi * k / n) + (ONE,) for k in range(n))
-    rows = tuple(map(integer_row, gens))
-    return FLOAT, gens, None, _edge_rows(rows), rows
+        return RATIONAL, _SQUARE, _edge_rows(_SQUARE)
+    rows = tuple(integer_row(_point(2 * math.pi * k / n) + (ONE,))
+                 for k in range(n))
+    return FLOAT, rows, _edge_rows(rows)
 
 
 def _hat(n: int) -> Mat:
     """Hat map of the n-gon's maximally correlated state: the half-step
     rotation scaled by cos pi/n, exact for the square."""
     if n == 4:
-        return _SQUARE[3]
+        return _SQUARE_HAT
     return _rot2(*_point(-(n + 1) * math.pi / n, math.cos(math.pi / n)))
 
 
@@ -128,8 +123,9 @@ def _check_size(family: str, size: int) -> None:
 def make_classical(n: int) -> StateSpace:
     """Simplex of probability vectors over n outcomes."""
     _check_size("classical", n)
-    basis = identity(n)
-    cone = ConeRep(n, POLYHEDRAL, RATIONAL, basis, basis)
+    rows = tuple(map(integer_row, identity(n)))
+    cone = ConeRep(n, POLYHEDRAL, RATIONAL, None, None, facet_rows=rows,
+                   generator_rows=rows)
     unit = tuple([ONE] * n)
     return StateSpace(cone, unit, name=f"classical:{n}")
 
@@ -137,9 +133,9 @@ def make_classical(n: int) -> StateSpace:
 def make_polygon(n: int) -> StateSpace:
     """Regular n-gon state space in R^3, unit functional (0, 0, 1)."""
     _check_size("polygon", n)
-    arithmetic, gens, facets, facet_rows, generator_rows = _polygon(n)
-    cone = ConeRep(3, POLYHEDRAL, arithmetic, gens, facets,
-                   facet_rows=facet_rows, generator_rows=generator_rows)
+    arithmetic, vertex_rows, edge_rows = _polygon(n)
+    cone = ConeRep(3, POLYHEDRAL, arithmetic, None, None,
+                   facet_rows=edge_rows, generator_rows=vertex_rows)
     return StateSpace(cone, (ZERO, ZERO, ONE), name=f"polygon:{n}")
 
 
@@ -194,8 +190,9 @@ def _same_space(x: StateSpace, y: StateSpace) -> bool:
         return True
     if (x.kind, x.arithmetic, x.unit) != (y.kind, y.arithmetic, y.unit):
         return False
+    # integer_row is one to one, so equal row sets are equal vector sets
     return x.kind != POLYHEDRAL or \
-        set(x.cone.generators) == set(y.cone.generators)
+        set(x.cone.generator_rows()) == set(y.cone.generator_rows())
 
 
 def _is_named_model(space: StateSpace) -> bool:
@@ -205,8 +202,8 @@ def _is_named_model(space: StateSpace) -> bool:
     if not family:
         return False
     poly = space.kind == POLYHEDRAL
-    size = {"classical": space.dim, "ball": space.dim - 1,
-            "polygon": len(space.cone.generators) if poly else -1}[family]
+    size = {"classical": space.dim, "ball": space.dim - 1, "polygon":
+            len(space.cone.generator_rows()) if poly else -1}[family]
     try:
         model = _MAKERS[family](size) if tail == str(size) else None
     except InvalidInputError:
@@ -223,14 +220,15 @@ def direct_sum(a: StateSpace, b: StateSpace) -> StateSpace:
         raise UnsupportedConeError("direct sum needs polyhedral factors")
     da, db = a.dim, b.dim
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    gens = tuple(g + (ZERO,) * db for g in a.cone.generators) \
-        + tuple((ZERO,) * da + g for g in b.cone.generators)
+    gens = tuple((r + (0,) * db, s) for r, s in a.cone.generator_rows()) \
+        + tuple(((0,) * da + r, s) for r, s in b.cone.generator_rows())
     facets = None
     if a.cone.has_facets() and b.cone.has_facets():
-        facets = tuple(f + (ZERO,) * db for f in a.cone.facets) \
-            + tuple((ZERO,) * da + f for f in b.cone.facets)
-    # a block sum of spanning sets spans: no rank check
-    cone = ConeRep(da + db, POLYHEDRAL, arith, gens, facets)
+        facets = tuple((r + (0,) * db, s) for r, s in a.cone.facet_rows()) \
+            + tuple(((0,) * da + r, s) for r, s in b.cone.facet_rows())
+    # zero-padded rows stay coprime; a block sum of spanning sets spans
+    cone = ConeRep(da + db, POLYHEDRAL, arith, None, None,
+                   facet_rows=facets, generator_rows=gens)
     unit = a.unit + b.unit
     name = f"({a.name or 'A'})+({b.name or 'B'})"
     return StateSpace(cone, unit, name=name)

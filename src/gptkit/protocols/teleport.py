@@ -261,7 +261,8 @@ def verify_compression_witness(a1: StateSpace, a2: StateSpace, p_coords,
     # (P S)[:, m] = e_m, then its part of h(S g) for every positivity
     # pair (g, h); a -1 slack column per pair keeps each h(S g) >= 0.
     d1, d2 = a1.dim, a2.dim
-    pairs = [(g, h) for g in a1.cone.generators for h in a2.cone.generators]
+    duals = a2.cone.generators
+    pairs = [(g, h) for g in a1.cone.generators for h in duals]
     entries = [tuple(P[i][k] if j == m else ZERO
                      for i in range(d1) for j in range(d1))
                + tuple(h[k] * g[m] for g, h in pairs)

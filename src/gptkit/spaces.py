@@ -84,9 +84,10 @@ class StateSpace:
                 raise UnsupportedConeError(
                     "lorentz spaces have no finite vertex list")
             verts = []
-            for g in self.cone.generators:
-                scale = dot(self.unit, g)
-                verts.append(tuple(x / scale for x in g))
+            for row, _ in self.cone.generator_rows():  # vertex r / u(r)
+                u = dot(self.unit, row)
+                n, d = u.denominator, u.numerator
+                verts.append(tuple(Fraction(x * n, d) for x in row))
             self._vertices = tuple(verts)
         return self._vertices
 
@@ -113,12 +114,13 @@ class StateSpace:
         if self.kind == POLYHEDRAL:
             # a side is written when it reads back exactly (computed float
             # sides are scaled), and generators whenever facets are not
-            cone, mode = self.cone, self.arithmetic
-            exact = cone.has_facets() and emits_exactly(cone.facets, mode)
-            if not exact or emits_exactly(cone.generators, mode):
-                body["generators"] = emit(cone.generators, mode)
+            mode, gens = self.arithmetic, self.cone.generators
+            facets = self.cone.facets if self.cone.has_facets() else None
+            exact = facets is not None and emits_exactly(facets, mode)
+            if not exact or emits_exactly(gens, mode):
+                body["generators"] = emit(gens, mode)
             if exact:
-                body["facets"] = emit(cone.facets, mode)
+                body["facets"] = emit(facets, mode)
         return body
 
     @classmethod
@@ -204,8 +206,8 @@ def dual_cone(space: StateSpace) -> ConeRep:
     """The dual cone, canonicalized (both representation sides realized)."""
     d = space.cone.dual()
     if d.kind == POLYHEDRAL:
-        d.generators  # noqa: B018 - forces enumeration and caching
-        d.facets  # noqa: B018
+        d.generator_rows()
+        d.facet_rows()
     return d
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gptkit import cones
 from gptkit.composites import BipartiteState, marginal, min_tensor, product_vec
 from gptkit.cones import ConeRep
 from gptkit.errors import InvalidInputError, UnsupportedConeError
@@ -9,6 +10,7 @@ from gptkit.linalg import matvec, vec
 from gptkit.models import make_ball, make_classical, make_polygon, make_squit
 from gptkit.protocols import build_cloner, is_broadcastable, is_clonable
 from gptkit.spaces import StateSpace, one_shot_distinguishing_observable
+from test_cones import held_as_rows
 
 F = Fraction
 HALF = F(1, 2)
@@ -48,15 +50,16 @@ def test_cloner_copies_the_distinguished_states():
     assert matvec(cloner.matrix, v[2]) == product_vec(v[2], v[2])
 
 
-def test_cloner_leaves_its_composite_generators_unmade():
+def test_cloner_leaves_its_composite_generators_unmade(monkeypatch):
     # the cloner's codomain is read for its dim only: the min tensor's
-    # products stay integer rows
+    # products stay integer rows, and no double description runs
+    monkeypatch.setattr(cones, "enumerate_rays", None)
     p5 = make_polygon(5)
     v = p5.vertices
     obs = one_shot_distinguishing_observable(p5, (v[0], v[2]))
     cone = build_cloner((v[0], v[2]), obs).codomain.cone
-    assert cone.has_generators() and cone._generators is None
-    assert cone._facets is None
+    assert cone.has_generators() and not cone.has_facets()
+    assert held_as_rows(cone)
 
 
 def test_cloner_broadcasts_hull_points_without_cloning():

@@ -18,12 +18,12 @@ from gptkit.errors import (DimensionMismatchError, InvalidInputError,
 from gptkit.linalg import (dot, identity, integer_row, lex_key, mat, matvec,
                            rank, transpose, vec)
 from gptkit.lp import feasible_point
-from gptkit import models
+from gptkit import cones, models
 from gptkit.models import (entangled_state_coords, make_ball, make_classical,
                            make_polygon, make_squit)
 from gptkit.scalars import tolerance_for
 from gptkit.spaces import LinearMapRep, StateSpace, is_positive_map
-from test_cones import HEXAGON, record_clears
+from test_cones import HEXAGON, held_as_rows, record_clears
 
 F = Fraction
 EIGHTH = F(1, 8)
@@ -101,30 +101,31 @@ def test_tensor_products_are_product_vec_in_order(a, b):
     (make_classical(2), make_classical(3)), (make_squit(), make_squit()),
     (make_polygon(5), make_polygon(7)), (make_polygon(5), make_squit())],
     ids=["classical", "squit", "polygon", "polygon-squit"])
-def test_tensor_sides_are_rows_until_read(a, b):
+def test_tensor_sides_are_rows_until_read(a, b, monkeypatch):
+    monkeypatch.setattr(cones, "enumerate_rays", None)
     low, high = min_tensor(a, b).cone, max_tensor(a, b).cone
     # each tensor holds its side as integer rows only, and it counts
-    assert low._generators is None and low.has_generators()
-    assert high._facets is None and high.has_facets()
+    assert low.has_generators() and high.has_facets()
     assert not low.has_facets() and not high.has_generators()
+    assert held_as_rows(low) and held_as_rows(high)
     # each dual view reads the rows as its other side's rows
     assert low.dual().facet_rows() is low.generator_rows()
     assert high.dual().generator_rows() is high.facet_rows()
-    # membership and positivity read the rows: no side's Fractions
+    # membership and positivity read the rows: no double description
     x = product_vec(a.vertices[0], b.vertices[-1])
     assert high.contains(x) and low.dual().contains(product_vec(a.unit,
                                                                 b.unit))
     assert maps_into(identity(low.dim), low, high, F(0))
-    assert low._generators is None and high._facets is None
-    # read, each side is the eager product_vec list, in order, and the
-    # dual view shares it
+    # read, each side is the eager product_vec list, in order, read alike
+    # through the dual view, and the cones still hold rows only
     assert list(low.generators) == [
         product_vec(x, y) for x in a.cone.generators
         for y in b.cone.generators]
     assert list(high.facets) == [
         product_vec(x, y) for x in a.cone.facets for y in b.cone.facets]
-    assert low.dual().facets is low.generators
-    assert high.dual().generators is high.facets
+    assert low.dual().facets == low.generators
+    assert high.dual().generators == high.facets
+    assert held_as_rows(low) and held_as_rows(high)
 
 
 @pytest.mark.parametrize("space", [make_polygon(5), FRACTIONAL, make_squit()],

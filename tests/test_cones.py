@@ -14,7 +14,8 @@ from gptkit.composites import max_tensor, min_tensor, product_vec
 from gptkit.cones import (DIMENSION_CAP, ConeRep, enumerate_rays,
                           independent_subset, partition_rays)
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
-                           DimensionMismatchError, UnsupportedConeError)
+                           DimensionMismatchError, InvalidInputError,
+                           UnsupportedConeError)
 from gptkit.linalg import (canonical_ray, combination, dot, lex_key, mat,
                            nullspace, rank, rref, vec)
 from gptkit.models import make_ball, make_classical, make_polygon, make_squit
@@ -32,6 +33,17 @@ SQUARE_FACETS = ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
 
 def ray_set(rays):
     return {lex_key(canonical_ray(r)) for r in rays}
+
+
+def held_as_rows(cone) -> bool:
+    """Whether each side slot of the cone and of its dual view holds None
+    or rows (int tuples, each with a positive Fraction scale), and never
+    Fraction vectors."""
+    views = (cone,) if cone._dual is None else (cone, cone._dual)
+    return all(side is None or all(
+        type(scale) is F and scale > 0 and all(type(x) is int for x in row)
+        for row, scale in side)
+        for view in views for side in (view._generators, view._facets))
 
 
 def record_clears(monkeypatch) -> list:
@@ -204,6 +216,36 @@ def test_from_both_validates():
     ConeRep.from_both(SQUARE_GENS, SQUARE_FACETS)
     with pytest.raises(DegenerateConeError):
         ConeRep.from_both(SQUARE_GENS, ((1, 0, 1), (0, 1, 1), (0, -1, 1)))
+
+
+@pytest.mark.parametrize("side", (5, True, None, 2.5))
+def test_a_side_that_is_no_sequence_is_invalid_input(side):
+    # one validator for every constructor, with the nouns of its side
+    for make, noun in ((ConeRep.from_generators, "generators"),
+                       (ConeRep.from_facets, "facets")):
+        with pytest.raises(InvalidInputError, match=f"sequence of {noun}"):
+            make(side)
+    with pytest.raises(InvalidInputError, match="sequence of generators"):
+        ConeRep.from_both(side, SQUARE_FACETS)
+    with pytest.raises(InvalidInputError, match="sequence of facets"):
+        ConeRep.from_both(SQUARE_GENS, side)
+    # a vector that is no sequence is refused as vec refuses it
+    with pytest.raises(InvalidInputError, match="sequence of numbers"):
+        ConeRep.from_facets((side, (1, 0)))
+
+
+def test_side_validation_keeps_its_messages():
+    for make, noun in ((ConeRep.from_generators, "generator"),
+                       (ConeRep.from_facets, "facet")):
+        with pytest.raises(DegenerateConeError, match=f"no {noun}s given"):
+            make(())
+        with pytest.raises(DimensionMismatchError,
+                           match=f"{noun} length differs from dim"):
+            make(((1, 0), (0, 1, 1)))
+    with pytest.raises(DegenerateConeError, match="do not span"):
+        ConeRep.from_generators(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(DegenerateConeError, match="do not span"):
+        ConeRep.from_facets(((1, 0, 0), (0, 1, 0)))
 
 
 def test_double_description_round_trip():
@@ -796,49 +838,86 @@ def test_dual_swaps_lazily():
 
 
 def test_rows_cleared_through_one_view_are_the_other_views(monkeypatch):
-    # a side is cleared once, whichever view asks first and whether the
-    # dual view is made before or after
+    # a given side is cleared once, by the constructor, and an enumerated
+    # side never, whichever view asks first and whether the dual view is
+    # made before or after
+    seen = record_clears(monkeypatch)
     for early in (True, False):
+        seen.clear()
         cone = ConeRep.from_generators(SQUARE_GENS)
         if early:
             cone.dual()
-        seen = record_clears(monkeypatch)
         rows = cone.generator_rows()
         assert cone.dual().facet_rows() is rows
         assert cone.facet_rows() is cone.dual().generator_rows()
         assert cone.dual().dual() is cone
-        # the given generators are cleared once each, by the accessor, and
-        # the enumerated facets never, before or after they are read (the
-        # facets' double description clears its normals and base besides)
         facets = cone.facets
         assert cone.facet_rows() == tuple(map(linalg.integer_row, facets))
-        sides = cone.generators + facets
-        mine = [v for direct, _, v in seen if direct == "gptkit.cones"
-                and any(v is s for s in sides)]
-        assert sorted(map(id, mine)) == sorted(map(id, cone.generators))
+        assert cone.generators == cone.dual().facets
+        # (the facets' double description clears its normals and base
+        # besides)
+        sides = set(cone.generators) | set(facets)
+        mine = [v for direct, _, v in seen
+                if direct == "gptkit.cones" and v in sides]
+        assert mine == list(map(vec, SQUARE_GENS))
         assert rows == tuple(map(linalg.integer_row, cone.generators))
-    # positivity clears the domain's generators through its dual view;
-    # the domain reads the same rows
+        assert held_as_rows(cone)
+        # an enumerated side is known to both views
+        assert cone.has_facets() and cone.dual().has_generators()
+        other = ConeRep.from_facets(SQUARE_FACETS)
+        if early:
+            other.dual()
+        assert ray_set(other.generators) == ray_set(SQUARE_GENS)
+        assert other.has_generators() and other.dual().has_facets()
+    # positivity reads the domain's generators through its dual view; the
+    # domain reads the same rows
     space = make_polygon(5)
     assert cones.maps_into(((1, 0, 0), (0, 1, 0), (0, 0, 1)), space.cone,
                            space.cone, F(0))
     assert space.cone.generator_rows() is space.cone.dual().facet_rows()
     # handed-over rows are the rows read, through either view
-    rows = space.cone._facet_rows
+    rows = space.cone._facets
     assert rows is not None and space.cone.facet_rows() is rows
     assert space.cone.dual().generator_rows() is rows
+    assert held_as_rows(space.cone)
 
 
 @pytest.mark.parametrize("n", (3, 5, 14))
 def test_float_polygons_hand_over_their_vertex_rows(monkeypatch, n):
     # the rows that prove the edge facets are the cone's generator rows,
-    # read with no clear
+    # read with no clear and no double description
     seen = record_clears(monkeypatch)
+    monkeypatch.setattr(cones, "enumerate_rays", None)
     cone = make_polygon(n).cone
     made = len(seen)
     rows = cone.generator_rows()
-    assert rows is cone._generator_rows and len(seen) == made
+    assert rows is cone._generators and len(seen) == made
     assert rows == tuple(map(linalg.integer_row, cone.generators))
+    assert cone.generators == cone.generators
+    assert held_as_rows(cone)
+
+
+def test_a_side_is_held_once_as_rows_seeded():
+    # after any reads, through either view, each side slot holds rows or
+    # None, and vectors read twice are equal
+    rng = random.Random(3838)
+    reads = ("generators", "facets", "generator_rows", "facet_rows",
+             "minimal_generators", "dual")
+    for _ in range(40):
+        make = rng.choice((ConeRep.from_generators, ConeRep.from_facets))
+        cone = make(SQUARE_GENS + ((0, 0, 1),) * rng.randint(0, 1)
+                    if make is ConeRep.from_generators else SQUARE_FACETS,
+                    rng.choice((RATIONAL, FLOAT)))
+        view = cone
+        for name in rng.choices(reads, k=6):
+            got = getattr(view, name)
+            got = got() if callable(got) else got
+            if name == "dual":
+                view = got
+            elif name in ("generators", "facets"):
+                assert got == getattr(view, name)
+                assert all(type(x) is F for v in got for x in v)
+            assert held_as_rows(cone)
 
 
 def test_minimal_generators_drops_redundant():

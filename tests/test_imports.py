@@ -201,8 +201,7 @@ def test_no_zero_started_sums():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
-CONE_SLOTS = ("_generators", "_facets", "_rows", "_generator_rows",
-              "_facet_rows", "_dual")
+CONE_SLOTS = ("_generators", "_facets", "_rows", "_dual")
 
 
 def cone_slot_reads(source: str) -> list[str]:
@@ -217,9 +216,9 @@ def cone_slot_reads(source: str) -> list[str]:
 
 def test_cone_slot_reads_are_found():
     source = ("ok = cone.facet_rows() + _dual(x) + cone.generators\n"
-              "bad = cone._facet_rows or space.cone._rows\n"
+              "bad = cone._facets or space.cone._rows\n"
               "worse = [c._dual for c in cones]\n"
-              "worst = f(cone._generators, x._facets, y._generator_rows)\n")
+              "worst = f(cone._generators, x.facets, y.generator_rows())\n")
     assert cone_slot_reads(source) == ["line 2", "line 3", "line 4"]
 
 
@@ -227,6 +226,55 @@ def test_cone_slots_only_in_cones():
     found = {str(path.relative_to(PACKAGE)): cone_slot_reads(path.read_text())
              for path in sorted(PACKAGE.rglob("*.py"))
              if path.name != "cones.py"}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def side_reads_in_loops(source: str) -> list[str]:
+    """Reads of `.generators` or `.facets` that run once per pass of a
+    loop or a comprehension: each read makes the side's Fractions anew,
+    so a side is read once, before the loop. A comprehension's outermost
+    iterable, and a `for` loop's iterable, are read once."""
+    tree = ast.parse(source)
+    repeated = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            repeated += node.body
+        elif isinstance(node, ast.While):
+            repeated += [node.test] + node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                               ast.DictComp)):
+            first, *rest = node.generators
+            repeated += [first.target, *first.ifs, *rest]
+            repeated += [node.key, node.value] \
+                if isinstance(node, ast.DictComp) else [node.elt]
+    lines = {inner.lineno for part in repeated for inner in ast.walk(part)
+             if isinstance(inner, ast.Attribute)
+             and inner.attr in ("generators", "facets")
+             and isinstance(inner.ctx, ast.Load)}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_side_reads_in_loops_are_found():
+    source = ("ok = [f(g, y) for g in x.cone.generators for y in ys]\n"
+              "for g in a.generators:\n"
+              "    print(g)\n"
+              "else:\n"
+              "    b.facets\n"
+              "pairs = [(g, h) for g in a.generators for h in b.generators]\n"
+              "for f in fs:\n"
+              "    total += len(c.cone.facets)\n"
+              "while cone.facets:\n"
+              "    pass\n"
+              "d = {k: a.facets for k in ks}\n"
+              "e = any(g in a.generators for g in xs if g)\n"
+              "f = [g for g in xs if g in b.facets]\n")
+    assert side_reads_in_loops(source) == [
+        "line 6", "line 8", "line 9", "line 11", "line 12", "line 13"]
+
+
+def test_no_side_reads_in_loops():
+    found = {str(path.relative_to(PACKAGE)): side_reads_in_loops(
+        path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
@@ -253,6 +301,8 @@ def test_traced_functions_exist():
             missing.append(f"{module_name}.{attr}")
     assert missing == []
     # the lazy-side counters read these slots behind the properties
+    assert ConeRep.__slots__ == ("dim", "kind", "arithmetic", "_generators",
+                                 "_facets", "_dual")
     for side in ("generators", "facets"):
         assert f"_{side}" in ConeRep.__slots__
         assert isinstance(vars(ConeRep)[side], property)

@@ -16,6 +16,7 @@ from gptkit.models import (_edge_rows, direct_sum, entangled_state_coords,
 from gptkit.scalars import FLOAT
 from gptkit.spaces import StateSpace
 from test_bitcommit import _convex_hull
+from test_cones import held_as_rows
 
 F = Fraction
 EPS = F(1, 10 ** 9)
@@ -45,23 +46,27 @@ def test_squit_is_exact_square():
 
 def test_polygon_facets_stay_lazy(monkeypatch):
     # a float polygon holds its proved edge facets as integer rows: no
-    # double description runs, and the Fractions are made on first read
+    # double description runs, and the Fractions are made on each read
     monkeypatch.setattr(cones, "enumerate_rays", None)
     p5 = make_polygon(5)
     assert p5.arithmetic == "float"
-    assert p5.cone.has_facets() and p5.cone._facets is None
+    assert p5.cone.has_facets() and held_as_rows(p5.cone)
     assert len(p5.cone.facets) == 5
-    assert p5.cone._facets is not None
+    assert p5.cone.facets == p5.cone.facets
+    assert held_as_rows(p5.cone)
 
 
 @pytest.mark.parametrize("n", [3, *range(5, 61), 199])
 def test_polygon_facets_are_double_descriptions(n):
-    # the edge facets are exactly the tuple double description and the
+    # the edge facets are exactly the rows double description and the
     # float-mode rescale give, in the same order
     p = make_polygon(n)
-    assert p.cone._facets is None
+    assert p.cone.has_facets() and held_as_rows(p.cone)
     enumerated = ConeRep(3, POLYHEDRAL, FLOAT, p.cone.generators, None)
+    assert not enumerated.has_facets()
+    assert p.cone.facet_rows() == enumerated.facet_rows()
     assert p.cone.facets == enumerated.facets
+    assert held_as_rows(p.cone) and held_as_rows(enumerated)
 
 
 def vertex_rows(gens):

@@ -24,6 +24,7 @@ from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            one_shot_distinguishing_observable,
                            verify_self_duality_witness)
 from test_composites import random_polygon
+from test_cones import held_as_rows
 
 F = Fraction
 HALF = F(1, 2)
@@ -65,6 +66,16 @@ def test_payload_dim_must_be_its_cones(sides):
     with pytest.raises(DimensionMismatchError, match="payload dim 5"):
         StateSpace.from_json_dict(body)
     assert StateSpace.from_json_dict({**body, "dim": 2}).dim == 2
+
+
+@pytest.mark.parametrize("side", ("generators", "facets"))
+def test_payload_side_must_be_a_sequence(side):
+    body = {"dim": 3, "kind": "polyhedral", "unit": [0, 0, 1], side: 5}
+    with pytest.raises(InvalidInputError, match=f"sequence of {side}"):
+        StateSpace.from_json_dict(body)
+    both = {**make_squit().to_json_dict(), side: 5}
+    with pytest.raises(InvalidInputError, match=f"sequence of {side}"):
+        StateSpace.from_json_dict(both)
 
 
 def test_facets_only_space_above_the_cap_fails_at_construction():
@@ -180,8 +191,9 @@ def test_dual_is_one_view_sharing_its_sides(monkeypatch):
     q5 = StateSpace(ConeRep.from_generators(p5.cone.generators, "float"),
                     p5.unit)
     verify_self_duality_witness(q5, identity(3))
-    assert q5.cone.dual().generators is q5.cone.facets
-    assert len(calls) == 1
+    assert q5.cone.dual().generator_rows() is q5.cone.facet_rows()
+    assert q5.cone.dual().generators == q5.cone.facets
+    assert len(calls) == 1 and held_as_rows(q5.cone)
     p7 = make_polygon(7)
     dual_cone(p7)
     assert p7.cone.has_facets()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gptkit.cli
+import gptkit.cones
 import gptkit.protocols.teleport
 import gptkit.spaces
 
@@ -24,6 +25,7 @@ from gptkit.scalars import FLOAT, close, emits_exactly, exactify, tolerance_for
 from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            is_positive_map, order_isomorphic,
                            verify_self_duality_witness)
+from test_cones import held_as_rows
 
 F = Fraction
 
@@ -105,13 +107,14 @@ def test_construct_rescales_the_state_map():
 
 
 @pytest.mark.parametrize("name", ["squit", "polygon:5"])
-def test_shared_state_leaves_its_sides_unmade(name):
-    # the shared state is tested on the max tensor's facet rows: neither
-    # side's Fractions is made
+def test_shared_state_leaves_its_sides_unmade(name, monkeypatch):
+    # the shared state is tested on the max tensor's facet rows: they stay
+    # rows, and no double description makes its generators
+    monkeypatch.setattr(gptkit.cones, "enumerate_rays", None)
     scheme = construct_deterministic_teleportation(parse_model_name(name))
     cone = scheme.omega.composite.cone
-    assert cone.has_facets() and cone._facets is None
-    assert cone._generators is None
+    assert cone.has_facets() and not cone.has_generators()
+    assert held_as_rows(cone)
 
 
 def test_classical_equality_effect_teleports():
