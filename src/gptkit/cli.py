@@ -152,12 +152,13 @@ def _cmd_tensor(args) -> int:
 def _equals_min(small, big, eps) -> bool:
     """Whether every generator of the max tensor big lies in the min
     tensor small. A ray with a min generator's row is a positive
-    multiple of it; only the other rays go to the LP."""
-    products = {row for row, _ in small.cone.generator_rows()}
+    multiple of it; only the other rays go to the LP, on those rows."""
+    rows = [row for row, _ in small.cone.generator_rows()]
+    products = set(rows)
     rays = [g for (row, _), g in zip(big.cone.generator_rows(),
                                      big.cone.generators)
             if row not in products]
-    columns = small.cone.generators if rays else ()
+    columns = rows if rays else ()
     return all(feasible_point(columns, g, eps)[0] is not None for g in rays)
 
 

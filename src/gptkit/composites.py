@@ -88,8 +88,7 @@ def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
     rows = _products(a.cone.generator_rows(), b.cone.generator_rows())
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, None,
-                   generator_rows=rows)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, rows)
     unit = product_vec(a.unit, b.unit)
     name = f"min({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "min", name)
@@ -105,8 +104,7 @@ def max_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
     rows = _products(a.cone.facet_rows(), b.cone.facet_rows())
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, None, None,
-                   facet_rows=rows)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, facets=rows)
     unit = product_vec(a.unit, b.unit)
     name = f"max({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "max", name)
@@ -173,6 +171,7 @@ class BipartiteState:
         da, db = self.composite.split_dims()
         if len(self.coords) != da or any(len(r) != db for r in self.coords):
             raise DimensionMismatchError("coords shape differs from factors")
+        object.__setattr__(self, "coords", mat(self.coords))
 
     @property
     def flat(self) -> Vec:
@@ -354,8 +353,7 @@ def check_distributive_inclusion(a: StateSpace, b: StateSpace,
     ws = [matvec(_as_matrix(h, b.dim, c.dim), f)
           for h in left.cone.generators for f in facets]
     # facet rows, read by maps_into only: {y : <w, y> >= 0 for every w}
-    cut = ConeRep(b.dim, POLYHEDRAL, b.arithmetic, None, None,
-                  facet_rows=_directions(ws))
+    cut = ConeRep(b.dim, POLYHEDRAL, b.arithmetic, facets=_directions(ws))
     return all(maps_into(transpose(_as_matrix(f, a.dim, b.dim)), a.cone,
                          cut, eps)
                for f in right.cone.facets)

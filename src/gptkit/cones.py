@@ -14,13 +14,14 @@ All arithmetic is exact, including for float-mode spaces (their data is
 embedded losslessly); see scalars module notes. A polyhedral side is
 held in one form, as rows: each vector a coprime integer row times a
 positive scale (linalg.integer_row), cleared once from given vectors by
-the constructor, handed over (a polygon's vertices and edge facets, a
-tensor product's side) or enumerated. `facet_rows()` and its twin
+from_generators/from_facets/from_both, handed to `ConeRep` as rows (a
+polygon's vertices and edge facets, a tensor product's side) or
+enumerated. `facet_rows()` and its twin
 `generator_rows()`, the dual view's facet rows, read it, shared by both
 views, so no caller clears a side again; `generators` and `facets` make
 its Fraction vectors anew on every read, so a caller reads them once.
-Double description takes any rational normals (a cone passes its known
-side's integer rows) and returns coprime integer rays, the enumerated
+Double description takes a cone's known rows as normals (canonical_ray
+clears any other) and returns coprime integer rays, the enumerated
 side's rows. Inside it, normals and rays are coprime integer tuples in
 fixed slots, and each normal's zero set is a bitset over the slots kept
 across steps. A ray about to be cut off that lies on exactly dim - 1
@@ -30,7 +31,7 @@ prefilter and the same bitsets.
 Membership tests a vector, cleared over one denominator, by an int dot
 and a sign per facet row; so does `maps_into`, the one positivity test
 of a map between cones, on each generator row's image under the
-matrix, cleared once per call.
+matrix, cleared once per call. The LP of `weights` takes the rows too.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .linalg import (
     dot,
     integer_row,
     inverse,
-    lex_key,
     matvec,
     nullspace,
     rank,
@@ -117,12 +117,13 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
     normals, so pairs with fewer are skipped unread, and for the rest
     the AND of the shared normals' bitsets must hold just p and m.
 
-    The normals may be any rational vectors; canonical_ray scales them
-    to coprime integers. Rays are coprime integer tuples throughout:
-    each new ray is divided by the gcd of its entries, canonical_ray's
-    scale, and the rays are returned so, with no Fraction made (ConeRep
-    holds them as a side's rows). Distinct 2-faces meet a hyperplane in
-    distinct rays, so no ray is made twice.
+    The normals enter as rows (a cone's side; canonical_ray, the one
+    normalisation, clears any rational vector and the base rays, the
+    columns of the base's inverse), so a step is int sums, products and
+    signs: each new ray is divided by the gcd of its entries, and the
+    rays are returned so, with no Fraction made (ConeRep holds them as a
+    side's rows). Distinct 2-faces meet a hyperplane in distinct rays,
+    so no ray is made twice.
     """
     if dim > DIMENSION_CAP:
         raise DimensionCapError(
@@ -130,28 +131,27 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
     if any(len(h) != dim for h in halfspaces):
         raise DimensionMismatchError("halfspace length differs from dim")
 
-    position: dict[tuple, int] = {}  # lex_key of a kept normal -> index
-    normals: list[Vec] = []
+    position: dict[tuple[int, ...], int] = {}  # a kept normal -> index
+    normals: list[tuple[int, ...]] = []
     for h in halfspaces:
         c = canonical_ray(h)
-        key = lex_key(c)
-        if not any(x != 0 for x in c) or key in position:
+        if not any(c) or c in position:
             continue
-        position[key] = len(normals)
+        position[c] = len(normals)
         normals.append(c)
 
     base = independent_subset(tuple(normals))
     if len(base) < dim:
         raise DegenerateConeError(
             "halfspace normals do not span; the cone contains a line")
-    base_idx = [position[lex_key(b)] for b in base]
+    base_idx = [position[b] for b in base]
     rest_idx = [i for i in range(len(normals)) if i not in base_idx]
 
     inv = inverse(base)
     assert inv is not None
     # base ray j sits in slot j, each new ray in the next unused one; slots
     # lists the live slots, and live holds them as bits
-    rays: list[tuple[int, ...]] = [integer_row(col)[0] for col in zip(*inv)]
+    rays: list[tuple[int, ...]] = [canonical_ray(col) for col in zip(*inv)]
     all_base = sum(1 << k for k in base_idx)
     masks: list[int] = [all_base & ~(1 << k) for k in base_idx]
     slots = list(range(dim))
@@ -161,7 +161,7 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
         zero_on[k] = live ^ 1 << j
 
     for hi in rest_idx:
-        h = tuple(x.numerator for x in normals[hi])
+        h = normals[hi]
         evals = {s: sum(map(mul, h, rays[s])) for s in slots}
         plus = [s for s, e in evals.items() if e > 0]
         zero = [s for s, e in evals.items() if e == 0]
@@ -259,9 +259,9 @@ def _meets(rows: Rows, xs: tuple[int, ...], xscale: Fraction,
     return True
 
 
-def _given(vectors, noun: str) -> tuple[Vec, ...]:
-    """A side given as vectors: a nonempty sequence of number sequences
-    of one length."""
+def _given(vectors, noun: str) -> Rows:
+    """The rows of a side given as vectors: a nonempty sequence of number
+    sequences of one length."""
     try:
         items = iter(vectors)
     except TypeError:
@@ -272,14 +272,14 @@ def _given(vectors, noun: str) -> tuple[Vec, ...]:
         raise DegenerateConeError(f"no {noun}s given")
     if any(len(v) != len(side[0]) for v in side):
         raise DimensionMismatchError(f"{noun} length differs from dim")
-    return side
+    return tuple(map(integer_row, side))
 
 
 class ConeRep:
     """A pointed, generating cone in R^dim.
 
     kind "polyhedral": generators and facets, either lazily completed,
-    held as `Rows` only; `generators` and `facets` make vectors per read.
+    given and held as `Rows`; `generators`/`facets` make vectors per read.
     kind "lorentz": x[-1] >= euclidean norm of x[:-1]; no finite lists.
     """
 
@@ -287,10 +287,7 @@ class ConeRep:
                  "_dual")
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
-                 generators: tuple[Vec, ...] | None,
-                 facets: tuple[Vec, ...] | None, *,
-                 facet_rows: Rows | None = None,
-                 generator_rows: Rows | None = None):
+                 generators: Rows | None = None, facets: Rows | None = None):
         if kind not in (POLYHEDRAL, LORENTZ):
             raise UnsupportedConeError(f"unknown cone kind {kind!r}")
         if arithmetic not in (RATIONAL, FLOAT):
@@ -298,11 +295,8 @@ class ConeRep:
         self.dim = dim
         self.kind = kind
         self.arithmetic = arithmetic
-        # each side as rows: the rows given, else the vectors cleared once
-        self._generators = generator_rows if generators is None \
-            else tuple(map(integer_row, generators))
-        self._facets = facet_rows if facets is None \
-            else tuple(map(integer_row, facets))
+        self._generators = generators
+        self._facets = facets
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------
@@ -311,25 +305,25 @@ class ConeRep:
     def from_generators(cls, generators,
                         arithmetic: str = RATIONAL) -> ConeRep:
         gens = _given(generators, "generator")
-        cone = cls(len(gens[0]), POLYHEDRAL, arithmetic, gens, None)
-        if rank(gens) != cone.dim:
+        cone = cls(len(gens[0][0]), POLYHEDRAL, arithmetic, gens)
+        if rank([r for r, _ in gens]) != cone.dim:
             raise DegenerateConeError("generators do not span (not generating)")
         return cone
 
     @classmethod
     def from_facets(cls, facets, arithmetic: str = RATIONAL) -> ConeRep:
         fcts = _given(facets, "facet")
-        if rank(fcts) != len(fcts[0]):
+        dim = len(fcts[0][0])
+        if rank([r for r, _ in fcts]) != dim:
             raise DegenerateConeError("facet normals do not span (not pointed)")
-        return cls(len(fcts[0]), POLYHEDRAL, arithmetic, None, fcts)
+        return cls(dim, POLYHEDRAL, arithmetic, facets=fcts)
 
     @classmethod
     def from_both(cls, generators, facets,
                   arithmetic: str = RATIONAL) -> ConeRep:
         recomputed = cls.from_generators(generators, arithmetic)
-        cone = cls(recomputed.dim, POLYHEDRAL, arithmetic, None,
-                   _given(facets, "facet"),
-                   generator_rows=recomputed.generator_rows())
+        cone = cls(recomputed.dim, POLYHEDRAL, arithmetic,
+                   recomputed.generator_rows(), _given(facets, "facet"))
         if {r for r, _ in recomputed.facet_rows()} != \
                 {r for r, _ in cone.facet_rows()}:
             raise DegenerateConeError(
@@ -340,7 +334,7 @@ class ConeRep:
     def lorentz(cls, dim: int, arithmetic: str = FLOAT) -> ConeRep:
         if dim < 1:
             raise DegenerateConeError("lorentz cone needs dim >= 1")
-        return cls(dim, LORENTZ, arithmetic, None, None)
+        return cls(dim, LORENTZ, arithmetic)
 
     # -- representation access -----------------------------------------
 
@@ -432,11 +426,18 @@ class ConeRep:
 
     def weights(self, x: Vec, tol: Fraction = ZERO) -> Vec | None:
         """Weights w >= 0 on the generators that sum to x within tol (in
-        L1, by lp.feasible_point), or None: membership from generators."""
-        return feasible_point(self.generators, x, tol)[0]
+        L1, by lp.feasible_point), or None: membership from generators.
+        The LP's columns are the generator rows (its residual does not
+        depend on their scales); row r's weight over r's scale is its
+        generator's."""
+        rows = self.generator_rows()
+        w = feasible_point([r for r, _ in rows], vec(x), tol)[0]
+        return None if w is None else tuple(
+            y / s if y and s != 1 else y for y, (_, s) in zip(w, rows))
 
     def strictly_positive(self, functional: Vec) -> bool:
         """Whether <functional, g> > 0 on every nonzero cone element."""
+        functional = vec(functional)
         if self.kind == LORENTZ:
             # Strictly positive iff interior to the (self-dual) cone.
             head, last = functional[:-1], functional[-1]
@@ -450,8 +451,7 @@ class ConeRep:
         cones are self-dual."""
         if self._dual is None:
             self._dual = ConeRep(self.dim, POLYHEDRAL, self.arithmetic,
-                                 None, None, facet_rows=self._generators,
-                                 generator_rows=self._facets)
+                                 self._facets, self._generators)
             self._dual._dual = self
         return self._dual
 

@@ -11,13 +11,14 @@ columns only and make no Fraction. Every exact pairing (dot, and so
 matvec and matmul, and each coordinate of combination) adds numerator
 products over one running denominator and makes one Fraction per
 result. The other hot loops keep integers of their own: double
-description its rays, returned as int tuples that the cone keeps as a
-side's rows (cones.enumerate_rays), the simplex each tableau
-row over one denominator, on columns cleared once by integer_row
-(lp.solve_lp), membership each facet row (cones.ConeRep.contains),
-positivity each image of a generator under a matrix cleared once by
-integer_row (cones.maps_into, on those facet rows), and scalars.close
-each within-eps comparison.
+description its normals (canonical_ray) and rays, returned as int tuples
+that the cone keeps as a side's rows (cones.enumerate_rays), the simplex
+each tableau row over one denominator, on columns cleared once by
+integer_row (lp.solve_lp), membership each facet row
+(cones.ConeRep.contains), positivity each image of a generator under a
+matrix cleared once by integer_row (cones.maps_into, on those facet
+rows), and scalars.close each within-eps comparison. An int row passes
+as a vector.
 """
 
 from __future__ import annotations
@@ -214,10 +215,7 @@ def integer_row(v: Vec) -> tuple[tuple[int, ...], Fraction]:
     return tuple(ints), Fraction(g or 1, d)
 
 
-def canonical_ray(v: Vec) -> Vec:
-    """Scale a nonzero vector to coprime integers, preserving direction."""
-    return tuple(map(Fraction, integer_row(v)[0]))
-
-
-def lex_key(v: Vec) -> tuple:
-    return tuple((x.numerator, x.denominator) for x in v)
+def canonical_ray(v: Vec) -> tuple[int, ...]:
+    """The coprime integer row of a nonzero vector, preserving direction:
+    the one row normalisation of double description."""
+    return integer_row(v)[0]

@@ -23,7 +23,8 @@ i's basic column, the right-hand side of row i by s_B(i) and reduced
 cost j by 1 / s_j. Every sign, every ratio-test comparison and tie (all
 ratios of one entering column scale alike), and so every Bland choice
 stays as it was; the artificial columns are not scaled, so phase 1's
-objective and residual are unchanged.
+objective and residual are unchanged. So a column may be a cone side's
+integer row: only its entry of the point moves, by the row's scale.
 
 Phase 1 starts from the unit columns the LP supplies. A row whose
 right-hand side is negative is negated (a zero right-hand side counts as

@@ -124,8 +124,7 @@ def make_classical(n: int) -> StateSpace:
     """Simplex of probability vectors over n outcomes."""
     _check_size("classical", n)
     rows = tuple(map(integer_row, identity(n)))
-    cone = ConeRep(n, POLYHEDRAL, RATIONAL, None, None, facet_rows=rows,
-                   generator_rows=rows)
+    cone = ConeRep(n, POLYHEDRAL, RATIONAL, rows, rows)
     unit = tuple([ONE] * n)
     return StateSpace(cone, unit, name=f"classical:{n}")
 
@@ -134,8 +133,7 @@ def make_polygon(n: int) -> StateSpace:
     """Regular n-gon state space in R^3, unit functional (0, 0, 1)."""
     _check_size("polygon", n)
     arithmetic, vertex_rows, edge_rows = _polygon(n)
-    cone = ConeRep(3, POLYHEDRAL, arithmetic, None, None,
-                   facet_rows=edge_rows, generator_rows=vertex_rows)
+    cone = ConeRep(3, POLYHEDRAL, arithmetic, vertex_rows, edge_rows)
     return StateSpace(cone, (ZERO, ZERO, ONE), name=f"polygon:{n}")
 
 
@@ -227,8 +225,7 @@ def direct_sum(a: StateSpace, b: StateSpace) -> StateSpace:
         facets = tuple((r + (0,) * db, s) for r, s in a.cone.facet_rows()) \
             + tuple(((0,) * da + r, s) for r, s in b.cone.facet_rows())
     # zero-padded rows stay coprime; a block sum of spanning sets spans
-    cone = ConeRep(da + db, POLYHEDRAL, arith, None, None,
-                   facet_rows=facets, generator_rows=gens)
+    cone = ConeRep(da + db, POLYHEDRAL, arith, gens, facets)
     unit = a.unit + b.unit
     name = f"({a.name or 'A'})+({b.name or 'B'})"
     return StateSpace(cone, unit, name=name)

@@ -142,10 +142,10 @@ def _misfits(effect: Vec, margin: Fraction, cleared, index: int) -> list[int]:
 def _vertex_row_effect(space: StateSpace, index: int,
                        margin: Fraction) -> tuple[Vec, Fraction]:
     """The effect of exposing_effect's problem stated with one row per
-    vertex, a a nonnegative combination of the dual cone's generators;
-    its optimum must be `margin`."""
+    vertex, a a nonnegative combination of the dual cone's generators
+    (facet rows); its optimum must be `margin`."""
     verts = space.vertices
-    duals = space.cone.facets
+    duals = [r for r, _ in space.cone.facet_rows()]
     # columns: theta per dual generator, m, one slack per non-target row;
     # rows: a(target) = 1, then a(v) + m + slack = 1 per other vertex
     k = len(verts)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from ..composites import min_tensor, product_vec
 from ..errors import InvalidInputError, UnsupportedConeError
-from ..linalg import Vec, combination, dot, lex_key, rank, vec, vsub
+from ..linalg import Vec, combination, dot, rank, vec, vsub
 from ..lp import feasible_point
 from ..scalars import close, tolerance_for
 from ..spaces import (
@@ -112,14 +112,14 @@ def is_broadcastable(space: StateSpace, states, tol=None) -> BroadcastReport:
 
     extremes = tuple(tuple(x / dot(space.unit, g) for x in g)
                      for g in space.cone.minimal_generators())
-    extreme_keys = {lex_key(v) for v in extremes}
-    if all(lex_key(w) in extreme_keys for w in omegas):
+    extreme_set = set(extremes)  # Fractions hash by value
+    if all(w in extreme_set for w in omegas):
         # all-extreme and not clonable: no witness can exist
         return BroadcastReport("not_broadcastable", None, 0)
 
     pool = list(extremes)
     for w in omegas:
-        if lex_key(w) not in extreme_keys:
+        if w not in extreme_set:
             pool.append(w)
     tried = 0
     for size in range(1, min(space.dim + 1, len(pool)) + 1):

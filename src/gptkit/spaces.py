@@ -166,6 +166,7 @@ class Effect:
     def __post_init__(self):
         if len(self.functional) != self.space.dim:
             raise DimensionMismatchError("effect length differs from dim")
+        object.__setattr__(self, "functional", vec(self.functional))
 
     def value(self, state: Vec) -> Fraction:
         return dot(self.functional, state)
@@ -197,6 +198,7 @@ class LinearMapRep:
         if len(self.matrix) != self.codomain.dim or any(
                 len(row) != self.domain.dim for row in self.matrix):
             raise DimensionMismatchError("map matrix shape mismatch")
+        object.__setattr__(self, "matrix", mat(self.matrix))
 
 
 # -- cone-level operations ------------------------------------------------
@@ -223,7 +225,7 @@ def base_norm(space: StateSpace, v) -> Fraction | float:
     """min u(p) + u(m) over decompositions v = p - m with p, m in the cone.
 
     Equals u(v) on the cone. Polyhedral spaces solve the generator LP
-    exactly; lorentz spaces use the closed form max(|last|, |head|).
+    exactly, on rows; lorentz spaces use the closed form max(|last|, |head|).
     """
     x = vec(v)
     if len(x) != space.dim:
@@ -234,9 +236,9 @@ def base_norm(space: StateSpace, v) -> Fraction | float:
         if last * last >= head2:
             return abs(last)
         return math.sqrt(float(head2))
-    gens = space.cone.generators
+    gens = [r for r, _ in space.cone.generator_rows()]
     cost = tuple(dot(space.unit, g) for g in gens) * 2
-    columns = gens + tuple(tuple(-c for c in g) for g in gens)
+    columns = gens + [tuple(-c for c in g) for g in gens]
     result = solve_lp(cost, transpose(columns), x)
     if not result.ok or result.objective is None:
         raise DegenerateConeError("base-norm LP failed; cone not generating")
@@ -299,8 +301,8 @@ def one_shot_distinguishing_observable(
         space: StateSpace, states, tol=None) -> Observable | None:
     """Effects a_i with a_i(w_j) = delta_ij summing to the unit, or None.
 
-    Exact LP over the dual-generator parameterization. Lorentz spaces
-    are rejected (no finite dual generator list to parameterize).
+    Exact LP over the dual-generator parameterization (facet rows).
+    Lorentz spaces are rejected (no finite dual generator list).
     """
     if space.kind == LORENTZ:
         raise UnsupportedConeError(
@@ -310,7 +312,7 @@ def one_shot_distinguishing_observable(
     for w in omegas:
         if not space.is_state(w, eps):
             raise InvalidInputError("distinguishability inputs must be states")
-    duals = space.cone.facets  # generators of the dual cone
+    duals = [r for r, _ in space.cone.facet_rows()]  # dual cone generators
     k, r = len(omegas), len(duals)
     if k == 0:
         raise InvalidInputError("no states given")

@@ -495,6 +495,35 @@ def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
     assert vertices > 2000 and len(fallbacks) >= 200 and resolved >= 400
 
 
+def test_vertex_row_effect_reads_facet_rows_of_any_scale(monkeypatch):
+    # The vertex-row LP's columns are the facet rows. Each lattice
+    # polytope is rebuilt with every facet times a seeded positive
+    # rational: its effects are the vector LP's and the unscaled space's,
+    # the degenerate optima among them included.
+    fallbacks = []
+    inner = bitcommit._vertex_row_effect
+
+    def counted(space, index, margin):
+        fallbacks.append(space.name)
+        return inner(space, index, margin)
+    monkeypatch.setattr(bitcommit, "_vertex_row_effect", counted)
+    rng = random.Random(3903)
+    for space in lattice_polytopes(count=60):
+        facets = []
+        for f in space.cone.facets:
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            facets.append(tuple(c * x for x in f))
+        scaled = StateSpace(
+            ConeRep.from_both(space.cone.generators, facets), space.unit,
+            name="scaled")
+        assert {s for _, s in scaled.cone.facet_rows()} != {1}
+        for j in range(len(space.vertices)):
+            got = exposing_effect(scaled, j)
+            assert got == reference_exposing_effect(scaled, j), (space.name, j)
+            assert got == exposing_effect(space, j), (space.name, j)
+    assert fallbacks.count("scaled") >= 50
+
+
 def test_exposing_lps_have_one_row_per_coordinate(monkeypatch):
     # every exposing effect on polygon:14 comes from one 3-row LP on at
     # most 9 columns, s and the z and w columns of 4 of the 13 other

@@ -15,8 +15,8 @@ from gptkit.composites import (BipartiteState, _as_matrix, _space_from_ref,
 from gptkit.cones import POLYHEDRAL, ConeRep, maps_into
 from gptkit.errors import (DimensionMismatchError, InvalidInputError,
                            UnitMismatchError)
-from gptkit.linalg import (dot, identity, integer_row, lex_key, mat, matvec,
-                           rank, transpose, vec)
+from gptkit.linalg import (dot, identity, integer_row, mat, matvec, rank,
+                           transpose, vec)
 from gptkit.lp import feasible_point
 from gptkit import cones, models
 from gptkit.models import (entangled_state_coords, make_ball, make_classical,
@@ -56,8 +56,8 @@ def test_tensor_shapes_and_units():
 def test_min_generators_are_products():
     sq = make_squit()
     cl = make_classical(2)
-    gens = {lex_key(g) for g in min_tensor(sq, cl).cone.generators}
-    want = {lex_key(product_vec(x, y))
+    gens = set(min_tensor(sq, cl).cone.generators)
+    want = {product_vec(x, y)
             for x in sq.cone.generators for y in cl.cone.generators}
     assert gens == want
 
@@ -155,8 +155,8 @@ def test_products_of_coprime_rows_are_coprime_rows_seeded():
 
 def test_classical_composites_collapse():
     a, b = make_classical(2), make_classical(2)
-    low = {lex_key(g) for g in min_tensor(a, b).cone.generators}
-    high = {lex_key(g) for g in max_tensor(a, b).cone.generators}
+    low = set(min_tensor(a, b).cone.generators)
+    high = set(max_tensor(a, b).cone.generators)
     assert low == high
 
 
@@ -204,6 +204,29 @@ def test_remote_evaluate_matches_hat_composition():
         by_hand = matvec(omega_hat(state),
                          matvec(f_hat(TELEPORT_EFFECT), alpha))
         assert remote_evaluate(alpha, state, TELEPORT_EFFECT) == by_hand
+
+
+FLOAT_COORDS = ((0.25, 0, 0), (0, 0.25, 0), (0, 0, 1.0))
+
+
+@pytest.mark.parametrize("read", [
+    lambda s: marginal(s, "a"), lambda s: marginal(s, "b"),
+    lambda s: conditional(s, (F(1, 4), F(1, 4), F(1, 2)), "a"),
+    is_entangled, lambda s: remote_evaluate((0, 0, 1), s, TELEPORT_EFFECT),
+    BipartiteState.to_json_dict],
+    ids=["marginal_a", "marginal_b", "conditional", "is_entangled",
+         "remote_evaluate", "to_json_dict"])
+def test_bipartite_state_reads_float_coords_exactly(read):
+    # the coords are made exact where they enter: a float state reads as
+    # the same state given as Fractions
+    sq = make_squit()
+    state = BipartiteState(max_tensor(sq, sq), FLOAT_COORDS)
+    state.validate()
+    assert all(type(x) is F for row in state.coords for x in row)
+    exact = BipartiteState(max_tensor(sq, sq), mat(FLOAT_COORDS))
+    assert read(state) == read(exact)
+    with pytest.raises(DimensionMismatchError, match="shape differs"):
+        BipartiteState(max_tensor(sq, sq), FLOAT_COORDS[:2])
 
 
 def test_remote_evaluate_shape_errors():
@@ -617,7 +640,8 @@ def test_composite_checks_match_pairwise_references():
 def _redundant(generators, facets, unit):
     """A space built as given: parallel generators or facets, and facets
     that may cut out more than the generators span."""
-    gens, fcts = (tuple(map(vec, vs)) for vs in (generators, facets))
+    gens, fcts = (tuple(integer_row(vec(v)) for v in vs)
+                  for vs in (generators, facets))
     return StateSpace(ConeRep(len(unit), POLYHEDRAL, "rational", gens, fcts),
                       unit)
 

@@ -16,8 +16,9 @@ from gptkit.cones import (DIMENSION_CAP, ConeRep, enumerate_rays,
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, InvalidInputError,
                            UnsupportedConeError)
-from gptkit.linalg import (canonical_ray, combination, dot, lex_key, mat,
+from gptkit.linalg import (canonical_ray, combination, dot, integer_row, mat,
                            nullspace, rank, rref, vec)
+from gptkit.lp import feasible_point
 from gptkit.models import make_ball, make_classical, make_polygon, make_squit
 from gptkit.scalars import (DEFAULT_TOLERANCE, FLOAT, RATIONAL, exactify,
                             tolerance_for)
@@ -32,7 +33,7 @@ SQUARE_FACETS = ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
 
 
 def ray_set(rays):
-    return {lex_key(canonical_ray(r)) for r in rays}
+    return {canonical_ray(r) for r in rays}
 
 
 def held_as_rows(cone) -> bool:
@@ -70,7 +71,7 @@ def record_clears(monkeypatch) -> list:
 
 def brute_force_rays(halfspaces, dim):
     """Reference enumeration by (dim-1)-subsets of normals."""
-    out = {}
+    out = set()
     for subset in combinations(range(len(halfspaces)), dim - 1) if dim > 1 else [()]:
         rows = tuple(halfspaces[i] for i in subset)
         if rows and rank(rows) != dim - 1:
@@ -82,9 +83,8 @@ def brute_force_rays(halfspaces, dim):
             if all(dot(h, candidate) >= 0 for h in halfspaces):
                 active = tuple(h for h in halfspaces if dot(h, candidate) == 0)
                 if rank(active) == dim - 1 or dim == 1:
-                    c = canonical_ray(candidate)
-                    out[lex_key(c)] = tuple(x.numerator for x in c)
-    return tuple(v for _, v in sorted(out.items()))
+                    out.add(canonical_ray(candidate))
+    return tuple(sorted(out))
 
 
 def reference_rays(halfspaces, dim):
@@ -98,14 +98,16 @@ def reference_rays(halfspaces, dim):
             f"ray enumeration in dimension {dim} exceeds cap {DIMENSION_CAP}")
     if any(len(h) != dim for h in halfspaces):
         raise DimensionMismatchError("halfspace length differs from dim")
+    def fraction_ray(v):
+        return tuple(map(F, canonical_ray(v)))
+
     seen = set()
     normals = []
     for h in halfspaces:
-        c = canonical_ray(h)
-        key = lex_key(c)
-        if not any(x != 0 for x in c) or key in seen:
+        c = fraction_ray(h)
+        if not any(x != 0 for x in c) or c in seen:
             continue
-        seen.add(key)
+        seen.add(c)
         normals.append(c)
     base = reference_independent_subset(tuple(normals))
     if len(base) < dim:
@@ -113,7 +115,7 @@ def reference_rays(halfspaces, dim):
             "halfspace normals do not span; the cone contains a line")
     base_idx = [normals.index(b) for b in base]
     rest_idx = [i for i in range(len(normals)) if i not in base_idx]
-    rays = [canonical_ray(col) for col in zip(*reference_inverse(base))]
+    rays = [fraction_ray(col) for col in zip(*reference_inverse(base))]
     all_base = sum(1 << k for k in base_idx)
     masks = [all_base & ~(1 << k) for k in base_idx]
     for hi in rest_idx:
@@ -135,13 +137,12 @@ def reference_rays(halfspaces, dim):
                 if any(i != p and i != m and (masks[i] & shared) == shared
                        for i in range(len(rays))):
                     continue
-                new_rays.append(canonical_ray(tuple(
+                new_rays.append(fraction_ray(tuple(
                     evals[p] * rays[m][j] - evals[m] * rays[p][j]
                     for j in range(dim))))
                 new_masks.append(shared | 1 << hi)
         rays, masks = new_rays, new_masks
-    return tuple(tuple(x.numerator for x in r)
-                 for r in sorted(rays, key=lex_key))
+    return tuple(tuple(x.numerator for x in r) for r in sorted(rays))
 
 
 def outcome(enumerate_, halfspaces, dim):
@@ -302,6 +303,23 @@ def seeded_kernel_inputs():
             halfspaces.append(tuple(-x for x in rng.choice(halfspaces)))
         rng.shuffle(halfspaces)
         yield trial, tuple(vec(h) for h in halfspaces), dim
+
+
+def test_kernel_reads_normals_as_rows_at_any_scale():
+    # Fraction normals, their integer rows and the normals times random
+    # positive rationals give the same rays, or the same error
+    rng = random.Random(3939)
+    for trial, halfspaces, dim in seeded_kernel_inputs():
+        if trial % 2:
+            continue
+        want = outcome(enumerate_rays, halfspaces, dim)
+        rows = tuple(integer_row(h)[0] for h in halfspaces)
+        scales = [F(rng.randint(1, 99), rng.randint(1, 99))
+                  for _ in halfspaces]
+        scaled = tuple(tuple(c * x for x in h)
+                       for c, h in zip(scales, halfspaces))
+        assert outcome(enumerate_rays, rows, dim) == want, f"trial {trial}"
+        assert outcome(enumerate_rays, scaled, dim) == want, f"trial {trial}"
 
 
 def test_kernel_matches_reference_seeded():
@@ -711,6 +729,25 @@ def test_contains_matches_reference_seeded():
     assert min(verdicts.values()) > 500
 
 
+def test_weights_on_rows_are_the_vector_lps_weights_seeded():
+    # weights hands the LP the generator rows and divides each weight by
+    # its row's scale: that is the LP on the generator vectors, None
+    # included, on the boundary, near it on either side and far outside
+    rng = random.Random(39)
+    answers = {True: 0, False: 0}
+    for cone in oracle_cones(rng):
+        gens = cone.generators
+        if len(gens) > 40:  # two float tensors whose LPs take 30 s
+            continue
+        far = tuple(-x for x in map(sum, zip(*gens)))
+        for x in oracle_points(cone, rng, count=2) + [far]:
+            for tol in (F(0), 1e-9):
+                want = feasible_point(gens, x, tol)[0]
+                assert cone.weights(x, tol) == want, (cone.dim, x, tol)
+                answers[want is not None] += 1
+    assert min(answers.values()) > 200
+
+
 def test_contains_below_the_cap_runs_no_lp(monkeypatch):
     calls = []
     solve = cones.feasible_point
@@ -826,6 +863,18 @@ def test_contains_exactifies_entries_without_a_denominator():
         assert cone.contains(x) == reference_contains(cone, vec(x))
     with pytest.raises(DimensionMismatchError):
         cone.contains((0.5, 1.0))
+
+
+def test_weights_and_strict_positivity_exactify_entries():
+    # a float entry is read as its Fraction, as contains reads it
+    cone = make_squit().cone
+    half = vec((F(1, 2), F(1, 2), 1))
+    assert cone.weights((0.5, 0.5, 1.0)) == cone.weights(half)
+    assert cone.weights((0.5, 0.5, 1.0)) is not None
+    assert cone.weights((2.0, 0, 1)) is None
+    assert cone.strictly_positive((0, 0, 1.0))
+    assert not cone.strictly_positive((1.0, 0, 1))
+    assert ConeRep.lorentz(3).strictly_positive((0.5, 0, 1.0))
 
 
 def test_dual_swaps_lazily():
@@ -1040,9 +1089,8 @@ def test_partition_rays_permutation_invariant(order):
     padded = tuple(vec(g + (0,)) for g in SQUARE_GENS) + (vec((0, 0, 0, 1)),)
     shuffled = tuple(padded[i] for i in order)
     blocks = partition_rays(shuffled)
-    as_rays = sorted(sorted(lex_key(shuffled[i]) for i in blk)
-                     for blk in blocks)
-    base = sorted(sorted(lex_key(padded[i]) for i in blk)
+    as_rays = sorted(sorted(shuffled[i] for i in blk) for blk in blocks)
+    base = sorted(sorted(padded[i] for i in blk)
                   for blk in partition_rays(padded))
     assert as_rays == base
 
@@ -1072,7 +1120,7 @@ def test_partition_rays_is_finest_direct_sum(rows):
 
 def test_constructor_rejects_an_unknown_kind():
     with pytest.raises(UnsupportedConeError, match="banana"):
-        ConeRep(3, "banana", "rational", None, None)
+        ConeRep(3, "banana", "rational")
 
 
 def test_lorentz_has_no_lists():

@@ -278,6 +278,38 @@ def test_no_side_reads_in_loops():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
+KERNEL_ARITHMETIC = ("Fraction", "lex_key")
+
+
+def kernel_fraction_uses(source: str, name: str) -> list[str]:
+    """Lines in the body of function `name` that name `Fraction` or
+    `lex_key` or read `.numerator`: the double description kernel steps
+    on integer rows with +, *, a sign and one normalisation hook
+    (canonical_ray), and converts nothing. Its docstring is no code."""
+    tree = ast.parse(source)
+    lines = {node.lineno for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name == name
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Name) and node.id in KERNEL_ARITHMETIC
+             or isinstance(node, ast.Attribute) and node.attr == "numerator"}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_kernel_fraction_uses_are_found():
+    source = ('def enumerate_rays(hs):\n    """No Fraction, no lex_key."""\n'
+              "    h = tuple(x.numerator for x in hs[0])\n"
+              "    key = lex_key(h)\n"
+              "    return [Fraction(x) for x in h]\n"
+              "def other(v):\n    return Fraction(v.numerator)\n")
+    assert kernel_fraction_uses(source, "enumerate_rays") == [
+        "line 3", "line 4", "line 5"]
+
+
+def test_enumerate_rays_makes_no_fraction():
+    source = (PACKAGE / "cones.py").read_text()
+    assert kernel_fraction_uses(source, "enumerate_rays") == []
+
+
 def load_tracing() -> ModuleType:
     """bench/tracing.py run in a module of its own: kept out of
     sys.modules, and no bytecode is written beside it."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gptkit.cones import independent_subset
 from gptkit.errors import DimensionMismatchError, InvalidInputError
 from gptkit.linalg import (ONE, ZERO, canonical_ray, combination, dot,
-                           identity, integer_row, inverse, lex_key, mat,
+                           identity, integer_row, inverse, mat,
                            matmul, matvec, nullspace, rank, rref, transpose,
                            unit_vec, vec, zeros)
 from gptkit.models import make_polygon
@@ -155,7 +155,20 @@ def test_integer_row_is_coprime_integers_times_a_scale(v):
        st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6))
 def test_canonical_ray_scale_invariant(v, c):
     assert canonical_ray(tuple(c * x for x in v)) == canonical_ray(v)
-    assert lex_key(canonical_ray(v)) == lex_key(canonical_ray(canonical_ray(v)))
+    assert canonical_ray(v) == canonical_ray(canonical_ray(v))
+
+
+@settings(max_examples=60)
+@given(st.lists(fractions | st.integers(-4, 4), min_size=1, max_size=5)
+       .filter(any).map(tuple))
+def test_canonical_ray_is_a_coprime_int_tuple(v):
+    # v is a positive multiple of its ray, a tuple of coprime ints
+    ray = canonical_ray(v)
+    assert type(ray) is tuple and all(type(x) is int for x in ray)
+    assert math.gcd(*ray) == 1
+    j = next(i for i, x in enumerate(ray) if x)
+    c = Fraction(v[j]) / ray[j]
+    assert c > 0 and tuple(c * x for x in ray) == v
 
 
 @settings(max_examples=40)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +13,9 @@ from gptkit.cones import POLYHEDRAL, ConeRep
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, InvalidInputError,
                            UnsupportedConeError)
-from gptkit.linalg import (dot, identity, inverse, lex_key, mat, matvec,
+from gptkit.linalg import (combination, dot, identity, inverse, mat, matvec,
                            transpose, vec)
+from gptkit.lp import feasible_point
 from gptkit.models import (direct_sum, make_ball, make_classical,
                            make_polygon, make_squit, symmetry_group)
 from gptkit.scalars import DEFAULT_TOLERANCE, tolerance_for
@@ -23,6 +25,7 @@ from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            is_positive_map,
                            one_shot_distinguishing_observable,
                            verify_self_duality_witness)
+from gptkit.protocols import is_nondisturbing
 from test_composites import random_polygon
 from test_cones import held_as_rows
 
@@ -157,6 +160,59 @@ def test_base_norm_scale_and_cone_value(cs, scale):
     assert base_norm(sq, scaled) == scale * v[2]
 
 
+def rescaled(space, rng):
+    """The same space built again from its generators and facets, each
+    times a seeded positive rational: its rows have other scales."""
+    def scaled(side):
+        out = []
+        for v in side:
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            out.append(tuple(c * x for x in v))
+        return out
+    cone = ConeRep.from_both(scaled(space.cone.generators),
+                             scaled(space.cone.facets), space.arithmetic)
+    return StateSpace(cone, space.unit)
+
+
+def oracle_polygons(rng):
+    """Rational and float polygons, and each again with rescaled sides."""
+    spaces = [make_squit(), make_classical(3), make_polygon(5),
+              make_polygon(6)] + [random_polygon(rng, k) for k in (3, 4, 5)]
+    return spaces + [rescaled(space, rng) for space in spaces]
+
+
+def brute_force_base_norm(space, v):
+    """min u(p) + u(m) over v = p - m in the cone, by every basic
+    solution: v solved exactly on each dim of the columns g and -g."""
+    gens = space.cone.generators
+    columns = [(g, dot(space.unit, g)) for g in gens]
+    columns += [(tuple(-x for x in g), c) for g, c in columns]
+    best = None
+    for basis in combinations(columns, space.dim):
+        inv = inverse(transpose([g for g, _ in basis]))
+        if inv is None:
+            continue
+        weights = matvec(inv, v)
+        if all(w >= 0 for w in weights):
+            cost = sum(w * c for w, (_, c) in zip(weights, basis))
+            best = cost if best is None else min(best, cost)
+    return best
+
+
+def test_base_norm_matches_brute_force_on_rows_of_any_scale():
+    # the base-norm LP's columns are the generator rows, whose scales do
+    # not move its optimum
+    rng = random.Random(3901)
+    for space in oracle_polygons(rng):
+        for _ in range(4):
+            v = vec(F(rng.randint(-6, 6), rng.randint(1, 4))
+                    for _ in range(space.dim))
+            want = brute_force_base_norm(space, v)
+            if space.arithmetic != "rational":
+                want = float(want)
+            assert base_norm(space, v) == want, (space, v)
+
+
 def test_base_norm_lorentz():
     ball = make_ball(2)
     assert base_norm(ball, (0, 0, 1)) == 1
@@ -167,9 +223,9 @@ def test_base_norm_lorentz():
 
 def test_dual_cone_involution():
     sq = make_squit()
-    original = {lex_key(g) for g in sq.cone.generators}
+    original = set(sq.cone.generators)
     again = dual_cone(StateSpace(dual_cone(sq), vec((1, 1, 4))))
-    assert {lex_key(g) for g in again.generators} == original
+    assert set(again.generators) == original
 
 
 def test_dual_is_one_view_sharing_its_sides(monkeypatch):
@@ -253,6 +309,48 @@ def test_one_shot_classical_full_vertex_set():
     for i, e in enumerate(obs.effects):
         for j, w in enumerate(cl.vertices):
             assert e.value(w) == (1 if i == j else 0)
+
+
+def reference_one_shot(space, states, eps):
+    """The one-shot LP on the dual cone's generator vectors: the effects,
+    or None."""
+    duals = space.cone.facets
+    k, r = len(states), len(duals)
+    columns = [tuple(dot(duals[t], w) if block == i else 0
+                     for block in range(k) for w in states) + duals[t]
+               for i in range(k) for t in range(r)]
+    target = tuple(F(i == j) for i in range(k) for j in range(k)) \
+        + space.unit
+    theta, _ = feasible_point(columns, target, eps)
+    if theta is None:
+        return None
+    return tuple(combination(theta[i * r:(i + 1) * r], duals)
+                 for i in range(k))
+
+
+def test_one_shot_matches_the_vector_lp_on_rows_of_any_scale():
+    # the LP's columns are the facet rows; a column's scale moves only
+    # its weight, so the effects are the vector LP's, on every space and
+    # on the space rebuilt with rescaled sides
+    rng = random.Random(3902)
+    spaces = oracle_polygons(rng)
+    answers = {True: 0, False: 0}
+    found = []
+    for space in spaces:
+        v = space.vertices
+        eps = tolerance_for(None, space)
+        effects = []
+        for size in (2, 3):
+            for states in combinations(v, size):
+                obs = one_shot_distinguishing_observable(space, states)
+                got = obs and tuple(e.functional for e in obs.effects)
+                assert got == reference_one_shot(space, states, eps)
+                answers[obs is not None] += 1
+                effects.append(got)
+        found.append(effects)
+    half = len(spaces) // 2
+    assert found[:half] == found[half:]
+    assert min(answers.values()) > 20
 
 
 def test_one_shot_rejects_duplicates():
@@ -469,3 +567,38 @@ def test_integer_effect_on_min_matches_the_pullback_route_seeded():
         decided_by_tol += verdicts[0] != verdicts[1]
     assert seen.count(True) >= 60 and seen.count(False) >= 60
     assert decided_by_tol >= 5
+
+
+FLOAT_IDENTITY = ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))
+
+
+@pytest.mark.parametrize("predicate", [
+    is_positive_map, is_order_isomorphism, is_norm_contractive,
+    lambda T: is_nondisturbing(T.domain, T)],
+    ids=["positive", "order_isomorphism", "norm_contractive",
+         "nondisturbing"])
+def test_map_predicates_read_a_float_matrix_exactly(predicate):
+    # the matrix is made exact where it enters, so a float entry is its
+    # Fraction and the verdict is the exact matrix's
+    sq = make_squit()
+    T = LinearMapRep(sq, sq, FLOAT_IDENTITY)
+    assert T.matrix == identity(3)
+    assert all(type(x) is F for row in T.matrix for x in row)
+    assert predicate(T) == predicate(LinearMapRep(sq, sq, identity(3)))
+    with pytest.raises(DimensionMismatchError, match="shape mismatch"):
+        LinearMapRep(sq, sq, FLOAT_IDENTITY[:2])
+
+
+def test_effects_and_observables_read_floats_exactly():
+    sq = make_squit()
+    effect = Effect(sq, (0, 0, 1.0))
+    assert all(type(x) is F for x in effect.functional)
+    assert effect.value((HALF, 0, 1)) == 1
+    half = Effect(sq, (0.25, 0.25, 0.5))
+    rest = Effect(sq, (-0.25, -0.25, 0.5))
+    assert Observable(sq, (half, rest)).effects == (half, rest)
+    assert half.value(sq.vertices[0]) == 1
+    with pytest.raises(InvalidInputError, match="do not sum"):
+        Observable(sq, (half, half))
+    with pytest.raises(DimensionMismatchError, match="differs from dim"):
+        Effect(sq, (0, 1.0))
