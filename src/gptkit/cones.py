@@ -29,16 +29,18 @@ normals finds its new neighbours along its edges by ANDs of those
 bitsets; any other one is paired with every ray kept, through a popcount
 prefilter and the same bitsets.
 Membership tests a vector, cleared over one denominator, by an int dot
-and a sign per facet row; so does `maps_into`, the one positivity test
-of a map between cones, on each generator row's image under the
-matrix, cleared once per call. The LP of `weights` takes the rows too.
+and a sign per facet row, and compares a negative dot with the
+tolerance on integers too (_meets); so does `maps_into`, the one
+positivity test of a map between cones, on each generator row's image
+under the matrix, cleared once per call. The LP of `weights` takes the
+rows too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, isfinite
 from operator import mul
 
 import numpy as np
@@ -244,17 +246,36 @@ def _vectors(rows: Rows) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-def _meets(rows: Rows, xs: tuple[int, ...], xscale: Fraction,
-           tol: Fraction) -> bool:
+def _tolerance_ratio(tol) -> tuple[int, int]:
+    """tol (an int, float or Fraction) as integers (e, f) with f >= 0:
+    e / f for a finite tol, (1, 0) for +inf, and (-1, 0) for -inf and
+    NaN, so that the test a * f >= -e * b of a >= -tol (b > 0) passes
+    everything at +inf and nothing at -inf or NaN, as comparing a
+    Fraction with those floats does."""
+    if isinstance(tol, float) and not isfinite(tol):
+        return (1, 0) if tol > 0 else (-1, 0)
+    return tol.as_integer_ratio()
+
+
+def _meets(rows: Rows, xs: tuple[int, ...], xscale: tuple[int, int],
+           tol) -> bool:
     """Whether <f, x> >= -tol on every facet f = scale * row, for the
-    vector x = xscale * xs given by integers xs and a positive scale."""
-    free = tol >= 0  # then s >= 0 passes without its scale
+    vector x = (c / d) * xs given by integers xs and xscale = (c, d),
+    c, d > 0 (not necessarily coprime).
+
+    On integers, for any tol an int, float or Fraction: with scale = a/b
+    and tol = e/f, <f, x> = (a c / b d) s for the row sum s, so the test
+    is a c f s >= -e b d, and a row with s >= 0 passes unscaled when
+    tol >= 0."""
+    e, f = _tolerance_ratio(tol)
+    c, d = xscale
+    cf, ed = c * f, -e * d
     for row, scale in rows:
-        # <f, x> = scale * xscale * s, and both scales are positive
         s = sum(map(mul, row, xs))
-        if s >= 0 and free:
+        if s >= 0 and e >= 0:
             continue
-        if not (tol and scale * xscale * s >= -tol):
+        a, b = scale.as_integer_ratio()
+        if a * cf * s < ed * b:
             return False
     return True
 
@@ -422,7 +443,7 @@ class ConeRep:
         if not self._facets_in_reach():
             return self.weights(x, tol) is not None
         xs, xscale = integer_row(x)
-        return _meets(self.facet_rows(), xs, xscale, tol)
+        return _meets(self.facet_rows(), xs, xscale.as_integer_ratio(), tol)
 
     def weights(self, x: Vec, tol: Fraction = ZERO) -> Vec | None:
         """Weights w >= 0 on the generators that sum to x within tol (in
@@ -473,7 +494,9 @@ def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
     for all four pairings of kinds. From a polyhedral cone, the matrix
     is cleared once to integers times a positive scale, and each
     generator comes so from dom's generator rows: the image is an
-    integer vector times the product of the scales."""
+    integer vector times the product of the scales, held as a numerator
+    and denominator pair, and _meets tests it against cod's facet rows
+    on ints at any tol, so a float model's eps makes no Fraction."""
     if dom.kind == LORENTZ:
         if cod.kind == POLYHEDRAL:
             # T maps dom into cod iff T^t maps each generator h of cod's
@@ -488,9 +511,11 @@ def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
         raise DimensionMismatchError("map matrix shape mismatch")
     flat, scale = integer_row(tuple(x for row in matrix for x in row))
     ints = [flat[i:i + dom.dim] for i in range(0, len(flat), dom.dim)]
+    n, m = scale.as_integer_ratio()
     for gs, gscale in gens:
         image = [sum(map(mul, row, gs)) for row in ints]
-        if not _meets(rows, image, scale * gscale, tol):
+        gn, gm = gscale.as_integer_ratio()
+        if not _meets(rows, image, (n * gn, m * gm), tol):
             return False
     return True
 

@@ -97,9 +97,21 @@ def _polygon(n: int) -> tuple[str, Rows, Rows | None]:
     other n-gon embeds its floats exactly."""
     if n == 4:
         return RATIONAL, _SQUARE, _edge_rows(_SQUARE)
-    rows = tuple(integer_row(_point(2 * math.pi * k / n) + (ONE,))
-                 for k in range(n))
+    rows = tuple(_vertex_row(2 * math.pi * k / n) for k in range(n))
     return FLOAT, rows, _edge_rows(rows)
+
+
+def _vertex_row(angle: float) -> tuple[tuple[int, ...], Fraction]:
+    """integer_row of the vertex (cos angle, sin angle, 1) that _point
+    embeds, made from float.as_integer_ratio with no Fraction entry:
+    float denominators are powers of two, so the largest is the lcm, and
+    the gcd g of the cleared entries divides it."""
+    (a, p), (b, q) = (f(angle).as_integer_ratio()
+                      for f in (math.cos, math.sin))
+    d = max(p, q)
+    ints = (a * (d // p), b * (d // q), d)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints), Fraction(1, d // g)
 
 
 def _hat(n: int) -> Mat:

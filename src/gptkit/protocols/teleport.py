@@ -5,9 +5,13 @@ of BA teleports A-states iff mu = omega_hat . f_hat is proportional to
 an order isomorphism; the inverse of the normalized factor is the
 correction map. For a model with a transitive finite symmetry group
 and an equivariant self-duality isomorphism, one observable performs
-deterministic teleportation with group-element corrections. Its group
-is proved by one product table on integer matrices, each element cleared
-once, matched to the elements by scalars.close_rows.
+deterministic teleportation with group-element corrections. Its
+construction proves each group fact once, on integer matrices: every
+element, the state map and its inverse are cleared once (integer_row),
+one product table proves the group (scalars.first_close_row), the
+equivariance products are compared by scalars.close_rows, and an
+outcome whose J is exactly its group element reuses that element's
+positivity proof.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from ..composites import (BipartiteState, effect_on_min, f_hat, max_tensor,
 from ..cones import maps_into
 from ..errors import (DimensionMismatchError, InvalidInputError,
                       UnsupportedConeError)
-from ..linalg import (Mat, combination, dot, identity, integer_row, mat,
-                      matmul, matvec, proportion, rank, transpose, unit_vec)
+from ..linalg import (Mat, combination, dot, identity, integer_row, inverse,
+                      mat, matmul, matvec, proportion, rank, transpose,
+                      unit_vec)
 from ..lp import feasible_point
 from ..models import entangled_state_coords, symmetry_group
-from ..scalars import close, close_rows, tolerance_for
+from ..scalars import close, close_rows, first_close_row, tolerance_for
 from ..spaces import (LinearMapRep, StateSpace, is_norm_contractive,
                       is_order_isomorphism, is_positive_map,
                       order_isomorphic)
@@ -78,9 +83,12 @@ def verify_teleportation(f_coords, omega: BipartiteState,
 
 
 def _prove_outcome(F: Mat, omega: BipartiteState, tol,
-                   state_checked: bool) -> TeleportationCertificate:
+                   state_checked: bool, positive: Mat | None = None
+                   ) -> TeleportationCertificate:
     """verify_teleportation on an exact effect matrix; a shared state
-    already checked (state_checked) is not validated again."""
+    already checked (state_checked) is not validated again. positive, if
+    given, is a matrix proved to map A's cone into itself at this
+    tolerance: when J equals it exactly, only J's inverse is tested."""
     b_space, a_space = omega.composite.factor_a, omega.composite.factor_b
     if not effect_on_min(a_space, b_space, F, tol):
         raise InvalidInputError("f is not an effect on the minimal composite")
@@ -103,7 +111,14 @@ def _prove_outcome(F: Mat, omega: BipartiteState, tol,
 
     J = tuple(tuple(x / constant for x in row) for row in mu)
     # J's inverse, positive: J is an order isomorphism
-    correction = is_order_isomorphism(LinearMapRep(a_space, a_space, J), tol)
+    if J == positive:
+        inv = inverse(J)
+        correction = None if inv is None or not maps_into(
+            inv, a_space.cone, a_space.cone, eps) \
+            else LinearMapRep(a_space, a_space, inv)
+    else:
+        correction = is_order_isomorphism(
+            LinearMapRep(a_space, a_space, J), tol)
     if correction is None or not is_norm_contractive(correction, tol):
         return _fail(a_space, mu, constant, witness)
     return TeleportationCertificate(
@@ -122,6 +137,18 @@ def verify_correction_free(f_coords, omega: BipartiteState,
     return close(cert.mu.matrix, scaled, tolerance_for(tol, omega.composite))
 
 
+def _flat(m: Mat) -> tuple[tuple[int, ...], Fraction]:
+    """A square matrix cleared once, row-major: integers M and a positive
+    scale s with m = s * M (linalg.integer_row)."""
+    return integer_row(tuple(x for row in m for x in row))
+
+
+def _times(rows, columns) -> tuple[int, ...]:
+    """The integer matrix product, row-major: each row of the left
+    factor against each column of the right."""
+    return tuple(sum(map(mul, r, c)) for r in rows for c in columns)
+
+
 def construct_deterministic_teleportation(
         space: StateSpace, group: tuple[Mat, ...] | None = None,
         omega_hat_matrix=None, tol=None) -> TeleportationScheme:
@@ -131,11 +158,24 @@ def construct_deterministic_teleportation(
     A* -> A order isomorphism; outcome g gets the effect with hat map
     (1/|G|) . omega_hat^{-1} . g. The effects sum to u x u, and every
     outcome's correction is the inverse group element. Every hypothesis
-    is checked and raises on failure. One product table proves the
-    group: entry (i, j) is the first element within eps of g_i . g_j.
-    e's row differs from 0, 1, ..., |G|-1 exactly when an element repeats
-    an earlier one, and a row without e means a singular g_i, since a
-    finite closed set holding e holds every invertible element's inverse.
+    is checked and raises on failure, and each group fact is proved once.
+
+    Each element, the state map and its inverse are cleared once to an
+    integer matrix and a positive scale, so the group's products, the
+    equivariance products and the effects are integer matrix products,
+    compared by scalars.close_rows; each effect entry's Fraction is made
+    once. One product table proves the group: entry (i, j) is the first
+    element within eps of g_i . g_j (scalars.first_close_row, which
+    tries an element only once its first entry matches). e's row differs
+    from 0, 1, ..., |G|-1 exactly when an element repeats an earlier one,
+    and a row without e means a singular g_i, since a finite closed set
+    holding e holds every invertible element's inverse.
+
+    The first outcome goes through verify_teleportation. The others skip
+    what is proved already: the shared state, and, when J is exactly the
+    outcome's group element (as it is whenever g preserves u exactly, mu
+    being (1/|G|) g), J's positivity, which the group loop proved on the
+    same cone at the same eps; only J's inverse is tested then.
     """
     if group is None:
         group = symmetry_group(space)
@@ -154,28 +194,26 @@ def construct_deterministic_teleportation(
         if not is_positive_map(LinearMapRep(space, space, g), tol):
             raise InvalidInputError("group element is not a positive map")
 
-    # each element cleared once, g = s * G for an integer matrix G, so
-    # the table's products G H and their comparisons run on integers
+    # g = s * G for an integer matrix G, so the table's products G H and
+    # their comparisons run on integers
     d = space.dim
-    cleared = [integer_row(tuple(x for row in g for x in row)) for g in group]
+    cleared = [_flat(g) for g in group]
+    rows = [[G[i:i + d] for i in range(0, d * d, d)] for G, _ in cleared]
     columns = [[G[j::d] for j in range(d)] for G, _ in cleared]
-
-    def index(ints, scale):
-        return next((k for k, (G, s) in enumerate(cleared)
-                     if close_rows(ints, scale, G, s, eps)), None)
-    e = index(tuple(int(i == j) for i in range(d) for j in range(d)), ONE)
+    e = first_close_row(tuple(int(i == j) for i in range(d)
+                              for j in range(d)), ONE, cleared, eps)
     if e is None:
         raise InvalidInputError("group lacks an identity element")
-    table = [[index(tuple(sum(map(mul, G[i:i + d], c))
-                          for i in range(0, d * d, d) for c in cols), s * t)
-              for (_, t), cols in zip(cleared, columns)] for G, s in cleared]
+    table = [[first_close_row(_times(rs, cols), s * t, cleared, eps)
+              for (_, t), cols in zip(cleared, columns)]
+             for (_, s), rs in zip(cleared, rows)]
     if any(None in row for row in table):
         raise InvalidInputError("group is not closed under composition")
     if table[e] != list(range(len(group))):
         raise InvalidInputError("group has a repeated element")
     if any(e not in row for row in table):
         raise InvalidInputError("group element is singular")
-    inverses = [group[row.index(e)] for row in table]
+    inverse_of = [row.index(e) for row in table]
     verts = space.vertices
     orbit = [matvec(g, verts[0]) for g in group]
     for v in verts:
@@ -183,8 +221,16 @@ def construct_deterministic_teleportation(
             raise InvalidInputError("group does not act transitively on "
                                     "the pure states")
 
-    for g, gi in zip(group, inverses):
-        if not close(matmul(g, oh), matmul(oh, transpose(gi)), eps):
+    # g . oh = oh . (g^-1)^t, on oh = w * OH cleared once
+    if len(oh) != d or any(len(row) != d for row in oh):
+        raise DimensionMismatchError("isomorphism state map must be "
+                                     "dim x dim")
+    OH, w = _flat(oh)
+    oh_rows = [OH[i:i + d] for i in range(0, d * d, d)]
+    oh_columns = [OH[j::d] for j in range(d)]
+    for (_, s), rs, k in zip(cleared, rows, inverse_of):
+        if not close_rows(_times(rs, oh_columns), s * w,
+                          _times(oh_rows, rows[k]), w * cleared[k][1], eps):
             raise InvalidInputError("isomorphism state map is not "
                                     "group-equivariant")
 
@@ -204,12 +250,17 @@ def construct_deterministic_teleportation(
     # composite, and the first (verify_teleportation) the shared state
     shared = BipartiteState(max_tensor(space, space), transpose(oh))
 
+    # effect g is the transpose of (1/|G|) oh^-1 g = (v s / |G|) OHI G
     order = Fraction(1, len(group))
+    OHI, v = _flat(oh_inv)
+    ohi_rows = [OHI[i:i + d] for i in range(0, d * d, d)]
     effects = []
-    for g in group:
-        fg_hat = matmul(oh_inv, g)
-        effects.append(transpose(tuple(tuple(order * x for x in row)
-                                       for row in fg_hat)))
+    for (_, s), cols in zip(cleared, columns):
+        c = order * v * s
+        n, m = c.numerator, c.denominator
+        P = _times(ohi_rows, cols)
+        effects.append(tuple(tuple(Fraction(n * x, m) for x in P[j::d])
+                             for j in range(d)))
 
     total = combination((ONE,) * len(effects),
                         [tuple(x for row in F for x in row) for F in effects])
@@ -217,16 +268,16 @@ def construct_deterministic_teleportation(
         raise InvalidInputError("effects do not sum to the unit")
 
     certificates = []
-    for k, (gi, F) in enumerate(zip(inverses, effects)):
+    for k, (g, i, F) in enumerate(zip(group, inverse_of, effects)):
         cert = verify_teleportation(F, shared, tol) if k == 0 else \
-            _prove_outcome(F, shared, tol, state_checked=True)
+            _prove_outcome(F, shared, tol, state_checked=True, positive=g)
         if not cert.verdict:
             raise InvalidInputError("an outcome fails teleportation "
                                     "verification")
         if not close(cert.constant, order, eps):
             raise InvalidInputError("an outcome has the wrong "
                                     "proportionality constant")
-        if not close(cert.correction.matrix, gi, eps):
+        if not close(cert.correction.matrix, group[i], eps):
             raise InvalidInputError("an outcome's correction is not the "
                                     "inverse group element")
         certificates.append(cert)

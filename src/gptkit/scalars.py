@@ -9,7 +9,8 @@ instead of zero. tolerance_for picks that slack and close applies it to
 every two-sided comparison (close_rows, on vectors already cleared to
 integer rows). Values cross the boundary here: exactify
 reads every input scalar and emit writes every output one;
-emits_exactly says whether emit's output reads back as the same value.
+emits_exactly says whether emit's output reads back as the same value
+(rows_emit_exactly, of a side held as integer rows).
 """
 
 from __future__ import annotations
@@ -90,6 +91,24 @@ def close_rows(xs, xscale: Fraction, ys, yscale: Fraction,
     return all(abs(a * x - b * y) <= bound for x, y in zip(xs, ys))
 
 
+def first_close_row(xs, xscale: Fraction, rows, eps: Fraction) -> int | None:
+    """The index of the first (ys, yscale) in rows with close_rows(xs,
+    xscale, ys, yscale, eps), or None, for nonempty rows. A row goes to
+    close_rows only after its first entry passes the same test on
+    integers, so a scan compares whole rows with few candidates besides
+    its match."""
+    p, q = xscale.numerator, xscale.denominator
+    e, f = eps.numerator, eps.denominator
+    first = xs[0] * p * f
+    for k, (ys, yscale) in enumerate(rows):
+        r, s = yscale.numerator, yscale.denominator
+        if abs(first * s - ys[0] * r * q * f) > e * q * s:
+            continue
+        if close_rows(xs, xscale, ys, yscale, eps):
+            return k
+    return None
+
+
 def emit(value, mode: str) -> int | str | float | list:
     """Render a scalar for JSON: ints or "p/q" in rational mode, float
     otherwise. Tuples and lists, nested to any depth, become lists."""
@@ -110,3 +129,21 @@ def emits_exactly(value, mode: str) -> bool:
     if isinstance(value, (tuple, list)):
         return all(emits_exactly(x, mode) for x in value)
     return Fraction(float(value)) == value
+
+
+def rows_emit_exactly(rows, mode: str) -> bool:
+    """emits_exactly of the vectors scale * row, for integer rows and
+    positive scales (as linalg.integer_row gives them), decided on
+    integers: with scale = p/q, entry x reads back exactly when the float
+    nearest p x / q (an int division, rounded as float() rounds the
+    Fraction) equals it. Stops at the first entry that does not."""
+    if mode == RATIONAL:
+        return True
+    for row, scale in rows:
+        p, q = scale.numerator, scale.denominator
+        for x in row:
+            n = p * x
+            a, b = (n / q).as_integer_ratio()
+            if a * q != n * b:
+                return False
+    return True

@@ -37,7 +37,8 @@ from .linalg import (
     zeros,
 )
 from .lp import feasible_point, solve_lp
-from .scalars import FLOAT, RATIONAL, close, emit, emits_exactly, tolerance_for
+from .scalars import (FLOAT, RATIONAL, close, emit, rows_emit_exactly,
+                      tolerance_for)
 
 
 class StateSpace:
@@ -113,14 +114,15 @@ class StateSpace:
             body["name"] = self.name
         if self.kind == POLYHEDRAL:
             # a side is written when it reads back exactly (computed float
-            # sides are scaled), and generators whenever facets are not
-            mode, gens = self.arithmetic, self.cone.generators
-            facets = self.cone.facets if self.cone.has_facets() else None
-            exact = facets is not None and emits_exactly(facets, mode)
-            if not exact or emits_exactly(gens, mode):
-                body["generators"] = emit(gens, mode)
+            # sides are scaled), and generators whenever facets are not;
+            # the test reads the rows, so only a written side is made
+            mode, cone = self.arithmetic, self.cone
+            exact = cone.has_facets() and rows_emit_exactly(
+                cone.facet_rows(), mode)
+            if not exact or rows_emit_exactly(cone.generator_rows(), mode):
+                body["generators"] = emit(cone.generators, mode)
             if exact:
-                body["facets"] = emit(facets, mode)
+                body["facets"] = emit(cone.facets, mode)
         return body
 
     @classmethod

@@ -865,6 +865,106 @@ def test_contains_exactifies_entries_without_a_denominator():
         cone.contains((0.5, 1.0))
 
 
+def tolerance_kinds(rng, dots):
+    """Every kind of tol that membership and positivity accept: zeros
+    (int, Fraction, float), a positive Fraction and float, negative
+    ones, NaN and the infinities, and, when some dot is negative, its
+    exact violation with one step to either side; when all are positive,
+    the least dot as a margin with one step to either side."""
+    step = F(1, 2 ** 80)
+    tols = [0, F(0), 0.0, -0.0, DEFAULT_TOLERANCE,
+            F(rng.randint(1, 999), 10 ** 12), rng.random() * 1e-9,
+            -F(rng.randint(1, 999), 10 ** 12), -rng.random() * 1e-9,
+            math.nan, math.inf, -math.inf]
+    worst = min(dots, default=F(0))
+    if worst:
+        tols += [-worst, -worst - step, -worst + step]
+    return tols
+
+
+def test_meets_matches_fraction_arithmetic_seeded():
+    # random rows with positive scales (1, float-like 1 / max, random
+    # rationals) against vectors given by integers and a scale pair (c, d)
+    # not always coprime: the verdict is the Fraction test, row by row
+    rng = random.Random(40)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        dim = rng.randint(1, 5)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            row = tuple(rng.randint(-9, 9) for _ in range(dim))
+            scale = rng.choice((F(1), F(1, max(map(abs, row)) or 1),
+                                F(rng.randint(1, 99), rng.randint(1, 99))))
+            rows.append((row, scale))
+        xs = tuple(rng.randint(-9, 9) for _ in range(dim))
+        k = rng.randint(1, 4)
+        c, d = k * rng.randint(1, 30), k * rng.randint(1, 30)
+        dots = [scale * F(c, d) * sum(map(mul, row, xs))
+                for row, scale in rows]
+        for tol in tolerance_kinds(rng, dots):
+            got = cones._meets(tuple(rows), xs, (c, d), tol)
+            assert got == all(v >= -tol for v in dots), (rows, xs, c, d, tol)
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 1500
+
+
+def mode_cones(rng):
+    """Rational and float cones of both kinds of side: rational polygons
+    (scale-1 rows), float polygons (their rows' scales from the floats,
+    their enumerated sides scaled by 1 / max), a float tensor and the
+    dual view of each."""
+    def rational_polygon():
+        pts = {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(6)}
+        pts |= {(1, 0), (0, 1), (-1, -1)}
+        return ConeRep.from_generators(
+            [(F(a, 7), F(b, 5), 1) for a, b in sorted(pts)])
+
+    def float_polygon():
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(5))
+        return ConeRep.from_generators(
+            [(math.cos(t), math.sin(t), 1.0) for t in angles], FLOAT)
+
+    found = [rational_polygon(), rational_polygon(), make_squit().cone,
+             make_classical(3).cone, float_polygon(), float_polygon(),
+             make_polygon(5).cone, make_polygon(7).cone,
+             max_tensor(make_polygon(3), make_classical(2)).cone]
+    return found + [c.dual() for c in found]
+
+
+def test_contains_and_maps_into_match_fraction_arithmetic_seeded():
+    # in both arithmetic modes and at every kind of tol: membership of
+    # boundary, near and far points, and positivity of maps that send a
+    # cone's generators onto (a combination of) its generators, moved off
+    # by nothing, 2^-60, 10^-12 or far, against Fraction dots
+    rng = random.Random(4040)
+    seen = {mode: {True: 0, False: 0} for mode in (RATIONAL, FLOAT)}
+    for cone in mode_cones(rng):
+        gens, facets = cone.generators, cone.facets
+        far = tuple(-x for x in map(sum, zip(*gens)))
+        for x in oracle_points(cone, rng, count=3) + [far]:
+            dots = [dot(f, x) for f in facets]
+            for tol in tolerance_kinds(rng, dots):
+                got = cone.contains(x, tol)
+                assert got == all(v >= -tol for v in dots), (x, tol)
+                seen[cone.arithmetic][got] += 1
+        for _ in range(6):
+            # sum_k w_k g_k f_k^t maps the cone into itself
+            terms = [(rng.choice(gens), rng.choice(facets),
+                      F(rng.randint(1, 5))) for _ in range(3)]
+            matrix = [[sum(w * g[i] * f[j] for g, f, w in terms)
+                       for j in range(cone.dim)] for i in range(cone.dim)]
+            step = rng.choice((0, F(1, 2 ** 60), F(1, 10 ** 12), F(1, 3)))
+            matrix[rng.randrange(cone.dim)][rng.randrange(cone.dim)] -= step
+            matrix = mat(matrix)
+            dots = [dot(f, linalg.matvec(matrix, g))
+                    for g in gens for f in facets]
+            for tol in tolerance_kinds(rng, dots):
+                got = cones.maps_into(matrix, cone, cone, tol)
+                assert got == all(v >= -tol for v in dots), (matrix, tol)
+                seen[cone.arithmetic][got] += 1
+    assert all(min(counts.values()) > 300 for counts in seen.values()), seen
+
+
 def test_weights_and_strict_positivity_exactify_entries():
     # a float entry is read as its Fraction, as contains reads it
     cone = make_squit().cone

@@ -310,6 +310,56 @@ def test_enumerate_rays_makes_no_fraction():
     assert kernel_fraction_uses(source, "enumerate_rays") == []
 
 
+# _meets's parameters and loop names that may hold a Fraction or a float
+MEETS_SCALARS = ("xscale", "scale", "tol")
+
+
+def scalar_operands(source: str, name: str) -> list[str]:
+    """Lines in the body of function `name` where one of MEETS_SCALARS is
+    an operand of arithmetic or a comparison: those values are read
+    only as integer ratios (a call), so every sum, product and sign test
+    runs on ints."""
+    tree = ast.parse(source)
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name != name:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp):
+                operands = [node.left, node.right]
+            elif isinstance(node, ast.UnaryOp):
+                operands = [node.operand]
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.AugAssign):
+                operands = [node.target, node.value]
+            else:
+                continue
+            if any(isinstance(op, ast.Name) and op.id in MEETS_SCALARS
+                   for op in operands):
+                lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_scalar_operands_are_found():
+    source = ("def _meets(rows, xs, xscale, tol):\n"
+              "    free = tol >= 0\n"
+              "    c, d = xscale\n"
+              "    for row, scale in rows:\n"
+              "        if scale * xscale * s >= -tol and -scale:\n"
+              "            e = f(tol) + c * d\n"
+              "def other(tol):\n    return tol >= 0\n")
+    assert scalar_operands(source, "_meets") == ["line 2", "line 5"]
+
+
+def test_meets_makes_no_fraction():
+    # membership and positivity test each facet row on ints: the scales
+    # and tol are read as integer ratios, and no Fraction is made
+    source = (PACKAGE / "cones.py").read_text()
+    assert kernel_fraction_uses(source, "_meets") == []
+    assert scalar_operands(source, "_meets") == []
+
+
 def load_tracing() -> ModuleType:
     """bench/tracing.py run in a module of its own: kept out of
     sys.modules, and no bytecode is written beside it."""

@@ -13,7 +13,7 @@ from gptkit.linalg import (identity, integer_row, matmul, matvec, transpose,
 from gptkit.models import (_edge_rows, direct_sum, entangled_state_coords,
                            make_ball, make_classical, make_polygon,
                            make_squit, parse_model_name, symmetry_group)
-from gptkit.scalars import FLOAT
+from gptkit.scalars import FLOAT, emit, emits_exactly
 from gptkit.spaces import StateSpace
 from test_bitcommit import _convex_hull
 from test_cones import held_as_rows
@@ -300,3 +300,71 @@ def test_float_facets_only_payload_round_trip():
     back = StateSpace.from_json_dict(again)
     assert back.cone.facets == space.cone.facets
     assert back.cone.generators == space.cone.generators
+
+
+@pytest.mark.parametrize("n", [n for n in range(3, 61) if n != 4])
+def test_float_vertex_rows_are_the_cleared_points(n):
+    # made from float.as_integer_ratio, the rows and scales are those of
+    # the embedded points (cos, sin, 1), each entry an int
+    _, rows, _ = models._polygon(n)
+    assert rows == tuple(
+        integer_row(models._point(2 * math.pi * k / n) + (F(1),))
+        for k in range(n))
+    assert all(type(x) is int for row, _ in rows for x in row)
+    assert all(type(scale) is F for _, scale in rows)
+
+
+def reference_json_dict(space):
+    """StateSpace.to_json_dict on the side vectors: a side is written
+    when its vectors read back exactly, and generators whenever the
+    facets are not."""
+    body = {"dim": space.dim, "kind": space.kind,
+            "arithmetic": space.arithmetic,
+            "unit": emit(space.unit, space.arithmetic)}
+    if space.name:
+        body["name"] = space.name
+    if space.kind == POLYHEDRAL:
+        mode, gens = space.arithmetic, space.cone.generators
+        facets = space.cone.facets if space.cone.has_facets() else None
+        exact = facets is not None and emits_exactly(facets, mode)
+        if not exact or emits_exactly(gens, mode):
+            body["generators"] = emit(gens, mode)
+        if exact:
+            body["facets"] = emit(facets, mode)
+    return body
+
+
+def json_spaces():
+    """Every model family, float and rational sides given or enumerated,
+    exact float facets, and the tensors the CLI writes."""
+    exact_floats = StateSpace.from_json_dict(
+        {"dim": 3, "kind": "polyhedral", "arithmetic": "float",
+         "unit": [0, 0, 1],
+         "facets": [[-0.5, 0.25, 1], [0.75, 0.5, 1], [0.125, -1.0, 1]]})
+    found = [make_squit(), make_classical(3), make_ball(3), exact_floats]
+    found += [make_polygon(n) for n in (3, 5, 6, 7, 12)]
+    found += [max_tensor(make_polygon(5), make_squit()),
+              max_tensor(make_classical(2), make_squit())]
+    return found
+
+
+def test_json_sides_are_tested_on_their_rows(monkeypatch):
+    # the same body as the vector test, both before and after the
+    # missing side is enumerated; a float polygon's edge facets, which
+    # do not read back exactly, are never made as vectors
+    for space in json_spaces():
+        body = space.to_json_dict()
+        assert body == reference_json_dict(space)
+        if space.kind == POLYHEDRAL:
+            space.cone.generators, space.cone.facets  # noqa: B018
+        assert space.to_json_dict() == reference_json_dict(space)
+    made = []
+    vectors = cones._vectors
+    monkeypatch.setattr(cones, "_vectors",
+                        lambda rows: made.append(rows) or vectors(rows))
+    for n in (5, 14):
+        space = make_polygon(n)
+        body = space.to_json_dict()
+        assert "facets" not in body and space.cone.has_facets()
+        assert made == [space.cone.generator_rows()]
+        made.clear()

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from gptkit.errors import DimensionMismatchError, InvalidInputError
 from gptkit.linalg import integer_row
 from gptkit.scalars import (DEFAULT_TOLERANCE, FLOAT, RATIONAL, close,
-                            close_rows, emit, exactify, tolerance_for)
+                            close_rows, emit, emits_exactly, exactify,
+                            first_close_row, rows_emit_exactly,
+                            tolerance_for)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
@@ -207,3 +209,62 @@ def test_close_keeps_its_shape_check():
         close(((Fraction(1, 3),),), ((Fraction(1, 3), 0),), DEFAULT_TOLERANCE)
     with pytest.raises(DimensionMismatchError):
         close((1, 2), 1, Fraction(0))
+
+
+def test_first_close_row_is_the_first_close_rows_match_seeded():
+    # candidates equal to the target within eps, one step off in the
+    # first or a later entry, or far; the first entry's integer test
+    # only skips rows that close_rows would refuse
+    rng = random.Random(4001)
+    found = {True: 0, False: 0}
+    for _ in range(1500):
+        eps = rng.choice([Fraction(0), DEFAULT_TOLERANCE,
+                          Fraction(rng.uniform(0, 1e-6))])
+        n = rng.randint(1, 6)
+        x = [Fraction(rng.uniform(-2, 2)) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            y = [v + rng.choice([-1, 0, 1]) * eps for v in x]
+            i = rng.randrange(n)
+            y[i] += rng.choice([0, 0, Fraction(1, 2 ** 80),
+                                -Fraction(1, 2 ** 80), Fraction(1, 3)])
+            ys, yscale = integer_row(y)
+            k = rng.randint(1, 3)
+            rows.append(([k * v for v in ys], yscale / k))
+        xs, xscale = integer_row(x)
+        want = next((k for k, (ys, yscale) in enumerate(rows)
+                     if close_rows(xs, xscale, ys, yscale, eps)), None)
+        assert first_close_row(xs, xscale, rows, eps) == want
+        found[want is not None] += 1
+    assert min(found.values()) > 300
+
+
+def test_rows_emit_exactly_is_emits_exactly_on_the_vectors_seeded():
+    # rows of floats' exact values under float-mode scales (1 / max,
+    # powers of two) and of other rationals, next to tiny and huge
+    # scales; in rational mode every row emits exactly
+    rng = random.Random(4002)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        kind = rng.randrange(4)
+        if kind == 0:
+            vector = [Fraction(rng.uniform(-2, 2)) for _ in range(n)]
+        elif kind == 1:
+            vector = [Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 60))
+                      for _ in range(n)]
+        else:
+            vector = [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                      for _ in range(n)]
+        ints, scale = integer_row(vector)
+        if kind == 3 and any(ints):
+            scale = Fraction(1, max(map(abs, ints)))
+        scale *= rng.choice([1, 1, Fraction(1, 2 ** 1070),
+                             Fraction(2 ** 1000), Fraction(3, 2 ** 70)])
+        rows = [(ints, scale)]
+        vectors = [tuple(scale * v for v in ints)]
+        for mode in (FLOAT, RATIONAL):
+            got = rows_emit_exactly(rows, mode)
+            assert got == emits_exactly(vectors, mode), (ints, scale)
+            verdicts[got] += mode == FLOAT
+    assert min(verdicts.values()) > 300

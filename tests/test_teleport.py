@@ -1,12 +1,15 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 import gptkit.cli
 import gptkit.cones
+import gptkit.linalg
 import gptkit.protocols.teleport
+import gptkit.scalars
 import gptkit.spaces
 
 from gptkit.composites import (BipartiteState, CompositeSpace, max_tensor,
@@ -558,6 +561,47 @@ def test_construct_inverts_each_element_once(monkeypatch, model, count):
             monkeypatch.setattr(module, "inverse", counted)
     construct_deterministic_teleportation(parse_model_name(model))
     assert len(calls) == count
+
+
+def count_calls(monkeypatch, functions):
+    """Count the calls of each function named in functions (a module ->
+    names map), wrapped in every gptkit module that binds it."""
+    counts = {}
+    for module, names in functions.items():
+        for name in names:
+            original = getattr(module, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            for loaded_name, loaded in list(sys.modules.items()):
+                if loaded_name.startswith("gptkit") and \
+                        vars(loaded).get(name) is original:
+                    monkeypatch.setattr(loaded, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("model, maps_into, matmul, close_rows", [
+    ("squit", 19, 4, 25), ("polygon:14", 59, 14, 300)])
+def test_construct_proves_each_group_fact_once(monkeypatch, model,
+                                               maps_into, matmul,
+                                               close_rows):
+    # maps_into: |G| group elements, the state map and its inverse, two
+    # effect halves per outcome, J for the first outcome only (the
+    # others' J is exactly its group element, proved already) and J's
+    # inverse for each;
+    # matmul: each outcome's mu, the one Fraction product left; the
+    # product table tries close_rows only on a matching first entry
+    counts = count_calls(monkeypatch, {
+        gptkit.cones: ["maps_into"], gptkit.linalg: ["matmul", "inverse"],
+        gptkit.scalars: ["close_rows"]})
+    space = parse_model_name(model)
+    order = len(construct_deterministic_teleportation(space).group)
+    assert counts["maps_into"] == maps_into == 4 * order + 3
+    assert counts["matmul"] == matmul == order
+    assert counts["inverse"] == order + 1
+    assert counts["close_rows"] <= close_rows
 
 
 def power_group(n):
