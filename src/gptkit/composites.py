@@ -13,7 +13,9 @@ the minimal cone, asked of the product generators it holds. Products
 are made from the factors' rows (ConeRep.generator_rows and facet_rows),
 and each tensor hands its side to its cone as product rows: a side's
 Fractions are made on each read, and membership in the maximal cone
-and positivity from the minimal one clear none again.
+and positivity from the minimal one clear none again. A tolerant test
+reads each facet and generator row as a direction (cones._meets), so
+the scale a product row is held at decides no verdict.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .errors import (
     UnitMismatchError,
     UnsupportedConeError,
 )
-from .linalg import (Mat, Vec, dot, integer_row, mat, matvec, transpose, vec,
-                     zeros)
+from .linalg import (ONE, Mat, Vec, dot, integer_row, mat, matvec, transpose,
+                     vec, zeros)
 from .models import _is_model_name, _is_named_model, parse_model_name
 from .scalars import close, emit, merge_arithmetic, tolerance_for
 from .spaces import StateSpace
@@ -138,19 +140,10 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
 
 
 def _directions(vectors) -> Rows:
-    """One (row, scale) per direction, the largest scale; zeros dropped.
-
-    At any eps >= 0, as facets they give every vector the verdict that
-    all of them give it: a pairing whose integer sum is
-    s >= 0 passes at every scale (zero vectors pair to 0), and one with
-    s < 0 is hardest at the largest scale.
-    """
-    best = {}  # integer direction -> largest scale
-    for v in vectors:
-        row, scale = integer_row(v)
-        if any(row) and scale > best.get(row, 0):
-            best[row] = scale
-    return tuple(best.items())
+    """One coprime row per nonzero direction, at scale 1: a facet test
+    reads a row's direction only, so parallel vectors are one facet."""
+    rows = dict.fromkeys(integer_row(v)[0] for v in vectors)
+    return tuple((row, ONE) for row in rows if any(row))
 
 
 def _as_matrix(flat: Vec, m: int, n: int) -> Mat:

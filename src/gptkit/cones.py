@@ -4,36 +4,32 @@ Polyhedral cones carry extreme-ray generators and/or facet inequalities
 <f, x> >= 0; whichever side is missing is computed on demand by the
 Motzkin double-description method. Lorentz (second-order) cones carry
 no lists; membership there compares squares, so no square roots enter
-and rational inputs stay exact. `contains` is the membership
-test, of a cone and, as `dual().contains`, of its dual. It reads facets;
-`weights` asks the generators a cone holds (one phase-1 LP), which
-`contains` falls back on only where the facets are missing and the
-dimension cap refuses to enumerate them.
+and rational inputs stay exact. `contains` is the membership test, of a
+cone and, as `dual().contains`, of its dual. It reads facets; `weights`
+asks the generators (one phase-1 LP), which `contains` falls back on
+only where the facets are missing and the dimension cap refuses to
+enumerate them.
 
 All arithmetic is exact, including for float-mode spaces (their data is
 embedded losslessly); see scalars module notes. A polyhedral side is
-held in one form, as rows: each vector a coprime integer row times a
-positive scale (linalg.integer_row), cleared once from given vectors by
-from_generators/from_facets/from_both, handed to `ConeRep` as rows (a
-polygon's vertices and edge facets, a tensor product's side) or
-enumerated. `facet_rows()` and its twin
-`generator_rows()`, the dual view's facet rows, read it, shared by both
-views, so no caller clears a side again; `generators` and `facets` make
-its Fraction vectors anew on every read, so a caller reads them once.
-Double description takes a cone's known rows as normals (canonical_ray
-clears any other) and returns coprime integer rays, the enumerated
-side's rows. Inside it, normals and rays are coprime integer tuples in
-fixed slots, and each normal's zero set is a bitset over the slots kept
-across steps. A ray about to be cut off that lies on exactly dim - 1
-normals finds its new neighbours along its edges by ANDs of those
-bitsets; any other one is paired with every ray kept, through a popcount
-prefilter and the same bitsets.
-Membership tests a vector, cleared over one denominator, by an int dot
-and a sign per facet row, and compares a negative dot with the
-tolerance on integers too (_meets); so does `maps_into`, the one
-positivity test of a map between cones, on each generator row's image
-under the matrix, cleared once per call. The LP of `weights` takes the
-rows too.
+held once, as rows: each vector a coprime integer row times a positive
+scale (linalg.integer_row), cleared from given vectors by the
+constructors, handed to `ConeRep` as rows, or enumerated, and shared by
+a cone and its dual view (`facet_rows()`, and `generator_rows()`, the
+dual view's facet rows). `generators` and `facets` make its Fraction
+vectors on every read, so a caller reads them once.
+Double description takes a cone's rows as normals and returns coprime
+integer rays; inside it, each normal's zero set is a bitset over fixed
+ray slots kept across steps. A ray about to be cut off that lies on
+exactly dim - 1 normals finds its new neighbours along its edges by
+ANDs of those bitsets; any other one is paired with every ray kept,
+through a popcount prefilter and the same bitsets.
+
+A side is a set of directions, so no verdict reads a row's scale:
+facet row r passes x at tol when <r, x> >= -tol * |r|, |r| the row's
+largest entry magnitude, decided on ints (_meets), and `maps_into`, the
+one positivity test of a map between cones, takes each domain
+generator row g as g / |g|.
 """
 
 from __future__ import annotations
@@ -257,25 +253,28 @@ def _tolerance_ratio(tol) -> tuple[int, int]:
     return tol.as_integer_ratio()
 
 
+def _top(row: tuple[int, ...]) -> int:
+    """The largest entry magnitude of an integer row, 1 for a zero row."""
+    return max(map(abs, row)) or 1
+
+
 def _meets(rows: Rows, xs: tuple[int, ...], xscale: tuple[int, int],
            tol) -> bool:
-    """Whether <f, x> >= -tol on every facet f = scale * row, for the
-    vector x = (c / d) * xs given by integers xs and xscale = (c, d),
-    c, d > 0 (not necessarily coprime).
+    """Whether <r, x> >= -tol * |r| on every facet row r, |r| its largest
+    entry magnitude (1 for a zero row), for x = (c / d) * xs given by
+    integers xs and xscale = (c, d), c, d > 0 (not always coprime).
 
-    On integers, for any tol an int, float or Fraction: with scale = a/b
-    and tol = e/f, <f, x> = (a c / b d) s for the row sum s, so the test
-    is a c f s >= -e b d, and a row with s >= 0 passes unscaled when
-    tol >= 0."""
+    On integers, for any tol an int, float or Fraction: with tol = e/f
+    the test is c f s >= -e d |r| for the row sum s, so a row with
+    s >= 0 passes unread when tol >= 0."""
     e, f = _tolerance_ratio(tol)
     c, d = xscale
     cf, ed = c * f, -e * d
-    for row, scale in rows:
+    for row, _ in rows:
         s = sum(map(mul, row, xs))
         if s >= 0 and e >= 0:
             continue
-        a, b = scale.as_integer_ratio()
-        if a * cf * s < ed * b:
+        if cf * s < ed * _top(row):
             return False
     return True
 
@@ -491,12 +490,11 @@ class ConeRep:
 def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
               tol: Fraction) -> bool:
     """Whether matrix (cod.dim x dom.dim) maps dom into cod within tol,
-    for all four pairings of kinds. From a polyhedral cone, the matrix
-    is cleared once to integers times a positive scale, and each
-    generator comes so from dom's generator rows: the image is an
-    integer vector times the product of the scales, held as a numerator
-    and denominator pair, and _meets tests it against cod's facet rows
-    on ints at any tol, so a float model's eps makes no Fraction."""
+    for all four pairings of kinds: each generator row g of a polyhedral
+    dom, taken as g / |g|, maps to an image that cod contains. Into
+    polyhedral facets the matrix is cleared once to integers times a
+    positive scale, so the image is an integer vector times a numerator
+    and denominator pair, and _meets tests it on ints at any tol."""
     if dom.kind == LORENTZ:
         if cod.kind == POLYHEDRAL:
             # T maps dom into cod iff T^t maps each generator h of cod's
@@ -504,18 +502,18 @@ def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
             return maps_into(transpose(matrix), cod.dual(), dom.dual(), tol)
         return _lorentz_to_lorentz_positive(matrix, cod, tol)
     if not cod._facets_in_reach():
-        return all(cod.contains(matvec(matrix, g), tol)
-                   for g in dom.generators)
+        units = _vectors(tuple((g, Fraction(1, _top(g)))
+                               for g, _ in dom.generator_rows()))
+        return all(cod.contains(matvec(matrix, g), tol) for g in units)
     rows, gens = cod.facet_rows(), dom.generator_rows()
     if len(matrix) != cod.dim or any(len(r) != dom.dim for r in matrix):
         raise DimensionMismatchError("map matrix shape mismatch")
     flat, scale = integer_row(tuple(x for row in matrix for x in row))
     ints = [flat[i:i + dom.dim] for i in range(0, len(flat), dom.dim)]
     n, m = scale.as_integer_ratio()
-    for gs, gscale in gens:
+    for gs, _ in gens:
         image = [sum(map(mul, row, gs)) for row in ints]
-        gn, gm = gscale.as_integer_ratio()
-        if not _meets(rows, image, (n * gn, m * gm), tol):
+        if not _meets(rows, image, (n, m * _top(gs)), tol):
             return False
     return True
 

@@ -9,8 +9,8 @@ instead of zero. tolerance_for picks that slack and close applies it to
 every two-sided comparison (close_rows, on vectors already cleared to
 integer rows). Values cross the boundary here: exactify
 reads every input scalar and emit writes every output one;
-emits_exactly says whether emit's output reads back as the same value
-(rows_emit_exactly, of a side held as integer rows).
+rows_emit_exactly says whether emit's output of a side held as integer
+rows reads back as the same value.
 """
 
 from __future__ import annotations
@@ -121,22 +121,14 @@ def emit(value, mode: str) -> int | str | float | list:
     return float(value)
 
 
-def emits_exactly(value, mode: str) -> bool:
-    """Whether emit(value, mode) reads back as value: always in rational
-    mode, and in float mode when every entry is exactly a float."""
-    if mode == RATIONAL:
-        return True
-    if isinstance(value, (tuple, list)):
-        return all(emits_exactly(x, mode) for x in value)
-    return Fraction(float(value)) == value
-
-
 def rows_emit_exactly(rows, mode: str) -> bool:
-    """emits_exactly of the vectors scale * row, for integer rows and
-    positive scales (as linalg.integer_row gives them), decided on
-    integers: with scale = p/q, entry x reads back exactly when the float
-    nearest p x / q (an int division, rounded as float() rounds the
-    Fraction) equals it. Stops at the first entry that does not."""
+    """Whether emit(vectors, mode) reads back as the vectors scale * row,
+    for integer rows and positive scales (as linalg.integer_row gives
+    them): always in rational mode, and in float mode when every entry
+    is exactly a float, decided on integers: with scale = p/q, entry x
+    reads back exactly when the float nearest p x / q (an int division,
+    rounded as float() rounds the Fraction) equals it. Stops at the
+    first entry that does not."""
     if mode == RATIONAL:
         return True
     for row, scale in rows:

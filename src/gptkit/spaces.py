@@ -156,7 +156,10 @@ class StateSpace:
         if cone.dim != dim:
             raise DimensionMismatchError(
                 f"payload dim {dim} differs from its cone's dim {cone.dim}")
-        return cls(cone, unit, body.get("name"))
+        name = body.get("name")
+        if name is not None and not isinstance(name, str):
+            raise InvalidInputError(f"payload name {name!r} is not a string")
+        return cls(cone, unit, name)
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,18 @@ def test_state_payload_is_checked_where_it_enters(tmp_path, argv, capsys):
     assert capsys.readouterr().err.startswith("gpt-kit: InvalidInput: ")
 
 
+@pytest.mark.parametrize("name", [5, True, ["a"]], ids=repr)
+def test_factor_payload_name_must_be_a_string(tmp_path, name, capsys):
+    factor = {"dim": 2, "kind": "polyhedral", "unit": [1, 1],
+              "generators": [[1, 0], [0, 1]], "name": name}
+    state = json.dumps({"A": factor, "B": "classical:2", "tensor": "max",
+                        "coords": [[0.25, 0.25], [0.25, 0.25]]})
+    code, body = run(tmp_path, "marginal", "--state", state)
+    assert (code, body) == (1, b"")
+    assert capsys.readouterr().err.startswith(
+        f"gpt-kit: InvalidInput: payload name {name!r} is not a string")
+
+
 def above_cap_state(first_row) -> str:
     """A classical:4 (x)min classical:5 payload (dim 20, above the cap)."""
     rows = [first_row] + [["1/20"] * 5] * 3

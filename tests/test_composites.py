@@ -23,7 +23,8 @@ from gptkit.models import (entangled_state_coords, make_ball, make_classical,
                            make_polygon, make_squit)
 from gptkit.scalars import tolerance_for
 from gptkit.spaces import LinearMapRep, StateSpace, is_positive_map
-from test_cones import HEXAGON, held_as_rows, record_clears
+from test_cones import (HEXAGON, held_as_rows, record_clears,
+                        reference_contains, top, unit_top)
 
 F = Fraction
 EIGHTH = F(1, 8)
@@ -463,7 +464,9 @@ def test_effect_shape_checked():
 
 # -- product-loop oracles ----------------------------------------------------
 # The composite checks written out over product vectors in the composite
-# (or triple) space, as literal restatements of their definitions.
+# (or triple) space, as literal restatements of their definitions. A
+# tolerant test reads each facet and each generator of a cone at largest
+# entry magnitude 1 (unit_top).
 
 
 def _flat(coords):
@@ -474,18 +477,19 @@ def oracle_is_composite(a, b, candidate, tol=None):
     eps = tolerance_for(tol, a, b, candidate)
     for x in a.cone.generators:
         for y in b.cone.generators:
-            if not candidate.cone.contains(product_vec(x, y), eps):
+            if not reference_contains(candidate.cone, product_vec(x, y), eps):
                 return False
     return all(dot(g, product_vec(fa, fb)) >= -eps
                for g in candidate.cone.generators
-               for fa in a.cone.facets for fb in b.cone.facets)
+               for fa in map(unit_top, a.cone.facets)
+               for fb in map(unit_top, b.cone.facets))
 
 
 def oracle_effect_on_min(a, b, f_coords, tol=None):
     F = mat(f_coords)
     eps = tolerance_for(tol, a, b)
-    for x in a.cone.generators:
-        for y in b.cone.generators:
+    for x in map(unit_top, a.cone.generators):
+        for y in map(unit_top, b.cone.generators):
             val = dot(matvec(F, y), x)
             cap = dot(vec(a.unit), x) * dot(vec(b.unit), y)
             if val < -eps or val > cap + eps:
@@ -505,12 +509,18 @@ def oracle_effect_on_max(a, b, f_coords, tol=None):
 
 
 def oracle_distributive(a, b, c, tol=None):
+    """Each pairing of x (x) H with F (x) f over |H f|, the facet of b's
+    space that the check tests F^t x against."""
     eps = tolerance_for(tol, a, b, c)
-    left_gens = [product_vec(x, h) for x in a.cone.generators
-                 for h in max_tensor(b, c).cone.generators]
-    right_facets = [product_vec(f, fc) for f in min_tensor(a, b).cone.facets
-                    for fc in c.cone.facets]
-    return all(dot(g, f) >= -eps for g in left_gens for f in right_facets)
+    right = min_tensor(a, b).cone.facets
+    for x in map(unit_top, a.cone.generators):
+        for h in max_tensor(b, c).cone.generators:
+            for fc in c.cone.facets:
+                w = top(matvec(_as_matrix(h, b.dim, c.dim), fc))
+                if any(dot(product_vec(x, h), product_vec(f, fc)) < -eps * w
+                       for f in right):
+                    return False
+    return True
 
 
 def random_polygon(rng, k, box=4):
@@ -584,7 +594,9 @@ def test_composite_checks_match_product_loop_oracles():
 
 # -- pairwise references -----------------------------------------------------
 # The composite checks as they were before each pulled-back direction was
-# tested once: every pulled-back vector, every pair.
+# tested once: every pulled-back vector, every pair, with each facet and
+# generator of a cone and each facet w = H f of b's space at largest
+# entry magnitude 1.
 
 
 def _pullbacks(coords, xs):
@@ -597,17 +609,21 @@ def reference_is_composite(a, b, candidate, tol=None):
     eps = tolerance_for(tol, a, b, candidate)
     return all(candidate.cone.contains(g, eps)
                for g in min_tensor(a, b).cone.generators) and \
-        all(b.cone.contains(y, eps) for g in candidate.cone.generators
-            for y in _pullbacks(_as_matrix(g, a.dim, b.dim), a.cone.facets))
+        all(reference_contains(b.cone, y, eps)
+            for g in candidate.cone.generators
+            for y in _pullbacks(_as_matrix(g, a.dim, b.dim),
+                                map(unit_top, a.cone.facets)))
 
 
 def reference_distributive(a, b, c, tol=None):
     eps = tolerance_for(tol, a, b, c)
     left, right = max_tensor(b, c), min_tensor(a, b)
+    xs = [unit_top(x) for x in a.cone.generators]
     us = [u for f in right.cone.facets
-          for u in _pullbacks(_as_matrix(f, a.dim, b.dim), a.cone.generators)]
-    return all(c.cone.contains(v, eps) for h in left.cone.generators
-               for v in _pullbacks(_as_matrix(h, b.dim, c.dim), us))
+          for u in _pullbacks(_as_matrix(f, a.dim, b.dim), xs)]
+    ws = [matvec(_as_matrix(h, b.dim, c.dim), f)
+          for h in left.cone.generators for f in c.cone.facets]
+    return all(dot(u, unit_top(w)) >= -eps for u in us for w in ws)
 
 
 def test_composite_checks_match_pairwise_references():
@@ -647,20 +663,23 @@ def _redundant(generators, facets, unit):
 
 
 @pytest.mark.parametrize("small_first", (True, False))
-def test_distributive_tests_each_direction_at_its_largest_scale(small_first):
+def test_distributive_reads_each_direction_at_no_scale(small_first):
     """The inclusion holds on every consistent triple; it can fail only
     when b's facets cut out more than its generators span (an enumeration
-    error or a float perturbation). Here the pairings are -1 and -3 on
-    parallel vectors: eps = 2 passes the smaller, not the larger."""
+    error or a float perturbation). Here a's parallel generators u, or
+    c's parallel facets and so the parallel w = H f, come at scales 1
+    and 3 and give the verdict of either alone: the pairing of F^t u
+    with w, both at largest entry 1, is -1/2."""
     scales = (1, 3) if small_first else (3, 1)
+    step = F(1, 10 ** 30)
     b = _redundant(((1, 0), (0, 1)), ((2, 1), (1, 2)), (1, 1))
     one = _redundant(((1,),), ((1,),), (1,))
     a = _redundant([(k,) for k in scales], ((1,),), (1,))  # parallel u
     c = _redundant(((1,),), [(k,) for k in scales], (1,))  # parallel w
-    for triple in ((a, b, one), (one, b, c)):
-        assert not check_distributive_inclusion(*triple, tol=2)
-        assert not reference_distributive(*triple, tol=2)
-        assert check_distributive_inclusion(*triple, tol=3)
+    for triple in ((a, b, one), (one, b, c), (one, b, one)):
+        for tol, verdict in ((F(1, 2), True), (F(1, 2) - step, False)):
+            assert check_distributive_inclusion(*triple, tol=tol) is verdict
+            assert reference_distributive(*triple, tol=tol) is verdict
 
 
 @pytest.mark.parametrize("small_first", (True, False))

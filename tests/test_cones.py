@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptkit import cones, linalg
-from gptkit.composites import max_tensor, min_tensor, product_vec
-from gptkit.cones import (DIMENSION_CAP, ConeRep, enumerate_rays,
-                          independent_subset, partition_rays)
+from gptkit.composites import (effect_on_min, max_tensor, min_tensor,
+                               product_vec)
+from gptkit.cones import (DIMENSION_CAP, POLYHEDRAL, ConeRep,
+                          enumerate_rays, independent_subset, partition_rays)
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, InvalidInputError,
                            UnsupportedConeError)
@@ -22,7 +23,8 @@ from gptkit.lp import feasible_point
 from gptkit.models import make_ball, make_classical, make_polygon, make_squit
 from gptkit.scalars import (DEFAULT_TOLERANCE, FLOAT, RATIONAL, exactify,
                             tolerance_for)
-from gptkit.spaces import StateSpace
+from gptkit.spaces import (LinearMapRep, StateSpace, is_effect,
+                           is_positive_map)
 from test_linalg import (reference_independent_subset, reference_inverse,
                          seeded_matrices)
 
@@ -647,9 +649,21 @@ def test_contains_exact_boundary():
     assert cone.contains(vec((1, 1, 1 - F(1, 10 ** 12))), F(1, 10 ** 9))
 
 
+def top(v):
+    """The largest entry magnitude of v, 1 when v is zero."""
+    return max(map(abs, v)) or 1
+
+
+def unit_top(v):
+    """v over its largest entry magnitude: the direction of a facet or
+    generator that a tolerant test reads."""
+    return tuple(F(x) / top(v) for x in v)
+
+
 def reference_contains(cone, x, tol=F(0)):
-    """Reference polyhedral membership: a Fraction dot per facet."""
-    return all(dot(f, x) >= -tol for f in cone.facets)
+    """Reference polyhedral membership: a Fraction dot per facet, each
+    facet taken at largest entry magnitude 1."""
+    return all(dot(unit_top(f), x) >= -tol for f in cone.facets)
 
 
 def oracle_cones(rng):
@@ -719,7 +733,7 @@ def test_contains_matches_reference_seeded():
     for cone in oracle_cones(rng):
         for x in oracle_points(cone, rng):
             # reference_contains, its facet dots made once for every tol
-            dots = [dot(f, x) for f in cone.facets]
+            dots = [dot(unit_top(f), x) for f in cone.facets]
             for tol in oracle_tolerances(dots, rng):
                 got = cone.contains(x, tol)
                 verdicts[got] += 1
@@ -838,23 +852,26 @@ def test_float_min_above_the_cap_is_decided_at_the_default_tolerance():
                             random.Random(5))
 
 
-def test_contains_tolerance_is_scaled_by_the_facet():
-    # facet (3/2, 0) is 3/2 times its integer row (1, 0); at x = (-1/5, 1)
-    # the row sum is -1 over the denominator 5, so <f, x> = -3/10
-    cone = ConeRep.from_facets(((F(3, 2), 0), (0, F(5, 7))))
+def test_contains_tolerance_reads_no_facet_scale():
+    # facets (3/2, 0) and (1, 0) are one direction, so the two cones give
+    # one verdict: at x = (-1/5, 1) the facet of largest entry 1 pairs to
+    # -1/5, whichever scale it is given at
     step = F(1, 10 ** 30)
+    given = (ConeRep.from_facets(((F(3, 2), 0), (0, F(5, 7)))),
+             ConeRep.from_facets(((1, 0), (0, F(5, 7)))))
     x = vec((F(-1, 5), 1))
-    for tol, verdict in ((F(3, 10), True), (F(3, 10) - step, False),
-                         (F(0), False), (F(1, 5), False)):
-        assert cone.contains(x, tol) is verdict
-        assert reference_contains(cone, x, tol) is verdict
-    # a negative tol asks for a margin, scaled the same way: <f, y> is
-    # 3/2 and 5/7 at y = (1, 1)
+    for tol, verdict in ((F(1, 5), True), (F(1, 5) - step, False),
+                         (F(0), False), (F(3, 10), True)):
+        for cone in given:
+            assert cone.contains(x, tol) is verdict
+            assert reference_contains(cone, x, tol) is verdict
+    # a negative tol asks for a margin, read the same way: both facets
+    # pair to 1 with y = (1, 1)
     y = vec((1, 1))
-    for tol, verdict in ((-F(5, 7), True), (-F(5, 7) - step, False),
-                         (math.nan, False)):
-        assert cone.contains(y, tol) is verdict
-        assert reference_contains(cone, y, tol) is verdict
+    for tol, verdict in ((-1, True), (-1 - step, False), (math.nan, False)):
+        for cone in given:
+            assert cone.contains(y, tol) is verdict
+            assert reference_contains(cone, y, tol) is verdict
 
 
 def test_contains_exactifies_entries_without_a_denominator():
@@ -885,7 +902,8 @@ def tolerance_kinds(rng, dots):
 def test_meets_matches_fraction_arithmetic_seeded():
     # random rows with positive scales (1, float-like 1 / max, random
     # rationals) against vectors given by integers and a scale pair (c, d)
-    # not always coprime: the verdict is the Fraction test, row by row
+    # not always coprime: the verdict is the Fraction test, row by row,
+    # on each row over its largest entry magnitude, whatever its scale
     rng = random.Random(40)
     verdicts = {True: 0, False: 0}
     for _ in range(600):
@@ -899,8 +917,8 @@ def test_meets_matches_fraction_arithmetic_seeded():
         xs = tuple(rng.randint(-9, 9) for _ in range(dim))
         k = rng.randint(1, 4)
         c, d = k * rng.randint(1, 30), k * rng.randint(1, 30)
-        dots = [scale * F(c, d) * sum(map(mul, row, xs))
-                for row, scale in rows]
+        dots = [F(c, d) * sum(map(mul, row, xs)) / top(row)
+                for row, _ in rows]
         for tol in tolerance_kinds(rng, dots):
             got = cones._meets(tuple(rows), xs, (c, d), tol)
             assert got == all(v >= -tol for v in dots), (rows, xs, c, d, tol)
@@ -935,14 +953,16 @@ def test_contains_and_maps_into_match_fraction_arithmetic_seeded():
     # in both arithmetic modes and at every kind of tol: membership of
     # boundary, near and far points, and positivity of maps that send a
     # cone's generators onto (a combination of) its generators, moved off
-    # by nothing, 2^-60, 10^-12 or far, against Fraction dots
+    # by nothing, 2^-60, 10^-12 or far, against Fraction dots of facets
+    # and generators of largest entry magnitude 1
     rng = random.Random(4040)
     seen = {mode: {True: 0, False: 0} for mode in (RATIONAL, FLOAT)}
     for cone in mode_cones(rng):
         gens, facets = cone.generators, cone.facets
         far = tuple(-x for x in map(sum, zip(*gens)))
+        units = [unit_top(f) for f in facets]
         for x in oracle_points(cone, rng, count=3) + [far]:
-            dots = [dot(f, x) for f in facets]
+            dots = [dot(f, x) for f in units]
             for tol in tolerance_kinds(rng, dots):
                 got = cone.contains(x, tol)
                 assert got == all(v >= -tol for v in dots), (x, tol)
@@ -956,13 +976,90 @@ def test_contains_and_maps_into_match_fraction_arithmetic_seeded():
             step = rng.choice((0, F(1, 2 ** 60), F(1, 10 ** 12), F(1, 3)))
             matrix[rng.randrange(cone.dim)][rng.randrange(cone.dim)] -= step
             matrix = mat(matrix)
-            dots = [dot(f, linalg.matvec(matrix, g))
-                    for g in gens for f in facets]
+            dots = [dot(f, linalg.matvec(matrix, unit_top(g)))
+                    for g in gens for f in units]
             for tol in tolerance_kinds(rng, dots):
                 got = cones.maps_into(matrix, cone, cone, tol)
                 assert got == all(v >= -tol for v in dots), (matrix, tol)
                 seen[cone.arithmetic][got] += 1
     assert all(min(counts.values()) > 300 for counts in seen.values()), seen
+
+
+def rescaled(cone, rng):
+    """The cone with each held generator and facet row times its own
+    random positive rational."""
+    def side(rows):
+        return tuple((row, scale * F(rng.randint(1, 10 ** 6),
+                                     rng.randint(1, 10 ** 6)))
+                     for row, scale in rows)
+    return ConeRep(cone.dim, POLYHEDRAL, cone.arithmetic,
+                   side(cone.generator_rows()), side(cone.facet_rows()))
+
+
+def test_verdicts_read_no_side_scale_seeded():
+    # every cone of both families in both modes, rebuilt with each side
+    # row at a random scale, gives every verdict that reads a side (at
+    # tol 0, 1e-9 and a random tol): membership, states, effects,
+    # positivity and effects on the minimal tensor
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    found = mode_cones(rng) + oracle_cones(rng)[::3]
+    assert {c.arithmetic for c in found} == {RATIONAL, FLOAT}
+    for cone in found:
+        gens, facets = cone.generators, cone.facets
+        scaled = rescaled(cone, rng)
+        unit = tuple(map(sum, zip(*map(unit_top, facets))))
+        space, other = StateSpace(cone, unit), StateSpace(scaled, unit)
+        points = oracle_points(cone, rng, count=2)
+        states = [tuple(x / dot(unit, p) for x in p)
+                  for p in points if dot(unit, p) > 0]
+        # effects: dual boundary points, near ones, at most u on the cone
+        effects = [tuple(x / peak for x in e)
+                   for e in oracle_points(cone.dual(), rng, count=2)
+                   for peak in [max(dot(e, g) / dot(unit, g) for g in gens)]
+                   if peak > 0]
+        terms = [(rng.choice(gens), rng.choice(facets), F(rng.randint(1, 5)))
+                 for _ in range(3)]
+        matrix = [[sum(w * g[i] * f[j] for g, f, w in terms)
+                   for j in range(cone.dim)] for i in range(cone.dim)]
+        matrix[rng.randrange(cone.dim)][rng.randrange(cone.dim)] -= \
+            rng.choice((F(1, 10 ** 12), F(1, 3)))
+        matrix = mat(matrix)
+        products = [[[x * y / 2 for y in unit] for x in e]
+                    for e in rng.sample(effects, min(3, len(effects)))]
+
+        def read(cone, space, tol):
+            return [cone.contains(x, tol) for x in points] \
+                + [space.is_state(x, tol) for x in states] \
+                + [is_effect(space, e, tol) for e in effects] \
+                + [cones.maps_into(matrix, cone, cone, tol),
+                   is_positive_map(LinearMapRep(space, space, matrix), tol)] \
+                + [effect_on_min(space, space, f, tol) for f in products]
+
+        for tol in (F(0), 1e-9, F(rng.randint(1, 999), 10 ** 10)):
+            got = read(cone, space, tol)
+            assert got == read(scaled, other, tol), (cone.dim, tol)
+            for v in got:
+                verdicts[v] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
+def float_square(scale):
+    """The square cone from its facets, each times scale, in float mode."""
+    return ConeRep.from_facets([[scale * x for x in f] for f in SQUARE_FACETS],
+                               FLOAT)
+
+
+@pytest.mark.parametrize("scale", (1e6, 1.0, 1e-6))
+def test_float_square_from_facets_reads_no_facet_scale(scale):
+    # a point 10^-12 outside the facet (-1, 0, 1) is in at tol 1e-9, and
+    # one 10^-4 outside is not, however the facets are scaled; the
+    # generators' LP agrees each time
+    cone = float_square(scale)
+    for gap, verdict in ((F(1, 10 ** 12), True), (F(1, 10 ** 4), False)):
+        x = vec((1, 1, 1 - gap))
+        assert cone.contains(x, 1e-9) is verdict
+        assert (cone.weights(x, 1e-9) is not None) is verdict
 
 
 def test_weights_and_strict_positivity_exactify_entries():

@@ -360,6 +360,42 @@ def test_meets_makes_no_fraction():
     assert scalar_operands(source, "_meets") == []
 
 
+def scale_bindings(source: str, name: str) -> list[str]:
+    """Lines in the body of function `name` where a `for` (a statement or
+    a comprehension) unpacks a pair whose second name is not `_`: a
+    side's (row, scale) pair binds its scale to `_`, so a verdict reads
+    the row's direction only."""
+    tree = ast.parse(source)
+    lines = {node.target.lineno for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name == name
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.target, ast.Tuple)
+             and len(node.target.elts) == 2
+             and not (isinstance(node.target.elts[1], ast.Name)
+                      and node.target.elts[1].id == "_")}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_scale_bindings_are_found():
+    source = ("def maps_into(rows, gens):\n"
+              "    for row, _ in rows:\n"
+              "        pass\n"
+              "    for gs, gscale in gens:\n"
+              "        pass\n"
+              "    return all(s > 0 for _, s in rows)\n"
+              "def other(rows):\n    return [s for _, s in rows]\n")
+    assert scale_bindings(source, "maps_into") == ["line 4", "line 6"]
+
+
+def test_kernels_read_no_row_scale():
+    # membership and positivity read each facet and generator row as a
+    # direction: the scale of a held row is never bound to a name
+    source = (PACKAGE / "cones.py").read_text()
+    for name in ("_meets", "maps_into"):
+        assert scale_bindings(source, name) == [], name
+
+
 def load_tracing() -> ModuleType:
     """bench/tracing.py run in a module of its own: kept out of
     sys.modules, and no bytecode is written beside it."""

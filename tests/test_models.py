@@ -13,10 +13,11 @@ from gptkit.linalg import (identity, integer_row, matmul, matvec, transpose,
 from gptkit.models import (_edge_rows, direct_sum, entangled_state_coords,
                            make_ball, make_classical, make_polygon,
                            make_squit, parse_model_name, symmetry_group)
-from gptkit.scalars import FLOAT, emit, emits_exactly
+from gptkit.scalars import FLOAT, emit
 from gptkit.spaces import StateSpace
 from test_bitcommit import _convex_hull
 from test_cones import held_as_rows
+from test_scalars import reference_emits_exactly
 
 F = Fraction
 EPS = F(1, 10 ** 9)
@@ -326,8 +327,8 @@ def reference_json_dict(space):
     if space.kind == POLYHEDRAL:
         mode, gens = space.arithmetic, space.cone.generators
         facets = space.cone.facets if space.cone.has_facets() else None
-        exact = facets is not None and emits_exactly(facets, mode)
-        if not exact or emits_exactly(gens, mode):
+        exact = facets is not None and reference_emits_exactly(facets, mode)
+        if not exact or reference_emits_exactly(gens, mode):
             body["generators"] = emit(gens, mode)
         if exact:
             body["facets"] = emit(facets, mode)

@@ -27,7 +27,7 @@ from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            verify_self_duality_witness)
 from gptkit.protocols import is_nondisturbing
 from test_composites import random_polygon
-from test_cones import held_as_rows
+from test_cones import held_as_rows, unit_top
 
 F = Fraction
 HALF = F(1, 2)
@@ -101,6 +101,19 @@ def test_payload_dim_must_be_an_integer(dim):
     ball = {**make_ball(2).to_json_dict(), "dim": dim}
     with pytest.raises(InvalidInputError, match="is not an integer"):
         StateSpace.from_json_dict(ball)
+
+
+@pytest.mark.parametrize("name", [5, True, ["a"], {"n": 1}], ids=repr)
+def test_payload_name_must_be_a_string(name):
+    for space in (make_squit(), make_ball(2)):
+        body = {**space.to_json_dict(), "name": name}
+        with pytest.raises(InvalidInputError, match="is not a string"):
+            StateSpace.from_json_dict(body)
+    # a name, None and the empty string are kept as given
+    body = make_squit().to_json_dict()
+    assert StateSpace.from_json_dict(body).name == body["name"]
+    assert StateSpace.from_json_dict({**body, "name": None}).name is None
+    assert StateSpace.from_json_dict({**body, "name": ""}).name == ""
 
 
 def test_payload_arithmetic_must_be_known():
@@ -448,20 +461,24 @@ def test_vertices_unsupported_for_lorentz():
 
 
 # Reference positivity, the route before integer images: each
-# generator's image made as Fractions by matvec, then `contains`. The
-# Lorentz-domain branches are shared, so only this one is kept.
+# generator's image, the generator at largest entry magnitude 1, made as
+# Fractions by matvec, then `contains`. The Lorentz-domain branches are
+# shared, so only this one is kept.
 def reference_positive_between(matrix, dom, cod, eps):
     assert dom.kind == POLYHEDRAL
-    return all(cod.contains(matvec(matrix, g), eps) for g in dom.generators)
+    return all(cod.contains(matvec(matrix, unit_top(g)), eps)
+               for g in dom.generators)
 
 
 # Reference effect test on the minimal composite: F and u (x) u - F,
-# pulled back through each generator x of a, in the dual of b's cone.
+# pulled back through each generator x of a (at largest entry magnitude
+# 1), in the dual of b's cone.
 def reference_effect_on_min(a, b, F, eps):
     residual = tuple(tuple(ua * ub - x for ub, x in zip(b.unit, row))
                      for ua, row in zip(a.unit, F))
+    xs = [unit_top(x) for x in a.cone.generators]
     return all(b.cone.dual().contains(matvec(transpose(G), x), eps)
-               for G in (F, residual) for x in a.cone.generators)
+               for G in (F, residual) for x in xs)
 
 
 def scaled_facets(rng, cone, arithmetic):

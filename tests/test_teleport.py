@@ -24,11 +24,12 @@ from gptkit.models import (entangled_state_coords, make_ball, make_classical,
 from gptkit.protocols import (construct_deterministic_teleportation,
                               verify_compression_witness,
                               verify_correction_free, verify_teleportation)
-from gptkit.scalars import FLOAT, close, emits_exactly, exactify, tolerance_for
+from gptkit.scalars import FLOAT, close, exactify, tolerance_for
 from gptkit.spaces import (Effect, LinearMapRep, Observable, StateSpace,
                            is_positive_map, order_isomorphic,
                            verify_self_duality_witness)
 from test_cones import held_as_rows
+from test_scalars import reference_emits_exactly
 
 F = Fraction
 
@@ -629,7 +630,7 @@ def test_float_polygon_rotations_are_built_from_their_angles(n):
     # floats read back as the very matrices that were checked
     assert [matvec(g, space.vertices[0]) for g in group] == list(
         space.vertices)
-    assert emits_exactly(group, FLOAT)
+    assert reference_emits_exactly(group, FLOAT)
     assert denominator_bits(group) <= 107
     scheme = construct_deterministic_teleportation(space)
     assert scheme.constant == F(1, n)
