@@ -66,7 +66,9 @@ sifted: solved on the columns of a few vertices, then every other
 column is priced exactly against y, and violators join the LP until
 none is left, so the restricted optimum and y solve the whole LP. At a
 degenerate optimum, where y need not be the only optimal effect, the
-vertex-row LP is solved instead and its pick returned.
+vertex-row LP is solved instead and its pick returned. Most vertices
+need no LP: one basis, solved exactly and checked primal and dual
+feasible and non-degenerate, has the LP's unique y.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ r over u(r)), which exposing_effect reads too, and asks an LP only
 about branch pairs that lie on the same face: a mixture with all
 weights positive is zero on exactly the facets that vanish on all of
 its vertices, so two such mixtures can be equal only when those facet
-sets are equal.
+sets are equal. An exposing effect is the dual of a d-row LP, read off
+one exact d x d basis solve where that basis passes its optimality
+check, and solved (sifted) only where it does not.
 
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
@@ -33,8 +35,8 @@ import numpy as np
 
 from ..errors import (InvalidInputError, SearchCapError, SolverError,
                       UnsupportedConeError)
-from ..linalg import (Vec, combination, dot, integer_row, transpose,
-                      unit_vec)
+from ..linalg import (Vec, _eliminate, combination, dot, integer_row,
+                      transpose, unit_vec)
 from ..lp import feasible_point, solve_lp
 from ..scalars import close, tolerance_for
 from ..spaces import StateSpace
@@ -68,7 +70,9 @@ def exposing_effect(space: StateSpace, index: int,
     LP until none is left; the zero-padded optimum and y then solve the
     whole LP, so the checked effect's margin is its optimum, which
     proves it best. No restricted optimum is below it, so one <= eps
-    means not exposed.
+    means not exposed. Before any LP, the basis of z on the d - 1 nearest
+    and w on one of the d - 1 farthest is tried (_basis_optimum): where
+    it proves itself optimal and non-degenerate, its dual is the answer.
     An optimum with fewer than dim positive entries may have several
     optimal effects: there the vertex-row LP is solved instead and its
     effect returned, so every answer is the one that LP picks.
@@ -90,10 +94,12 @@ def exposing_effect(space: StateSpace, index: int,
                                 [f for f, _ in through]))[0]
     h = [s * sum(map(mul, p, row)) for row, s in cleared]
     by_h = sorted((j for j in range(m) if j != index), key=h.__getitem__)
+    found = _basis_optimum(space, index, i, by_h, cleared, eps)
+    if found is not None:
+        return found
     chosen = set(by_h[:d - 1] + by_h[::-1][:d - 1])
     while True:
-        deltas = [tuple(verts[j][k] - target[k] for k in range(d) if k != i)
-                  for j in sorted(chosen)]
+        deltas = [_delta(verts[j], target, i) for j in sorted(chosen)]
         # columns: z_j, then w_j, then s
         columns = [delta + (ONE,) for delta in deltas]
         columns += [tuple(-x for x in delta) + (ZERO,) for delta in deltas]
@@ -105,10 +111,7 @@ def exposing_effect(space: StateSpace, index: int,
         margin = result.objective
         if margin <= eps:
             return None
-        # a = y + c u with y_i = 0, and c from a(v_t) = y(v_t) + c = 1
-        y = result.dual[:i] + (ZERO,) + result.dual[i:-1]
-        c = 1 - dot(y, target)
-        effect = tuple(y_k + c * u_k for y_k, u_k in zip(y, unit))
+        effect = _effect(result.dual, i, target, unit)
         misfits = _misfits(effect, margin, cleared, index)
         if not misfits:
             break
@@ -118,6 +121,49 @@ def exposing_effect(space: StateSpace, index: int,
     if sum(1 for x in result.x if x) < d:
         return _vertex_row_effect(space, index, margin)
     return effect, margin
+
+
+def _basis_optimum(space: StateSpace, index: int, i: int, by_h, cleared,
+                   eps) -> tuple[Vec, Fraction] | None:
+    """exposing_effect's answer read off one basis of its d-row LP, or
+    None: z on the d - 1 nearest vertices and w on one of the d - 1
+    farthest, farthest first. With B those columns, x_B is the last
+    column of B^-1 and y its last row. A basis with x_B > 0 and no misfit
+    is primal and dual feasible and non-degenerate, so y is the LP's
+    unique optimum, and the effect is the one the sift returns."""
+    verts, d = space.vertices, space.dim
+    target = verts[index]
+    near = [_delta(verts[j], target, i) + (ONE,) for j in by_h[:d - 1]]
+    for far in by_h[::-1][:d - 1]:
+        w = tuple(-x for x in _delta(verts[far], target, i)) + (ZERO,)
+        # Gauss-Jordan on [B | I]: row k over row[k] is row k of B^-1, and
+        # a singular B leaves some row[k] = 0
+        rows, _ = _eliminate([row + unit_vec(d, k) for k, row
+                              in enumerate(transpose(near + [w]))])
+        if any(row[-1] * row[k] <= 0 for k, row in enumerate(rows)):
+            continue
+        y = tuple(Fraction(x, rows[-1][d - 1]) for x in rows[-1][d:])
+        margin = y[-1]
+        if margin <= eps:
+            continue
+        effect = _effect(y, i, target, space.unit)
+        if not _misfits(effect, margin, cleared, index):
+            return effect, margin
+    return None
+
+
+def _delta(v: Vec, target: Vec, i: int) -> Vec:
+    """v - target without coordinate i."""
+    return tuple(x - t for k, (x, t) in enumerate(zip(v, target)) if k != i)
+
+
+def _effect(dual: Vec, i: int, target: Vec, unit: Vec) -> Vec:
+    """The effect a = y + c u of the d-row LP's row multipliers: y is
+    dual without its last entry (the margin's) and with y_i = 0, and c
+    comes from a(v_t) = y(v_t) + c = 1."""
+    y = dual[:i] + (ZERO,) + dual[i:-1]
+    c = 1 - dot(y, target)
+    return tuple(y_k + c * u_k for y_k, u_k in zip(y, unit))
 
 
 def _misfits(effect: Vec, margin: Fraction, cleared, index: int) -> list[int]:
@@ -398,10 +444,12 @@ def bc_cheat_curve(bound: CheatBound, n_max: int, trials: int, seed: int):
             for effects in bound.decomposition.distinguishers)
     rng = np.random.Generator(np.random.Philox(seed))
     rows = []
+    power = ONE
     for n in range(1, n_max + 1):
         fired = rng.random((trials, n)) < q
         wins = fired.all(axis=1)
         emp = float(wins.mean())
         stderr = float(np.sqrt(emp * (1.0 - emp) / trials))
-        rows.append((n, bound.per_round ** n, emp, stderr))
+        power *= bound.per_round
+        rows.append((n, power, emp, stderr))
     return tuple(rows)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -8,8 +9,8 @@ import pytest
 from gptkit.cones import ConeRep
 from gptkit.errors import (InvalidInputError, SearchCapError, SolverError,
                            UnsupportedConeError)
-from gptkit.linalg import (combination, dot, integer_row, rank, transpose,
-                           unit_vec, vec)
+from gptkit.linalg import (combination, dot, integer_row, inverse, rank,
+                           transpose, unit_vec, vec)
 from gptkit.lp import feasible_point, solve_lp
 from gptkit.models import (make_ball, make_classical, make_polygon,
                            make_squit, parse_model_name)
@@ -468,7 +469,8 @@ def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
     # here; answering from the d-row LP's dual there instead would change
     # 170 of the effects. The sifted d-row LP is solved again for 566
     # other vertices, whose first restricted optimum a vertex left out of
-    # it prices out (and for all 359 fallbacks).
+    # it prices out (and for all 359 fallbacks). 361 vertices are
+    # answered by the basis step with no LP, the other 2191 by the sift.
     fallbacks, rows = [], []
     inner = bitcommit._vertex_row_effect
 
@@ -481,7 +483,7 @@ def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
         return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
     monkeypatch.setattr(bitcommit, "_vertex_row_effect", counted)
     monkeypatch.setattr(bitcommit, "solve_lp", counted_lp)
-    vertices = resolved = 0
+    vertices = resolved = by_basis = 0
     for space in lattice_polytopes():
         for j in range(len(space.vertices)):
             rows.clear()
@@ -491,8 +493,10 @@ def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
             # the vertex-row LP has a row per listed point, more than dim
             if rows.count(space.dim) > 1 and len(fallbacks) == before:
                 resolved += 1
+            by_basis += not rows
         vertices += len(space.vertices)
     assert vertices > 2000 and len(fallbacks) >= 200 and resolved >= 400
+    assert (by_basis, vertices - by_basis) == (361, 2191)
 
 
 def test_vertex_row_effect_reads_facet_rows_of_any_scale(monkeypatch):
@@ -524,10 +528,18 @@ def test_vertex_row_effect_reads_facet_rows_of_any_scale(monkeypatch):
     assert fallbacks.count("scaled") >= 50
 
 
+def refuse_basis(monkeypatch):
+    """Send every exposing effect to the sift, as if no basis of the
+    d-row LP proved itself."""
+    monkeypatch.setattr(bitcommit, "_basis_optimum", lambda *args: None)
+
+
 def test_exposing_lps_have_one_row_per_coordinate(monkeypatch):
-    # every exposing effect on polygon:14 comes from one 3-row LP on at
-    # most 9 columns, s and the z and w columns of 4 of the 13 other
-    # vertices: no optimum there is degenerate, and none is priced out
+    # with the basis step refused, every exposing effect on polygon:14
+    # comes from one 3-row LP on at most 9 columns, s and the z and w
+    # columns of 4 of the 13 other vertices: no optimum there is
+    # degenerate, and none is priced out
+    refuse_basis(monkeypatch)
     shapes = []
 
     def counted(objective, eq_matrix, eq_rhs, **kwargs):
@@ -554,7 +566,9 @@ def reference_sift_order(space, index):
 def test_sift_starts_from_the_nearest_and_farthest_vertices(monkeypatch):
     # the effect does not depend on the sift's path, so only the first
     # LP's columns show the order: its z_j columns are delta_j + (1,)
-    # for exactly the d - 1 nearest and d - 1 farthest vertices
+    # for exactly the d - 1 nearest and d - 1 farthest vertices (the
+    # basis step refused, so that every vertex reaches the sift)
+    refuse_basis(monkeypatch)
     firsts = []
 
     def recorded(objective, eq_matrix, eq_rhs, **kwargs):
@@ -604,10 +618,171 @@ def test_search_reads_each_side_cleared_once_by_cones(monkeypatch):
 
 
 def test_exposing_effect_checks_the_dual(monkeypatch):
-    # a dual that is not an optimal effect is refused, not returned
+    # a dual that is not an optimal effect is refused, not returned (the
+    # basis step refused, so that squit's LP is solved)
+    refuse_basis(monkeypatch)
+
     def skewed(objective, eq_matrix, eq_rhs, **kwargs):
         result = solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
         return replace(result, dual=(F(1),) + result.dual[1:])
     monkeypatch.setattr(bitcommit, "solve_lp", skewed)
     with pytest.raises(SolverError, match="not an optimal effect"):
         exposing_effect(make_squit(), 0)
+
+
+# -- the basis step: exposing effects with no LP -----------------------------
+
+
+def _counted_effect(monkeypatch, space, index, tol=None):
+    """exposing_effect's answer, the number of LPs it solved and the
+    number of bases its basis step tried (its eliminations)."""
+    lps, bases = [], []
+    lp, eliminate = bitcommit.solve_lp, bitcommit._eliminate
+
+    def counted_lp(*args, **kwargs):
+        lps.append(1)
+        return lp(*args, **kwargs)
+
+    def counted_basis(m):
+        bases.append(1)
+        return eliminate(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(bitcommit, "solve_lp", counted_lp)
+        patch.setattr(bitcommit, "_eliminate", counted_basis)
+        got = exposing_effect(space, index, tol)
+    return got, len(lps), len(bases)
+
+
+def _basis_census(monkeypatch, spaces):
+    """Per vertex: the number of the far vertex whose basis answered
+    (1 for the farthest), or "lp" when the sift answered."""
+    census = Counter()
+    for space in spaces:
+        for j in range(len(space.vertices)):
+            _, lps, bases = _counted_effect(monkeypatch, space, j)
+            census["lp" if lps else bases] += 1
+    return census
+
+
+def test_basis_step_answers_polygons_and_squit_without_an_lp(monkeypatch):
+    spaces = [make_squit()] + [make_polygon(n) for n in range(5, 15)]
+    for space in spaces:
+        for j in range(len(space.vertices)):
+            got, lps, _ = _counted_effect(monkeypatch, space, j)
+            assert lps == 0, (space.name, j)
+            assert got == reference_exposing_effect(space, j), (space.name, j)
+    assert _basis_census(monkeypatch, spaces) == {1: 81, 2: 18}
+
+
+def test_basis_step_answers_almost_every_polygon_vertex(monkeypatch):
+    # polygon:3's three optima are degenerate; every other vertex of
+    # polygon:3 to 60 is proved on the farthest or second farthest vertex
+    spaces = [parse_model_name(f"polygon:{n}") for n in range(3, 61)]
+    assert _basis_census(monkeypatch, spaces) == \
+        {1: 1665, 2: 159, "lp": 3}
+    assert _basis_census(monkeypatch, spaces[:1]) == {"lp": 3}
+
+
+def test_degenerate_optima_reach_the_sift(monkeypatch):
+    # a simplex's exposing LPs have degenerate optima (classical:1 has no
+    # other vertex); classical:2's segment has a non-degenerate one
+    for name in ["polygon:3"] + [f"classical:{n}" for n in (1, 3, 4, 5, 6)]:
+        space = parse_model_name(name)
+        for j in range(len(space.vertices)):
+            got, lps, _ = _counted_effect(monkeypatch, space, j)
+            assert lps > 0, (name, j)
+            assert got == reference_exposing_effect(space, j), (name, j)
+    assert _basis_census(monkeypatch, [make_classical(2)]) == {1: 2}
+
+
+def reference_basis_refusals(space, index, tol=None):
+    """Why each basis the step tries fails, in its order, or "proved":
+    z on the d - 1 nearest vertices and w on one of the d - 1 farthest,
+    read through Fraction inverse and checked on every vertex."""
+    verts, d = space.vertices, space.dim
+    eps = tolerance_for(tol, space)
+    i = next(k for k, x in enumerate(space.unit) if x)
+    order = reference_sift_order(space, index)
+
+    def delta(j):
+        return tuple(verts[j][k] - verts[index][k] for k in range(d) if k != i)
+    near = [delta(j) + (F(1),) for j in order[:d - 1]]
+    out = []
+    for far in order[::-1][:d - 1]:
+        inv = inverse(transpose(near + [tuple(-x for x in delta(far))
+                                        + (F(0),)]))
+        if inv is None:
+            out.append("singular")
+            continue
+        if any(row[-1] <= 0 for row in inv):
+            out.append("x_B <= 0")
+            continue
+        *y, margin = inv[-1]
+        if margin <= eps:
+            out.append("margin <= eps")
+            continue
+        # a(v_j) = 1 + y . delta_j
+        values = [1 + dot(y, delta(j)) for j in range(len(verts)) if j != index]
+        fits = all(0 <= a <= 1 - margin for a in values)
+        out.append("proved" if fits else "misfit")
+    return out
+
+
+def test_basis_step_falls_through_on_every_refusal(monkeypatch):
+    # the step answers exactly where a reference basis proves itself, with
+    # the reference effect; elsewhere the sift answers it, refusals of
+    # every kind among them
+    refusals = Counter()
+    spaces = ([parse_model_name(f"polygon:{n}") for n in range(3, 9)]
+              + list(CONES) + lattice_polytopes(count=60))
+    for space in spaces:
+        for j in range(len(space.vertices)):
+            reasons = reference_basis_refusals(space, j)
+            got, lps, bases = _counted_effect(monkeypatch, space, j)
+            assert got == reference_exposing_effect(space, j), (space.name, j)
+            if "proved" in reasons:
+                assert lps == 0 and bases == reasons.index("proved") + 1
+            else:
+                assert lps > 0 and bases == len(reasons), (space.name, j)
+                refusals.update(reasons)
+    assert set(refusals) == {"singular", "x_B <= 0", "misfit"}
+
+
+def test_basis_step_falls_through_at_a_margin_within_eps(monkeypatch):
+    # squit's margins are 1/2: at tol 1/2 no vertex is exposed, and the
+    # sift says so; just below, the basis answers
+    squit = make_squit()
+    for tol, lps in ((HALF, 1), (F(499, 1000), 0)):
+        for j in range(4):
+            assert reference_basis_refusals(squit, j, tol)[0] == \
+                ("margin <= eps" if lps else "proved")
+            got, solved, _ = _counted_effect(monkeypatch, squit, j, tol)
+            assert solved == lps and \
+                got == reference_exposing_effect(squit, j, tol)
+    assert exposing_effect(squit, 0, HALF) is None
+
+
+def test_basis_step_falls_through_on_a_misfit(monkeypatch):
+    # every basis the step tries is said to misfit: the sift answers, and
+    # its own pricing, unpatched, finds the same effects
+    inside, misfits = [], bitcommit._misfits
+    basis_optimum = bitcommit._basis_optimum
+
+    def tracked(*args):
+        inside.append(True)
+        try:
+            return basis_optimum(*args)
+        finally:
+            inside.pop()
+
+    def refused(effect, margin, cleared, index):
+        if inside:
+            return [index]
+        return misfits(effect, margin, cleared, index)
+    monkeypatch.setattr(bitcommit, "_basis_optimum", tracked)
+    monkeypatch.setattr(bitcommit, "_misfits", refused)
+    for space in [make_squit(), make_polygon(7)]:
+        for j in range(len(space.vertices)):
+            got, lps, bases = _counted_effect(monkeypatch, space, j)
+            assert lps > 0 and bases == space.dim - 1, (space.name, j)
+            assert got == reference_exposing_effect(space, j), (space.name, j)

@@ -241,6 +241,27 @@ def test_float_bound_writes_an_underflowing_power_without_forming_it(
     assert overall > 0  # 20000 rounds stay above the underflow
 
 
+def test_csv_bound_forms_each_power_from_the_previous_one(
+        tmp_path, monkeypatch):
+    # row n's analytic bound is row n - 1's times per_round: no power is
+    # formed from scratch, and the rows are c**n all the same
+    c = bc_cheat_bound(find_double_decomposition(
+        parse_model_name("polygon:5"))).per_round
+    power = Fraction.__pow__
+
+    def refused(base, exponent, *rest):
+        raise AssertionError(f"a power c**{exponent} was formed")
+    monkeypatch.setattr(Fraction, "__pow__", refused)
+    code, body = run(tmp_path, "bitcommit", "bound", "--model", "polygon:5",
+                     "--n", "400", "--format", "csv", "--trials", "3",
+                     name="out.csv")
+    monkeypatch.undo()
+    rows = [line.split(",") for line in body.decode().splitlines()[1:]]
+    assert code == 0 and [int(n) for n, *_ in rows] == list(range(1, 401))
+    assert [float(analytic) for _, analytic, *_ in rows] == \
+        [float(power(c, n)) for n in range(1, 401)]
+
+
 def test_simplicial_decompose_is_an_error(tmp_path):
     code, _ = run(tmp_path, "bitcommit", "decompose", "--model",
                   "classical:3")
