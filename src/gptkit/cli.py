@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from .composites import (BipartiteState, conditional, marginal, max_tensor,
@@ -79,11 +80,14 @@ def _mode_for(args, *spaces) -> str:
     return merge_arithmetic(*(s.arithmetic for s in spaces))
 
 
-def _write(args, text: str) -> None:
+def _write(args, text) -> None:
+    """Write a string, or each string of an iterable as it is made."""
+    chunks = [text] if isinstance(text, str) else text
     if args.out:
-        Path(args.out).write_text(text)
+        with Path(args.out).open("w") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _write_json(args, report: dict) -> None:
@@ -371,10 +375,9 @@ def _cmd_bitcommit(args) -> int:
         _check_exact_power(c, args.n)
     if args.format == "csv":
         curve = bc_cheat_curve(bound, args.n, args.trials, args.seed)
-        lines = ["n,analytic_bound,empirical_rate,stderr"]
-        for n, analytic, emp, err in curve:
-            lines.append(f"{n},{emit(analytic, mode)},{emp!r},{err!r}")
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, chain(["n,analytic_bound,empirical_rate,stderr\n"],
+                           (f"{n},{emit(analytic, mode)},{emp!r},{err!r}\n"
+                            for n, analytic, emp, err in curve)))
         return OK
     report = {
         "command": "bitcommit bound",

@@ -50,7 +50,9 @@ decompositions and sections state their columns; membership from the
 generators a cone holds is cones.ConeRep.weights (separability, effects
 on the max tensor, and `contains` where the facets cannot be enumerated).
 The optimizing LPs (exposing effects, the cheat bound, the base norm)
-pass transpose(columns) to solve_lp with their cost and right-hand side.
+pass transpose(columns) to solve_lp with their cost and right-hand side;
+the bit commitment's are solved only where one basis, solved exactly,
+fails to prove itself their unique optimum.
 
 Every optimal result carries its row multipliers, LPResult.dual: the y
 with y . A_b = c_b on each column b of the final basis, solved once,
@@ -59,16 +61,10 @@ row gets 0). It is an optimum of the LP dual: y . A_j <= c_j on every
 column (>= for a maximize) and y . b equals the objective. An LP whose
 basic costs are all zero, every feasible_point LP among them, gets the
 zero vector without a solve; infeasible and unbounded results carry
-None. The bit commitment's exposing effect is such a dual: its LP
-(protocols.bitcommit.exposing_effect) has one row per coordinate, not
-one per vertex, and reads the effect and its margin from y. It is
-sifted: solved on the columns of a few vertices, then every other
-column is priced exactly against y, and violators join the LP until
-none is left, so the restricted optimum and y solve the whole LP. At a
-degenerate optimum, where y need not be the only optimal effect, the
-vertex-row LP is solved instead and its pick returned. Most vertices
-need no LP: one basis, solved exactly and checked primal and dual
-feasible and non-degenerate, has the LP's unique y.
+None. The bit commitment's exposing effect is such a dual, of an LP
+with one row per coordinate, sifted over the vertices' columns
+(protocols.bitcommit.exposing_effect); a solved cheat LP's dual is
+checked to certify its value.
 """
 
 from __future__ import annotations

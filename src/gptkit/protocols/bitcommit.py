@@ -11,13 +11,13 @@ the optimal product-strategy cheat decays exponentially in n.
 The search for the two branches reads which facets vanish on which
 vertex as int dots of the cone's facet rows with its generator rows
 (ConeRep.facet_rows and generator_rows; vertex j is generator j's row
-r over u(r)), which exposing_effect reads too, and asks an LP only
-about branch pairs that lie on the same face: a mixture with all
-weights positive is zero on exactly the facets that vanish on all of
-its vertices, so two such mixtures can be equal only when those facet
-sets are equal. An exposing effect is the dual of a d-row LP, read off
-one exact d x d basis solve where that basis passes its optimality
-check, and solved (sifted) only where it does not.
+r over u(r)), which exposing_effect reads too, and tries only branch
+pairs that lie on the same face: a mixture with all weights positive is
+zero on exactly the facets that vanish on all of its vertices, so two
+such mixtures can be equal only when those facet sets are equal. Each
+LP has an exact certificate and is solved only where it fails: a pair's
+weights come from one elimination when its columns are independent, an
+exposing effect and a cheat value from one basis proved optimal.
 
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from itertools import combinations
 from operator import and_, mul
 
@@ -70,9 +70,7 @@ def exposing_effect(space: StateSpace, index: int,
     LP until none is left; the zero-padded optimum and y then solve the
     whole LP, so the checked effect's margin is its optimum, which
     proves it best. No restricted optimum is below it, so one <= eps
-    means not exposed. Before any LP, the basis of z on the d - 1 nearest
-    and w on one of the d - 1 farthest is tried (_basis_optimum): where
-    it proves itself optimal and non-degenerate, its dual is the answer.
+    means not exposed. Before any LP, _basis_optimum tries one basis.
     An optimum with fewer than dim positive entries may have several
     optimal effects: there the vertex-row LP is solved instead and its
     effect returned, so every answer is the one that LP picks.
@@ -314,10 +312,13 @@ def _try_pair(space, verts, idx0, idx1, eps, tol):
     # and each branch sums to one
     columns = [verts[j] + (ONE, ZERO) for j in idx0] + \
         [tuple(-x for x in verts[j]) + (ZERO, ONE) for j in idx1]
-    weights, _ = feasible_point(columns, (ZERO,) * d + (ONE, ONE))
-    if weights is None:
-        return None
-    if any(w <= eps for w in weights):
+    target = (ZERO,) * d + (ONE, ONE)
+    # u(v) = 1 on each vertex: the rows have rank <= d + 1
+    weights = None if len(columns) > d + 1 else \
+        _unique_weights(columns, target)
+    if weights is None:  # dependent columns: the LP decides
+        weights, _ = feasible_point(columns, target)
+    if not weights or any(w <= eps for w in weights):
         return None  # smaller pair would do; covered at a lower total
     effects = {}
     for j in set(idx0) | set(idx1):
@@ -330,6 +331,20 @@ def _try_pair(space, verts, idx0, idx1, eps, tol):
         space, combination(weights[:k0], [verts[j] for j in idx0]),
         tuple(tuple(zip((verts[j] for j in idx), ws)) for idx, ws in pairs),
         tuple(tuple(effects[j] for j in idx) for idx, _ in pairs))
+
+
+def _unique_weights(columns, target) -> Vec | None:
+    """The x with sum_j x_j columns[j] = target for independent columns
+    (() if there is none), or None for dependent ones, by one elimination
+    of [columns | target] on integer rows. That x is the only solution, so
+    feasible_point's point when x >= 0, and otherwise it finds none."""
+    k = len(columns)
+    rows, pivots = _eliminate(transpose(columns + [target]))
+    if pivots[:k] != tuple(range(k)):
+        return None
+    if len(pivots) > k:
+        return ()  # the target is a pivot column: inconsistent
+    return tuple(Fraction(row[-1], row[r]) for r, row in enumerate(rows[:k]))
 
 
 @dataclass(frozen=True)
@@ -400,7 +415,9 @@ def bc_cheat_bound(dd: DoubleDecomposition) -> CheatBound:
     For each pair of exposing effects, an LP maximizes the common value
     t over the state polytope; the outer max over pairs realizes the
     piecewise-linear objective exactly. Cheating is limited to product
-    strategies, so the value bounds one round.
+    strategies, so the value bounds one round. An LP is solved only where
+    _cheat_basis proves no basis its unique optimum, and its dual must
+    then certify the value.
     """
     verts = dd.space.vertices
     m = len(verts)
@@ -410,46 +427,89 @@ def bc_cheat_bound(dd: DoubleDecomposition) -> CheatBound:
     # slacks s0, s1 are unit columns, so solve_lp starts them basic.
     tail = [(ZERO, ONE, ONE), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
     cost = (ZERO,) * m + (ONE, ZERO, ZERO)
-    # each effect's values on the vertices, negated, made once
-    values0, values1 = ([[-dot(a, v) for v in verts] for a in effects]
+    # each effect's values on the vertices, made once
+    values0, values1 = ([[dot(a, v) for v in verts] for a in effects]
                         for effects in (effects0, effects1))
     best = None
-    for i0, minus0 in enumerate(values0):
-        for i1, minus1 in enumerate(values1):
-            columns = [(ONE, x0, x1) for x0, x1 in zip(minus0, minus1)]
-            result = solve_lp(cost, transpose(columns + tail),
-                              (ONE, ZERO, ZERO), maximize=True)
-            if not result.ok:
-                continue
-            t = result.x[m]
-            if best is None or t > best[0]:
-                best = (t, combination(result.x[:m], verts), (i0, i1))
+    for i0, a0 in enumerate(values0):
+        for i1, a1 in enumerate(values1):
+            found = _cheat_basis(a0, a1)
+            if found is None:
+                columns = [(ONE, -x0, -x1) for x0, x1 in zip(a0, a1)] + tail
+                result = solve_lp(cost, transpose(columns),
+                                  (ONE, ZERO, ZERO), maximize=True)
+                if not result.ok:
+                    continue
+                y = result.dual
+                if y[0] != result.objective or any(
+                        dot(y, col) < c for col, c in zip(columns, cost)):
+                    raise SolverError("cheat LP's dual is no certificate")
+                found = result.x[m], result.x[:m]
+            if best is None or found[0] > best[0]:
+                best = (*found, (i0, i1))
     if best is None:
         raise InvalidInputError("cheat LP failed on every distinguisher pair")
-    c, sigma, pair = best
-    return CheatBound(decomposition=dd, per_round=c, optimizer=sigma,
-                      pair=pair)
+    c, weights, pair = best
+    return CheatBound(decomposition=dd, per_round=c,
+                      optimizer=combination(weights, verts), pair=pair)
+
+
+def _cheat_basis(a0, a1) -> tuple[Fraction, Vec] | None:
+    """The cheat LP's optimum (t, lambda) for effect values a0, a1 on the
+    vertices (cleared to integers once), or None. Its basis, with t
+    basic, is the best of a vertex k with the slack of its larger effect
+    (dual weight y = 1 on a0 when a0 is the smaller, else 0) and a crossing
+    of k and l where a0 - a1 changes sign. It is accepted only when every
+    nonbasic reduced cost is strictly negative (0 < y < 1 at a crossing,
+    y a0(v_j) + (1 - y) a1(v_j) < t at every other vertex): then it is
+    the LP's unique optimum, the simplex's x."""
+    m = len(a0)
+    ints, scale = integer_row(tuple(a0) + tuple(a1))
+    a0, a1 = ints[:m], ints[m:]
+    # (basis, y = p / q): t = (p a0_k + (q - p) a1_k) / q at its first k
+    bases = [((k,), int(a0[k] <= a1[k]), 1) for k in range(m)]
+    bases += [((k, l), a1[l] - a1[k], a0[k] - a1[k] - a0[l] + a1[l])
+              for k in range(m) if a0[k] > a1[k]
+              for l in range(m) if a0[l] < a1[l]]
+
+    def mixed(j, p, q):
+        return p * a0[j] + (q - p) * a1[j]
+
+    def higher(b, c):  # the sign of t_b - t_c, on integers
+        return mixed(b[0][0], *b[1:]) * c[2] - mixed(c[0][0], *c[1:]) * b[2]
+    basis, p, q = max(bases, key=cmp_to_key(higher))
+    top = mixed(basis[0], p, q)
+    if top < 0 or len(basis) == 2 and not 0 < p < q or any(
+            mixed(j, p, q) >= top for j in range(m) if j not in basis):
+        return None
+    if len(basis) == 1:
+        share = {basis[0]: ONE}
+    else:
+        k, l = basis
+        share = {k: Fraction(a1[l] - a0[l], q), l: Fraction(a0[k] - a1[k], q)}
+    return scale * Fraction(top, q), tuple(share.get(j, ZERO)
+                                           for j in range(m))
 
 
 def bc_cheat_curve(bound: CheatBound, n_max: int, trials: int, seed: int):
     """Analytic c**n against simulated product-cheat success, n = 1..n_max.
 
-    Returns rows (n, analytic, empirical, stderr). The simulated Alice
-    commits the bound's optimal product state and reveals her weaker
-    bit; each round fires independently, so trials are vectorized.
+    Returns an iterator over rows (n, analytic, empirical, stderr), each
+    made as it is read, so no earlier row's exact power is kept. The
+    simulated Alice commits the bound's optimal product state and reveals
+    her weaker bit; rounds fire independently, so trials are vectorized.
     """
     if n_max < 1 or trials < 1:
         raise InvalidInputError("n_max and trials must be positive")
     q = min(max(float(dot(a, bound.optimizer)) for a in effects)
             for effects in bound.decomposition.distinguishers)
     rng = np.random.Generator(np.random.Philox(seed))
-    rows = []
-    power = ONE
-    for n in range(1, n_max + 1):
-        fired = rng.random((trials, n)) < q
-        wins = fired.all(axis=1)
-        emp = float(wins.mean())
-        stderr = float(np.sqrt(emp * (1.0 - emp) / trials))
-        power *= bound.per_round
-        rows.append((n, power, emp, stderr))
-    return tuple(rows)
+
+    def rows():
+        power = ONE
+        for n in range(1, n_max + 1):
+            fired = rng.random((trials, n)) < q
+            emp = float(fired.all(axis=1).mean())
+            power *= bound.per_round
+            yield n, power, emp, float(np.sqrt(emp * (1.0 - emp) / trials))
+    return rows()

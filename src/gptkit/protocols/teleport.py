@@ -9,9 +9,8 @@ deterministic teleportation with group-element corrections. Its
 construction proves each group fact once, on integer matrices: every
 element, the state map and its inverse are cleared once (integer_row),
 one product table proves the group (scalars.first_close_row), the
-equivariance products are compared by scalars.close_rows, and an
-outcome whose J is exactly its group element reuses that element's
-positivity proof.
+equivariance products are compared by scalars.close_rows, and outcomes
+after the first are derived from the group's identities.
 """
 
 from __future__ import annotations
@@ -79,25 +78,15 @@ def verify_teleportation(f_coords, omega: BipartiteState,
     inverse. The effect is validated against the minimal composite of
     (A, B), the shared state against the maximal composite.
     """
-    return _prove_outcome(mat(f_coords), omega, tol, state_checked=False)
-
-
-def _prove_outcome(F: Mat, omega: BipartiteState, tol,
-                   state_checked: bool, positive: Mat | None = None
-                   ) -> TeleportationCertificate:
-    """verify_teleportation on an exact effect matrix; a shared state
-    already checked (state_checked) is not validated again. positive, if
-    given, is a matrix proved to map A's cone into itself at this
-    tolerance: when J equals it exactly, only J's inverse is tested."""
+    F = mat(f_coords)
     b_space, a_space = omega.composite.factor_a, omega.composite.factor_b
     if not effect_on_min(a_space, b_space, F, tol):
         raise InvalidInputError("f is not an effect on the minimal composite")
     eps = tolerance_for(tol, a_space, b_space)
-    if not state_checked:
-        if omega.composite.tensor != "max":
-            raise InvalidInputError("shared state must live on the maximal "
-                                    "composite")
-        omega.validate(tol)
+    if omega.composite.tensor != "max":
+        raise InvalidInputError("shared state must live on the maximal "
+                                "composite")
+    omega.validate(tol)
 
     witness = f_hat(F)
     mu = matmul(omega_hat(omega), witness)
@@ -111,14 +100,7 @@ def _prove_outcome(F: Mat, omega: BipartiteState, tol,
 
     J = tuple(tuple(x / constant for x in row) for row in mu)
     # J's inverse, positive: J is an order isomorphism
-    if J == positive:
-        inv = inverse(J)
-        correction = None if inv is None or not maps_into(
-            inv, a_space.cone, a_space.cone, eps) \
-            else LinearMapRep(a_space, a_space, inv)
-    else:
-        correction = is_order_isomorphism(
-            LinearMapRep(a_space, a_space, J), tol)
+    correction = is_order_isomorphism(LinearMapRep(a_space, a_space, J), tol)
     if correction is None or not is_norm_contractive(correction, tol):
         return _fail(a_space, mu, constant, witness)
     return TeleportationCertificate(
@@ -171,11 +153,8 @@ def construct_deterministic_teleportation(
     and a row without e means a singular g_i, since a finite closed set
     holding e holds every invertible element's inverse.
 
-    The first outcome goes through verify_teleportation. The others skip
-    what is proved already: the shared state, and, when J is exactly the
-    outcome's group element (as it is whenever g preserves u exactly, mu
-    being (1/|G|) g), J's positivity, which the group loop proved on the
-    same cone at the same eps; only J's inverse is tested then.
+    The first outcome and any g with g^t u != u exactly go through
+    verify_teleportation; the others are derived (_derived_outcome).
     """
     if group is None:
         group = symmetry_group(space)
@@ -269,8 +248,10 @@ def construct_deterministic_teleportation(
 
     certificates = []
     for k, (g, i, F) in enumerate(zip(group, inverse_of, effects)):
-        cert = verify_teleportation(F, shared, tol) if k == 0 else \
-            _prove_outcome(F, shared, tol, state_checked=True, positive=g)
+        if k and order > eps and matvec(transpose(g), u) == u:
+            cert = _derived_outcome(space, g, group[i], F, order, tol, eps)
+        else:
+            cert = verify_teleportation(F, shared, tol)
         if not cert.verdict:
             raise InvalidInputError("an outcome fails teleportation "
                                     "verification")
@@ -285,6 +266,25 @@ def construct_deterministic_teleportation(
     return TeleportationScheme(
         space=space, group=group, omega=shared, effects=tuple(effects),
         certificates=tuple(certificates), constant=order)
+
+
+def _derived_outcome(space: StateSpace, g: Mat, g_inv: Mat, F: Mat, order,
+                     tol, eps) -> TeleportationCertificate:
+    """verify_teleportation's certificate for outcome g when g^t u = u
+    exactly and 1/|G| > eps: oh . oh^-1 = I exactly, so mu = g/|G|, J = g
+    (proved positive) and u - (g^-1)^t u = 0. At eps = 0 the correction
+    is the table's g^-1, exact and proved positive; at eps > 0 g is
+    inverted and the inverse tested. The effect is checked as there."""
+    if not effect_on_min(space, space, F, tol):
+        raise InvalidInputError("f is not an effect on the minimal composite")
+    mu = tuple(tuple(x * order for x in row) for row in g)
+    inv = inverse(g) if eps else g_inv
+    if inv is None or eps and not maps_into(inv, space.cone, space.cone, eps):
+        return _fail(space, mu, order, f_hat(F))
+    return TeleportationCertificate(
+        mu=LinearMapRep(space, space, mu), constant=order,
+        correction=LinearMapRep(space, space, inv), verdict=True,
+        duality_witness=f_hat(F))
 
 
 def verify_compression_witness(a1: StateSpace, a2: StateSpace, p_coords,

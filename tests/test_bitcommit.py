@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -212,13 +213,13 @@ def test_cheat_bound_exact():
 
 def test_cheat_curve_shape():
     bound = bc_cheat_bound(squit_dd())
-    rows = bc_cheat_curve(bound, 5, 400, 17)
+    rows = tuple(bc_cheat_curve(bound, 5, 400, 17))
     assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
     for n, analytic, emp, err in rows:
         assert analytic == F(3, 4) ** n
         assert 0 <= emp <= 1
         assert err >= 0
-    assert rows == bc_cheat_curve(bound, 5, 400, 17)
+    assert rows == tuple(bc_cheat_curve(bound, 5, 400, 17))
 
 
 # -- the face filter against the unfiltered scan ------------------------
@@ -350,6 +351,9 @@ def test_cones_have_multi_facet_faces():
 @pytest.mark.parametrize("space, unfiltered_lps", [
     (make_polygon(14), 67), (make_squit(), 2)], ids=["polygon:14", "squit"])
 def test_search_runs_one_lp(monkeypatch, space, unfiltered_lps):
+    # the one pair the filtered search tries has independent columns, so
+    # no LP is left; the unfiltered scan, every pair solved as an LP
+    # (the elimination refused), runs unfiltered_lps
     calls = []
 
     def counted(columns, target, tol=F(0)):
@@ -357,10 +361,16 @@ def test_search_runs_one_lp(monkeypatch, space, unfiltered_lps):
         return feasible_point(columns, target, tol)
     monkeypatch.setattr(bitcommit, "feasible_point", counted)
     dd = find_double_decomposition(space)
-    assert len(calls) == 1
-    del calls[:]
+    assert len(calls) == 0
+    refuse(monkeypatch, "_unique_weights")
     assert reference_find_double_decomposition(space) == dd
     assert len(calls) == unfiltered_lps
+
+
+def refuse(monkeypatch, name):
+    """Refuse every certificate bitcommit's helper `name` gives, so each
+    LP it stands in for is solved."""
+    monkeypatch.setattr(bitcommit, name, lambda *args: None)
 
 
 def _skipped_pairs(space, max_total):
@@ -786,3 +796,138 @@ def test_basis_step_falls_through_on_a_misfit(monkeypatch):
             got, lps, bases = _counted_effect(monkeypatch, space, j)
             assert lps > 0 and bases == space.dim - 1, (space.name, j)
             assert got == reference_exposing_effect(space, j), (space.name, j)
+
+
+# -- certificates in place of LPs: the pair weights and the cheat bound -------
+
+
+def small_lattice_polytopes():
+    """lattice_polytopes() listing at most 8 points (146 of the 300): the
+    search over all of them takes over 25 s, most of it on the few with
+    9 to 11 points of which too few are exposed for any pair to pass."""
+    return [s for s in lattice_polytopes() if len(s.vertices) <= 8]
+
+
+FAMILIES = {"oracle": lambda: ORACLE_SPACES, "lattice": small_lattice_polytopes}
+
+
+def _searched(spaces):
+    """find_double_decomposition on each space, or its error."""
+    out = []
+    for space in spaces:
+        try:
+            out.append(find_double_decomposition(space))
+        except (InvalidInputError, SearchCapError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@cache
+def family_decompositions(family):
+    return tuple(dd for dd in _searched(FAMILIES[family]())
+                 if isinstance(dd, bitcommit.DoubleDecomposition))
+
+
+@pytest.mark.parametrize("family, certified, lps", [
+    ("oracle", 136, 0), ("lattice", 562, 77)])
+def test_cheat_bound_certificates_match_the_lp(monkeypatch, family,
+                                               certified, lps):
+    # each certified basis is its LP's unique optimum, so the bound, the
+    # optimizer (the simplex's x) and the pair equal the LP-only run's;
+    # the lattice family's degenerate and tied optima reach the LP
+    dds = family_decompositions(family)
+    solved = []
+
+    def counted(*args, **kwargs):
+        solved.append(1)
+        return solve_lp(*args, **kwargs)
+    monkeypatch.setattr(bitcommit, "solve_lp", counted)
+    got = [bc_cheat_bound(dd) for dd in dds]
+    pairs = sum(len(e0) * len(e1) for e0, e1 in
+                (dd.distinguishers for dd in dds))
+    assert (pairs - len(solved), len(solved)) == (certified, lps)
+    refuse(monkeypatch, "_cheat_basis")
+    want = [bc_cheat_bound(dd) for dd in dds]
+    assert [(b.per_round, b.optimizer, b.pair) for b in got] == \
+        [(b.per_round, b.optimizer, b.pair) for b in want]
+    assert len(solved) == lps + pairs
+
+
+def test_cheat_basis_refuses_a_tied_optimum():
+    # a0 = 1 on v0 and v1, a1 = 1 on v2: the crossings (0, 2) and (1, 2)
+    # both reach t = 1/2, so no basis is the unique optimum
+    assert bitcommit._cheat_basis([F(1), F(1), F(0)],
+                                  [F(0), F(0), F(1)]) is None
+    assert bitcommit._cheat_basis([F(1), F(0)], [F(0), F(1)]) == \
+        (HALF, (HALF, HALF))
+    # equal values at v0: the vertex, at weight 1 on a0 (v1 is lower)
+    assert bitcommit._cheat_basis([F(3), F(1)], [F(3), F(2)]) == \
+        (F(3), (F(1), F(0)))
+
+
+@pytest.mark.parametrize("dual", [
+    lambda y, t: (t + 1,) + y[1:],  # y . b is not the objective
+    lambda y, t: (t, F(0), F(0)),   # t's column is violated
+], ids=["objective", "column"])
+def test_cheat_lp_dual_must_certify_its_value(monkeypatch, dual):
+    refuse(monkeypatch, "_cheat_basis")
+    dd = squit_dd()
+    assert bc_cheat_bound(dd).per_round == F(3, 4)  # real duals pass
+
+    def skewed(objective, eq_matrix, eq_rhs, **kwargs):
+        result = solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
+        return replace(result, dual=dual(result.dual, result.objective))
+    monkeypatch.setattr(bitcommit, "solve_lp", skewed)
+    with pytest.raises(SolverError, match="dual is no certificate"):
+        bc_cheat_bound(dd)
+
+
+@pytest.mark.parametrize("family, lps", [("oracle", 0), ("lattice", 5926)])
+def test_pair_weights_match_the_lp_only_search(monkeypatch, family, lps):
+    # the search with pair weights by elimination finds what the LP-only
+    # search finds; only pairs with dependent columns reach the LP
+    solved = []
+
+    def counted(columns, target, tol=F(0)):
+        assert rank(columns) < len(columns)
+        solved.append(1)
+        return feasible_point(columns, target, tol)
+    monkeypatch.setattr(bitcommit, "feasible_point", counted)
+    spaces = FAMILIES[family]()
+    got = _searched(spaces)
+    assert len(solved) == lps
+    monkeypatch.setattr(bitcommit, "feasible_point", feasible_point)
+    refuse(monkeypatch, "_unique_weights")
+    assert got == _searched(spaces)
+
+
+def test_independent_pairs_are_solved_by_elimination():
+    # every 2 + 2 pair: with independent columns the elimination's weights
+    # are feasible_point's point, or there is none (no solution, or a
+    # negative weight) and the pair gives None; dependent ones are left
+    kinds = Counter()
+    for space in [make_squit(), make_polygon(5), make_polygon(6), CUBE]:
+        verts, d = space.vertices, space.dim
+        for idx0 in combinations(range(len(verts)), 2):
+            rest = [j for j in range(len(verts)) if j not in idx0]
+            for idx1 in combinations(rest, 2):
+                columns = [verts[j] + (F(1), F(0)) for j in idx0] + \
+                    [tuple(-x for x in verts[j]) + (F(0), F(1))
+                     for j in idx1]
+                target = (F(0),) * d + (F(1), F(1))
+                x = bitcommit._unique_weights(columns, target)
+                point, _ = feasible_point(columns, target)
+                if x is None:
+                    assert rank(columns) < 4
+                    kinds["dependent"] += 1
+                    continue
+                if x and min(x) >= 0:
+                    assert x == point
+                    kinds["solved"] += 1
+                    continue
+                assert point is None
+                assert bitcommit._try_pair(space, verts, idx0, idx1, F(0),
+                                           None) is None
+                kinds["negative" if x else "inconsistent"] += 1
+    assert kinds == {"inconsistent": 348, "negative": 80, "solved": 66,
+                     "dependent": 52}

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,6 +261,26 @@ def test_csv_bound_forms_each_power_from_the_previous_one(
     assert code == 0 and [int(n) for n, *_ in rows] == list(range(1, 401))
     assert [float(analytic) for _, analytic, *_ in rows] == \
         [float(power(c, n)) for n in range(1, 401)]
+
+
+def test_csv_bound_keeps_no_earlier_row(tmp_path, capsys):
+    # each row is written as it is made: kept together, the exact powers
+    # c**n of polygon:5 (c a 216-bit fraction) take 29 MB at n = 1000;
+    # to a file and to stdout alike, the peak stays small
+    argv = ["bitcommit", "bound", "--model", "polygon:5", "--n", "1000",
+            "--format", "csv", "--trials", "1"]
+    main(argv[:4] + ["--n", "2", "--format", "csv"])  # warm the imports
+    capsys.readouterr()
+    peaks = []
+    for out in ([], ["--out", str(tmp_path / "out.csv")]):
+        tracemalloc.start()
+        try:
+            assert main(argv + out) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert capsys.readouterr().out == (tmp_path / "out.csv").read_text()
+    assert max(peaks) < 2 * 2 ** 20
 
 
 def test_simplicial_decompose_is_an_error(tmp_path):

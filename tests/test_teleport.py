@@ -548,10 +548,11 @@ def test_multi_fault_groups_report_another_first_fault(group, old, new):
     assert new in outcome(construct_deterministic_teleportation, sq, group)[1]
 
 
-@pytest.mark.parametrize("model, count", [("squit", 5), ("polygon:14", 15)])
+@pytest.mark.parametrize("model, count", [("squit", 2), ("polygon:14", 15)])
 def test_construct_inverts_each_element_once(monkeypatch, model, count):
-    # one inverse per outcome inside verify_teleportation, plus the state
-    # map's; group inverses come from the product table
+    # the state map's inverse and the first outcome's J^-1; at eps > 0
+    # each later outcome inverts its element too (polygon:14), at eps = 0
+    # its correction is the product table's inverse element (squit)
     calls = []
 
     def counted(matrix):
@@ -583,25 +584,28 @@ def count_calls(monkeypatch, functions):
     return counts
 
 
-@pytest.mark.parametrize("model, maps_into, matmul, close_rows", [
-    ("squit", 19, 4, 25), ("polygon:14", 59, 14, 300)])
+@pytest.mark.parametrize("model, maps_into, close_rows", [
+    ("squit", 16, 25), ("polygon:14", 59, 300)])
 def test_construct_proves_each_group_fact_once(monkeypatch, model,
-                                               maps_into, matmul,
-                                               close_rows):
+                                               maps_into, close_rows):
     # maps_into: |G| group elements, the state map and its inverse, two
-    # effect halves per outcome, J for the first outcome only (the
-    # others' J is exactly its group element, proved already) and J's
-    # inverse for each;
-    # matmul: each outcome's mu, the one Fraction product left; the
-    # product table tries close_rows only on a matching first entry
+    # effect halves per outcome, J and J^-1 for the first outcome, and
+    # for each later one (whose J is exactly its group element, proved
+    # already) its inverse only at eps > 0: at eps = 0 (squit) that is
+    # the product table's inverse element, proved already too;
+    # matmul: the first outcome's mu, the later ones' being exactly
+    # g/|G|; the product table tries close_rows only on a matching first
+    # entry
     counts = count_calls(monkeypatch, {
         gptkit.cones: ["maps_into"], gptkit.linalg: ["matmul", "inverse"],
         gptkit.scalars: ["close_rows"]})
     space = parse_model_name(model)
     order = len(construct_deterministic_teleportation(space).group)
-    assert counts["maps_into"] == maps_into == 4 * order + 3
-    assert counts["matmul"] == matmul == order
-    assert counts["inverse"] == order + 1
+    exact = not tolerance_for(None, space)
+    assert counts["maps_into"] == maps_into == \
+        (3 * order + 4 if exact else 4 * order + 3)
+    assert counts["matmul"] == 1
+    assert counts["inverse"] == (2 if exact else order + 1)
     assert counts["close_rows"] <= close_rows
 
 
@@ -671,3 +675,72 @@ def test_angle_built_group_moves_reports_by_float_rounding(monkeypatch,
     old = report()
     assert report_floats_apart(new, old) <= 1e-12
     assert denominator_bits(power_group(n)) > 107 or n == 3
+
+
+# -- outcomes after the first, derived from the group's identities ------------
+
+
+TELEPORT_MODELS = (["squit"] + [f"classical:{n}" for n in range(2, 7)]
+                   + [f"polygon:{n}" for n in range(3, 17)])
+
+
+def derived_outcomes(monkeypatch, space, group=None, tol=None):
+    """The scheme, and the group elements whose outcome was derived."""
+    derived = []
+    inner = gptkit.protocols.teleport._derived_outcome
+
+    def counted(space, g, *args):
+        derived.append(g)
+        return inner(space, g, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(gptkit.protocols.teleport, "_derived_outcome", counted)
+        scheme = construct_deterministic_teleportation(space, group, tol=tol)
+    return scheme, derived
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6], ids=["default", "1e-6"])
+@pytest.mark.parametrize("model", TELEPORT_MODELS)
+def test_derived_outcomes_are_verify_teleportations(monkeypatch, model, tol):
+    # every element fixes u exactly, so each outcome after the first is
+    # derived, and its certificate is verify_teleportation's field by
+    # field (the spaces are the very objects verify reads off omega)
+    scheme, derived = derived_outcomes(monkeypatch, parse_model_name(model),
+                                       tol=tol)
+    assert derived == list(scheme.group[1:])
+    for effect, cert in zip(scheme.effects, scheme.certificates):
+        want = verify_teleportation(effect, scheme.omega, tol)
+        assert cert.verdict and want.verdict
+        for got, exact in ((cert.mu, want.mu),
+                           (cert.correction, want.correction)):
+            assert got.domain is exact.domain
+            assert got.codomain is exact.codomain
+            assert got.matrix == exact.matrix
+        assert cert.constant == want.constant
+        assert cert.duality_witness == want.duality_witness
+        assert cert == want
+
+
+def test_an_element_fixing_u_within_eps_only_is_verified(monkeypatch):
+    # pentagon rotation 2 with its last row moved by eps/4: g^t u != u,
+    # so its outcome goes through verify_teleportation
+    space = make_polygon(5)
+    eps = tolerance_for(None, space)
+    g = PENTAGON_GROUP[2]
+    lifted = g[:2] + ((eps / 4,) + g[2][1:],)
+    group = PENTAGON_GROUP[:2] + (lifted,) + PENTAGON_GROUP[3:]
+    scheme, derived = derived_outcomes(monkeypatch, space, group)
+    assert derived == [group[k] for k in (1, 3, 4)]
+    assert scheme.certificates[2] == \
+        verify_teleportation(scheme.effects[2], scheme.omega)
+
+
+def test_derived_outcome_tests_the_inverse_at_a_positive_eps(monkeypatch):
+    # at eps > 0 each derived outcome inverts its element and tests the
+    # inverse's positivity, and a failed test fails the outcome as verify
+    # does; at eps = 0 the table's inverse element needs no test
+    monkeypatch.setattr(gptkit.protocols.teleport, "maps_into",
+                        lambda *args: False)
+    with pytest.raises(InvalidInputError, match="an outcome fails "
+                       "teleportation verification"):
+        construct_deterministic_teleportation(make_polygon(5))
+    assert construct_deterministic_teleportation(make_squit()).certificates
