@@ -61,10 +61,8 @@ row gets 0). It is an optimum of the LP dual: y . A_j <= c_j on every
 column (>= for a maximize) and y . b equals the objective. An LP whose
 basic costs are all zero, every feasible_point LP among them, gets the
 zero vector without a solve; infeasible and unbounded results carry
-None. The bit commitment's exposing effect is such a dual, of an LP
-with one row per coordinate, sifted over the vertices' columns
-(protocols.bitcommit.exposing_effect); a solved cheat LP's dual is
-checked to certify its value.
+None. The bit commitment checks the dual of each exposing and cheat LP
+it solves, exactly, to certify the LP's value.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ The search for the two branches reads which facets vanish on which
 vertex as int dots of the cone's facet rows with its generator rows
 (ConeRep.facet_rows and generator_rows; vertex j is generator j's row
 r over u(r)), which exposing_effect reads too, and tries only branch
-pairs that lie on the same face: a mixture with all weights positive is
-zero on exactly the facets that vanish on all of its vertices, so two
-such mixtures can be equal only when those facet sets are equal. Each
-LP has an exact certificate and is solved only where it fails: a pair's
-weights come from one elimination when its columns are independent, an
-exposing effect and a cheat value from one basis proved optimal.
+pairs of exposable points that lie on the same face: a mixture with all
+weights positive is zero on exactly the facets that vanish on all of its
+vertices, so two such mixtures can be equal only when those facet sets
+are equal. An LP is solved only where an exact certificate fails: a
+pair's weights come from one elimination when its columns are
+independent, an exposing effect and a cheat value from one basis proved
+optimal, and a solved optimizing LP's dual is checked exactly.
 
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
@@ -54,32 +55,34 @@ def exposing_effect(space: StateSpace, index: int,
     Maximizes m subject to a(v_t) = 1 (t = index), a(v_j) >= 0 and
     a(v_j) + m <= 1 on every other vertex, m >= 0. Returns (effect,
     margin), or None when the vertex is not exposed (margin <= eps).
-
-    The LP solved is this problem's dual, with one row per coordinate:
-    minimize sum w_j subject to sum_{j != t} (z_j - w_j) delta_j = 0 and
-    sum z_j - s = 1, z, w, s >= 0, where delta_j is v_j - v_t without a
-    coordinate i with u_i != 0 (u(v) = 1 on every vertex, so it follows
-    from the others). Its row multipliers are m and y, with a = y + c u,
-    y_i = 0 and c from a(v_t) = 1.
-
-    The LP is sifted: first solved on s and the columns of the d - 1
-    vertices nearest to v_t and the d - 1 farthest (by h_j = phi(v_j),
-    phi the sum of the facets through v_t, on the cone's rows), then
-    priced on every vertex exactly, since a(v_j) = 1 + y . delta_j: z_j
-    needs a(v_j) + m <= 1 and w_j needs a(v_j) >= 0. Violators join the
-    LP until none is left; the zero-padded optimum and y then solve the
-    whole LP, so the checked effect's margin is its optimum, which
-    proves it best. No restricted optimum is below it, so one <= eps
-    means not exposed. Before any LP, _basis_optimum tries one basis.
-    An optimum with fewer than dim positive entries may have several
-    optimal effects: there the vertex-row LP is solved instead and its
-    effect returned, so every answer is the one that LP picks.
+    _basis_optimum tries to prove one basis the unique optimum; where
+    none proves itself, the vertex-row LP answers, so every effect is
+    the one that LP picks.
     """
-    verts = space.vertices
-    if not 0 <= index < len(verts):
+    if not 0 <= index < len(space.vertices):
         raise InvalidInputError(f"vertex index {index} out of range")
     eps = tolerance_for(tol, space)
-    unit, target, d, m = space.unit, verts[index], space.dim, len(verts)
+    return (_basis_optimum(space, index, eps)
+            or _vertex_row_effect(space, index, eps))
+
+
+def _basis_optimum(space: StateSpace, index: int,
+                   eps) -> tuple[Vec, Fraction] | None:
+    """exposing_effect's answer read off one basis of its dual, or None.
+
+    The dual has one row per coordinate: minimize sum w_j subject to
+    sum_{j != t} (z_j - w_j) delta_j = 0 and sum z_j - s = 1, z, w, s >= 0,
+    delta_j being v_j - v_t without a coordinate i with u_i != 0 (u = 1
+    on every vertex fixes it). Its row multipliers are y and m, with
+    a = y + c u, y_i = 0 and c from a(v_t) = 1. The basis: z on the d - 1
+    vertices nearest to v_t and w on one of the d - 1 farthest, farthest
+    first, by phi(v_j), phi the sum of the facets through v_t. With B
+    those columns, x_B is the last column of B^-1 and y its last row. A
+    basis with x_B > 0 and no misfit is primal and dual feasible and
+    non-degenerate, so y is the LP's unique optimum.
+    """
+    verts, unit, d = space.vertices, space.unit, space.dim
+    target = verts[index]
     i = next(k for k, x in enumerate(unit) if x)
     # v_j = r / u(r) for generator j's row r, and u = w q
     q, w = integer_row(unit)
@@ -91,77 +94,30 @@ def exposing_effect(space: StateSpace, index: int,
     p = integer_row(combination([c for _, c in through],
                                 [f for f, _ in through]))[0]
     h = [s * sum(map(mul, p, row)) for row, s in cleared]
-    by_h = sorted((j for j in range(m) if j != index), key=h.__getitem__)
-    found = _basis_optimum(space, index, i, by_h, cleared, eps)
-    if found is not None:
-        return found
-    chosen = set(by_h[:d - 1] + by_h[::-1][:d - 1])
-    while True:
-        deltas = [_delta(verts[j], target, i) for j in sorted(chosen)]
-        # columns: z_j, then w_j, then s
-        columns = [delta + (ONE,) for delta in deltas]
-        columns += [tuple(-x for x in delta) + (ZERO,) for delta in deltas]
-        columns.append((ZERO,) * (d - 1) + (-ONE,))
-        cost = (ZERO,) * len(deltas) + (ONE,) * len(deltas) + (ZERO,)
-        result = solve_lp(cost, transpose(columns), unit_vec(d, d - 1))
-        if not result.ok:  # no other vertex: the margin is unbounded
-            return None
-        margin = result.objective
-        if margin <= eps:
-            return None
-        effect = _effect(result.dual, i, target, unit)
-        misfits = _misfits(effect, margin, cleared, index)
-        if not misfits:
-            break
-        if index in misfits or chosen.intersection(misfits):
-            raise SolverError("exposing LP's dual is not an optimal effect")
-        chosen.update(misfits)
-    if sum(1 for x in result.x if x) < d:
-        return _vertex_row_effect(space, index, margin)
-    return effect, margin
+    by_h = sorted((j for j in range(len(verts)) if j != index),
+                  key=h.__getitem__)
 
-
-def _basis_optimum(space: StateSpace, index: int, i: int, by_h, cleared,
-                   eps) -> tuple[Vec, Fraction] | None:
-    """exposing_effect's answer read off one basis of its d-row LP, or
-    None: z on the d - 1 nearest vertices and w on one of the d - 1
-    farthest, farthest first. With B those columns, x_B is the last
-    column of B^-1 and y its last row. A basis with x_B > 0 and no misfit
-    is primal and dual feasible and non-degenerate, so y is the LP's
-    unique optimum, and the effect is the one the sift returns."""
-    verts, d = space.vertices, space.dim
-    target = verts[index]
-    near = [_delta(verts[j], target, i) + (ONE,) for j in by_h[:d - 1]]
+    def delta(j):
+        return tuple(x - t for k, (x, t) in enumerate(zip(verts[j], target))
+                     if k != i)
+    near = [delta(j) + (ONE,) for j in by_h[:d - 1]]
     for far in by_h[::-1][:d - 1]:
-        w = tuple(-x for x in _delta(verts[far], target, i)) + (ZERO,)
+        w_far = tuple(-x for x in delta(far)) + (ZERO,)
         # Gauss-Jordan on [B | I]: row k over row[k] is row k of B^-1, and
         # a singular B leaves some row[k] = 0
         rows, _ = _eliminate([row + unit_vec(d, k) for k, row
-                              in enumerate(transpose(near + [w]))])
+                              in enumerate(transpose(near + [w_far]))])
         if any(row[-1] * row[k] <= 0 for k, row in enumerate(rows)):
             continue
-        y = tuple(Fraction(x, rows[-1][d - 1]) for x in rows[-1][d:])
-        margin = y[-1]
+        *y, margin = (Fraction(x, rows[-1][d - 1]) for x in rows[-1][d:])
         if margin <= eps:
             continue
-        effect = _effect(y, i, target, space.unit)
+        y.insert(i, ZERO)
+        c = 1 - dot(y, target)
+        effect = tuple(y_k + c * u_k for y_k, u_k in zip(y, unit))
         if not _misfits(effect, margin, cleared, index):
             return effect, margin
     return None
-
-
-def _delta(v: Vec, target: Vec, i: int) -> Vec:
-    """v - target without coordinate i."""
-    return tuple(x - t for k, (x, t) in enumerate(zip(v, target)) if k != i)
-
-
-def _effect(dual: Vec, i: int, target: Vec, unit: Vec) -> Vec:
-    """The effect a = y + c u of the d-row LP's row multipliers: y is
-    dual without its last entry (the margin's) and with y_i = 0, and c
-    comes from a(v_t) = y(v_t) + c = 1."""
-    y = dual[:i] + (ZERO,) + dual[i:-1]
-    c = 1 - dot(y, target)
-    return tuple(y_k + c * u_k for y_k, u_k in zip(y, unit))
 
 
 def _misfits(effect: Vec, margin: Fraction, cleared, index: int) -> list[int]:
@@ -184,10 +140,11 @@ def _misfits(effect: Vec, margin: Fraction, cleared, index: int) -> list[int]:
 
 
 def _vertex_row_effect(space: StateSpace, index: int,
-                       margin: Fraction) -> tuple[Vec, Fraction]:
-    """The effect of exposing_effect's problem stated with one row per
-    vertex, a a nonnegative combination of the dual cone's generators
-    (facet rows); its optimum must be `margin`."""
+                       eps) -> tuple[Vec, Fraction] | None:
+    """exposing_effect's problem stated with one row per vertex, a a
+    nonnegative combination of the dual cone's generators (facet rows),
+    solved by the LP; None when no other vertex bounds the margin or it
+    is at most eps. The LP's dual must certify the margin exactly."""
     verts = space.vertices
     duals = [r for r, _ in space.cone.facet_rows()]
     # columns: theta per dual generator, m, one slack per non-target row;
@@ -197,11 +154,17 @@ def _vertex_row_effect(space: StateSpace, index: int,
     columns = [tuple(dot(f, v) for v in ordered) for f in duals]
     columns.append((ZERO,) + (ONE,) * (k - 1))
     columns += [unit_vec(k, i) for i in range(1, k)]
-    result = solve_lp(unit_vec(len(columns), len(duals)), transpose(columns),
-                      (ONE,) * k, maximize=True)
-    if result.objective != margin:
-        raise SolverError("exposing LPs disagree on the margin")
-    return combination(result.x[:len(duals)], duals), margin
+    cost = unit_vec(len(columns), len(duals))
+    result = solve_lp(cost, transpose(columns), (ONE,) * k, maximize=True)
+    if not result.ok:
+        return None
+    y = result.dual
+    if sum(y) != result.objective or any(
+            dot(y, col) < c for col, c in zip(columns, cost)):
+        raise SolverError("exposing LP's dual is not an optimal effect")
+    if result.objective <= eps:
+        return None
+    return combination(result.x[:len(duals)], duals), result.objective
 
 
 @dataclass(frozen=True)
@@ -246,10 +209,12 @@ def find_double_decomposition(space: StateSpace,
     """Smallest pair of disjoint exposed vertex sets mixing to one state.
 
     Scans disjoint subset pairs by ascending total size and returns the
-    first whose convex hulls intersect; the shared point and the mixing
-    weights come from the feasibility LP. Simplicial spaces, those with
-    dim facets, are refused (mixtures over disjoint sets are never equal
-    there), whatever redundant generators they list.
+    first whose convex hulls intersect, with weights from _try_pair.
+    Simplicial spaces, those with dim facets, are refused (mixtures over
+    disjoint sets are never equal there), whatever redundant generators
+    they list. A point is left out of the scan when another listed point
+    is zero on every facet that is zero on it: no effect exposes it, so
+    no pair with it passes.
 
     A pair is only accepted with every weight positive, and such a
     mixture lies in the relative interior of the face cut out by the
@@ -277,16 +242,20 @@ def find_double_decomposition(space: StateSpace,
     masks = [sum(1 << k for k, (f, _) in enumerate(rows)
                  if sum(map(mul, f, g)) == 0)
              for g, _ in space.cone.generator_rows()]
+    # a point k zero on every facet that is zero on point j lies on j's
+    # minimal face: j is not extreme or is listed twice, so not exposed
+    exposable = [j for j in range(m) if not any(
+        k != j and masks[k] & masks[j] == masks[j] for k in range(m))]
 
-    for total in range(4, m + 1):
+    for total in range(4, len(exposable) + 1):
         for k0 in range(2, total - 1):
             k1 = total - k0
             if k1 < k0:
                 break
-            for idx0 in combinations(range(m), k0):
+            for idx0 in combinations(exposable, k0):
                 face = _meet(masks, idx0)
                 # branch 1's vertices must all lie on branch 0's face
-                rest = [i for i in range(m)
+                rest = [i for i in exposable
                         if i not in idx0 and masks[i] & face == face]
                 for idx1 in combinations(rest, k1):
                     if k0 == k1 and idx1[0] < idx0[0]:

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -475,37 +476,24 @@ def test_single_vertex_is_not_exposed():
 
 
 def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
-    # Degenerate optima go to the vertex-row LP: 359 of the 2552 vertices
-    # here; answering from the d-row LP's dual there instead would change
-    # 170 of the effects. The sifted d-row LP is solved again for 566
-    # other vertices, whose first restricted optimum a vertex left out of
-    # it prices out (and for all 359 fallbacks). 361 vertices are
-    # answered by the basis step with no LP, the other 2191 by the sift.
-    fallbacks, rows = [], []
-    inner = bitcommit._vertex_row_effect
-
-    def counted(space, index, margin):
-        fallbacks.append(index)
-        return inner(space, index, margin)
+    # Many optima here are degenerate. 361 of the 2552 vertices are
+    # answered by the basis step with no LP, each of the other 2191 by
+    # one vertex-row LP, which has one row per listed point.
+    rows = []
 
     def counted_lp(objective, eq_matrix, eq_rhs, **kwargs):
         rows.append(len(eq_matrix))
         return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
-    monkeypatch.setattr(bitcommit, "_vertex_row_effect", counted)
     monkeypatch.setattr(bitcommit, "solve_lp", counted_lp)
-    vertices = resolved = by_basis = 0
+    vertices = by_basis = 0
     for space in lattice_polytopes():
         for j in range(len(space.vertices)):
             rows.clear()
-            before = len(fallbacks)
             assert exposing_effect(space, j) == \
                 reference_exposing_effect(space, j), (space.name, j)
-            # the vertex-row LP has a row per listed point, more than dim
-            if rows.count(space.dim) > 1 and len(fallbacks) == before:
-                resolved += 1
+            assert rows in ([], [len(space.vertices)]), (space.name, j)
             by_basis += not rows
         vertices += len(space.vertices)
-    assert vertices > 2000 and len(fallbacks) >= 200 and resolved >= 400
     assert (by_basis, vertices - by_basis) == (361, 2191)
 
 
@@ -517,9 +505,9 @@ def test_vertex_row_effect_reads_facet_rows_of_any_scale(monkeypatch):
     fallbacks = []
     inner = bitcommit._vertex_row_effect
 
-    def counted(space, index, margin):
+    def counted(space, index, eps):
         fallbacks.append(space.name)
-        return inner(space, index, margin)
+        return inner(space, index, eps)
     monkeypatch.setattr(bitcommit, "_vertex_row_effect", counted)
     rng = random.Random(3903)
     for space in lattice_polytopes(count=60):
@@ -539,30 +527,12 @@ def test_vertex_row_effect_reads_facet_rows_of_any_scale(monkeypatch):
 
 
 def refuse_basis(monkeypatch):
-    """Send every exposing effect to the sift, as if no basis of the
-    d-row LP proved itself."""
+    """Send every exposing effect to the vertex-row LP, as if no basis
+    proved itself."""
     monkeypatch.setattr(bitcommit, "_basis_optimum", lambda *args: None)
 
 
-def test_exposing_lps_have_one_row_per_coordinate(monkeypatch):
-    # with the basis step refused, every exposing effect on polygon:14
-    # comes from one 3-row LP on at most 9 columns, s and the z and w
-    # columns of 4 of the 13 other vertices: no optimum there is
-    # degenerate, and none is priced out
-    refuse_basis(monkeypatch)
-    shapes = []
-
-    def counted(objective, eq_matrix, eq_rhs, **kwargs):
-        shapes.append((len(eq_matrix), len(objective)))
-        return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
-    monkeypatch.setattr(bitcommit, "solve_lp", counted)
-    dd = find_double_decomposition(make_polygon(14))
-    assert sum(len(branch) for branch in dd.branches) == len(shapes)
-    assert {rows for rows, _ in shapes} == {3}
-    assert max(columns for _, columns in shapes) <= 9
-
-
-def reference_sift_order(space, index):
+def reference_phi_order(space, index):
     """The vertices other than v_index, nearest first: the slack rows of
     the facets through v_index, concatenated and cleared to integers,
     then summed per vertex; ties keep index order."""
@@ -571,35 +541,6 @@ def reference_sift_order(space, index):
                                if row[index] == 0), ()))[0]
     return sorted((j for j in range(m) if j != index),
                   key=lambda j: sum(through[j::m]))
-
-
-def test_sift_starts_from_the_nearest_and_farthest_vertices(monkeypatch):
-    # the effect does not depend on the sift's path, so only the first
-    # LP's columns show the order: its z_j columns are delta_j + (1,)
-    # for exactly the d - 1 nearest and d - 1 farthest vertices (the
-    # basis step refused, so that every vertex reaches the sift)
-    refuse_basis(monkeypatch)
-    firsts = []
-
-    def recorded(objective, eq_matrix, eq_rhs, **kwargs):
-        firsts.append(transpose(eq_matrix))
-        return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
-    monkeypatch.setattr(bitcommit, "solve_lp", recorded)
-    spaces = ([parse_model_name(name) for name in MODEL_NAMES]
-              + ORACLE_SPACES + lattice_polytopes())
-    for space in spaces:
-        verts, d = space.vertices, space.dim
-        i = next(k for k, x in enumerate(space.unit) if x)
-        for t in range(len(verts)):
-            firsts.clear()
-            exposing_effect(space, t)
-            order = reference_sift_order(space, t)
-            chosen = sorted(set(order[:d - 1] + order[::-1][:d - 1]))
-            want = [tuple(verts[j][k] - verts[t][k] for k in range(d)
-                          if k != i) + (F(1),) for j in chosen]
-            columns = firsts[0]
-            assert len(columns) == 2 * len(chosen) + 1, (space.name, t)
-            assert list(columns[:len(chosen)]) == want, (space.name, t)
 
 
 def test_search_reads_each_side_cleared_once_by_cones(monkeypatch):
@@ -627,17 +568,23 @@ def test_search_reads_each_side_cleared_once_by_cones(monkeypatch):
             assert len(set(fills)) == len(fills), space
 
 
-def test_exposing_effect_checks_the_dual(monkeypatch):
-    # a dual that is not an optimal effect is refused, not returned (the
-    # basis step refused, so that squit's LP is solved)
+@pytest.mark.parametrize("dual", [
+    lambda y, m: (y[0] + 1,) + y[1:],  # y . b is not the margin
+    lambda y, m: (m,) + (F(0),) * (len(y) - 1),  # m's column is violated
+], ids=["objective", "column"])
+def test_exposing_effect_checks_the_dual(monkeypatch, dual):
+    # a vertex-row LP dual that does not certify the margin is refused,
+    # not returned (the basis step refused, so that squit's LP is solved)
     refuse_basis(monkeypatch)
+    squit = make_squit()
+    assert exposing_effect(squit, 0) == reference_exposing_effect(squit, 0)
 
     def skewed(objective, eq_matrix, eq_rhs, **kwargs):
         result = solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
-        return replace(result, dual=(F(1),) + result.dual[1:])
+        return replace(result, dual=dual(result.dual, result.objective))
     monkeypatch.setattr(bitcommit, "solve_lp", skewed)
     with pytest.raises(SolverError, match="not an optimal effect"):
-        exposing_effect(make_squit(), 0)
+        exposing_effect(squit, 0)
 
 
 # -- the basis step: exposing effects with no LP -----------------------------
@@ -665,7 +612,7 @@ def _counted_effect(monkeypatch, space, index, tol=None):
 
 def _basis_census(monkeypatch, spaces):
     """Per vertex: the number of the far vertex whose basis answered
-    (1 for the farthest), or "lp" when the sift answered."""
+    (1 for the farthest), or "lp" when the vertex-row LP answered."""
     census = Counter()
     for space in spaces:
         for j in range(len(space.vertices)):
@@ -693,14 +640,15 @@ def test_basis_step_answers_almost_every_polygon_vertex(monkeypatch):
     assert _basis_census(monkeypatch, spaces[:1]) == {"lp": 3}
 
 
-def test_degenerate_optima_reach_the_sift(monkeypatch):
+def test_degenerate_optima_reach_the_vertex_row_lp(monkeypatch):
     # a simplex's exposing LPs have degenerate optima (classical:1 has no
-    # other vertex); classical:2's segment has a non-degenerate one
+    # other vertex), so no basis proves itself and the vertex-row LP
+    # answers; classical:2's segment has a non-degenerate one
     for name in ["polygon:3"] + [f"classical:{n}" for n in (1, 3, 4, 5, 6)]:
         space = parse_model_name(name)
         for j in range(len(space.vertices)):
             got, lps, _ = _counted_effect(monkeypatch, space, j)
-            assert lps > 0, (name, j)
+            assert lps == 1, (name, j)
             assert got == reference_exposing_effect(space, j), (name, j)
     assert _basis_census(monkeypatch, [make_classical(2)]) == {1: 2}
 
@@ -712,7 +660,7 @@ def reference_basis_refusals(space, index, tol=None):
     verts, d = space.vertices, space.dim
     eps = tolerance_for(tol, space)
     i = next(k for k, x in enumerate(space.unit) if x)
-    order = reference_sift_order(space, index)
+    order = reference_phi_order(space, index)
 
     def delta(j):
         return tuple(verts[j][k] - verts[index][k] for k in range(d) if k != i)
@@ -740,8 +688,8 @@ def reference_basis_refusals(space, index, tol=None):
 
 def test_basis_step_falls_through_on_every_refusal(monkeypatch):
     # the step answers exactly where a reference basis proves itself, with
-    # the reference effect; elsewhere the sift answers it, refusals of
-    # every kind among them
+    # the reference effect; elsewhere the vertex-row LP answers it,
+    # refusals of every kind among them
     refusals = Counter()
     spaces = ([parse_model_name(f"polygon:{n}") for n in range(3, 9)]
               + list(CONES) + lattice_polytopes(count=60))
@@ -753,14 +701,14 @@ def test_basis_step_falls_through_on_every_refusal(monkeypatch):
             if "proved" in reasons:
                 assert lps == 0 and bases == reasons.index("proved") + 1
             else:
-                assert lps > 0 and bases == len(reasons), (space.name, j)
+                assert lps == 1 and bases == len(reasons), (space.name, j)
                 refusals.update(reasons)
     assert set(refusals) == {"singular", "x_B <= 0", "misfit"}
 
 
 def test_basis_step_falls_through_at_a_margin_within_eps(monkeypatch):
     # squit's margins are 1/2: at tol 1/2 no vertex is exposed, and the
-    # sift says so; just below, the basis answers
+    # vertex-row LP says so; just below, the basis answers
     squit = make_squit()
     for tol, lps in ((HALF, 1), (F(499, 1000), 0)):
         for j in range(4):
@@ -773,42 +721,21 @@ def test_basis_step_falls_through_at_a_margin_within_eps(monkeypatch):
 
 
 def test_basis_step_falls_through_on_a_misfit(monkeypatch):
-    # every basis the step tries is said to misfit: the sift answers, and
-    # its own pricing, unpatched, finds the same effects
-    inside, misfits = [], bitcommit._misfits
-    basis_optimum = bitcommit._basis_optimum
-
-    def tracked(*args):
-        inside.append(True)
-        try:
-            return basis_optimum(*args)
-        finally:
-            inside.pop()
-
-    def refused(effect, margin, cleared, index):
-        if inside:
-            return [index]
-        return misfits(effect, margin, cleared, index)
-    monkeypatch.setattr(bitcommit, "_basis_optimum", tracked)
-    monkeypatch.setattr(bitcommit, "_misfits", refused)
+    # every basis the step tries is said to misfit: the vertex-row LP
+    # answers, with the same effects
+    monkeypatch.setattr(bitcommit, "_misfits",
+                        lambda effect, margin, cleared, index: [index])
     for space in [make_squit(), make_polygon(7)]:
         for j in range(len(space.vertices)):
             got, lps, bases = _counted_effect(monkeypatch, space, j)
-            assert lps > 0 and bases == space.dim - 1, (space.name, j)
+            assert lps == 1 and bases == space.dim - 1, (space.name, j)
             assert got == reference_exposing_effect(space, j), (space.name, j)
 
 
 # -- certificates in place of LPs: the pair weights and the cheat bound -------
 
 
-def small_lattice_polytopes():
-    """lattice_polytopes() listing at most 8 points (146 of the 300): the
-    search over all of them takes over 25 s, most of it on the few with
-    9 to 11 points of which too few are exposed for any pair to pass."""
-    return [s for s in lattice_polytopes() if len(s.vertices) <= 8]
-
-
-FAMILIES = {"oracle": lambda: ORACLE_SPACES, "lattice": small_lattice_polytopes}
+FAMILIES = {"oracle": lambda: ORACLE_SPACES, "lattice": lattice_polytopes}
 
 
 def _searched(spaces):
@@ -829,7 +756,7 @@ def family_decompositions(family):
 
 
 @pytest.mark.parametrize("family, certified, lps", [
-    ("oracle", 136, 0), ("lattice", 562, 77)])
+    ("oracle", 136, 0), ("lattice", 1202, 158)])
 def test_cheat_bound_certificates_match_the_lp(monkeypatch, family,
                                                certified, lps):
     # each certified basis is its LP's unique optimum, so the bound, the
@@ -882,7 +809,7 @@ def test_cheat_lp_dual_must_certify_its_value(monkeypatch, dual):
         bc_cheat_bound(dd)
 
 
-@pytest.mark.parametrize("family, lps", [("oracle", 0), ("lattice", 5926)])
+@pytest.mark.parametrize("family, lps", [("oracle", 0), ("lattice", 3)])
 def test_pair_weights_match_the_lp_only_search(monkeypatch, family, lps):
     # the search with pair weights by elimination finds what the LP-only
     # search finds; only pairs with dependent columns reach the LP
@@ -931,3 +858,48 @@ def test_independent_pairs_are_solved_by_elimination():
                 kinds["negative" if x else "inconsistent"] += 1
     assert kinds == {"inconsistent": 348, "negative": 80, "solved": 66,
                      "dependent": 52}
+
+
+# -- points no effect exposes are left out of the scan ------------------------
+
+
+def test_search_skips_points_no_effect_exposes(monkeypatch):
+    # on the lattice polytopes listing at most 8 points, simplices aside,
+    # the search finds what the unfiltered scan finds and tries no pair
+    # with a point exposing_effect refuses; each lists one (its midpoint),
+    # and on 123 of the 128 the unfiltered scan tries pairs with it
+    tried, try_pair = [], bitcommit._try_pair
+
+    def recorded(space, verts, idx0, idx1, eps, tol):
+        tried.append(set(idx0 + idx1))
+        return try_pair(space, verts, idx0, idx1, eps, tol)
+    monkeypatch.setattr(bitcommit, "_try_pair", recorded)
+    spaces = [s for s in lattice_polytopes() if len(s.vertices) <= 8
+              and len(s.cone.facet_rows()) > s.dim]
+    unfiltered = 0
+    for space in spaces:
+        hidden = {j for j in range(len(space.vertices))
+                  if exposing_effect(space, j) is None}
+        assert hidden, space.name
+        tried.clear()
+        got = _outcome(find_double_decomposition, space, None)
+        assert all(hidden.isdisjoint(idx) for idx in tried), space.name
+        tried.clear()
+        assert got == _outcome(reference_find_double_decomposition, space,
+                               None), space.name
+        unfiltered += any(not hidden.isdisjoint(idx) for idx in tried)
+    assert (len(spaces), unfiltered) == (128, 123)
+
+
+def test_search_with_three_exposed_points_is_refused_at_once():
+    # lattice200 lists 11 points, of which 3 are exposed: too few for a
+    # pair, so the search refuses without trying one
+    space = lattice_polytopes()[200]
+    assert len(space.vertices) == 11
+    assert sum(exposing_effect(space, j) is not None
+               for j in range(11)) == 3
+    start = time.process_time()
+    with pytest.raises(SearchCapError, match="^no double decomposition "
+                       "among the extreme points$"):
+        find_double_decomposition(space)
+    assert time.process_time() - start < 1
