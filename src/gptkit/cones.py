@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isfinite
+from math import isfinite
 from operator import mul
 
 import numpy as np
@@ -53,6 +53,7 @@ from .linalg import (
     ONE,
     Vec,
     ZERO,
+    _combine,
     _eliminate,
     canonical_ray,
     dot,
@@ -210,11 +211,8 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
                     pairs.append((p, m, shared))
         slots = plus + zero
         for p, m, shared in pairs:
-            ep, em = evals[p], evals[m]
-            ray = [ep * b - em * a for a, b in zip(rays[p], rays[m])]
-            g = gcd(*ray)
             s = len(rays)
-            rays.append(tuple(x // g for x in ray))
+            rays.append(tuple(_combine(evals[p], rays[m], evals[m], rays[p])))
             slots.append(s)
             mask = shared | bit
             masks.append(mask)

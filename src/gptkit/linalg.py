@@ -140,14 +140,23 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], tuple[int, ...]]:
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, top)]
-                g = gcd(*row) or 1  # the row may cancel to zeros
-                rows[i] = [x // g for x in row]
+                rows[i] = _combine(p, row, f, top)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows, tuple(pivots)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row over the gcd of its entries; a zero row as it is."""
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _combine(p: int, row, f: int, other) -> list[int]:
+    """The fraction-free step p * row - f * other, made primitive."""
+    return _primitive([p * x - f * y for x, y in zip(row, other)])
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:

@@ -49,20 +49,19 @@ nonnegative combination of the given columns? Hull membership,
 decompositions and sections state their columns; membership from the
 generators a cone holds is cones.ConeRep.weights (separability, effects
 on the max tensor, and `contains` where the facets cannot be enumerated).
-The optimizing LPs (exposing effects, the cheat bound, the base norm)
-pass transpose(columns) to solve_lp with their cost and right-hand side;
-the bit commitment's are solved only where one basis, solved exactly,
-fails to prove itself their unique optimum.
+The optimizing LPs (the vertex-row exposing LP, where no basis proves
+itself, and the base norm) pass transpose(columns) to solve_lp with
+their cost and right-hand side.
 
 Every optimal result carries its row multipliers, LPResult.dual: the y
 with y . A_b = c_b on each column b of the final basis, solved once,
 exactly, over the rows kept after the drive-out (a dropped, redundant
-row gets 0). It is an optimum of the LP dual: y . A_j <= c_j on every
-column (>= for a maximize) and y . b equals the objective. An LP whose
-basic costs are all zero, every feasible_point LP among them, gets the
-zero vector without a solve; infeasible and unbounded results carry
-None. The bit commitment checks the dual of each exposing and cheat LP
-it solves, exactly, to certify the LP's value.
+row gets 0). An LP whose basic costs are all zero, every feasible_point
+LP among them, gets the zero vector without a solve; infeasible and
+unbounded results carry None. Before an optimum with a nonzero cost is
+returned, y is checked exactly to be an optimum of the LP dual, in min
+form: y . b equals the objective and y . A_j <= c_j on every cleared
+column (>= for a maximize, once read back), or SolverError is raised.
 """
 
 from __future__ import annotations
@@ -70,10 +69,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionMismatchError, SolverError
-from .linalg import Mat, Vec, ZERO, _eliminate, integer_row
+from .linalg import (Mat, Vec, ZERO, _eliminate, _primitive, dot,
+                     integer_row)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -95,17 +95,12 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def _reduced(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return row if g == 1 else [x // g for x in row]
-
-
 def _eliminated(row: list[int], pivot_row: list[int], c: int) -> list[int]:
     """row minus row[c] times pivot_row, whose entry in column c is 1."""
     f, p = row[c], pivot_row[-1]
     out = [x * p - f * y for x, y in zip(row, pivot_row)]
     out[-1] = row[-1] * p
-    return _reduced(out)
+    return _primitive(out)
 
 
 def _pivot(rows: list[list[int]], obj: list[int] | None, basis: list[int],
@@ -115,7 +110,7 @@ def _pivot(rows: list[list[int]], obj: list[int] | None, basis: list[int],
     row = rows[r][:-1] + [p]
     if p < 0:
         row = [-x for x in row]
-    row = rows[r] = _reduced(row)
+    row = rows[r] = _primitive(row)
     for i, other in enumerate(rows):
         if i != r and other[c]:
             rows[i] = _eliminated(other, row, c)
@@ -203,7 +198,7 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
         scale = den // rows[i][-1]
         totals = [t - scale * x
                   for t, x in zip(totals, rows[i][:n] + rows[i][-2:-1])]
-    obj = _reduced(totals[:n] + [0] * len(artificial) + totals[n:] + [den])
+    obj = _primitive(totals[:n] + [0] * len(artificial) + totals[n:] + [den])
 
     status = _iterate(rows, obj, basis, width)
     if status != OPTIMAL:  # phase 1 is always bounded below by zero
@@ -221,7 +216,7 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
                 continue
             _pivot(rows, None, basis, i, col)  # phase 1's objective is spent
         keep.append(i)
-    rows = [_reduced(rows[i][:n] + rows[i][-2:]) for i in keep]
+    rows = [_primitive(rows[i][:n] + rows[i][-2:]) for i in keep]
     basis = [basis[i] for i in keep]
 
     # Phase 2 over the real objective.
@@ -236,6 +231,9 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
 
     value = Fraction(-obj[-2], obj[-1])
     dual = _dual(columns, cost, keep, basis, m)
+    if any(cost) and (dot(dual, eq_rhs) != value or any(
+            dot(dual, col) > c for col, c in zip(columns, cost))):
+        raise SolverError("LP dual does not certify the optimum")
     if maximize:
         value = -value
         dual = tuple(-y for y in dual)

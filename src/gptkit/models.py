@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .cones import POLYHEDRAL, ConeRep, Rows
 from .errors import InvalidInputError, UnsupportedConeError
-from .linalg import Mat, identity, integer_row, transpose
+from .linalg import Mat, _primitive, identity, integer_row, transpose
 from .scalars import FLOAT, RATIONAL, exactify, merge_arithmetic
 from .spaces import StateSpace
 
@@ -83,8 +82,7 @@ def _edge_rows(gens: Rows) -> Rows | None:
              a[0] * b[1] - a[1] * b[0])
         if sum(map(mul, f, c)) <= 0 or sum(map(mul, f, e)) <= 0:
             return None
-        g = gcd(*f)
-        rows.append(tuple(x // g for x in f))
+        rows.append(tuple(_primitive(f)))
         crossings += not above[k] and above[(k + 1) % n]
     if crossings != 1:
         return None
@@ -105,13 +103,12 @@ def _vertex_row(angle: float) -> tuple[tuple[int, ...], Fraction]:
     """integer_row of the vertex (cos angle, sin angle, 1) that _point
     embeds, made from float.as_integer_ratio with no Fraction entry:
     float denominators are powers of two, so the largest is the lcm, and
-    the gcd g of the cleared entries divides it."""
+    the primitive row's last entry is the scale's denominator."""
     (a, p), (b, q) = (f(angle).as_integer_ratio()
                       for f in (math.cos, math.sin))
     d = max(p, q)
-    ints = (a * (d // p), b * (d // q), d)
-    g = gcd(*ints)
-    return tuple(x // g for x in ints), Fraction(1, d // g)
+    row = tuple(_primitive([a * (d // p), b * (d // q), d]))
+    return row, Fraction(1, row[2])
 
 
 def _hat(n: int) -> Mat:

@@ -15,10 +15,9 @@ r over u(r)), which exposing_effect reads too, and tries only branch
 pairs of exposable points that lie on the same face: a mixture with all
 weights positive is zero on exactly the facets that vanish on all of its
 vertices, so two such mixtures can be equal only when those facet sets
-are equal. An LP is solved only where an exact certificate fails: a
-pair's weights come from one elimination when its columns are
-independent, an exposing effect and a cheat value from one basis proved
-optimal, and a solved optimizing LP's dual is checked exactly.
+are equal. A pair's weights come from one elimination, a cheat value
+from a finite candidate set, and an exposing effect from one basis
+proved optimal or else from one LP.
 
 All randomness comes from a counter-based generator seeded explicitly;
 the seed is recorded in every transcript.
@@ -34,11 +33,10 @@ from operator import and_, mul
 
 import numpy as np
 
-from ..errors import (InvalidInputError, SearchCapError, SolverError,
-                      UnsupportedConeError)
+from ..errors import InvalidInputError, SearchCapError, UnsupportedConeError
 from ..linalg import (Vec, _eliminate, combination, dot, integer_row,
                       transpose, unit_vec)
-from ..lp import feasible_point, solve_lp
+from ..lp import solve_lp
 from ..scalars import close, tolerance_for
 from ..spaces import StateSpace
 
@@ -144,7 +142,7 @@ def _vertex_row_effect(space: StateSpace, index: int,
     """exposing_effect's problem stated with one row per vertex, a a
     nonnegative combination of the dual cone's generators (facet rows),
     solved by the LP; None when no other vertex bounds the margin or it
-    is at most eps. The LP's dual must certify the margin exactly."""
+    is at most eps."""
     verts = space.vertices
     duals = [r for r, _ in space.cone.facet_rows()]
     # columns: theta per dual generator, m, one slack per non-target row;
@@ -156,13 +154,7 @@ def _vertex_row_effect(space: StateSpace, index: int,
     columns += [unit_vec(k, i) for i in range(1, k)]
     cost = unit_vec(len(columns), len(duals))
     result = solve_lp(cost, transpose(columns), (ONE,) * k, maximize=True)
-    if not result.ok:
-        return None
-    y = result.dual
-    if sum(y) != result.objective or any(
-            dot(y, col) < c for col, c in zip(columns, cost)):
-        raise SolverError("exposing LP's dual is not an optimal effect")
-    if result.objective <= eps:
+    if not result.ok or result.objective <= eps:
         return None
     return combination(result.x[:len(duals)], duals), result.objective
 
@@ -221,10 +213,10 @@ def find_double_decomposition(space: StateSpace,
     facets that vanish on all of its vertices (its facet values are
     positive sums of theirs). Distinct faces have disjoint relative
     interiors, so a pair whose two vertex sets have different zero-facet
-    sets never passes: its exact LP is infeasible or puts weight 0 on
-    some vertex. Such pairs are skipped before the LP, by exact bitmask
-    tests that read no tolerance, so what is found and returned is that
-    of the plain scan, at any tol and in either arithmetic.
+    sets never passes: it has no solution with every weight positive.
+    Such pairs are skipped unsolved, by exact bitmask tests that read no
+    tolerance, so what is found and returned is that of the plain scan,
+    at any tol and in either arithmetic.
     """
     if space.kind != "polyhedral":
         raise UnsupportedConeError("decomposition needs a polyhedral space")
@@ -282,12 +274,8 @@ def _try_pair(space, verts, idx0, idx1, eps, tol):
     columns = [verts[j] + (ONE, ZERO) for j in idx0] + \
         [tuple(-x for x in verts[j]) + (ZERO, ONE) for j in idx1]
     target = (ZERO,) * d + (ONE, ONE)
-    # u(v) = 1 on each vertex: the rows have rank <= d + 1
-    weights = None if len(columns) > d + 1 else \
-        _unique_weights(columns, target)
-    if weights is None:  # dependent columns: the LP decides
-        weights, _ = feasible_point(columns, target)
-    if not weights or any(w <= eps for w in weights):
+    weights = _unique_weights(columns, target)
+    if weights is None or any(w <= eps for w in weights):
         return None  # smaller pair would do; covered at a lower total
     effects = {}
     for j in set(idx0) | set(idx1):
@@ -303,16 +291,14 @@ def _try_pair(space, verts, idx0, idx1, eps, tol):
 
 
 def _unique_weights(columns, target) -> Vec | None:
-    """The x with sum_j x_j columns[j] = target for independent columns
-    (() if there is none), or None for dependent ones, by one elimination
-    of [columns | target] on integer rows. That x is the only solution, so
-    feasible_point's point when x >= 0, and otherwise it finds none."""
+    """The x with sum_j x_j columns[j] = target, by one elimination of
+    [columns | target] on integer rows; None when the columns are
+    dependent or there is no solution. A basic solution weights
+    independent columns only, so with dependent ones some weight is 0."""
     k = len(columns)
     rows, pivots = _eliminate(transpose(columns + [target]))
-    if pivots[:k] != tuple(range(k)):
+    if pivots != tuple(range(k)):
         return None
-    if len(pivots) > k:
-        return ()  # the target is a pivot column: inconsistent
     return tuple(Fraction(row[-1], row[r]) for r, row in enumerate(rows[:k]))
 
 
@@ -381,80 +367,59 @@ class CheatBound:
 def bc_cheat_bound(dd: DoubleDecomposition) -> CheatBound:
     """max over states of min(best branch-0 effect, best branch-1 effect).
 
-    For each pair of exposing effects, an LP maximizes the common value
-    t over the state polytope; the outer max over pairs realizes the
-    piecewise-linear objective exactly. Cheating is limited to product
-    strategies, so the value bounds one round. An LP is solved only where
-    _cheat_basis proves no basis its unique optimum, and its dual must
-    then certify the value.
+    For each pair of exposing effects, _cheat_optimum maximizes their
+    common value t over the state polytope; the first best pair realizes
+    the piecewise-linear objective exactly. Cheating is limited to
+    product strategies, so the value bounds one round.
     """
     verts = dd.space.vertices
-    m = len(verts)
-    effects0, effects1 = dd.distinguishers
-    # columns: lambda per vertex, then t, s0, s1; rows: sum lambda = 1,
-    # t + s0 - a0(state) = 0, t + s1 - a1(state) = 0. Stated this way the
-    # slacks s0, s1 are unit columns, so solve_lp starts them basic.
-    tail = [(ZERO, ONE, ONE), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
-    cost = (ZERO,) * m + (ONE, ZERO, ZERO)
     # each effect's values on the vertices, made once
     values0, values1 = ([[dot(a, v) for v in verts] for a in effects]
-                        for effects in (effects0, effects1))
+                        for effects in dd.distinguishers)
     best = None
     for i0, a0 in enumerate(values0):
         for i1, a1 in enumerate(values1):
-            found = _cheat_basis(a0, a1)
-            if found is None:
-                columns = [(ONE, -x0, -x1) for x0, x1 in zip(a0, a1)] + tail
-                result = solve_lp(cost, transpose(columns),
-                                  (ONE, ZERO, ZERO), maximize=True)
-                if not result.ok:
-                    continue
-                y = result.dual
-                if y[0] != result.objective or any(
-                        dot(y, col) < c for col, c in zip(columns, cost)):
-                    raise SolverError("cheat LP's dual is no certificate")
-                found = result.x[m], result.x[:m]
-            if best is None or found[0] > best[0]:
+            found = _cheat_optimum(a0, a1)
+            if found is not None and (best is None or found[0] > best[0]):
                 best = (*found, (i0, i1))
     if best is None:
-        raise InvalidInputError("cheat LP failed on every distinguisher pair")
+        raise InvalidInputError(
+            "no distinguisher pair has a nonnegative common value")
     c, weights, pair = best
     return CheatBound(decomposition=dd, per_round=c,
                       optimizer=combination(weights, verts), pair=pair)
 
 
-def _cheat_basis(a0, a1) -> tuple[Fraction, Vec] | None:
-    """The cheat LP's optimum (t, lambda) for effect values a0, a1 on the
-    vertices (cleared to integers once), or None. Its basis, with t
-    basic, is the best of a vertex k with the slack of its larger effect
-    (dual weight y = 1 on a0 when a0 is the smaller, else 0) and a crossing
-    of k and l where a0 - a1 changes sign. It is accepted only when every
-    nonbasic reduced cost is strictly negative (0 < y < 1 at a crossing,
-    y a0(v_j) + (1 - y) a1(v_j) < t at every other vertex): then it is
-    the LP's unique optimum, the simplex's x."""
+def _cheat_optimum(a0, a1) -> tuple[Fraction, Vec] | None:
+    """max of t = min(a0 . lambda, a1 . lambda) over vertex weights lambda
+    (effect values a0, a1 on the vertices), as (t, lambda), or None when
+    t < 0. The min is concave, so the max is at a vertex k or at the
+    crossing of an edge (k, l) where a0 - a1 changes sign: the first best
+    of these, vertices then crossings, compared on integers. At a vertex
+    y = 1 when a0 is the smaller value, else 0; at a crossing y weighs a0
+    and 1 - y a1 so that both agree on k and l."""
     m = len(a0)
     ints, scale = integer_row(tuple(a0) + tuple(a1))
     a0, a1 = ints[:m], ints[m:]
-    # (basis, y = p / q): t = (p a0_k + (q - p) a1_k) / q at its first k
-    bases = [((k,), int(a0[k] <= a1[k]), 1) for k in range(m)]
-    bases += [((k, l), a1[l] - a1[k], a0[k] - a1[k] - a0[l] + a1[l])
-              for k in range(m) if a0[k] > a1[k]
-              for l in range(m) if a0[l] < a1[l]]
+    # (candidate, y = p / q): t = (p a0_k + (q - p) a1_k) / q at its first k
+    candidates = [((k,), int(a0[k] <= a1[k]), 1) for k in range(m)]
+    candidates += [((k, l), a1[l] - a1[k], a0[k] - a1[k] - a0[l] + a1[l])
+                   for k in range(m) if a0[k] > a1[k]
+                   for l in range(m) if a0[l] < a1[l]]
 
     def mixed(j, p, q):
         return p * a0[j] + (q - p) * a1[j]
 
     def higher(b, c):  # the sign of t_b - t_c, on integers
         return mixed(b[0][0], *b[1:]) * c[2] - mixed(c[0][0], *c[1:]) * b[2]
-    basis, p, q = max(bases, key=cmp_to_key(higher))
-    top = mixed(basis[0], p, q)
-    if top < 0 or len(basis) == 2 and not 0 < p < q or any(
-            mixed(j, p, q) >= top for j in range(m) if j not in basis):
+    support, p, q = max(candidates, key=cmp_to_key(higher))
+    top = mixed(support[0], p, q)
+    if top < 0:
         return None
-    if len(basis) == 1:
-        share = {basis[0]: ONE}
+    if len(support) == 1:
+        share = {support[0]: ONE}
     else:
-        k, l = basis
+        k, l = support
         share = {k: Fraction(a1[l] - a0[l], q), l: Fraction(a0[k] - a1[k], q)}
     return scale * Fraction(top, q), tuple(share.get(j, ZERO)
                                            for j in range(m))

@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+import gptkit.lp
 from gptkit.cones import ConeRep
 from gptkit.errors import (InvalidInputError, SearchCapError, SolverError,
                            UnsupportedConeError)
@@ -226,8 +227,9 @@ def test_cheat_curve_shape():
 # -- the face filter against the unfiltered scan ------------------------
 
 
-def reference_find_double_decomposition(space, tol=None):
-    """The unfiltered scan: every disjoint pair goes to the LP."""
+def reference_find_double_decomposition(space, tol=None, try_pair=None):
+    """The unfiltered scan: every disjoint pair goes to the pair step,
+    bitcommit._try_pair unless another is given."""
     if space.kind != "polyhedral":
         raise UnsupportedConeError("decomposition needs a polyhedral space")
     verts = space.vertices
@@ -249,11 +251,38 @@ def reference_find_double_decomposition(space, tol=None):
                 for idx1 in combinations(rest, k1):
                     if k0 == k1 and idx1[0] < idx0[0]:
                         continue  # unordered pair, count once
-                    found = bitcommit._try_pair(space, verts, idx0, idx1,
-                                                eps, tol)
+                    found = (try_pair or bitcommit._try_pair)(
+                        space, verts, idx0, idx1, eps, tol)
                     if found is not None:
                         return found
     raise SearchCapError("no double decomposition among the extreme points")
+
+
+def pair_columns(verts, idx0, idx1):
+    """A pair's weight system: branch 0 and branch 1 mix to one state and
+    each branch sums to one."""
+    d = len(verts[0])
+    columns = [verts[j] + (F(1), F(0)) for j in idx0] + \
+        [tuple(-x for x in verts[j]) + (F(0), F(1)) for j in idx1]
+    return columns, (F(0),) * d + (F(1), F(1))
+
+
+def reference_try_pair(space, verts, idx0, idx1, eps, tol):
+    """The pair step with its weights from the feasibility LP, phase 1's
+    point, on every pair: what the elimination replaced."""
+    weights, _ = feasible_point(*pair_columns(verts, idx0, idx1))
+    if weights is None or any(w <= eps for w in weights):
+        return None
+    effects = [exposing_effect(space, j, tol) for j in idx0 + idx1]
+    if None in effects:
+        return None
+    k0 = len(idx0)
+    pairs = ((idx0, weights[:k0], effects[:k0]),
+             (idx1, weights[k0:], effects[k0:]))
+    return bitcommit.DoubleDecomposition(
+        space, combination(weights[:k0], [verts[j] for j in idx0]),
+        tuple(tuple(zip((verts[j] for j in idx), ws)) for idx, ws, _ in pairs),
+        tuple(tuple(a for a, _ in hits) for _, _, hits in pairs))
 
 
 def _convex_hull(points):
@@ -352,26 +381,24 @@ def test_cones_have_multi_facet_faces():
 @pytest.mark.parametrize("space, unfiltered_lps", [
     (make_polygon(14), 67), (make_squit(), 2)], ids=["polygon:14", "squit"])
 def test_search_runs_one_lp(monkeypatch, space, unfiltered_lps):
-    # the one pair the filtered search tries has independent columns, so
-    # no LP is left; the unfiltered scan, every pair solved as an LP
-    # (the elimination refused), runs unfiltered_lps
-    calls = []
+    # the filtered search solves no LP, its pair weights and exposing
+    # effects all proved exactly; the unfiltered scan, one feasibility
+    # LP per pair (reference_try_pair), runs unfiltered_lps
+    solved, lp_pairs = [], []
 
-    def counted(columns, target, tol=F(0)):
-        calls.append(columns)
-        return feasible_point(columns, target, tol)
-    monkeypatch.setattr(bitcommit, "feasible_point", counted)
+    def counted(*args, **kwargs):
+        solved.append(1)
+        return solve_lp(*args, **kwargs)
+
+    def counted_pair(*args):
+        lp_pairs.append(1)
+        return reference_try_pair(*args)
+    monkeypatch.setattr(bitcommit, "solve_lp", counted)
     dd = find_double_decomposition(space)
-    assert len(calls) == 0
-    refuse(monkeypatch, "_unique_weights")
-    assert reference_find_double_decomposition(space) == dd
-    assert len(calls) == unfiltered_lps
-
-
-def refuse(monkeypatch, name):
-    """Refuse every certificate bitcommit's helper `name` gives, so each
-    LP it stands in for is solved."""
-    monkeypatch.setattr(bitcommit, name, lambda *args: None)
+    assert solved == []
+    assert reference_find_double_decomposition(space, None,
+                                               counted_pair) == dd
+    assert len(lp_pairs) == unfiltered_lps
 
 
 def _skipped_pairs(space, max_total):
@@ -388,13 +415,9 @@ def _skipped_pairs(space, max_total):
 
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: s.name)
 def test_skipped_pairs_have_no_positive_mix(space):
-    verts = space.vertices
-    d = space.dim
     skipped = 0
     for idx0, idx1 in _skipped_pairs(space, 6):
-        columns = [verts[j] + (F(1), F(0)) for j in idx0] + \
-            [tuple(-x for x in verts[j]) + (F(0), F(1)) for j in idx1]
-        weights, _ = feasible_point(columns, (F(0),) * d + (F(1), F(1)))
+        weights, _ = feasible_point(*pair_columns(space.vertices, idx0, idx1))
         assert weights is None or min(weights) == 0
         skipped += 1
     assert skipped
@@ -569,21 +592,20 @@ def test_search_reads_each_side_cleared_once_by_cones(monkeypatch):
 
 
 @pytest.mark.parametrize("dual", [
-    lambda y, m: (y[0] + 1,) + y[1:],  # y . b is not the margin
-    lambda y, m: (m,) + (F(0),) * (len(y) - 1),  # m's column is violated
+    lambda y: (y[0] + 1,) + y[1:],  # y . b is not the margin
+    # y . b kept (b is all ones), m's column (0, 1, ..., 1) violated
+    lambda y: (sum(y),) + (F(0),) * (len(y) - 1),
 ], ids=["objective", "column"])
 def test_exposing_effect_checks_the_dual(monkeypatch, dual):
-    # a vertex-row LP dual that does not certify the margin is refused,
-    # not returned (the basis step refused, so that squit's LP is solved)
+    # a vertex-row LP dual that does not certify the margin is refused by
+    # solve_lp, not returned (the basis step refused, so that squit's LP
+    # is solved); the duals are skewed in solve_lp's min form
     refuse_basis(monkeypatch)
     squit = make_squit()
     assert exposing_effect(squit, 0) == reference_exposing_effect(squit, 0)
-
-    def skewed(objective, eq_matrix, eq_rhs, **kwargs):
-        result = solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
-        return replace(result, dual=dual(result.dual, result.objective))
-    monkeypatch.setattr(bitcommit, "solve_lp", skewed)
-    with pytest.raises(SolverError, match="not an optimal effect"):
+    inner = gptkit.lp._dual
+    monkeypatch.setattr(gptkit.lp, "_dual", lambda *args: dual(inner(*args)))
+    with pytest.raises(SolverError, match="dual does not certify"):
         exposing_effect(squit, 0)
 
 
@@ -755,106 +777,205 @@ def family_decompositions(family):
                  if isinstance(dd, bitcommit.DoubleDecomposition))
 
 
-@pytest.mark.parametrize("family, certified, lps", [
+def reference_cheat_pair(a0, a1):
+    """The cheat LP for effect values a0, a1 on the vertices: maximize
+    t <= min(a0 . lambda, a1 . lambda), lambda in the simplex, t >= 0;
+    (t, lambda) at the simplex's optimum, or None when infeasible."""
+    m = len(a0)
+    # columns: lambda per vertex, then t, s0, s1; rows: sum lambda = 1,
+    # t + s0 - a0(state) = 0, t + s1 - a1(state) = 0
+    columns = [(F(1), -x0, -x1) for x0, x1 in zip(a0, a1)] + [
+        (F(0), F(1), F(1)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
+    result = solve_lp((F(0),) * m + (F(1), F(0), F(0)), transpose(columns),
+                      (F(1), F(0), F(0)), maximize=True)
+    return (result.x[m], result.x[:m]) if result.ok else None
+
+
+def reference_cheat_bound(dd):
+    """bc_cheat_bound with the cheat LP on every pair of distinguishers."""
+    verts = dd.space.vertices
+    values0, values1 = ([[dot(a, v) for v in verts] for a in effects]
+                        for effects in dd.distinguishers)
+    best = None
+    for i0, a0 in enumerate(values0):
+        for i1, a1 in enumerate(values1):
+            found = reference_cheat_pair(a0, a1)
+            if found is not None and (best is None or found[0] > best[0]):
+                best = (*found, (i0, i1))
+    if best is None:
+        raise InvalidInputError("cheat LP failed on every distinguisher pair")
+    c, weights, pair = best
+    return bitcommit.CheatBound(dd, c, combination(weights, verts), pair)
+
+
+def proved_unique(a0, a1, t, lam):
+    """Whether (t, lam) has strictly negative reduced costs in the cheat
+    LP, so that it is the LP's unique optimum: y weighs a0 and 1 - y a1,
+    0 < y < 1 at a crossing, and y a0 + (1 - y) a1 < t off the support."""
+    support = [j for j, w in enumerate(lam) if w]
+    k = support[0]
+    if len(support) == 1:
+        y = F(a0[k] <= a1[k])
+    else:
+        l = support[1]
+        y = (a1[l] - a1[k]) / (a0[k] - a1[k] - a0[l] + a1[l])
+        if not 0 < y < 1:
+            return False
+    return all(y * x0 + (1 - y) * x1 < t for j, (x0, x1)
+               in enumerate(zip(a0, a1)) if j not in support)
+
+
+@pytest.mark.parametrize("family, unique, other", [
     ("oracle", 136, 0), ("lattice", 1202, 158)])
-def test_cheat_bound_certificates_match_the_lp(monkeypatch, family,
-                                               certified, lps):
-    # each certified basis is its LP's unique optimum, so the bound, the
-    # optimizer (the simplex's x) and the pair equal the LP-only run's;
-    # the lattice family's degenerate and tied optima reach the LP
+def test_cheat_bound_certificates_match_the_lp(family, unique, other):
+    # the bound, the optimizer and the pair equal the cheat LP's on every
+    # decomposition; per pair the value is the LP's, and where the
+    # candidate is proved the unique optimum (unique of the pairs) its
+    # weights are the simplex's x; the lattice family's degenerate and
+    # tied optima are the other pairs
     dds = family_decompositions(family)
-    solved = []
+    assert [(b.per_round, b.optimizer, b.pair)
+            for b in map(bc_cheat_bound, dds)] == \
+        [(b.per_round, b.optimizer, b.pair)
+         for b in map(reference_cheat_bound, dds)]
+    census = Counter()
+    for dd in dds:
+        values0, values1 = ([[dot(a, v) for v in dd.space.vertices]
+                             for a in effects] for effects in dd.distinguishers)
+        for a0, a1 in product(values0, values1):
+            (t, lam), (want_t, want_lam) = (bitcommit._cheat_optimum(a0, a1),
+                                            reference_cheat_pair(a0, a1))
+            assert t == want_t
+            proved = proved_unique(a0, a1, t, lam)
+            assert lam == want_lam or not proved
+            census["unique" if proved else "other"] += 1
+    assert census == Counter(unique=unique, other=other)
 
-    def counted(*args, **kwargs):
-        solved.append(1)
-        return solve_lp(*args, **kwargs)
-    monkeypatch.setattr(bitcommit, "solve_lp", counted)
-    got = [bc_cheat_bound(dd) for dd in dds]
-    pairs = sum(len(e0) * len(e1) for e0, e1 in
-                (dd.distinguishers for dd in dds))
-    assert (pairs - len(solved), len(solved)) == (certified, lps)
-    refuse(monkeypatch, "_cheat_basis")
-    want = [bc_cheat_bound(dd) for dd in dds]
-    assert [(b.per_round, b.optimizer, b.pair) for b in got] == \
-        [(b.per_round, b.optimizer, b.pair) for b in want]
-    assert len(solved) == lps + pairs
 
-
-def test_cheat_basis_refuses_a_tied_optimum():
+def test_cheat_optimum_takes_the_first_best_candidate():
     # a0 = 1 on v0 and v1, a1 = 1 on v2: the crossings (0, 2) and (1, 2)
-    # both reach t = 1/2, so no basis is the unique optimum
-    assert bitcommit._cheat_basis([F(1), F(1), F(0)],
-                                  [F(0), F(0), F(1)]) is None
-    assert bitcommit._cheat_basis([F(1), F(0)], [F(0), F(1)]) == \
+    # both reach t = 1/2, and the first is taken
+    assert bitcommit._cheat_optimum([F(1), F(1), F(0)],
+                                    [F(0), F(0), F(1)]) == \
+        (HALF, (HALF, F(0), HALF))
+    assert bitcommit._cheat_optimum([F(1), F(0)], [F(0), F(1)]) == \
         (HALF, (HALF, HALF))
     # equal values at v0: the vertex, at weight 1 on a0 (v1 is lower)
-    assert bitcommit._cheat_basis([F(3), F(1)], [F(3), F(2)]) == \
+    assert bitcommit._cheat_optimum([F(3), F(1)], [F(3), F(2)]) == \
         (F(3), (F(1), F(0)))
+    # every candidate below 0: the LP is infeasible, and so no optimum
+    assert bitcommit._cheat_optimum([F(-1), F(1)], [F(1), F(-2)]) is None
+    assert reference_cheat_pair([F(-1), F(1)], [F(1), F(-2)]) is None
 
 
-@pytest.mark.parametrize("dual", [
-    lambda y, t: (t + 1,) + y[1:],  # y . b is not the objective
-    lambda y, t: (t, F(0), F(0)),   # t's column is violated
-], ids=["objective", "column"])
-def test_cheat_lp_dual_must_certify_its_value(monkeypatch, dual):
-    refuse(monkeypatch, "_cheat_basis")
-    dd = squit_dd()
-    assert bc_cheat_bound(dd).per_round == F(3, 4)  # real duals pass
+def test_cheat_optimum_is_the_lp_value_on_tied_pairs():
+    # 5000 seeded small-integer value pairs, many tied: the first best
+    # candidate has the cheat LP's value, and the min of the two effects
+    # at its weights is exactly that value; on 317 of them it is another
+    # optimum than the simplex's
+    rng = random.Random(4601)
+    other = 0
+    for _ in range(5000):
+        m = rng.randint(2, 5)
+        a0, a1 = ([F(rng.randint(-1, 3)) for _ in range(m)] for _ in range(2))
+        got, want = bitcommit._cheat_optimum(a0, a1), \
+            reference_cheat_pair(a0, a1)
+        assert (got is None) == (want is None), (a0, a1)
+        if got is None:
+            continue
+        t, lam = got
+        assert t == want[0] and sum(lam) == 1 and min(lam) >= 0
+        assert min(dot(a0, lam), dot(a1, lam)) == t, (a0, a1)
+        other += lam != want[1]
+    assert other == 317
 
-    def skewed(objective, eq_matrix, eq_rhs, **kwargs):
-        result = solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
-        return replace(result, dual=dual(result.dual, result.objective))
-    monkeypatch.setattr(bitcommit, "solve_lp", skewed)
-    with pytest.raises(SolverError, match="dual is no certificate"):
+
+def test_cheat_bound_without_a_nonnegative_pair_is_refused():
+    # every distinguisher is -1 on every squit vertex: no pair has a
+    # common value of at least 0 (the cheat LP is infeasible on each)
+    minus = (F(0), F(0), F(-1))
+    dd = replace(squit_dd(), distinguishers=((minus, minus), (minus, minus)))
+    with pytest.raises(InvalidInputError, match="^no distinguisher pair has "
+                       "a nonnegative common value$"):
         bc_cheat_bound(dd)
+    with pytest.raises(InvalidInputError):
+        reference_cheat_bound(dd)
 
 
-@pytest.mark.parametrize("family, lps", [("oracle", 0), ("lattice", 3)])
-def test_pair_weights_match_the_lp_only_search(monkeypatch, family, lps):
-    # the search with pair weights by elimination finds what the LP-only
-    # search finds; only pairs with dependent columns reach the LP
-    solved = []
+@pytest.mark.parametrize("family, dependent", [("oracle", 0), ("lattice", 3)])
+def test_pair_weights_match_the_lp_only_search(monkeypatch, family,
+                                               dependent):
+    # the search with pair weights by elimination finds what the search
+    # with the feasibility LP on every pair finds; the pairs it meets
+    # with dependent columns get no weights, and the LP no positive ones
+    met = []
+    inner = bitcommit._unique_weights
 
-    def counted(columns, target, tol=F(0)):
-        assert rank(columns) < len(columns)
-        solved.append(1)
-        return feasible_point(columns, target, tol)
-    monkeypatch.setattr(bitcommit, "feasible_point", counted)
+    def recorded(columns, target):
+        x = inner(columns, target)
+        if rank(columns) < len(columns):
+            point, _ = feasible_point(columns, target)
+            assert x is None and (point is None or min(point) == 0)
+            met.append(1)
+        return x
+    monkeypatch.setattr(bitcommit, "_unique_weights", recorded)
     spaces = FAMILIES[family]()
     got = _searched(spaces)
-    assert len(solved) == lps
-    monkeypatch.setattr(bitcommit, "feasible_point", feasible_point)
-    refuse(monkeypatch, "_unique_weights")
+    assert len(met) == dependent
+    monkeypatch.setattr(bitcommit, "_try_pair", reference_try_pair)
     assert got == _searched(spaces)
+
+
+def test_dependent_pairs_have_a_zero_lp_weight():
+    # the lemma behind no LP: feasible_point's point is a basic solution,
+    # so with dependent columns at most rank-many weights are nonzero;
+    # on every dependent pair of 4 to 6 points of polygon:6 and the
+    # octahedron (the searches' own are checked above) the LP is
+    # infeasible or its point has a zero weight, refused at every tol
+    kinds = Counter()
+    for space in [make_polygon(6), CONES[1]]:
+        verts = space.vertices
+        for total in range(4, 7):
+            for k0 in range(2, total // 2 + 1):
+                for idx0 in combinations(range(len(verts)), k0):
+                    rest = [j for j in range(len(verts)) if j not in idx0]
+                    for idx1 in combinations(rest, total - k0):
+                        columns, target = pair_columns(verts, idx0, idx1)
+                        if rank(columns) == len(columns):
+                            continue
+                        assert bitcommit._unique_weights(columns,
+                                                         target) is None
+                        point, _ = feasible_point(columns, target)
+                        assert point is None or min(point) == 0
+                        kinds["zero" if point else "infeasible"] += 1
+    assert kinds == {"infeasible": 98, "zero": 68}
 
 
 def test_independent_pairs_are_solved_by_elimination():
     # every 2 + 2 pair: with independent columns the elimination's weights
     # are feasible_point's point, or there is none (no solution, or a
-    # negative weight) and the pair gives None; dependent ones are left
+    # negative weight) and the pair gives None; dependent ones get no
+    # weights, and feasible_point's point has a zero weight
     kinds = Counter()
     for space in [make_squit(), make_polygon(5), make_polygon(6), CUBE]:
-        verts, d = space.vertices, space.dim
+        verts = space.vertices
         for idx0 in combinations(range(len(verts)), 2):
             rest = [j for j in range(len(verts)) if j not in idx0]
             for idx1 in combinations(rest, 2):
-                columns = [verts[j] + (F(1), F(0)) for j in idx0] + \
-                    [tuple(-x for x in verts[j]) + (F(0), F(1))
-                     for j in idx1]
-                target = (F(0),) * d + (F(1), F(1))
+                columns, target = pair_columns(verts, idx0, idx1)
                 x = bitcommit._unique_weights(columns, target)
                 point, _ = feasible_point(columns, target)
-                if x is None:
-                    assert rank(columns) < 4
-                    kinds["dependent"] += 1
-                    continue
-                if x and min(x) >= 0:
+                if x is not None and min(x) >= 0:
                     assert x == point
                     kinds["solved"] += 1
                     continue
-                assert point is None
                 assert bitcommit._try_pair(space, verts, idx0, idx1, F(0),
                                            None) is None
+                if rank(columns) < 4:
+                    assert x is None and (point is None or min(point) == 0)
+                    kinds["dependent"] += 1
+                    continue
+                assert point is None
                 kinds["negative" if x else "inconsistent"] += 1
     assert kinds == {"inconsistent": 348, "negative": 80, "solved": 66,
                      "dependent": 52}

@@ -201,6 +201,30 @@ def test_no_zero_started_sums():
     assert {path: lines for path, lines in found.items() if lines} == {}
 
 
+def gcd_uses(source: str) -> list[str]:
+    """Lines that import, name or call `gcd`: a row is made primitive by
+    linalg._primitive or linalg._combine, so only linalg reads gcd."""
+    tree = ast.parse(source)
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.alias) and node.name == "gcd"
+             or isinstance(node, ast.Name) and node.id == "gcd"
+             or isinstance(node, ast.Attribute) and node.attr == "gcd"}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_gcd_uses_are_found():
+    source = ('ok = "gcd" and _primitive(row)  # gcd\n'
+              "from math import gcd, lcm\n"
+              "g = math.gcd(*row) or gcd(a, b)\n")
+    assert gcd_uses(source) == ["line 2", "line 3"]
+
+
+def test_gcd_only_in_linalg():
+    found = {str(path.relative_to(PACKAGE)) for path in PACKAGE.rglob("*.py")
+             if gcd_uses(path.read_text())}
+    assert found == {"linalg.py"}
+
+
 CONE_SLOTS = ("_generators", "_facets", "_rows", "_dual")
 
 

@@ -464,6 +464,44 @@ def test_known_duals():
     assert got.objective == 1 and got.dual == (1, 0)
 
 
+# An LP, and a dual in solve_lp's min form (a maximize's costs negated)
+# that keeps y . b but violates the first column's y . A_j <= c_j.
+DUAL_CHECKED = {
+    # min 4a + 6b with a + b >= 3, a + 3b >= 2: a = 3, y = (4, 0)
+    "min": ((4, 6, 0, 0), ((1, 1, -1, 0), (1, 3, 0, -1)), (3, 2), False,
+            (0, 6)),
+    # max 3x + 2y with x + y <= 4, x + 3y <= 6: x = 4, y = (-3, 0)
+    "max": ((3, 2, 0, 0), ((1, 1, 1, 0), (1, 3, 0, 1)), (4, 6), True,
+            (0, -2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_CHECKED))
+def test_optimum_is_refused_unless_its_dual_certifies_it(monkeypatch, name):
+    # solve_lp checks its row multipliers exactly before it returns an
+    # optimum: y . b is the objective and y . A_j <= c_j on every column
+    cost, rows, rhs, maximize, off_column = DUAL_CHECKED[name]
+    lp = vec(cost), mat(rows), vec(rhs)
+    got = solve_lp(*lp, maximize=maximize)
+    assert got.objective == 12
+    assert_dual_certifies(got, *lp, maximize)
+    assert sum(y * b for y, b in zip(off_column, rhs)) == \
+        (-12 if maximize else 12)
+    inner = gptkit.lp._dual
+    for skew in (lambda y: (y[0] + 1,) + y[1:], lambda y: vec(off_column)):
+        monkeypatch.setattr(gptkit.lp, "_dual",
+                            lambda *args, skew=skew: skew(inner(*args)))
+        with pytest.raises(SolverError, match="dual does not certify"):
+            solve_lp(*lp, maximize=maximize)
+
+
+def test_feasibility_lps_skip_the_dual_check(monkeypatch):
+    # every cost is zero: no dual to check, so a wrong one passes
+    monkeypatch.setattr(gptkit.lp, "_dual", lambda *args: (F(1),) * args[-1])
+    x, residual = feasible_point(mat(((1, 0), (0, 1), (1, 1))), vec((2, 3)))
+    assert (x, residual) == ((2, 3, 0), 0)
+
+
 def test_feasible_point_duals_are_zero(monkeypatch):
     # Every cost is zero, so each optimum's dual is the zero vector (no
     # solve), here on the random suite's systems read as columns.
