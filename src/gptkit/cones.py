@@ -473,16 +473,22 @@ class ConeRep:
             self._dual._dual = self
         return self._dual
 
-    def minimal_generators(self) -> tuple[Vec, ...]:
-        """Extreme rays only: generators whose zero facets (an int dot
-        of the rows) have rank dim - 1."""
+    def zero_sets(self) -> tuple[int, ...]:
+        """Per generator row, the bitmask of the facet rows that vanish on
+        it (bit k for facet row k), by int dots of the two sides' rows."""
         facets = [f for f, _ in self.facet_rows()]
-        keep = []
-        for g, (row, _) in zip(self.generators, self.generator_rows()):
-            active = [f for f in facets if sum(map(mul, f, row)) == 0]
-            if (rank(active) if active else 0) >= self.dim - 1:
-                keep.append(g)
-        return tuple(keep)
+        return tuple(sum(1 << k for k, f in enumerate(facets)
+                         if sum(map(mul, f, g)) == 0)
+                     for g, _ in self.generator_rows())
+
+    def minimal_generators(self) -> tuple[Vec, ...]:
+        """Extreme rays only: a generator is dropped when another nonzero
+        generator's zero set strictly contains its own."""
+        masks = self.zero_sets()
+        nonzero = [z for z, (g, _) in zip(masks, self.generator_rows())
+                   if any(g)]
+        return tuple(g for g, z in zip(self.generators, masks) if not any(
+            o != z and o & z == z for o in nonzero))
 
 
 def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,

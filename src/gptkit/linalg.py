@@ -13,7 +13,7 @@ products over one running denominator and makes one Fraction per
 result. The other hot loops keep integers of their own: double
 description its normals (canonical_ray) and rays, returned as int tuples
 that the cone keeps as a side's rows (cones.enumerate_rays), the simplex
-each tableau row over one denominator, on columns cleared once by
+each tableau row over its basic entry, on columns cleared once by
 integer_row (lp.solve_lp), membership each facet row
 (cones.ConeRep.contains), positivity each image of a generator under a
 matrix cleared once by integer_row (cones.maps_into, on those facet

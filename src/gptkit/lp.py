@@ -1,13 +1,15 @@
 """Exact LP kernel: two-phase tableau simplex over integer rows.
 
 Standard form only: min c.x subject to A x = b, x >= 0. Bland's rule on
-both phases, so the walk terminates without cycling. Each tableau row, the
-objective row included, is a list of Python ints whose last entry is the
-row's positive denominator: [a_0, ..., a_k, rhs, d] stands for
-[a_0, ..., rhs] / d. A pivot multiplies rows by integers and divides each
-by the gcd of its entries, so no Fraction is made inside the walk; signs
-and the ratio test read integers (the row denominators cancel), and the
-result is turned back into Fractions once. Infeasibility is a result,
+both phases, so the walk terminates without cycling. Each tableau row is
+a primitive list of Python ints [a_0, ..., a_{w-1}, rhs, z], z the
+objective's column: a constraint row (z = 0) stands for itself over its
+basic column's entry, which is positive, and the objective row for
+itself over its z entry, also positive. Every row step, the pivot, the
+pricing of either objective and the drive-out alike, is
+linalg._combine(row[c], other, other[c], row), so no Fraction is made
+inside the walk; signs and the ratio test read integers, and the result
+is turned back into Fractions once. Infeasibility is a result,
 not an exception: it carries phase 1's point, whose L1 equation error is
 the residual, so float-mode callers can accept near-feasible systems
 (residual <= eps) while rational-mode callers demand exactly zero.
@@ -15,8 +17,8 @@ the residual, so float-mode callers can accept near-feasible systems
 Each column A_j is cleared once to coprime integers r_j times a positive
 scale s_j (linalg.integer_row), and the tableau runs on y_j = s_j * x_j:
 columns r_j, costs c_j / s_j, and x_j = y_j / s_j read back at the end.
-So a row has only its right-hand side's denominator to clear, not the
-lcm of every column's (float-embedded facets each carry their own
+So a row has only its right-hand side's denominator to clear, not a
+common multiple of every column's (float-embedded facets each carry their own
 denominator of about 53 bits). The walk is the same one: positive column
 scales multiply tableau entry (i, j) by s_B(i) / s_j, where B(i) is row
 i's basic column, the right-hand side of row i by s_B(i) and reduced
@@ -69,10 +71,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatchError, SolverError
-from .linalg import (Mat, Vec, ZERO, _eliminate, _primitive, dot,
+from .linalg import (Mat, Vec, ZERO, _combine, _eliminate, _primitive, dot,
                      integer_row)
 
 OPTIMAL = "optimal"
@@ -95,28 +96,29 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def _eliminated(row: list[int], pivot_row: list[int], c: int) -> list[int]:
-    """row minus row[c] times pivot_row, whose entry in column c is 1."""
-    f, p = row[c], pivot_row[-1]
-    out = [x * p - f * y for x, y in zip(row, pivot_row)]
-    out[-1] = row[-1] * p
-    return _primitive(out)
-
-
 def _pivot(rows: list[list[int]], obj: list[int] | None, basis: list[int],
            r: int, c: int) -> None:
-    # Row r over its entry in column c: that entry becomes its denominator.
-    p = rows[r][c]
-    row = rows[r][:-1] + [p]
-    if p < 0:
-        row = [-x for x in row]
-    row = rows[r] = _primitive(row)
+    """Column c enters the basis in row r, made positive there."""
+    row = rows[r]
+    if row[c] < 0:
+        row = rows[r] = [-x for x in row]
     for i, other in enumerate(rows):
         if i != r and other[c]:
-            rows[i] = _eliminated(other, row, c)
+            rows[i] = _combine(row[c], other, other[c], row)
     if obj is not None and obj[c]:
-        obj[:] = _eliminated(obj, row, c)
+        obj[:] = _combine(row[c], obj, obj[c], row)
     basis[r] = c
+
+
+def _priced(cost, rows: list[list[int]], basis: list[int]) -> list[int]:
+    """The objective row of cost (one entry per column) with each basic
+    column's cost priced out."""
+    ints, scale = integer_row([*cost, ZERO])
+    obj = [scale.numerator * x for x in ints] + [scale.denominator]
+    for row, b in zip(rows, basis):
+        if obj[b]:
+            obj = _combine(row[b], obj, obj[b], row)
+    return obj
 
 
 def _iterate(rows: list[list[int]], obj: list[int], basis: list[int],
@@ -125,8 +127,7 @@ def _iterate(rows: list[list[int]], obj: list[int], basis: list[int],
         entering = next((j for j in range(ncols) if obj[j] < 0), None)
         if entering is None:
             return OPTIMAL
-        # Ratio rhs / entry; the row's denominator cancels, so compare
-        # a/b < c/d (b, d > 0) as a*d < c*b.
+        # Ratio rhs / entry, compared as a/b < c/d (b, d > 0) by a*d < c*b.
         leaving = None
         for i, row in enumerate(rows):
             if row[entering] > 0:
@@ -165,9 +166,8 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     if maximize:
         cost = [-c for c in cost]
 
-    # Phase 1: minimize the sum of artificials. Row i is [A_i, b_i, d_i]
-    # over integers, meaning [A_i, b_i] / d_i; its coefficients are
-    # integers, so d_i is b_i's denominator. A negative rhs negates its
+    # Phase 1: minimize the sum of artificials. Row i is [A_i, b_i] times
+    # b_i's denominator, integers, and z = 0. A negative rhs negates its
     # row, and then the first column that is a positive multiple of e_i
     # (a coprime 1 there) starts basic in row i; see the module doc.
     signs = [1 if rhs >= 0 else -1 for rhs in eq_rhs]
@@ -187,18 +187,11 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
         den = rhs.denominator
         f = den * sign
         body = list(ints) if f == 1 else [x * f for x in ints]
-        rows.append(body + [0] * len(artificial) + [abs(rhs.numerator), den])
+        rows.append(body + [0] * len(artificial) + [abs(rhs.numerator), 0])
     for k, i in enumerate(artificial):
-        rows[i][n + k] = rows[i][-1]
+        rows[i][n + k] = eq_rhs[i].denominator
         basis[i] = n + k
-    # The phase-1 objective row is minus the sum of the artificial rows.
-    den = lcm(*(rows[i][-1] for i in artificial))
-    totals = [0] * (n + 1)
-    for i in artificial:
-        scale = den // rows[i][-1]
-        totals = [t - scale * x
-                  for t, x in zip(totals, rows[i][:n] + rows[i][-2:-1])]
-    obj = _primitive(totals[:n] + [0] * len(artificial) + totals[n:] + [den])
+    obj = _priced([0] * n + [1] * len(artificial), rows, basis)
 
     status = _iterate(rows, obj, basis, width)
     if status != OPTIMAL:  # phase 1 is always bounded below by zero
@@ -220,11 +213,7 @@ def solve_lp(objective: Vec, eq_matrix: Mat, eq_rhs: Vec, *,
     basis = [basis[i] for i in keep]
 
     # Phase 2 over the real objective.
-    ints, scale = integer_row([*cost, ZERO])
-    obj = [scale.numerator * x for x in ints] + [scale.denominator]
-    for row, b in zip(rows, basis):
-        if obj[b]:
-            obj = _eliminated(obj, row, b)
+    obj = _priced(cost, rows, basis)
     status = _iterate(rows, obj, basis, n)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, ZERO)
@@ -260,14 +249,14 @@ def _dual(columns: list[tuple[int, ...]], cost: list[Fraction],
 
 def _point(rows: list[list[int]], basis: list[int],
            scales: list[Fraction]) -> Vec:
-    """The basic solution: a basic real column reads its row's rhs, over
-    its column's scale."""
+    """The basic solution: a basic real column b reads its row's rhs over
+    row[b], over its column's scale."""
     n = len(scales)
     x = [ZERO] * n
     for row, b in zip(rows, basis):
         if b < n:
             s = scales[b]
-            x[b] = Fraction(row[-2] * s.denominator, row[-1] * s.numerator)
+            x[b] = Fraction(row[-2] * s.denominator, row[b] * s.numerator)
     return tuple(x)
 
 

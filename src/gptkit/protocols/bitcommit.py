@@ -52,7 +52,9 @@ def exposing_effect(space: StateSpace, index: int,
 
     Maximizes m subject to a(v_t) = 1 (t = index), a(v_j) >= 0 and
     a(v_j) + m <= 1 on every other vertex, m >= 0. Returns (effect,
-    margin), or None when the vertex is not exposed (margin <= eps).
+    margin), or None when the vertex is not exposed (margin <= eps), at
+    once when another listed point has phi = 0 (see _basis_optimum): it
+    lies on every facet through v_t, so the margin is 0. Otherwise
     _basis_optimum tries to prove one basis the unique optimum; where
     none proves itself, the vertex-row LP answers, so every effect is
     the one that LP picks.
@@ -60,12 +62,28 @@ def exposing_effect(space: StateSpace, index: int,
     if not 0 <= index < len(space.vertices):
         raise InvalidInputError(f"vertex index {index} out of range")
     eps = tolerance_for(tol, space)
-    return (_basis_optimum(space, index, eps)
+    cleared, h = _phi(space, index)
+    if any(not x for j, x in enumerate(h) if j != index):
+        return None
+    return (_basis_optimum(space, index, eps, cleared, h)
             or _vertex_row_effect(space, index, eps))
 
 
-def _basis_optimum(space: StateSpace, index: int,
-                   eps) -> tuple[Vec, Fraction] | None:
+def _phi(space: StateSpace, index: int):
+    """Each vertex cleared, v_j = s_j r_j for generator j's row r_j, and
+    h_j = phi(v_j) / c, phi = c p the sum of the facets through v_t."""
+    q, w = integer_row(space.unit)  # u = w q, and v_j = r_j / u(r_j)
+    cleared = [(r, Fraction(w.denominator, w.numerator * sum(map(mul, q, r))))
+               for r, _ in space.cone.generator_rows()]
+    through = [(f, c) for f, c in space.cone.facet_rows()
+               if sum(map(mul, f, cleared[index][0])) == 0]
+    p = integer_row(combination([c for _, c in through],
+                                [f for f, _ in through]))[0]
+    return cleared, [s * sum(map(mul, p, row)) for row, s in cleared]
+
+
+def _basis_optimum(space: StateSpace, index: int, eps, cleared,
+                   h) -> tuple[Vec, Fraction] | None:
     """exposing_effect's answer read off one basis of its dual, or None.
 
     The dual has one row per coordinate: minimize sum w_j subject to
@@ -74,24 +92,13 @@ def _basis_optimum(space: StateSpace, index: int,
     on every vertex fixes it). Its row multipliers are y and m, with
     a = y + c u, y_i = 0 and c from a(v_t) = 1. The basis: z on the d - 1
     vertices nearest to v_t and w on one of the d - 1 farthest, farthest
-    first, by phi(v_j), phi the sum of the facets through v_t. With B
-    those columns, x_B is the last column of B^-1 and y its last row. A
-    basis with x_B > 0 and no misfit is primal and dual feasible and
-    non-degenerate, so y is the LP's unique optimum.
+    first, by h (_phi). With B those columns, x_B is the last column of
+    B^-1 and y its last row. A basis with x_B > 0 and no misfit is primal
+    and dual feasible and non-degenerate, so y is the LP's unique optimum.
     """
     verts, unit, d = space.vertices, space.unit, space.dim
     target = verts[index]
     i = next(k for k, x in enumerate(unit) if x)
-    # v_j = r / u(r) for generator j's row r, and u = w q
-    q, w = integer_row(unit)
-    cleared = [(r, Fraction(w.denominator, w.numerator * sum(map(mul, q, r))))
-               for r, _ in space.cone.generator_rows()]
-    through = [(f, c) for f, c in space.cone.facet_rows()
-               if sum(map(mul, f, cleared[index][0])) == 0]
-    # h_j = phi(v_j) / c, phi = c p the sum of the facets through v_t
-    p = integer_row(combination([c for _, c in through],
-                                [f for f, _ in through]))[0]
-    h = [s * sum(map(mul, p, row)) for row, s in cleared]
     by_h = sorted((j for j in range(len(verts)) if j != index),
                   key=h.__getitem__)
 
@@ -200,8 +207,10 @@ def find_double_decomposition(space: StateSpace,
                               tol=None) -> DoubleDecomposition:
     """Smallest pair of disjoint exposed vertex sets mixing to one state.
 
-    Scans disjoint subset pairs by ascending total size and returns the
-    first whose convex hulls intersect, with weights from _try_pair.
+    Scans disjoint subset pairs by ascending total size, at most dim + 1
+    points (_try_pair takes independent columns only, in dim + 2 rows of
+    which u(v) = 1 makes one redundant), and returns the first whose
+    convex hulls intersect, with weights from _try_pair.
     Simplicial spaces, those with dim facets, are refused (mixtures over
     disjoint sets are never equal there), whatever redundant generators
     they list. A point is left out of the scan when another listed point
@@ -223,23 +232,18 @@ def find_double_decomposition(space: StateSpace,
     verts = space.vertices
     m = len(verts)
     eps = tolerance_for(tol, space)
-    rows = space.cone.facet_rows()
-    if len(rows) == space.dim:
+    if len(space.cone.facet_rows()) == space.dim:
         raise InvalidInputError(
             "state set is a simplex; no double decomposition exists")
     if m > _VERTEX_CAP:
         raise SearchCapError(f"subset search over {m} vertices exceeds cap")
-    # bit k of masks[j]: facet k vanishes on vertex j, an int dot of the
-    # cone's facet row k with its generator row j
-    masks = [sum(1 << k for k, (f, _) in enumerate(rows)
-                 if sum(map(mul, f, g)) == 0)
-             for g, _ in space.cone.generator_rows()]
+    masks = space.cone.zero_sets()
     # a point k zero on every facet that is zero on point j lies on j's
     # minimal face: j is not extreme or is listed twice, so not exposed
     exposable = [j for j in range(m) if not any(
         k != j and masks[k] & masks[j] == masks[j] for k in range(m))]
 
-    for total in range(4, len(exposable) + 1):
+    for total in range(4, min(len(exposable), space.dim + 1) + 1):
         for k0 in range(2, total - 1):
             k1 = total - k0
             if k1 < k0:

@@ -499,8 +499,9 @@ def test_single_vertex_is_not_exposed():
 
 
 def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
-    # Many optima here are degenerate. 361 of the 2552 vertices are
-    # answered by the basis step with no LP, each of the other 2191 by
+    # Many optima here are degenerate. Of the 2552 vertices, 361 are
+    # answered by the basis step with no LP, 716 are refused with neither
+    # (another listed point has phi = 0), and each of the other 1475 by
     # one vertex-row LP, which has one row per listed point.
     rows = []
 
@@ -508,16 +509,15 @@ def test_exposing_effect_matches_on_lattice_polytopes(monkeypatch):
         rows.append(len(eq_matrix))
         return solve_lp(objective, eq_matrix, eq_rhs, **kwargs)
     monkeypatch.setattr(bitcommit, "solve_lp", counted_lp)
-    vertices = by_basis = 0
+    answers = Counter()
     for space in lattice_polytopes():
         for j in range(len(space.vertices)):
             rows.clear()
-            assert exposing_effect(space, j) == \
-                reference_exposing_effect(space, j), (space.name, j)
+            got = exposing_effect(space, j)
+            assert got == reference_exposing_effect(space, j), (space.name, j)
             assert rows in ([], [len(space.vertices)]), (space.name, j)
-            by_basis += not rows
-        vertices += len(space.vertices)
-    assert (by_basis, vertices - by_basis) == (361, 2191)
+            answers["lp" if rows else "basis" if got else "refused"] += 1
+    assert answers == {"basis": 361, "refused": 716, "lp": 1475}
 
 
 def test_vertex_row_effect_reads_facet_rows_of_any_scale(monkeypatch):
@@ -555,15 +555,21 @@ def refuse_basis(monkeypatch):
     monkeypatch.setattr(bitcommit, "_basis_optimum", lambda *args: None)
 
 
-def reference_phi_order(space, index):
-    """The vertices other than v_index, nearest first: the slack rows of
-    the facets through v_index, concatenated and cleared to integers,
-    then summed per vertex; ties keep index order."""
+def reference_phi(space, index):
+    """phi(v_j) up to a positive factor, per vertex j other than v_index:
+    the slack rows of the facets through v_index, concatenated and
+    cleared to integers, then summed per vertex."""
     m = len(space.vertices)
     through = integer_row(sum((row for row in _slack_matrix(space)
                                if row[index] == 0), ()))[0]
-    return sorted((j for j in range(m) if j != index),
-                  key=lambda j: sum(through[j::m]))
+    return {j: sum(through[j::m]) for j in range(m) if j != index}
+
+
+def reference_phi_order(space, index):
+    """The vertices other than v_index, nearest first; ties keep index
+    order."""
+    phi = reference_phi(space, index)
+    return sorted(phi, key=phi.__getitem__)
 
 
 def test_search_reads_each_side_cleared_once_by_cones(monkeypatch):
@@ -678,10 +684,13 @@ def test_degenerate_optima_reach_the_vertex_row_lp(monkeypatch):
 def reference_basis_refusals(space, index, tol=None):
     """Why each basis the step tries fails, in its order, or "proved":
     z on the d - 1 nearest vertices and w on one of the d - 1 farthest,
-    read through Fraction inverse and checked on every vertex."""
+    read through Fraction inverse and checked on every vertex. Only
+    "hidden" when another vertex has phi = 0: no basis is tried."""
     verts, d = space.vertices, space.dim
     eps = tolerance_for(tol, space)
     i = next(k for k, x in enumerate(space.unit) if x)
+    if 0 in reference_phi(space, index).values():
+        return ["hidden"]
     order = reference_phi_order(space, index)
 
     def delta(j):
@@ -710,8 +719,9 @@ def reference_basis_refusals(space, index, tol=None):
 
 def test_basis_step_falls_through_on_every_refusal(monkeypatch):
     # the step answers exactly where a reference basis proves itself, with
-    # the reference effect; elsewhere the vertex-row LP answers it,
-    # refusals of every kind among them
+    # the reference effect; a hidden vertex is refused with no basis and
+    # no LP; elsewhere the vertex-row LP answers it, refusals of every
+    # kind among them
     refusals = Counter()
     spaces = ([parse_model_name(f"polygon:{n}") for n in range(3, 9)]
               + list(CONES) + lattice_polytopes(count=60))
@@ -720,12 +730,14 @@ def test_basis_step_falls_through_on_every_refusal(monkeypatch):
             reasons = reference_basis_refusals(space, j)
             got, lps, bases = _counted_effect(monkeypatch, space, j)
             assert got == reference_exposing_effect(space, j), (space.name, j)
-            if "proved" in reasons:
+            if reasons == ["hidden"]:
+                assert got is None and lps == bases == 0, (space.name, j)
+            elif "proved" in reasons:
                 assert lps == 0 and bases == reasons.index("proved") + 1
             else:
                 assert lps == 1 and bases == len(reasons), (space.name, j)
-                refusals.update(reasons)
-    assert set(refusals) == {"singular", "x_B <= 0", "misfit"}
+            refusals.update(r for r in reasons if r != "proved")
+    assert set(refusals) == {"hidden", "singular", "x_B <= 0", "misfit"}
 
 
 def test_basis_step_falls_through_at_a_margin_within_eps(monkeypatch):
@@ -1010,6 +1022,30 @@ def test_search_skips_points_no_effect_exposes(monkeypatch):
                                None), space.name
         unfiltered += any(not hidden.isdisjoint(idx) for idx in tried)
     assert (len(spaces), unfiltered) == (128, 123)
+
+
+def test_pair_scan_stops_at_dim_plus_one_points(monkeypatch):
+    # a pair's weights need independent columns, in dim + 2 rows of which
+    # u(v) = 1 makes one redundant, so no pair of more than dim + 1
+    # points passes and none is tried; the refusals stay the unbounded
+    # scan's (polygon:12 at tol 1/2 tried 225025 pairs, polygon:8 1601)
+    sizes, try_pair = [], bitcommit._try_pair
+
+    def recorded(space, verts, idx0, idx1, eps, tol):
+        sizes.append(len(idx0) + len(idx1))
+        return try_pair(space, verts, idx0, idx1, eps, tol)
+    monkeypatch.setattr(bitcommit, "_try_pair", recorded)
+    for name, tried in (("polygon:8", 110), ("polygon:12", 999)):
+        space = parse_model_name(name)
+        sizes.clear()
+        with pytest.raises(SearchCapError, match="^no double decomposition "
+                           "among the extreme points$"):
+            find_double_decomposition(space, HALF)
+        assert (max(sizes), len(sizes)) == (space.dim + 1, tried)
+    monkeypatch.setattr(bitcommit, "_try_pair", try_pair)
+    space = parse_model_name("polygon:8")
+    assert _outcome(find_double_decomposition, space, HALF) == \
+        _outcome(reference_find_double_decomposition, space, HALF)
 
 
 def test_search_with_three_exposed_points_is_refused_at_once():

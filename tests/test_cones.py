@@ -1188,12 +1188,15 @@ def test_minimal_generators_match_the_fraction_reference_seeded():
         d = rng.randint(3, 5)
         points = [tuple(rng.randint(-2, 2) for _ in range(d - 1))
                   for _ in range(rng.randint(d + 1, 9))]
-        # midpoints and a repeat: redundant, and on no more facets
+        # midpoints and a repeat: redundant, and on no more facets; the
+        # greatest point, a vertex, listed twice; and a zero row
         p, q = rng.sample(points, 2)
-        points += [tuple(F(x + y, 2) for x, y in zip(p, q)), points[0]]
+        points += [tuple(F(x + y, 2) for x, y in zip(p, q)), points[0],
+                   max(points)]
         gens = [vec(p + (1,)) for p in points]
         if rank(gens) < d:
             continue
+        gens.insert(rng.randrange(len(gens) + 1), vec((0,) * d))
         arithmetic = rng.choice((RATIONAL, FLOAT))
         cone = ConeRep.from_generators(
             [tuple(x * rng.randint(1, 3) for x in g) for g in gens],

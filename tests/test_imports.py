@@ -202,21 +202,27 @@ def test_no_zero_started_sums():
 
 
 def gcd_uses(source: str) -> list[str]:
-    """Lines that import, name or call `gcd`: a row is made primitive by
-    linalg._primitive or linalg._combine, so only linalg reads gcd."""
+    """Lines that import, name or call `gcd` or `lcm`: a row is made
+    primitive by linalg._primitive or linalg._combine, and a vector's
+    denominators are cleared by linalg.integer_row, so only linalg reads
+    them."""
+    names = ("gcd", "lcm")
     tree = ast.parse(source)
     lines = {node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.alias) and node.name == "gcd"
-             or isinstance(node, ast.Name) and node.id == "gcd"
-             or isinstance(node, ast.Attribute) and node.attr == "gcd"}
+             if isinstance(node, ast.alias) and node.name in names
+             or isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.Attribute) and node.attr in names}
     return [f"line {line}" for line in sorted(lines)]
 
 
 def test_gcd_uses_are_found():
     source = ('ok = "gcd" and _primitive(row)  # gcd\n'
               "from math import gcd, lcm\n"
-              "g = math.gcd(*row) or gcd(a, b)\n")
-    assert gcd_uses(source) == ["line 2", "line 3"]
+              "g = math.gcd(*row) or gcd(a, b)\n"
+              'ok = "lcm" and integer_row(v)  # lcm\n'
+              "from math import lcm\n"
+              "d = math.lcm(*dens) or lcm(a, b)\n")
+    assert gcd_uses(source) == ["line 2", "line 3", "line 5", "line 6"]
 
 
 def test_gcd_only_in_linalg():

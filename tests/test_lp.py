@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +366,30 @@ def test_integer_simplex_matches_reference(pivots):
     assert min(seen[k] for k in (OPTIMAL, INFEASIBLE, UNBOUNDED, "flipped",
                                  "dropped", "dyadic", "started")) >= 10, seen
     assert pivots["degenerate"] >= 10 and pivots["drive-out"] >= 10, pivots
+
+
+def test_every_pivot_keeps_the_row_form(monkeypatch):
+    # a constraint row [a, rhs, z] stands for itself over its basic entry,
+    # the objective row over its z entry: after every pivot each
+    # constraint row is primitive, positive in its basic column, the only
+    # row with an entry there, and has z = 0; the objective row has none
+    # in a basic column and a positive z
+    seen = Counter()
+    inner = gptkit.lp._pivot
+
+    def checked(rows, obj, basis, r, c):
+        inner(rows, obj, basis, r, c)
+        for i, (row, b) in enumerate(zip(rows, basis)):
+            assert gcd(*row) == 1 and row[b] > 0 and row[-1] == 0, row
+            assert not any(other[b] for k, other in enumerate(rows) if k != i)
+        if obj is not None:
+            assert obj[-1] > 0 and not any(obj[b] for b in basis), obj
+        seen["drive-out" if obj is None else "pivot"] += 1
+    monkeypatch.setattr(gptkit.lp, "_pivot", checked)
+    for seed in range(400):
+        objective, rows, rhs, maximize = random_lp(seed)
+        solve_lp(objective, rows, rhs, maximize=maximize)
+    assert seen["pivot"] >= 500 and seen["drive-out"] >= 10, seen
 
 
 def random_scale(rng):
