@@ -17,8 +17,8 @@ the residual, so float-mode callers can accept near-feasible systems
 Each column A_j is cleared once to coprime integers r_j times a positive
 scale s_j (linalg.integer_row), and the tableau runs on y_j = s_j * x_j:
 columns r_j, costs c_j / s_j, and x_j = y_j / s_j read back at the end.
-So a row has only its right-hand side's denominator to clear, not a
-common multiple of every column's (float-embedded facets each carry their own
+So a row has only its right-hand side's denominator to clear, not the
+lcm of every column's (float-embedded facets each carry their own
 denominator of about 53 bits). The walk is the same one: positive column
 scales multiply tableau entry (i, j) by s_B(i) / s_j, where B(i) is row
 i's basic column, the right-hand side of row i by s_B(i) and reduced

@@ -53,11 +53,11 @@ def exposing_effect(space: StateSpace, index: int,
     Maximizes m subject to a(v_t) = 1 (t = index), a(v_j) >= 0 and
     a(v_j) + m <= 1 on every other vertex, m >= 0. Returns (effect,
     margin), or None when the vertex is not exposed (margin <= eps), at
-    once when another listed point has phi = 0 (see _basis_optimum): it
-    lies on every facet through v_t, so the margin is 0. Otherwise
-    _basis_optimum tries to prove one basis the unique optimum; where
-    none proves itself, the vertex-row LP answers, so every effect is
-    the one that LP picks.
+    once when another listed point has phi = 0, find_double_decomposition's
+    exposable rule: it lies on every facet through v_t, so the margin is 0.
+    Otherwise _basis_optimum tries to prove one basis the unique optimum;
+    where none proves itself, the vertex-row LP answers, so every effect
+    is the one that LP picks.
     """
     if not 0 <= index < len(space.vertices):
         raise InvalidInputError(f"vertex index {index} out of range")
@@ -240,6 +240,7 @@ def find_double_decomposition(space: StateSpace,
     masks = space.cone.zero_sets()
     # a point k zero on every facet that is zero on point j lies on j's
     # minimal face: j is not extreme or is listed twice, so not exposed
+    # (exposing_effect refuses j the same way: phi(v_k) = 0 for such k)
     exposable = [j for j in range(m) if not any(
         k != j and masks[k] & masks[j] == masks[j] for k in range(m))]
 

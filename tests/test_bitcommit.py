@@ -732,11 +732,12 @@ def test_basis_step_falls_through_on_every_refusal(monkeypatch):
             assert got == reference_exposing_effect(space, j), (space.name, j)
             if reasons == ["hidden"]:
                 assert got is None and lps == bases == 0, (space.name, j)
+                refusals.update(reasons)
             elif "proved" in reasons:
                 assert lps == 0 and bases == reasons.index("proved") + 1
             else:
                 assert lps == 1 and bases == len(reasons), (space.name, j)
-            refusals.update(r for r in reasons if r != "proved")
+                refusals.update(reasons)
     assert set(refusals) == {"hidden", "singular", "x_B <= 0", "misfit"}
 
 
@@ -1027,8 +1028,7 @@ def test_search_skips_points_no_effect_exposes(monkeypatch):
 def test_pair_scan_stops_at_dim_plus_one_points(monkeypatch):
     # a pair's weights need independent columns, in dim + 2 rows of which
     # u(v) = 1 makes one redundant, so no pair of more than dim + 1
-    # points passes and none is tried; the refusals stay the unbounded
-    # scan's (polygon:12 at tol 1/2 tried 225025 pairs, polygon:8 1601)
+    # points passes and none is tried; the refusal stays the same
     sizes, try_pair = [], bitcommit._try_pair
 
     def recorded(space, verts, idx0, idx1, eps, tol):
