@@ -10,20 +10,24 @@ Bipartite states are kept as m x n coordinate matrices W pairing
 functionals as (a, b) -> a^t W b. Marginals, conditioning, and remote
 evaluation are linear algebra on W; entanglement is non-membership in
 the minimal cone, asked of the product generators it holds. Products
-are made from the factors' rows (ConeRep.generator_rows and facet_rows),
-and each tensor hands its side to its cone as product rows: a side's
-Fractions are made on each read, and membership in the maximal cone
-and positivity from the minimal one clear none again. A tolerant test
-reads each facet and generator row as a direction (cones._meets), so
-the scale a product row is held at decides no verdict.
+are made from the factors' rows (ConeRep.generator_rows, facet_rows and
+facet_rays), and each tensor hands its cone its side as product rows,
+both sides for a simplex factor within the cap: a side's Fractions are
+made on each read, and membership in the maximal cone and positivity
+from the minimal one clear none again. A tolerant test reads each facet
+and generator row as a direction (cones._meets), so the scale a product
+row is held at decides no verdict.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
-from .cones import POLYHEDRAL, ConeRep, Rows, maps_into
+from .cones import (DIMENSION_CAP, POLYHEDRAL, ConeRep, Rows, maps_into,
+                    ray_rows)
 from .errors import (
+    DegenerateConeError,
     DimensionMismatchError,
     InvalidInputError,
     UnitMismatchError,
@@ -47,6 +51,18 @@ def _products(xs: Rows, ys: Rows) -> Rows:
     is coprime as gcd(r_i q_j) = gcd(r) gcd(q)."""
     return tuple((tuple(a * b for a in r for b in q), s * t)
                  for r, s in xs for q, t in ys)
+
+
+def _simplex_side(a: ConeRep, b: ConeRep, arith: str) -> Rows | None:
+    """A simplex factor's composite facets within the cap, the sorted ray
+    products (Namioka & Phelps 1969); None else, or for a degenerate factor."""
+    if a.dim * b.dim <= DIMENSION_CAP and any(
+            len(c.generator_rows()) == c.dim for c in (a, b)):
+        with suppress(DegenerateConeError):
+            ra, rb = a.facet_rays(), b.facet_rays()
+            return ray_rows(sorted(tuple(x * y for x in r for y in q)
+                                   for r in ra for q in rb), arith)
+    return None
 
 
 def _require_polyhedral(a: StateSpace, b: StateSpace) -> None:
@@ -82,15 +98,16 @@ def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """Separable composite: cone generated by product states.
 
     Generators are products of factor generators, held as integer rows
-    and made as vectors only when read; facets stay lazy and are
-    enumerated only on demand, subject to the dimension cap of the
-    enumerator.
+    and made as vectors only when read. Facets stay lazy, enumerated on
+    demand within the dimension cap; there, a simplex factor (dim
+    generator rows) makes them products of the factors' rays too.
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
     rows = _products(a.cone.generator_rows(), b.cone.generator_rows())
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, rows)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, rows,
+                   _simplex_side(a.cone, b.cone, arith))
     unit = product_vec(a.unit, b.unit)
     name = f"min({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "min", name)
@@ -100,13 +117,14 @@ def max_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """Largest admissible composite: cut out by product effects.
 
     Facets are products of factor facets, held as integer rows and made
-    as vectors only when read; generators stay lazy.
+    as vectors only when read; generators are as min_tensor's facets.
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
     rows = _products(a.cone.facet_rows(), b.cone.facet_rows())
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, facets=rows)
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith,
+                   _simplex_side(a.cone.dual(), b.cone.dual(), arith), rows)
     unit = product_vec(a.unit, b.unit)
     name = f"max({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "max", name)
@@ -130,8 +148,9 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
     if candidate.unit != unit:
         raise UnitMismatchError("candidate does not carry the product unit")
     eps = tolerance_for(tol, a, b, candidate)
-    if not all(candidate.cone.contains(g, eps)
-               for g in min_tensor(a, b).cone.generators):
+    ys = b.cone.generators
+    if not all(candidate.cone.contains(product_vec(x, y), eps)
+               for x in a.cone.generators for y in ys):
         return False
     dual = a.cone.dual()
     return all(maps_into(transpose(_as_matrix(g, a.dim, b.dim)), dual,

@@ -240,6 +240,13 @@ def _vectors(rows: Rows) -> tuple[Vec, ...]:
     return tuple(out)
 
 
+def ray_rows(rays, arithmetic: str) -> Rows:
+    """Double description's rays as rows: of scale 1 in rational mode, and
+    1 / |r| in float mode, which keeps emitted floats readable."""
+    return tuple((r, ONE if arithmetic == RATIONAL else Fraction(1, _top(r)))
+                 for r in rays)
+
+
 def _tolerance_ratio(tol) -> tuple[int, int]:
     """tol (an int, float or Fraction) as integers (e, f) with f >= 0:
     e / f for a finite tol, (1, 0) for +inf, and (-1, 0) for -inf and
@@ -395,13 +402,7 @@ class ConeRep:
     def _enumerate_missing(self, side: str, known_name: str,
                            quality: str) -> Rows:
         """This view's facet rows: the extreme rays of the dual of its
-        generators, enumerated from the generator rows' integers.
-
-        Each ray is kept as enumerate_rays gives it, a coprime integer
-        row: of scale 1 in rational mode, and in float mode of scale
-        1 / (its largest entry magnitude), which keeps emitted
-        coordinates readable after float conversion.
-        """
+        generator rows' integers, held at ray_rows' scale."""
         if self.kind == LORENTZ:
             raise UnsupportedConeError(
                 f"lorentz cones have no finite {side} list")
@@ -415,9 +416,19 @@ class ConeRep:
                            for k in known):
             raise DegenerateConeError(
                 f"{known_name} describe a cone that is not {quality}")
-        if self.arithmetic == RATIONAL:
-            return tuple((r, ONE) for r in rays)
-        return tuple((r, Fraction(1, max(map(abs, r)))) for r in rays)
+        return ray_rows(rays, self.arithmetic)
+
+    def facet_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Double description's rays of the generator rows: the facet rows'
+        where missing (then kept), else, as held facets need not be those
+        rays, a simplex's inverse columns or the rays enumerated anew."""
+        known = [r for r, _ in self.generator_rows()]
+        inv = self.has_facets() and len(known) == self.dim and inverse(known)
+        if inv:
+            return tuple(sorted(map(canonical_ray, zip(*inv))))
+        rows = (self._enumerate_missing("facet", "generators", "pointed")
+                if self.has_facets() else self.facet_rows())
+        return tuple(r for r, _ in rows)
 
     def _facets_in_reach(self) -> bool:
         """Whether the cone holds finite facets or may enumerate them:

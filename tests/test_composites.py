@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from gptkit.composites import (BipartiteState, _as_matrix, _space_from_ref,
                                max_tensor, min_tensor, omega_hat, product_vec,
                                remote_evaluate)
 from gptkit.cones import POLYHEDRAL, ConeRep, maps_into
-from gptkit.errors import (DimensionMismatchError, InvalidInputError,
-                           UnitMismatchError)
+from gptkit.errors import (DegenerateConeError, DimensionMismatchError,
+                           InvalidInputError, UnitMismatchError)
 from gptkit.linalg import (dot, identity, integer_row, mat, matvec, rank,
                            transpose, vec)
 from gptkit.lp import feasible_point
@@ -24,7 +25,7 @@ from gptkit.models import (entangled_state_coords, make_ball, make_classical,
 from gptkit.scalars import tolerance_for
 from gptkit.spaces import LinearMapRep, StateSpace, is_positive_map
 from test_cones import (HEXAGON, held_as_rows, record_clears,
-                        reference_contains, top, unit_top)
+                        reference_contains, reference_rays, top, unit_top)
 
 F = Fraction
 EIGHTH = F(1, 8)
@@ -105,9 +106,11 @@ def test_tensor_products_are_product_vec_in_order(a, b):
 def test_tensor_sides_are_rows_until_read(a, b, monkeypatch):
     monkeypatch.setattr(cones, "enumerate_rays", None)
     low, high = min_tensor(a, b).cone, max_tensor(a, b).cone
-    # each tensor holds its side as integer rows only, and it counts
+    # each tensor holds its side as integer rows only, and it counts; the
+    # classical pair, two simplices, holds its other side as rows too
+    classical = a.name == "classical:2"
     assert low.has_generators() and high.has_facets()
-    assert not low.has_facets() and not high.has_generators()
+    assert low.has_facets() is classical and high.has_generators() is classical
     assert held_as_rows(low) and held_as_rows(high)
     # each dual view reads the rows as its other side's rows
     assert low.dual().facet_rows() is low.generator_rows()
@@ -660,6 +663,143 @@ def _redundant(generators, facets, unit):
                   for vs in (generators, facets))
     return StateSpace(ConeRep(len(unit), POLYHEDRAL, "rational", gens, fcts),
                       unit)
+
+
+def _lattice_space(rng, d, k, arithmetic="rational"):
+    """The cone over k distinct integer points that span R^d once lifted,
+    unit (0, ..., 0, 1); past a simplex (k > d) the generators also list
+    a point twice, a scaled copy and an interior point, in seeded order."""
+    while True:
+        lifts = {tuple(rng.randint(-3, 3) for _ in range(d - 1)) + (1,)
+                 for _ in range(k)}
+        if len(lifts) == k and rank(tuple(lifts)) == d:
+            break
+    gens = sorted(lifts)
+    if k > d:
+        p = rng.choice(gens)
+        gens += [p, tuple(2 * x for x in p), tuple(map(sum, zip(*gens)))]
+        rng.shuffle(gens)
+    cone = ConeRep.from_generators(gens, arithmetic)
+    return StateSpace(cone, (0,) * (d - 1) + (1,))
+
+
+def _facets_only(space, redundant):
+    """The space rebuilt from its facets, with the sum of the first two
+    appended (a redundant facet) when asked."""
+    facets = list(space.cone.facets)
+    if redundant:
+        facets.append(tuple(x + y for x, y in zip(*facets[:2])))
+    cone = ConeRep.from_facets(facets, space.arithmetic)
+    return StateSpace(cone, space.unit)
+
+
+def _simplex_pair_spaces(rng):
+    """Simplex factors (dim generator rows, dim facet rows, or both) and
+    other factors, in both arithmetics, built every way a cone is."""
+    simplices = [make_classical(n) for n in range(1, 5)] + [
+        make_polygon(3), FLOAT_TRIANGLE,
+        _redundant(((1, 0), (0, 1)), ((2, 1), (1, 2)), (1, 1)),
+        _redundant(((1,),), [(k,) for k in (1, 3)], (1,)),
+        _redundant([(k,) for k in (3, 1)], ((1,),), (1,))]
+    others = [make_squit(), make_polygon(5), FRACTIONAL]
+    for d in (3, 3, 4):
+        simplex = _lattice_space(rng, d, d, rng.choice(("rational", "float")))
+        simplices += [simplex, _facets_only(simplex, False),
+                      _facets_only(simplex, True)]
+    for d, k in ((3, 4), (3, 5), (3, 6), (4, 5), (4, 6)):
+        other = _lattice_space(rng, d, k, rng.choice(("rational", "float")))
+        others += [other, _facets_only(other, True)]
+    return simplices, others
+
+
+def _dd_rows(cone, rows):
+    """reference_rays of the held side's rows, at double description's
+    scale: 1 in rational mode, one over the largest entry in float mode."""
+    rays = reference_rays([r for r, _ in rows], cone.dim)
+    return tuple((r, F(1) if cone.arithmetic == "rational" else F(1, top(r)))
+                 for r in rays)
+
+
+def test_simplex_factor_tensors_hand_over_the_enumerated_side_seeded():
+    """With a simplex factor both tensors coincide, and within the cap
+    each holds its other side as the factors' rays' products: row for
+    row, in order and at scale, what double description makes of its
+    held side, on every way a factor is given (with duplicate, scaled and
+    interior generators, redundant facets, or two sides that disagree)."""
+    rng = random.Random(4848)
+    simplices, others = _simplex_pair_spaces(rng)
+    # each simplex meets four others and three simplices (itself too)
+    m, n = len(others), len(simplices)
+    pairs = [(s, f) for i, s in enumerate(simplices) for f in
+             [others[(4 * i + j) % m] for j in range(4)]
+             + [simplices[(i + j) % n] for j in (0, 1, 7)]]
+    handed = Counter()
+    for s, o in pairs:
+        for a, b in ((s, o), (o, s)):
+            if a.dim * b.dim > cones.DIMENSION_CAP:
+                continue
+            low, high = min_tensor(a, b).cone, max_tensor(a, b).cone
+            by_gens = any(len(c.cone.generator_rows()) == c.dim
+                          for c in (a, b))
+            by_facets = any(len(c.cone.facet_rows()) == c.dim
+                            for c in (a, b))
+            assert (low.has_facets(), high.has_generators()) == \
+                (by_gens, by_facets), (a, b)
+            if by_gens:
+                assert low.facet_rows() == _dd_rows(low, low.generator_rows())
+            if by_facets:
+                assert high.generator_rows() == _dd_rows(high,
+                                                         high.facet_rows())
+            handed.update((by_gens, by_facets))
+    assert handed[True] >= 300, handed
+
+
+def test_simplex_side_stops_at_the_cap_and_at_degenerate_factors():
+    c4, c5 = make_classical(4), make_classical(5)
+    low, high = min_tensor(c4, c4), max_tensor(c4, c4)
+    assert low.dim == 16
+    assert low.cone.has_facets() and high.cone.has_generators()
+    low, high = min_tensor(c4, c5), max_tensor(c4, c5)
+    assert low.dim == 20
+    assert not low.cone.has_facets() and not high.cone.has_generators()
+    # three generator rows that do not span R^3: the tensor is built, and
+    # reading its facets raises, as with no simplex factor
+    flat = _redundant(((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((0, 0, 1),),
+                      (1, 1, 1))
+    low = min_tensor(make_classical(2), flat).cone
+    assert not low.has_facets()
+    with pytest.raises(DegenerateConeError):
+        low.facet_rows()
+
+
+def test_simplex_pairs_enumerate_only_in_the_factor_dimensions(monkeypatch):
+    dims = Counter()
+    enumerate_rays = cones.enumerate_rays
+
+    def counted(halfspaces, dim):
+        dims[dim] += 1
+        return enumerate_rays(halfspaces, dim)
+
+    monkeypatch.setattr(cones, "enumerate_rays", counted)
+
+    def read_all_sides(a, b):
+        dims.clear()
+        for composite in (min_tensor(a, b), max_tensor(a, b)):
+            composite.cone.generators, composite.cone.facets
+        return dict(dims)
+
+    rng = random.Random(4849)
+    triangle = _lattice_space(rng, 3, 3)
+    pentagon = _lattice_space(rng, 3, 5)
+    assert read_all_sides(make_classical(2), make_classical(3)) == {}
+    assert read_all_sides(make_polygon(3), make_polygon(6)) == {3: 2}
+    assert read_all_sides(triangle, pentagon) == {3: 3}
+    tetrahedron = _lattice_space(rng, 4, 4, "float")
+    assert read_all_sides(make_classical(4), tetrahedron) == {4: 1}
+    # no simplex factor: the composite's sides are enumerated as before
+    assert read_all_sides(make_squit(), make_squit()) == {9: 2}
+    fours = random_polygon(rng, 4), random_polygon(rng, 4)
+    assert read_all_sides(*fours) == {9: 2}
 
 
 @pytest.mark.parametrize("small_first", (True, False))
