@@ -16,7 +16,11 @@ both sides for a simplex factor within the cap: a side's Fractions are
 made on each read, and membership in the maximal cone and positivity
 from the minimal one clear none again. A tolerant test reads each facet
 and generator row as a direction (cones._meets), so the scale a product
-row is held at decides no verdict.
+row is held at decides no verdict there. The composite checks read
+rows too: is_composite and check_distributive_inclusion take each
+candidate generator or min(a, b) facet as an integer matrix and hand
+maps_into the row's scale, which does decide a tolerant verdict, and
+the directions w = H f are made from bare rows.
 """
 
 from __future__ import annotations
@@ -154,8 +158,8 @@ def is_composite(a: StateSpace, b: StateSpace, candidate: StateSpace,
         return False
     dual = a.cone.dual()
     return all(maps_into(transpose(_as_matrix(g, a.dim, b.dim)), dual,
-                         b.cone, eps)
-               for g in candidate.cone.generators)
+                         b.cone, eps, s)
+               for g, s in candidate.cone.generator_rows())
 
 
 def _directions(vectors) -> Rows:
@@ -361,11 +365,12 @@ def check_distributive_inclusion(a: StateSpace, b: StateSpace,
     """
     eps = tolerance_for(tol, a, b, c)
     left, right = max_tensor(b, c), min_tensor(a, b)
-    facets = c.cone.facets
+    facets = [f for f, _ in c.cone.facet_rows()]
+    # a direction reads no scale, so w is made from the bare rows
     ws = [matvec(_as_matrix(h, b.dim, c.dim), f)
-          for h in left.cone.generators for f in facets]
+          for h, _ in left.cone.generator_rows() for f in facets]
     # facet rows, read by maps_into only: {y : <w, y> >= 0 for every w}
     cut = ConeRep(b.dim, POLYHEDRAL, b.arithmetic, facets=_directions(ws))
     return all(maps_into(transpose(_as_matrix(f, a.dim, b.dim)), a.cone,
-                         cut, eps)
-               for f in right.cone.facets)
+                         cut, eps, s)
+               for f, s in right.cone.facet_rows())

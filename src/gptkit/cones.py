@@ -19,17 +19,20 @@ a cone and its dual view (`facet_rows()`, and `generator_rows()`, the
 dual view's facet rows). `generators` and `facets` make its Fraction
 vectors on every read, so a caller reads them once.
 Double description takes a cone's rows as normals and returns coprime
-integer rays; inside it, each normal's zero set is a bitset over fixed
-ray slots kept across steps. A ray about to be cut off that lies on
-exactly dim - 1 normals finds its new neighbours along its edges by
-ANDs of those bitsets; any other one is paired with every ray kept,
-through a popcount prefilter and the same bitsets.
+integer rays, its base rays too coming from an integer elimination
+(linalg.inverse_rays), so it makes no Fraction; inside it, each
+normal's zero set is a bitset over fixed ray slots kept across steps.
+A ray about to be cut off that lies on exactly dim - 1 normals finds
+its new neighbours along its edges by ANDs of those bitsets; any other
+one is paired with every ray kept, through a popcount prefilter and the
+same bitsets.
 
 A side is a set of directions, so no verdict reads a row's scale:
 facet row r passes x at tol when <r, x> >= -tol * |r|, |r| the row's
 largest entry magnitude, decided on ints (_meets), and `maps_into`, the
 one positivity test of a map between cones, takes each domain
-generator row g as g / |g|.
+generator row g as g / |g|. The map's own scale does count: a caller
+that hands it an integer row as the matrix hands the row's scale too.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .linalg import (
     dot,
     integer_row,
     inverse,
+    inverse_rays,
     matvec,
     nullspace,
     rank,
@@ -117,12 +121,14 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
     the AND of the shared normals' bitsets must hold just p and m.
 
     The normals enter as rows (a cone's side; canonical_ray, the one
-    normalisation, clears any rational vector and the base rays, the
-    columns of the base's inverse), so a step is int sums, products and
-    signs: each new ray is divided by the gcd of its entries, and the
-    rays are returned so, with no Fraction made (ConeRep holds them as a
-    side's rows). Distinct 2-faces meet a hyperplane in distinct rays,
-    so no ray is made twice.
+    normalisation, clears any rational vector). The base rays, the
+    columns of the base's inverse, come as coprime rows from one
+    fraction-free elimination of the base beside an identity block
+    (linalg.inverse_rays). So a step is int sums, products and signs:
+    each new ray is divided by the gcd of its entries, and the rays are
+    returned so, with no Fraction made from the normals on (ConeRep
+    holds them as a side's rows). Distinct 2-faces meet a hyperplane in
+    distinct rays, so no ray is made twice.
     """
     if dim > DIMENSION_CAP:
         raise DimensionCapError(
@@ -146,11 +152,9 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
     base_idx = [position[b] for b in base]
     rest_idx = [i for i in range(len(normals)) if i not in base_idx]
 
-    inv = inverse(base)
-    assert inv is not None
     # base ray j sits in slot j, each new ray in the next unused one; slots
     # lists the live slots, and live holds them as bits
-    rays: list[tuple[int, ...]] = [canonical_ray(col) for col in zip(*inv)]
+    rays: list[tuple[int, ...]] = list(inverse_rays(base))
     all_base = sum(1 << k for k in base_idx)
     masks: list[int] = [all_base & ~(1 << k) for k in base_idx]
     slots = list(range(dim))
@@ -502,14 +506,19 @@ class ConeRep:
             o != z and o & z == z for o in nonzero))
 
 
-def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
-              tol: Fraction) -> bool:
-    """Whether matrix (cod.dim x dom.dim) maps dom into cod within tol,
-    for all four pairings of kinds: each generator row g of a polyhedral
-    dom, taken as g / |g|, maps to an image that cod contains. Into
-    polyhedral facets the matrix is cleared once to integers times a
+def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep, tol: Fraction,
+              scale: Fraction = ONE) -> bool:
+    """Whether scale * matrix (cod.dim x dom.dim) maps dom into cod
+    within tol, for all four pairings of kinds: each generator row g of a
+    polyhedral dom, taken as g / |g|, maps to an image that cod contains.
+    Into polyhedral facets the matrix is cleared once to integers times a
     positive scale, so the image is an integer vector times a numerator
-    and denominator pair, and _meets tests it on ints at any tol."""
+    and denominator pair, and _meets tests it on ints at any tol; an
+    integer matrix, such as a side's row, comes with its row's scale."""
+    if scale != 1 and (dom.kind == LORENTZ or not cod._facets_in_reach()):
+        # tested on vectors, not on ints: the scale goes into the matrix
+        matrix = tuple(tuple(x * scale for x in row) for row in matrix)
+        scale = ONE
     if dom.kind == LORENTZ:
         if cod.kind == POLYHEDRAL:
             # T maps dom into cod iff T^t maps each generator h of cod's
@@ -523,9 +532,9 @@ def maps_into(matrix: Mat, dom: ConeRep, cod: ConeRep,
     rows, gens = cod.facet_rows(), dom.generator_rows()
     if len(matrix) != cod.dim or any(len(r) != dom.dim for r in matrix):
         raise DimensionMismatchError("map matrix shape mismatch")
-    flat, scale = integer_row(tuple(x for row in matrix for x in row))
+    flat, own = integer_row(tuple(x for row in matrix for x in row))
     ints = [flat[i:i + dom.dim] for i in range(0, len(flat), dom.dim)]
-    n, m = scale.as_integer_ratio()
+    n, m = (own * scale).as_integer_ratio()
     for gs, _ in gens:
         image = [sum(map(mul, row, gs)) for row in ints]
         if not _meets(rows, image, (n, m * _top(gs)), tol):

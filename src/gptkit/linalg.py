@@ -5,20 +5,25 @@ here are desk scale (dim <= 16, a few dozen rows). Elimination runs on
 every cone's rank check and on the base of each double description, so
 it works on integers: each row is cleared to coprime integers
 (integer_row) and eliminated fraction-free with one gcd division per
-row. rref, and through it nullspace and inverse, turns the rows back
-into Fractions; rank and cones.independent_subset read the pivot
-columns only and make no Fraction. Every exact pairing (dot, and so
-matvec and matmul, and each coordinate of combination) adds numerator
-products over one running denominator and makes one Fraction per
-result. The other hot loops keep integers of their own: double
-description its normals (canonical_ray) and rays, returned as int tuples
-that the cone keeps as a side's rows (cones.enumerate_rays), the simplex
-each tableau row over its basic entry, on columns cleared once by
-integer_row (lp.solve_lp), membership each facet row
+row. rank and cones.independent_subset read the pivot columns only,
+and inverse_rays the base rays of a double description, the inverse's
+columns as coprime rows; none of them makes a Fraction. rref, and
+through it nullspace and inverse, turns the rows back into Fractions
+for the callers that want exact vectors: the circuits of
+cones.partition_rays, a simplex factor's rays (cones.ConeRep.facet_rays)
+and the protocols' and spaces' matrix inverses. Every exact pairing
+(dot, and so matvec and matmul, and each coordinate of combination)
+adds numerator products over one running denominator and makes one
+Fraction per result. The other hot loops keep integers of their own:
+double description its normals (canonical_ray) and rays, returned as
+int tuples that the cone keeps as a side's rows (cones.enumerate_rays),
+the simplex each tableau row over its basic entry, on columns cleared
+once by integer_row (lp.solve_lp), membership each facet row
 (cones.ConeRep.contains), positivity each image of a generator under a
 matrix cleared once by integer_row (cones.maps_into, on those facet
-rows), and scalars.close each within-eps comparison. An int row passes
-as a vector.
+rows, and on the composite checks' integer matrices at their rows'
+scales), and scalars.close each within-eps comparison. An int row
+passes as a vector.
 """
 
 from __future__ import annotations
@@ -202,6 +207,28 @@ def inverse(m: Mat) -> Mat | None:
     if len(pivots) != n or any(p >= n for p in pivots):
         return None
     return tuple(row[n:] for row in reduced)
+
+
+def inverse_rays(m) -> tuple[tuple[int, ...], ...] | None:
+    """The coprime integer row of each column of m's inverse, in column
+    order (canonical_ray of inverse's columns), or None when m is
+    singular. One fraction-free elimination of [m | I] leaves row i as
+    (p_i e_i | p_i times row i of the inverse), so column j is the right
+    blocks' entries j over their pivots, cleared by the pivots' lcm."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise DimensionMismatchError("inverse of a non-square matrix")
+    rows, pivots = _eliminate(
+        [tuple(row) + tuple(int(i == j) for j in range(n))
+         for i, row in enumerate(m)])
+    if pivots != tuple(range(n)):
+        return None
+    heads = [row[i] for i, row in enumerate(rows)]
+    d = lcm(*heads)
+    factors = [d // p for p in heads]  # exact, and of p's sign
+    return tuple(tuple(_primitive([f * row[n + j]
+                                   for f, row in zip(factors, rows)]))
+                 for j in range(n))
 
 
 def integer_row(v: Vec) -> tuple[tuple[int, ...], Fraction]:

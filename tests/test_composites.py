@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from gptkit.lp import feasible_point
 from gptkit import cones, models
 from gptkit.models import (entangled_state_coords, make_ball, make_classical,
                            make_polygon, make_squit)
-from gptkit.scalars import tolerance_for
+from gptkit.scalars import FLOAT, tolerance_for
 from gptkit.spaces import LinearMapRep, StateSpace, is_positive_map
 from test_cones import (HEXAGON, held_as_rows, record_clears,
                         reference_contains, reference_rays, top, unit_top)
@@ -538,8 +539,9 @@ def random_polygon(rng, k, box=4):
 
 
 def random_candidates(rng, a, b):
-    """min, max, and sub-cones of max (some holding min) plus a stray
-    vector near the product of the two barycentres."""
+    """min, max, sub-cones of max (some holding min) plus a stray vector
+    near the product of the two barycentres, and for float factors
+    pushed_candidate."""
     low, high = min_tensor(a, b), max_tensor(a, b)
     yield low
     yield high
@@ -555,6 +557,8 @@ def random_candidates(rng, a, b):
         gens.append(tuple(c + F(rng.randint(-6, 6), d) for c in center))
         if rank(tuple(gens)) == low.dim:
             yield StateSpace(ConeRep.from_generators(gens), low.unit)
+    if high.arithmetic == FLOAT:
+        yield pushed_candidate(a, b)
 
 
 def random_effect(rng):
@@ -562,6 +566,48 @@ def random_effect(rng):
     scale = rng.choice((F(1, 4), F(1, 10), F(1, 40), F(1, 400)))
     return tuple(tuple(scale * rng.randint(-1, 1) + F(i == j == 2, 2)
                        for j in range(3)) for i in range(3))
+
+
+def pushed_candidate(a, b, eps=F(1, 1000)):
+    """max(a, b) and one more generator x (x) y, x a's first generator and
+    y b's first pushed past its vertex, away from b's barycentre, by eps:
+    outside max(a, b) by a margin that tol 1/50 forgives and the exact or
+    default tolerance does not, at a row scale far from 1 in float mode."""
+    high = max_tensor(a, b)
+    ys = b.cone.generators
+    centre = [sum(c) / len(ys) for c in zip(*ys)]
+    y = tuple((1 + eps) * v - eps * c for v, c in zip(ys[0], centre))
+    gens = high.cone.generators + (product_vec(a.cone.generators[0], y),)
+    return StateSpace(ConeRep.from_generators(gens, high.arithmetic),
+                      high.unit)
+
+
+def pulled_in(space, eps=F(1, 1000)):
+    """The space as given, with each generator moved toward the unit
+    axis by eps (x -> (1 - eps) x + eps <u, x> e_last) and its facets
+    kept: facets that cut out a little more than the generators span,
+    so pairings through it fall just below zero."""
+    last = (0,) * (space.dim - 1) + (1,)
+    gens = [tuple((1 - eps) * x + eps * dot(space.unit, g) * e
+                  for x, e in zip(g, last)) for g in space.cone.generators]
+    cone = ConeRep(space.dim, POLYHEDRAL, space.arithmetic,
+                   tuple(integer_row(g) for g in gens),
+                   space.cone.facet_rows())
+    return StateSpace(cone, space.unit)
+
+
+def float_inputs():
+    """Float polygon:5 and polygon:6 against squit and classical:2: pairs
+    and triples whose enumerated sides, and so the candidates' generator
+    rows and min(a, b)'s facet rows, are held at scales other than 1.
+    The last triple's middle factor is polygon:5 pulled in, so that its
+    verdict turns on the tolerance at those scales."""
+    p5, p6 = make_polygon(5), make_polygon(6)
+    sq, cl = make_squit(), make_classical(2)
+    pairs = [(p5, sq), (cl, p5), (p6, cl), (cl, p6)]
+    triples = [(p5, sq, cl), (cl, p5, sq), (p6, cl, p5),
+               (cl, pulled_in(p5), sq)]
+    return pairs, triples
 
 
 def test_composite_checks_match_product_loop_oracles():
@@ -572,11 +618,15 @@ def test_composite_checks_match_product_loop_oracles():
         assert got == want
         verdicts[got] += 1
 
-    for _ in range(6):
-        a = random_polygon(rng, rng.randint(3, 4))
-        b = random_polygon(rng, rng.randint(3, 4))
+    float_pairs, float_triples = float_inputs()
+    # drawn lazily, so the random polygons and candidates interleave
+    pairs = ((random_polygon(rng, rng.randint(3, 4)),
+              random_polygon(rng, rng.randint(3, 4))) for _ in range(6))
+    for a, b in chain(pairs, float_pairs):
         candidates = list(random_candidates(rng, a, b))
-        effects = [random_effect(rng) for _ in range(16)]
+        # random_effect is shaped for two factors of dim 3
+        effects = [random_effect(rng) for _ in range(16)] \
+            if a.dim == b.dim == 3 else []
         for tol in (None, F(1, 50)):
             for cand in candidates:
                 agree(is_composite(a, b, cand, tol),
@@ -587,8 +637,9 @@ def test_composite_checks_match_product_loop_oracles():
             for eff in effects[:3]:  # two LPs each
                 agree(effect_on_max(a, b, eff, tol),
                       oracle_effect_on_max(a, b, eff, tol))
-    for _ in range(2):
-        a, b, c = (random_polygon(rng, rng.randint(3, 4)) for _ in range(3))
+    triples = (tuple(random_polygon(rng, rng.randint(3, 4)) for _ in range(3))
+               for _ in range(2))
+    for a, b, c in chain(triples, float_triples):
         for tol in (None, F(1, 50)):
             agree(check_distributive_inclusion(a, b, c, tol),
                   oracle_distributive(a, b, c, tol))
@@ -642,15 +693,20 @@ def test_composite_checks_match_pairwise_references():
         models.parse_model_name("polygon:5")
     pairs = [(random_polygon(rng, rng.randint(3, 4)),
               random_polygon(rng, rng.randint(3, 4))) for _ in range(12)]
-    for a, b in pairs + [floats]:
+    float_pairs, float_triples = float_inputs()
+    inputs = [(pair, tols) for pair in pairs + [floats]]
+    inputs += [(pair, tols[:2]) for pair in float_pairs]
+    for (a, b), these in inputs:
         for cand in random_candidates(rng, a, b):
-            for tol in tols:
+            for tol in these:
                 agree(is_composite(a, b, cand, tol),
                       reference_is_composite(a, b, cand, tol))
     triples = [tuple(random_polygon(rng, rng.randint(3, 4)) for _ in range(3))
                for _ in range(4)]
-    for a, b, c in triples + [floats + floats[:1]]:
-        for tol in tols:
+    inputs = [(triple, tols) for triple in triples + [floats + floats[:1]]]
+    inputs += [(triple, tols[:2]) for triple in float_triples]
+    for (a, b, c), these in inputs:
+        for tol in these:
             agree(check_distributive_inclusion(a, b, c, tol),
                   reference_distributive(a, b, c, tol))
     assert verdicts[False] >= 50, verdicts

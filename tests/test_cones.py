@@ -404,6 +404,23 @@ def test_kernel_matches_reference_on_walked_edges():
             outcome(reference_rays, halfspaces, dim), (dim, halfspaces)
 
 
+def test_kernel_makes_its_base_rays_without_a_fraction_inverse(monkeypatch):
+    # The base rays come from one integer elimination beside an identity
+    # block (linalg.inverse_rays), so the kernel still answers, with the
+    # reference's rays, when inverse and rref refuse.
+    inputs = [(h, d) for _, h, d in seeded_kernel_inputs()]
+    inputs += list(walk_inputs())
+    want = [outcome(reference_rays, h, d) for h, d in inputs]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction elimination was called")
+    monkeypatch.setattr(cones, "inverse", refuse)
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for (halfspaces, dim), rays in zip(inputs, want):
+        assert outcome(enumerate_rays, halfspaces, dim) == rays, dim
+
+
 def test_permuted_and_repeated_normals_keep_the_rays():
     # The slots and live set depend on the order of the normals and on
     # repeats dropped on the way in; the rays must not.

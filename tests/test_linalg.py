@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gptkit.cones import independent_subset
 from gptkit.errors import DimensionMismatchError, InvalidInputError
-from gptkit.linalg import (ONE, ZERO, canonical_ray, combination, dot,
-                           identity, integer_row, inverse, mat,
-                           matmul, matvec, nullspace, rank, rref, transpose,
-                           unit_vec, vec, zeros)
+from gptkit.linalg import (ONE, ZERO, _eliminate, canonical_ray,
+                           combination, dot, identity, integer_row, inverse,
+                           inverse_rays, mat, matmul, matvec, nullspace, rank,
+                           rref, transpose, unit_vec, vec, zeros)
 from gptkit.models import make_polygon
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -341,6 +341,59 @@ def test_inverse_of_square_singular_is_none():
     assert inverse(m) is None and reference_inverse(m) is None
     assert rank(m) == 2
     assert inverse(mat(((0,),))) is None
+
+
+def test_inverse_rays_are_the_inverses_coprime_columns_seeded():
+    # Random integer bases: unimodular ones (a product of unit triangular
+    # factors, then signed and permuted), non-unimodular ones with negative
+    # pivots, and singular ones; inverse_rays must give canonical_ray of
+    # inverse's columns, in column order, and None exactly where inverse
+    # does.
+    rng = random.Random(49)
+    kinds = {"unimodular": 0, "non-unimodular": 0, "negative pivot": 0,
+             "singular": 0}
+    for trial in range(1500):
+        n = rng.randint(1, 7)
+        if trial % 3 == 0:
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(n - 1):
+                i, j = rng.sample(range(n), 2)
+                f = rng.randint(-3, 3)
+                m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+            rng.shuffle(m)
+            m = [[-x for x in row] if rng.random() < 0.5 else row
+                 for row in m]
+        else:
+            m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 1 and n > 1:
+                a, b = rng.sample(range(n), 2)
+                k = rng.randint(-2, 2)
+                m[a] = [k * x for x in m[b]]
+        m = tuple(map(tuple, m))
+        inv = inverse(m)
+        got = inverse_rays(m)
+        if inv is None:
+            assert got is None, m
+            kinds["singular"] += 1
+            continue
+        assert got == tuple(canonical_ray(c) for c in zip(*inv)), m
+        assert all(type(x) is int for row in got for x in row)
+        kinds["unimodular" if all(x.denominator == 1 for row in inv
+                                  for x in row) else "non-unimodular"] += 1
+        rows, _ = _eliminate([r + unit_vec(n, i) for i, r in enumerate(m)])
+        kinds["negative pivot"] += any(row[i] < 0
+                                       for i, row in enumerate(rows))
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_inverse_rays_edge_shapes():
+    assert inverse_rays(()) == ()
+    assert inverse_rays(((-3,),)) == ((-1,),)
+    assert inverse_rays(((0,),)) is None
+    assert inverse_rays(((2, 0), (0, -4))) == ((1, 0), (0, -1))
+    assert inverse_rays(((1, 2), (2, 4))) is None
+    with pytest.raises(DimensionMismatchError):
+        inverse_rays(((1, 2),))
 
 
 @settings(max_examples=80)

@@ -13,8 +13,8 @@ from gptkit.cones import POLYHEDRAL, ConeRep
 from gptkit.errors import (DegenerateConeError, DimensionCapError,
                            DimensionMismatchError, InvalidInputError,
                            UnsupportedConeError)
-from gptkit.linalg import (combination, dot, identity, inverse, mat, matvec,
-                           transpose, vec)
+from gptkit.linalg import (combination, dot, identity, integer_row, inverse,
+                           mat, matvec, transpose, vec)
 from gptkit.lp import feasible_point
 from gptkit.models import (direct_sum, make_ball, make_classical,
                            make_polygon, make_squit, symmetry_group)
@@ -521,7 +521,17 @@ def perturbed(rng, matrix):
     return tuple(map(tuple, out))
 
 
+def as_scaled_ints(matrix):
+    """The matrix as an integer matrix and the positive scale that takes
+    it back, the form a side's row is handed to maps_into in."""
+    flat, scale = integer_row(tuple(x for row in matrix for x in row))
+    n = len(matrix[0])
+    return tuple(flat[i:i + n] for i in range(0, len(flat), n)), scale
+
+
 def test_integer_positivity_matches_the_matvec_route_seeded():
+    # and the matrix as integers with its scale beside it gives the same
+    # verdict, into a Lorentz codomain and from a Lorentz domain too
     rng = random.Random(26)
     cones_ = positivity_cones(rng)
     codomains = cones_ + [ConeRep.lorentz(3)]
@@ -529,15 +539,27 @@ def test_integer_positivity_matches_the_matvec_route_seeded():
     for _ in range(240):
         dom, cod = rng.choice(cones_), rng.choice(codomains)
         matrix = perturbed(rng, positive_map(rng, dom, cod))
+        ints, scale = as_scaled_ints(matrix)
         verdicts = []
         for eps in (F(0), DEFAULT_TOLERANCE):
             got = cones.maps_into(matrix, dom, cod, eps)
             assert got == reference_positive_between(matrix, dom, cod, eps)
+            assert cones.maps_into(ints, dom, cod, eps, scale) == got
             verdicts.append(got)
         seen += verdicts
         decided_by_tol += verdicts[0] != verdicts[1]
     assert seen.count(True) >= 100 and seen.count(False) >= 100
     assert decided_by_tol >= 10
+    ball = ConeRep.lorentz(3)
+    for cod in (ball, make_squit().cone):
+        for k in (F(1, 3), F(1, 2), F(2, 3), 1):
+            # k times the identity, less a step: inside or just outside
+            matrix = tuple(tuple(k * (i == j) - (i == j == 2) * F(1, 10 ** 9)
+                                 for j in range(3)) for i in range(3))
+            ints, scale = as_scaled_ints(matrix)
+            for eps in (F(0), DEFAULT_TOLERANCE, F(1, 3)):
+                assert cones.maps_into(ints, ball, cod, eps, scale) == \
+                    cones.maps_into(matrix, ball, cod, eps), (cod, k, eps)
 
 
 def test_positivity_clears_a_domain_cone_once(monkeypatch):
