@@ -28,8 +28,8 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .cones import (DIMENSION_CAP, POLYHEDRAL, ConeRep, Rows, maps_into,
-                    ray_rows)
+from .cones import (DIMENSION_CAP, POLYHEDRAL, ConeRep, Rows, _kron,
+                    maps_into, ray_rows)
 from .errors import (
     DegenerateConeError,
     DimensionMismatchError,
@@ -57,15 +57,20 @@ def _products(xs: Rows, ys: Rows) -> Rows:
                  for r, s in xs for q, t in ys)
 
 
+def _bare(sides: tuple[Rows, Rows]) -> tuple:
+    """The two factor sides' coprime rows without their scales: the
+    factors enumerate_rays reads the products' base from."""
+    return tuple(tuple(r for r, _ in side) for side in sides)
+
+
 def _simplex_side(a: ConeRep, b: ConeRep, arith: str) -> Rows | None:
     """A simplex factor's composite facets within the cap, the sorted ray
     products (Namioka & Phelps 1969); None else, or for a degenerate factor."""
     if a.dim * b.dim <= DIMENSION_CAP and any(
             len(c.generator_rows()) == c.dim for c in (a, b)):
         with suppress(DegenerateConeError):
-            ra, rb = a.facet_rays(), b.facet_rays()
-            return ray_rows(sorted(tuple(x * y for x in r for y in q)
-                                   for r in ra for q in rb), arith)
+            return ray_rows(sorted(_kron(a.facet_rays(), b.facet_rays())),
+                            arith)
     return None
 
 
@@ -108,10 +113,10 @@ def min_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    rows = _products(a.cone.generator_rows(), b.cone.generator_rows())
+    sides = a.cone.generator_rows(), b.cone.generator_rows()
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
-    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, rows,
-                   _simplex_side(a.cone, b.cone, arith))
+    cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith, _products(*sides),
+                   _simplex_side(a.cone, b.cone, arith), _bare(sides))
     unit = product_vec(a.unit, b.unit)
     name = f"min({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "min", name)
@@ -125,10 +130,11 @@ def max_tensor(a: StateSpace, b: StateSpace) -> CompositeSpace:
     """
     _require_polyhedral(a, b)
     arith = merge_arithmetic(a.arithmetic, b.arithmetic)
-    rows = _products(a.cone.facet_rows(), b.cone.facet_rows())
+    sides = a.cone.facet_rows(), b.cone.facet_rows()
     # rank(A (x) B) = rank A * rank B: the products span, no rank check
     cone = ConeRep(a.dim * b.dim, POLYHEDRAL, arith,
-                   _simplex_side(a.cone.dual(), b.cone.dual(), arith), rows)
+                   _simplex_side(a.cone.dual(), b.cone.dual(), arith),
+                   _products(*sides), _bare(sides))
     unit = product_vec(a.unit, b.unit)
     name = f"max({a.name or 'A'},{b.name or 'B'})"
     return CompositeSpace(cone, unit, a, b, "max", name)

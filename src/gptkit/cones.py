@@ -20,7 +20,10 @@ dual view's facet rows). `generators` and `facets` make its Fraction
 vectors on every read, so a caller reads them once.
 Double description takes a cone's rows as normals and returns coprime
 integer rays, its base rays too coming from an integer elimination
-(linalg.inverse_rays), so it makes no Fraction; inside it, each
+(linalg.inverse_rays), so it makes no Fraction. A tensor product's cone
+holds the factors' rows whose products its held side is (`_factors`),
+and from them double description takes its base and base rays with
+eliminations in the factors' dimensions only. Inside it, each
 normal's zero set is a bitset over fixed ray slots kept across steps.
 A ray about to be cut off that lies on exactly dim - 1 normals finds
 its new neighbours along its edges by ANDs of those bitsets; any other
@@ -57,7 +60,7 @@ from .linalg import (
     Vec,
     ZERO,
     _combine,
-    _eliminate,
+    _pivots,
     canonical_ray,
     dot,
     integer_row,
@@ -87,11 +90,35 @@ def independent_subset(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     Vector j is kept exactly when it leaves the span of the ones before
     it, i.e. when column j is a pivot of the stacked columns' rref.
     """
-    return tuple(vectors[j] for j in _eliminate(tuple(zip(*vectors)))[1])
+    return tuple(vectors[j] for j in _pivots(tuple(zip(*vectors))))
 
 
-def enumerate_rays(halfspaces: tuple[Vec, ...],
-                   dim: int) -> tuple[tuple[int, ...], ...]:
+def _kron(xs, ys) -> list[tuple]:
+    """The product x (x) y of each row x of xs, then y of ys, flattened
+    row-major in x."""
+    return [tuple(a * b for a in x for b in y) for x in xs for y in ys]
+
+
+def _product_base(factors, position: dict, dim: int):
+    """A base of the normals and its rays from factors = (rows_a, rows_b):
+    I_A (x) I_B, the products of the factors' independent subsets, and
+    the products of their inverse_rays, as (I_A (x) I_B)^-1 = I_A^-1 (x)
+    I_B^-1 (coprime, as gcd(r_i q_j) = gcd(r) gcd(q)); None unless those
+    products span and are normals (position's keys, coprime rows).
+
+    Where the normals are the products r (x) q of the factors' rows, in
+    order, this is the greedy base: r (x) q leaves the span of the
+    products before it exactly when r leaves the span of the rows of A
+    before it and q of those of B."""
+    subsets = independent_subset(factors[0]), independent_subset(factors[1])
+    base = _kron(*subsets)
+    if len(base) < dim or not all(b in position for b in base):
+        return None
+    return base, _kron(*map(inverse_rays, subsets))
+
+
+def enumerate_rays(halfspaces: tuple[Vec, ...], dim: int, *,
+                   factors=None) -> tuple[tuple[int, ...], ...]:
     """Extreme rays of {x : <h, x> >= 0 for all h}, as sorted coprime
     integer tuples.
 
@@ -129,6 +156,14 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
     returned so, with no Fraction made from the normals on (ConeRep
     holds them as a side's rows). Distinct 2-faces meet a hyperplane in
     distinct rays, so no ray is made twice.
+
+    factors = (rows_a, rows_b), two sequences of coprime integer rows,
+    offers a base with no elimination in dimension dim: the products
+    r (x) q of independent rows of each (_product_base), taken when they
+    span and are among the normals, and ignored otherwise. Any base of
+    the normals gives the same rays; where the halfspaces are the
+    products of the factors' rows in _kron's order (r major), it is the
+    generic base, row for row and slot for slot, so every step stays.
     """
     if dim > DIMENSION_CAP:
         raise DimensionCapError(
@@ -145,7 +180,8 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
         position[c] = len(normals)
         normals.append(c)
 
-    base = independent_subset(tuple(normals))
+    made = factors is not None and _product_base(factors, position, dim)
+    base, base_rays = made or (independent_subset(tuple(normals)), None)
     if len(base) < dim:
         raise DegenerateConeError(
             "halfspace normals do not span; the cone contains a line")
@@ -154,7 +190,7 @@ def enumerate_rays(halfspaces: tuple[Vec, ...],
 
     # base ray j sits in slot j, each new ray in the next unused one; slots
     # lists the live slots, and live holds them as bits
-    rays: list[tuple[int, ...]] = list(inverse_rays(base))
+    rays: list[tuple[int, ...]] = list(base_rays or inverse_rays(base))
     all_base = sum(1 << k for k in base_idx)
     masks: list[int] = [all_base & ~(1 << k) for k in base_idx]
     slots = list(range(dim))
@@ -310,13 +346,17 @@ class ConeRep:
     kind "polyhedral": generators and facets, either lazily completed,
     given and held as `Rows`; `generators`/`facets` make vectors per read.
     kind "lorentz": x[-1] >= euclidean norm of x[:-1]; no finite lists.
+    A tensor product's cone also holds the two factors' coprime rows
+    whose products are the side it was handed (`_factors`, shared with
+    the dual view), for enumerate_rays' base.
     """
 
     __slots__ = ("dim", "kind", "arithmetic", "_generators", "_facets",
-                 "_dual")
+                 "_dual", "_factors")
 
     def __init__(self, dim: int, kind: str, arithmetic: str,
-                 generators: Rows | None = None, facets: Rows | None = None):
+                 generators: Rows | None = None, facets: Rows | None = None,
+                 factors: tuple | None = None):
         if kind not in (POLYHEDRAL, LORENTZ):
             raise UnsupportedConeError(f"unknown cone kind {kind!r}")
         if arithmetic not in (RATIONAL, FLOAT):
@@ -326,6 +366,7 @@ class ConeRep:
         self.arithmetic = arithmetic
         self._generators = generators
         self._facets = facets
+        self._factors = factors
         self._dual: ConeRep | None = self if kind == LORENTZ else None
 
     # -- constructors --------------------------------------------------
@@ -411,7 +452,7 @@ class ConeRep:
             raise UnsupportedConeError(
                 f"lorentz cones have no finite {side} list")
         known = tuple(row for row, _ in self.generator_rows())
-        rays = enumerate_rays(known, self.dim)
+        rays = enumerate_rays(known, self.dim, factors=self._factors)
         # The known rows span, so the rays generate a pointed cone. It is
         # full-dimensional exactly when each nonzero known row is
         # positive on some ray: the rays' sum is then an interior point.
@@ -484,7 +525,8 @@ class ConeRep:
         cones are self-dual."""
         if self._dual is None:
             self._dual = ConeRep(self.dim, POLYHEDRAL, self.arithmetic,
-                                 self._facets, self._generators)
+                                 self._facets, self._generators,
+                                 self._factors)
             self._dual._dual = self
         return self._dual
 

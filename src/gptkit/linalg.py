@@ -6,8 +6,11 @@ every cone's rank check and on the base of each double description, so
 it works on integers: each row is cleared to coprime integers
 (integer_row) and eliminated fraction-free with one gcd division per
 row. rank and cones.independent_subset read the pivot columns only,
-and inverse_rays the base rays of a double description, the inverse's
-columns as coprime rows; none of them makes a Fraction. rref, and
+which forward elimination alone finds (_pivots: no back substitution,
+and the scan stops once the kept columns span). _eliminate's full
+Gauss-Jordan serves rref, the bit commitment, and inverse_rays, the
+base rays of a double description as the inverse's coprime columns.
+None of _pivots, _eliminate and inverse_rays makes a Fraction. rref, and
 through it nullspace and inverse, turns the rows back into Fractions
 for the callers that want exact vectors: the circuits of
 cones.partition_rays, a simplex factor's rays (cones.ConeRep.facet_rays)
@@ -153,6 +156,31 @@ def _eliminate(m: Mat) -> tuple[list[list[int]], tuple[int, ...]]:
     return rows, tuple(pivots)
 
 
+def _pivots(m: Mat) -> tuple[int, ...]:
+    """_eliminate's pivot columns, by forward elimination alone. Column j
+    is a pivot exactly when it leaves the span of the columns before it,
+    so each column is cleared to a coprime integer row and reduced,
+    fraction-free, at the first nonzero index of each kept one, in the
+    order they were kept: a kept column is zero at the index of every
+    one kept before it, so no step refills an entry already cleared. The
+    scan stops once the kept columns span, with no back substitution."""
+    kept: list[tuple[int, list[int]]] = []  # (first nonzero index, column)
+    pivots: list[int] = []
+    for j, column in enumerate(zip(*m)):
+        v = integer_row(column)[0]
+        for i, b in kept:
+            if v[i]:
+                v = _combine(b[i], v, v[i], b)
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        kept.append((lead, v))
+        pivots.append(j)
+        if len(pivots) == len(m):
+            break
+    return tuple(pivots)
+
+
 def _primitive(row: list[int]) -> list[int]:
     """An integer row over the gcd of its entries; a zero row as it is."""
     g = gcd(*row)
@@ -177,7 +205,11 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(m: Mat) -> int:
-    return len(_eliminate(m)[1])
+    """The pivot count, scanned along m's longer side (rank m = rank m^t),
+    where _pivots stops soonest."""
+    if m and len(m) > len(m[0]):
+        m = transpose(m)
+    return len(_pivots(m))
 
 
 def nullspace(m: Mat) -> tuple[Vec, ...]:

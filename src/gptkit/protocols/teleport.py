@@ -274,8 +274,13 @@ def _derived_outcome(space: StateSpace, g: Mat, g_inv: Mat, F: Mat, order,
     exactly and 1/|G| > eps: oh . oh^-1 = I exactly, so mu = g/|G|, J = g
     (proved positive) and u - (g^-1)^t u = 0. At eps = 0 the correction
     is the table's g^-1, exact and proved positive; at eps > 0 g is
-    inverted and the inverse tested. The effect is checked as there."""
-    if not effect_on_min(space, space, F, tol):
+    inverted and the inverse tested. At eps = 0 the effect is proved
+    too: g and oh^-1 are exactly positive, so each F_h^t = oh^-1 h / |G|
+    maps the cone into its dual, and the effects sum exactly to u (x) u,
+    so u (x) u - F = sum of the other F_h is as well. At eps > 0
+    eps-positive maps need not compose to an eps-positive product, so
+    the effect is checked as verify_teleportation checks it."""
+    if eps and not effect_on_min(space, space, F, tol):
         raise InvalidInputError("f is not an effect on the minimal composite")
     mu = tuple(tuple(x * order for x in row) for row in g)
     inv = inverse(g) if eps else g_inv

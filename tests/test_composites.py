@@ -828,13 +828,37 @@ def test_simplex_side_stops_at_the_cap_and_at_degenerate_factors():
         low.facet_rows()
 
 
+def test_tensor_sides_from_factor_bases_are_the_generic_sides_seeded():
+    """A tensor side enumerated from its product side, whose base comes
+    from the factors, is row for row (order and scale) what double
+    description makes of the held rows with no factors, for both
+    tensors of non-simplex factors in both arithmetics, given by
+    generators or facets, up to the dimension cap."""
+    rng = random.Random(5051)
+    _, others = _simplex_pair_spaces(rng)
+    pairs = [(a, b) for a in others for b in others if a is not b]
+    small = [(a, b) for a, b in pairs if a.dim * b.dim < 16]
+    large = [(a, b) for a, b in pairs if a.dim * b.dim == 16]
+    dims = Counter()
+    for a, b in rng.sample(small, 30) + rng.sample(large, 2):
+        for composite in (min_tensor(a, b), max_tensor(a, b)):
+            cone = composite.cone
+            view = cone if composite.tensor == "min" else cone.dual()
+            held = [r for r, _ in view.generator_rows()]
+            assert view.facet_rows() == cones.ray_rows(
+                cones.enumerate_rays(held, cone.dim), cone.arithmetic)
+        dims[a.dim * b.dim, composite.arithmetic] += 1
+    assert {9, 12, 16} <= {d for d, _ in dims}, dims
+    assert {arith for _, arith in dims} == {"rational", "float"}, dims
+
+
 def test_simplex_pairs_enumerate_only_in_the_factor_dimensions(monkeypatch):
     dims = Counter()
     enumerate_rays = cones.enumerate_rays
 
-    def counted(halfspaces, dim):
+    def counted(halfspaces, dim, **kwargs):
         dims[dim] += 1
-        return enumerate_rays(halfspaces, dim)
+        return enumerate_rays(halfspaces, dim, **kwargs)
 
     monkeypatch.setattr(cones, "enumerate_rays", counted)
 

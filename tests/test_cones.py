@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import mul
 
@@ -419,6 +421,128 @@ def test_kernel_makes_its_base_rays_without_a_fraction_inverse(monkeypatch):
     monkeypatch.setattr(linalg, "rref", refuse)
     for (halfspaces, dim), rays in zip(inputs, want):
         assert outcome(enumerate_rays, halfspaces, dim) == rays, dim
+
+
+def lattice_polytope(rng, k, box=2):
+    """Generator rows of the cone over k distinct lattice points of R^3
+    that span once lifted (interior points allowed), and its facet rows."""
+    while True:
+        lifts = sorted({tuple(rng.randint(-box, box) for _ in range(3))
+                        + (1,) for _ in range(k)})
+        if len(lifts) == k and rank(lifts) == 4:
+            return lifts, list(enumerate_rays(lifts, 4))
+
+
+def factor_sides():
+    """Coprime integer rows of factor sides, generators and facets: lattice
+    polygons and 3-polytopes, float polygons (their edge facet rows and
+    dyadic vertex rows) and simplices, dims 2 to 4."""
+    rng = random.Random(5049)
+    for k in (3, 4, 5, 6):
+        gens, facets = lattice_polygon(rng, k)
+        yield [integer_row(g)[0] for g in gens]
+        yield list(facets)
+    for k in (4, 5, 6):
+        yield from lattice_polytope(rng, k)
+    for n in (5, 6):
+        cone = make_polygon(n).cone
+        yield [r for r, _ in cone.generator_rows()]
+        yield [r for r, _ in cone.facet_rows()]
+    for n in (2, 4):
+        yield [r for r, _ in make_classical(n).cone.generator_rows()]
+
+
+def factor_pairs():
+    """Seeded (rows_a, rows_b) pairs of factor_sides within the cap, as
+    they are or with a row listed twice, a row and its opposite, or a
+    last coordinate dropped (a factor that does not span)."""
+    rng = random.Random(5050)
+    sides = list(factor_sides())
+    for trial in range(120):
+        a, b = (list(rng.choice(sides)) for _ in range(2))
+        if len(a[0]) * len(b[0]) > DIMENSION_CAP:
+            continue
+        change = trial % 4
+        side = rng.choice((a, b))
+        row = rng.choice(side)
+        if change == 1:
+            side.insert(rng.randrange(len(side) + 1), row)
+        elif change == 2:
+            side.insert(rng.randrange(len(side) + 1), tuple(-x for x in row))
+        elif change == 3:
+            side[:] = [canonical_ray(r[:-1] + (0,)) for r in side]
+        yield tuple(a), tuple(b)
+
+
+def test_product_kernel_takes_its_base_from_the_factors_seeded():
+    # the products r (x) q of two factors' rows, in order: with factors=
+    # the kernel gives the rays, or the error, of the generic base, tuple
+    # for tuple
+    dims, kinds = set(), Counter()
+    for a, b in factor_pairs():
+        dim = len(a[0]) * len(b[0])
+        halfspaces = tuple(products(a, b))
+        want = outcome(enumerate_rays, halfspaces, dim)
+        got = outcome(partial(enumerate_rays, factors=(a, b)), halfspaces,
+                      dim)
+        assert got == want, (a, b)
+        dims.add(dim)
+        kinds["rays" if isinstance(want, str) else want[0].__name__] += 1
+    assert dims >= {6, 9, 12, 16} and max(dims) == DIMENSION_CAP
+    assert kinds["rays"] >= 50 and kinds["DegenerateConeError"] >= 15, kinds
+
+
+def test_product_kernel_takes_a_factor_base_only_among_spanning_normals():
+    # the products in another order, or beside more normals, give the same
+    # rays from the factors' base; factors whose base leaves out a normal
+    # (a product missing, rows not coprime) or does not span (a factor cut
+    # to a plane, beside normals that span) are ignored
+    gens, _ = lattice_polygon(random.Random(7), 4)
+    a = [integer_row(g)[0] for g in gens]
+    b = [r for r, _ in make_squit().cone.facet_rows()]
+    halfspaces = products(a, b)
+    doubled = [tuple(2 * x for x in r) for r in a]
+    flat = [canonical_ray(r[:2] + (0,)) for r in a]
+    extra = [tuple(random.Random(k).randint(-3, 3) for _ in range(9))
+             for k in range(4)]
+    for factors, given in (((a, b), halfspaces[::-1]),
+                           ((a, b), extra + halfspaces),
+                           ((a, b), halfspaces[1:]),
+                           ((doubled, b), products(doubled, b)),
+                           ((flat, b), products(flat, b) + halfspaces)):
+        assert outcome(partial(enumerate_rays, factors=factors),
+                       tuple(given), 9) == \
+            outcome(enumerate_rays, tuple(given), 9)
+
+
+def test_product_kernel_eliminates_only_in_the_factor_dimensions(
+        monkeypatch):
+    # with factors=, and for every tensor side a ConeRep enumerates, each
+    # elimination (Gauss-Jordan or pivots only) has a factor's dimension
+    # of rows, fewer than the product's; without, the base has the
+    # product's
+    rows = []
+    for module, name in ((linalg, "_eliminate"), (cones, "_pivots")):
+        def counted(m, _inner=getattr(module, name)):
+            rows.append(len(m))
+            return _inner(m)
+        monkeypatch.setattr(module, name, counted)
+    for a, b in factor_pairs():
+        dim = len(a[0]) * len(b[0])
+        if len(independent_subset(a)) * len(independent_subset(b)) < dim:
+            continue
+        rows.clear()
+        enumerate_rays(tuple(products(a, b)), dim, factors=(a, b))
+        assert rows and max(rows) < dim, (a, b)
+        rows.clear()
+        enumerate_rays(tuple(products(a, b)), dim)
+        assert max(rows) == dim
+    p5, sq = make_polygon(5), make_squit()
+    for composite in (min_tensor(p5, sq), max_tensor(p5, sq),
+                      max_tensor(sq, p5)):
+        rows.clear()
+        composite.cone.generators, composite.cone.facets
+        assert rows and max(rows) < 9
 
 
 def test_permuted_and_repeated_normals_keep_the_rays():

@@ -450,7 +450,7 @@ def test_traced_functions_exist():
     assert missing == []
     # the lazy-side counters read these slots behind the properties
     assert ConeRep.__slots__ == ("dim", "kind", "arithmetic", "_generators",
-                                 "_facets", "_dual")
+                                 "_facets", "_dual", "_factors")
     for side in ("generators", "facets"):
         assert f"_{side}" in ConeRep.__slots__
         assert isinstance(vars(ConeRep)[side], property)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gptkit.cones import independent_subset
 from gptkit.errors import DimensionMismatchError, InvalidInputError
-from gptkit.linalg import (ONE, ZERO, _eliminate, canonical_ray,
+from gptkit.linalg import (ONE, ZERO, _eliminate, _pivots, canonical_ray,
                            combination, dot, identity, integer_row, inverse,
                            inverse_rays, mat, matmul, matvec, nullspace, rank,
                            rref, transpose, unit_vec, vec, zeros)
@@ -384,6 +384,39 @@ def test_inverse_rays_are_the_inverses_coprime_columns_seeded():
         kinds["negative pivot"] += any(row[i] < 0
                                        for i, row in enumerate(rows))
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_pivots_are_the_eliminations_pivots_seeded():
+    # forward elimination alone finds Gauss-Jordan's pivot columns, on
+    # Fraction, integer and float-embedded entries, zero, combined and
+    # duplicate rows, and every shape; rank reads them along either side
+    rng = random.Random(5151)
+    seen = {"fraction": 0, "zero row": 0, "duplicate row": 0}
+    for trial, m in enumerate(seeded_matrices(rng, 1000)):
+        if m and trial % 4 == 1:
+            rows = list(m)
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+            m = tuple(rows)
+        pivots = _eliminate(m)[1]
+        assert _pivots(m) == pivots, m
+        assert rank(m) == len(pivots) == len(_pivots(transpose(m))), m
+        seen["fraction"] += any(x.denominator > 1 for row in m for x in row)
+        seen["zero row"] += any(row and not any(row) for row in m)
+        seen["duplicate row"] += len(set(m)) < len(m)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_pivots_edge_shapes():
+    assert _pivots(()) == () and _pivots(((), ())) == ()
+    assert _pivots(((0, 0), (0, 0))) == ()
+    # column 1 repeats column 0; column 3 is past the rank, unread
+    assert _pivots(((2, 4, 0, 1), (1, 2, 3, 1))) == (0, 2)
+    # column 2 is -column 0: reduced at the kept columns' first nonzero
+    # entries in any other order than they were kept, one step refills an
+    # entry the other cleared, and column 2 would pass for a pivot
+    assert _pivots(((-1, 1, 1), (1, 1, -1), (-1, 1, 1))) == (0, 1)
+    assert rank(((1, 2), (2, 4), (3, 6))) == 1
+    assert rank(()) == 0
 
 
 def test_inverse_rays_edge_shapes():

@@ -244,9 +244,9 @@ def test_dual_cone_involution():
 def test_dual_is_one_view_sharing_its_sides(monkeypatch):
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return enumerate_rays(*args)
+        return enumerate_rays(*args, **kwargs)
 
     enumerate_rays = cones.enumerate_rays
     monkeypatch.setattr(cones, "enumerate_rays", counted)

@@ -585,14 +585,15 @@ def count_calls(monkeypatch, functions):
 
 
 @pytest.mark.parametrize("model, maps_into, close_rows", [
-    ("squit", 16, 25), ("polygon:14", 59, 300)])
+    ("squit", 10, 25), ("polygon:14", 59, 300)])
 def test_construct_proves_each_group_fact_once(monkeypatch, model,
                                                maps_into, close_rows):
     # maps_into: |G| group elements, the state map and its inverse, two
-    # effect halves per outcome, J and J^-1 for the first outcome, and
-    # for each later one (whose J is exactly its group element, proved
-    # already) its inverse only at eps > 0: at eps = 0 (squit) that is
-    # the product table's inverse element, proved already too;
+    # effect halves and J and J^-1 for the first outcome, and for each
+    # later one (whose J is exactly its group element, proved already)
+    # its two effect halves and its inverse only at eps > 0: at eps = 0
+    # (squit) the effect follows from the positive group and state map,
+    # and the inverse is the product table's element, proved already;
     # matmul: the first outcome's mu, the later ones' being exactly
     # g/|G|; the product table tries close_rows only on a matching first
     # entry
@@ -603,7 +604,7 @@ def test_construct_proves_each_group_fact_once(monkeypatch, model,
     order = len(construct_deterministic_teleportation(space).group)
     exact = not tolerance_for(None, space)
     assert counts["maps_into"] == maps_into == \
-        (3 * order + 4 if exact else 4 * order + 3)
+        (order + 6 if exact else 4 * order + 3)
     assert counts["matmul"] == 1
     assert counts["inverse"] == (2 if exact else order + 1)
     assert counts["close_rows"] <= close_rows
@@ -744,3 +745,33 @@ def test_derived_outcome_tests_the_inverse_at_a_positive_eps(monkeypatch):
                        "teleportation verification"):
         construct_deterministic_teleportation(make_polygon(5))
     assert construct_deterministic_teleportation(make_squit()).certificates
+
+
+@pytest.mark.parametrize("model", ["squit", "polygon:4", "classical:5"])
+def test_exact_derived_effects_need_no_effect_check(monkeypatch, tmp_path,
+                                                    model):
+    # at eps = 0 the group and the state map are exactly positive and the
+    # effects sum exactly to u (x) u, so every effect and its residual
+    # are positive on products: only the first outcome (through
+    # verify_teleportation) asks effect_on_min, and each certificate is
+    # verify_teleportation's; a --tol above zero asks it for every one
+    space = parse_model_name(model)
+    counts = count_calls(monkeypatch, {gptkit.composites: ["effect_on_min"]})
+    scheme = construct_deterministic_teleportation(space)
+    assert counts["effect_on_min"] == 1
+    for effect, cert in zip(scheme.effects, scheme.certificates):
+        assert cert == verify_teleportation(effect, scheme.omega)
+    counts["effect_on_min"] = 0
+    argv = ["teleport", "construct", "--model", model, "--tol", "1e-9",
+            "--out", str(tmp_path / "report.json")]
+    assert gptkit.cli.main(argv) == 0
+    assert counts["effect_on_min"] == len(scheme.group)
+    # and there a refused effect fails the construction
+    answers = iter([True])
+    monkeypatch.setattr(gptkit.protocols.teleport, "effect_on_min",
+                        lambda *args: next(answers, False))
+    with pytest.raises(InvalidInputError, match="f is not an effect on the "
+                       "minimal composite"):
+        construct_deterministic_teleportation(space, tol=1e-9)
+    answers = iter([True])
+    assert construct_deterministic_teleportation(space).certificates
